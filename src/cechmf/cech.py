@@ -99,14 +99,12 @@ class Cochain:
         return f"Cochain[{self.kind}]{{{inner}}}"
 
 
-_CTX_CACHE: dict = {}
-
-
 def _ctx(scene: Scene, I) -> TupleCtx:
-    key = (id(scene), tuple(I))
-    if key not in _CTX_CACHE:
-        _CTX_CACHE[key] = TupleCtx(scene, I)
-    return _CTX_CACHE[key]
+    cache = scene.atlas._ctx_cache
+    I = tuple(I)
+    if I not in cache:
+        cache[I] = TupleCtx(scene, I)
+    return cache[I]
 
 
 def zero_cochain(scene: Scene, kind: str) -> Cochain:

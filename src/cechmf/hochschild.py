@@ -16,10 +16,11 @@ would exceed the cap raises TruncationOverflow rather than dropping terms.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 from fractions import Fraction
 
 from .cdg import CdgPresheaf
-from .rings import LocPoly
 from .scene import Scene
 
 
@@ -92,34 +93,69 @@ def term_parity(presheaf, syms) -> int:
     return (sum(presheaf.parity(s) for s in syms) + k) % 2
 
 
+def slot_terms(element: dict) -> list:
+    """Expand an element {sym: LocPoly} into its (sym, mono, Fraction) terms."""
+    return [
+        (sym, mono, frac)
+        for sym, c in element.items()
+        for frac, mono in c.monomials()
+    ]
+
+
+def _expand_slot(ring, element: dict, mono) -> list:
+    """Terms of an element multiplied by a monomial."""
+    m = ring.monomial(mono)
+    return slot_terms({sym: c * m for sym, c in element.items()})
+
+
+def add_tensor(out: dict, path, slots, coeff) -> None:
+    """Add coeff * (slot_0 (x) ... (x) slot_k) to out, expanded into basis
+    keys (path, syms, monos); each slot is a list of (sym, mono, Fraction)."""
+    partial = [((), (), Fraction(coeff))]
+    for slot in slots:
+        partial = [
+            (syms + (sym,), monos + (mono,), c * frac)
+            for syms, monos, c in partial
+            for sym, mono, frac in slot
+        ]
+    path = tuple(path)
+    for syms, monos, c in partial:
+        key = (path, syms, monos)
+        out[key] = out.get(key, Fraction(0)) + c
+
+
+def insertion_layouts(parities, q: int):
+    """Every way to insert q elements into the gaps after the k+1 slots.
+
+    Yields (ls, eps, depth) for each l_1 <= ... <= l_q in range(k+1), where
+    insertion s goes after slot ls[s], eps = sum_s(|a_0..a_{l_s}| + l_s) and
+    depth[i] = #{s : l_s < i} counts the insertions before slot i.
+    """
+    prefix = list(itertools.accumulate(parities, initial=0))
+    k1 = len(parities)
+    for ls in itertools.combinations_with_replacement(range(k1), q):
+        eps = sum(prefix[l + 1] + l for l in ls)
+        depth = [bisect.bisect_left(ls, i) for i in range(k1)]
+        yield ls, eps, depth
+
+
+def interleave(slots, ls, insertion) -> list:
+    """slots with insertion(s) placed after slots[ls[s]], in order of s."""
+    out = []
+    s, q = 0, len(ls)
+    for i, slot in enumerate(slots):
+        out.append(slot)
+        while s < q and ls[s] == i:
+            out.append(insertion(s))
+            s += 1
+    return out
+
+
 def make_chain(presheaf, I, path, slots, coeff=1) -> HochChain:
     """Expand element-valued slots (dicts {sym: LocPoly}) into basis terms."""
-    I = tuple(I)
     terms: dict = {}
-
-    def rec(i, syms, monos, c):
-        if i == len(slots):
-            key = (tuple(path), tuple(syms), tuple(monos))
-            terms[key] = terms.get(key, Fraction(0)) + c
-            return
-        for sym, coeff_lp in slots[i].items():
-            for frac, mono in coeff_lp.monomials():
-                rec(i + 1, syms + [sym], monos + [mono], c * frac)
-
-    rec(0, [], [], Fraction(coeff))
+    add_tensor(terms, path, [slot_terms(e) for e in slots], coeff)
     return HochChain(presheaf, I, terms)
-
-
-def _mono_lp(ring, mono) -> LocPoly:
-    return ring.monomial(mono)
-
-
-def _expand_slot(ring, element: dict, mono):
-    """Multiply an element by a monomial and expand to (sym, mono, Fraction)."""
-    m = _mono_lp(ring, mono)
-    for sym, c in element.items():
-        for frac, mm in (c * m).monomials():
-            yield sym, mm, frac
 
 
 ALL_PARTS = ("d0", "d1", "d2")
@@ -158,7 +194,7 @@ def hoch_d(chain: HochChain, trunc: int | None = None, parts=ALL_PARTS) -> HochC
                     f"curvature insertion would exceed the length cap {trunc}"
                 )
             sign = (-1) ** ((prefix[i + 1] + i) % 2)
-            for hsym, hmono, hfrac in _expand_slot(ring, h, (0,) * ring.nvars):
+            for hsym, hmono, hfrac in slot_terms(h):
                 new_path = path[: i + 1] + (obj,) + path[i + 1 :]
                 new_syms = syms[: i + 1] + (hsym,) + syms[i + 1 :]
                 new_monos = monos[: i + 1] + (hmono,) + monos[i + 1 :]
@@ -210,32 +246,18 @@ def restrict_chain(chain: HochChain, J) -> HochChain:
     """Image under the restriction functor to a larger tuple."""
     ph = chain.presheaf
     I, J = chain.I, tuple(J)
-    ring_J = ph.ring(J)
     if not ph.live(J):
         return HochChain(ph, J, {})
     src_ring = ph.ring(I)
     out: dict = {}
     for (path, syms, monos), coeff in chain.terms.items():
         # each slot: restrict the basis symbol and the monomial coefficient
-        expanded = [[] for _ in syms]
-        for i, (s, m) in enumerate(zip(syms, monos)):
-            elem = ph.restrict_sym(I, J, s)
-            c = ph.restrict_coeff(I, J, _mono_lp(src_ring, m))
-            for sym2, c2 in elem.items():
-                for frac, mono2 in (c2 * c).monomials():
-                    expanded[i].append((sym2, mono2, frac))
-
-        def rec(i, syms2, monos2, c):
-            if c == 0:
-                return
-            if i == len(expanded):
-                key = (path, tuple(syms2), tuple(monos2))
-                out[key] = out.get(key, Fraction(0)) + c
-                return
-            for sym2, mono2, frac in expanded[i]:
-                rec(i + 1, syms2 + [sym2], monos2 + [mono2], c * frac)
-
-        rec(0, [], [], coeff)
+        slots = []
+        for s, m in zip(syms, monos):
+            c = ph.restrict_coeff(I, J, src_ring.monomial(m))
+            elem = {sym2: c2 * c for sym2, c2 in ph.restrict_sym(I, J, s).items()}
+            slots.append(slot_terms(elem))
+        add_tensor(out, path, slots, coeff)
     return HochChain(ph, J, out)
 
 
@@ -328,18 +350,10 @@ def apply_morphism(c: CechHochChain, morphism, dst: CdgPresheaf) -> CechHochChai
         out: dict = {}
         for (path, syms, monos), coeff in ch.terms.items():
             new_path = tuple(morphism.object(x) for x in path)
-            slots = [morphism.apply_sym(I, s) for s in syms]
-
-            def rec(i, syms2, monos2, cc):
-                if cc == 0:
-                    return
-                if i == len(slots):
-                    key = (new_path, tuple(syms2), tuple(monos2))
-                    out[key] = out.get(key, Fraction(0)) + cc
-                    return
-                for sym2, mono2, frac in _expand_slot(ring, slots[i], monos[i]):
-                    rec(i + 1, syms2 + [sym2], monos2 + [mono2], cc * frac)
-
-            rec(0, [], [], coeff)
+            slots = [
+                _expand_slot(ring, morphism.apply_sym(I, s), m)
+                for s, m in zip(syms, monos)
+            ]
+            add_tensor(out, new_path, slots, coeff)
         entries[I] = HochChain(dst, I, out)
     return CechHochChain(dst, entries)

@@ -8,6 +8,13 @@ operators that restrict through intermediate tuples and insert inverse
 isomorphism components; two chain homotopies compare the lax map with the
 strict one and with maps induced by isomorphic lax structures.
 
+All of them run on one descent driver: `_descents` picks the ordered
+chart choices and their levels, `_descent_summands` realizes the slots at
+their levels and inserts the inverse components, and the shared kernels
+`insertion_layouts`, `interleave` and `add_tensor` of `hochschild` lay out
+the gaps and expand each summand into basis tensors.  The restriction
+homotopy is the same operator started at the GLOBAL level (p = -1).
+
 Everything here is for one-object presheaves, which covers the algebra
 actors of the build; signs follow the displayed formulas.
 """
@@ -15,11 +22,17 @@ actors of the build; signs follow the displayed formulas.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from . import signs
 from .cdg import CdgPresheaf, elem_add, elem_scale
-from .hochschild import CechHochChain, HochChain, _expand_slot
+from .hochschild import (
+    CechHochChain,
+    HochChain,
+    add_tensor,
+    insertion_layouts,
+    interleave,
+    slot_terms,
+)
 from .scene import Scene
 
 
@@ -35,6 +48,9 @@ def sort_sign(J, I):
 
 
 def restrict_elem(ph: CdgPresheaf, elem: dict, I, J) -> dict:
+    """Restriction of an element from the tuple I to J (the identity for J = I)."""
+    if tuple(I) == tuple(J):
+        return {sym: c for sym, c in elem.items() if not c.is_zero()}
     out: dict = {}
     for sym, c in elem.items():
         rc = ph.restrict_coeff(I, J, c)
@@ -133,14 +149,7 @@ class OneObjectLax:
         return self.alpha_elem(tuple(V), tuple(W))
 
     def alpha_inv(self, V, W) -> dict:
-        elem = self.alpha(V, W)
-        # invertible even element: a single even symbol family; invert the
-        # coefficient of the identity presentation
-        inv: dict = {}
-        for sym, c in elem.items():
-            inv[sym] = c.inverse()
-        assert len(inv) == 1, "isomorphism components must be unit multiples"
-        return inv
+        return _unit_inverse(self.alpha(V, W))
 
     def cocycle_ok(self) -> bool:
         atlas = self.scene.atlas
@@ -173,118 +182,126 @@ class CocycleError(ValueError):
     pass
 
 
-def _levels(scene, I, J):
-    """Intermediate tuples J_s = sorted(I + J[:s]); None if any is missing."""
-    out = []
-    for s in range(len(J) + 1):
-        T = tuple(sorted(set(I) | set(J[:s])))
-        if not scene.atlas.has_tuple(T):
-            return None
-        out.append(T)
+def _unit_inverse(elem: dict) -> dict:
+    """Inverse of an invertible even element, a unit multiple of one symbol."""
+    assert len(elem) == 1, "isomorphism components must be unit multiples"
+    return {sym: c.inverse() for sym, c in elem.items()}
+
+
+def _apply_functor(lax: OneObjectLax, T, elem: dict) -> dict:
+    out: dict = {}
+    for sym, c in elem.items():
+        out = elem_add(out, elem_scale(lax.functor_sym(T, sym), c))
     return out
+
+
+def _from_source(lax: OneObjectLax, I):
+    """Slot realization for chains of the source presheaf over I: restrict
+    the slot to the level, apply the functor there, restrict into K."""
+    src_ring = lax.src.ring(I)
+
+    def realize(sym, mono, level, K):
+        elem = restrict_elem(lax.src, {sym: src_ring.monomial(mono)}, I, level)
+        return restrict_elem(lax.dst, _apply_functor(lax, level, elem), level, K)
+
+    return realize
+
+
+def _from_global(lax: OneObjectLax, model: GlobalModel):
+    """Slot realization for global chains: at the GLOBAL level the functor
+    acts on the global algebra before the model restricts into K."""
+    gring = model.scene.global_ring
+
+    def realize(sym, mono, level, K):
+        gelem = {sym: gring.monomial(mono)}
+        if level == GLOBAL:
+            return model.to_tuple(_apply_functor(lax, GLOBAL, gelem), K)
+        felem = _apply_functor(lax, level, model.to_tuple(gelem, level))
+        return restrict_elem(lax.dst, felem, level, K)
+
+    return realize
+
+
+def _descents(scene: Scene, I, q: int):
+    """Every ordered choice J of q charts outside I whose partial unions are
+    atlas tuples, as (sigma, levels): levels[s] = sorted(I + J[:s]), with
+    levels[0] = GLOBAL when I = (), and sigma the sign of sorting J + I."""
+    atlas = scene.atlas
+    I = tuple(I)
+    others = [j for j in atlas.chart_ids if j not in I]
+    for J in itertools.permutations(others, q):
+        levels = [I or GLOBAL]
+        for s in range(1, q + 1):
+            T = tuple(sorted(I + J[:s]))
+            if not atlas.has_tuple(T):
+                break
+            levels.append(T)
+        else:
+            yield sort_sign(J, I), levels
+
+
+def _descent_summands(lax: OneObjectLax, chain: HochChain, levels, realize, head_factor):
+    """The h^q summands of one descent, for every term of chain.
+
+    Yields (coeff, parities, ls, eps, seq) per term and gap layout: slot i
+    realized at levels[q - depth[i]], and after slot ls[s] the inverse
+    isomorphism alpha^{-1}(levels[q-s-1], levels[q-s]) restricted to K =
+    levels[q].  Slot 0 sits at K, multiplied on the left by head_factor
+    unless that is None.  seq lists the slot terms in order.
+    """
+    q = len(levels) - 1
+    K = levels[-1]
+    dst = lax.dst
+    ins = [
+        slot_terms(restrict_elem(
+            dst, lax.alpha_inv(levels[q - s - 1], levels[q - s]), levels[q - s], K
+        ))
+        for s in range(q)
+    ]
+    for (path, syms, monos), coeff in chain.terms.items():
+        parities = [chain.presheaf.parity(s) for s in syms]
+        head = realize(syms[0], monos[0], K, K)
+        if head_factor is not None:
+            head = _elem_mul(dst, K, head_factor, head)
+        head = slot_terms(head)
+        realized: dict = {}
+
+        def slot(i, level):
+            if (i, level) not in realized:
+                realized[i, level] = slot_terms(realize(syms[i], monos[i], level, K))
+            return realized[i, level]
+
+        for ls, eps, depth in insertion_layouts(parities, q):
+            slots = [head] + [
+                slot(i, levels[q - depth[i]]) for i in range(1, len(syms))
+            ]
+            yield coeff, parities, ls, eps, interleave(slots, ls, ins.__getitem__)
+
+
+def _add_lax_hq(acc: dict, lax: OneObjectLax, chain: HochChain, q: int, realize):
+    """Add the q-th insertion operator of one chain over I = chain.I, or over
+    I = () for a global chain, where p = -1, into acc {K: terms}."""
+    I = () if chain.I == GLOBAL else chain.I
+    p = len(I) - 1
+    for sigma, levels in _descents(lax.scene, I, q):
+        K = levels[-1]
+        head = lax.alpha(levels[0], K) if q else None
+        out = acc.setdefault(K, {})
+        for coeff, _, _, eps, seq in _descent_summands(lax, chain, levels, realize, head):
+            sign = sigma * (-1) ** ((eps + p * q) % 2)
+            add_tensor(out, (lax.dst_obj,) * len(seq), seq, sign * coeff)
+
+
+def _collect(ph: CdgPresheaf, acc: dict) -> CechHochChain:
+    return CechHochChain(ph, {K: HochChain(ph, K, terms) for K, terms in acc.items()})
 
 
 def lax_hq(lax: OneObjectLax, q: int, c: CechHochChain) -> CechHochChain:
     """The q-th insertion operator of the lax morphism."""
-    scene = lax.scene
-    src, dst = lax.src, lax.dst
     acc: dict = {}
-
-    def emit(K, key, val):
-        if val == 0:
-            return
-        acc.setdefault(K, {})
-        acc[K][key] = acc[K].get(key, Fraction(0)) + val
-
     for I, ch in c.entries.items():
-        p = len(I) - 1
-        others = [j for j in scene.atlas.chart_ids if j not in I]
-        for J in itertools.permutations(others, q):
-            levels = _levels(scene, I, J)
-            if levels is None:
-                continue
-            K = levels[-1]
-            sigma = sort_sign(J, I)
-            ring_K = scene.atlas.ring(K)
-            for (path, syms, monos), coeff in ch.terms.items():
-                k = len(syms) - 1
-                par = [src.parity(s) for s in syms]
-                prefix = [0] * (k + 2)
-                for i in range(k + 1):
-                    prefix[i + 1] = prefix[i] + par[i]
-                for ls in itertools.combinations_with_replacement(range(k + 1), q):
-                    eps = sum(prefix[l + 1] + l for l in ls) + (p * q)
-                    sign = sort_sign(J, I) * (-1) ** (eps % 2)
-                    # slot i is processed at level q - #{s: l_s < i}
-                    level_of = []
-                    for i in range(k + 1):
-                        s = 0
-                        while s < q and ls[s] < i:
-                            s += 1
-                        level_of.append(q - s)
-                    _lax_expand(
-                        lax, I, levels, K, path, syms, monos, ls, level_of,
-                        Fraction(sign) * coeff, emit,
-                    )
-    out = {K: HochChain(lax.dst, K, terms) for K, terms in acc.items()}
-    return CechHochChain(lax.dst, out)
-
-
-def _lax_expand(lax, I, levels, K, path, syms, monos, ls, level_of, coeff, emit):
-    scene = lax.scene
-    src, dst = lax.src, lax.dst
-    k = len(syms) - 1
-    q = len(ls)
-    src_ring = src.ring(I)
-    obj = lax.dst_obj
-
-    def processed(i):
-        """Slot i: restrict to its level, apply the functor, restrict to K."""
-        lvl = levels[level_of[i]]
-        elem = restrict_elem(src, {syms[i]: src_ring.monomial(monos[i])}, I, lvl)
-        out: dict = {}
-        for sym, cc in elem.items():
-            fe = lax.functor_sym(lvl, sym)
-            out = elem_add(out, elem_scale(fe, cc))
-        return restrict_elem(dst, out, lvl, K)
-
-    head = processed(0)
-    if q:
-        head = _elem_mul(dst, K, lax.alpha(I, K), head)
-    seq = [head]
-    out_path = [obj]
-    ins_after: dict = {}
-    for s, l in enumerate(ls):
-        ins_after.setdefault(l, []).append(s)
-    for i in range(1, k + 1):
-        for s in ins_after.get(i - 1, []):
-            # the (s+1)-th insertion mediates levels q-s and q-s-1:
-            # alpha^{-1} of the pair (levels[q-s-1], levels[q-s]), restricted to K
-            below, above = levels[q - s - 1], levels[q - s]
-            a_inv = lax.alpha_inv(below, above)
-            seq.append(restrict_elem(dst, a_inv, above, K))
-            out_path.append(obj)
-        seq.append(processed(i))
-        out_path.append(obj)
-    for s in ins_after.get(k, []):
-        below, above = levels[q - s - 1], levels[q - s]
-        a_inv = lax.alpha_inv(below, above)
-        seq.append(restrict_elem(dst, a_inv, above, K))
-        out_path.append(obj)
-
-    ring_K = dst.ring(K)
-
-    def rec(idx, syms2, monos2, c2):
-        if c2 == 0:
-            return
-        if idx == len(seq):
-            emit(K, (tuple(out_path), tuple(syms2), tuple(monos2)), c2)
-            return
-        for sym2, cc in seq[idx].items():
-            for frac, mono2 in cc.monomials():
-                rec(idx + 1, syms2 + [sym2], monos2 + [mono2], c2 * frac)
-
-    rec(0, [], [], coeff)
+        _add_lax_hq(acc, lax, ch, q, _from_source(lax, I))
+    return _collect(lax.dst, acc)
 
 
 def global_to_cech(model: GlobalModel, chain: HochChain) -> CechHochChain:
@@ -297,22 +314,10 @@ def global_to_cech(model: GlobalModel, chain: HochChain) -> CechHochChain:
         out: dict = {}
         for (path, syms, monos), coeff in chain.terms.items():
             slots = [
-                model.to_tuple({s: model.scene.global_ring.monomial(m)}, I)
+                slot_terms(model.to_tuple({s: scene.global_ring.monomial(m)}, I))
                 for s, m in zip(syms, monos)
             ]
-
-            def rec(idx, syms2, monos2, c2):
-                if c2 == 0:
-                    return
-                if idx == len(slots):
-                    key = (path, tuple(syms2), tuple(monos2))
-                    out[key] = out.get(key, Fraction(0)) + c2
-                    return
-                for sym2, cc in slots[idx].items():
-                    for frac, mono2 in cc.monomials():
-                        rec(idx + 1, syms2 + [sym2], monos2 + [mono2], c2 * frac)
-
-            rec(0, [], [], coeff)
+            add_tensor(out, path, slots, coeff)
         ch = HochChain(ph, I, out)
         if not ch.is_zero():
             entries[I] = ch
@@ -324,126 +329,22 @@ def apply_global_functor(model: GlobalModel, chain: HochChain, functor_sym) -> H
     out: dict = {}
     ring = model.scene.global_ring
     for (path, syms, monos), coeff in chain.terms.items():
-        slots = [elem_scale(functor_sym(GLOBAL, s), ring.monomial(m)) for s, m in zip(syms, monos)]
-
-        def rec(idx, syms2, monos2, c2):
-            if c2 == 0:
-                return
-            if idx == len(slots):
-                key = (path, tuple(syms2), tuple(monos2))
-                out[key] = out.get(key, Fraction(0)) + c2
-                return
-            for sym2, cc in slots[idx].items():
-                for frac, mono2 in cc.monomials():
-                    rec(idx + 1, syms2 + [sym2], monos2 + [mono2], c2 * frac)
-
-        rec(0, [], [], coeff)
+        slots = [
+            slot_terms(elem_scale(functor_sym(GLOBAL, s), ring.monomial(m)))
+            for s, m in zip(syms, monos)
+        ]
+        add_tensor(out, path, slots, coeff)
     return HochChain(model, GLOBAL, out)
 
 
 def restriction_htilde(lax: OneObjectLax, model: GlobalModel, chain: HochChain) -> CechHochChain:
     """The comparison homotopy between restriction-then-lax-map and
     global-map-then-restriction: the insertion operators with p = -1."""
-    scene = lax.scene
-    src, dst = lax.src, lax.dst
     acc: dict = {}
-
-    def emit(K, key, val):
-        if val == 0:
-            return
-        acc.setdefault(K, {})
-        acc[K][key] = acc[K].get(key, Fraction(0)) + val
-
-    nq = len(scene.atlas.chart_ids)
-    for q in range(1, nq + 1):
-        for J in itertools.permutations(scene.atlas.chart_ids, q):
-            T = tuple(sorted(J))
-            if not scene.atlas.has_tuple(T):
-                continue
-            levels = [GLOBAL] + [tuple(sorted(J[:s])) for s in range(1, q + 1)]
-            if any(lv != GLOBAL and not scene.atlas.has_tuple(lv) for lv in levels):
-                continue
-            K = levels[-1]
-            sigma = sort_sign(J, ())
-            for (path, syms, monos), coeff in chain.terms.items():
-                k = len(syms) - 1
-                par = [model.parity(s) for s in syms]
-                prefix = [0] * (k + 2)
-                for i in range(k + 1):
-                    prefix[i + 1] = prefix[i] + par[i]
-                for ls in itertools.combinations_with_replacement(range(k + 1), q):
-                    eps = sum(prefix[l + 1] + l for l in ls) + q  # p = -1
-                    sign = sigma * (-1) ** (eps % 2)
-                    level_of = []
-                    for i in range(k + 1):
-                        s = 0
-                        while s < q and ls[s] < i:
-                            s += 1
-                        level_of.append(q - s)
-                    _htilde_expand(
-                        lax, model, levels, K, path, syms, monos, ls, level_of,
-                        Fraction(sign) * coeff, emit,
-                    )
-    out = {K: HochChain(dst, K, terms) for K, terms in acc.items()}
-    return CechHochChain(dst, out)
-
-
-def _htilde_expand(lax, model, levels, K, path, syms, monos, ls, level_of, coeff, emit):
-    scene = lax.scene
-    src, dst = lax.src, lax.dst
-    k = len(syms) - 1
-    q = len(ls)
-    gring = scene.global_ring
-    obj = lax.dst_obj
-
-    def processed(i):
-        lvl = levels[level_of[i]]
-        gelem = {syms[i]: gring.monomial(monos[i])}
-        if lvl == GLOBAL:
-            # apply the functor at the global level, then push into K
-            felem: dict = {}
-            for sym, cc in gelem.items():
-                felem = elem_add(felem, elem_scale(lax.functor_sym(GLOBAL, sym), cc))
-            return model.to_tuple(felem, K)
-        chart_elem = model.to_tuple(gelem, lvl)
-        out = {}
-        for sym, cc in chart_elem.items():
-            out = elem_add(out, elem_scale(lax.functor_sym(lvl, sym), cc))
-        return restrict_elem(dst, out, lvl, K)
-
-    head = processed(0)
-    head = _elem_mul(dst, K, lax.alpha(GLOBAL, K), head)
-    seq = [head]
-    out_path = [obj]
-    ins_after: dict = {}
-    for s, l in enumerate(ls):
-        ins_after.setdefault(l, []).append(s)
-
-    def a_ins(s):
-        below, above = levels[q - s - 1], levels[q - s]
-        return restrict_elem(dst, lax.alpha_inv(below, above), above, K)
-
-    for i in range(1, k + 1):
-        for s in ins_after.get(i - 1, []):
-            seq.append(a_ins(s))
-            out_path.append(obj)
-        seq.append(processed(i))
-        out_path.append(obj)
-    for s in ins_after.get(k, []):
-        seq.append(a_ins(s))
-        out_path.append(obj)
-
-    def rec(idx, syms2, monos2, c2):
-        if c2 == 0:
-            return
-        if idx == len(seq):
-            emit(K, (tuple(out_path), tuple(syms2), tuple(monos2)), c2)
-            return
-        for sym2, cc in seq[idx].items():
-            for frac, mono2 in cc.monomials():
-                rec(idx + 1, syms2 + [sym2], monos2 + [mono2], c2 * frac)
-
-    rec(0, [], [], coeff)
+    realize = _from_global(lax, model)
+    for q in range(1, len(lax.scene.atlas.chart_ids) + 1):
+        _add_lax_hq(acc, lax, chain, q, realize)
+    return _collect(lax.dst, acc)
 
 
 def cech_lax_map(lax: OneObjectLax, c: CechHochChain, check: bool = True) -> CechHochChain:
@@ -464,76 +365,25 @@ def cech_strict_map(lax: OneObjectLax, c: CechHochChain) -> CechHochChain:
 
 
 def strict_vs_lax_homotopy(lax: OneObjectLax, c: CechHochChain) -> CechHochChain:
-    """H with two identity insertions: dH + Hd = strict - lax (= -h^1)."""
-    scene = lax.scene
-    dst = lax.dst
+    """H with two identity insertions: dH + Hd = strict - lax (= -h^1).
+
+    The q = 2 gap layouts over each one-chart extension K of I, every slot
+    realized at K, with sign sort_sign((j,), I) * (-1)^eps.
+    """
     acc: dict = {}
-
-    def emit(K, key, val):
-        if val == 0:
-            return
-        acc.setdefault(K, {})
-        acc[K][key] = acc[K].get(key, Fraction(0)) + val
-
     for I, ch in c.entries.items():
-        others = [j for j in scene.atlas.chart_ids if j not in I]
-        for j in others:
-            K = tuple(sorted(set(I) | {j}))
-            if not scene.atlas.has_tuple(K):
-                continue
-            sigma = sort_sign((j,), I)
-            src_ring = lax.src.ring(I)
-            ident = dst.identity(K, lax.dst_obj)
+        realize = _from_source(lax, I)
+        for sigma, (_, K) in _descents(lax.scene, I, 1):
+            ident = slot_terms(lax.dst.identity(K, lax.dst_obj))
+            out = acc.setdefault(K, {})
             for (path, syms, monos), coeff in ch.terms.items():
-                k = len(syms) - 1
-                par = [lax.src.parity(s) for s in syms]
-                prefix = [0] * (k + 2)
-                for i in range(k + 1):
-                    prefix[i + 1] = prefix[i] + par[i]
-
-                def processed(i):
-                    elem = restrict_elem(
-                        lax.src, {syms[i]: src_ring.monomial(monos[i])}, I, K
-                    )
-                    out: dict = {}
-                    for sym, cc in elem.items():
-                        out = elem_add(out, elem_scale(lax.functor_sym(K, sym), cc))
-                    return out
-
-                slots = [processed(i) for i in range(k + 1)]
-                for l1 in range(k + 1):
-                    for l2 in range(l1, k + 1):
-                        tau = (prefix[l1 + 1] + l1) + (prefix[l2 + 1] + l2)
-                        sign = sigma * (-1) ** (tau % 2)
-                        seq = []
-                        out_path = []
-                        for i in range(k + 1):
-                            seq.append(slots[i])
-                            out_path.append(lax.dst_obj)
-                            if i == l1:
-                                seq.append(ident)
-                                out_path.append(lax.dst_obj)
-                            if i == l2:
-                                seq.append(ident)
-                                out_path.append(lax.dst_obj)
-
-                        def rec(idx, syms2, monos2, c2):
-                            if c2 == 0:
-                                return
-                            if idx == len(seq):
-                                emit(
-                                    K,
-                                    (tuple(out_path), tuple(syms2), tuple(monos2)),
-                                    c2,
-                                )
-                                return
-                            for sym2, cc in seq[idx].items():
-                                for frac, mono2 in cc.monomials():
-                                    rec(idx + 1, syms2 + [sym2], monos2 + [mono2], c2 * frac)
-
-                        rec(0, [], [], Fraction(sign) * coeff)
-    out = {K: HochChain(dst, K, terms) for K, terms in acc.items()}
-    return CechHochChain(dst, out)
+                slots = [slot_terms(realize(s, m, K, K)) for s, m in zip(syms, monos)]
+                out_path = (lax.dst_obj,) * (len(slots) + 2)
+                parities = [ch.presheaf.parity(s) for s in syms]
+                for ls, eps, _ in insertion_layouts(parities, 2):
+                    sign = sigma * (-1) ** (eps % 2)
+                    add_tensor(out, out_path, interleave(slots, ls, lambda s: ident), sign * coeff)
+    return _collect(lax.dst, acc)
 
 
 def iso_homotopy(lax_a: OneObjectLax, lax_b: OneObjectLax, tau_elem, c: CechHochChain) -> CechHochChain:
@@ -541,12 +391,13 @@ def iso_homotopy(lax_a: OneObjectLax, lax_b: OneObjectLax, tau_elem, c: CechHoch
 
         dH + Hd = (first lax map) - (second lax map).
 
-    tau_elem(T) is the natural isomorphism component over the tuple T.  The
-    inserted inverse carries the component of the level the descent has
-    reached, and switches functor and isomorphism family from the first
-    structure to the second.  With a_r the last original slot and n the
-    number of alpha^{-1} insertions before tau^{-1}, the term carries
-    sign("iso-homotopy") * (-1)^eps' with
+    tau_elem(T) is the natural isomorphism component over the tuple T.  Each
+    term is the first t+1 slots of a summand of the first lax map (its head
+    also multiplied by tau_I on the left), then tau^{-1}, then the rest of
+    the same summand of the second lax map.  The inserted inverse carries
+    the component of the level the descent has reached.  With a_r the last
+    original slot and n the number of alpha^{-1} insertions before
+    tau^{-1}, the term carries sign("iso-homotopy") * (-1)^eps' with
 
         eps' = eps + |a_0| + ... + |a_r| + r + n + p + q,
 
@@ -559,144 +410,44 @@ def iso_homotopy(lax_a: OneObjectLax, lax_b: OneObjectLax, tau_elem, c: CechHoch
     (-1)^(p+q+1) = (-1)^|K|.
     """
     scene = lax_a.scene
-    src, dst = lax_a.src, lax_a.dst
+    dst = lax_a.dst
+    obj = lax_a.dst_obj
     acc: dict = {}
-
-    def emit(K, key, val):
-        if val == 0:
-            return
-        acc.setdefault(K, {})
-        acc[K][key] = acc[K].get(key, Fraction(0)) + val
-
-    def inv(elem):
-        out = {s: cc.inverse() for s, cc in elem.items()}
-        assert len(out) == 1
-        return out
-
     for I, ch in c.entries.items():
         p = len(I) - 1
+        realize_a, realize_b = _from_source(lax_a, I), _from_source(lax_b, I)
         for q in range(len(scene.atlas.chart_ids) + 1):
-            others = [j for j in scene.atlas.chart_ids if j not in I]
-            for J in itertools.permutations(others, q):
-                levels = _levels(scene, I, J)
-                if levels is None:
-                    continue
+            for sigma, levels in _descents(scene, I, q):
                 K = levels[-1]
-                sigma = sort_sign(J, I)
-                src_ring = src.ring(I)
-                for (path, syms, monos), coeff in ch.terms.items():
-                    k = len(syms) - 1
-                    par = [src.parity(s) for s in syms]
-                    prefix = [0] * (k + 2)
-                    for i in range(k + 1):
-                        prefix[i + 1] = prefix[i] + par[i]
-                    for ls in itertools.combinations_with_replacement(range(k + 1), q):
-                        eps = sum(prefix[l + 1] + l for l in ls) + p * q
-                        level_of = []
-                        for i in range(k + 1):
-                            s = 0
-                            while s < q and ls[s] < i:
-                                s += 1
-                            level_of.append(q - s)
-                        # position t of the tau^{-1} insertion among the k+q
-                        # slots after the head
-                        for t in range(0, k + q + 1):
-                            _iso_expand(
-                                lax_a, lax_b, tau_elem, I, p, levels, K, path,
-                                syms, monos, ls, level_of, t,
-                                Fraction(sigma) * coeff, eps, prefix, emit,
-                            )
-    out = {K: HochChain(dst, K, terms) for K, terms in acc.items()}
-    return CechHochChain(dst, out)
-
-
-def _iso_expand(lax_a, lax_b, tau_elem, I, p, levels, K, path, syms, monos,
-                ls, level_of, t, coeff, eps, prefix, emit):
-    scene = lax_a.scene
-    src, dst = lax_a.src, lax_a.dst
-    k = len(syms) - 1
-    q = len(ls)
-    src_ring = src.ring(I)
-    obj = lax_a.dst_obj
-
-    # walk the h^q slot layout, tracking original-slot and insertion counts,
-    # switching from (phi, alpha) to (psi, beta) after position t
-    layout = []  # ("slot", i) or ("ains", s)
-    ins_after: dict = {}
-    for s, l in enumerate(ls):
-        ins_after.setdefault(l, []).append(s)
-    for i in range(k + 1):
-        layout.append(("slot", i))
-        for s in ins_after.get(i, []):
-            layout.append(("ains", s))
-    # positions after the head are 1..k+q; t = 0 puts tau^{-1} right after
-    # the head slot 0
-    if t > k + q:
-        return
-    r = 0   # last original slot index before tau^{-1}
-    ins_before = 0  # inverse-iso insertions before tau^{-1}
-    for pos in range(1, t + 1):
-        kind, val = layout[pos]
-        if kind == "slot":
-            r = val
-        else:
-            ins_before += 1
-    # shifted degrees of the bars before tau^{-1}: |a_0| + sum(|a_i| + 1)
-    # over the original slots, plus 1 per (even) alpha^{-1} bar; then the
-    # Cech twist (-1)^(p+q) of the target degree, and the ledger constant
-    sign = signs.sign("iso-homotopy") * (-1) ** (
-        (eps + prefix[r + 1] + r + ins_before + p + q) % 2
-    )
-
-    def processed(lax, i):
-        lvl = levels[level_of[i]]
-        elem = restrict_elem(src, {syms[i]: src_ring.monomial(monos[i])}, I, lvl)
-        out: dict = {}
-        for sym, cc in elem.items():
-            out = elem_add(out, elem_scale(lax.functor_sym(lvl, sym), cc))
-        return restrict_elem(dst, out, lvl, K)
-
-    def a_ins(lax, s):
-        below, above = levels[q - s - 1], levels[q - s]
-        return restrict_elem(dst, lax.alpha_inv(below, above), above, K)
-
-    # tau^{-1} carries the component of the level the descent has reached
-    switch_level = levels[q - ins_before]
-    tau_here = tau_elem(switch_level)
-    if switch_level != K:
-        tau_here = restrict_elem(dst, tau_here, switch_level, K)
-    tau_inv = {sy: cc.inverse() for sy, cc in tau_here.items()}
-    assert len(tau_inv) == 1
-    tau_head = tau_elem(I)
-    if I != K:
-        tau_head = restrict_elem(dst, tau_head, I, K)
-
-    seq = []
-    out_path = []
-    for pos, (kind, val) in enumerate(layout):
-        lax = lax_a if pos <= t else lax_b
-        if kind == "slot":
-            piece = processed(lax, val)
-            if pos == 0:
+                # tau_inv[n]: after n alpha^{-1} insertions the descent is at
+                # levels[q - n]
+                tau_inv = [
+                    slot_terms(_unit_inverse(restrict_elem(dst, tau_elem(T), T, K)))
+                    for T in reversed(levels)
+                ]
+                head = restrict_elem(dst, tau_elem(I), I, K)
                 if q:
-                    piece = _elem_mul(dst, K, lax_a.alpha(I, K), piece)
-                piece = _elem_mul(dst, K, tau_head, piece)
-            seq.append(piece)
-        else:
-            seq.append(a_ins(lax, val))
-        out_path.append(obj)
-        if pos == t:
-            seq.append(tau_inv)
-            out_path.append(obj)
-
-    def rec(idx, syms2, monos2, c2):
-        if c2 == 0:
-            return
-        if idx == len(seq):
-            emit(K, (tuple(out_path), tuple(syms2), tuple(monos2)), c2)
-            return
-        for sym2, cc in seq[idx].items():
-            for frac, mono2 in cc.monomials():
-                rec(idx + 1, syms2 + [sym2], monos2 + [mono2], c2 * frac)
-
-    rec(0, [], [], coeff * sign)
+                    head = _elem_mul(dst, K, head, lax_a.alpha(I, K))
+                out = acc.setdefault(K, {})
+                pairs = zip(
+                    _descent_summands(lax_a, ch, levels, realize_a, head),
+                    _descent_summands(lax_b, ch, levels, realize_b, None),
+                )
+                for (coeff, parities, ls, eps, seq_a), (*_, seq_b) in pairs:
+                    prefix = list(itertools.accumulate(parities, initial=0))
+                    n = 0
+                    for t in range(len(seq_a)):
+                        # insertion s sits at position ls[s] + s + 1
+                        while n < q and ls[n] + n + 1 <= t:
+                            n += 1
+                        r = t - n
+                        sign = sigma * signs.sign("iso-homotopy") * (-1) ** (
+                            (eps + p * q + prefix[r + 1] + r + n + p + q) % 2
+                        )
+                        add_tensor(
+                            out,
+                            (obj,) * (len(seq_a) + 1),
+                            seq_a[: t + 1] + [tau_inv[n]] + seq_b[t + 1 :],
+                            sign * coeff,
+                        )
+    return _collect(dst, acc)

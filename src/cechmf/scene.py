@@ -50,6 +50,7 @@ class Atlas:
         self._ext_cache: dict = {}
         self._pole_cache: dict = {}
         self._div_cache: dict = {}
+        self._ctx_cache: dict = {}  # tuple -> forms.TupleCtx, filled by cech._ctx
 
     def ring(self, I) -> Ring:
         try:
@@ -341,37 +342,50 @@ def validate_scene(scene: Scene) -> ValidationReport:
 # scene files
 
 
-def _build_ring(spec) -> Ring:
-    variables = list(spec["vars"])
+def _field(spec: dict, key, where: str):
+    try:
+        return spec[key]
+    except KeyError:
+        raise SceneError(f"{where}: missing field {key!r}") from None
+
+
+def _build_ring(spec, where: str) -> Ring:
+    variables = list(_field(spec, "vars", where))
     ring0 = Ring(variables, [])
     inverted = [parse_poly(s, ring0).num for s in spec.get("inverted", [])]
     return Ring(variables, inverted)
 
 
+def _images(images: dict, variables, ring: Ring, where: str) -> list:
+    return [parse_image(_field(images, v, where), ring) for v in variables]
+
+
 def scene_from_dict(data: dict) -> Scene:
     charts = []
-    for cs in data["charts"]:
-        ring = _build_ring(cs)
+    for n, cs in enumerate(_field(data, "charts", "scene")):
+        where = f"chart {cs.get('id', f'#{n}')}"
+        ring = _build_ring(cs, where)
         charts.append(
             Chart(
-                id=int(cs["id"]),
+                id=int(_field(cs, "id", where)),
                 ring=ring,
-                x=parse_poly(cs["x"], ring),
-                f=parse_poly(cs["f"], ring),
-                g=parse_poly(cs["g"], ring),
+                x=parse_poly(_field(cs, "x", where), ring),
+                f=parse_poly(_field(cs, "f", where), ring),
+                g=parse_poly(_field(cs, "g", where), ring),
             )
         )
     chart_by_id = {c.id: c for c in charts}
     overlap_rings = {}
     chart_maps = {}
     for os in data.get("overlaps", []):
-        I = tuple(sorted(int(x) for x in os["tuple"]))
-        ring = _build_ring(os)
+        where = f"overlap {os.get('tuple')}"
+        I = tuple(sorted(int(x) for x in _field(os, "tuple", where)))
+        ring = _build_ring(os, where)
         overlap_rings[I] = ring
-        for cid_s, images in os["res"].items():
+        for cid_s, images in _field(os, "res", where).items():
             cid = int(cid_s)
             chart = chart_by_id[cid]
-            imgs = [parse_image(images[v], ring) for v in chart.ring.variables]
+            imgs = _images(images, chart.ring.variables, ring, f"{where} res[{cid_s!r}]")
             chart_maps[(cid, I)] = RingMap(chart.ring, ring, imgs)
     atlas = Atlas(charts, overlap_rings, chart_maps)
 
@@ -379,11 +393,12 @@ def scene_from_dict(data: dict) -> Scene:
     global_res = {}
     if "global" in data:
         gs = data["global"]
-        global_ring = _build_ring(gs)
-        for cid_s, images in gs["res"].items():
+        global_ring = _build_ring(gs, "global")
+        for cid_s, images in _field(gs, "res", "global").items():
             cid = int(cid_s)
-            imgs = [parse_image(images[v], chart_by_id[cid].ring) for v in global_ring.variables]
-            global_res[cid] = RingMap(global_ring, chart_by_id[cid].ring, imgs)
+            ring = chart_by_id[cid].ring
+            imgs = _images(images, global_ring.variables, ring, f"global res[{cid_s!r}]")
+            global_res[cid] = RingMap(global_ring, ring, imgs)
     return Scene(
         name=data.get("name", "scene"),
         atlas=atlas,

@@ -3,7 +3,10 @@
 Three ingredients: the shuffle insertion of twisted differentials, the
 chart-reindexing operators h^q that insert inverse transition matrices
 while sliding realizations across charts, and the supertrace that collapses
-matrix tensors to scalar tensors with parity signs.
+matrix tensors to scalar tensors with parity signs.  The gap layouts of both
+insertions and the expansion of each summand into basis tensors are the
+shared kernels `insertion_layouts`, `interleave` and `add_tensor` of
+`hochschild`.
 """
 
 from __future__ import annotations
@@ -13,8 +16,15 @@ from fractions import Fraction
 from math import comb
 
 from .cdg import CurvedLine, MFCategory, TrivializedCategory
-from .hochschild import CechHochChain, HochChain, TruncationOverflow, _expand_slot
-from .scene import Scene
+from .hochschild import (
+    CechHochChain,
+    HochChain,
+    TruncationOverflow,
+    add_tensor,
+    insertion_layouts,
+    interleave,
+    slot_terms,
+)
 
 
 def sh_shuffle(n: int, chain: HochChain, trunc: int | None = None, strict: bool = True) -> HochChain:
@@ -23,14 +33,12 @@ def sh_shuffle(n: int, chain: HochChain, trunc: int | None = None, strict: bool 
     cat = chain.presheaf
     assert isinstance(cat, MFCategory)
     I = chain.I
-    ring = cat.ring(I)
     if trunc is None:
         trunc = cat.scene.trunc
     if n == 0:
         return chain
     out: dict = {}
-    deltas = {x: cat.delta_element(I, x) for x in cat.objects(I)}
-    unit_mono = (0,) * ring.nvars
+    deltas = {x: slot_terms(cat.delta_element(I, x)) for x in cat.objects(I)}
 
     for (path, syms, monos), coeff in chain.terms.items():
         k = len(syms) - 1
@@ -40,46 +48,17 @@ def sh_shuffle(n: int, chain: HochChain, trunc: int | None = None, strict: bool 
                     f"shuffle insertion would exceed the length cap {trunc}"
                 )
             continue
-        gap_objs = [path[(i + 1) % (k + 1)] for i in range(k + 1)]
-        for cuts in itertools.combinations(range(n + k), k):
-            # composition of n into k+1 parts via stars and bars
-            counts = []
-            prev = -1
-            for c in cuts:
-                counts.append(c - prev - 1)
-                prev = c
-            counts.append(n + k - 1 - prev)
-            new_path = []
-            slot_elems = []
-            for i in range(k + 1):
-                new_path.append(path[i])
-                slot_elems.append(None)  # placeholder: original slot i
-                obj = gap_objs[i]
-                if counts[i] and not deltas[obj]:
-                    slot_elems = None
-                    break
-                for _ in range(counts[i]):
-                    new_path.append(obj)
-                    slot_elems.append(deltas[obj])
-            if slot_elems is None:
-                continue
-
-            def rec(idx, orig_idx, syms2, monos2, c2):
-                if c2 == 0:
-                    return
-                if idx == len(slot_elems):
-                    key = (tuple(new_path), tuple(syms2), tuple(monos2))
-                    out[key] = out.get(key, Fraction(0)) + c2
-                    return
-                elem = slot_elems[idx]
-                if elem is None:
-                    rec(idx + 1, orig_idx + 1, syms2 + [syms[orig_idx]],
-                        monos2 + [monos[orig_idx]], c2)
-                    return
-                for sym2, mono2, frac in _expand_slot(ring, elem, unit_mono):
-                    rec(idx + 1, orig_idx, syms2 + [sym2], monos2 + [mono2], c2 * frac)
-
-            rec(0, 0, [], [], coeff)
+        # the gap after slot i sits at the object path[i + 1] (cyclically)
+        gap_objs = path[1:] + path[:1]
+        slots = [[(s, m, Fraction(1))] for s, m in zip(syms, monos)]
+        for gaps in itertools.combinations_with_replacement(range(k + 1), n):
+            objs = [gap_objs[g] for g in gaps]
+            add_tensor(
+                out,
+                interleave(path, gaps, objs.__getitem__),
+                interleave(slots, gaps, lambda s: deltas[objs[s]]),
+                coeff,
+            )
     return HochChain(cat, I, out)
 
 
@@ -90,7 +69,7 @@ def sh_shuffle_cech(n: int, c: CechHochChain, strict: bool = True) -> CechHochCh
     )
 
 
-def supertrace_tensor(cat: MFCategory, I, path, syms, monos, line: CurvedLine):
+def supertrace_tensor(cat: MFCategory, path, syms, monos):
     """sTr of one matrix tensor: scalar tensor with sign
     (m+1)|e_0| + |e_1| + ... + |e_m| when the unit entries close up cyclically."""
     m = len(syms) - 1
@@ -117,7 +96,7 @@ def supertrace(c: CechHochChain, line: CurvedLine) -> CechHochChain:
     for I, ch in c.entries.items():
         out: dict = {}
         for (path, syms, monos), coeff in ch.terms.items():
-            got = supertrace_tensor(cat, I, path, syms, monos, line)
+            got = supertrace_tensor(cat, path, syms, monos)
             if got is None:
                 continue
             key, sign = got
@@ -126,11 +105,6 @@ def supertrace(c: CechHochChain, line: CurvedLine) -> CechHochChain:
         if not hc.is_zero():
             entries[I] = hc
     return CechHochChain(line, entries)
-
-
-def _unit_powers(scene: Scene, cat: MFCategory, a, b, K):
-    """u_{ab}^k for the twists appearing in the objects, cached per call site."""
-    return scene.atlas.unit(a, b, K)
 
 
 def hq_basis(q: int, c: CechHochChain, triv: TrivializedCategory) -> CechHochChain:
@@ -142,139 +116,99 @@ def hq_basis(q: int, c: CechHochChain, triv: TrivializedCategory) -> CechHochCha
     """
     cat = c.presheaf
     assert isinstance(cat, MFCategory)
-    scene = cat.scene
+    atlas = cat.scene.atlas
     acc: dict = {}
-
-    def emit(K, key, val):
-        if val == 0:
-            return
-        acc.setdefault(K, {})
-        acc[K][key] = acc[K].get(key, Fraction(0)) + val
-
     for I, ch in c.entries.items():
         p = len(I) - 1
         i0 = I[0]
-        smaller = [j for j in scene.atlas.chart_ids if j < i0]
+        smaller = [j for j in atlas.chart_ids if j < i0]
         for J in itertools.combinations(smaller, q):
-            K = tuple(J) + I
-            if not scene.atlas.has_tuple(K):
-                continue
-            charts = list(J) + [i0]  # i_{-q} < ... < i_{-1} < i_0
-            res = scene.atlas.res(I, K)
-            # transitions from the stored lead i0 to each smaller chart
-            units = {a: scene.atlas.unit(a, i0, K) for a in J}
-            ring = scene.atlas.ring(K)
-            upow_cache: dict = {}
-
-            def u_pow(chart, n, _units=units, _ring=ring, _i0=i0, _cache=upow_cache):
-                if chart == _i0 or n == 0:
-                    return _ring.one()
-                key = (chart, n)
-                if key not in _cache:
-                    _cache[key] = _units[chart] ** n
-                return _cache[key]
-            for (path, syms, monos), coeff in ch.terms.items():
-                k = len(syms) - 1
-                par = [cat.parity(s) for s in syms]
-                prefix = [0] * (k + 2)
-                for i in range(k + 1):
-                    prefix[i + 1] = prefix[i] + par[i]
-                res_monos = []
-                dead = False
-                for m in monos:
-                    rm = res(cat.ring(I).monomial(m))
-                    if rm.is_zero():
-                        dead = True
-                        break
-                    ((frac, mono2),) = list(rm.monomials())
-                    res_monos.append((frac, mono2))
-                if dead:
-                    continue
-                for ls in itertools.combinations_with_replacement(range(k + 1), q):
-                    eps = sum(prefix[l + 1] + l for l in ls)
-                    sign = (-1) ** ((eps + p * q + comb(q, 2)) % 2)
-                    # slot i realized at charts[#{s : l_s < i}]
-                    chart_of = []
-                    for i in range(k + 1):
-                        s = 0
-                        while s < q and ls[s] < i:
-                            s += 1
-                        chart_of.append(charts[s])
-                    _hq_expand(
-                        cat, scene, K, path, syms, res_monos, ls,
-                        charts, u_pow, coeff * sign, emit, chart_of,
-                    )
-    out = {
-        K: HochChain(triv, K, terms)
-        for K, terms in acc.items()
-    }
+            K = J + I
+            if atlas.has_tuple(K):
+                _hq_descent(acc.setdefault(K, {}), cat, ch, K, J + (i0,),
+                            p * q + comb(q, 2))
+    out = {K: HochChain(triv, K, terms) for K, terms in acc.items()}
     return CechHochChain(triv, out)
 
 
-def _hq_expand(cat, scene, K, path, syms, res_monos, ls, charts, u_pow,
-               coeff, emit, chart_of):
-    """Assemble one h^q summand: realized slots, g^{-1} insertions, head twist."""
-    k = len(syms) - 1
-    q = len(ls)
+def _hq_descent(out, cat, ch, K, charts, sign_base):
+    """The h^q summands of one chain over I into K = (i_{-q} < ... < i_0) + I.
+
+    Slot i is realized at charts[depth[i]]: (F)_c = g_{c,i0} F g_{c,i0}^{-1}
+    scales the matrix unit by u_{c,i0}^{tw_row - tw_col}.  Slot 0 also takes
+    the head factor g_{i0, i_{-q}}, which scales it by u_{i_{-q},i0}^{-tw_row}.
+    Insertion s is g^{-1}_{ab}, a = charts[s+1], b = charts[s]: diagonal with
+    entries u_{ab}^{-twist} = u_{a,i0}^{-twist} u_{b,i0}^{twist}.
+    """
+    atlas = cat.scene.atlas
+    I = ch.I
     i0 = charts[-1]
-    ring = scene.atlas.ring(K)
+    ring = atlas.ring(K)
+    one = ring.one()
+    res = atlas.res(I, K)
+    src_ring = cat.ring(I)
+    units = {a: atlas.unit(a, i0, K) for a in charts[:-1]}
+    upow: dict = {}
 
-    # realized slot i: (F)_c = g_{c,i0} F g_{c,i0}^{-1} scales the matrix unit
-    # by u_{c,i0}^{tw_row - tw_col}
-    slot_items = []
-    for i in range(k + 1):
-        _, y, x, r, col = syms[i]
-        frac, mono = res_monos[i]
-        tw = cat.mfs[y].twists[r] - cat.mfs[x].twists[col]
-        up = u_pow(chart_of[i], tw)
-        m = ring.monomial(mono)
-        lp = m if up is ring.one() else up * m
-        slot_items.append((syms[i], lp, frac))
-    # head factor g_{i0, i_{-q}} scales slot 0 by u_{i_{-q}, i0}^{-tw_row}
-    _, y0, _, r0, _ = syms[0]
-    head_extra = u_pow(charts[0], -cat.mfs[y0].twists[r0])
+    def u_pow(chart, n):
+        if chart == i0 or n == 0:
+            return one
+        if (chart, n) not in upow:
+            upow[chart, n] = units[chart] ** n
+        return upow[chart, n]
 
-    seq = []  # realized slots interleaved with g^{-1} diagonal insertions
-    out_path = []
-    ins_after: dict = {}
-    for s, l in enumerate(ls):
-        ins_after.setdefault(l, []).append(s)
-    for i in range(k + 1):
-        sym, lp, frac = slot_items[i]
-        if i == 0 and head_extra is not ring.one():
-            lp = lp * head_extra
-        out_path.append(path[i])
-        seq.append((sym, lp, frac))
-        for s in ins_after.get(i, []):
-            # g^{-1}_{ab} with a = charts[s+1], b = charts[s]: diagonal
-            # entries u_{ab}^{-twist} = u_{a,i0}^{-twist} u_{b,i0}^{twist}
-            obj = path[(i + 1) % (k + 1)]
+    ginv: dict = {}
+
+    def g_inv(obj, s):
+        if (obj, s) not in ginv:
             a, b = charts[s + 1], charts[s]
-            elem = {}
             mf = cat.mfs[obj]
-            for rb in range(mf.rank):
-                n = mf.twists[rb]
-                elem[("E", obj, obj, rb, rb)] = u_pow(a, -n) * u_pow(b, n)
-            out_path.append(obj)
-            seq.append((elem, None, None))
+            elem = {
+                ("E", obj, obj, rb, rb): u_pow(a, -mf.twists[rb]) * u_pow(b, mf.twists[rb])
+                for rb in range(mf.rank)
+            }
+            ginv[obj, s] = slot_terms(elem)
+        return ginv[obj, s]
 
-    def rec(idx, syms2, monos2, c2):
-        if c2 == 0:
-            return
-        if idx == len(seq):
-            emit(K, (tuple(out_path), tuple(syms2), tuple(monos2)), c2)
-            return
-        item = seq[idx]
-        if item[1] is not None:
-            sym, lp, frac = item
-            for f2, mono2 in lp.monomials():
-                rec(idx + 1, syms2 + [sym], monos2 + [mono2], c2 * frac * f2)
-        else:
-            for sym2, val in item[0].items():
-                for f2, mono2 in val.monomials():
-                    rec(idx + 1, syms2 + [sym2], monos2 + [mono2], c2 * f2)
+    for (path, syms, monos), coeff in ch.terms.items():
+        res_monos = []
+        for m in monos:
+            rm = res(src_ring.monomial(m))
+            if rm.is_zero():
+                break
+            ((frac, mono2),) = rm.monomials()
+            res_monos.append((frac, ring.monomial(mono2)))
+        if len(res_monos) < len(monos):
+            continue
+        realized: dict = {}
 
-    rec(0, [], [], coeff)
+        def slot(i, chart, extra=one):
+            if (i, chart) not in realized:
+                _, y, x, r, col = syms[i]
+                frac, lp = res_monos[i]
+                up = u_pow(chart, cat.mfs[y].twists[r] - cat.mfs[x].twists[col])
+                if up is not one:
+                    lp = up * lp
+                if extra is not one:
+                    lp = lp * extra
+                realized[i, chart] = [
+                    (syms[i], mono, frac * f) for f, mono in lp.monomials()
+                ]
+            return realized[i, chart]
+
+        _, y0, _, r0, _ = syms[0]
+        head = slot(0, charts[0], u_pow(charts[0], -cat.mfs[y0].twists[r0]))
+        gap_objs = path[1:] + path[:1]
+        layouts = insertion_layouts([cat.parity(s) for s in syms], len(charts) - 1)
+        for ls, eps, depth in layouts:
+            slots = [head] + [slot(i, charts[depth[i]]) for i in range(1, len(syms))]
+            objs = [gap_objs[l] for l in ls]
+            add_tensor(
+                out,
+                interleave(path, ls, objs.__getitem__),
+                interleave(slots, ls, lambda s: g_inv(objs[s], s)),
+                coeff * (-1) ** ((eps + sign_base) % 2),
+            )
 
 
 def yoneda(c: CechHochChain, cat: MFCategory, obj: str) -> CechHochChain:

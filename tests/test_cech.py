@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -11,6 +13,7 @@ from cechmf.cech import (
     OMEGA_LOG,
     OMEGA_LOG_SHIFTED,
     OMEGA_Y,
+    YFORM,
     Cochain,
     bar_power,
     bar_wedge,
@@ -33,6 +36,17 @@ from cechmf.rand import (
 from cechmf.scenes_builtin import all_builtin_names, builtin_scene
 
 SCENES = {name: builtin_scene(name) for name in all_builtin_names()}
+
+
+def test_scene_is_freed_with_its_tuple_contexts():
+    # the tuple contexts hold their scene, so they must be owned by it: a
+    # scene nothing else references is collected after use
+    scene = builtin_scene("SCENE-P1")
+    assert not unit_cochain(scene, YFORM).is_zero()
+    ref = weakref.ref(scene)
+    del scene
+    gc.collect()
+    assert ref() is None
 
 
 def test_total_d_of_unit_on_a2():

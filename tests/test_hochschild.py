@@ -1,5 +1,7 @@
+import itertools
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -10,6 +12,7 @@ from cechmf.hochschild import (
     TruncationOverflow,
     cech_hoch_d,
     hoch_d,
+    insertion_layouts,
     make_chain,
     restrict_chain,
     term_parity,
@@ -164,3 +167,20 @@ def test_term_parity():
     assert term_parity(alg, ("e",)) == 1
     assert term_parity(alg, ("1", "1")) == 1
     assert term_parity(alg, ("1", "e")) == 0
+
+
+@pytest.mark.parametrize("k", range(4))
+@pytest.mark.parametrize("q", range(4))
+def test_insertion_layouts_match_definition(k, q):
+    # every l_1 <= ... <= l_q in range(k+1) once, with
+    # eps = sum_s(|a_0..a_{l_s}| + l_s) and depth[i] = #{s : l_s < i}
+    for parities in itertools.product((0, 1), repeat=k + 1):
+        layouts = list(insertion_layouts(list(parities), q))
+        assert len(layouts) == comb(k + q, q)
+        assert len({ls for ls, _, _ in layouts}) == len(layouts)
+        for ls, eps, depth in layouts:
+            assert len(ls) == q
+            assert all(0 <= l <= k for l in ls)
+            assert list(ls) == sorted(ls)
+            assert eps == sum(sum(parities[: l + 1]) + l for l in ls)
+            assert depth == [sum(1 for l in ls if l < i) for i in range(k + 1)]

@@ -37,7 +37,7 @@ def _fixture(scene):
     return alg, w, lax, lax_id, tau
 
 
-@pytest.mark.parametrize("scene", [P1, A2C, A2D], ids=lambda s: s.name)
+@pytest.mark.parametrize("scene", [P1, A2C, A2D, P2], ids=lambda s: s.name)
 def test_cocycle_condition(scene):
     _, _, lax, lax_id, _ = _fixture(scene)
     assert lax.cocycle_ok()
@@ -64,7 +64,7 @@ def test_cocycle_failure_detected():
         cech_lax_map(lax, CechHochChain(alg, {}))
 
 
-@pytest.mark.parametrize("scene", [P1, A2C, A2D], ids=lambda s: s.name)
+@pytest.mark.parametrize("scene", [P1, A2C, A2D, P2], ids=lambda s: s.name)
 def test_lax_map_is_chain_map(scene):
     alg, _, lax, _, _ = _fixture(scene)
     rng = random.Random(83)
@@ -94,7 +94,7 @@ def test_q0_is_plain_functor_application():
     assert cech_strict_map(lax, c) == c
 
 
-@pytest.mark.parametrize("scene", [P1, A2C, A2D], ids=lambda s: s.name)
+@pytest.mark.parametrize("scene", [P1, A2C, A2D, P2], ids=lambda s: s.name)
 def test_strict_vs_lax_homotopy(scene):
     # dH + Hd = strict - lax (= -h^1)
     alg, _, _, lax_id, _ = _fixture(scene)

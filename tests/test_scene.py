@@ -1,3 +1,5 @@
+import copy
+
 import pytest
 
 from cechmf.rings import Poly, Ring
@@ -77,3 +79,30 @@ def test_f_on_overlap_matches():
     f0 = atlas.res((0,), (0, 1))(scene.chart(0).f)
     f1 = atlas.res((1,), (0, 1))(scene.chart(1).f)
     assert f0 == f1 == scene.f_on((0, 1))
+
+
+def _p1_spec_without_f():
+    spec = copy.deepcopy(builtin_scene_dict("SCENE-P1"))
+    del spec["charts"][0]["f"]
+    return spec
+
+
+def _p1_spec_without_res_image():
+    spec = copy.deepcopy(builtin_scene_dict("SCENE-P1"))
+    del spec["overlaps"][0]["res"]["0"]["t"]
+    return spec
+
+
+@pytest.mark.parametrize(
+    "make_spec, where, field",
+    [
+        (_p1_spec_without_f, "chart 0", "'f'"),
+        (_p1_spec_without_res_image, "overlap [0, 1] res['0']", "'t'"),
+    ],
+    ids=["chart-f", "overlap-res-variable"],
+)
+def test_missing_field_raises_scene_error(make_spec, where, field):
+    with pytest.raises(SceneError) as info:
+        scene_from_dict(make_spec())
+    assert where in str(info.value)
+    assert field in str(info.value)
