@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .rings import LocPoly, MalformedElement, Poly, Ring
+from .rings import LocPoly, MalformedElement, Ring
 from .scene import Scene, UnsupportedScene
 
 
@@ -255,22 +255,15 @@ class LogForm:
 
 
 def _split_by_var(c: LocPoly, v: int):
-    """c = low + x_v * q with low free of x_v; returns (low, q)."""
-    ring = c.ring
+    """c = low + x_v * q with low free of x_v; returns (low, q).  x_v must
+    not be inverted."""
     low_terms, high_terms = {}, {}
-    for exp, coef in c.num.terms.items():
+    for exp, coef in c.terms.items():
         if exp[v] == 0:
             low_terms[exp] = coef
         else:
-            e = list(exp)
-            e[v] -= 1
-            high_terms[tuple(e)] = coef
-    den = c.den
-    for s, dd in zip(ring.inverted, den):
-        assert dd == 0 or s.diff(v).is_zero(), "pole variable in denominator"
-    return LocPoly(ring, Poly(ring.nvars, low_terms), den), LocPoly(
-        ring, Poly(ring.nvars, high_terms), den
-    )
+            high_terms[exp[:v] + (exp[v] - 1,) + exp[v + 1:]] = coef
+    return LocPoly(c.ring, low_terms), LocPoly(c.ring, high_terms)
 
 
 @dataclass

@@ -33,7 +33,7 @@ _KIND_OF = {OMEGA: FORM, OMEGA_Y: YFORM, CONE: CONEF}
 
 def _monomials(ring, D, forbid=None):
     """All Laurent exponent tuples with sum |e_i| <= D (0 at `forbid`)."""
-    lau = ring.laurent_vars()
+    lau = ring.inverted
 
     def rec(i, budget):
         if i == ring.nvars:

@@ -100,8 +100,8 @@ class GlobalModel:
         out = self._compose((self.scene.atlas.chart_ids[0],), a, b)
         ring = self.scene.global_ring
         return {
-            s: ring.monomial((0,) * ring.nvars, c.num.const_value())
-            if c.num.is_const() and all(d == 0 for d in c.den)
+            s: ring.const(sum(c.terms.values()))
+            if c.terms.keys() <= {(0,) * c.ring.nvars}
             else self._fail(s)
             for s, c in out.items()
         }

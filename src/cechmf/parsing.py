@@ -107,7 +107,8 @@ def parse_poly(text: str, ring: Ring) -> LocPoly:
 
 def parse_image(spec, ring: Ring) -> LocPoly:
     """Variable image: either an expression string or {num, den} with den a
-    product of inverted elements (inverses are not expressible in the grammar)."""
+    unit of the Laurent ring, a single term in its inverted variables
+    (inverses are not expressible in the grammar)."""
     if isinstance(spec, str):
         return parse_poly(spec, ring)
     num = parse_poly(spec["num"], ring)

@@ -17,7 +17,7 @@ from .scene import Scene
 
 def rand_locpoly(rng: random.Random, ring, max_deg=2, n_terms=2, coeff=2):
     out = ring.zero()
-    lau = ring.laurent_vars()
+    lau = ring.inverted
     for _ in range(rng.randint(0, n_terms)):
         exps = []
         for i in range(ring.nvars):
@@ -93,7 +93,7 @@ def rand_yform_cochain(scene: Scene, rng: random.Random, max_deg=2) -> Cochain:
 
 
 def rand_mono(rng: random.Random, ring, max_deg=1):
-    lau = ring.laurent_vars()
+    lau = ring.inverted
     return tuple(
         rng.randint(-max_deg if v in lau else 0, max_deg) for v in range(ring.nvars)
     )

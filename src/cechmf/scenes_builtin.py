@@ -14,6 +14,8 @@ SCENE-A2D  affine plane covered by itself and the divisor complement D(x):
 
 from __future__ import annotations
 
+import copy
+
 from .scene import Scene, scene_from_dict
 
 _SPECS = {
@@ -166,7 +168,8 @@ def builtin_scene(name: str, trunc: int = 6, window: int = 4) -> Scene:
 
 
 def builtin_scene_dict(name: str) -> dict:
-    return dict(_SPECS[name])
+    """A deep copy of the spec, so editing it leaves the built-in scene intact."""
+    return copy.deepcopy(_SPECS[name])
 
 
 def all_builtin_names():

@@ -271,7 +271,7 @@ def unit_family(scene: Scene) -> dict:
     consts = itertools.cycle([2, 3, 5, 7])
     for I in scene.atlas.tuples:
         ring = scene.atlas.ring(I)
-        lau = sorted(ring.laurent_vars())
+        lau = sorted(ring.inverted)
         if lau:
             exps = [0] * ring.nvars
             exps[lau[0]] = 1 if len(I) % 2 else 2
@@ -460,7 +460,7 @@ def basis_a_chains(scene: Scene, max_len: int = 3):
     alg = SheafAlgebraA(scene)
     for I in scene.atlas.tuples:
         ring = alg.ring(I)
-        lau = ring.laurent_vars()
+        lau = ring.inverted
         monos = [(0,) * ring.nvars]
         for v in range(ring.nvars):
             e = [0] * ring.nvars

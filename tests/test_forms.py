@@ -4,11 +4,11 @@ import pytest
 
 from cechmf.forms import Form, LogForm, TupleCtx, d_of, de_rham_d, wedge
 from cechmf.rand import rand_form
-from cechmf.rings import Poly, Ring
+from cechmf.rings import Ring
 from cechmf.scenes_builtin import builtin_scene
 
 QXY = Ring(["x", "y"])
-QT_T = Ring(["t"], [Poly.var(1, 0)])
+QT_T = Ring(["t"], ["t"])
 
 
 def test_d_of_variable():

@@ -40,7 +40,7 @@ def _rand_line_cech(rng, line, max_len=4, max_deg=2):
     for I in line.scene.atlas.tuples:
         ring = line.ring(I)
         k = rng.randint(0, max_len)
-        lau = ring.laurent_vars()
+        lau = ring.inverted
         monos = []
         for _ in range(k + 1):
             monos.append(
@@ -80,7 +80,7 @@ def _rand_a_cech(rng, alg, eps_count, max_len=3, max_deg=1):
     for I in alg.scene.atlas.tuples:
         ring = alg.ring(I)
         k = rng.randint(max(0, eps_count - 1), max_len)
-        lau = ring.laurent_vars()
+        lau = ring.inverted
         spec = []
         positions = list(range(k + 1))
         rng.shuffle(positions)

@@ -83,7 +83,7 @@ def _rand_chain(rng, presheaf, I, max_len, max_deg=1):
         src = path[(i + 1) % (k + 1)]
         syms = presheaf.hom_basis(I, src, tgt)
         sym = rng.choice(syms)
-        lau = ring.laurent_vars()
+        lau = ring.inverted
         exps = [rng.randint(-max_deg if v in lau else 0, max_deg) for v in range(ring.nvars)]
         slots.append({sym: ring.monomial(exps, rng.randint(-2, 2))})
     return make_chain(presheaf, I, tuple(path), slots)

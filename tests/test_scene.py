@@ -2,7 +2,6 @@ import copy
 
 import pytest
 
-from cechmf.rings import Poly, Ring
 from cechmf.scene import Chart, SceneError, scene_from_dict, validate_scene
 from cechmf.scenes_builtin import all_builtin_names, builtin_scene, builtin_scene_dict
 
@@ -106,3 +105,37 @@ def test_missing_field_raises_scene_error(make_spec, where, field):
         scene_from_dict(make_spec())
     assert where in str(info.value)
     assert field in str(info.value)
+
+
+def _p1_spec_inverting(entry, where):
+    spec = copy.deepcopy(builtin_scene_dict("SCENE-P1"))
+    if where == "global":
+        spec["global"]["inverted"] = [entry]
+    elif where == "chart":
+        spec["charts"][0]["inverted"] = [entry]
+    else:
+        spec["overlaps"][0]["inverted"] = [entry]
+    return spec
+
+
+@pytest.mark.parametrize(
+    "entry, part, where",
+    [
+        ("t-1", "overlap", "overlap [0, 1]"),
+        ("s", "chart", "chart 0"),
+        ("t", "global", "global"),
+    ],
+    ids=["overlap-polynomial", "chart-foreign-variable", "global-missing-variable"],
+)
+def test_inverted_entry_not_a_variable_raises_scene_error(entry, part, where):
+    with pytest.raises(SceneError) as info:
+        scene_from_dict(_p1_spec_inverting(entry, part))
+    assert where in str(info.value)
+    assert repr(entry) in str(info.value)
+
+
+def test_builtin_scene_dict_edit_leaves_builtin_intact():
+    spec = builtin_scene_dict("SCENE-A2")
+    spec["charts"][0] = dict(spec["charts"][0], g="x")  # f != x*g in the copy
+    assert not validate_scene(scene_from_dict(spec)).ok
+    assert validate_scene(builtin_scene("SCENE-A2")).ok

@@ -162,7 +162,7 @@ def _rand_endp_cech(rng, cat, max_len=2, max_deg=1):
         syms = cat.hom_basis(I, "P", "P")
         slots = []
         for _ in range(k + 1):
-            lau = ring.laurent_vars()
+            lau = ring.inverted
             exps = tuple(
                 rng.randint(-max_deg if v in lau else 0, max_deg)
                 for v in range(ring.nvars)
@@ -252,7 +252,7 @@ def test_phi_composite_is_hkr(name):
         for I in scene.atlas.tuples:
             ring = line.ring(I)
             k = rng.randint(0, 3)
-            lau = ring.laurent_vars()
+            lau = ring.inverted
             slots = []
             for _ in range(k + 1):
                 exps = tuple(
