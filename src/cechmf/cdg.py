@@ -14,10 +14,9 @@ structure map strictly compatible with restrictions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .rings import LocPoly, quotient_restrict
-from .scene import Scene, SceneError
+from .scene import Scene
 
 
 def elem_add(a: dict, b: dict) -> dict:

@@ -119,10 +119,7 @@ def unit_cochain(scene: Scene, kind: str = FORM) -> Cochain:
         if kind == FORM:
             entries[(i,)] = Form.one(ring)
         elif kind == YFORM:
-            ctx = _ctx(scene, (i,))
-            s = y_normalize(Form.one(ring), ctx)
-            if not s.is_zero():
-                entries[(i,)] = s
+            entries[(i,)] = y_normalize(Form.one(ring), _ctx(scene, (i,)))
         else:
             raise ValueError(kind)
     return Cochain(scene, kind, entries)
@@ -145,7 +142,6 @@ def restrict_section(scene: Scene, kind: str, s, I, J):
 
 def cech_d(c: Cochain) -> Cochain:
     """Alternating Cech differential via single-index extensions."""
-    out = zero_cochain(c.scene, c.kind)
     acc: dict = {}
     for I, s in c.entries.items():
         for j, pos, J in c.scene.atlas.extensions(I):
@@ -156,11 +152,11 @@ def cech_d(c: Cochain) -> Cochain:
     return Cochain(c.scene, c.kind, acc)
 
 
-def _sheaf_d(scene: Scene, kind: str, complex_kind: str, I, s):
+def _sheaf_d(scene: Scene, complex_kind: str, I, s):
     """Sheaf-level differential of one section (before the (-1)^p twist)."""
-    ctx = _ctx(scene, I)
-    f = scene.f_on(I)
-    df = d_of(f)
+    if complex_kind == OMEGA_Y:
+        return Form.zero(s.ring)
+    df = d_of(scene.f_on(I))
     if complex_kind == OMEGA:
         return -df.wedge(s)
     if complex_kind == OMEGA_PLUS:
@@ -169,8 +165,6 @@ def _sheaf_d(scene: Scene, kind: str, complex_kind: str, I, s):
         return -s.wedge_left(df)
     if complex_kind == OMEGA_LOG_SHIFTED:
         return s.wedge_left(df)
-    if complex_kind == OMEGA_Y:
-        return Form.zero(ctx.ring)
     raise ValueError(complex_kind)
 
 
@@ -179,56 +173,36 @@ def cech_total_d(c: Cochain, complex_kind: str) -> Cochain:
     if complex_kind == CONE:
         return _cone_total_d(c)
     assert c.kind == _SECTION_OF_COMPLEX[complex_kind]
-    out = cech_d(c)
     acc: dict = {}
     for I, s in c.entries.items():
-        p = len(I) - 1
-        piece = _sheaf_d(c.scene, c.kind, complex_kind, I, s)
-        if p % 2:
-            piece = -piece
-        if not piece.is_zero():
-            acc[I] = acc[I] + piece if I in acc else piece
-    return out + Cochain(c.scene, c.kind, acc)
+        piece = _sheaf_d(c.scene, complex_kind, I, s)
+        acc[I] = -piece if (len(I) - 1) % 2 else piece
+    return cech_d(c) + Cochain(c.scene, c.kind, acc)
 
 
 def _cone_total_d(c: Cochain) -> Cochain:
     assert c.kind == CONEF
     scene = c.scene
-    reg = Cochain(scene, FORM, {I: s.reg for I, s in c.entries.items() if not s.reg.is_zero()})
-    log = Cochain(
-        scene, LOG, {I: s.log for I, s in c.entries.items() if not s.log.is_zero()}
-    )
+    reg = Cochain(scene, FORM, {I: s.reg for I, s in c.entries.items()})
+    log = Cochain(scene, LOG, {I: s.log for I, s in c.entries.items()})
     reg_out = cech_total_d(reg, OMEGA)
     log_out = cech_total_d(log, OMEGA_LOG_SHIFTED)
     # connecting component: (-1)^p L(reg part)
-    l_entries: dict = {}
-    for I, s in reg.entries.items():
-        p = len(I) - 1
-        piece = LogForm(_ctx(scene, I), s.scale(Fraction((-1) ** p)), Form.zero(s.ring))
-        l_entries[I] = piece
-    l_out = Cochain(scene, LOG, l_entries)
-    merged: dict = {}
-    for I in set(reg_out.entries) | set(log_out.entries) | set(l_out.entries):
-        ctx = _ctx(scene, I)
-        r = reg_out.entries.get(I, Form.zero(ctx.ring))
-        lg = log_out.entries.get(I, LogForm.zero(ctx))
-        lc = l_out.entries.get(I, LogForm.zero(ctx))
-        merged[I] = ConeForm(r, lg + lc)
-    return Cochain(scene, CONEF, merged)
+    l_part = Cochain(scene, LOG, {
+        I: LogForm(_ctx(scene, I), s.scale(Fraction((-1) ** (len(I) - 1))), Form.zero(s.ring))
+        for I, s in reg.entries.items()
+    })
+    return cone_cochain(scene, reg_out, log_out + l_part)
 
 
-def cone_cochain(scene: Scene, reg: Cochain | None = None, log: Cochain | None = None) -> Cochain:
+def cone_cochain(scene: Scene, reg: Cochain, log: Cochain) -> Cochain:
+    """Pair a form cochain and a log cochain into a cone cochain."""
     entries: dict = {}
-    tuples = set()
-    if reg is not None:
-        tuples |= set(reg.entries)
-    if log is not None:
-        tuples |= set(log.entries)
-    for I in tuples:
+    for I in set(reg.entries) | set(log.entries):
         ctx = _ctx(scene, I)
-        r = reg.entries.get(I, Form.zero(ctx.ring)) if reg is not None else Form.zero(ctx.ring)
-        lg = log.entries.get(I, LogForm.zero(ctx)) if log is not None else LogForm.zero(ctx)
-        entries[I] = ConeForm(r, lg)
+        entries[I] = ConeForm(
+            reg.entries.get(I, Form.zero(ctx.ring)), log.entries.get(I, LogForm.zero(ctx))
+        )
     return Cochain(scene, CONEF, entries)
 
 
@@ -236,9 +210,11 @@ def cone_cochain(scene: Scene, reg: Cochain | None = None, log: Cochain | None =
 # products
 
 
-def cech_wedge(a: Cochain, b: Cochain) -> Cochain:
-    """Front-face/back-face product on form-valued cochains."""
-    assert a.kind == FORM and b.kind in (FORM, YFORM)
+def _cup(a: Cochain, b: Cochain, kind: str, product) -> Cochain:
+    """Front-face/back-face pairing: the sum of product(a_I|K, b_J|K, p, q, K)
+    over I ending where J starts, K = I + J[1:] strictly increasing, with
+    p, q the Cech degrees of I, J.  Each factor restricts to K by its own
+    kind."""
     assert a.scene is b.scene
     scene = a.scene
     acc: dict = {}
@@ -253,32 +229,21 @@ def cech_wedge(a: Cochain, b: Cochain) -> Cochain:
                 raise SceneError(f"product tuple {K} missing from atlas")
             ra = restrict_section(scene, a.kind, sa, I, K)
             rb = restrict_section(scene, b.kind, sb, J, K)
-            piece = ra.wedge(rb)
-            if b.kind == YFORM:
-                piece = y_normalize(piece, _ctx(scene, K))
-            if not piece.is_zero():
-                acc[K] = acc[K] + piece if K in acc else piece
-    return Cochain(scene, b.kind, acc)
+            piece = product(ra, rb, len(I) - 1, len(J) - 1, K)
+            acc[K] = acc[K] + piece if K in acc else piece
+    return Cochain(scene, kind, acc)
 
 
-def cech_wedge_y(a: Cochain, b: Cochain) -> Cochain:
-    """Product of two Y-form cochains."""
-    assert a.kind == YFORM and b.kind == YFORM
-    scene = a.scene
-    acc: dict = {}
-    for I, sa in a.entries.items():
-        for J, sb in b.entries.items():
-            if I[-1] != J[0]:
-                continue
-            K = I + J[1:]
-            if list(K) != sorted(set(K)):
-                continue
-            ra = restrict_section(scene, YFORM, sa, I, K)
-            rb = restrict_section(scene, YFORM, sb, J, K)
-            piece = ra.wedge(rb)
-            if not piece.is_zero():
-                acc[K] = acc[K] + piece if K in acc else piece
-    return Cochain(scene, YFORM, acc)
+def _wedge_at(scene: Scene, kind: str, ra, rb, K):
+    """ra ^ rb over K, projected to the divisor when kind is YFORM."""
+    w = ra.wedge(rb)
+    return y_normalize(w, _ctx(scene, K)) if kind == YFORM else w
+
+
+def cech_wedge(a: Cochain, b: Cochain) -> Cochain:
+    """Front-face/back-face product on form-valued cochains."""
+    assert a.kind == FORM and b.kind in (FORM, YFORM)
+    return _cup(a, b, b.kind, lambda ra, rb, p, q, K: _wedge_at(a.scene, b.kind, ra, rb, K))
 
 
 def bar_wedge(alpha: Cochain, gamma: Cochain) -> Cochain:
@@ -288,50 +253,23 @@ def bar_wedge(alpha: Cochain, gamma: Cochain) -> Cochain:
     Cone:    (a + b) ~^ g = (-1)^{pq} g^a + (-1)^{(p+1)q} g^b
     with p, q the Cech degrees of the cochain entries.
     """
-    scene = alpha.scene
     assert gamma.kind == FORM or (alpha.kind == YFORM and gamma.kind == YFORM)
     if alpha.kind in (FORM, YFORM):
-        acc: dict = {}
-        for J, sa in alpha.entries.items():      # alpha at Cech degree p
-            p = len(J) - 1
-            for I, sg in gamma.entries.items():  # gamma at Cech degree q
-                q = len(I) - 1
-                if I[-1] != J[0]:
-                    continue
-                K = I + J[1:]
-                if list(K) != sorted(set(K)) or not scene.atlas.has_tuple(K):
-                    continue
-                rg = restrict_section(scene, alpha.kind, sg, I, K)
-                ra = restrict_section(scene, alpha.kind, sa, J, K)
-                piece = rg.wedge(ra)
-                if alpha.kind == YFORM:
-                    piece = y_normalize(piece, _ctx(scene, K))
-                if (p * q) % 2:
-                    piece = -piece
-                if not piece.is_zero():
-                    acc[K] = acc[K] + piece if K in acc else piece
-        return Cochain(scene, alpha.kind, acc)
-    assert alpha.kind == CONEF
-    acc = {}
-    for J, s in alpha.entries.items():
-        p = len(J) - 1
-        for I, sg in gamma.entries.items():
-            q = len(I) - 1
-            if I[-1] != J[0]:
-                continue
-            K = I + J[1:]
-            if list(K) != sorted(set(K)) or not scene.atlas.has_tuple(K):
-                continue
-            ctx_K = _ctx(scene, K)
-            rg = restrict_section(scene, FORM, sg, I, K)
-            r_reg = restrict_section(scene, FORM, s.reg, J, K)
-            r_log = restrict_section(scene, LOG, s.log, J, K)
-            reg_piece = rg.wedge(r_reg).scale(Fraction((-1) ** (p * q)))
-            log_piece = r_log.wedge_left(rg).scale(Fraction((-1) ** ((p + 1) * q)))
-            piece = ConeForm(reg_piece, log_piece)
-            if not piece.is_zero():
-                acc[K] = acc[K] + piece if K in acc else piece
-    return Cochain(scene, CONEF, acc)
+
+        def product(rg, ra, q, p, K):
+            piece = _wedge_at(alpha.scene, alpha.kind, rg, ra, K)
+            return -piece if (p * q) % 2 else piece
+
+    else:
+        assert alpha.kind == CONEF
+
+        def product(rg, s, q, p, K):
+            return ConeForm(
+                rg.wedge(s.reg).scale(Fraction((-1) ** (p * q))),
+                s.log.wedge_left(rg).scale(Fraction((-1) ** ((p + 1) * q))),
+            )
+
+    return _cup(gamma, alpha, alpha.kind, product)
 
 
 # ---------------------------------------------------------------------------

@@ -7,17 +7,16 @@ import json
 import sys
 
 from . import signs
-from .cech import FORM, OMEGA, OMEGA_Y, CONE, Cochain
-from .diagrams import pushforward_unit
+from .cech import CONE, OMEGA, OMEGA_Y, Cochain, cech_total_d
+from .diagrams import pushforward_routes
 from .forms import Form
-from .homology import homology_dims, is_boundary_within_window
+from .homology import homology_dims
 from .parsing import parse_poly
-from .report import Report, Timer
+from .report import Check, Report, Timer
 from .scene import Scene, load_scene, validate_scene
 from .scenes_builtin import all_builtin_names, builtin_scene
 from .ses import NotACocycle
 from .suites import SUITES, suite_pushforward
-from .cech import cech_total_d
 
 
 def _resolve_scene(spec: str, trunc: int | None, window: int | None) -> Scene:
@@ -56,12 +55,7 @@ def cmd_verify(args) -> int:
     )
     val = validate_scene(scene)
     if not val.ok and args.suite != "scene":
-        rep.add_suite("scene", [
-            __import__("cechmf.report", fromlist=["Check"]).Check(
-                f"scene:{n}", False, d
-            )
-            for n, d in val.failures()
-        ], 0.0)
+        rep.add_suite("scene", [Check(f"scene:{n}", False, d) for n, d in val.failures()], 0.0)
         return _emit(rep, args)
     names = list(SUITES) if args.suite == "all" else [args.suite]
     for name in names:
@@ -110,9 +104,6 @@ def cmd_pushforward(args) -> int:
         if args.input == "unit":
             checks = suite_pushforward(scene, seed=args.seed)
         else:
-            from .diagrams import pushforward_routes
-            from .report import Check
-
             y_class = _load_y_class(args.input, scene)
             try:
                 route_a = pushforward_routes(scene, y_class)
@@ -141,8 +132,6 @@ def cmd_homology(args) -> int:
         window=scene.window,
         ledger_version=signs.LEDGER_VERSION,
     )
-    from .report import Check
-
     # instability is reported, not fatal: affine divisors have homology of
     # unbounded dimension over the rationals and the window slices grow
     kinds = {"omega": OMEGA, "omega_y": OMEGA_Y, "cone": CONE}

@@ -11,7 +11,7 @@ honest lift-then-differentiate connecting morphism on divisor forms.
 from __future__ import annotations
 
 from .cdg import CurvedLine, SheafAlgebraA, build_P, can_map, end_algebra
-from .cech import Cochain, bar_wedge, cech_total_d, todd_inverse, unit_cochain
+from .cech import Cochain, bar_wedge, todd_inverse, unit_cochain
 from .hkr import hkr_A, hkr_xf
 from .hochschild import CechHochChain, apply_morphism, make_chain
 from .scene import Scene

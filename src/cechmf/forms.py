@@ -11,7 +11,6 @@ a unit or 1 on the tuple the pole is spurious and everything is regular.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .rings import LocPoly, MalformedElement, Ring
 from .scene import Scene, UnsupportedScene
@@ -48,9 +47,6 @@ class Form:
 
     def degrees(self):
         return sorted({len(k) for k in self.terms})
-
-    def homogeneous_part(self, k: int) -> "Form":
-        return Form(self.ring, {K: c for K, c in self.terms.items() if len(K) == k})
 
     def __eq__(self, other):
         return isinstance(other, Form) and self.ring == other.ring and self.terms == other.terms
@@ -129,14 +125,6 @@ def _merge_indices(ka, kb):
     return tuple(out), sign
 
 
-def de_rham_d(w: Form) -> Form:
-    return w.d()
-
-
-def wedge(a: Form, b: Form) -> Form:
-    return a.wedge(b)
-
-
 class TupleCtx:
     """Divisor data of one atlas tuple: pole variable and log bookkeeping."""
 
@@ -149,7 +137,7 @@ class TupleCtx:
         self.p = len(self.I) - 1
         self.pole = scene.atlas.pole_var(self.I)
         self.x = scene.atlas.divisor_on(self.I)
-        dxp = _d_of(self.x)
+        dxp = d_of(self.x)
         self.dx = dxp
         if self.pole is None:
             if self.x.is_one() or dxp.is_zero():
@@ -160,7 +148,8 @@ class TupleCtx:
             self.dlog = None  # genuine pole: dx/x is not a regular form
 
 
-def _d_of(e: LocPoly) -> Form:
+def d_of(e: LocPoly) -> Form:
+    """de Rham differential of a ring element."""
     terms = {}
     for v in range(e.ring.nvars):
         de = e.diff(v)
@@ -169,14 +158,9 @@ def _d_of(e: LocPoly) -> Form:
     return Form(e.ring, terms)
 
 
-def d_of(e: LocPoly) -> Form:
-    """de Rham differential of a ring element."""
-    return _d_of(e)
-
-
 def dlog_of(u: LocPoly) -> Form:
     """du/u for a unit u."""
-    return _d_of(u).scale(u.inverse())
+    return d_of(u).scale(u.inverse())
 
 
 class LogForm:
@@ -246,10 +230,6 @@ class LogForm:
         )
         return LogForm(self.ctx, gamma.wedge(self.regular), signed.wedge(self.residue))
 
-    def wedge_right(self, gamma: Form) -> "LogForm":
-        """self ^ gamma."""
-        return LogForm(self.ctx, self.regular.wedge(gamma), self.residue.wedge(gamma))
-
     def __repr__(self):
         return f"LogForm(reg={self.regular!r}, res={self.residue!r})"
 
@@ -302,7 +282,7 @@ def map_form(w: Form, ringmap, dst_ring: Ring) -> Form:
     for k, c in w.terms.items():
         piece = Form.scalar(ringmap(c))
         for v in k:
-            piece = piece.wedge(_d_of(ringmap(w.ring.var(w.ring.variables[v]))))
+            piece = piece.wedge(d_of(ringmap(w.ring.var(w.ring.variables[v]))))
         out = out + piece
     return out
 
@@ -322,7 +302,7 @@ def restrict_logform(scene: Scene, lf: LogForm, I, J, ctx_J: TupleCtx) -> LogFor
     x_old = scene.atlas.res(I, J)(lf.ctx.x)
     if ctx_J.pole is None:
         try:
-            dl = _d_of(x_old).scale(x_old.inverse())
+            dl = dlog_of(x_old)
         except MalformedElement:
             raise UnsupportedScene(
                 f"cannot restrict log pole from {I} to {J}"

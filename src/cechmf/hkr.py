@@ -13,58 +13,52 @@ from fractions import Fraction
 from math import factorial
 
 from .cdg import CurvedLine, OYAlgebra, SheafAlgebraA
-from .cech import CONEF, FORM, LOG, YFORM, Cochain, _ctx, cone_cochain
-from .forms import Form, LogForm, d_of, dlog_of, restrict_form, y_normalize
+from .cech import FORM, LOG, YFORM, Cochain, _ctx, cone_cochain
+from .forms import Form, LogForm, d_of, dlog_of, y_normalize
 from .hochschild import CechHochChain
-from .scene import Scene
 
 
-def hkr_xf(c: CechHochChain) -> Cochain:
-    """a_0[a_1|...|a_k] -> (1/k!) a_0 da_1 ^ ... ^ da_k."""
-    assert isinstance(c.presheaf, CurvedLine), "chains must live over a curved line"
+def _hkr_terms(a0, c: Fraction, k: int, das, head: Form | None = None) -> Form:
+    """(c/k!) a_0 [^ head] ^ da_1 ^ ... ^ da_k.
+
+    `das` yields da_1, ..., da_k; no further item is read once the product
+    vanishes, so a generator keeps their computation lazy.
+    """
+    w = Form.scalar(a0).scale(c * Fraction(1, factorial(k)))
+    if head is not None:
+        w = w.wedge(head)
+    for da in das:
+        w = w.wedge(da)
+        if w.is_zero():
+            break
+    return w
+
+
+def _hkr_cochain(c: CechHochChain, kind: str) -> Cochain:
+    """a_0[a_1|...|a_k] -> (1/k!) a_0 da_1 ^ ... ^ da_k on every tuple,
+    projected to the divisor for kind YFORM."""
     scene = c.scene
     entries: dict = {}
     for I, ch in c.entries.items():
         ring = scene.atlas.ring(I)
         acc = Form.zero(ring)
         for (path, syms, monos), coeff in ch.terms.items():
-            k = len(syms) - 1
-            w = Form.scalar(ring.monomial(monos[0])).scale(
-                coeff * Fraction(1, factorial(k))
-            )
-            for i in range(1, k + 1):
-                w = w.wedge(d_of(ring.monomial(monos[i])))
-                if w.is_zero():
-                    break
-            acc = acc + w
-        if not acc.is_zero():
-            entries[I] = acc
-    return Cochain(scene, FORM, entries)
+            das = (d_of(ring.monomial(mono)) for mono in monos[1:])
+            acc = acc + _hkr_terms(ring.monomial(monos[0]), coeff, len(syms) - 1, das)
+        entries[I] = y_normalize(acc, _ctx(scene, I)) if kind == YFORM else acc
+    return Cochain(scene, kind, entries)
+
+
+def hkr_xf(c: CechHochChain) -> Cochain:
+    """a_0[a_1|...|a_k] -> (1/k!) a_0 da_1 ^ ... ^ da_k."""
+    assert isinstance(c.presheaf, CurvedLine), "chains must live over a curved line"
+    return _hkr_cochain(c, FORM)
 
 
 def hkr_y(c: CechHochChain) -> Cochain:
     """Classical HKR on the divisor: same formula, divisor coefficients."""
     assert isinstance(c.presheaf, OYAlgebra)
-    scene = c.scene
-    entries: dict = {}
-    for I, ch in c.entries.items():
-        ctx = _ctx(scene, I)
-        ring = ctx.ring
-        acc = Form.zero(ring)
-        for (path, syms, monos), coeff in ch.terms.items():
-            k = len(syms) - 1
-            w = Form.scalar(ring.monomial(monos[0])).scale(
-                coeff * Fraction(1, factorial(k))
-            )
-            for i in range(1, k + 1):
-                w = w.wedge(d_of(ring.monomial(monos[i])))
-                if w.is_zero():
-                    break
-            acc = acc + w
-        acc = y_normalize(acc, ctx)
-        if not acc.is_zero():
-            entries[I] = acc
-    return Cochain(scene, YFORM, entries)
+    return _hkr_cochain(c, YFORM)
 
 
 def hkr_A(c: CechHochChain) -> Cochain:
@@ -82,65 +76,40 @@ def hkr_A(c: CechHochChain) -> Cochain:
     log_acc: dict = {}
 
     def add(acc, I, w):
-        if not w.is_zero():
-            acc[I] = acc[I] + w if I in acc else w
+        acc[I] = acc[I] + w if I in acc else w
 
     for I, ch in c.entries.items():
         ctx = _ctx(scene, I)
         ring = ctx.ring
         p = len(I) - 1
-        dg = d_of(scene.g_on(I))
+        dx_dg = ctx.dx.wedge(d_of(scene.g_on(I)))
+        raising = None  # (K, restriction to K, du/u) for j < i_0, on first use
         for (path, syms, monos), coeff in ch.terms.items():
             k = len(syms) - 1
             eps_slots = [i for i, s in enumerate(syms) if s == "e"]
             if len(eps_slots) >= 2:
                 continue
-            kfact = Fraction(1, factorial(k))
             m = [ring.monomial(mono) for mono in monos]
-            if not eps_slots:
-                tail = Form.one(ring)
-                for i in range(1, k + 1):
-                    tail = tail.wedge(d_of(m[i]))
-                head = Form.scalar(m[0]).scale(coeff * kfact)
-                # log summand: a_0 (dx/x) ^ tail, as the raw residue
-                add_log = LogForm(ctx, Form.zero(ring), head.wedge(tail))
-                if not add_log.is_zero():
-                    log_acc[I] = log_acc[I] + add_log if I in log_acc else add_log
-                # regular summand: a_0 dx ^ dg ^ tail
-                add(reg_acc, I, head.wedge(ctx.dx).wedge(dg).wedge(tail))
-                # Cech-degree-raising terms over j < i_0
-                i0 = I[0]
+            das = [d_of(a) for a in m[1:]]
+            if eps_slots:
+                add(reg_acc, I, _hkr_terms(m[0], coeff * (-1) ** eps_slots[0], k, das, ctx.dx))
+                continue
+            # log summand: a_0 (dx/x) ^ da_1 ^ ..., as the raw residue
+            add(log_acc, I, LogForm(ctx, Form.zero(ring), _hkr_terms(m[0], coeff, k, das)))
+            add(reg_acc, I, _hkr_terms(m[0], coeff, k, das, dx_dg))
+            # Cech-degree-raising terms over j < i_0
+            if raising is None:
+                raising = []
                 for j in scene.atlas.chart_ids:
-                    if j >= i0:
-                        continue
                     K = tuple(sorted((j,) + I))
-                    if not scene.atlas.has_tuple(K):
-                        continue
-                    u = scene.atlas.unit(i0, j, K)
-                    w = Form.scalar(scene.atlas.res(I, K)(m[0])).scale(
-                        coeff * kfact * Fraction((-1) ** (p + 1))
-                    )
-                    w = w.wedge(dlog_of(u))
-                    for i in range(1, k + 1):
-                        w = w.wedge(d_of(scene.atlas.res(I, K)(m[i])))
-                        if w.is_zero():
-                            break
-                    add(reg_acc, K, w)
-            else:
-                l = eps_slots[0]
-                w = Form.scalar(m[0]).scale(coeff * kfact * Fraction((-1) ** l))
-                w = w.wedge(ctx.dx)
-                for i in range(1, k + 1):
-                    w = w.wedge(d_of(m[i]))
-                    if w.is_zero():
-                        break
-                add(reg_acc, I, w)
+                    if j < I[0] and scene.atlas.has_tuple(K):
+                        u = scene.atlas.unit(I[0], j, K)
+                        raising.append((K, scene.atlas.res(I, K), dlog_of(u)))
+            for K, res, dlog_u in raising:
+                das_K = (d_of(res(a)) for a in m[1:])
+                add(reg_acc, K, _hkr_terms(res(m[0]), coeff * (-1) ** (p + 1), k, das_K, dlog_u))
 
-    return cone_cochain(
-        scene,
-        Cochain(scene, FORM, reg_acc),
-        Cochain(scene, LOG, log_acc),
-    )
+    return cone_cochain(scene, Cochain(scene, FORM, reg_acc), Cochain(scene, LOG, log_acc))
 
 
 def a_to_oy(c: CechHochChain, oy: OYAlgebra) -> CechHochChain:

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from fractions import Fraction
 
 from .cech import CONEF, FORM, LOG, YFORM, Cochain, _ctx
 from .forms import ConeForm, Form, LogForm, y_normalize
@@ -37,17 +36,14 @@ def rand_form(rng: random.Random, ring, max_deg=2, density=2):
     for _ in range(density):
         k = rng.choice(subsets)
         c = rand_locpoly(rng, ring, max_deg=max_deg, n_terms=1)
-        if not c.is_zero():
-            terms[k] = terms[k] + c if k in terms else c
+        terms[k] = terms[k] + c if k in terms else c
     return Form(ring, terms)
 
 
 def rand_form_cochain(scene: Scene, rng: random.Random, max_deg=2) -> Cochain:
-    entries = {}
-    for I in scene.atlas.tuples:
-        w = rand_form(rng, scene.atlas.ring(I), max_deg=max_deg)
-        if not w.is_zero():
-            entries[I] = w
+    entries = {
+        I: rand_form(rng, scene.atlas.ring(I), max_deg=max_deg) for I in scene.atlas.tuples
+    }
     return Cochain(scene, FORM, entries)
 
 
@@ -55,13 +51,11 @@ def rand_log_cochain(scene: Scene, rng: random.Random, max_deg=2) -> Cochain:
     entries = {}
     for I in scene.atlas.tuples:
         ctx = _ctx(scene, I)
-        s = LogForm(
+        entries[I] = LogForm(
             ctx,
             rand_form(rng, ctx.ring, max_deg=max_deg),
             rand_form(rng, ctx.ring, max_deg=max_deg),
         )
-        if not s.is_zero():
-            entries[I] = s
     return Cochain(scene, LOG, entries)
 
 
@@ -69,7 +63,7 @@ def rand_cone_cochain(scene: Scene, rng: random.Random, max_deg=2) -> Cochain:
     entries = {}
     for I in scene.atlas.tuples:
         ctx = _ctx(scene, I)
-        s = ConeForm(
+        entries[I] = ConeForm(
             rand_form(rng, ctx.ring, max_deg=max_deg),
             LogForm(
                 ctx,
@@ -77,8 +71,6 @@ def rand_cone_cochain(scene: Scene, rng: random.Random, max_deg=2) -> Cochain:
                 rand_form(rng, ctx.ring, max_deg=max_deg),
             ),
         )
-        if not s.is_zero():
-            entries[I] = s
     return Cochain(scene, CONEF, entries)
 
 
@@ -86,9 +78,7 @@ def rand_yform_cochain(scene: Scene, rng: random.Random, max_deg=2) -> Cochain:
     entries = {}
     for I in scene.atlas.tuples:
         ctx = _ctx(scene, I)
-        w = y_normalize(rand_form(rng, ctx.ring, max_deg=max_deg), ctx)
-        if not w.is_zero():
-            entries[I] = w
+        entries[I] = y_normalize(rand_form(rng, ctx.ring, max_deg=max_deg), ctx)
     return Cochain(scene, YFORM, entries)
 
 
@@ -128,9 +118,7 @@ def rand_cech_hoch_chain(rng: random.Random, presheaf, max_len=2, max_deg=1,
     for I in presheaf.scene.atlas.tuples:
         if not presheaf.objects(I):
             continue
-        ch = rand_hoch_chain(rng, presheaf, I, max_len, max_deg, sym_pick)
-        if not ch.is_zero():
-            entries[I] = ch
+        entries[I] = rand_hoch_chain(rng, presheaf, I, max_len, max_deg, sym_pick)
     return CechHochChain(presheaf, entries)
 
 
@@ -150,7 +138,5 @@ def rand_a_class_chain(rng: random.Random, alg, eps_count, max_len=3, max_deg=1)
         for i in range(k + 1):
             sym = "e" if i in eps_at else "1"
             slots.append({sym: ring.monomial(rand_mono(rng, ring, max_deg), rng.randint(-2, 2))})
-        ch = make_chain(alg, I, ("*",) * (k + 1), slots)
-        if not ch.is_zero():
-            entries[I] = ch
+        entries[I] = make_chain(alg, I, ("*",) * (k + 1), slots)
     return CechHochChain(alg, entries)

@@ -20,7 +20,6 @@ from .cech import (
     cech_total_d,
 )
 from .forms import Form, LogForm, y_normalize
-from .scene import Scene
 
 
 class NotACocycle(ValueError):
@@ -31,16 +30,17 @@ class InternalConsistencyError(AssertionError):
     pass
 
 
+def _to_y(c: Cochain, part) -> Cochain:
+    """Restrict part(section) to the divisor on every tuple."""
+    return Cochain(c.scene, YFORM, {
+        I: y_normalize(part(s), _ctx(c.scene, I)) for I, s in c.entries.items()
+    })
+
+
 def ses_project(beta: Cochain) -> Cochain:
     """Quotient map on log cochains: keep the residue, restrict to Y."""
     assert beta.kind == LOG
-    entries = {}
-    for I, s in beta.entries.items():
-        ctx = _ctx(beta.scene, I)
-        piece = y_normalize(s.residue, ctx)
-        if not piece.is_zero():
-            entries[I] = piece
-    return Cochain(beta.scene, YFORM, entries)
+    return _to_y(beta, lambda s: s.residue)
 
 
 def ses_lift(alpha: Cochain) -> Cochain:
@@ -99,29 +99,17 @@ def connecting_delta_diagram(alpha: Cochain) -> Cochain:
 def cone_delta(c: Cochain) -> Cochain:
     """Connecting morphism realized on the cone: project to the regular summand."""
     assert c.kind == CONEF
-    entries = {I: s.reg for I, s in c.entries.items() if not s.reg.is_zero()}
-    return Cochain(c.scene, FORM, entries)
+    return Cochain(c.scene, FORM, {I: s.reg for I, s in c.entries.items()})
 
 
 def cone_to_y(c: Cochain) -> Cochain:
     """The quasi-isomorphism from the cone to divisor forms: residue of the
     log summand, restricted to the divisor."""
     assert c.kind == CONEF
-    entries = {}
-    for I, s in c.entries.items():
-        ctx = _ctx(c.scene, I)
-        piece = y_normalize(s.log.residue, ctx)
-        if not piece.is_zero():
-            entries[I] = piece
-    return Cochain(c.scene, YFORM, entries)
+    return _to_y(c, lambda s: s.log.residue)
 
 
 def forms_to_y(c: Cochain) -> Cochain:
     """Plain restriction of regular forms to the divisor."""
     assert c.kind == FORM
-    entries = {}
-    for I, s in c.entries.items():
-        piece = y_normalize(s, _ctx(c.scene, I))
-        if not piece.is_zero():
-            entries[I] = piece
-    return Cochain(c.scene, YFORM, entries)
+    return _to_y(c, lambda s: s)

@@ -15,14 +15,11 @@ from fractions import Fraction
 from . import signs
 from .cdg import (
     CurvedLine,
-    MFCategory,
     OYAlgebra,
     SheafAlgebraA,
     TrivializedCategory,
     build_P,
     end_algebra,
-    mf_delta_squared_is_f,
-    trivial_line,
 )
 from .cech import (
     CONE,
@@ -31,7 +28,6 @@ from .cech import (
     OMEGA_LOG,
     OMEGA_PLUS,
     OMEGA_Y,
-    Cochain,
     bar_wedge,
     bar_power,
     c1_minus_Y,
@@ -40,7 +36,7 @@ from .cech import (
     todd_inverse,
     unit_cochain,
 )
-from .diagrams import pushforward_unit, trace_route, residue_route, unit_a_chain
+from .diagrams import pushforward_unit, trace_route, residue_route
 from .hkr import a_to_oy, hkr_A, hkr_xf, hkr_y
 from .hochschild import (
     CechHochChain,
@@ -60,11 +56,9 @@ from .lax import (
     cech_strict_map,
     global_to_cech,
     iso_homotopy,
-    lax_hq,
     restriction_htilde,
     strict_vs_lax_homotopy,
 )
-from .linalg import QMatrix, rank_kernel
 from .rand import (
     rand_a_class_chain,
     rand_cech_hoch_chain,
@@ -76,8 +70,8 @@ from .rand import (
 )
 from .report import Check
 from .scene import Scene, validate_scene
-from .ses import cone_to_y, ses_lift, ses_project
-from .trace import hq_basis, phi, sh_shuffle_cech, supertrace, yoneda
+from .ses import cone_to_y
+from .trace import hq_basis, phi
 
 
 def _rng(seed: int, suite: str, scene_name: str) -> random.Random:

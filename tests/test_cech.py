@@ -33,7 +33,8 @@ from cechmf.rand import (
     rand_log_cochain,
     rand_yform_cochain,
 )
-from cechmf.scenes_builtin import all_builtin_names, builtin_scene
+from cechmf.scene import SceneError, scene_from_dict
+from cechmf.scenes_builtin import all_builtin_names, builtin_scene, builtin_scene_dict
 
 SCENES = {name: builtin_scene(name) for name in all_builtin_names()}
 
@@ -151,6 +152,41 @@ def test_bar_wedge_sign_p1q1():
         a1 = Cochain(scene, FORM, {I: s for I, s in a.entries.items() if len(I) == 2})
         g1 = Cochain(scene, FORM, {I: s for I, s in g.entries.items() if len(I) == 2})
         assert bar_wedge(a1, g1) == -cech_wedge(g1, a1)
+
+
+@pytest.mark.parametrize("name,pair", [("SCENE-A2C", (0, 1)), ("SCENE-P2", (1, 2))])
+def test_bar_wedge_yform_by_form(name, pair):
+    # a Y-form alpha acted on by a form gamma over a pair overlap that Y
+    # meets; each factor restricts to the overlap by its own kind
+    scene = SCENES[name]
+    ctx = _ctx(scene, pair)
+    ring = ctx.ring
+    x, y = ctx.pole, 1 - ctx.pole
+    yv = ring.var(ring.variables[y])
+    gamma = Cochain(scene, FORM, {pair: Form(ring, {
+        (): ring.one() + yv,
+        (y,): yv * yv,
+        (x,): yv,
+    })})
+    alpha = unit_cochain(scene, YFORM)
+    out = bar_wedge(alpha, gamma)
+    # p = 0, so the sign (-1)^{pq} is +1
+    assert out == cech_wedge(gamma, alpha)
+    assert not out.is_zero()
+
+
+def test_products_need_the_union_tuple():
+    # SCENE-P2 without its triple overlap: (0,1) and (1,2) compose to (0,1,2)
+    spec = builtin_scene_dict("SCENE-P2")
+    spec["overlaps"] = [o for o in spec["overlaps"] if len(o["tuple"]) < 3]
+    scene = scene_from_dict(spec)
+    assert not scene.atlas.has_tuple((0, 1, 2))
+    a = Cochain(scene, FORM, {(0, 1): Form.one(scene.atlas.ring((0, 1)))})
+    b = Cochain(scene, FORM, {(1, 2): Form.one(scene.atlas.ring((1, 2)))})
+    with pytest.raises(SceneError):
+        cech_wedge(a, b)
+    with pytest.raises(SceneError):
+        bar_wedge(b, a)
 
 
 def test_bar_wedge_module_law():
