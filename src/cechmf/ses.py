@@ -20,6 +20,7 @@ from .cech import (
     cech_total_d,
 )
 from .forms import Form, LogForm, y_normalize
+from .signs import sign
 
 
 class NotACocycle(ValueError):
@@ -63,37 +64,28 @@ def connecting_delta(alpha: Cochain) -> Cochain:
     """Lift-then-differentiate boundary map into the twisted de Rham complex.
 
     Computed with the canonical lift in the shifted log complex; the result
-    must be residue-free (it lies in the subcomplex) and a cocycle there.
+    must be residue-free (it lies in the subcomplex).  Its Cech-degree-p
+    component is scaled by sign("delta-diagram-twist")^p, which aligns the
+    quotient-complex degree bookkeeping with the cone projection, and the
+    twisted result must be a cocycle.
     """
     assert alpha.kind == YFORM
     if not cech_total_d(alpha, OMEGA_Y).is_zero():
         raise NotACocycle("input is not a total cocycle on the divisor")
     lifted = ses_lift(alpha)
     d_lift = cech_total_d(lifted, OMEGA_LOG_SHIFTED)
+    twist = sign("delta-diagram-twist")
     entries = {}
     for I, s in d_lift.entries.items():
         if not s.residue.is_zero():
             raise InternalConsistencyError(
                 f"connecting morphism produced a residue over {I}: {s.residue!r}"
             )
-        entries[I] = s.regular
+        entries[I] = s.regular if twist ** (len(I) - 1) == 1 else -s.regular
     out = Cochain(alpha.scene, FORM, entries)
     if not cech_total_d(out, OMEGA).is_zero():
         raise InternalConsistencyError("connecting morphism output is not a cocycle")
     return out
-
-
-def connecting_delta_diagram(alpha: Cochain) -> Cochain:
-    """The connecting morphism as it enters the main diagram: the output
-    component at Cech degree p is scaled by (-1)^p, which aligns the
-    quotient-complex degree bookkeeping with the cone projection (see the
-    'delta-diagram-twist' ledger entry)."""
-    out = connecting_delta(alpha)
-    entries = {}
-    for I, s in out.entries.items():
-        p = len(I) - 1
-        entries[I] = s if p % 2 == 0 else -s
-    return Cochain(alpha.scene, FORM, entries)
 
 
 def cone_delta(c: Cochain) -> Cochain:

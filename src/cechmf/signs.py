@@ -51,7 +51,8 @@ _LEDGER = {
         "value": -1,
         "note": "the lift-then-differentiate connecting morphism matches the"
         " cone projection only after scaling its Cech-degree-p component"
-        " by (-1)^p; the main-diagram route uses the twisted version",
+        " by (-1)^p; ses.connecting_delta applies it and checks that the"
+        " twisted output is a cocycle",
     },
     "hkr-target": {
         "value": +1,

@@ -5,7 +5,6 @@ import pytest
 from cechmf.cdg import SheafAlgebraA
 from cechmf.cech import OMEGA, cech_total_d
 from cechmf.diagrams import (
-    diagram_routes,
     pushforward_unit,
     trace_route,
     residue_route,
@@ -40,15 +39,16 @@ def test_diagram1_strict_on_short_basis_chains(name):
 def test_diagram1_example_on_unit():
     scene = SCENES["SCENE-A2"]
     ring = scene.atlas.ring((0,))
-    top, bottom = diagram_routes(scene, unit_a_chain(scene), -1)
+    chain = unit_a_chain(scene)
+    top, bottom = trace_route(scene, chain), residue_route(scene, chain, -1)
     expected = Form(ring, {(0, 1): ring.const(-1)})  # dy^dx
     assert top == bottom
     assert top.entries == {(0,): expected}
 
 
-@pytest.mark.parametrize("name", list(SCENES))
+@pytest.mark.parametrize("name", [*SCENES, "SCENE-A2D"])
 def test_pushforward_routes(name):
-    scene = SCENES[name]
+    scene = SCENES.get(name) or builtin_scene(name)
     a, b = pushforward_unit(scene, -1)
     assert a == b
     if name == "SCENE-A1":

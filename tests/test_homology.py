@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,8 @@ from cechmf.homology import (
     is_boundary_within_window,
     _basis_cochain,
 )
-from cechmf.scenes_builtin import builtin_scene
+from cechmf.scenes_builtin import all_builtin_names, builtin_scene
+from cechmf.suites import oracle_homology_dims
 
 A1 = builtin_scene("SCENE-A1")
 A2 = builtin_scene("SCENE-A2")
@@ -68,3 +70,48 @@ def test_expand_roundtrip():
     for key in keys[:10]:
         c = _basis_cochain(A2, OMEGA, key)
         assert expand_cochain(c, OMEGA) == {key: Fraction(1)}
+
+
+@pytest.mark.parametrize("D", [0, 1])
+@pytest.mark.parametrize("kind", [OMEGA, OMEGA_Y, CONE])
+@pytest.mark.parametrize("name", all_builtin_names())
+def test_engine_matches_oracle_at_both_windows(name, kind, D):
+    scene = builtin_scene(name)
+    out = homology_dims(scene, kind, D)
+    here = oracle_homology_dims(scene, kind, D)
+    there = oracle_homology_dims(scene, kind, D + 1)
+    assert (out["even"], out["odd"]) == (here["even"], here["odd"])
+    assert (out["even_next"], out["odd_next"]) == (there["even"], there["odd"])
+    assert out["stable"] == (here == there)
+
+
+def _top_form_on_every_chart(scene):
+    entries = {}
+    for i in scene.atlas.chart_ids:
+        ring = scene.atlas.ring((i,))
+        entries[(i,)] = Form(ring, {(0, 1): ring.one()})
+    return Cochain(scene, FORM, entries)
+
+
+@pytest.mark.parametrize(
+    "name,D,generator",
+    [
+        # f = 0: the unit is a cocycle, the class of H^0(P^2, O)
+        ("SCENE-P2", 1, lambda sc: unit_cochain(sc, FORM)),
+        # X = A^2 on two charts, H_even spanned by dx^dy as on SCENE-A2
+        ("SCENE-A2D", 2, _top_form_on_every_chart),
+    ],
+)
+def test_boundary_detection_on_multi_chart_scenes(name, D, generator):
+    scene = builtin_scene(name)
+    keys = _window_keys(scene, OMEGA, D)
+    rng = random.Random(7)
+    for _ in range(4):
+        v = _basis_cochain(scene, OMEGA, rng.choice(keys))
+        v = v + _basis_cochain(scene, OMEGA, rng.choice(keys)).scale(Fraction(-3, 2))
+        assert is_boundary_within_window(cech_total_d(v, OMEGA), OMEGA, D)
+    g = generator(scene)
+    assert cech_total_d(g, OMEGA).is_zero()
+    assert not is_boundary_within_window(g, OMEGA, D)
+    # a generator plus a boundary is still not a boundary
+    assert not is_boundary_within_window(g + cech_total_d(v, OMEGA), OMEGA, D)

@@ -2,38 +2,48 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from cechmf.linalg import QMatrix, rank_kernel
 
 
+def _qm(a) -> QMatrix:
+    """QMatrix from dense rows."""
+    rows, cols = len(a), len(a[0])
+    return QMatrix(rows, cols, [{i: a[i][j] for i in range(rows)} for j in range(cols)])
+
+
 def test_zero_matrix():
-    r, ker = rank_kernel(QMatrix(2, 2))
-    assert r == 0 and len(ker) == 2
+    assert rank_kernel(QMatrix(2, 2, [{}, {}])) == []
+    assert rank_kernel(_qm([[0, 0], [0, 0]])) == []
 
 
 def test_identity():
-    m = QMatrix(3, 3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    r, ker = rank_kernel(m)
-    assert r == 3 and ker == []
+    assert rank_kernel(_qm([[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == [0, 1, 2]
 
 
 def test_rank_one():
-    m = QMatrix(2, 2, [[1, 2], [2, 4]])
-    r, ker = rank_kernel(m)
-    assert r == 1
-    assert len(ker) == 1
-    v = ker[0]
-    # kernel spanned by (2, -1)^T
-    assert v[0] * Fraction(-1) == v[1] * Fraction(2)
+    # the second column is twice the first
+    assert rank_kernel(_qm([[1, 2], [2, 4]])) == [0]
+    assert rank_kernel(_qm([[0, 2], [0, 4]])) == [1]
 
 
-def _minor_rank(m: QMatrix) -> int:
+def test_fractions_and_zero_entries():
+    m = QMatrix(3, 3, [{0: Fraction(1, 3), 2: 0}, {0: Fraction(2, 3)}, {1: Fraction(-1, 2)}])
+    assert m.entries[0] == {0: Fraction(1, 3)}
+    assert rank_kernel(m) == [0, 2]
+
+
+def _minor_rank(a) -> int:
     """Independent oracle: rank = size of the largest nonsingular minor."""
+    rows, cols = len(a), len(a[0])
     best = 0
-    for k in range(1, min(m.rows, m.cols) + 1):
+    for k in range(1, min(rows, cols) + 1):
         found = False
-        for rs in combinations(range(m.rows), k):
-            for cs in combinations(range(m.cols), k):
-                if _det([[m[(i, j)] for j in cs] for i in rs]) != 0:
+        for rs in combinations(range(rows), k):
+            for cs in combinations(range(cols), k):
+                if _det([[a[i][j] for j in cs] for i in rs]) != 0:
                     found = True
                     break
             if found:
@@ -46,7 +56,7 @@ def _minor_rank(m: QMatrix) -> int:
 
 
 def _det(a):
-    a = [row[:] for row in a]
+    a = [[Fraction(x) for x in row] for row in a]
     n = len(a)
     sign = 1
     det = Fraction(1)
@@ -64,28 +74,35 @@ def _det(a):
     return det * sign
 
 
+def _check_against_oracle(a):
+    """The rank, and the rank of every leading column block, equal the oracle's."""
+    pivots = rank_kernel(_qm(a))
+    assert pivots == sorted(set(pivots))
+    assert len(pivots) == _minor_rank(a)
+    for j in range(1, len(a[0]) + 1):
+        lead = [row[:j] for row in a]
+        assert sum(1 for c in pivots if c < j) == _minor_rank(lead)
+
+
 def test_against_minor_oracle():
     rng = random.Random(0)
     for _ in range(40):
         rows = rng.randint(1, 6)
         cols = rng.randint(1, 6)
-        m = QMatrix(rows, cols, [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)])
-        r, ker = rank_kernel(m)
-        assert r == _minor_rank(m)
-        assert r + len(ker) == cols
-        for v in ker:
-            assert all(x == 0 for x in m.mul_vec(v))
+        _check_against_oracle([[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)])
 
 
-def test_kernel_spans_null_space():
-    rng = random.Random(1)
-    for _ in range(20):
-        rows, cols = rng.randint(1, 8), rng.randint(1, 8)
-        m = QMatrix(rows, cols, [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)])
-        r, ker = rank_kernel(m)
-        if not ker:
-            continue
-        # kernel vectors are linearly independent
-        km = QMatrix(len(ker), cols, ker)
-        kr, _ = rank_kernel(km)
-        assert kr == len(ker) == cols - r
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda rows: st.integers(1, 5).flatmap(
+            lambda cols: st.lists(
+                st.lists(st.integers(-3, 3), min_size=cols, max_size=cols),
+                min_size=rows,
+                max_size=rows,
+            )
+        )
+    )
+)
+def test_against_minor_oracle_hypothesis(a):
+    _check_against_oracle(a)
