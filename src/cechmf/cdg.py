@@ -234,21 +234,6 @@ def trivial_line(scene: Scene) -> MFObject:
     return MFObject(name="O", parities=(0,), twists=(0,), delta_of=None)
 
 
-def mf_delta_squared_is_f(scene: Scene, mf: MFObject) -> bool:
-    for I in scene.atlas.tuples:
-        ring = scene.atlas.ring(I)
-        d = mf.delta(scene, I)
-        f = scene.f_on(I)
-        n = mf.rank
-        for r in range(n):
-            for c in range(n):
-                entry = sum((d[r][k] * d[k][c] for k in range(n)), ring.zero())
-                want = f if r == c else ring.zero()
-                if entry != want:
-                    return False
-    return True
-
-
 class MFCategory(CdgPresheaf):
     """Full subcategory of quasi matrix factorizations on the given objects,
     with hom spaces realized as matrices in the lead-chart trivializations."""

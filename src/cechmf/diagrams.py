@@ -51,20 +51,19 @@ def residue_route(scene: Scene, chain: CechHochChain, todd_sign: int) -> Cochain
     return cone_delta(bar_wedge(hkr_A(chain), td))
 
 
-def pushforward_routes(scene: Scene, y_class: Cochain, todd_sign_main: int = 1):
-    """Main-theorem instance for a divisor cohomology class.
-
-    Route A: connecting morphism after multiplying by the inverse Todd
-    cochain restricted to the divisor.  Route B: the trace route on the
-    built-in Hochschild representative (the unit chain scaled entrywise is
-    only available for the unit class; other classes use route A alone).
-    """
-    td_y = forms_to_y(todd_inverse(scene, todd_sign_main))
+def pushforward_routes(scene: Scene, y_class: Cochain):
+    """Route A of the main-theorem instance for a divisor cohomology class:
+    the connecting morphism after multiplying by the inverse Todd cochain
+    (sign +1) restricted to the divisor.  The trace route, which needs a
+    Hochschild representative, is compared only on the unit class
+    (`pushforward_unit`)."""
+    td_y = forms_to_y(todd_inverse(scene))
     return connecting_delta(bar_wedge(y_class, td_y))
 
 
-def pushforward_unit(scene: Scene, todd_sign_diagram: int):
-    """Both routes for the unit divisor class; returns (route_a, route_b)."""
+def pushforward_unit(scene: Scene):
+    """Both routes for the unit divisor class; returns (route_a, route_b),
+    route B being the trace route on the unit chain."""
     one_y = unit_cochain(scene, "yform")
     route_a = pushforward_routes(scene, one_y)
     route_b = trace_route(scene, unit_a_chain(scene))

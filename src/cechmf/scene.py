@@ -84,9 +84,6 @@ class Atlas:
         self._res_cache[key] = out
         return out
 
-    def restrict(self, section: LocPoly, I, J) -> LocPoly:
-        return self.res(I, J)(section)
-
     def extensions(self, I):
         """All (j, position, I+{j}) with the extended tuple in the atlas."""
         I = tuple(I)

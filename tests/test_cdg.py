@@ -13,7 +13,6 @@ from cechmf.cdg import (
     elem_add,
     elem_scale,
     end_algebra,
-    mf_delta_squared_is_f,
     trivial_line,
 )
 from cechmf.scenes_builtin import all_builtin_names, builtin_scene
@@ -24,7 +23,9 @@ SCENES = {name: builtin_scene(name) for name in all_builtin_names()}
 @pytest.mark.parametrize("name", all_builtin_names())
 def test_P_is_a_matrix_factorization(name):
     scene = SCENES[name]
-    assert mf_delta_squared_is_f(scene, build_P(scene))
+    cat = end_algebra(scene, build_P(scene))
+    for I in scene.atlas.tuples:
+        assert cat.curvature(I, "P") == {}
 
 
 def test_P_delta_shape_on_p1():

@@ -49,7 +49,7 @@ def test_diagram1_example_on_unit():
 @pytest.mark.parametrize("name", [*SCENES, "SCENE-A2D"])
 def test_pushforward_routes(name):
     scene = SCENES.get(name) or builtin_scene(name)
-    a, b = pushforward_unit(scene, -1)
+    a, b = pushforward_unit(scene)
     assert a == b
     if name == "SCENE-A1":
         assert a.is_zero()
@@ -61,6 +61,6 @@ def test_pushforward_routes(name):
 
 def test_pushforward_value_on_a2():
     scene = SCENES["SCENE-A2"]
-    a, _ = pushforward_unit(scene, -1)
+    a, _ = pushforward_unit(scene)
     ring = scene.atlas.ring((0,))
     assert a.entries == {(0,): Form(ring, {(0, 1): ring.const(-1)})}

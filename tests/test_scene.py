@@ -44,11 +44,11 @@ def test_restrict_examples():
     r01 = atlas.ring((0, 1))
     t = scene.chart(0).ring.var("t")
     s = scene.chart(1).ring.var("s")
-    assert atlas.restrict(t, (0,), (0, 1)) == r01.var("t")
-    assert atlas.restrict(s, (1,), (0, 1)) == r01.monomial([-1])
+    assert atlas.res((0,), (0, 1))(t) == r01.var("t")
+    assert atlas.res((1,), (0, 1))(s) == r01.monomial([-1])
     for I in [(0,), (1,)]:
         one = atlas.ring(I).one()
-        assert atlas.restrict(one, I, (0, 1)) == r01.one()
+        assert atlas.res(I, (0, 1))(one) == r01.one()
 
 
 def test_unit_cocycle_trivial_on_p1():
