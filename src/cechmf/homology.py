@@ -9,6 +9,11 @@ dimensions at windows D and D+1: the differential is assembled once, at
 D+1, and window D is a subset of its columns.  Each window and parity q
 takes one column-order elimination of [d on parity q | window of parity
 1-q], whose pivots give both rank d|q and the rank of the whole block.
+
+A basis key is x^m dx_K on one tuple I, with a tag for its summand.  The
+total differential is linear over restriction, so its column is d(dx_K)
+with each entry at J multiplied by res(I, J)(x^m): cech_total_d runs once
+per (tag, I, K), and `_column` builds every column from that table.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from __future__ import annotations
 import bisect
 import itertools
 from fractions import Fraction
+from operator import add
 
 from .cech import (
     CONE,
@@ -28,7 +34,7 @@ from .cech import (
     _ctx,
     cech_total_d,
 )
-from .forms import ConeForm, Form, LogForm
+from .forms import ConeForm, Form, LogForm, _merge_indices
 from .linalg import QMatrix, rank_kernel
 from .scene import Scene
 
@@ -148,8 +154,54 @@ def _in_window(key, D: int) -> bool:
     return sum(map(abs, key[3])) <= D
 
 
+def _column(scene: Scene, complex_kind: str, key, tables: dict) -> dict:
+    """d of one window basis key, expanded, from the table of its (tag, I, K).
+
+    Both parts of the total differential are linear over restriction, so
+    the entry at J of d(x^m b) is res(I, J)(x^m) times the entry at J of
+    d(b), with b = 1 dx_K under the key's tag.  `tables` holds
+    expand_cochain(cech_total_d(b)) per (tag, I, K), grouped by J, and is
+    filled on first use.  A product can gain a power of the pole; it is
+    renormalized as LogForm and y_normalize do: a residue term x^e dx_K'
+    with e_pole > 0 is the regular term dx_pole ^ x^(e - 1_pole) dx_K', and
+    a divisor term with e_pole > 0 is zero."""
+    tag, I, K, m = key
+    table = tables.get((tag, I, K))
+    if table is None:
+        b = _basis_cochain(scene, complex_kind, (tag, I, K, (0,) * len(m)))
+        by_tuple: dict = {}
+        for k, v in expand_cochain(cech_total_d(b, complex_kind), complex_kind).items():
+            by_tuple.setdefault(k[1], []).append((k, v))
+        table = [
+            (J, scene.atlas.res(I, J), _ctx(scene, J).pole, entries)
+            for J, entries in by_tuple.items()
+        ]
+        tables[(tag, I, K)] = table
+    out: dict = {}
+    for J, res, pole, entries in table:
+        image = res._mono_image(m).terms
+        for (tag_j, _, K_j, e), c in entries:
+            for e_m, c_m in image.items():
+                exp = tuple(map(add, e, e_m))
+                coeff = c * c_m
+                k = (tag_j, J, K_j, exp)
+                if pole is not None and exp[pole] > 0:
+                    if tag_j == "y":
+                        continue
+                    if tag_j == "cls":
+                        K_r, sign = _merge_indices((pole,), K_j)
+                        k = ("clr", J, K_r, exp[:pole] + (exp[pole] - 1,) + exp[pole + 1:])
+                        coeff *= sign
+                out[k] = out.get(k, 0) + coeff
+    return {k: v for k, v in out.items() if v}
+
+
 class _WindowedDifferential:
-    """Columns of d on the window basis, in shared ambient coordinates."""
+    """Columns of d on the window basis, in shared ambient coordinates.
+
+    Each column is built by `_column` from one table of d(dx_K) per
+    (tag, tuple, K), so cech_total_d runs once per table, not once per
+    basis key."""
 
     def __init__(self, scene: Scene, complex_kind: str, D: int):
         self.scene = scene
@@ -160,12 +212,10 @@ class _WindowedDifferential:
             self.basis[_parity(k)].append(k)
         self.images = {0: [], 1: []}
         ambient: dict = {0: {}, 1: {}}
+        tables: dict = {}
         for par in (0, 1):
             for k in self.basis[par]:
-                img = expand_cochain(
-                    cech_total_d(_basis_cochain(scene, complex_kind, k), complex_kind),
-                    complex_kind,
-                )
+                img = _column(scene, complex_kind, k, tables)
                 self.images[par].append(img)
                 amb = ambient[1 - par]
                 for kk in img:

@@ -52,7 +52,14 @@ from .hochschild import (
     make_chain,
     twisted_hoch_d,
 )
-from .homology import homology_dims, is_boundary_within_window, _WindowedDifferential
+from .homology import (
+    _basis_cochain,
+    _parity,
+    _window_keys,
+    expand_cochain,
+    homology_dims,
+    is_boundary_within_window,
+)
 from .lax import (
     GLOBAL,
     GlobalModel,
@@ -331,7 +338,8 @@ def suite_lax(scene: Scene, seed: int = 0, n: int = 50) -> list:
         slots = []
         for _ in range(k + 1):
             sym = rng.choice(basis)
-            slots.append({sym: gring.monomial(rand_mono(rng, gring, 1), rng.randint(-2, 2))})
+            coeff = rng.choice((-2, -1, 1, 2))
+            slots.append({sym: gring.monomial(rand_mono(rng, gring, 1), coeff)})
         gchains.append(make_chain(model, GLOBAL, ("*",) * (k + 1), slots))
 
     def restriction(g):
@@ -540,9 +548,13 @@ def _bareiss_rank(rows) -> int:
     return rank
 
 
-def _dense(columns, amb: dict) -> list:
-    """Dense rows of the sparse columns {key: Fraction}, one row per
-    ambient key, in the order amb numbers them."""
+def _dense(columns) -> list:
+    """Dense rows of the sparse columns {key: Fraction}, one row per key
+    that occurs in them."""
+    amb: dict = {}
+    for col in columns:
+        for k in col:
+            amb.setdefault(k, len(amb))
     rows = [[Fraction(0)] * len(columns) for _ in amb]
     for j, col in enumerate(columns):
         for k, v in col.items():
@@ -551,17 +563,25 @@ def _dense(columns, amb: dict) -> list:
 
 
 def oracle_homology_dims(scene: Scene, complex_kind: str, D: int) -> dict:
-    """Dense assembly of the windowed differential with an independent
-    fraction-free rank computation."""
-    wd = _WindowedDifferential(scene, complex_kind, D)
+    """Dense windowed homology with an independent fraction-free rank
+    computation.
+
+    The assembly is its own too: one cech_total_d per window basis key,
+    not the table-built columns of homology._WindowedDifferential."""
+    basis: dict = {0: [], 1: []}
+    images: dict = {0: [], 1: []}
+    for k in _window_keys(scene, complex_kind, D):
+        d = cech_total_d(_basis_cochain(scene, complex_kind, k), complex_kind)
+        basis[_parity(k)].append(k)
+        images[_parity(k)].append(expand_cochain(d, complex_kind))
     out = {}
     for par in (0, 1):
-        basis, opp_images = wd.basis[par], wd.images[1 - par]
-        rank_d = _bareiss_rank(_dense(wd.images[par], wd.ambient[1 - par]))
-        rank_opp = _bareiss_rank(_dense(opp_images, wd.ambient[par]))
-        window = [{k: Fraction(1)} for k in basis]
-        rank_w = _bareiss_rank(_dense(opp_images + window, wd.ambient[par]))
-        out[par] = (len(basis) - rank_d) - (rank_opp + len(basis) - rank_w)
+        n, opp_images = len(basis[par]), images[1 - par]
+        rank_d = _bareiss_rank(_dense(images[par]))
+        rank_opp = _bareiss_rank(_dense(opp_images))
+        window = [{k: Fraction(1)} for k in basis[par]]
+        rank_w = _bareiss_rank(_dense(opp_images + window))
+        out[par] = (n - rank_d) - (rank_opp + n - rank_w)
     return {"even": out[0], "odd": out[1]}
 
 

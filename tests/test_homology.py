@@ -3,16 +3,19 @@ from fractions import Fraction
 
 import pytest
 
+from cechmf import homology, suites
 from cechmf.cech import CONE, FORM, OMEGA, OMEGA_Y, Cochain, cech_total_d, unit_cochain
 from cechmf.forms import Form
 from cechmf.homology import (
+    _column,
     _window_keys,
     expand_cochain,
     homology_dims,
     is_boundary_within_window,
     _basis_cochain,
 )
-from cechmf.scenes_builtin import all_builtin_names, builtin_scene
+from cechmf.scene import scene_from_dict, validate_scene
+from cechmf.scenes_builtin import all_builtin_names, builtin_scene, builtin_scene_dict
 from cechmf.suites import oracle_homology_dims
 
 A1 = builtin_scene("SCENE-A1")
@@ -70,6 +73,55 @@ def test_expand_roundtrip():
     for key in keys[:10]:
         c = _basis_cochain(A2, OMEGA, key)
         assert expand_cochain(c, OMEGA) == {key: Fraction(1)}
+
+
+def _assert_columns_are_d_of_the_basis(scene, kind, D=3):
+    """Every table-built column equals cech_total_d of its basis cochain."""
+    tables: dict = {}
+    for key in _window_keys(scene, kind, D):
+        want = expand_cochain(cech_total_d(_basis_cochain(scene, kind, key), kind), kind)
+        assert _column(scene, kind, key, tables) == want, key
+
+
+@pytest.mark.parametrize("kind", [OMEGA, OMEGA_Y, CONE])
+@pytest.mark.parametrize("name", all_builtin_names())
+def test_table_columns_equal_cech_total_d(name, kind):
+    _assert_columns_are_d_of_the_basis(builtin_scene(name), kind)
+
+
+def _sheared_a2c():
+    """SCENE-A2C with chart 1 glued by y -> y + x^2 on the overlap.  Its
+    restriction images have several terms, so x^m dx_K restricts to a sum
+    of monomials, some of which gain a power of the pole x."""
+    spec = builtin_scene_dict("SCENE-A2C")
+    spec["name"] = "SCENE-A2C-SHEAR"
+    spec["charts"][1].update(f="x*y - x^3", g="y - x^2")
+    spec["overlaps"][0]["res"]["1"] = {"x": "x", "y": "y + x^2"}
+    spec["global"]["res"]["1"] = {"x": "x", "y": "y - x^2"}
+    return scene_from_dict(spec)
+
+
+@pytest.mark.parametrize("kind", [OMEGA, OMEGA_Y, CONE])
+def test_table_columns_equal_cech_total_d_on_a_sheared_scene(kind):
+    scene = _sheared_a2c()
+    assert validate_scene(scene).ok
+    y_image = scene.atlas.res((1,), (0, 1)).images[1]
+    assert len(y_image.terms) == 2
+    _assert_columns_are_d_of_the_basis(scene, kind)
+
+
+def test_oracle_does_not_build_table_columns(monkeypatch):
+    """The oracle checks the table-built columns, so it assembles its own."""
+
+    def reached(*args):
+        raise AssertionError("reached homology._column")
+
+    monkeypatch.setattr(homology, "_column", reached)
+    with pytest.raises(AssertionError, match="_column"):
+        homology_dims(A2, OMEGA, 2)
+    assert not hasattr(suites, "_column")
+    out = oracle_homology_dims(A2, OMEGA, 2)
+    assert (out["even"], out["odd"]) == GOLDEN["SCENE-A2"]
 
 
 @pytest.mark.parametrize("D", [0, 1])

@@ -1,5 +1,3 @@
-import re
-
 import pytest
 
 from cechmf.scene import scene_from_dict
@@ -67,8 +65,8 @@ def test_phi_suite_on_a1():
 
 def test_restriction_homotopy_counts_the_chains_it_checks():
     (check,) = [c for c in suite_lax(A1) if c.id == "lax:restriction-homotopy"]
-    m = re.fullmatch(r"(\d+)/(\d+) exact", check.detail)
-    assert m and m.group(1) == m.group(2) and int(m.group(1)) >= 1
+    # suite_lax draws n // 2 = 25 global chains, none of them zero
+    assert check.detail == "25/25 exact"
     assert check.passed
 
 
