@@ -229,11 +229,6 @@ def build_P(scene: Scene) -> MFObject:
     return MFObject(name="P", parities=(0, 1), twists=(0, 1), delta_of=delta)
 
 
-def trivial_line(scene: Scene) -> MFObject:
-    """(O_X, 0) viewed inside the quasi matrix factorizations; curvature -f."""
-    return MFObject(name="O", parities=(0,), twists=(0,), delta_of=None)
-
-
 class MFCategory(CdgPresheaf):
     """Full subcategory of quasi matrix factorizations on the given objects,
     with hom spaces realized as matrices in the lead-chart trivializations."""

@@ -6,9 +6,12 @@ too).  Differentials are evaluated exactly; images may leave the window, so
 homology is computed as ker(d restricted to the window) modulo the part of
 the image that lands back inside the window.  A stability flag compares the
 dimensions at windows D and D+1: the differential is assembled once, at
-D+1, and window D is a subset of its columns.  Each window and parity q
-takes one column-order elimination of [d on parity q | window of parity
-1-q], whose pivots give both rank d|q and the rank of the whole block.
+D+1, and window D is a prefix of its columns.  Each parity q takes one
+elimination of d on parity q, over Z, for both windows.  Its columns run
+window D first; its rows run the window-D basis of parity 1-q, the rest
+of the window-(D+1) basis, then every other key the images reach.  Every
+rank the dimensions need is then the rank of a lower-left block, which is
+a count of the elimination's pivots (`linalg`, `_dims`).
 
 A basis key is x^m dx_K on one tuple I, with a tag for its summand.  The
 total differential is linear over restriction, so its column is d(dx_K)
@@ -150,8 +153,13 @@ def _basis_cochain(scene: Scene, complex_kind: str, key) -> Cochain:
     return Cochain(scene, CONEF, {I: s})
 
 
-def _in_window(key, D: int) -> bool:
-    return sum(map(abs, key[3])) <= D
+def _size(key) -> int:
+    return sum(map(abs, key[3]))
+
+
+def _exact(x):
+    """x as an int when it is integral, so the elimination stays over Z."""
+    return int(x) if x.denominator == 1 else x
 
 
 def _column(scene: Scene, complex_kind: str, key, tables: dict) -> dict:
@@ -164,14 +172,16 @@ def _column(scene: Scene, complex_kind: str, key, tables: dict) -> dict:
     filled on first use.  A product can gain a power of the pole; it is
     renormalized as LogForm and y_normalize do: a residue term x^e dx_K'
     with e_pole > 0 is the regular term dx_pole ^ x^(e - 1_pole) dx_K', and
-    a divisor term with e_pole > 0 is zero."""
+    a divisor term with e_pole > 0 is zero.  Integral coefficients are kept
+    as int, so the elimination over Z scales no column of an integral
+    differential."""
     tag, I, K, m = key
     table = tables.get((tag, I, K))
     if table is None:
         b = _basis_cochain(scene, complex_kind, (tag, I, K, (0,) * len(m)))
         by_tuple: dict = {}
         for k, v in expand_cochain(cech_total_d(b, complex_kind), complex_kind).items():
-            by_tuple.setdefault(k[1], []).append((k, v))
+            by_tuple.setdefault(k[1], []).append((k, _exact(v)))
         table = [
             (J, scene.atlas.res(I, J), _ctx(scene, J).pole, entries)
             for J, entries in by_tuple.items()
@@ -179,9 +189,9 @@ def _column(scene: Scene, complex_kind: str, key, tables: dict) -> dict:
         tables[(tag, I, K)] = table
     out: dict = {}
     for J, res, pole, entries in table:
-        image = res._mono_image(m).terms
+        image = [(e_m, _exact(c_m)) for e_m, c_m in res._mono_image(m).terms.items()]
         for (tag_j, _, K_j, e), c in entries:
-            for e_m, c_m in image.items():
+            for e_m, c_m in image:
                 exp = tuple(map(add, e, e_m))
                 coeff = c * c_m
                 k = (tag_j, J, K_j, exp)
@@ -199,75 +209,72 @@ def _column(scene: Scene, complex_kind: str, key, tables: dict) -> dict:
 class _WindowedDifferential:
     """Columns of d on the window basis, in shared ambient coordinates.
 
-    Each column is built by `_column` from one table of d(dx_K) per
+    The basis of each parity is ordered by exponent size, so the basis of
+    any smaller window is a prefix of it.  The ambient rows of a parity
+    are its basis keys in that order, then the other keys the images
+    reach.  A key outside the basis can be small (a `cls` key with a pole
+    exponent), so rows are split by basis membership, not by size.  Each
+    column is built by `_column` from one table of d(dx_K) per
     (tag, tuple, K), so cech_total_d runs once per table, not once per
     basis key."""
 
     def __init__(self, scene: Scene, complex_kind: str, D: int):
-        self.scene = scene
-        self.complex_kind = complex_kind
-        keys = _window_keys(scene, complex_kind, D)
+        keys = sorted(_window_keys(scene, complex_kind, D), key=_size)
         self.basis = {0: [], 1: []}
         for k in keys:
             self.basis[_parity(k)].append(k)
-        self.images = {0: [], 1: []}
-        ambient: dict = {0: {}, 1: {}}
+        self.ambient = {par: {k: i for i, k in enumerate(self.basis[par])} for par in (0, 1)}
+        self.columns = {0: [], 1: []}
         tables: dict = {}
         for par in (0, 1):
+            amb = self.ambient[1 - par]
             for k in self.basis[par]:
                 img = _column(scene, complex_kind, k, tables)
-                self.images[par].append(img)
-                amb = ambient[1 - par]
-                for kk in img:
-                    amb.setdefault(kk, len(amb))
-        # window keys are always ambient coordinates too
-        for par in (0, 1):
-            amb = ambient[par]
-            for k in self.basis[par]:
-                amb.setdefault(k, len(amb))
-        self.ambient = ambient
+                self.columns[par].append({amb.setdefault(kk, len(amb)): v for kk, v in img.items()})
 
-    def matrix_with_window(self, par: int, D: int) -> tuple:
-        """[d on the parity-par basis | inclusion of the parity-(1-par)
-        basis], both cut to window D, with the number of d columns.
-
-        Ranks do not see the ambient rows the cut leaves empty."""
-        amb = self.ambient[1 - par]
-        cols = [
-            {amb[kk]: v for kk, v in img.items()}
-            for k, img in zip(self.basis[par], self.images[par])
-            if _in_window(k, D)
-        ]
-        n_d = len(cols)
-        cols += [{amb[k]: 1} for k in self.basis[1 - par] if _in_window(k, D)]
-        return QMatrix(len(amb), len(cols), cols), n_d
+    def in_window(self, par: int, D: int) -> int:
+        """The number of parity-par basis keys in window D."""
+        return bisect.bisect_right([_size(k) for k in self.basis[par]], D)
 
 
-def _dims_at(wd: _WindowedDifferential, D: int) -> dict:
-    """H_par = rank[d|1-par, window par] - rank d|par - rank d|1-par.
+def _dims(wd: _WindowedDifferential, D: int) -> tuple:
+    """H_even and H_odd at windows D and D+1 of wd, assembled at D+1, from
+    one elimination of d on each parity.
 
-    That is nullity(d|par) - dim(im(d|1-par) meet window_par); the rank of
-    d|q is the number of pivots among the leading d columns of the
-    elimination of matrix_with_window(q)."""
-    r_d, r_dw = {}, {}
+    H_par = rank[d|1-par | W_par] - rank d|par - rank d|1-par, with W_par
+    the window's basis of parity par: nullity(d|par) minus the dimension
+    of im(d|1-par) meet W_par.  The unit columns of W are not eliminated:
+    rank[d | W] = |W| + rank of d with the rows of W deleted.
+
+    In the matrix of d|q the window-D columns come first, and the rows of
+    parity 1-q run W_{1-q} at D, then the rest of W_{1-q} at D+1, then
+    every other ambient key.  Each of the four ranks of q (d|q, and d|q
+    without the rows of W_{1-q}, at D and at D+1) is then the rank of a
+    lower-left block, which is a count of pivots of one `rank_kernel`:
+    rank m[rows >= r, cols < j] = #{pivots j' < j with low >= r}."""
+    r_d, r_dw = {}, {}  # (window, q) -> rank d|q, rank [d|q | W_{1-q}]
     for q in (0, 1):
-        m, n_d = wd.matrix_with_window(q, D)
-        pivots = rank_kernel(m)
-        r_d[q] = bisect.bisect_left(pivots, n_d)
-        r_dw[q] = len(pivots)
-    return {par: r_dw[1 - par] - r_d[par] - r_d[1 - par] for par in (0, 1)}
+        cols = wd.columns[q]
+        pivots = rank_kernel(QMatrix(len(wd.ambient[1 - q]), len(cols), cols))
+        for w in (D, D + 1):
+            n_d, n_w = wd.in_window(q, w), wd.in_window(1 - q, w)
+            lows = [low for j, low in pivots.items() if j < n_d]
+            r_d[w, q] = len(lows)
+            r_dw[w, q] = n_w + sum(low >= n_w for low in lows)
+    return tuple(
+        {par: r_dw[w, 1 - par] - r_d[w, par] - r_d[w, 1 - par] for par in (0, 1)}
+        for w in (D, D + 1)
+    )
 
 
 def homology_dims(scene: Scene, complex_kind: str, D: int | None = None) -> dict:
     """Exact homology dimensions per parity in the window, with stability flag.
 
-    The differential is assembled once, at window D+1; window D is the
-    keys of it whose exponent has |e| sum <= D."""
+    The differential is assembled once, at window D+1, and both windows
+    are read from one elimination per parity (see `_dims`)."""
     if D is None:
         D = scene.window
-    wd = _WindowedDifferential(scene, complex_kind, D + 1)
-    here = _dims_at(wd, D)
-    there = _dims_at(wd, D + 1)
+    here, there = _dims(_WindowedDifferential(scene, complex_kind, D + 1), D)
     return {
         "window": D,
         "even": here[0],
@@ -288,12 +295,9 @@ def is_boundary_within_window(c: Cochain, complex_kind: str, D: int) -> bool:
         return True
     wd = _WindowedDifferential(c.scene, complex_kind, D)
     for p in {_parity(k) for k in target}:
-        part = {k: v for k, v in target.items() if _parity(k) == p}
         amb = dict(wd.ambient[p])
-        for k in part:
-            amb.setdefault(k, len(amb))
-        cols = [{amb[kk]: v for kk, v in img.items()} for img in wd.images[1 - p]]
-        cols.append({amb[k]: v for k, v in part.items()})
+        part = {amb.setdefault(k, len(amb)): v for k, v in target.items() if _parity(k) == p}
+        cols = wd.columns[1 - p] + [part]
         if len(cols) - 1 in rank_kernel(QMatrix(len(amb), len(cols), cols)):
             return False
     return True

@@ -211,21 +211,6 @@ def _hq_descent(out, cat, ch, K, charts, sign_base):
             )
 
 
-def yoneda(c: CechHochChain, cat: MFCategory, obj: str) -> CechHochChain:
-    """Scalars act on a rank-one even object: the strict inclusion of the
-    curved line into the matrix category."""
-    assert isinstance(c.presheaf, CurvedLine)
-    entries = {}
-    for I, ch in c.entries.items():
-        out = {}
-        for (path, syms, monos), coeff in ch.terms.items():
-            m = len(syms)
-            key = ((obj,) * m, (("E", obj, obj, 0, 0),) * m, monos)
-            out[key] = out.get(key, Fraction(0)) + coeff
-        entries[I] = HochChain(cat, I, out)
-    return CechHochChain(cat, entries)
-
-
 def phi(c: CechHochChain, out_max_len: int, line: CurvedLine | None = None,
         triv: TrivializedCategory | None = None) -> CechHochChain:
     """phi = sum_{n,q} (-1)^n sTr(h^q(Sh(d^n, -))), complete on all output

@@ -6,6 +6,7 @@ import pytest
 from cechmf.cdg import (
     CurvedLine,
     MFCategory,
+    MFObject,
     SheafAlgebraA,
     TrivializedCategory,
     build_P,
@@ -13,7 +14,6 @@ from cechmf.cdg import (
     elem_add,
     elem_scale,
     end_algebra,
-    trivial_line,
 )
 from cechmf.scenes_builtin import all_builtin_names, builtin_scene
 
@@ -86,7 +86,9 @@ def test_d_of_identity_is_zero():
 
 def test_trivial_line_curvature():
     scene = SCENES["SCENE-A2"]
-    cat = MFCategory(scene, [build_P(scene), trivial_line(scene)])
+    # (O_X, 0) inside the quasi matrix factorizations, curvature -f
+    O = MFObject(name="O", parities=(0,), twists=(0,), delta_of=None)
+    cat = MFCategory(scene, [build_P(scene), O])
     h = cat.curvature((0,), "O")
     ring = scene.atlas.ring((0,))
     assert h == {("E", "O", "O", 0, 0): -scene.f_on((0,))}

@@ -89,15 +89,16 @@ def test_table_columns_equal_cech_total_d(name, kind):
     _assert_columns_are_d_of_the_basis(builtin_scene(name), kind)
 
 
-def _sheared_a2c():
-    """SCENE-A2C with chart 1 glued by y -> y + x^2 on the overlap.  Its
+def _sheared_a2c(c="1"):
+    """SCENE-A2C with chart 1 glued by y -> y + c*x^2 on the overlap.  Its
     restriction images have several terms, so x^m dx_K restricts to a sum
-    of monomials, some of which gain a power of the pole x."""
+    of monomials, some of which gain a power of the pole x.  With c = 1/2
+    the differential has non-integral entries."""
     spec = builtin_scene_dict("SCENE-A2C")
     spec["name"] = "SCENE-A2C-SHEAR"
-    spec["charts"][1].update(f="x*y - x^3", g="y - x^2")
-    spec["overlaps"][0]["res"]["1"] = {"x": "x", "y": "y + x^2"}
-    spec["global"]["res"]["1"] = {"x": "x", "y": "y - x^2"}
+    spec["charts"][1].update(f=f"x*y - {c}*x^3", g=f"y - {c}*x^2")
+    spec["overlaps"][0]["res"]["1"] = {"x": "x", "y": f"y + {c}*x^2"}
+    spec["global"]["res"]["1"] = {"x": "x", "y": f"y - {c}*x^2"}
     return scene_from_dict(spec)
 
 
@@ -108,6 +109,26 @@ def test_table_columns_equal_cech_total_d_on_a_sheared_scene(kind):
     y_image = scene.atlas.res((1,), (0, 1)).images[1]
     assert len(y_image.terms) == 2
     _assert_columns_are_d_of_the_basis(scene, kind)
+
+
+@pytest.mark.parametrize("D", [0, 1])
+@pytest.mark.parametrize("kind", [OMEGA, OMEGA_Y, CONE])
+@pytest.mark.parametrize("c", ["1", "1/2"])
+def test_engine_matches_oracle_on_sheared_scenes(c, kind, D):
+    """The elimination over Z against the oracle's Bareiss rank, on the
+    sheared scenes.  The half-sheared one has entries like 1/2 in omega and
+    the cone; on Y = {x = 0} the shear is the identity, so omega_y stays
+    integral."""
+    scene = _sheared_a2c(c)
+    assert validate_scene(scene).ok
+    if c == "1/2" and kind != OMEGA_Y:
+        wd = homology._WindowedDifferential(scene, kind, D + 1)
+        assert any(isinstance(v, Fraction) for par in (0, 1) for col in wd.columns[par] for v in col.values())
+    out = homology_dims(scene, kind, D)
+    here = oracle_homology_dims(scene, kind, D)
+    there = oracle_homology_dims(scene, kind, D + 1)
+    assert (out["even"], out["odd"]) == (here["even"], here["odd"])
+    assert (out["even_next"], out["odd_next"]) == (there["even"], there["odd"])
 
 
 def test_oracle_does_not_build_table_columns(monkeypatch):

@@ -15,24 +15,24 @@ def _qm(a) -> QMatrix:
 
 
 def test_zero_matrix():
-    assert rank_kernel(QMatrix(2, 2, [{}, {}])) == []
-    assert rank_kernel(_qm([[0, 0], [0, 0]])) == []
+    assert list(rank_kernel(QMatrix(2, 2, [{}, {}]))) == []
+    assert list(rank_kernel(_qm([[0, 0], [0, 0]]))) == []
 
 
 def test_identity():
-    assert rank_kernel(_qm([[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == [0, 1, 2]
+    assert list(rank_kernel(_qm([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))) == [0, 1, 2]
 
 
 def test_rank_one():
     # the second column is twice the first
-    assert rank_kernel(_qm([[1, 2], [2, 4]])) == [0]
-    assert rank_kernel(_qm([[0, 2], [0, 4]])) == [1]
+    assert list(rank_kernel(_qm([[1, 2], [2, 4]]))) == [0]
+    assert list(rank_kernel(_qm([[0, 2], [0, 4]]))) == [1]
 
 
 def test_fractions_and_zero_entries():
     m = QMatrix(3, 3, [{0: Fraction(1, 3), 2: 0}, {0: Fraction(2, 3)}, {1: Fraction(-1, 2)}])
     assert m.entries[0] == {0: Fraction(1, 3)}
-    assert rank_kernel(m) == [0, 2]
+    assert list(rank_kernel(m)) == [0, 2]
 
 
 def _minor_rank(a) -> int:
@@ -75,13 +75,18 @@ def _det(a):
 
 
 def _check_against_oracle(a):
-    """The rank, and the rank of every leading column block, equal the oracle's."""
+    """The rank, and the rank of every lower-left block, equal the oracle's.
+
+    rank a[rows >= r, cols < j] is the number of pivots j' < j whose lowest
+    row is >= r; `homology._dims` reads its ranks this way."""
     pivots = rank_kernel(_qm(a))
-    assert pivots == sorted(set(pivots))
+    assert list(pivots) == sorted(pivots)
+    assert len(set(pivots.values())) == len(pivots)
     assert len(pivots) == _minor_rank(a)
-    for j in range(1, len(a[0]) + 1):
-        lead = [row[:j] for row in a]
-        assert sum(1 for c in pivots if c < j) == _minor_rank(lead)
+    for r in range(len(a)):
+        for j in range(1, len(a[0]) + 1):
+            block = [row[:j] for row in a[r:]]
+            assert sum(1 for c, low in pivots.items() if c < j and low >= r) == _minor_rank(block)
 
 
 def test_against_minor_oracle():
@@ -106,3 +111,31 @@ def test_against_minor_oracle():
 )
 def test_against_minor_oracle_hypothesis(a):
     _check_against_oracle(a)
+
+
+def _random_matrix(rng, rows, cols, bound):
+    return [[rng.choice((0, rng.randint(-bound, bound))) for _ in range(cols)] for _ in range(rows)]
+
+
+def test_scaling_a_column_keeps_pivots_and_lows():
+    """Over Z the columns are scaled; scaling by a nonzero rational does
+    not move a pivot or its lowest row."""
+    rng = random.Random(1)
+    for _ in range(40):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        m = _qm(_random_matrix(rng, rows, cols, 3))
+        factors = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 50), rng.randint(1, 50)) for _ in range(cols)]
+        scaled = QMatrix(rows, cols, [{i: x * s for i, x in col.items()} for col, s in zip(m.entries, factors)])
+        assert rank_kernel(scaled) == rank_kernel(m)
+
+
+def test_large_entries():
+    """Entries up to 10^6 in size: the eliminations' products stay exact."""
+    rng = random.Random(2)
+    for _ in range(20):
+        _check_against_oracle(_random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5), 10**6))
+    # a rank-2 matrix whose third column is a big combination of the first two
+    u, v = [10**6, -999_983, 3], [7, 10**6 - 1, -10**6]
+    w = [654_321 * x - 123_457 * y for x, y in zip(u, v)]
+    pivots = rank_kernel(_qm([list(t) for t in zip(u, v, w)]))
+    assert list(pivots) == [0, 1]

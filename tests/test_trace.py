@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from cechmf.cdg import CurvedLine, MFCategory, TrivializedCategory, build_P, end_algebra, trivial_line
+from cechmf.cdg import CurvedLine, MFCategory, MFObject, TrivializedCategory, build_P, end_algebra
 from cechmf.hochschild import (
     CechHochChain,
     HochChain,
@@ -14,7 +14,7 @@ from cechmf.hochschild import (
     twisted_hoch_d,
 )
 from cechmf.hkr import hkr_xf
-from cechmf.trace import hq_basis, phi, sh_shuffle, supertrace, yoneda
+from cechmf.trace import hq_basis, phi, sh_shuffle, supertrace
 from cechmf.scenes_builtin import all_builtin_names, builtin_scene
 
 SCENES = {name: builtin_scene(name) for name in all_builtin_names()}
@@ -237,13 +237,29 @@ def test_phi_is_a_chain_map(name):
         assert lhs == rhs, name
 
 
+def _yoneda(c: CechHochChain, cat: MFCategory, obj: str) -> CechHochChain:
+    """Scalars act on a rank-one even object: the strict inclusion of the
+    curved line into the matrix category."""
+    assert isinstance(c.presheaf, CurvedLine)
+    entries = {}
+    for I, ch in c.entries.items():
+        out = {}
+        for (path, syms, monos), coeff in ch.terms.items():
+            m = len(syms)
+            key = ((obj,) * m, (("E", obj, obj, 0, 0),) * m, monos)
+            out[key] = out.get(key, Fraction(0)) + coeff
+        entries[I] = HochChain(cat, I, out)
+    return CechHochChain(cat, entries)
+
+
 @pytest.mark.parametrize("name", ["SCENE-A1", "SCENE-A2", "SCENE-P1"])
 def test_phi_composite_is_hkr(name):
     # through the category containing (O, 0), the composite
     # hkr . phi . yoneda equals hkr on curved-line chains
     scene = SCENES[name]
     P = build_P(scene)
-    O = trivial_line(scene)
+    # (O_X, 0) inside the quasi matrix factorizations, curvature -f
+    O = MFObject(name="O", parities=(0,), twists=(0,), delta_of=None)
     cat = MFCategory(scene, [P, O])
     line = CurvedLine(scene, -1)
     rng = random.Random(79)
@@ -263,5 +279,5 @@ def test_phi_composite_is_hkr(name):
             if not ch.is_zero():
                 entries[I] = ch
         c = CechHochChain(line, entries)
-        back = phi(yoneda(c, cat, "O"), scene.trunc, line)
+        back = phi(_yoneda(c, cat, "O"), scene.trunc, line)
         assert hkr_xf(back) == hkr_xf(c), name
