@@ -3,7 +3,9 @@
 All presheaves expose the same per-tuple interface: a finite object list,
 free hom modules with homogeneous bases, composition, differential and
 curvature on basis symbols, and restriction of basis symbols along tuple
-extensions.  Elements are {symbol: LocPoly} dictionaries.
+extensions.  Elements are {symbol: LocPoly} dictionaries.  The base class
+`CdgPresheaf` is the trivial one-object algebra with basis {1}; each
+subclass overrides only what differs from it.
 
 Matrix-factorization morphisms are stored as matrices in the trivialization
 of the lead (minimum) chart of each tuple; restricting to a tuple with a
@@ -35,7 +37,8 @@ def elem_scale(a: dict, c) -> dict:
 
 
 class CdgPresheaf:
-    """Base class; subclasses fill in the per-tuple presentation."""
+    """The trivial one-object algebra: basis {1}, even, d = 0, no curvature,
+    symbols unchanged by restriction.  Subclasses override what differs."""
 
     def __init__(self, scene: Scene):
         self.scene = scene
@@ -51,26 +54,26 @@ class CdgPresheaf:
         return True
 
     def objects(self, I):
-        raise NotImplementedError
+        return ("*",)
 
     def hom_basis(self, I, x, y):
-        raise NotImplementedError
+        return ("1",)
 
     def parity(self, sym) -> int:
-        raise NotImplementedError
+        return 0
 
     def identity(self, I, x) -> dict:
-        raise NotImplementedError
+        return {"1": self.ring(I).one()}
 
     def compose(self, I, a, b) -> dict:
         """a after b, on basis symbols."""
-        raise NotImplementedError
+        return {"1": self.ring(I).one()}
 
     def d(self, I, sym) -> dict:
-        raise NotImplementedError
+        return {}
 
     def curvature(self, I, x) -> dict:
-        raise NotImplementedError
+        return {}
 
     def restrict_sym(self, I, J, sym) -> dict:
         return {sym: self.ring(J).one()}
@@ -83,24 +86,6 @@ class CurvedLine(CdgPresheaf):
         super().__init__(scene)
         self.sign = sign
 
-    def objects(self, I):
-        return ("*",)
-
-    def hom_basis(self, I, x, y):
-        return ("1",)
-
-    def parity(self, sym):
-        return 0
-
-    def identity(self, I, x):
-        return {"1": self.ring(I).one()}
-
-    def compose(self, I, a, b):
-        return {"1": self.ring(I).one()}
-
-    def d(self, I, sym):
-        return {}
-
     def curvature(self, I, x):
         f = self.scene.f_on(tuple(I))
         return {} if f.is_zero() else {"1": f.scale(self.sign)}
@@ -110,17 +95,11 @@ class SheafAlgebraA(CdgPresheaf):
     """The two-term dg algebra [O(-Y) -> O]: basis 1 (even), e (odd),
     e*e = 0, d(e) = x_lead, restriction rescales e by the transition unit."""
 
-    def objects(self, I):
-        return ("*",)
-
     def hom_basis(self, I, x, y):
         return ("1", "e")
 
     def parity(self, sym):
         return 0 if sym == "1" else 1
-
-    def identity(self, I, x):
-        return {"1": self.ring(I).one()}
 
     def compose(self, I, a, b):
         if a == "1" and b == "1":
@@ -135,17 +114,12 @@ class SheafAlgebraA(CdgPresheaf):
             return {} if x.is_zero() else {"1": x}
         return {}
 
-    def curvature(self, I, x):
-        return {}
-
     def restrict_sym(self, I, J, sym):
         J = tuple(J)
         if sym == "1":
             return {"1": self.ring(J).one()}
         i0, j0 = tuple(I)[0], J[0]
-        if i0 == j0:
-            return {"e": self.ring(J).one()}
-        # e_{i0} = u_{j0 i0} e_{j0}
+        # e_{i0} = u_{j0 i0} e_{j0}, and u_{ii} = 1
         u = self.scene.atlas.unit(j0, i0, J)
         return {"e": u}
 
@@ -165,24 +139,6 @@ class OYAlgebra(CdgPresheaf):
 
     def objects(self, I):
         return ("*",) if self.live(I) else ()
-
-    def hom_basis(self, I, x, y):
-        return ("1",)
-
-    def parity(self, sym):
-        return 0
-
-    def identity(self, I, x):
-        return {"1": self.ring(I).one()}
-
-    def compose(self, I, a, b):
-        return {"1": self.ring(I).one()}
-
-    def d(self, I, sym):
-        return {}
-
-    def curvature(self, I, x):
-        return {}
 
 
 @dataclass(frozen=True)
@@ -233,10 +189,9 @@ class MFCategory(CdgPresheaf):
     """Full subcategory of quasi matrix factorizations on the given objects,
     with hom spaces realized as matrices in the lead-chart trivializations."""
 
-    def __init__(self, scene: Scene, mfs, curved: bool = True):
+    def __init__(self, scene: Scene, mfs):
         super().__init__(scene)
         self.mfs = {m.name: m for m in mfs}
-        self.curved = curved
 
     def objects(self, I):
         return tuple(self.mfs)
@@ -294,8 +249,6 @@ class MFCategory(CdgPresheaf):
         return {k: v for k, v in out.items() if not v.is_zero()}
 
     def curvature(self, I, x):
-        if not self.curved:
-            return {}
         ring = self.ring(I)
         f = self.scene.f_on(tuple(I))
         mf = self.mfs[x]
@@ -340,10 +293,9 @@ class TrivializedCategory(MFCategory):
             MFObject(name=m.name, parities=m.parities, twists=m.twists, delta_of=None)
             for m in mfs
         ]
-        super().__init__(scene, zeroed, curved=True)
+        super().__init__(scene, zeroed)
 
-    def restrict_sym(self, I, J, sym):
-        return {sym: self.ring(J).one()}
+    restrict_sym = CdgPresheaf.restrict_sym
 
 
 def end_algebra(scene: Scene, mf: MFObject) -> MFCategory:
@@ -379,7 +331,5 @@ class CanMorphism:
         return {("E", "P", "P", 1, 0): ring.one()}
 
 
-def can_map(scene: Scene, endp: MFCategory | None = None):
-    if endp is None:
-        endp = end_algebra(scene, build_P(scene))
+def can_map(scene: Scene, endp: MFCategory):
     return CanMorphism(scene, SheafAlgebraA(scene), endp)

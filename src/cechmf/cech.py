@@ -107,10 +107,6 @@ def _ctx(scene: Scene, I) -> TupleCtx:
     return cache[I]
 
 
-def zero_cochain(scene: Scene, kind: str) -> Cochain:
-    return Cochain(scene, kind, {})
-
-
 def unit_cochain(scene: Scene, kind: str = FORM) -> Cochain:
     """The Cech-degree-0 unit: constant 1 over every chart."""
     entries = {}

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 
 from . import signs
 from .cech import CONE, OMEGA, OMEGA_Y, Cochain, cech_total_d
@@ -19,11 +20,24 @@ from .ses import NotACocycle
 from .suites import SUITES, suite_pushforward
 
 
+class InputFileError(Exception):
+    """A scene or class file that cannot be read or is malformed."""
+
+
+@contextmanager
+def _reading(what: str, path: str):
+    try:
+        yield
+    except (OSError, ValueError) as e:
+        raise InputFileError(f"cannot read {what} {path}: {e}") from None
+
+
 def _resolve_scene(spec: str, trunc: int | None, window: int | None) -> Scene:
     if spec in all_builtin_names():
         scene = builtin_scene(spec)
     else:
-        scene = load_scene(spec)
+        with _reading("scene file", spec):
+            scene = load_scene(spec)
     if trunc is not None:
         scene.trunc = trunc
     if window is not None:
@@ -50,7 +64,7 @@ def cmd_verify(args) -> int:
         seed=args.seed,
         trunc=scene.trunc,
         window=scene.window,
-        todd_sign=-1 if args.todd_sign == "minus" else 1,
+        todd_sign={"auto": signs.sign("todd-factor"), "minus": -1, "plus": 1}[args.todd_sign],
         ledger_version=signs.LEDGER_VERSION,
     )
     val = validate_scene(scene)
@@ -104,7 +118,8 @@ def cmd_pushforward(args) -> int:
         if args.input == "unit":
             checks = suite_pushforward(scene, seed=args.seed)
         else:
-            y_class = _load_y_class(args.input, scene)
+            with _reading("class file", args.input):
+                y_class = _load_y_class(args.input, scene)
             try:
                 route_a = pushforward_routes(scene, y_class)
             except NotACocycle as e:
@@ -193,7 +208,11 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_homology)
 
     args = ap.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except InputFileError as e:
+        print(e, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -23,10 +23,9 @@ def max_form_degree(scene: Scene) -> int:
     return max(scene.atlas.ring(I).nvars for I in scene.atlas.tuples)
 
 
-def unit_a_chain(scene: Scene, alg: SheafAlgebraA | None = None) -> CechHochChain:
+def unit_a_chain(scene: Scene) -> CechHochChain:
     """The unit chain 1[] over every chart."""
-    if alg is None:
-        alg = SheafAlgebraA(scene)
+    alg = SheafAlgebraA(scene)
     entries = {}
     for i in scene.atlas.chart_ids:
         I = (i,)
@@ -34,14 +33,13 @@ def unit_a_chain(scene: Scene, alg: SheafAlgebraA | None = None) -> CechHochChai
     return CechHochChain(alg, entries)
 
 
-def trace_route(scene: Scene, chain: CechHochChain, out_len: int | None = None) -> Cochain:
+def trace_route(scene: Scene, chain: CechHochChain) -> Cochain:
     """hkr o phi o (entrywise realization of the algebra on P)."""
     endp = end_algebra(scene, build_P(scene))
     can = can_map(scene, endp)
     line = CurvedLine(scene, -1)
     realized = apply_morphism(chain, can, endp)
-    if out_len is None:
-        out_len = min(scene.trunc, max_form_degree(scene) + 1)
+    out_len = min(scene.trunc, max_form_degree(scene) + 1)
     return hkr_xf(phi(realized, out_len, line))
 
 

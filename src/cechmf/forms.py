@@ -82,20 +82,6 @@ class Form:
                 terms[k] = terms[k] + c if k in terms else c
         return Form(self.ring, terms)
 
-    def d(self) -> "Form":
-        """Exterior derivative; d(d(w)) = 0."""
-        terms: dict = {}
-        for k, c in self.terms.items():
-            for v in range(self.ring.nvars):
-                dc = c.diff(v)
-                if dc.is_zero() or v in k:
-                    continue
-                merged = _merge_indices((v,), k)
-                key, sign = merged
-                add = dc.scale(sign)
-                terms[key] = terms[key] + add if key in terms else add
-        return Form(self.ring, terms)
-
     def __repr__(self):
         if self.is_zero():
             return "0"

@@ -69,9 +69,6 @@ class HochChain:
         c = Fraction(c)
         return HochChain(self.presheaf, self.I, {k: v * c for k, v in self.terms.items()})
 
-    def lengths(self):
-        return sorted({len(key[1]) - 1 for key in self.terms})
-
     def truncate(self, max_len: int) -> "HochChain":
         return HochChain(
             self.presheaf,
@@ -85,12 +82,6 @@ class HochChain:
             slots = [f"{m}*{s}" for s, m in zip(syms, monos)]
             bits.append(f"{c}*{slots[0]}[{'|'.join(slots[1:])}]")
         return " + ".join(bits) or "0"
-
-
-def term_parity(presheaf, syms) -> int:
-    """Total parity |a_0| + sum(|a_i| + 1)."""
-    k = len(syms) - 1
-    return (sum(presheaf.parity(s) for s in syms) + k) % 2
 
 
 def slot_terms(element: dict) -> list:
@@ -161,13 +152,12 @@ def make_chain(presheaf, I, path, slots, coeff=1) -> HochChain:
 ALL_PARTS = ("d0", "d1", "d2")
 
 
-def hoch_d(chain: HochChain, trunc: int | None = None, parts=ALL_PARTS) -> HochChain:
+def hoch_d(chain: HochChain, parts=ALL_PARTS) -> HochChain:
     """d_0 + d_1 + d_2 with the displayed signs (or a subset of the three)."""
     ph = chain.presheaf
     I = chain.I
     ring = ph.ring(I)
-    if trunc is None:
-        trunc = ph.scene.trunc
+    trunc = ph.scene.trunc
     out: dict = {}
 
     def emit(path, syms, monos, c):
@@ -217,10 +207,7 @@ def hoch_d(chain: HochChain, trunc: int | None = None, parts=ALL_PARTS) -> HochC
                 prod = ph.compose(I, syms[i], syms[i + 1])
                 if not prod:
                     continue
-                if i == 0:
-                    sign = (-1) ** (par[0] % 2)
-                else:
-                    sign = (-1) ** ((prefix[i + 1] + i) % 2)
+                sign = (-1) ** ((prefix[i + 1] + i) % 2)
                 mono_prod = tuple(a + b for a, b in zip(monos[i], monos[i + 1]))
                 new_path = path[: i + 1] + path[i + 2 :]
                 for nsym, nmono, nfrac in _expand_slot(ring, prod, mono_prod):
@@ -324,12 +311,12 @@ def cech_part_d(c: CechHochChain) -> CechHochChain:
     return CechHochChain(c.presheaf, acc)
 
 
-def twisted_hoch_d(c: CechHochChain, trunc: int | None = None, parts=ALL_PARTS) -> CechHochChain:
+def twisted_hoch_d(c: CechHochChain, parts=ALL_PARTS) -> CechHochChain:
     """(-1)^p (selected internal parts), no Cech summand."""
     acc: dict = {}
     for I, ch in c.entries.items():
         p = len(I) - 1
-        piece = hoch_d(ch, trunc, parts)
+        piece = hoch_d(ch, parts)
         if p % 2:
             piece = -piece
         if not piece.is_zero():
@@ -337,9 +324,9 @@ def twisted_hoch_d(c: CechHochChain, trunc: int | None = None, parts=ALL_PARTS) 
     return CechHochChain(c.presheaf, acc)
 
 
-def cech_hoch_d(c: CechHochChain, trunc: int | None = None) -> CechHochChain:
+def cech_hoch_d(c: CechHochChain) -> CechHochChain:
     """Total differential d_Cech + (-1)^p (d_0 + d_1 + d_2)."""
-    return cech_part_d(c) + twisted_hoch_d(c, trunc)
+    return cech_part_d(c) + twisted_hoch_d(c)
 
 
 def apply_morphism(c: CechHochChain, morphism, dst: CdgPresheaf) -> CechHochChain:

@@ -63,18 +63,16 @@ def restrict_elem(ph: CdgPresheaf, elem: dict, I, J) -> dict:
 GLOBAL = ("X",)
 
 
-class GlobalModel:
+class GlobalModel(CdgPresheaf):
     """One-object global-sections algebra: enough structure to run the
     Hochschild differential and restrict into the atlas."""
 
     def __init__(self, scene: Scene, chart_presheaf: CdgPresheaf, basis,
-                 d_fn, curvature_elem=None, compose_fn=None, sym_image=None):
-        self.scene = scene
+                 d_fn, sym_image=None):
+        super().__init__(scene)
         self.chart = chart_presheaf
         self._basis = tuple(basis)
         self._d = d_fn                      # sym -> Element over global ring
-        self._h = curvature_elem or {}
-        self._compose = compose_fn or chart_presheaf.compose
         # sym_image(i, sym) -> Element over chart i; identity by default
         self._sym_image = sym_image
         assert scene.global_ring is not None, "scene declares no global ring"
@@ -82,22 +80,16 @@ class GlobalModel:
     def ring(self, I):
         return self.scene.global_ring
 
-    def objects(self, I):
-        return ("*",)
-
     def hom_basis(self, I, x, y):
         return self._basis
 
     def parity(self, sym):
         return self.chart.parity(sym)
 
-    def identity(self, I, x):
-        return {"1": self.scene.global_ring.one()}
-
     def compose(self, I, a, b):
         # symbol-level products agree with the chart presheaf; coefficients
         # are global, so reuse the table over any chart
-        out = self._compose((self.scene.atlas.chart_ids[0],), a, b)
+        out = self.chart.compose((self.scene.atlas.chart_ids[0],), a, b)
         ring = self.scene.global_ring
         return {
             s: ring.const(sum(c.terms.values()))
@@ -112,9 +104,6 @@ class GlobalModel:
 
     def d(self, I, sym):
         return self._d(sym)
-
-    def curvature(self, I, x):
-        return self._h
 
     def to_tuple(self, elem: dict, K) -> dict:
         """Restrict a global element into an atlas tuple."""

@@ -103,14 +103,3 @@ def parse_poly(text: str, ring: Ring) -> LocPoly:
     if p.peek() is not None:
         raise ParseError(f"trailing input {p.tokens[p.i:]!r}")
     return out
-
-
-def parse_image(spec, ring: Ring) -> LocPoly:
-    """Variable image: either an expression string or {num, den} with den a
-    unit of the Laurent ring, a single term in its inverted variables
-    (inverses are not expressible in the grammar)."""
-    if isinstance(spec, str):
-        return parse_poly(spec, ring)
-    num = parse_poly(spec["num"], ring)
-    den = parse_poly(spec["den"], ring)
-    return num * den.inverse()

@@ -233,10 +233,6 @@ class LocPoly:
         return f"({num})/(1*x^{den})" if any(den) else num
 
 
-def partial_derive(e: LocPoly, var: str) -> LocPoly:
-    return e.diff(var)
-
-
 class RingMap:
     """Ring homomorphism determined by variable images; an inverted source
     variable must map to a unit."""

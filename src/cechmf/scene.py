@@ -12,7 +12,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 
-from .parsing import parse_image, parse_poly
+from .parsing import parse_poly
 from .rings import LocPoly, MalformedElement, Ring, RingMap
 
 
@@ -337,8 +337,26 @@ def _build_ring(spec, where: str) -> Ring:
     return Ring(variables, inverted)
 
 
+def _chart_id(value, where: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise SceneError(f"{where}: chart id {value!r} is not an integer") from None
+
+
+def _image(spec, ring: Ring, where: str, var: str) -> LocPoly:
+    """The image of var: an expression string, or {num, den} with den a unit
+    of the Laurent ring, a single term in its inverted variables (inverses
+    are not expressible in the grammar)."""
+    if isinstance(spec, str):
+        return parse_poly(spec, ring)
+    where = f"{where}[{var!r}]"
+    num = parse_poly(_field(spec, "num", where), ring)
+    return num * parse_poly(_field(spec, "den", where), ring).inverse()
+
+
 def _images(images: dict, variables, ring: Ring, where: str) -> list:
-    return [parse_image(_field(images, v, where), ring) for v in variables]
+    return [_image(_field(images, v, where), ring, where, v) for v in variables]
 
 
 def scene_from_dict(data: dict) -> Scene:
@@ -348,7 +366,7 @@ def scene_from_dict(data: dict) -> Scene:
         ring = _build_ring(cs, where)
         charts.append(
             Chart(
-                id=int(_field(cs, "id", where)),
+                id=_chart_id(_field(cs, "id", where), where),
                 ring=ring,
                 x=parse_poly(_field(cs, "x", where), ring),
                 f=parse_poly(_field(cs, "f", where), ring),
@@ -360,14 +378,22 @@ def scene_from_dict(data: dict) -> Scene:
     chart_maps = {}
     for os in data.get("overlaps", []):
         where = f"overlap {os.get('tuple')}"
-        I = tuple(sorted(int(x) for x in _field(os, "tuple", where)))
+        I = tuple(sorted(_chart_id(x, where) for x in _field(os, "tuple", where)))
+        for i in I:
+            if i not in chart_by_id:
+                raise SceneError(f"{where}: tuple member {i} is not a chart")
         ring = _build_ring(os, where)
         overlap_rings[I] = ring
         for cid_s, images in _field(os, "res", where).items():
-            cid = int(cid_s)
+            cid = _chart_id(cid_s, f"{where} res")
+            if cid not in I:
+                raise SceneError(f"{where} res: chart {cid} is not in the tuple")
             chart = chart_by_id[cid]
             imgs = _images(images, chart.ring.variables, ring, f"{where} res[{cid_s!r}]")
             chart_maps[(cid, I)] = RingMap(chart.ring, ring, imgs)
+        for i in I:
+            if (i, I) not in chart_maps:
+                raise SceneError(f"{where} res: no entry for member chart {i}")
     atlas = Atlas(charts, overlap_rings, chart_maps)
 
     global_ring = None
@@ -376,7 +402,9 @@ def scene_from_dict(data: dict) -> Scene:
         gs = data["global"]
         global_ring = _build_ring(gs, "global")
         for cid_s, images in _field(gs, "res", "global").items():
-            cid = int(cid_s)
+            cid = _chart_id(cid_s, "global res")
+            if cid not in chart_by_id:
+                raise SceneError(f"global res: chart {cid} is not a chart")
             ring = chart_by_id[cid].ring
             imgs = _images(images, global_ring.variables, ring, f"global res[{cid_s!r}]")
             global_res[cid] = RingMap(global_ring, ring, imgs)

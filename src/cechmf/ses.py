@@ -38,12 +38,6 @@ def _to_y(c: Cochain, part) -> Cochain:
     })
 
 
-def ses_project(beta: Cochain) -> Cochain:
-    """Quotient map on log cochains: keep the residue, restrict to Y."""
-    assert beta.kind == LOG
-    return _to_y(beta, lambda s: s.residue)
-
-
 def ses_lift(alpha: Cochain) -> Cochain:
     """Canonical lift: zero regular part, residue the x-free representative.
 

@@ -592,11 +592,10 @@ GOLDEN_DIMS = {
 }
 
 
-def suite_homology(scene: Scene, seed: int = 0, D: int | None = None) -> list:
-    """Criterion 11: windowed homology equals the dense oracle, and the
-    frozen golden values for the built-in scenes."""
-    if D is None:
-        D = scene.window
+def suite_homology(scene: Scene, seed: int = 0) -> list:
+    """Criterion 11: windowed homology at the scene's window equals the
+    dense oracle, and the frozen golden values for the built-in scenes."""
+    D = scene.window
     dims = homology_dims(scene, OMEGA, D)
     oracle = oracle_homology_dims(scene, OMEGA, D)
     checks = [

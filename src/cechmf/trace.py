@@ -19,7 +19,6 @@ from .cdg import CurvedLine, MFCategory, TrivializedCategory
 from .hochschild import (
     CechHochChain,
     HochChain,
-    TruncationOverflow,
     add_tensor,
     insertion_layouts,
     interleave,
@@ -27,9 +26,12 @@ from .hochschild import (
 )
 
 
-def sh_shuffle(n: int, chain: HochChain, trunc: int | None = None, strict: bool = True) -> HochChain:
+def sh_shuffle(n: int, chain: HochChain, trunc: int | None = None) -> HochChain:
     """Sum over all ways to distribute n twisted-differential slots into the
-    k+1 gaps: a_0[d^{i_0}|a_1|d^{i_1}|...|a_k|d^{i_k}], i_0+...+i_k = n."""
+    k+1 gaps: a_0[d^{i_0}|a_1|d^{i_1}|...|a_k|d^{i_k}], i_0+...+i_k = n.
+
+    A term of length k with k + n over the cap trunc (default the scene's)
+    is dropped, so the result is complete on all lengths <= trunc."""
     cat = chain.presheaf
     assert isinstance(cat, MFCategory)
     I = chain.I
@@ -43,10 +45,6 @@ def sh_shuffle(n: int, chain: HochChain, trunc: int | None = None, strict: bool 
     for (path, syms, monos), coeff in chain.terms.items():
         k = len(syms) - 1
         if k + n > trunc:
-            if strict:
-                raise TruncationOverflow(
-                    f"shuffle insertion would exceed the length cap {trunc}"
-                )
             continue
         # the gap after slot i sits at the object path[i + 1] (cyclically)
         gap_objs = path[1:] + path[:1]
@@ -62,10 +60,9 @@ def sh_shuffle(n: int, chain: HochChain, trunc: int | None = None, strict: bool 
     return HochChain(cat, I, out)
 
 
-def sh_shuffle_cech(n: int, c: CechHochChain, strict: bool = True) -> CechHochChain:
+def sh_shuffle_cech(n: int, c: CechHochChain) -> CechHochChain:
     return CechHochChain(
-        c.presheaf,
-        {I: sh_shuffle(n, ch, strict=strict) for I, ch in c.entries.items()},
+        c.presheaf, {I: sh_shuffle(n, ch) for I, ch in c.entries.items()}
     )
 
 
@@ -211,22 +208,18 @@ def _hq_descent(out, cat, ch, K, charts, sign_base):
             )
 
 
-def phi(c: CechHochChain, out_max_len: int, line: CurvedLine | None = None,
-        triv: TrivializedCategory | None = None) -> CechHochChain:
+def phi(c: CechHochChain, out_max_len: int, line: CurvedLine) -> CechHochChain:
     """phi = sum_{n,q} (-1)^n sTr(h^q(Sh(d^n, -))), complete on all output
     lengths <= out_max_len."""
     cat = c.presheaf
     assert isinstance(cat, MFCategory)
     scene = cat.scene
     assert out_max_len <= scene.trunc
-    if line is None:
-        line = CurvedLine(scene, -1)
-    if triv is None:
-        triv = TrivializedCategory(scene, list(cat.mfs.values()))
+    triv = TrivializedCategory(scene, list(cat.mfs.values()))
     acc = CechHochChain(line, {})
     nq_max = len(scene.atlas.chart_ids)
     for n in range(out_max_len + 1):
-        shn = sh_shuffle_cech(n, c, strict=False)
+        shn = sh_shuffle_cech(n, c)
         if shn.is_zero():
             continue
         sign = Fraction((-1) ** n)

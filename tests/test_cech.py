@@ -23,7 +23,6 @@ from cechmf.cech import (
     cone_cochain,
     todd_inverse,
     unit_cochain,
-    zero_cochain,
     _ctx,
 )
 from cechmf.forms import Form, dlog_of

@@ -2,7 +2,9 @@
 
 import json
 
-from cechmf import cli
+import pytest
+
+from cechmf import cli, signs
 from cechmf.scenes_builtin import builtin_scene_dict
 
 
@@ -32,3 +34,44 @@ def test_homology_reports_dims(capsys):
     assert set(dims) == {"homology:omega", "homology:omega_y", "homology:cone"}
     for d in dims.values():
         assert {"even", "odd", "stable", "window"} <= set(d)
+
+
+def test_verify_reports_ledger_todd_sign(capsys):
+    assert cli.main(["verify", "--scene", "SCENE-A1", "--suite", "signs", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["todd_sign"] == signs.sign("todd-factor") == -1
+
+
+def _pushforward(tmp_path, scene, y_class):
+    path = tmp_path / "class.json"
+    path.write_text(y_class)
+    return cli.main(["pushforward", "--scene", scene, "--input", str(path), "--format", "json"])
+
+
+def test_pushforward_input_unit_class(tmp_path, capsys):
+    assert _pushforward(tmp_path, "SCENE-A2", '{"0": {"": "1"}}') == 0
+    (suite,) = json.loads(capsys.readouterr().out)["suites"]
+    assert [(c["id"], c["passed"]) for c in suite["checks"]] == [("pushforward:image", True)]
+
+
+@pytest.mark.parametrize(
+    "scene, y_class, message",
+    [
+        ("SCENE-P2", '{"1": {"": "y2"}}', "not a cocycle"),
+        ("SCENE-A2", '{"7": {"": "1"}}', "tuple (7,) not in atlas"),
+        ("SCENE-A2", '{"0": {"": "q"}}', "unknown variable 'q'"),
+    ],
+    ids=["not-a-cocycle", "unknown-tuple", "unknown-variable"],
+)
+def test_pushforward_input_rejected(tmp_path, capsys, scene, y_class, message):
+    assert _pushforward(tmp_path, scene, y_class) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("text", ["{", '{"charts": [{"id": "zero"}]}'], ids=["json", "chart-id"])
+def test_malformed_scene_file_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "scene.json"
+    path.write_text(text)
+    assert cli.main(["homology", "--scene", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"cannot read scene file {path}")

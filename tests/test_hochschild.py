@@ -15,7 +15,6 @@ from cechmf.hochschild import (
     insertion_layouts,
     make_chain,
     restrict_chain,
-    term_parity,
 )
 from cechmf.scenes_builtin import all_builtin_names, builtin_scene
 
@@ -158,15 +157,6 @@ def test_restriction_rescales_eps():
     # u_{01} = t^{-1}: e_1 = t^{-1} e_0
     expected = make_chain(alg, (0, 1), ("*",), [{"e": r01.monomial([-1])}])
     assert out == expected
-
-
-def test_term_parity():
-    scene = SCENES["SCENE-A2"]
-    alg = SheafAlgebraA(scene)
-    assert term_parity(alg, ("1",)) == 0
-    assert term_parity(alg, ("e",)) == 1
-    assert term_parity(alg, ("1", "1")) == 1
-    assert term_parity(alg, ("1", "e")) == 0
 
 
 @pytest.mark.parametrize("k", range(4))

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cechmf.rings import LocPoly, MalformedElement, Ring, RingMap, partial_derive, quotient_restrict
+from cechmf.rings import LocPoly, MalformedElement, Ring, RingMap, quotient_restrict
 from cechmf.scene import _loc_divide
 from cechmf.scenes_builtin import builtin_scene
 
@@ -55,12 +55,12 @@ def test_malformed_monomial():
 
 def test_partial_derive_power_rule():
     x, y = QXY.var("x"), QXY.var("y")
-    assert partial_derive(x * x * y, "x") == x.scale(2) * y
+    assert (x * x * y).diff("x") == x.scale(2) * y
 
 
 def test_partial_derive_quotient_rule():
     inv = QX_X.monomial([-1])  # 1/x
-    assert partial_derive(inv, "x") == QX_X.monomial([-2], -1)
+    assert inv.diff("x") == QX_X.monomial([-2], -1)
 
 
 def test_partial_derive_laurent():
@@ -69,12 +69,12 @@ def test_partial_derive_laurent():
     e = QT_T.monomial([-2]) * t3p1
     expanded = QT_T.var("t") + QT_T.monomial([-2])
     assert e == expanded
-    assert partial_derive(e, "t") == QT_T.one() - QT_T.monomial([-3], 2)
+    assert e.diff("t") == QT_T.one() - QT_T.monomial([-3], 2)
 
 
 def test_unknown_variable():
     with pytest.raises(MalformedElement):
-        partial_derive(QX.var("x"), "z")
+        QX.var("x").diff("z")
 
 
 def test_inverse():
@@ -137,8 +137,8 @@ def test_normal_form_multiplicative(a, b):
 @given(loc_polys(), loc_polys())
 @settings(max_examples=60, deadline=None)
 def test_leibniz(a, b):
-    lhs = partial_derive(a * b, "t")
-    rhs = partial_derive(a, "t") * b + a * partial_derive(b, "t")
+    lhs = (a * b).diff("t")
+    rhs = a.diff("t") * b + a * b.diff("t")
     assert lhs == rhs
 
 

@@ -80,29 +80,46 @@ def test_f_on_overlap_matches():
     assert f0 == f1 == scene.f_on((0, 1))
 
 
-def _p1_spec_without_f():
+def _p1_spec_edited(edit):
     spec = copy.deepcopy(builtin_scene_dict("SCENE-P1"))
-    del spec["charts"][0]["f"]
+    edit(spec)
     return spec
 
 
-def _p1_spec_without_res_image():
-    spec = copy.deepcopy(builtin_scene_dict("SCENE-P1"))
-    del spec["overlaps"][0]["res"]["0"]["t"]
-    return spec
+def _set(d, key, value):
+    d[key] = value
 
 
 @pytest.mark.parametrize(
-    "make_spec, where, field",
+    "edit, where, field",
     [
-        (_p1_spec_without_f, "chart 0", "'f'"),
-        (_p1_spec_without_res_image, "overlap [0, 1] res['0']", "'t'"),
+        (lambda s: s["charts"][0].pop("f"), "chart 0", "'f'"),
+        (lambda s: s["overlaps"][0]["res"]["0"].pop("t"), "overlap [0, 1] res['0']", "'t'"),
+        (lambda s: _set(s["overlaps"][0]["res"], "7", {}), "overlap [0, 1] res", "chart 7"),
+        (lambda s: _set(s["global"]["res"], "9", {}), "global res", "chart 9"),
+        (
+            lambda s: _set(s["overlaps"][0]["res"]["1"], "s", {"num": "1"}),
+            "overlap [0, 1] res['1']['s']",
+            "'den'",
+        ),
+        (lambda s: _set(s["charts"][0], "id", "zero"), "chart zero", "'zero'"),
+        (lambda s: _set(s["overlaps"][0], "tuple", [0, 5]), "overlap [0, 5]", "member 5"),
+        (lambda s: s["overlaps"][0]["res"].pop("1"), "overlap [0, 1] res", "member chart 1"),
     ],
-    ids=["chart-f", "overlap-res-variable"],
+    ids=[
+        "chart-f",
+        "overlap-res-variable",
+        "overlap-res-foreign-chart",
+        "global-res-foreign-chart",
+        "image-without-den",
+        "chart-id-not-integer",
+        "overlap-tuple-not-charts",
+        "overlap-res-missing-member",
+    ],
 )
-def test_missing_field_raises_scene_error(make_spec, where, field):
+def test_missing_field_raises_scene_error(edit, where, field):
     with pytest.raises(SceneError) as info:
-        scene_from_dict(make_spec())
+        scene_from_dict(_p1_spec_edited(edit))
     assert where in str(info.value)
     assert field in str(info.value)
 

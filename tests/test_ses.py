@@ -11,7 +11,6 @@ from cechmf.cech import (
     Cochain,
     cech_total_d,
     unit_cochain,
-    zero_cochain,
     _ctx,
 )
 from cechmf.forms import Form, LogForm
@@ -23,7 +22,7 @@ from cechmf.ses import (
     connecting_delta,
     forms_to_y,
     ses_lift,
-    ses_project,
+    _to_y,
 )
 from cechmf.scenes_builtin import builtin_scene
 
@@ -31,6 +30,12 @@ A1 = builtin_scene("SCENE-A1")
 A2 = builtin_scene("SCENE-A2")
 P1 = builtin_scene("SCENE-P1")
 P2 = builtin_scene("SCENE-P2")
+
+
+def ses_project(beta: Cochain) -> Cochain:
+    """Quotient map on log cochains: keep the residue, restrict to Y."""
+    assert beta.kind == LOG
+    return _to_y(beta, lambda s: s.residue)
 
 
 def test_ses_lift_of_one():
@@ -97,7 +102,7 @@ def test_delta_on_a1_unit_is_zero():
 
 
 def test_delta_of_zero():
-    assert connecting_delta(zero_cochain(A2, "yform")).is_zero()
+    assert connecting_delta(Cochain(A2, "yform", {})).is_zero()
 
 
 def test_delta_rejects_non_cocycle():

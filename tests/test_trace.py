@@ -7,7 +7,6 @@ from cechmf.cdg import CurvedLine, MFCategory, MFObject, TrivializedCategory, bu
 from cechmf.hochschild import (
     CechHochChain,
     HochChain,
-    TruncationOverflow,
     cech_hoch_d,
     cech_part_d,
     make_chain,
@@ -59,11 +58,15 @@ def test_sh_two_on_length_zero():
 
 
 def test_sh_overflow():
+    # at trunc=2 the length-1 term would shuffle to length 3 and is dropped;
+    # the length-0 term shuffles to length 2 and is kept
     scene = builtin_scene("SCENE-A2", trunc=2)
     cat = end_algebra(scene, build_P(scene))
-    c = _id_chain(cat, (0,), extra_slots=1)
-    with pytest.raises(TruncationOverflow):
-        sh_shuffle(2, c)
+    long_c = _id_chain(cat, (0,), extra_slots=1)
+    short_c = _id_chain(cat, (0,))
+    assert sh_shuffle(2, long_c).is_zero()
+    assert not sh_shuffle(2, short_c).is_zero()
+    assert sh_shuffle(2, long_c + short_c) == sh_shuffle(2, short_c)
 
 
 def test_supertrace_m0():
