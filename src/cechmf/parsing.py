@@ -82,7 +82,10 @@ class _Parser:
             self.expect(")")
         elif re.fullmatch(r"\d+/\d+|\d+", t):
             self.take()
-            out = self.ring.const(Fraction(t))
+            try:
+                out = self.ring.const(Fraction(t))
+            except ZeroDivisionError:
+                raise ParseError(f"zero denominator in {t!r}") from None
         elif re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", t):
             self.take()
             out = self.ring.var(t)

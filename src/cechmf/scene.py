@@ -321,71 +321,103 @@ def validate_scene(scene: Scene) -> ValidationReport:
 # scene files
 
 
-def _field(spec: dict, key, where: str):
-    try:
-        return spec[key]
-    except KeyError:
-        raise SceneError(f"{where}: missing field {key!r}") from None
+_REQUIRED = object()
+
+
+def _field(spec, key, where: str, kind: type = object, default=_REQUIRED):
+    """spec[key], which must be a kind; a missing key gives default, or a
+    SceneError when there is none."""
+    if not isinstance(spec, dict):
+        raise SceneError(f"{where}: expected an object, got {type(spec).__name__}")
+    if key not in spec:
+        if default is _REQUIRED:
+            raise SceneError(f"{where}: missing field {key!r}")
+        return default
+    value = spec[key]
+    if not isinstance(value, kind):
+        raise SceneError(
+            f"{where}: field {key!r} must be a {kind.__name__}, got {type(value).__name__}"
+        )
+    return value
 
 
 def _build_ring(spec, where: str) -> Ring:
-    variables = list(_field(spec, "vars", where))
-    inverted = list(spec.get("inverted", []))
+    variables = _field(spec, "vars", where, list)
+    if not all(isinstance(v, str) for v in variables) or len(set(variables)) < len(variables):
+        raise SceneError(f"{where}: vars {variables!r} are not distinct names")
+    inverted = _field(spec, "inverted", where, list, [])
     for name in inverted:
         if name not in variables:
             raise SceneError(f"{where}: inverted entry {name!r} is not a variable of the ring")
     return Ring(variables, inverted)
 
 
-def _chart_id(value, where: str) -> int:
+def _int(value, where: str, what: str = "chart id") -> int:
     try:
         return int(value)
     except (TypeError, ValueError):
-        raise SceneError(f"{where}: chart id {value!r} is not an integer") from None
+        raise SceneError(f"{where}: {what} {value!r} is not an integer") from None
 
 
-def _image(spec, ring: Ring, where: str, var: str) -> LocPoly:
+def _poly(spec, key, ring: Ring, where: str) -> LocPoly:
+    text = _field(spec, key, where, str)
+    try:
+        return parse_poly(text, ring)
+    except ValueError as e:
+        raise SceneError(f"{where}: field {key!r}: {e}") from None
+
+
+def _image(images, ring: Ring, where: str, var: str) -> LocPoly:
     """The image of var: an expression string, or {num, den} with den a unit
     of the Laurent ring, a single term in its inverted variables (inverses
     are not expressible in the grammar)."""
+    spec = _field(images, var, where)
     if isinstance(spec, str):
-        return parse_poly(spec, ring)
+        return _poly(images, var, ring, where)
     where = f"{where}[{var!r}]"
-    num = parse_poly(_field(spec, "num", where), ring)
-    return num * parse_poly(_field(spec, "den", where), ring).inverse()
+    num = _poly(spec, "num", ring, where)
+    den = _poly(spec, "den", ring, where)
+    try:
+        return num * den.inverse()
+    except MalformedElement as e:
+        raise SceneError(f"{where}: field 'den': {e}") from None
 
 
-def _images(images: dict, variables, ring: Ring, where: str) -> list:
-    return [_image(_field(images, v, where), ring, where, v) for v in variables]
+def _images(images, variables, ring: Ring, where: str) -> list:
+    return [_image(images, ring, where, v) for v in variables]
 
 
 def scene_from_dict(data: dict) -> Scene:
-    charts = []
-    for n, cs in enumerate(_field(data, "charts", "scene")):
-        where = f"chart {cs.get('id', f'#{n}')}"
+    chart_by_id = {}
+    for n, cs in enumerate(_field(data, "charts", "scene", list)):
+        raw_id = _field(cs, "id", f"chart #{n}")
+        where = f"chart {raw_id}"
+        cid = _int(raw_id, where)
+        if cid in chart_by_id:
+            raise SceneError(f"{where}: duplicate chart id {cid}")
         ring = _build_ring(cs, where)
-        charts.append(
-            Chart(
-                id=_chart_id(_field(cs, "id", where), where),
-                ring=ring,
-                x=parse_poly(_field(cs, "x", where), ring),
-                f=parse_poly(_field(cs, "f", where), ring),
-                g=parse_poly(_field(cs, "g", where), ring),
-            )
+        chart_by_id[cid] = Chart(
+            id=cid,
+            ring=ring,
+            x=_poly(cs, "x", ring, where),
+            f=_poly(cs, "f", ring, where),
+            g=_poly(cs, "g", ring, where),
         )
-    chart_by_id = {c.id: c for c in charts}
     overlap_rings = {}
     chart_maps = {}
-    for os in data.get("overlaps", []):
-        where = f"overlap {os.get('tuple')}"
-        I = tuple(sorted(_chart_id(x, where) for x in _field(os, "tuple", where)))
+    for n, os in enumerate(_field(data, "overlaps", "scene", list, [])):
+        tup = _field(os, "tuple", f"overlap #{n}", list)
+        where = f"overlap {tup}"
+        I = tuple(sorted(_int(x, where) for x in tup))
+        if I in overlap_rings:
+            raise SceneError(f"{where}: duplicate overlap {I}")
         for i in I:
             if i not in chart_by_id:
                 raise SceneError(f"{where}: tuple member {i} is not a chart")
         ring = _build_ring(os, where)
         overlap_rings[I] = ring
-        for cid_s, images in _field(os, "res", where).items():
-            cid = _chart_id(cid_s, f"{where} res")
+        for cid_s, images in _field(os, "res", where, dict).items():
+            cid = _int(cid_s, f"{where} res")
             if cid not in I:
                 raise SceneError(f"{where} res: chart {cid} is not in the tuple")
             chart = chart_by_id[cid]
@@ -394,25 +426,28 @@ def scene_from_dict(data: dict) -> Scene:
         for i in I:
             if (i, I) not in chart_maps:
                 raise SceneError(f"{where} res: no entry for member chart {i}")
-    atlas = Atlas(charts, overlap_rings, chart_maps)
+    atlas = Atlas(list(chart_by_id.values()), overlap_rings, chart_maps)
 
     global_ring = None
     global_res = {}
-    if "global" in data:
-        gs = data["global"]
+    gs = _field(data, "global", "scene", dict, None)
+    if gs is not None:
         global_ring = _build_ring(gs, "global")
-        for cid_s, images in _field(gs, "res", "global").items():
-            cid = _chart_id(cid_s, "global res")
+        for cid_s, images in _field(gs, "res", "global", dict).items():
+            cid = _int(cid_s, "global res")
             if cid not in chart_by_id:
                 raise SceneError(f"global res: chart {cid} is not a chart")
             ring = chart_by_id[cid].ring
             imgs = _images(images, global_ring.variables, ring, f"global res[{cid_s!r}]")
             global_res[cid] = RingMap(global_ring, ring, imgs)
+        for i in chart_by_id:
+            if i not in global_res:
+                raise SceneError(f"global res: no entry for chart {i}")
     return Scene(
         name=data.get("name", "scene"),
         atlas=atlas,
-        trunc=int(data.get("trunc", 6)),
-        window=int(data.get("window", 4)),
+        trunc=_int(data.get("trunc", 6), "scene", "trunc"),
+        window=_int(data.get("window", 4), "scene", "window"),
         global_ring=global_ring,
         global_res=global_res,
     )

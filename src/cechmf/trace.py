@@ -26,17 +26,16 @@ from .hochschild import (
 )
 
 
-def sh_shuffle(n: int, chain: HochChain, trunc: int | None = None) -> HochChain:
+def sh_shuffle(n: int, chain: HochChain) -> HochChain:
     """Sum over all ways to distribute n twisted-differential slots into the
     k+1 gaps: a_0[d^{i_0}|a_1|d^{i_1}|...|a_k|d^{i_k}], i_0+...+i_k = n.
 
-    A term of length k with k + n over the cap trunc (default the scene's)
-    is dropped, so the result is complete on all lengths <= trunc."""
+    A term of length k with k + n over the scene's trunc is dropped, so the
+    result is complete on all lengths <= trunc."""
     cat = chain.presheaf
     assert isinstance(cat, MFCategory)
     I = chain.I
-    if trunc is None:
-        trunc = cat.scene.trunc
+    trunc = cat.scene.trunc
     if n == 0:
         return chain
     out: dict = {}
@@ -210,7 +209,9 @@ def _hq_descent(out, cat, ch, K, charts, sign_base):
 
 def phi(c: CechHochChain, out_max_len: int, line: CurvedLine) -> CechHochChain:
     """phi = sum_{n,q} (-1)^n sTr(h^q(Sh(d^n, -))), complete on all output
-    lengths <= out_max_len."""
+    lengths <= out_max_len.  Sh(d^n) adds exactly n bars and h^q exactly q,
+    so each stage takes only the input lengths that can still reach
+    out_max_len: the cut is exact."""
     cat = c.presheaf
     assert isinstance(cat, MFCategory)
     scene = cat.scene
@@ -219,15 +220,15 @@ def phi(c: CechHochChain, out_max_len: int, line: CurvedLine) -> CechHochChain:
     acc = CechHochChain(line, {})
     nq_max = len(scene.atlas.chart_ids)
     for n in range(out_max_len + 1):
-        shn = sh_shuffle_cech(n, c)
+        shn = sh_shuffle_cech(n, c.truncate(out_max_len - n))
         if shn.is_zero():
             continue
         sign = Fraction((-1) ** n)
-        for q in range(nq_max):
-            hq = hq_basis(q, shn, triv)
+        for q in range(min(nq_max, out_max_len - n + 1)):
+            hq = hq_basis(q, shn.truncate(out_max_len - q), triv)
             if hq.is_zero():
                 continue
-            tr = supertrace(hq, line).truncate(out_max_len)
+            tr = supertrace(hq, line)
             if not tr.is_zero():
                 acc = acc + tr.scale(sign)
     return acc

@@ -59,8 +59,9 @@ def test_pushforward_input_unit_class(tmp_path, capsys):
         ("SCENE-P2", '{"1": {"": "y2"}}', "not a cocycle"),
         ("SCENE-A2", '{"7": {"": "1"}}', "tuple (7,) not in atlas"),
         ("SCENE-A2", '{"0": {"": "q"}}', "unknown variable 'q'"),
+        ("SCENE-A2", '{"0": {"": "1/0"}}', "zero denominator in '1/0'"),
     ],
-    ids=["not-a-cocycle", "unknown-tuple", "unknown-variable"],
+    ids=["not-a-cocycle", "unknown-tuple", "unknown-variable", "zero-denominator"],
 )
 def test_pushforward_input_rejected(tmp_path, capsys, scene, y_class, message):
     assert _pushforward(tmp_path, scene, y_class) == 2
@@ -69,9 +70,28 @@ def test_pushforward_input_rejected(tmp_path, capsys, scene, y_class, message):
     assert len(err.strip().splitlines()) == 1
 
 
-@pytest.mark.parametrize("text", ["{", '{"charts": [{"id": "zero"}]}'], ids=["json", "chart-id"])
-def test_malformed_scene_file_exits_2(tmp_path, capsys, text):
+def _p1_text(edit):
+    spec = builtin_scene_dict("SCENE-P1")
+    edit(spec)
+    return json.dumps(spec)
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("{", "line 1"),
+        ('{"charts": [{"id": "zero"}]}', "chart zero"),
+        ('{"charts": 5}', "'charts'"),
+        (_p1_text(lambda s: s["charts"][0].update(f="t+")), "chart 0: field 'f'"),
+        (_p1_text(lambda s: s["overlaps"][0]["res"]["0"].update(t=1)), "res['0']['t']"),
+    ],
+    ids=["json", "chart-id", "charts-type", "polynomial", "image-type"],
+)
+def test_malformed_scene_file_exits_2(tmp_path, capsys, text, where):
     path = tmp_path / "scene.json"
     path.write_text(text)
     assert cli.main(["homology", "--scene", str(path)]) == 2
-    assert capsys.readouterr().err.startswith(f"cannot read scene file {path}")
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot read scene file {path}")
+    assert where in err
+    assert len(err.strip().splitlines()) == 1

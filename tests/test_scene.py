@@ -105,6 +105,26 @@ def _set(d, key, value):
         (lambda s: _set(s["charts"][0], "id", "zero"), "chart zero", "'zero'"),
         (lambda s: _set(s["overlaps"][0], "tuple", [0, 5]), "overlap [0, 5]", "member 5"),
         (lambda s: s["overlaps"][0]["res"].pop("1"), "overlap [0, 1] res", "member chart 1"),
+        (lambda s: s["global"]["res"].pop("1"), "global res", "chart 1"),
+        (lambda s: s["charts"].append(copy.deepcopy(s["charts"][1])), "chart 1", "duplicate"),
+        (lambda s: _set(s["charts"][0], "f", "t+"), "chart 0", "'f'"),
+        (
+            lambda s: _set(s["overlaps"][0]["res"]["1"]["s"], "den", "t+1"),
+            "overlap [0, 1] res['1']['s']",
+            "'den'",
+        ),
+        (lambda s: _set(s, "charts", 5), "scene", "'charts'"),
+        (
+            lambda s: _set(s["overlaps"][0]["res"]["0"], "t", 1),
+            "overlap [0, 1] res['0']['t']",
+            "int",
+        ),
+        (lambda s: _set(s["charts"][0], "vars", ["t", "t"]), "chart 0", "distinct"),
+        (
+            lambda s: s["overlaps"].append(dict(s["overlaps"][0], tuple=[1, 0])),
+            "overlap [1, 0]",
+            "duplicate",
+        ),
     ],
     ids=[
         "chart-f",
@@ -115,6 +135,14 @@ def _set(d, key, value):
         "chart-id-not-integer",
         "overlap-tuple-not-charts",
         "overlap-res-missing-member",
+        "global-res-missing-chart",
+        "duplicate-chart-id",
+        "unparsable-polynomial",
+        "den-not-a-unit",
+        "charts-not-a-list",
+        "image-not-a-string-or-object",
+        "vars-not-distinct",
+        "duplicate-overlap",
     ],
 )
 def test_missing_field_raises_scene_error(edit, where, field):

@@ -1,20 +1,32 @@
+import collections
 import random
 from fractions import Fraction
 
 import pytest
 
-from cechmf.cdg import CurvedLine, MFCategory, MFObject, TrivializedCategory, build_P, end_algebra
+from cechmf.cdg import (
+    CurvedLine,
+    MFCategory,
+    MFObject,
+    TrivializedCategory,
+    build_P,
+    can_map,
+    end_algebra,
+)
+from cechmf.diagrams import max_form_degree
 from cechmf.hochschild import (
     CechHochChain,
     HochChain,
+    apply_morphism,
     cech_hoch_d,
     cech_part_d,
     make_chain,
     twisted_hoch_d,
 )
 from cechmf.hkr import hkr_xf
-from cechmf.trace import hq_basis, phi, sh_shuffle, supertrace
+from cechmf.trace import hq_basis, phi, sh_shuffle, sh_shuffle_cech, supertrace
 from cechmf.scenes_builtin import all_builtin_names, builtin_scene
+from cechmf.suites import basis_a_chains
 
 SCENES = {name: builtin_scene(name) for name in all_builtin_names()}
 
@@ -238,6 +250,60 @@ def test_phi_is_a_chain_map(name):
         lhs = cech_hoch_d(phi(c, L + 1, line)).truncate(L)
         rhs = phi(cech_hoch_d(c), L, line).truncate(L)
         assert lhs == rhs, name
+
+
+def _phi_uncut(c, L, line):
+    """phi with every stage run on its whole input and the sum cut to
+    length <= L only at the end."""
+    cat = c.presheaf
+    triv = TrivializedCategory(cat.scene, list(cat.mfs.values()))
+    acc = CechHochChain(line, {})
+    for n in range(L + 1):
+        for q in range(len(cat.scene.atlas.chart_ids)):
+            tr = supertrace(hq_basis(q, sh_shuffle_cech(n, c), triv), line).truncate(L)
+            acc = acc + tr.scale(Fraction((-1) ** n))
+    return acc
+
+
+@pytest.mark.parametrize("name", ["SCENE-P1", "SCENE-A2C", "SCENE-P2"])
+def test_phi_cut_matches_uncut_sum(name):
+    # phi cuts each stage's input at the lengths that can still reach L.
+    # The sample takes basis chains of every length k and every lead chart
+    # I[0]; h^q needs q charts below I[0], so on SCENE-P2 the short chains
+    # led by chart 2 reach the output through h^2.  SCENE-P1 has L = 2, so
+    # its length-3 basis chains are longer than L and go to zero.  The
+    # uncut sum is slow on long chains, so they get one draw each.  A
+    # realized basis chain of length L has phi = 0, so the even matrix unit
+    # in all L + 1 slots, whose sTr is 1[1|...|1], checks the n = q = 0
+    # term there.
+    scene = SCENES[name]
+    endp = end_algebra(scene, build_P(scene))
+    can = can_map(scene, endp)
+    line = CurvedLine(scene, -1)
+    L = min(scene.trunc, max_form_degree(scene) + 1)
+    strata = collections.defaultdict(list)
+    for _, ch in basis_a_chains(scene):
+        ((I, hc),) = ch.entries.items()
+        strata[len(next(iter(hc.terms))[1]) - 1, I[0]].append(ch)
+    assert {k for k, _ in strata} == {0, 1, 2, 3}
+    rng = random.Random(83)
+    sample = [
+        (k, apply_morphism(ch, can, endp))
+        for (k, _), chains in sorted(strata.items())
+        for ch in rng.sample(chains, 2 if k <= 1 else 1)
+    ]
+    first = (scene.atlas.chart_ids[0],)
+    unit = {("E", "P", "P", 0, 0): endp.ring(first).one()}
+    top = make_chain(endp, first, ("P",) * (L + 1), [unit] * (L + 1))
+    sample.append((L, CechHochChain(endp, {first: top})))
+    nonzero = 0
+    for k, c in sample:
+        out = phi(c, L, line)
+        assert out == _phi_uncut(c, L, line), (name, k)
+        if k > L:
+            assert out.is_zero(), (name, k)
+        nonzero += not out.is_zero()
+    assert nonzero
 
 
 def _yoneda(c: CechHochChain, cat: MFCategory, obj: str) -> CechHochChain:
