@@ -87,7 +87,7 @@ class CurvedLine(CdgPresheaf):
         self.sign = sign
 
     def curvature(self, I, x):
-        f = self.scene.f_on(tuple(I))
+        f = self.scene.ctx(I).f
         return {} if f.is_zero() else {"1": f.scale(self.sign)}
 
 
@@ -110,7 +110,7 @@ class SheafAlgebraA(CdgPresheaf):
 
     def d(self, I, sym):
         if sym == "e":
-            x = self.scene.atlas.divisor_on(tuple(I))
+            x = self.scene.ctx(I).x
             return {} if x.is_zero() else {"1": x}
         return {}
 
@@ -129,11 +129,11 @@ class OYAlgebra(CdgPresheaf):
     coefficients are x-free representatives of the quotient ring."""
 
     def live(self, I) -> bool:
-        return self.scene.atlas.pole_var(tuple(I)) is not None
+        return self.scene.ctx(I).pole is not None
 
     def restrict_coeff(self, I, J, c):
         out = self.scene.atlas.res(tuple(I), tuple(J))(c)
-        pole = self.scene.atlas.pole_var(tuple(J))
+        pole = self.scene.ctx(J).pole
         assert pole is not None
         return quotient_restrict(out, pole)
 
@@ -176,11 +176,9 @@ def build_P(scene: Scene) -> MFObject:
     """
 
     def delta(sc, I):
-        ring = sc.atlas.ring(I)
-        x = sc.atlas.divisor_on(I)
-        g = sc.g_on(I)
-        z = ring.zero()
-        return [[z, x], [g, z]]
+        ctx = sc.ctx(I)
+        z = ctx.ring.zero()
+        return [[z, ctx.x], [ctx.g, z]]
 
     return MFObject(name="P", parities=(0, 1), twists=(0, 1), delta_of=delta)
 
@@ -250,7 +248,7 @@ class MFCategory(CdgPresheaf):
 
     def curvature(self, I, x):
         ring = self.ring(I)
-        f = self.scene.f_on(tuple(I))
+        f = self.scene.ctx(I).f
         mf = self.mfs[x]
         d = mf.delta(self.scene, I)
         n = mf.rank

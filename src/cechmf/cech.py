@@ -18,15 +18,13 @@ from .forms import (
     ConeForm,
     Form,
     LogForm,
-    TupleCtx,
-    d_of,
     dlog_of,
     restrict_form,
     restrict_logform,
     restrict_yform,
     y_normalize,
 )
-from .scene import Scene, SceneError
+from .scene import AtlasCochain, Scene, SceneError, add_piece
 
 OMEGA = "omega"                # (Omega, -df^)
 OMEGA_PLUS = "omega_plus"      # (Omega, +df^): the (X, -f) twist
@@ -47,64 +45,29 @@ _SECTION_OF_COMPLEX = {
 }
 
 
-class Cochain:
-    """Assignment of a section to each atlas tuple; missing entries are zero."""
+class Cochain(AtlasCochain):
+    """Assignment of a section of one kind to each atlas tuple; missing
+    entries are zero."""
 
-    __slots__ = ("scene", "kind", "entries")
+    __slots__ = ("scene", "kind")
 
     def __init__(self, scene: Scene, kind: str, entries: dict | None = None):
         assert kind in (FORM, LOG, CONEF, YFORM)
         self.scene = scene
         self.kind = kind
-        self.entries = {}
-        for I, s in (entries or {}).items():
-            I = tuple(I)
-            if not scene.atlas.has_tuple(I):
-                raise SceneError(f"tuple {I} not in atlas")
-            if not s.is_zero():
-                self.entries[I] = s
+        super().__init__(entries)
 
-    def ctx(self, I) -> TupleCtx:
-        return _ctx(self.scene, I)
+    def _same_space(self, other) -> bool:
+        return self.scene is other.scene and self.kind == other.kind
 
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Cochain)
-            and self.kind == other.kind
-            and self.scene is other.scene
-            and self.entries == other.entries
-        )
-
-    def __add__(self, other: "Cochain") -> "Cochain":
-        assert self.kind == other.kind and self.scene is other.scene
-        entries = dict(self.entries)
-        for I, s in other.entries.items():
-            entries[I] = entries[I] + s if I in entries else s
+    def _new(self, entries: dict) -> "Cochain":
         return Cochain(self.scene, self.kind, entries)
 
-    def __neg__(self):
-        return Cochain(self.scene, self.kind, {I: -s for I, s in self.entries.items()})
+    def _restrict(self, s, I, J):
+        return restrict_section(self.scene, self.kind, s, I, J)
 
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c) -> "Cochain":
-        return Cochain(self.scene, self.kind, {I: s.scale(c) for I, s in self.entries.items()})
-
-    def __repr__(self):
-        inner = ", ".join(f"{I}: {s!r}" for I, s in sorted(self.entries.items()))
-        return f"Cochain[{self.kind}]{{{inner}}}"
-
-
-def _ctx(scene: Scene, I) -> TupleCtx:
-    cache = scene.atlas._ctx_cache
-    I = tuple(I)
-    if I not in cache:
-        cache[I] = TupleCtx(scene, I)
-    return cache[I]
+    def _label(self) -> str:
+        return f"Cochain[{self.kind}]"
 
 
 def unit_cochain(scene: Scene, kind: str = FORM) -> Cochain:
@@ -115,7 +78,7 @@ def unit_cochain(scene: Scene, kind: str = FORM) -> Cochain:
         if kind == FORM:
             entries[(i,)] = Form.one(ring)
         elif kind == YFORM:
-            entries[(i,)] = y_normalize(Form.one(ring), _ctx(scene, (i,)))
+            entries[(i,)] = y_normalize(Form.one(ring), scene.ctx((i,)))
         else:
             raise ValueError(kind)
     return Cochain(scene, kind, entries)
@@ -125,34 +88,22 @@ def restrict_section(scene: Scene, kind: str, s, I, J):
     if kind == FORM:
         return restrict_form(scene, s, I, J)
     if kind == LOG:
-        return restrict_logform(scene, s, I, J, _ctx(scene, J))
+        return restrict_logform(scene, s, I, J, scene.ctx(J))
     if kind == YFORM:
-        return restrict_yform(scene, s, I, J, _ctx(scene, J))
+        return restrict_yform(scene, s, I, J, scene.ctx(J))
     if kind == CONEF:
         return ConeForm(
             restrict_form(scene, s.reg, I, J),
-            restrict_logform(scene, s.log, I, J, _ctx(scene, J)),
+            restrict_logform(scene, s.log, I, J, scene.ctx(J)),
         )
     raise ValueError(kind)
-
-
-def cech_d(c: Cochain) -> Cochain:
-    """Alternating Cech differential via single-index extensions."""
-    acc: dict = {}
-    for I, s in c.entries.items():
-        for j, pos, J in c.scene.atlas.extensions(I):
-            piece = restrict_section(c.scene, c.kind, s, I, J)
-            if pos % 2:
-                piece = -piece
-            acc[J] = acc[J] + piece if J in acc else piece
-    return Cochain(c.scene, c.kind, acc)
 
 
 def _sheaf_d(scene: Scene, complex_kind: str, I, s):
     """Sheaf-level differential of one section (before the (-1)^p twist)."""
     if complex_kind == OMEGA_Y:
         return Form.zero(s.ring)
-    df = d_of(scene.f_on(I))
+    df = scene.ctx(I).df
     if complex_kind == OMEGA:
         return -df.wedge(s)
     if complex_kind == OMEGA_PLUS:
@@ -169,11 +120,7 @@ def cech_total_d(c: Cochain, complex_kind: str) -> Cochain:
     if complex_kind == CONE:
         return _cone_total_d(c)
     assert c.kind == _SECTION_OF_COMPLEX[complex_kind]
-    acc: dict = {}
-    for I, s in c.entries.items():
-        piece = _sheaf_d(c.scene, complex_kind, I, s)
-        acc[I] = -piece if (len(I) - 1) % 2 else piece
-    return cech_d(c) + Cochain(c.scene, c.kind, acc)
+    return c.cech_d() + c.twisted(lambda I, s: _sheaf_d(c.scene, complex_kind, I, s))
 
 
 def _cone_total_d(c: Cochain) -> Cochain:
@@ -185,8 +132,8 @@ def _cone_total_d(c: Cochain) -> Cochain:
     log_out = cech_total_d(log, OMEGA_LOG_SHIFTED)
     # connecting component: (-1)^p L(reg part)
     l_part = Cochain(scene, LOG, {
-        I: LogForm(_ctx(scene, I), s.scale(Fraction((-1) ** (len(I) - 1))), Form.zero(s.ring))
-        for I, s in reg.entries.items()
+        I: LogForm(scene.ctx(I), s, Form.zero(s.ring))
+        for I, s in reg.twisted(lambda I, s: s).entries.items()
     })
     return cone_cochain(scene, reg_out, log_out + l_part)
 
@@ -195,7 +142,7 @@ def cone_cochain(scene: Scene, reg: Cochain, log: Cochain) -> Cochain:
     """Pair a form cochain and a log cochain into a cone cochain."""
     entries: dict = {}
     for I in set(reg.entries) | set(log.entries):
-        ctx = _ctx(scene, I)
+        ctx = scene.ctx(I)
         entries[I] = ConeForm(
             reg.entries.get(I, Form.zero(ctx.ring)), log.entries.get(I, LogForm.zero(ctx))
         )
@@ -225,15 +172,14 @@ def _cup(a: Cochain, b: Cochain, kind: str, product) -> Cochain:
                 raise SceneError(f"product tuple {K} missing from atlas")
             ra = restrict_section(scene, a.kind, sa, I, K)
             rb = restrict_section(scene, b.kind, sb, J, K)
-            piece = product(ra, rb, len(I) - 1, len(J) - 1, K)
-            acc[K] = acc[K] + piece if K in acc else piece
+            add_piece(acc, K, product(ra, rb, len(I) - 1, len(J) - 1, K))
     return Cochain(scene, kind, acc)
 
 
 def _wedge_at(scene: Scene, kind: str, ra, rb, K):
     """ra ^ rb over K, projected to the divisor when kind is YFORM."""
     w = ra.wedge(rb)
-    return y_normalize(w, _ctx(scene, K)) if kind == YFORM else w
+    return y_normalize(w, scene.ctx(K)) if kind == YFORM else w
 
 
 def cech_wedge(a: Cochain, b: Cochain) -> Cochain:

@@ -57,19 +57,31 @@ def _emit(report: Report, args) -> int:
     return 0 if report.ok else 1
 
 
-def cmd_verify(args) -> int:
+def _open_scene(args, todd_sign: int, validate: bool = True) -> tuple[Scene, Report]:
+    """Resolve the scene and start its report.  When validate is set, a
+    scene that fails validation gets its failing checks as the report's
+    "scene" suite, so the report is not ok and the command stops there."""
     scene = _resolve_scene(args.scene, args.trunc, args.window)
     rep = Report(
         scene=scene.name,
         seed=args.seed,
         trunc=scene.trunc,
         window=scene.window,
-        todd_sign={"auto": signs.sign("todd-factor"), "minus": -1, "plus": 1}[args.todd_sign],
+        todd_sign=todd_sign,
         ledger_version=signs.LEDGER_VERSION,
     )
-    val = validate_scene(scene)
-    if not val.ok and args.suite != "scene":
-        rep.add_suite("scene", [Check(f"scene:{n}", False, d) for n, d in val.failures()], 0.0)
+    if validate:
+        val = validate_scene(scene)
+        if not val.ok:
+            rep.add_suite("scene", [Check(f"scene:{n}", False, d) for n, d in val.failures()], 0.0)
+    return scene, rep
+
+
+def cmd_verify(args) -> int:
+    todd_sign = {"auto": signs.sign("todd-factor"), "minus": -1, "plus": 1}[args.todd_sign]
+    # the scene suite reports every validation check itself
+    scene, rep = _open_scene(args, todd_sign, validate=args.suite != "scene")
+    if not rep.ok:
         return _emit(rep, args)
     names = list(SUITES) if args.suite == "all" else [args.suite]
     for name in names:
@@ -90,30 +102,39 @@ def cmd_verify(args) -> int:
 
 
 def _load_y_class(path: str, scene: Scene) -> Cochain:
+    """A divisor class file: {"i,j,..": {"k,l,..": polynomial}}, one object
+    of dx-index keys per tuple; raises ValueError naming the bad key."""
     with open(path) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"expected an object of tuples, got {type(data).__name__}")
     entries = {}
     for key, terms in data.items():
         I = tuple(int(x) for x in key.split(","))
         ring = scene.atlas.ring(I)
+        if not isinstance(terms, dict):
+            raise ValueError(f"tuple {key!r}: expected an object, got {type(terms).__name__}")
         form_terms = {}
         for dxkey, poly in terms.items():
+            where = f"tuple {key!r} key {dxkey!r}"
             K = tuple(int(x) for x in dxkey.split(",")) if dxkey else ()
+            if any(a >= b for a, b in zip(K, K[1:])) or not all(0 <= i < ring.nvars for i in K):
+                raise ValueError(
+                    f"{where}: dx indices must be increasing and below {ring.nvars}"
+                )
+            if not isinstance(poly, str):
+                raise ValueError(
+                    f"{where}: expected a polynomial string, got {type(poly).__name__}"
+                )
             form_terms[K] = parse_poly(poly, ring)
         entries[I] = Form(ring, form_terms)
     return Cochain(scene, "yform", entries)
 
 
 def cmd_pushforward(args) -> int:
-    scene = _resolve_scene(args.scene, args.trunc, args.window)
-    rep = Report(
-        scene=scene.name,
-        seed=args.seed,
-        trunc=scene.trunc,
-        window=scene.window,
-        todd_sign=signs.sign("todd-factor"),
-        ledger_version=signs.LEDGER_VERSION,
-    )
+    scene, rep = _open_scene(args, signs.sign("todd-factor"))
+    if not rep.ok:
+        return _emit(rep, args)
     with Timer() as t:
         if args.input == "unit":
             checks = suite_pushforward(scene, seed=args.seed)
@@ -139,14 +160,9 @@ def cmd_pushforward(args) -> int:
 
 
 def cmd_homology(args) -> int:
-    scene = _resolve_scene(args.scene, args.trunc, args.window)
-    rep = Report(
-        scene=scene.name,
-        seed=args.seed,
-        trunc=scene.trunc,
-        window=scene.window,
-        ledger_version=signs.LEDGER_VERSION,
-    )
+    scene, rep = _open_scene(args, signs.sign("todd-factor"))
+    if not rep.ok:
+        return _emit(rep, args)
     # instability is reported, not fatal: affine divisors have homology of
     # unbounded dimension over the rationals and the window slices grow
     kinds = {"omega": OMEGA, "omega_y": OMEGA_Y, "cone": CONE}

@@ -1,5 +1,8 @@
 """Differential forms on chart rings: regular, logarithmic, cone pairs.
 
+A TupleCtx holds one tuple's lead-chart data (divisor equation, f, g, the
+pole variable and their differentials); Scene.ctx builds each once.
+
 A Form is a finite sum c_K dx_K over strictly increasing index sets K;
 possibly inhomogeneous in degree.  A LogForm over a tuple with divisor x
 represents w + (dx/x) ^ w' with the canonical normal form: the residue w'
@@ -13,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .rings import LocPoly, MalformedElement, Ring
-from .scene import Scene, UnsupportedScene
+from .scene import Scene, UnsupportedScene, _coordinate, _loc_divide
 
 
 class Form:
@@ -112,26 +115,48 @@ def _merge_indices(ka, kb):
 
 
 class TupleCtx:
-    """Divisor data of one atlas tuple: pole variable and log bookkeeping."""
+    """Lead-chart data of one atlas tuple I; build it through Scene.ctx(I).
 
-    __slots__ = ("scene", "I", "ring", "p", "pole", "x", "dx", "dlog")
+    x, f and g are the lead chart's divisor equation, function and cofactor
+    restricted to U_I, and dx, df their differentials.  pole is the index of
+    x in R_I when x is a coordinate that is not inverted; it is None when x
+    is a unit (Y misses U_I), and any other x raises UnsupportedScene.  dlog
+    is the regular form dx/x when pole is None, else None.
+    """
+
+    __slots__ = ("I", "ring", "p", "x", "f", "g", "pole", "dx", "df", "dlog")
 
     def __init__(self, scene: Scene, I):
-        self.scene = scene
-        self.I = tuple(I)
-        self.ring = scene.atlas.ring(self.I)
-        self.p = len(self.I) - 1
-        self.pole = scene.atlas.pole_var(self.I)
-        self.x = scene.atlas.divisor_on(self.I)
-        dxp = d_of(self.x)
-        self.dx = dxp
-        if self.pole is None:
-            if self.x.is_one() or dxp.is_zero():
-                self.dlog = Form.zero(self.ring)
-            else:
-                self.dlog = dxp.scale(self.x.inverse())
+        atlas = scene.atlas
+        self.I = I = tuple(I)
+        self.ring = atlas.ring(I)
+        self.p = len(I) - 1
+        lead = atlas.charts[I[0]]
+        res = atlas.res((lead.id,), I)
+        self.x, self.f, self.g = res(lead.x), res(lead.f), res(lead.g)
+        self.pole = self._pole()
+        self.dx = d_of(self.x)
+        self.df = d_of(self.f)
+        if self.pole is not None:
+            self.dlog = None
+        elif self.x.is_one() or self.dx.is_zero():
+            self.dlog = Form.zero(self.ring)
         else:
-            self.dlog = None  # genuine pole: dx/x is not a regular form
+            self.dlog = self.dx.scale(self.x.inverse())
+
+    def _pole(self):
+        exp = _coordinate(self.x)
+        if exp is not None and 1 in exp:
+            v = exp.index(1)
+            if v not in self.ring.inverted:
+                return v
+        try:
+            self.x.inverse()
+        except MalformedElement:
+            raise UnsupportedScene(
+                f"divisor over {self.I} is neither a coordinate nor a unit: {self.x!r}"
+            ) from None
+        return None
 
 
 def d_of(e: LocPoly) -> Form:
@@ -294,8 +319,6 @@ def restrict_logform(scene: Scene, lf: LogForm, I, J, ctx_J: TupleCtx) -> LogFor
                 f"cannot restrict log pole from {I} to {J}"
             ) from None
         return LogForm(ctx_J, reg + dl.wedge(res), Form.zero(ctx_J.ring))
-    from .scene import _loc_divide
-
     u = _loc_divide(x_old, ctx_J.x)
     if u is None:
         raise UnsupportedScene(f"divisors over {I} and {J} are incompatible")

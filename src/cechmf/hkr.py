@@ -13,9 +13,10 @@ from fractions import Fraction
 from math import factorial
 
 from .cdg import CurvedLine, OYAlgebra, SheafAlgebraA
-from .cech import FORM, LOG, YFORM, Cochain, _ctx, cone_cochain
+from .cech import FORM, LOG, YFORM, Cochain, cone_cochain
 from .forms import Form, LogForm, d_of, dlog_of, y_normalize
 from .hochschild import CechHochChain
+from .scene import add_piece
 
 
 def _hkr_terms(a0, c: Fraction, k: int, das, head: Form | None = None) -> Form:
@@ -45,7 +46,7 @@ def _hkr_cochain(c: CechHochChain, kind: str) -> Cochain:
         for (path, syms, monos), coeff in ch.terms.items():
             das = (d_of(ring.monomial(mono)) for mono in monos[1:])
             acc = acc + _hkr_terms(ring.monomial(monos[0]), coeff, len(syms) - 1, das)
-        entries[I] = y_normalize(acc, _ctx(scene, I)) if kind == YFORM else acc
+        entries[I] = y_normalize(acc, scene.ctx(I)) if kind == YFORM else acc
     return Cochain(scene, kind, entries)
 
 
@@ -74,15 +75,11 @@ def hkr_A(c: CechHochChain) -> Cochain:
     scene = c.scene
     reg_acc: dict = {}
     log_acc: dict = {}
-
-    def add(acc, I, w):
-        acc[I] = acc[I] + w if I in acc else w
-
     for I, ch in c.entries.items():
-        ctx = _ctx(scene, I)
+        ctx = scene.ctx(I)
         ring = ctx.ring
         p = len(I) - 1
-        dx_dg = ctx.dx.wedge(d_of(scene.g_on(I)))
+        dx_dg = ctx.dx.wedge(d_of(ctx.g))
         raising = None  # (K, restriction to K, du/u) for j < i_0, on first use
         for (path, syms, monos), coeff in ch.terms.items():
             k = len(syms) - 1
@@ -92,11 +89,12 @@ def hkr_A(c: CechHochChain) -> Cochain:
             m = [ring.monomial(mono) for mono in monos]
             das = [d_of(a) for a in m[1:]]
             if eps_slots:
-                add(reg_acc, I, _hkr_terms(m[0], coeff * (-1) ** eps_slots[0], k, das, ctx.dx))
+                sign = (-1) ** eps_slots[0]
+                add_piece(reg_acc, I, _hkr_terms(m[0], coeff * sign, k, das, ctx.dx))
                 continue
             # log summand: a_0 (dx/x) ^ da_1 ^ ..., as the raw residue
-            add(log_acc, I, LogForm(ctx, Form.zero(ring), _hkr_terms(m[0], coeff, k, das)))
-            add(reg_acc, I, _hkr_terms(m[0], coeff, k, das, dx_dg))
+            add_piece(log_acc, I, LogForm(ctx, Form.zero(ring), _hkr_terms(m[0], coeff, k, das)))
+            add_piece(reg_acc, I, _hkr_terms(m[0], coeff, k, das, dx_dg))
             # Cech-degree-raising terms over j < i_0
             if raising is None:
                 raising = []
@@ -107,7 +105,8 @@ def hkr_A(c: CechHochChain) -> Cochain:
                         raising.append((K, scene.atlas.res(I, K), dlog_of(u)))
             for K, res, dlog_u in raising:
                 das_K = (d_of(res(a)) for a in m[1:])
-                add(reg_acc, K, _hkr_terms(res(m[0]), coeff * (-1) ** (p + 1), k, das_K, dlog_u))
+                w = _hkr_terms(res(m[0]), coeff * (-1) ** (p + 1), k, das_K, dlog_u)
+                add_piece(reg_acc, K, w)
 
     return cone_cochain(scene, Cochain(scene, FORM, reg_acc), Cochain(scene, LOG, log_acc))
 
@@ -124,7 +123,7 @@ def a_to_oy(c: CechHochChain, oy: OYAlgebra) -> CechHochChain:
     for I, ch in c.entries.items():
         if not oy.live(I):
             continue
-        pole = scene.atlas.pole_var(I)
+        pole = scene.ctx(I).pole
         ring = scene.atlas.ring(I)
         out: dict = {}
         for (path, syms, monos), coeff in ch.terms.items():

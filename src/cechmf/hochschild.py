@@ -10,6 +10,10 @@ of the tuple ring.  The differential is d_0 (curvature insertion) + d_1
 (internal differential) + d_2 (composition), with the standard signs; the
 Cech-Hochschild total differential twists the internal part by (-1)^p.
 
+A CechHochChain is a Cech cochain of such chains over the atlas; its
+linear operations, its Cech differential and the (-1)^p twist come from
+scene.AtlasCochain, shared with the form cochains of `cech`.
+
 Lengths are capped by the scene truncation; a curvature insertion that
 would exceed the cap raises TruncationOverflow rather than dropping terms.
 """
@@ -21,7 +25,7 @@ import itertools
 from fractions import Fraction
 
 from .cdg import CdgPresheaf
-from .scene import Scene
+from .scene import AtlasCochain, Scene
 
 
 class TruncationOverflow(RuntimeError):
@@ -248,80 +252,39 @@ def restrict_chain(chain: HochChain, J) -> HochChain:
     return HochChain(ph, J, out)
 
 
-class CechHochChain:
+class CechHochChain(AtlasCochain):
     """Cech cochain of Hochschild chains: {tuple: HochChain}."""
 
-    __slots__ = ("presheaf", "entries")
+    __slots__ = ("presheaf",)
 
     def __init__(self, presheaf: CdgPresheaf, entries: dict | None = None):
         self.presheaf = presheaf
-        self.entries = {}
-        for I, ch in (entries or {}).items():
-            if not ch.is_zero():
-                self.entries[tuple(I)] = ch
+        super().__init__(entries)
 
     @property
     def scene(self) -> Scene:
         return self.presheaf.scene
 
-    def is_zero(self):
-        return not self.entries
+    def _same_space(self, other) -> bool:
+        return self.presheaf is other.presheaf
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, CechHochChain)
-            and self.presheaf is other.presheaf
-            and self.entries == other.entries
-        )
-
-    def __add__(self, other):
-        assert self.presheaf is other.presheaf
-        entries = dict(self.entries)
-        for I, ch in other.entries.items():
-            entries[I] = entries[I] + ch if I in entries else ch
+    def _new(self, entries: dict) -> "CechHochChain":
         return CechHochChain(self.presheaf, entries)
 
-    def __neg__(self):
-        return CechHochChain(self.presheaf, {I: -ch for I, ch in self.entries.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        return CechHochChain(self.presheaf, {I: ch.scale(c) for I, ch in self.entries.items()})
+    def _restrict(self, ch, I, J):
+        return restrict_chain(ch, J)
 
     def truncate(self, max_len: int) -> "CechHochChain":
-        return CechHochChain(
-            self.presheaf, {I: ch.truncate(max_len) for I, ch in self.entries.items()}
-        )
-
-    def __repr__(self):
-        inner = ", ".join(f"{I}: {ch!r}" for I, ch in sorted(self.entries.items()))
-        return f"CechHochChain{{{inner}}}"
+        return self._new({I: ch.truncate(max_len) for I, ch in self.entries.items()})
 
 
 def cech_part_d(c: CechHochChain) -> CechHochChain:
-    acc: dict = {}
-    for I, ch in c.entries.items():
-        for j, pos, J in c.scene.atlas.extensions(I):
-            piece = restrict_chain(ch, J)
-            if pos % 2:
-                piece = -piece
-            acc[J] = acc[J] + piece if J in acc else piece
-    return CechHochChain(c.presheaf, acc)
+    return c.cech_d()
 
 
 def twisted_hoch_d(c: CechHochChain, parts=ALL_PARTS) -> CechHochChain:
     """(-1)^p (selected internal parts), no Cech summand."""
-    acc: dict = {}
-    for I, ch in c.entries.items():
-        p = len(I) - 1
-        piece = hoch_d(ch, parts)
-        if p % 2:
-            piece = -piece
-        if not piece.is_zero():
-            acc[I] = acc[I] + piece if I in acc else piece
-    return CechHochChain(c.presheaf, acc)
+    return c.twisted(lambda I, ch: hoch_d(ch, parts))
 
 
 def cech_hoch_d(c: CechHochChain) -> CechHochChain:

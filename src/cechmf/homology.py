@@ -29,19 +29,15 @@ from operator import add
 from .cech import (
     CONE,
     CONEF,
-    FORM,
     OMEGA,
     OMEGA_Y,
-    YFORM,
+    _SECTION_OF_COMPLEX,
     Cochain,
-    _ctx,
     cech_total_d,
 )
 from .forms import ConeForm, Form, LogForm, _merge_indices
 from .linalg import QMatrix, rank_kernel
 from .scene import Scene
-
-_KIND_OF = {OMEGA: FORM, OMEGA_Y: YFORM, CONE: CONEF}
 
 
 def _monomials(ring, D, forbid=None):
@@ -64,7 +60,7 @@ def _monomials(ring, D, forbid=None):
 def _window_keys(scene: Scene, complex_kind: str, D: int):
     keys = []
     for I in scene.atlas.tuples:
-        ctx = _ctx(scene, I)
+        ctx = scene.ctx(I)
         ring = ctx.ring
         subsets = list(
             itertools.chain.from_iterable(
@@ -140,10 +136,10 @@ def _basis_cochain(scene: Scene, complex_kind: str, key) -> Cochain:
     ring = scene.atlas.ring(I)
     coeff = ring.monomial(mono)
     w = Form(ring, {K: coeff})
-    kind = _KIND_OF[complex_kind]
+    kind = _SECTION_OF_COMPLEX[complex_kind]
     if tag in ("f", "y"):
         return Cochain(scene, kind, {I: w})
-    ctx = _ctx(scene, I)
+    ctx = scene.ctx(I)
     if tag == "cr":
         s = ConeForm(w, LogForm.zero(ctx))
     elif tag == "clr":
@@ -183,7 +179,7 @@ def _column(scene: Scene, complex_kind: str, key, tables: dict) -> dict:
         for k, v in expand_cochain(cech_total_d(b, complex_kind), complex_kind).items():
             by_tuple.setdefault(k[1], []).append((k, _exact(v)))
         table = [
-            (J, scene.atlas.res(I, J), _ctx(scene, J).pole, entries)
+            (J, scene.atlas.res(I, J), scene.ctx(J).pole, entries)
             for J, entries in by_tuple.items()
         ]
         tables[(tag, I, K)] = table

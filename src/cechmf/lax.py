@@ -123,16 +123,16 @@ class GlobalModel(CdgPresheaf):
 
 
 class OneObjectLax:
-    """Lax morphism data between one-object presheaves of dg algebras."""
+    """Lax morphism data between one-object presheaves of dg algebras; the
+    object of the target is "*"."""
 
     def __init__(self, scene: Scene, src: CdgPresheaf, dst: CdgPresheaf,
-                 functor_sym, alpha_elem, dst_obj="*"):
+                 functor_sym, alpha_elem):
         self.scene = scene
         self.src = src
         self.dst = dst
         self.functor_sym = functor_sym      # (I, sym) -> Element over dst at I
         self.alpha_elem = alpha_elem        # (V, W) -> Element over dst at W
-        self.dst_obj = dst_obj
 
     def alpha(self, V, W) -> dict:
         return self.alpha_elem(tuple(V), tuple(W))
@@ -278,7 +278,7 @@ def _add_lax_hq(acc: dict, lax: OneObjectLax, chain: HochChain, q: int, realize)
         out = acc.setdefault(K, {})
         for coeff, _, _, eps, seq in _descent_summands(lax, chain, levels, realize, head):
             sign = sigma * (-1) ** ((eps + p * q) % 2)
-            add_tensor(out, (lax.dst_obj,) * len(seq), seq, sign * coeff)
+            add_tensor(out, ("*",) * len(seq), seq, sign * coeff)
 
 
 def _collect(ph: CdgPresheaf, acc: dict) -> CechHochChain:
@@ -363,11 +363,11 @@ def strict_vs_lax_homotopy(lax: OneObjectLax, c: CechHochChain) -> CechHochChain
     for I, ch in c.entries.items():
         realize = _from_source(lax, I)
         for sigma, (_, K) in _descents(lax.scene, I, 1):
-            ident = slot_terms(lax.dst.identity(K, lax.dst_obj))
+            ident = slot_terms(lax.dst.identity(K, "*"))
             out = acc.setdefault(K, {})
             for (path, syms, monos), coeff in ch.terms.items():
                 slots = [slot_terms(realize(s, m, K, K)) for s, m in zip(syms, monos)]
-                out_path = (lax.dst_obj,) * (len(slots) + 2)
+                out_path = ("*",) * (len(slots) + 2)
                 parities = [ch.presheaf.parity(s) for s in syms]
                 for ls, eps, _ in insertion_layouts(parities, 2):
                     sign = sigma * (-1) ** (eps % 2)
@@ -400,7 +400,6 @@ def iso_homotopy(lax_a: OneObjectLax, lax_b: OneObjectLax, tau_elem, c: CechHoch
     """
     scene = lax_a.scene
     dst = lax_a.dst
-    obj = lax_a.dst_obj
     acc: dict = {}
     for I, ch in c.entries.items():
         p = len(I) - 1
@@ -435,7 +434,7 @@ def iso_homotopy(lax_a: OneObjectLax, lax_b: OneObjectLax, tau_elem, c: CechHoch
                         )
                         add_tensor(
                             out,
-                            (obj,) * (len(seq_a) + 1),
+                            ("*",) * (len(seq_a) + 1),
                             seq_a[: t + 1] + [tau_inv[n]] + seq_b[t + 1 :],
                             sign * coeff,
                         )

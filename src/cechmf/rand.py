@@ -9,33 +9,33 @@ from __future__ import annotations
 import itertools
 import random
 
-from .cech import CONEF, FORM, LOG, YFORM, Cochain, _ctx
+from .cech import CONEF, FORM, LOG, YFORM, Cochain
 from .forms import ConeForm, Form, LogForm, y_normalize
 from .scene import Scene
 
 
-def rand_locpoly(rng: random.Random, ring, max_deg=2, n_terms=2, coeff=2):
+def rand_locpoly(rng: random.Random, ring, max_deg=2):
     out = ring.zero()
     lau = ring.inverted
-    for _ in range(rng.randint(0, n_terms)):
+    for _ in range(rng.randint(0, 1)):
         exps = []
         for i in range(ring.nvars):
             lo = -max_deg if i in lau else 0
             exps.append(rng.randint(lo, max_deg))
-        out = out + ring.monomial(exps, rng.randint(-coeff, coeff))
+        out = out + ring.monomial(exps, rng.randint(-2, 2))
     return out
 
 
-def rand_form(rng: random.Random, ring, max_deg=2, density=2):
+def rand_form(rng: random.Random, ring, max_deg=2):
     terms = {}
     subsets = list(
         itertools.chain.from_iterable(
             itertools.combinations(range(ring.nvars), k) for k in range(ring.nvars + 1)
         )
     )
-    for _ in range(density):
+    for _ in range(2):
         k = rng.choice(subsets)
-        c = rand_locpoly(rng, ring, max_deg=max_deg, n_terms=1)
+        c = rand_locpoly(rng, ring, max_deg=max_deg)
         terms[k] = terms[k] + c if k in terms else c
     return Form(ring, terms)
 
@@ -50,7 +50,7 @@ def rand_form_cochain(scene: Scene, rng: random.Random, max_deg=2) -> Cochain:
 def rand_log_cochain(scene: Scene, rng: random.Random, max_deg=2) -> Cochain:
     entries = {}
     for I in scene.atlas.tuples:
-        ctx = _ctx(scene, I)
+        ctx = scene.ctx(I)
         entries[I] = LogForm(
             ctx,
             rand_form(rng, ctx.ring, max_deg=max_deg),
@@ -62,7 +62,7 @@ def rand_log_cochain(scene: Scene, rng: random.Random, max_deg=2) -> Cochain:
 def rand_cone_cochain(scene: Scene, rng: random.Random, max_deg=2) -> Cochain:
     entries = {}
     for I in scene.atlas.tuples:
-        ctx = _ctx(scene, I)
+        ctx = scene.ctx(I)
         entries[I] = ConeForm(
             rand_form(rng, ctx.ring, max_deg=max_deg),
             LogForm(
@@ -77,7 +77,7 @@ def rand_cone_cochain(scene: Scene, rng: random.Random, max_deg=2) -> Cochain:
 def rand_yform_cochain(scene: Scene, rng: random.Random, max_deg=2) -> Cochain:
     entries = {}
     for I in scene.atlas.tuples:
-        ctx = _ctx(scene, I)
+        ctx = scene.ctx(I)
         entries[I] = y_normalize(rand_form(rng, ctx.ring, max_deg=max_deg), ctx)
     return Cochain(scene, YFORM, entries)
 
@@ -89,8 +89,7 @@ def rand_mono(rng: random.Random, ring, max_deg=1):
     )
 
 
-def rand_hoch_chain(rng: random.Random, presheaf, I, max_len=2, max_deg=1,
-                    sym_pick=None, coeff=2):
+def rand_hoch_chain(rng: random.Random, presheaf, I, max_len=2, max_deg=1):
     """Random basis-tensor chain over one tuple with a cyclic composable path."""
     from .hochschild import HochChain, make_chain
 
@@ -105,20 +104,19 @@ def rand_hoch_chain(rng: random.Random, presheaf, I, max_len=2, max_deg=1,
         tgt = path[i]
         src = path[(i + 1) % (k + 1)]
         syms = presheaf.hom_basis(I, src, tgt)
-        sym = sym_pick(rng, syms) if sym_pick else rng.choice(syms)
-        slots.append({sym: ring.monomial(rand_mono(rng, ring, max_deg), rng.randint(-coeff, coeff))})
+        sym = rng.choice(syms)
+        slots.append({sym: ring.monomial(rand_mono(rng, ring, max_deg), rng.randint(-2, 2))})
     return make_chain(presheaf, I, tuple(path), slots)
 
 
-def rand_cech_hoch_chain(rng: random.Random, presheaf, max_len=2, max_deg=1,
-                         sym_pick=None):
+def rand_cech_hoch_chain(rng: random.Random, presheaf, max_len=2, max_deg=1):
     from .hochschild import CechHochChain
 
     entries = {}
     for I in presheaf.scene.atlas.tuples:
         if not presheaf.objects(I):
             continue
-        entries[I] = rand_hoch_chain(rng, presheaf, I, max_len, max_deg, sym_pick)
+        entries[I] = rand_hoch_chain(rng, presheaf, I, max_len, max_deg)
     return CechHochChain(presheaf, entries)
 
 

@@ -4,6 +4,10 @@ A scene models (X, U, f, Y): chart rings are Laurent rings (polynomial
 rings with some variables inverted), Y is cut out per chart by a
 coordinate variable (or misses the chart, x=1), f = x*g per chart, and
 overlap rings carry explicit restriction maps.
+
+The Cech layer over the atlas lives here too: `Scene.ctx(I)` keeps each
+tuple's lead-chart data (a `forms.TupleCtx`), and `AtlasCochain` is the
+one cochain base of `cech.Cochain` and `hochschild.CechHochChain`.
 """
 
 from __future__ import annotations
@@ -49,9 +53,6 @@ class Atlas:
         self._res_cache: dict = {}
         self._unit_cache: dict = {}
         self._ext_cache: dict = {}
-        self._pole_cache: dict = {}
-        self._div_cache: dict = {}
-        self._ctx_cache: dict = {}  # tuple -> forms.TupleCtx, filled by cech._ctx
 
     def ring(self, I) -> Ring:
         try:
@@ -97,42 +98,6 @@ class Atlas:
             if self.has_tuple(J):
                 out.append((j, J.index(j), J))
         self._ext_cache[I] = out
-        return out
-
-    def divisor_on(self, I) -> LocPoly:
-        """Lead-chart divisor equation restricted to U_I."""
-        I = tuple(I)
-        if I in self._div_cache:
-            return self._div_cache[I]
-        lead = I[0]
-        out = self.res((lead,), I)(self.charts[lead].x)
-        self._div_cache[I] = out
-        return out
-
-    def pole_var(self, I):
-        """Index of the divisor variable in R_I, or None when Y misses U_I
-        (x restricts to 1 or to a unit).  Raises UnsupportedScene otherwise."""
-        I = tuple(I)
-        if I in self._pole_cache:
-            return self._pole_cache[I]
-        x = self.divisor_on(I)
-        ring = self.ring(I)
-        out = None
-        found = False
-        exp = _coordinate(x)
-        if exp is not None and 1 in exp:
-            v = exp.index(1)
-            if v not in ring.inverted:
-                out, found = v, True
-        if not found:
-            try:
-                x.inverse()
-                out = None
-            except MalformedElement:
-                raise UnsupportedScene(
-                    f"divisor over {I} is neither a coordinate nor a unit: {x!r}"
-                ) from None
-        self._pole_cache[I] = out
         return out
 
     def unit(self, i, j, I=None) -> LocPoly:
@@ -187,17 +152,97 @@ class Scene:
     window: int = 4      # homology window D
     global_ring: Ring | None = None
     global_res: dict = field(default_factory=dict)  # chart_id -> RingMap
+    _ctxs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def chart(self, i) -> Chart:
         return self.atlas.charts[i]
 
-    def f_on(self, I) -> LocPoly:
+    def ctx(self, I):
+        """The forms.TupleCtx of tuple I, built on first use."""
         I = tuple(I)
-        return self.atlas.res((I[0],), I)(self.chart(I[0]).f)
+        ctx = self._ctxs.get(I)
+        if ctx is None:
+            from .forms import TupleCtx
 
-    def g_on(self, I) -> LocPoly:
-        I = tuple(I)
-        return self.atlas.res((I[0],), I)(self.chart(I[0]).g)
+            ctx = self._ctxs[I] = TupleCtx(self, I)
+        return ctx
+
+
+def add_piece(acc: dict, I, piece) -> None:
+    """acc[I] += piece, where a missing entry is zero."""
+    acc[I] = acc[I] + piece if I in acc else piece
+
+
+class AtlasCochain:
+    """A Cech cochain over the atlas: {tuple: value}, zero values dropped.
+
+    Subclasses supply what must match for two cochains to be added or
+    compared (`_same_space`), a cochain of the same space (`_new`) and the
+    restriction of one value from U_I to U_J (`_restrict`); they keep the
+    scene as `scene`, and `_label` names them in the repr.
+    """
+
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: dict | None):
+        atlas = self.scene.atlas
+        self.entries = {}
+        for I, s in (entries or {}).items():
+            I = tuple(I)
+            if not atlas.has_tuple(I):
+                raise SceneError(f"tuple {I} not in atlas")
+            if not s.is_zero():
+                self.entries[I] = s
+
+    def _label(self) -> str:
+        return type(self).__name__
+
+    def is_zero(self) -> bool:
+        return not self.entries
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and self._same_space(other)
+            and self.entries == other.entries
+        )
+
+    def __add__(self, other):
+        assert type(other) is type(self) and self._same_space(other)
+        entries = dict(self.entries)
+        for I, s in other.entries.items():
+            add_piece(entries, I, s)
+        return self._new(entries)
+
+    def __neg__(self):
+        return self._new({I: -s for I, s in self.entries.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        return self._new({I: s.scale(c) for I, s in self.entries.items()})
+
+    def cech_d(self):
+        """Alternating Cech differential, over single-index extensions."""
+        acc: dict = {}
+        for I, s in self.entries.items():
+            for j, pos, J in self.scene.atlas.extensions(I):
+                piece = self._restrict(s, I, J)
+                add_piece(acc, J, -piece if pos % 2 else piece)
+        return self._new(acc)
+
+    def twisted(self, op):
+        """The cochain (-1)^p op(I, s) at each entry s of Cech degree p."""
+        acc: dict = {}
+        for I, s in self.entries.items():
+            piece = op(I, s)
+            acc[I] = -piece if (len(I) - 1) % 2 else piece
+        return self._new(acc)
+
+    def __repr__(self):
+        inner = ", ".join(f"{I}: {s!r}" for I, s in sorted(self.entries.items()))
+        return f"{self._label()}{{{inner}}}"
 
 
 @dataclass

@@ -16,7 +16,6 @@ from .cech import (
     OMEGA_Y,
     YFORM,
     Cochain,
-    _ctx,
     cech_total_d,
 )
 from .forms import Form, LogForm, y_normalize
@@ -34,7 +33,7 @@ class InternalConsistencyError(AssertionError):
 def _to_y(c: Cochain, part) -> Cochain:
     """Restrict part(section) to the divisor on every tuple."""
     return Cochain(c.scene, YFORM, {
-        I: y_normalize(part(s), _ctx(c.scene, I)) for I, s in c.entries.items()
+        I: y_normalize(part(s), c.scene.ctx(I)) for I, s in c.entries.items()
     })
 
 
@@ -47,7 +46,7 @@ def ses_lift(alpha: Cochain) -> Cochain:
     assert alpha.kind == YFORM
     entries = {}
     for I, s in alpha.entries.items():
-        ctx = _ctx(alpha.scene, I)
+        ctx = alpha.scene.ctx(I)
         if ctx.pole is None:
             continue
         entries[I] = LogForm(ctx, Form.zero(ctx.ring), s)

@@ -91,7 +91,7 @@ def test_trivial_line_curvature():
     cat = MFCategory(scene, [build_P(scene), O])
     h = cat.curvature((0,), "O")
     ring = scene.atlas.ring((0,))
-    assert h == {("E", "O", "O", 0, 0): -scene.f_on((0,))}
+    assert h == {("E", "O", "O", 0, 0): -scene.ctx((0,)).f}
 
 
 def test_can_is_a_homomorphism():
@@ -156,7 +156,7 @@ def test_sheaf_algebra_axioms():
             # and d(e) = x, d(1) = 0, d(x*e) handled by linearity
             assert alg.d(I, "1") == {}
             de = alg.d(I, "e")
-            x = scene.atlas.divisor_on(I)
+            x = scene.ctx(I).x
             assert de == ({} if x.is_zero() else {"1": x})
             # d^2 = [h, -] = 0 here: d(d(e)) = d(x * 1) = 0
             dd = {}

@@ -23,7 +23,6 @@ from cechmf.cech import (
     cone_cochain,
     todd_inverse,
     unit_cochain,
-    _ctx,
 )
 from cechmf.forms import Form, dlog_of
 from cechmf.rand import (
@@ -39,8 +38,8 @@ SCENES = {name: builtin_scene(name) for name in all_builtin_names()}
 
 
 def test_scene_is_freed_with_its_tuple_contexts():
-    # the tuple contexts hold their scene, so they must be owned by it: a
-    # scene nothing else references is collected after use
+    # the scene owns its tuple contexts: a scene nothing else references is
+    # collected after use
     scene = builtin_scene("SCENE-P1")
     assert not unit_cochain(scene, YFORM).is_zero()
     ref = weakref.ref(scene)
@@ -158,7 +157,7 @@ def test_bar_wedge_yform_by_form(name, pair):
     # a Y-form alpha acted on by a form gamma over a pair overlap that Y
     # meets; each factor restricts to the overlap by its own kind
     scene = SCENES[name]
-    ctx = _ctx(scene, pair)
+    ctx = scene.ctx(pair)
     ring = ctx.ring
     x, y = ctx.pole, 1 - ctx.pole
     yv = ring.var(ring.variables[y])

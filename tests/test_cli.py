@@ -20,6 +20,24 @@ def test_verify_reports_invalid_scene(tmp_path, capsys):
     assert failed == ["scene:f=x*g chart 0"]
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["verify", "--suite", "d2"], ["homology"], ["pushforward"]],
+    ids=["verify", "homology", "pushforward"],
+)
+def test_every_command_validates_the_scene(tmp_path, capsys, command):
+    spec = builtin_scene_dict("SCENE-A2")
+    spec["charts"][0]["f"] = "x*y + y"  # f != x*g
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(spec))
+    assert cli.main(command + ["--scene", str(path), "--format", "json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert not report["ok"]
+    assert [s["suite"] for s in report["suites"]] == ["scene"]
+    failed = [c["id"] for s in report["suites"] for c in s["checks"] if not c["passed"]]
+    assert failed == ["scene:f=x*g chart 0"]
+
+
 def test_verify_unknown_suite(capsys):
     assert cli.main(["verify", "--scene", "SCENE-A1", "--suite", "nosuch"]) == 2
     assert "unknown suite 'nosuch'" in capsys.readouterr().err
@@ -60,8 +78,23 @@ def test_pushforward_input_unit_class(tmp_path, capsys):
         ("SCENE-A2", '{"7": {"": "1"}}', "tuple (7,) not in atlas"),
         ("SCENE-A2", '{"0": {"": "q"}}', "unknown variable 'q'"),
         ("SCENE-A2", '{"0": {"": "1/0"}}', "zero denominator in '1/0'"),
+        ("SCENE-A2", '{"0": {"5": "1"}}', "tuple '0' key '5': dx indices"),
+        ("SCENE-A2", '{"0": {"1,0": "1"}}', "tuple '0' key '1,0': dx indices"),
+        ("SCENE-A2", "[1]", "expected an object of tuples, got list"),
+        ("SCENE-A2", '{"0": {"": 5}}', "tuple '0' key '': expected a polynomial string"),
+        ("SCENE-A2", '{"0": "1"}', "tuple '0': expected an object, got str"),
     ],
-    ids=["not-a-cocycle", "unknown-tuple", "unknown-variable", "zero-denominator"],
+    ids=[
+        "not-a-cocycle",
+        "unknown-tuple",
+        "unknown-variable",
+        "zero-denominator",
+        "dx-out-of-range",
+        "dx-not-increasing",
+        "not-an-object",
+        "not-a-string",
+        "terms-not-an-object",
+    ],
 )
 def test_pushforward_input_rejected(tmp_path, capsys, scene, y_class, message):
     assert _pushforward(tmp_path, scene, y_class) == 2

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from cechmf.forms import Form, LogForm, TupleCtx, _merge_indices, d_of
+from cechmf.forms import Form, LogForm, _merge_indices, d_of
 from cechmf.rand import rand_form
 from cechmf.rings import Ring
 from cechmf.scenes_builtin import builtin_scene
@@ -64,7 +64,7 @@ def test_d_squared_zero_random():
 
 def test_logform_normalization_drops_pole_dx():
     scene = builtin_scene("SCENE-A2")
-    ctx = TupleCtx(scene, (0,))
+    ctx = scene.ctx((0,))
     ring = ctx.ring
     dx = Form(ring, {(0,): ring.one()})
     # residue with a dx factor dies: (dx/x)^dx^... = 0
@@ -75,7 +75,7 @@ def test_logform_normalization_drops_pole_dx():
 def test_logform_normalization_folds_x_multiples():
     # (dx/x) ^ (x) = dx is regular
     scene = builtin_scene("SCENE-A2")
-    ctx = TupleCtx(scene, (0,))
+    ctx = scene.ctx((0,))
     ring = ctx.ring
     lf = LogForm(ctx, Form.zero(ring), Form.scalar(ring.var("x")))
     assert lf.residue.is_zero()
@@ -85,7 +85,7 @@ def test_logform_normalization_folds_x_multiples():
 def test_logform_trivial_pole_is_regular():
     # on the P1 overlap the divisor is invertible: dx/x = dt/t is regular
     scene = builtin_scene("SCENE-P1")
-    ctx = TupleCtx(scene, (0, 1))
+    ctx = scene.ctx((0, 1))
     ring = ctx.ring
     lf = LogForm(ctx, Form.zero(ring), Form.one(ring))
     assert lf.residue.is_zero()
@@ -94,7 +94,7 @@ def test_logform_trivial_pole_is_regular():
 
 def test_x_equals_one_chart_has_no_pole():
     scene = builtin_scene("SCENE-P1")
-    ctx = TupleCtx(scene, (1,))
+    ctx = scene.ctx((1,))
     assert ctx.pole is None
     lf = LogForm(ctx, Form.zero(ctx.ring), Form.one(ctx.ring))
     # dx/x with x = 1 is zero

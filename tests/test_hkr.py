@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from cechmf.cdg import CurvedLine, OYAlgebra, SheafAlgebraA
-from cechmf.cech import CONE, FORM, OMEGA, OMEGA_PLUS, OMEGA_Y, Cochain, cech_total_d, _ctx
+from cechmf.cech import CONE, FORM, OMEGA, OMEGA_PLUS, OMEGA_Y, Cochain, cech_total_d
 from cechmf.forms import Form, LogForm
 from cechmf.hkr import a_to_oy, hkr_A, hkr_xf, hkr_y
 from cechmf.hochschild import CechHochChain, cech_hoch_d, make_chain
@@ -101,7 +101,7 @@ def test_hkr_A_examples_on_a2():
     scene = SCENES["SCENE-A2"]
     alg = SheafAlgebraA(scene)
     ring = scene.atlas.ring((0,))
-    ctx = _ctx(scene, (0,))
+    ctx = scene.ctx((0,))
     # 1[] -> dx/x + dx^dy
     c = CechHochChain(alg, {(0,): _a_chain(alg, (0,), [("1", (0, 0))])})
     out = hkr_A(c)

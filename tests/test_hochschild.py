@@ -6,6 +6,8 @@ from math import comb
 import pytest
 
 from cechmf.cdg import CurvedLine, MFCategory, SheafAlgebraA, build_P, end_algebra
+from cechmf.cech import FORM, YFORM, Cochain
+from cechmf.forms import Form
 from cechmf.hochschild import (
     CechHochChain,
     HochChain,
@@ -54,7 +56,7 @@ def test_d0_inserts_curvature():
     a0 = ring.var("y")
     c = make_chain(line, (0,), ("*",), [{"1": a0}])
     out = hoch_d(c)
-    expected = make_chain(line, (0,), ("*", "*"), [{"1": a0}, {"1": scene.f_on((0,))}])
+    expected = make_chain(line, (0,), ("*", "*"), [{"1": a0}, {"1": scene.ctx((0,)).f}])
     assert out == expected
 
 
@@ -144,6 +146,28 @@ def test_cech_d_reduces_to_restriction():
     # the sheaf part d(e) = t stays on (0,)
     assert set(out.entries) == {(0,), (0, 1)}
     assert out.entries[(0, 1)] == restrict_chain(c, (0, 1)).scale(-1)
+
+
+def test_cochains_compare_only_within_one_space():
+    scene = builtin_scene("SCENE-P1")
+    ring = scene.atlas.ring((0,))
+    t = ring.var("t")
+    form = Cochain(scene, FORM, {(0,): Form(ring, {(): t, (0,): t * t})})
+    assert form == Cochain(scene, FORM, {(0,): Form(ring, {(): t, (0,): t * t})})
+    assert form != Cochain(scene, YFORM, form.entries)
+    assert form != Cochain(builtin_scene("SCENE-P1"), FORM, form.entries)
+    assert Cochain(scene, FORM) != Cochain(scene, YFORM)
+    line, other = CurvedLine(scene), CurvedLine(scene)
+    chain = CechHochChain(line, {(0,): make_chain(line, (0,), ("*", "*"), [{"1": t}, {"1": t}])})
+    assert chain == CechHochChain(line, chain.entries)
+    assert chain != CechHochChain(other, chain.entries)
+    assert CechHochChain(line, {}) != CechHochChain(other, {})
+    assert CechHochChain(line, {}) != Cochain(scene, FORM)
+    assert Cochain(scene, FORM) != CechHochChain(line, {})
+    assert repr(form) == "Cochain[form]{(0,): (1*x^(1,))1 + (1*x^(2,))dt}"
+    assert repr(Cochain(scene, YFORM)) == "Cochain[yform]{}"
+    assert repr(chain) == "CechHochChain{(0,): 1*(1,)*1[(1,)*1]}"
+    assert repr(CechHochChain(line, {})) == "CechHochChain{}"
 
 
 def test_restriction_rescales_eps():

@@ -2,7 +2,8 @@ import copy
 
 import pytest
 
-from cechmf.scene import Chart, SceneError, scene_from_dict, validate_scene
+from cechmf.forms import d_of
+from cechmf.scene import Chart, SceneError, UnsupportedScene, scene_from_dict, validate_scene
 from cechmf.scenes_builtin import all_builtin_names, builtin_scene, builtin_scene_dict
 
 
@@ -66,10 +67,9 @@ def test_missing_tuple_raises():
 
 def test_pole_var():
     scene = builtin_scene("SCENE-P1")
-    atlas = scene.atlas
-    assert atlas.pole_var((0,)) == 0          # t cuts Y
-    assert atlas.pole_var((1,)) is None       # x = 1, Y misses the chart
-    assert atlas.pole_var((0, 1)) is None     # t invertible on the overlap
+    assert scene.ctx((0,)).pole == 0          # t cuts Y
+    assert scene.ctx((1,)).pole is None       # x = 1, Y misses the chart
+    assert scene.ctx((0, 1)).pole is None     # t invertible on the overlap
 
 
 def test_f_on_overlap_matches():
@@ -77,7 +77,32 @@ def test_f_on_overlap_matches():
     atlas = scene.atlas
     f0 = atlas.res((0,), (0, 1))(scene.chart(0).f)
     f1 = atlas.res((1,), (0, 1))(scene.chart(1).f)
-    assert f0 == f1 == scene.f_on((0, 1))
+    assert f0 == f1 == scene.ctx((0, 1)).f
+
+
+@pytest.mark.parametrize("name", all_builtin_names())
+def test_tuple_context_is_the_lead_chart_data(name):
+    scene = builtin_scene(name)
+    atlas = scene.atlas
+    for I in atlas.tuples:
+        ctx = scene.ctx(I)
+        assert scene.ctx(I) is ctx and scene.ctx(list(I)) is ctx
+        lead = scene.chart(I[0])
+        res = atlas.res((I[0],), I)
+        assert (ctx.x, ctx.f, ctx.g) == (res(lead.x), res(lead.f), res(lead.g))
+        assert ctx.df == d_of(ctx.f)
+        if ctx.pole is None:
+            assert ctx.dlog == ctx.dx.scale(ctx.x.inverse())
+
+
+def test_divisor_neither_coordinate_nor_unit_is_unsupported():
+    # on the overlap x = t + 1: not a coordinate, and not a unit of Q[t, 1/t]
+    scene = scene_from_dict(_p1_spec_edited(
+        lambda s: s["overlaps"][0]["res"]["0"].update(t="t + 1")
+    ))
+    assert scene.ctx((0,)).pole == 0
+    with pytest.raises(UnsupportedScene, match="neither a coordinate nor a unit"):
+        scene.ctx((0, 1))
 
 
 def _p1_spec_edited(edit):

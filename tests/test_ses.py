@@ -11,7 +11,6 @@ from cechmf.cech import (
     Cochain,
     cech_total_d,
     unit_cochain,
-    _ctx,
 )
 from cechmf.forms import Form, LogForm
 from cechmf.rand import rand_form_cochain, rand_log_cochain, rand_yform_cochain, rand_cone_cochain
@@ -83,7 +82,7 @@ def test_ses_exactness_elementwise():
                 scene,
                 LOG,
                 {
-                    I: LogForm(_ctx(scene, I), s, Form.zero(s.ring))
+                    I: LogForm(scene.ctx(I), s, Form.zero(s.ring))
                     for I, s in fc.entries.items()
                 },
             )
@@ -124,7 +123,7 @@ def test_delta_independent_of_lift_up_to_boundary_on_a2():
     lift2 = ses_lift(alpha) + Cochain(
         A2,
         LOG,
-        {I: LogForm(_ctx(A2, I), s, Form.zero(s.ring)) for I, s in eta.entries.items()},
+        {I: LogForm(A2.ctx(I), s, Form.zero(s.ring)) for I, s in eta.entries.items()},
     )
     d2 = cech_total_d(lift2, "omega_log_shifted")
     assert all(s.residue.is_zero() for s in d2.entries.values())
