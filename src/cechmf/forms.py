@@ -124,13 +124,12 @@ class TupleCtx:
     is the regular form dx/x when pole is None, else None.
     """
 
-    __slots__ = ("I", "ring", "p", "x", "f", "g", "pole", "dx", "df", "dlog")
+    __slots__ = ("I", "ring", "x", "f", "g", "pole", "dx", "df", "dlog")
 
     def __init__(self, scene: Scene, I):
         atlas = scene.atlas
         self.I = I = tuple(I)
         self.ring = atlas.ring(I)
-        self.p = len(I) - 1
         lead = atlas.charts[I[0]]
         res = atlas.res((lead.id,), I)
         self.x, self.f, self.g = res(lead.x), res(lead.f), res(lead.g)

@@ -19,7 +19,7 @@ from .hochschild import CechHochChain
 from .scene import add_piece
 
 
-def _hkr_terms(a0, c: Fraction, k: int, das, head: Form | None = None) -> Form:
+def _hkr_terms(a0, c, k: int, das, head: Form | None = None) -> Form:
     """(c/k!) a_0 [^ head] ^ da_1 ^ ... ^ da_k.
 
     `das` yields da_1, ..., da_k; no further item is read once the product
@@ -142,7 +142,7 @@ def a_to_oy(c: CechHochChain, oy: OYAlgebra) -> CechHochChain:
             if dead:
                 continue
             key = (path, syms, tuple(new_monos))
-            out[key] = out.get(key, Fraction(0)) + coeff
+            out[key] = out.get(key, 0) + coeff
         hc = HochChain(oy, I, out)
         if not hc.is_zero():
             entries[I] = hc

@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import bisect
 import itertools
-from fractions import Fraction
 
 from .cdg import CdgPresheaf
+from .rings import _fr
 from .scene import AtlasCochain, Scene
 
 
@@ -33,7 +33,9 @@ class TruncationOverflow(RuntimeError):
 
 
 class HochChain:
-    """Chain over one tuple: {(path, syms, monos): Fraction}."""
+    """Chain over one tuple: {(path, syms, monos): nonzero coefficient}, each
+    coefficient in the normal form of `rings` (an int when integral, else
+    a Fraction)."""
 
     __slots__ = ("presheaf", "I", "terms")
 
@@ -42,9 +44,8 @@ class HochChain:
         self.I = tuple(I)
         self.terms = {}
         for key, c in (terms or {}).items():
-            c = Fraction(c)
-            if c != 0:
-                self.terms[key] = c
+            if c:
+                self.terms[key] = _fr(c)
 
     def is_zero(self):
         return not self.terms
@@ -60,7 +61,7 @@ class HochChain:
         assert self.I == other.I and self.presheaf is other.presheaf
         terms = dict(self.terms)
         for k, c in other.terms.items():
-            terms[k] = terms.get(k, Fraction(0)) + c
+            terms[k] = terms.get(k, 0) + c
         return HochChain(self.presheaf, self.I, terms)
 
     def __neg__(self):
@@ -70,7 +71,7 @@ class HochChain:
         return self + (-other)
 
     def scale(self, c):
-        c = Fraction(c)
+        c = _fr(c)
         return HochChain(self.presheaf, self.I, {k: v * c for k, v in self.terms.items()})
 
     def truncate(self, max_len: int) -> "HochChain":
@@ -89,7 +90,8 @@ class HochChain:
 
 
 def slot_terms(element: dict) -> list:
-    """Expand an element {sym: LocPoly} into its (sym, mono, Fraction) terms."""
+    """Expand an element {sym: LocPoly} into its (sym, mono, coefficient)
+    terms, each coefficient an int when integral, else a Fraction."""
     return [
         (sym, mono, frac)
         for sym, c in element.items()
@@ -105,8 +107,10 @@ def _expand_slot(ring, element: dict, mono) -> list:
 
 def add_tensor(out: dict, path, slots, coeff) -> None:
     """Add coeff * (slot_0 (x) ... (x) slot_k) to out, expanded into basis
-    keys (path, syms, monos); each slot is a list of (sym, mono, Fraction)."""
-    partial = [((), (), Fraction(coeff))]
+    keys (path, syms, monos); each slot is a list of (sym, mono, coefficient).
+    The sums in out are left as they fall: the HochChain built from out
+    drops the zeros and normalizes the rest."""
+    partial = [((), (), coeff)]
     for slot in slots:
         partial = [
             (syms + (sym,), monos + (mono,), c * frac)
@@ -116,7 +120,7 @@ def add_tensor(out: dict, path, slots, coeff) -> None:
     path = tuple(path)
     for syms, monos, c in partial:
         key = (path, syms, monos)
-        out[key] = out.get(key, Fraction(0)) + c
+        out[key] = out.get(key, 0) + c
 
 
 def insertion_layouts(parities, q: int):
@@ -168,7 +172,7 @@ def hoch_d(chain: HochChain, parts=ALL_PARTS) -> HochChain:
         if c == 0:
             return
         key = (tuple(path), tuple(syms), tuple(monos))
-        out[key] = out.get(key, Fraction(0)) + c
+        out[key] = out.get(key, 0) + c
 
     for (path, syms, monos), coeff in chain.terms.items():
         k = len(syms) - 1

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import bisect
 import itertools
-from fractions import Fraction
 from operator import add
 
 from .cech import (
@@ -37,6 +36,7 @@ from .cech import (
 )
 from .forms import ConeForm, Form, LogForm, _merge_indices
 from .linalg import QMatrix, rank_kernel
+from .rings import _fr
 from .scene import Scene
 
 
@@ -127,8 +127,8 @@ def expand_cochain(c: Cochain, complex_kind: str) -> dict:
     out: dict = {}
     for I, s in c.entries.items():
         for key, coeff in _expand_section(c.scene, complex_kind, I, s):
-            out[key] = out.get(key, Fraction(0)) + coeff
-    return {k: v for k, v in out.items() if v != 0}
+            out[key] = out.get(key, 0) + coeff
+    return {k: _fr(v) for k, v in out.items() if v}
 
 
 def _basis_cochain(scene: Scene, complex_kind: str, key) -> Cochain:
@@ -153,11 +153,6 @@ def _size(key) -> int:
     return sum(map(abs, key[3]))
 
 
-def _exact(x):
-    """x as an int when it is integral, so the elimination stays over Z."""
-    return int(x) if x.denominator == 1 else x
-
-
 def _column(scene: Scene, complex_kind: str, key, tables: dict) -> dict:
     """d of one window basis key, expanded, from the table of its (tag, I, K).
 
@@ -168,16 +163,16 @@ def _column(scene: Scene, complex_kind: str, key, tables: dict) -> dict:
     filled on first use.  A product can gain a power of the pole; it is
     renormalized as LogForm and y_normalize do: a residue term x^e dx_K'
     with e_pole > 0 is the regular term dx_pole ^ x^(e - 1_pole) dx_K', and
-    a divisor term with e_pole > 0 is zero.  Integral coefficients are kept
-    as int, so the elimination over Z scales no column of an integral
-    differential."""
+    a divisor term with e_pole > 0 is zero.  Integral coefficients are
+    ints (the normal form of `rings`), so the elimination over Z scales no
+    column of an integral differential."""
     tag, I, K, m = key
     table = tables.get((tag, I, K))
     if table is None:
         b = _basis_cochain(scene, complex_kind, (tag, I, K, (0,) * len(m)))
         by_tuple: dict = {}
         for k, v in expand_cochain(cech_total_d(b, complex_kind), complex_kind).items():
-            by_tuple.setdefault(k[1], []).append((k, _exact(v)))
+            by_tuple.setdefault(k[1], []).append((k, v))
         table = [
             (J, scene.atlas.res(I, J), scene.ctx(J).pole, entries)
             for J, entries in by_tuple.items()
@@ -185,7 +180,7 @@ def _column(scene: Scene, complex_kind: str, key, tables: dict) -> dict:
         tables[(tag, I, K)] = table
     out: dict = {}
     for J, res, pole, entries in table:
-        image = [(e_m, _exact(c_m)) for e_m, c_m in res._mono_image(m).terms.items()]
+        image = res._mono_image(m).terms.items()
         for (tag_j, _, K_j, e), c in entries:
             for e_m, c_m in image:
                 exp = tuple(map(add, e, e_m))
@@ -220,6 +215,7 @@ class _WindowedDifferential:
         for k in keys:
             self.basis[_parity(k)].append(k)
         self.ambient = {par: {k: i for i, k in enumerate(self.basis[par])} for par in (0, 1)}
+        self.sizes = {par: [_size(k) for k in self.basis[par]] for par in (0, 1)}
         self.columns = {0: [], 1: []}
         tables: dict = {}
         for par in (0, 1):
@@ -230,7 +226,7 @@ class _WindowedDifferential:
 
     def in_window(self, par: int, D: int) -> int:
         """The number of parity-par basis keys in window D."""
-        return bisect.bisect_right([_size(k) for k in self.basis[par]], D)
+        return bisect.bisect_right(self.sizes[par], D)
 
 
 def _dims(wd: _WindowedDifferential, D: int) -> tuple:

@@ -3,11 +3,20 @@
 A chart ring is Q[x_1, ..., x_n] with some of its variables inverted, so
 every element is a finite sum of Laurent monomials c * x^e whose exponent
 e_i may be negative only when x_i is inverted.  An element stores exactly
-these terms, {exponent tuple: nonzero Fraction}; that dict is its normal
+these terms, {exponent tuple: nonzero coefficient}; that dict is its normal
 form, and two elements are equal iff their dicts are.
 
+A coefficient is exact: an `int` when it is integral, else a
+`fractions.Fraction` whose denominator is not 1 (`_fr` is the one
+normalizer).  Nearly every coefficient the engine meets is a sign, a
+binomial or a transition unit, and int arithmetic is much cheaper than
+Fraction arithmetic.  Equality, hashing and printing do not see the
+difference: Fraction(2) == 2, hash(Fraction(2)) == hash(2) and
+str(Fraction(2)) == "2".  Anything else, a float in particular, raises
+TypeError.
+
 Everything is immutable by convention: no method mutates its receiver, and
-all operations return fresh objects.  Coefficients are `fractions.Fraction`.
+all operations return fresh objects.
 """
 
 from __future__ import annotations
@@ -21,10 +30,14 @@ class MalformedElement(ValueError):
     """An element does not satisfy the invariants of its ring."""
 
 
-def _fr(x) -> Fraction:
-    if isinstance(x, Fraction):
+def _fr(x):
+    """The normal form of an exact coefficient: an int when x is integral,
+    else a Fraction with denominator != 1."""
+    if type(x) is int:
         return x
-    return Fraction(x)
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
+    raise TypeError(f"coefficient {x!r} is not an int or a Fraction")
 
 
 def _mul_terms(a: dict, b: dict) -> dict:
@@ -37,7 +50,7 @@ def _mul_terms(a: dict, b: dict) -> dict:
                 out[e] += ca * cb
             else:
                 out[e] = ca * cb
-    return {e: c for e, c in out.items() if c}
+    return {e: c if type(c) is int else _fr(c) for e, c in out.items() if c}
 
 
 class Ring:
@@ -115,7 +128,8 @@ class Ring:
 
 
 class LocPoly:
-    """Element of a Laurent ring: {exponent tuple: nonzero Fraction}."""
+    """Element of a Laurent ring: {exponent tuple: nonzero coefficient},
+    each coefficient an int when integral, else a Fraction (see `_fr`)."""
 
     __slots__ = ("ring", "terms")
 
@@ -168,7 +182,7 @@ class LocPoly:
         for exp, c in other.terms.items():
             s = terms.pop(exp, 0) + c
             if s:
-                terms[exp] = s
+                terms[exp] = s if type(s) is int else _fr(s)
         return LocPoly._new(self.ring, terms)
 
     def __neg__(self) -> "LocPoly":
@@ -185,7 +199,7 @@ class LocPoly:
         c = _fr(c)
         if not c:
             return self.ring.zero()
-        return LocPoly._new(self.ring, {e: c * v for e, v in self.terms.items()})
+        return LocPoly._new(self.ring, {e: _fr(c * v) for e, v in self.terms.items()})
 
     def __pow__(self, n: int) -> "LocPoly":
         if n < 0:
@@ -202,7 +216,7 @@ class LocPoly:
         if len(self.terms) != 1:
             raise MalformedElement(f"not a unit: {self!r}")
         (exp, c), = self.terms.items()
-        return self.ring.monomial(tuple(-e for e in exp), 1 / c)
+        return self.ring.monomial(tuple(-e for e in exp), Fraction(1, c))
 
     # -- calculus -------------------------------------------------------------
 
@@ -213,11 +227,12 @@ class LocPoly:
         for exp, c in self.terms.items():
             k = exp[i]
             if k:
-                terms[exp[:i] + (k - 1,) + exp[i + 1:]] = c * k
+                terms[exp[:i] + (k - 1,) + exp[i + 1:]] = _fr(c * k)
         return LocPoly._new(self.ring, terms)
 
     def monomials(self) -> Iterator[tuple]:
-        """Yield (Fraction, integer exponent tuple)."""
+        """Yield (coefficient, integer exponent tuple); the coefficient is
+        an int when integral, else a Fraction."""
         for exp, c in self.terms.items():
             yield c, exp
 

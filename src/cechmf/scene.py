@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .parsing import parse_poly
 from .rings import LocPoly, MalformedElement, Ring, RingMap
@@ -140,7 +141,7 @@ def _loc_divide(a: LocPoly, b: LocPoly):
         exp = tuple(x - y for x, y in zip(ea, eb))
         if any(e < 0 and i not in ring.inverted for i, e in enumerate(exp)):
             return None
-        terms[exp] = ca / cb
+        terms[exp] = Fraction(ca, cb)
     return LocPoly(ring, terms)
 
 

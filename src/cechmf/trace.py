@@ -12,7 +12,6 @@ shared kernels `insertion_layouts`, `interleave` and `add_tensor` of
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from math import comb
 
 from .cdg import CurvedLine, MFCategory, TrivializedCategory
@@ -47,7 +46,7 @@ def sh_shuffle(n: int, chain: HochChain) -> HochChain:
             continue
         # the gap after slot i sits at the object path[i + 1] (cyclically)
         gap_objs = path[1:] + path[:1]
-        slots = [[(s, m, Fraction(1))] for s, m in zip(syms, monos)]
+        slots = [[(s, m, 1)] for s, m in zip(syms, monos)]
         for gaps in itertools.combinations_with_replacement(range(k + 1), n):
             objs = [gap_objs[g] for g in gaps]
             add_tensor(
@@ -96,7 +95,7 @@ def supertrace(c: CechHochChain, line: CurvedLine) -> CechHochChain:
             if got is None:
                 continue
             key, sign = got
-            out[key] = out.get(key, Fraction(0)) + coeff * sign
+            out[key] = out.get(key, 0) + coeff * sign
         hc = HochChain(line, I, out)
         if not hc.is_zero():
             entries[I] = hc
@@ -223,7 +222,7 @@ def phi(c: CechHochChain, out_max_len: int, line: CurvedLine) -> CechHochChain:
         shn = sh_shuffle_cech(n, c.truncate(out_max_len - n))
         if shn.is_zero():
             continue
-        sign = Fraction((-1) ** n)
+        sign = (-1) ** n
         for q in range(min(nq_max, out_max_len - n + 1)):
             hq = hq_basis(q, shn.truncate(out_max_len - q), triv)
             if hq.is_zero():

@@ -85,6 +85,25 @@ def test_inverse():
         (t + QT_T.one()).inverse()
 
 
+def test_inverse_is_exact():
+    # 1/2 exactly: a float 0.5 would compare equal, so check the type
+    ((c, _),) = QX_X.var("x").scale(2).inverse().monomials()
+    assert type(c) is Fraction and c == Fraction(1, 2)
+    ((c, _),) = QX_X.var("x").scale(3).inverse().monomials()
+    assert type(c) is Fraction and c == Fraction(1, 3)
+    ((c, _),) = QX_X.monomial([1], Fraction(1, 3)).inverse().monomials()
+    assert type(c) is int and c == 3
+
+
+def test_float_coefficients_are_refused():
+    with pytest.raises(TypeError):
+        QX_X.const(0.5)
+    with pytest.raises(TypeError):
+        QX_X.var("x").scale(0.5)
+    with pytest.raises(TypeError):
+        LocPoly(QX_X, {(1,): 2.0})
+
+
 def test_ring_map_restriction():
     # s -> 1/t gluing
     QS = Ring(["s"])
@@ -121,14 +140,21 @@ def loc_polys(draw, ring=QT_T):
 def _assert_normal_form(e):
     for exp, c in e.terms.items():
         assert c != 0
+        # an int when integral, else a Fraction that is not integral
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), repr(c)
         assert all(k >= 0 or i in e.ring.inverted for i, k in enumerate(exp))
 
 
 @given(loc_polys(QXY_X), loc_polys(QXY_X))
 @settings(max_examples=60, deadline=None)
 def test_normal_form_multiplicative(a, b):
-    for e in (a, b, a * b, a + b, a - b, a.diff("x"), a.diff("y")):
+    half = a.scale(Fraction(1, 2))
+    # inverses of the units among a's terms: its monomials in x alone
+    units = [QXY_X.monomial((exp[0], 0), c).inverse() for exp, c in a.terms.items()]
+    for e in (a, b, a * b, a + b, a - b, a.diff("x"), a.diff("y"),
+              half, a.scale(2), half.scale(2), half * b.scale(2), half + half, *units):
         _assert_normal_form(e)
+    assert half.scale(2) == half + half == a
     assert a * b == b * a
     assert hash(a * b) == hash(b * a)
     assert a + b - b == a
@@ -174,3 +200,11 @@ def test_loc_divide():
     assert _loc_divide(x * y + x, y) is None  # only one term divides
     assert _loc_divide(x, x + y) is None  # not a single term
     assert _loc_divide(x, QXY_X.zero()) is None
+
+
+def test_loc_divide_is_exact():
+    x = QXY_X.var("x")
+    ((c, exp),) = _loc_divide(x, x.scale(3)).monomials()
+    assert exp == (0, 0) and type(c) is Fraction and c == Fraction(1, 3)
+    ((c, _),) = _loc_divide(x.scale(Fraction(3, 2)), x.scale(Fraction(1, 2))).monomials()
+    assert type(c) is int and c == 3

@@ -20,6 +20,7 @@ from cechmf.hochschild import (
     apply_morphism,
     cech_hoch_d,
     cech_part_d,
+    hoch_d,
     make_chain,
     twisted_hoch_d,
 )
@@ -205,6 +206,34 @@ def test_lemma_on_hq(name):
             lhs = twisted_hoch_d(hq(q, c), parts=("d2",)) + cech_part_d(hq(q - 1, c))
             rhs = hq(q - 1, cech_part_d(c)) + hq(q, twisted_hoch_d(c, parts=("d2",)))
             assert lhs == rhs, (name, q)
+
+
+def test_chain_coefficients_in_normal_form():
+    # every coefficient is an int when integral, else a non-integral
+    # Fraction; the halves make products such as 1/2 * 2 come back as int
+    scene = SCENES["SCENE-P2"]
+    P = build_P(scene)
+    cat = end_algebra(scene, P)
+    triv = TrivializedCategory(scene, [P])
+    line = CurvedLine(scene, -1)
+    rng = random.Random(89)
+    outs = []
+    for _ in range(4):
+        c = _rand_endp_cech(rng, cat, max_len=2)
+        for x in (c, c.scale(Fraction(1, 2)), c.scale(Fraction(1, 2)).scale(2)):
+            outs += [hoch_d(ch) for ch in x.entries.values()]
+            outs += [hq_basis(q, x, triv) for q in range(len(scene.atlas.chart_ids))]
+            outs.append(phi(x, 2, line))
+    nonint = 0
+    for out in outs:
+        for ch in out.entries.values() if isinstance(out, CechHochChain) else [out]:
+            for coeff in ch.terms.values():
+                assert coeff != 0
+                assert type(coeff) is int or (
+                    type(coeff) is Fraction and coeff.denominator != 1
+                ), repr(coeff)
+                nonint += type(coeff) is Fraction
+    assert nonint
 
 
 def test_phi_id_chain_values():
