@@ -3,8 +3,10 @@
 All presheaves expose the same per-tuple interface: a finite object list,
 free hom modules with homogeneous bases, composition, differential and
 curvature on basis symbols, and restriction of basis symbols along tuple
-extensions.  Elements are {symbol: LocPoly} dictionaries.  The base class
-`CdgPresheaf` is the trivial one-object algebra with basis {1}; each
+extensions.  Elements are {symbol: LocPoly} dictionaries; their algebra
+(`elem_add`, `elem_scale` and `restrict_elem`, the restriction of an
+element along a tuple extension) lives here and nowhere else.  The base
+class `CdgPresheaf` is the trivial one-object algebra with basis {1}; each
 subclass overrides only what differs from it.
 
 Matrix-factorization morphisms are stored as matrices in the trivialization
@@ -33,6 +35,20 @@ def elem_scale(a: dict, c) -> dict:
         out = {s: v * c for s, v in a.items()}
     else:
         out = {s: v.scale(c) for s, v in a.items()}
+    return {s: v for s, v in out.items() if not v.is_zero()}
+
+
+def restrict_elem(ph: CdgPresheaf, elem: dict, I, J) -> dict:
+    """Restriction of an element of ph from the tuple I to J (the identity
+    for J = I): each coefficient and each symbol restrict separately."""
+    if tuple(I) == tuple(J):
+        return {sym: c for sym, c in elem.items() if not c.is_zero()}
+    out: dict = {}
+    for sym, c in elem.items():
+        rc = ph.restrict_coeff(I, J, c)
+        for sym2, c2 in ph.restrict_sym(I, J, sym).items():
+            v = c2 * rc
+            out[sym2] = out[sym2] + v if sym2 in out else v
     return {s: v for s, v in out.items() if not v.is_zero()}
 
 

@@ -57,7 +57,7 @@ def _emit(report: Report, args) -> int:
     return 0 if report.ok else 1
 
 
-def _open_scene(args, todd_sign: int, validate: bool = True) -> tuple[Scene, Report]:
+def _open_scene(args, validate: bool = True) -> tuple[Scene, Report]:
     """Resolve the scene and start its report.  When validate is set, a
     scene that fails validation gets its failing checks as the report's
     "scene" suite, so the report is not ok and the command stops there."""
@@ -67,7 +67,7 @@ def _open_scene(args, todd_sign: int, validate: bool = True) -> tuple[Scene, Rep
         seed=args.seed,
         trunc=scene.trunc,
         window=scene.window,
-        todd_sign=todd_sign,
+        todd_sign=signs.sign("todd-factor"),
         ledger_version=signs.LEDGER_VERSION,
     )
     if validate:
@@ -78,9 +78,8 @@ def _open_scene(args, todd_sign: int, validate: bool = True) -> tuple[Scene, Rep
 
 
 def cmd_verify(args) -> int:
-    todd_sign = {"auto": signs.sign("todd-factor"), "minus": -1, "plus": 1}[args.todd_sign]
     # the scene suite reports every validation check itself
-    scene, rep = _open_scene(args, todd_sign, validate=args.suite != "scene")
+    scene, rep = _open_scene(args, validate=args.suite != "scene")
     if not rep.ok:
         return _emit(rep, args)
     names = list(SUITES) if args.suite == "all" else [args.suite]
@@ -88,15 +87,8 @@ def cmd_verify(args) -> int:
         if name not in SUITES:
             print(f"unknown suite {name!r}; available: {', '.join(SUITES)}", file=sys.stderr)
             return 2
-        fn = SUITES[name]
         with Timer() as t:
-            if name == "diagram1":
-                todd = None if args.todd_sign == "auto" else (
-                    -1 if args.todd_sign == "minus" else 1
-                )
-                checks = fn(scene, seed=args.seed, todd_sign=todd)
-            else:
-                checks = fn(scene, seed=args.seed)
+            checks = SUITES[name](scene, seed=args.seed)
         rep.add_suite(name, checks, t.seconds)
     return _emit(rep, args)
 
@@ -132,7 +124,7 @@ def _load_y_class(path: str, scene: Scene) -> Cochain:
 
 
 def cmd_pushforward(args) -> int:
-    scene, rep = _open_scene(args, signs.sign("todd-factor"))
+    scene, rep = _open_scene(args)
     if not rep.ok:
         return _emit(rep, args)
     with Timer() as t:
@@ -160,7 +152,7 @@ def cmd_pushforward(args) -> int:
 
 
 def cmd_homology(args) -> int:
-    scene, rep = _open_scene(args, signs.sign("todd-factor"))
+    scene, rep = _open_scene(args)
     if not rep.ok:
         return _emit(rep, args)
     # instability is reported, not fatal: affine divisors have homology of
@@ -206,12 +198,6 @@ def main(argv=None) -> int:
     p = sub.add_parser("verify", help="run property suites")
     common(p)
     p.add_argument("--suite", default="all", help="suite name or 'all'")
-    p.add_argument(
-        "--todd-sign",
-        choices=("auto", "plus", "minus"),
-        default="auto",
-        help="sign switch for the trace-vs-residue square",
-    )
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("pushforward", help="run the main-theorem instance")

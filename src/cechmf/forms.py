@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .rings import LocPoly, MalformedElement, Ring
-from .scene import Scene, UnsupportedScene, _coordinate, _loc_divide
+from .rings import LocPoly, MalformedElement, Ring, quotient_restrict
+from .scene import Scene, UnsupportedScene, _loc_divide, divisor_pole
 
 
 class Form:
@@ -47,9 +47,6 @@ class Form:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def degrees(self):
-        return sorted({len(k) for k in self.terms})
 
     def __eq__(self, other):
         return isinstance(other, Form) and self.ring == other.ring and self.terms == other.terms
@@ -118,10 +115,11 @@ class TupleCtx:
     """Lead-chart data of one atlas tuple I; build it through Scene.ctx(I).
 
     x, f and g are the lead chart's divisor equation, function and cofactor
-    restricted to U_I, and dx, df their differentials.  pole is the index of
-    x in R_I when x is a coordinate that is not inverted; it is None when x
-    is a unit (Y misses U_I), and any other x raises UnsupportedScene.  dlog
-    is the regular form dx/x when pole is None, else None.
+    restricted to U_I, and dx, df their differentials.  pole is
+    `scene.divisor_pole(x, I)`: the index of x in R_I when x is a coordinate
+    that is not inverted, None when x is a unit (Y misses U_I); any other x
+    raises UnsupportedScene.  dlog is the regular form dx/x when pole is
+    None, else None.
     """
 
     __slots__ = ("I", "ring", "x", "f", "g", "pole", "dx", "df", "dlog")
@@ -133,7 +131,7 @@ class TupleCtx:
         lead = atlas.charts[I[0]]
         res = atlas.res((lead.id,), I)
         self.x, self.f, self.g = res(lead.x), res(lead.f), res(lead.g)
-        self.pole = self._pole()
+        self.pole = divisor_pole(self.x, I)
         self.dx = d_of(self.x)
         self.df = d_of(self.f)
         if self.pole is not None:
@@ -142,20 +140,6 @@ class TupleCtx:
             self.dlog = Form.zero(self.ring)
         else:
             self.dlog = self.dx.scale(self.x.inverse())
-
-    def _pole(self):
-        exp = _coordinate(self.x)
-        if exp is not None and 1 in exp:
-            v = exp.index(1)
-            if v not in self.ring.inverted:
-                return v
-        try:
-            self.x.inverse()
-        except MalformedElement:
-            raise UnsupportedScene(
-                f"divisor over {self.I} is neither a coordinate nor a unit: {self.x!r}"
-            ) from None
-        return None
 
 
 def d_of(e: LocPoly) -> Form:
@@ -330,8 +314,6 @@ def y_normalize(w: Form, ctx: TupleCtx) -> Form:
     """Project a form to the divisor: kill dx terms and reduce coefficients mod x."""
     if ctx.pole is None:
         return Form.zero(ctx.ring)
-    from .rings import quotient_restrict
-
     v = ctx.pole
     terms = {}
     for k, c in w.terms.items():

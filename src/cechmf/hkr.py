@@ -15,7 +15,8 @@ from math import factorial
 from .cdg import CurvedLine, OYAlgebra, SheafAlgebraA
 from .cech import FORM, LOG, YFORM, Cochain, cone_cochain
 from .forms import Form, LogForm, d_of, dlog_of, y_normalize
-from .hochschild import CechHochChain
+from .hochschild import CechHochChain, map_slots
+from .rings import quotient_restrict
 from .scene import add_piece
 
 
@@ -115,9 +116,6 @@ def a_to_oy(c: CechHochChain, oy: OYAlgebra) -> CechHochChain:
     """The quotient chain map from the two-term algebra to divisor functions:
     1 -> 1, eps -> 0, coefficients reduced mod the divisor."""
     assert isinstance(c.presheaf, SheafAlgebraA)
-    from .hochschild import HochChain
-    from .rings import quotient_restrict
-
     scene = c.scene
     entries = {}
     for I, ch in c.entries.items():
@@ -125,25 +123,9 @@ def a_to_oy(c: CechHochChain, oy: OYAlgebra) -> CechHochChain:
             continue
         pole = scene.ctx(I).pole
         ring = scene.atlas.ring(I)
-        out: dict = {}
-        for (path, syms, monos), coeff in ch.terms.items():
-            if any(s == "e" for s in syms):
-                continue
-            new_monos = []
-            dead = False
-            for mono in monos:
-                q = quotient_restrict(ring.monomial(mono), pole)
-                if q.is_zero():
-                    dead = True
-                    break
-                ((frac, mm),) = list(q.monomials())
-                new_monos.append(mm)
-                coeff = coeff * frac
-            if dead:
-                continue
-            key = (path, syms, tuple(new_monos))
-            out[key] = out.get(key, 0) + coeff
-        hc = HochChain(oy, I, out)
-        if not hc.is_zero():
-            entries[I] = hc
+
+        def slot(sym, mono):
+            return {} if sym == "e" else {sym: quotient_restrict(ring.monomial(mono), pole)}
+
+        entries[I] = map_slots(ch, oy, I, slot)
     return CechHochChain(oy, entries)

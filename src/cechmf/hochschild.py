@@ -10,6 +10,11 @@ of the tuple ring.  The differential is d_0 (curvature insertion) + d_1
 (internal differential) + d_2 (composition), with the standard signs; the
 Cech-Hochschild total differential twists the internal part by (-1)^p.
 
+A strict functor F induces a_0[a_1|...|a_k] -> F(a_0)[F(a_1)|...|F(a_k)];
+`map_slots` is that one induced map, and restriction along tuples, the
+morphism `can`, the quotient to O_Y (`hkr.a_to_oy`) and the global
+restriction (`lax.global_to_cech`) are all calls to it.
+
 A CechHochChain is a Cech cochain of such chains over the atlas; its
 linear operations, its Cech differential and the (-1)^p twist come from
 scene.AtlasCochain, shared with the form cochains of `cech`.
@@ -23,7 +28,7 @@ from __future__ import annotations
 import bisect
 import itertools
 
-from .cdg import CdgPresheaf
+from .cdg import CdgPresheaf, elem_scale, restrict_elem
 from .rings import _fr
 from .scene import AtlasCochain, Scene
 
@@ -99,12 +104,6 @@ def slot_terms(element: dict) -> list:
     ]
 
 
-def _expand_slot(ring, element: dict, mono) -> list:
-    """Terms of an element multiplied by a monomial."""
-    m = ring.monomial(mono)
-    return slot_terms({sym: c * m for sym, c in element.items()})
-
-
 def add_tensor(out: dict, path, slots, coeff) -> None:
     """Add coeff * (slot_0 (x) ... (x) slot_k) to out, expanded into basis
     keys (path, syms, monos); each slot is a list of (sym, mono, coefficient).
@@ -157,6 +156,21 @@ def make_chain(presheaf, I, path, slots, coeff=1) -> HochChain:
     return HochChain(presheaf, I, terms)
 
 
+def map_slots(chain: HochChain, presheaf, I, slot, path=tuple) -> HochChain:
+    """The map a_0[a_1|...|a_k] -> F(a_0)[F(a_1)|...|F(a_k)] that a strict
+    functor F induces, as a chain of presheaf over I.
+
+    slot(sym, mono) is F of the basis element mono * sym, an element
+    {sym: LocPoly}; path(objects) maps the path of a basis tensor.  A slot
+    whose element is empty (or zero) gives the tensor no term.
+    """
+    out: dict = {}
+    for (p, syms, monos), coeff in chain.terms.items():
+        slots = [slot_terms(slot(s, m)) for s, m in zip(syms, monos)]
+        add_tensor(out, path(p), slots, coeff)
+    return HochChain(presheaf, I, out)
+
+
 ALL_PARTS = ("d0", "d1", "d2")
 
 
@@ -204,7 +218,7 @@ def hoch_d(chain: HochChain, parts=ALL_PARTS) -> HochChain:
             if not ds:
                 continue
             sign = (-1) ** ((prefix[i] + i) % 2)
-            for nsym, nmono, nfrac in _expand_slot(ring, ds, monos[i]):
+            for nsym, nmono, nfrac in slot_terms(elem_scale(ds, ring.monomial(monos[i]))):
                 new_syms = syms[:i] + (nsym,) + syms[i + 1 :]
                 new_monos = monos[:i] + (nmono,) + monos[i + 1 :]
                 emit(path, new_syms, new_monos, coeff * sign * nfrac)
@@ -218,7 +232,7 @@ def hoch_d(chain: HochChain, parts=ALL_PARTS) -> HochChain:
                 sign = (-1) ** ((prefix[i + 1] + i) % 2)
                 mono_prod = tuple(a + b for a, b in zip(monos[i], monos[i + 1]))
                 new_path = path[: i + 1] + path[i + 2 :]
-                for nsym, nmono, nfrac in _expand_slot(ring, prod, mono_prod):
+                for nsym, nmono, nfrac in slot_terms(elem_scale(prod, ring.monomial(mono_prod))):
                     new_syms = syms[:i] + (nsym,) + syms[i + 2 :]
                     new_monos = monos[:i] + (nmono,) + monos[i + 2 :]
                     emit(new_path, new_syms, new_monos, coeff * sign * nfrac)
@@ -229,7 +243,7 @@ def hoch_d(chain: HochChain, parts=ALL_PARTS) -> HochChain:
                 sign = (-1) ** (expo % 2)
                 mono_prod = tuple(a + b for a, b in zip(monos[k], monos[0]))
                 new_path = (path[k],) + path[1:k]
-                for nsym, nmono, nfrac in _expand_slot(ring, prod, mono_prod):
+                for nsym, nmono, nfrac in slot_terms(elem_scale(prod, ring.monomial(mono_prod))):
                     new_syms = (nsym,) + syms[1:k]
                     new_monos = (nmono,) + monos[1:k]
                     emit(new_path, new_syms, new_monos, coeff * sign * nfrac)
@@ -243,17 +257,8 @@ def restrict_chain(chain: HochChain, J) -> HochChain:
     I, J = chain.I, tuple(J)
     if not ph.live(J):
         return HochChain(ph, J, {})
-    src_ring = ph.ring(I)
-    out: dict = {}
-    for (path, syms, monos), coeff in chain.terms.items():
-        # each slot: restrict the basis symbol and the monomial coefficient
-        slots = []
-        for s, m in zip(syms, monos):
-            c = ph.restrict_coeff(I, J, src_ring.monomial(m))
-            elem = {sym2: c2 * c for sym2, c2 in ph.restrict_sym(I, J, s).items()}
-            slots.append(slot_terms(elem))
-        add_tensor(out, path, slots, coeff)
-    return HochChain(ph, J, out)
+    ring = ph.ring(I)
+    return map_slots(chain, ph, J, lambda s, m: restrict_elem(ph, {s: ring.monomial(m)}, I, J))
 
 
 class CechHochChain(AtlasCochain):
@@ -301,13 +306,11 @@ def apply_morphism(c: CechHochChain, morphism, dst: CdgPresheaf) -> CechHochChai
     entries = {}
     for I, ch in c.entries.items():
         ring = dst.ring(I)
-        out: dict = {}
-        for (path, syms, monos), coeff in ch.terms.items():
-            new_path = tuple(morphism.object(x) for x in path)
-            slots = [
-                _expand_slot(ring, morphism.apply_sym(I, s), m)
-                for s, m in zip(syms, monos)
-            ]
-            add_tensor(out, new_path, slots, coeff)
-        entries[I] = HochChain(dst, I, out)
+        entries[I] = map_slots(
+            ch,
+            dst,
+            I,
+            lambda s, m: elem_scale(morphism.apply_sym(I, s), ring.monomial(m)),
+            path=lambda p: tuple(morphism.object(x) for x in p),
+        )
     return CechHochChain(dst, entries)

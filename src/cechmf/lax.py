@@ -14,6 +14,9 @@ their levels and inserts the inverse components, and the shared kernels
 `insertion_layouts`, `interleave` and `add_tensor` of `hochschild` lay out
 the gaps and expand each summand into basis tensors.  The restriction
 homotopy is the same operator started at the GLOBAL level (p = -1).
+The strict maps of global chains (`global_to_cech`,
+`apply_global_functor`) are `hochschild.map_slots`.  Elements restrict
+along tuples by `cdg.restrict_elem`, where the element algebra lives.
 
 Everything here is for one-object presheaves, which covers the algebra
 actors of the build; signs follow the displayed formulas.
@@ -24,13 +27,14 @@ from __future__ import annotations
 import itertools
 
 from . import signs
-from .cdg import CdgPresheaf, elem_add, elem_scale
+from .cdg import CdgPresheaf, elem_add, elem_scale, restrict_elem
 from .hochschild import (
     CechHochChain,
     HochChain,
     add_tensor,
     insertion_layouts,
     interleave,
+    map_slots,
     slot_terms,
 )
 from .scene import Scene
@@ -45,19 +49,6 @@ def sort_sign(J, I):
             if seq[a] > seq[b]:
                 sign = -sign
     return sign
-
-
-def restrict_elem(ph: CdgPresheaf, elem: dict, I, J) -> dict:
-    """Restriction of an element from the tuple I to J (the identity for J = I)."""
-    if tuple(I) == tuple(J):
-        return {sym: c for sym, c in elem.items() if not c.is_zero()}
-    out: dict = {}
-    for sym, c in elem.items():
-        rc = ph.restrict_coeff(I, J, c)
-        for sym2, c2 in ph.restrict_sym(I, J, sym).items():
-            add = {sym2: c2 * rc}
-            out = elem_add(out, add)
-    return out
 
 
 GLOBAL = ("X",)
@@ -296,34 +287,22 @@ def lax_hq(lax: OneObjectLax, q: int, c: CechHochChain) -> CechHochChain:
 def global_to_cech(model: GlobalModel, chain: HochChain) -> CechHochChain:
     """The vertical restriction map: a global chain to its Cech degree 0 image."""
     scene = model.scene
+    gring = scene.global_ring
     entries = {}
-    ph = model.chart
     for i in scene.atlas.chart_ids:
         I = (i,)
-        out: dict = {}
-        for (path, syms, monos), coeff in chain.terms.items():
-            slots = [
-                slot_terms(model.to_tuple({s: scene.global_ring.monomial(m)}, I))
-                for s, m in zip(syms, monos)
-            ]
-            add_tensor(out, path, slots, coeff)
-        ch = HochChain(ph, I, out)
-        if not ch.is_zero():
-            entries[I] = ch
-    return CechHochChain(ph, entries)
+        entries[I] = map_slots(
+            chain, model.chart, I, lambda s, m: model.to_tuple({s: gring.monomial(m)}, I)
+        )
+    return CechHochChain(model.chart, entries)
 
 
 def apply_global_functor(model: GlobalModel, chain: HochChain, functor_sym) -> HochChain:
     """Apply a functor sym-wise at the global level."""
-    out: dict = {}
     ring = model.scene.global_ring
-    for (path, syms, monos), coeff in chain.terms.items():
-        slots = [
-            slot_terms(elem_scale(functor_sym(GLOBAL, s), ring.monomial(m)))
-            for s, m in zip(syms, monos)
-        ]
-        add_tensor(out, path, slots, coeff)
-    return HochChain(model, GLOBAL, out)
+    return map_slots(
+        chain, model, GLOBAL, lambda s, m: elem_scale(functor_sym(GLOBAL, s), ring.monomial(m))
+    )
 
 
 def restriction_htilde(lax: OneObjectLax, model: GlobalModel, chain: HochChain) -> CechHochChain:

@@ -11,6 +11,7 @@ import random
 
 from .cech import CONEF, FORM, LOG, YFORM, Cochain
 from .forms import ConeForm, Form, LogForm, y_normalize
+from .hochschild import CechHochChain, HochChain, make_chain
 from .scene import Scene
 
 
@@ -91,8 +92,6 @@ def rand_mono(rng: random.Random, ring, max_deg=1):
 
 def rand_hoch_chain(rng: random.Random, presheaf, I, max_len=2, max_deg=1):
     """Random basis-tensor chain over one tuple with a cyclic composable path."""
-    from .hochschild import HochChain, make_chain
-
     ring = presheaf.ring(I)
     objs = list(presheaf.objects(I))
     if not objs:
@@ -110,8 +109,6 @@ def rand_hoch_chain(rng: random.Random, presheaf, I, max_len=2, max_deg=1):
 
 
 def rand_cech_hoch_chain(rng: random.Random, presheaf, max_len=2, max_deg=1):
-    from .hochschild import CechHochChain
-
     entries = {}
     for I in presheaf.scene.atlas.tuples:
         if not presheaf.objects(I):
@@ -122,8 +119,6 @@ def rand_cech_hoch_chain(rng: random.Random, presheaf, max_len=2, max_deg=1):
 
 def rand_a_class_chain(rng: random.Random, alg, eps_count, max_len=3, max_deg=1):
     """Random two-term-algebra cochain with a prescribed number of odd slots."""
-    from .hochschild import CechHochChain, make_chain
-
     scene = alg.scene
     entries = {}
     for I in scene.atlas.tuples:

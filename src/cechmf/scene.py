@@ -128,6 +128,24 @@ def _coordinate(x: LocPoly):
     return None
 
 
+def divisor_pole(x: LocPoly, I):
+    """The pole of the divisor equation x over U_I: the index of x in its
+    ring when x is a coordinate that is not inverted, None when x is a unit
+    (Y misses U_I).  Any other x raises UnsupportedScene."""
+    exp = _coordinate(x)
+    if exp is not None and 1 in exp:
+        v = exp.index(1)
+        if v not in x.ring.inverted:
+            return v
+    try:
+        x.inverse()
+    except MalformedElement:
+        raise UnsupportedScene(
+            f"divisor over {tuple(I)} is neither a coordinate nor a unit: {x!r}"
+        ) from None
+    return None
+
+
 def _loc_divide(a: LocPoly, b: LocPoly):
     """a / b for a single Laurent term b, or None when the quotient would
     need a negative exponent at a non-inverted variable (or b has more than
@@ -313,10 +331,12 @@ def validate_scene(scene: Scene) -> ValidationReport:
                     "res composition mismatch",
                 )
 
-    # units: existence, u_ii = 1, u_ij x_i = x_j, cocycle
+    # units: existence, u_ii = 1, u_ij x_i = x_j, cocycle,
+    # and the lead chart's divisor restricted to I, a coordinate or a unit
     for I in atlas.tuples:
         if len(I) < 2:
             continue
+        lead_x = None
         for i, j in itertools.permutations(I, 2):
             try:
                 u = atlas.unit(i, j, I)
@@ -326,6 +346,13 @@ def validate_scene(scene: Scene) -> ValidationReport:
             xi = atlas.res((i,), I)(atlas.charts[i].x)
             xj = atlas.res((j,), I)(atlas.charts[j].x)
             rep.add(f"unit-eq u_{i}{j} on {I}", u * xi == xj, f"u={u!r}")
+            if i == I[0]:
+                lead_x = xi
+        if lead_x is not None:
+            try:
+                divisor_pole(lead_x, I)
+            except UnsupportedScene as e:
+                rep.add(f"divisor-shape {I}", False, str(e))
         if len(I) >= 3:
             for i, j, k in itertools.permutations(I, 3):
                 lhs = atlas.unit(i, j, I) * atlas.unit(j, k, I)

@@ -155,7 +155,6 @@ _SPECS = {
 }
 
 MAIN_SCENES = ("SCENE-A1", "SCENE-A2", "SCENE-P1")
-TWO_CHART_SCENES = ("SCENE-P1", "SCENE-A2C")
 
 
 def builtin_scene(name: str, trunc: int = 6, window: int = 4) -> Scene:

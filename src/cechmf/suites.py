@@ -428,16 +428,15 @@ def basis_a_chains(scene: Scene, max_len: int = 3):
                     yield min(eps, 2), CechHochChain(alg, {I: ch})
 
 
-def suite_diagram1(scene: Scene, seed: int = 0, todd_sign: int | None = None) -> list:
+def suite_diagram1(scene: Scene, seed: int = 0) -> list:
     """Criterion 9: strict equality of the two composites on all basis
     chains, under exactly one setting of the Todd sign switch."""
     results = {1: [0, 0, None], -1: [0, 0, None]}  # sign -> [ok, bad, first-payload]
     class_counts = {0: 0, 1: 0, 2: 0}
-    signs_to_try = (1, -1) if todd_sign is None else (todd_sign,)
     for eps_class, c in basis_a_chains(scene):
         class_counts[eps_class] += 1
         top = trace_route(scene, c)
-        for sign in signs_to_try:
+        for sign in (1, -1):
             bottom = residue_route(scene, c, sign)
             if top == bottom:
                 results[sign][0] += 1
@@ -445,37 +444,25 @@ def suite_diagram1(scene: Scene, seed: int = 0, todd_sign: int | None = None) ->
                 results[sign][1] += 1
                 if results[sign][2] is None:
                     results[sign][2] = _payload(c, top, bottom, todd_sign=sign)
-    checks = []
-    if todd_sign is None:
-        works = [s for s in (1, -1) if results[s][1] == 0 and results[s][0] > 0]
-        checks.append(
-            Check(
-                "diagram1:unique-todd-sign",
-                len(works) == 1,
-                f"working signs: {works}; classes covered {class_counts}",
-                None if len(works) == 1 else {"plus": results[1][1], "minus": results[-1][1]},
-            )
+    works = [s for s in (1, -1) if results[s][1] == 0 and results[s][0] > 0]
+    checks = [
+        Check(
+            "diagram1:unique-todd-sign",
+            len(works) == 1,
+            f"working signs: {works}; classes covered {class_counts}",
+            None if len(works) == 1 else {"plus": results[1][1], "minus": results[-1][1]},
         )
-        for s in (1, -1):
-            name = "minus" if s == -1 else "plus"
-            expected_ok = s == signs.sign("todd-factor")
-            holds = results[s][1] == 0
-            checks.append(
-                Check(
-                    f"diagram1:sign-{name}",
-                    holds == expected_ok,
-                    f"{results[s][0]} equal, {results[s][1]} different",
-                    results[s][2] if holds != expected_ok else None,
-                )
-            )
-    else:
-        s = todd_sign
+    ]
+    for s in (1, -1):
+        name = "minus" if s == -1 else "plus"
+        expected_ok = s == signs.sign("todd-factor")
+        holds = results[s][1] == 0
         checks.append(
             Check(
-                f"diagram1:todd-sign{s:+d}",
-                results[s][1] == 0,
+                f"diagram1:sign-{name}",
+                holds == expected_ok,
                 f"{results[s][0]} equal, {results[s][1]} different",
-                results[s][2],
+                results[s][2] if holds != expected_ok else None,
             )
         )
     return checks

@@ -20,6 +20,30 @@ def test_verify_reports_invalid_scene(tmp_path, capsys):
     assert failed == ["scene:f=x*g chart 0"]
 
 
+def test_verify_reports_bad_divisor_on_overlap(tmp_path, capsys):
+    # both divisors restrict to y*y on the overlap: neither a coordinate
+    # nor a unit there, though each chart's divisor is a coordinate
+    spec = {
+        "charts": [
+            {"id": 0, "vars": ["x", "y"], "x": "x", "f": "x", "g": "1"},
+            {"id": 1, "vars": ["u", "v"], "x": "u", "f": "u", "g": "1"},
+        ],
+        "overlaps": [
+            {
+                "tuple": [0, 1],
+                "vars": ["y"],
+                "res": {"0": {"x": "y*y", "y": "y"}, "1": {"u": "y*y", "v": "y"}},
+            }
+        ],
+    }
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(spec))
+    assert cli.main(["verify", "--scene", str(path), "--suite", "d2", "--format", "json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    failed = [c["id"] for s in report["suites"] for c in s["checks"] if not c["passed"]]
+    assert failed == ["scene:divisor-shape (0, 1)"]
+
+
 @pytest.mark.parametrize(
     "command",
     [["verify", "--suite", "d2"], ["homology"], ["pushforward"]],

@@ -16,6 +16,8 @@ GOLDEN = Path(__file__).parent / "golden"
 
 CASES = [
     ("verify_SCENE-A1_all.json", ["verify", "--scene", "SCENE-A1", "--suite", "all"]),
+    # a two-chart scene, so the Cech restriction of chains runs too
+    ("verify_SCENE-P1_all.json", ["verify", "--scene", "SCENE-P1", "--suite", "all"]),
 ] + [
     (f"homology_{name}.json", ["homology", "--scene", name])
     for name in all_builtin_names()
