@@ -4,10 +4,14 @@ All presheaves expose the same per-tuple interface: a finite object list,
 free hom modules with homogeneous bases, composition, differential and
 curvature on basis symbols, and restriction of basis symbols along tuple
 extensions.  Elements are {symbol: LocPoly} dictionaries; their algebra
-(`elem_add`, `elem_scale` and `restrict_elem`, the restriction of an
-element along a tuple extension) lives here and nowhere else.  The base
-class `CdgPresheaf` is the trivial one-object algebra with basis {1}; each
-subclass overrides only what differs from it.
+(`elem_sum`, `elem_scale` and `restrict_elem`, the restriction
+of an element along a tuple extension) lives here and nowhere else.  The
+base class `CdgPresheaf` is the trivial one-object algebra with basis {1};
+each subclass overrides only what differs from it.
+
+Structure maps depend only on the presheaf and their arguments, so
+`hochschild` tabulates their slot terms once, in dicts the presheaf owns
+(`CdgPresheaf.table`); a presheaf's tables are freed with it.
 
 Matrix-factorization morphisms are stored as matrices in the trivialization
 of the lead (minimum) chart of each tuple; restricting to a tuple with a
@@ -23,10 +27,12 @@ from .rings import LocPoly, quotient_restrict
 from .scene import Scene
 
 
-def elem_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for s, c in b.items():
-        out[s] = out[s] + c if s in out else c
+def elem_sum(elems) -> dict:
+    """Sum of elements, collected into one dict; zero coefficients dropped."""
+    out: dict = {}
+    for e in elems:
+        for s, c in e.items():
+            out[s] = out[s] + c if s in out else c
     return {s: c for s, c in out.items() if not c.is_zero()}
 
 
@@ -58,6 +64,18 @@ class CdgPresheaf:
 
     def __init__(self, scene: Scene):
         self.scene = scene
+        self._tables: dict = {}
+
+    def table(self, *key) -> dict:
+        """The dict this presheaf keeps under key, empty when first asked for.
+
+        The structure maps of a presheaf never change, so `hochschild`
+        tabulates their slot terms here once; the tables live and die
+        with the presheaf."""
+        out = self._tables.get(key)
+        if out is None:
+            out = self._tables[key] = {}
+        return out
 
     def ring(self, I):
         return self.scene.atlas.ring(tuple(I))

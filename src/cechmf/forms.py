@@ -3,6 +3,11 @@
 A TupleCtx holds one tuple's lead-chart data (divisor equation, f, g, the
 pole variable and their differentials); Scene.ctx builds each once.
 
+`map_form` pulls a form back along a ring map as the sum over K of
+ringmap(c_K) * ringmap^*(dx_K).  Each pullback of dx_K is computed once and
+kept on the RingMap (`RingMap.dx_pullbacks`); the restriction maps are
+kept by `Atlas.res`, so these pullbacks live and die with their scene.
+
 A Form is a finite sum c_K dx_K over strictly increasing index sets K;
 possibly inhomogeneous in degree.  A LogForm over a tuple with divisor x
 represents w + (dx/x) ^ w' with the canonical normal form: the residue w'
@@ -34,12 +39,20 @@ class Form:
         self.terms = clean
 
     @staticmethod
+    def _new(ring: Ring, terms: dict) -> "Form":
+        """Wrap a dict {increasing index set: nonzero coefficient} as it is."""
+        out = object.__new__(Form)
+        out.ring = ring
+        out.terms = terms
+        return out
+
+    @staticmethod
     def zero(ring: Ring) -> "Form":
-        return Form(ring, {})
+        return Form._new(ring, {})
 
     @staticmethod
     def scalar(c: LocPoly) -> "Form":
-        return Form(c.ring, {(): c})
+        return Form._new(c.ring, {(): c} if c.terms else {})
 
     @staticmethod
     def one(ring: Ring) -> "Form":
@@ -56,18 +69,20 @@ class Form:
         terms = dict(self.terms)
         for k, c in other.terms.items():
             terms[k] = terms[k] + c if k in terms else c
-        return Form(self.ring, terms)
+        return Form._new(self.ring, _nonzero(terms))
 
     def __neg__(self) -> "Form":
-        return Form(self.ring, {k: -c for k, c in self.terms.items()})
+        return Form._new(self.ring, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other: "Form") -> "Form":
         return self + (-other)
 
     def scale(self, c) -> "Form":
         if isinstance(c, LocPoly):
-            return Form(self.ring, {k: v * c for k, v in self.terms.items()})
-        return Form(self.ring, {k: v.scale(c) for k, v in self.terms.items()})
+            terms = {k: v * c for k, v in self.terms.items()}
+        else:
+            terms = {k: v.scale(c) for k, v in self.terms.items()}
+        return Form._new(self.ring, _nonzero(terms))
 
     def wedge(self, other: "Form") -> "Form":
         assert self.ring == other.ring
@@ -78,9 +93,9 @@ class Form:
                 if merged is None:
                     continue
                 k, sign = merged
-                c = (ca * cb).scale(sign)
+                c = ca * cb if sign > 0 else -(ca * cb)
                 terms[k] = terms[k] + c if k in terms else c
-        return Form(self.ring, terms)
+        return Form._new(self.ring, _nonzero(terms))
 
     def __repr__(self):
         if self.is_zero():
@@ -91,6 +106,11 @@ class Form:
             dx = "^".join(f"d{names[i]}" for i in k) or "1"
             bits.append(f"({self.terms[k]!r}){dx}")
         return " + ".join(bits)
+
+
+def _nonzero(terms: dict) -> dict:
+    """terms without its zero coefficients."""
+    return {k: c for k, c in terms.items() if c.terms}
 
 
 def _merge_indices(ka, kb):
@@ -149,7 +169,7 @@ def d_of(e: LocPoly) -> Form:
         de = e.diff(v)
         if not de.is_zero():
             terms[(v,)] = de
-    return Form(e.ring, terms)
+    return Form._new(e.ring, terms)
 
 
 def dlog_of(u: LocPoly) -> Form:
@@ -271,13 +291,30 @@ class ConeForm:
 
 
 def map_form(w: Form, ringmap, dst_ring: Ring) -> Form:
-    """Pullback of a form along a ring map: coefficients map, dx by chain rule."""
-    out = Form.zero(dst_ring)
+    """Pullback of a form along a ring map: the sum over K of
+    ringmap(c_K) * ringmap^*(dx_K), each pullback of dx_K kept on the map."""
+    terms: dict = {}
     for k, c in w.terms.items():
-        piece = Form.scalar(ringmap(c))
-        for v in k:
-            piece = piece.wedge(d_of(ringmap(w.ring.var(w.ring.variables[v]))))
-        out = out + piece
+        dx_k = _pullback_dx(ringmap, k)
+        if not dx_k.terms:
+            continue
+        mc = ringmap(c)
+        for kk, v in dx_k.terms.items():
+            p = v * mc if kk else mc
+            terms[kk] = terms[kk] + p if kk in terms else p
+    return Form._new(dst_ring, _nonzero(terms))
+
+
+def _pullback_dx(ringmap, k) -> Form:
+    """ringmap^*(dx_k) = d(ringmap(x_k1)) ^ ... ^ d(ringmap(x_kp)), computed
+    once per index set and kept in ringmap.dx_pullbacks."""
+    out = ringmap.dx_pullbacks.get(k)
+    if out is None:
+        if k:
+            out = _pullback_dx(ringmap, k[:-1]).wedge(d_of(ringmap.images[k[-1]]))
+        else:
+            out = Form.one(ringmap.dst)
+        ringmap.dx_pullbacks[k] = out
     return out
 
 

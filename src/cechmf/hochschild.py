@@ -15,6 +15,14 @@ A strict functor F induces a_0[a_1|...|a_k] -> F(a_0)[F(a_1)|...|F(a_k)];
 morphism `can`, the quotient to O_Y (`hkr.a_to_oy`) and the global
 restriction (`lax.global_to_cech`) are all calls to it.
 
+The fixed structure these maps use is computed once and kept on the
+presheaf (`CdgPresheaf.table`), so it lives and dies with its owner:
+`hoch_d` keeps, per tuple, the slot terms of the curvature, d and
+composition of basis symbols, and multiplies them by a slot's monomial as
+an exponent shift; `restrict_chain` keeps, per (I, J), the slot terms of
+each restricted basis element mono * sym.  Within one `map_slots` call
+each distinct (sym, mono) slot is computed once.
+
 A CechHochChain is a Cech cochain of such chains over the atlas; its
 linear operations, its Cech differential and the (-1)^p twist come from
 scene.AtlasCochain, shared with the form cochains of `cech`.
@@ -27,6 +35,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+from operator import add
 
 from .cdg import CdgPresheaf, elem_scale, restrict_elem
 from .rings import _fr
@@ -156,30 +165,51 @@ def make_chain(presheaf, I, path, slots, coeff=1) -> HochChain:
     return HochChain(presheaf, I, terms)
 
 
-def map_slots(chain: HochChain, presheaf, I, slot, path=tuple) -> HochChain:
+def map_slots(chain: HochChain, presheaf, I, slot, path=tuple, table=None) -> HochChain:
     """The map a_0[a_1|...|a_k] -> F(a_0)[F(a_1)|...|F(a_k)] that a strict
     functor F induces, as a chain of presheaf over I.
 
     slot(sym, mono) is F of the basis element mono * sym, an element
     {sym: LocPoly}; path(objects) maps the path of a basis tensor.  A slot
-    whose element is empty (or zero) gives the tensor no term.
+    whose element is empty (or zero) gives the tensor no term.  The slot
+    terms of each (sym, mono) are computed once and kept in table, which
+    a caller whose F outlives the call passes in (default: a new dict).
     """
+    if table is None:
+        table = {}
     out: dict = {}
     for (p, syms, monos), coeff in chain.terms.items():
-        slots = [slot_terms(slot(s, m)) for s, m in zip(syms, monos)]
+        slots = [_kept(table, (s, m), slot, s, m) for s, m in zip(syms, monos)]
         add_tensor(out, path(p), slots, coeff)
     return HochChain(presheaf, I, out)
+
+
+def _kept(table: dict, key, build, *args) -> list:
+    """slot_terms(build(*args)), computed once and kept in table under key."""
+    terms = table.get(key)
+    if terms is None:
+        terms = table[key] = slot_terms(build(*args))
+    return terms
 
 
 ALL_PARTS = ("d0", "d1", "d2")
 
 
+def _shifted(terms: list, mono) -> list:
+    """The slot terms times the monomial x^mono: a coefficient-1 monomial
+    only shifts exponents, so no term cancels and every exponent stays valid."""
+    return [(s, tuple(map(add, m, mono)), c) for s, m, c in terms]
+
+
 def hoch_d(chain: HochChain, parts=ALL_PARTS) -> HochChain:
-    """d_0 + d_1 + d_2 with the displayed signs (or a subset of the three)."""
+    """d_0 + d_1 + d_2 with the displayed signs (or a subset of the three).
+
+    The slot terms of the curvature, d and composition of basis symbols
+    over the chain's tuple are kept on the presheaf (`CdgPresheaf.table`)."""
     ph = chain.presheaf
     I = chain.I
-    ring = ph.ring(I)
     trunc = ph.scene.trunc
+    tab = ph.table("hoch_d", I)
     out: dict = {}
 
     def emit(path, syms, monos, c):
@@ -198,7 +228,7 @@ def hoch_d(chain: HochChain, parts=ALL_PARTS) -> HochChain:
         # d_0: insert the curvature of the object after slot i
         for i in range(k + 1) if "d0" in parts else ():
             obj = path[(i + 1) % (k + 1)]
-            h = ph.curvature(I, obj)
+            h = _kept(tab, ("d0", obj), ph.curvature, I, obj)
             if not h:
                 continue
             if k + 1 > trunc:
@@ -206,7 +236,7 @@ def hoch_d(chain: HochChain, parts=ALL_PARTS) -> HochChain:
                     f"curvature insertion would exceed the length cap {trunc}"
                 )
             sign = (-1) ** ((prefix[i + 1] + i) % 2)
-            for hsym, hmono, hfrac in slot_terms(h):
+            for hsym, hmono, hfrac in h:
                 new_path = path[: i + 1] + (obj,) + path[i + 1 :]
                 new_syms = syms[: i + 1] + (hsym,) + syms[i + 1 :]
                 new_monos = monos[: i + 1] + (hmono,) + monos[i + 1 :]
@@ -214,11 +244,11 @@ def hoch_d(chain: HochChain, parts=ALL_PARTS) -> HochChain:
 
         # d_1: internal differential of slot i
         for i in range(k + 1) if "d1" in parts else ():
-            ds = ph.d(I, syms[i])
+            ds = _kept(tab, ("d1", syms[i]), ph.d, I, syms[i])
             if not ds:
                 continue
             sign = (-1) ** ((prefix[i] + i) % 2)
-            for nsym, nmono, nfrac in slot_terms(elem_scale(ds, ring.monomial(monos[i]))):
+            for nsym, nmono, nfrac in _shifted(ds, monos[i]):
                 new_syms = syms[:i] + (nsym,) + syms[i + 1 :]
                 new_monos = monos[:i] + (nmono,) + monos[i + 1 :]
                 emit(path, new_syms, new_monos, coeff * sign * nfrac)
@@ -226,24 +256,24 @@ def hoch_d(chain: HochChain, parts=ALL_PARTS) -> HochChain:
         # d_2: compositions
         if k >= 1 and "d2" in parts:
             for i in range(k):
-                prod = ph.compose(I, syms[i], syms[i + 1])
+                prod = _kept(tab, ("d2", syms[i], syms[i + 1]), ph.compose, I, syms[i], syms[i + 1])
                 if not prod:
                     continue
                 sign = (-1) ** ((prefix[i + 1] + i) % 2)
-                mono_prod = tuple(a + b for a, b in zip(monos[i], monos[i + 1]))
+                mono_prod = tuple(map(add, monos[i], monos[i + 1]))
                 new_path = path[: i + 1] + path[i + 2 :]
-                for nsym, nmono, nfrac in slot_terms(elem_scale(prod, ring.monomial(mono_prod))):
+                for nsym, nmono, nfrac in _shifted(prod, mono_prod):
                     new_syms = syms[:i] + (nsym,) + syms[i + 2 :]
                     new_monos = monos[:i] + (nmono,) + monos[i + 2 :]
                     emit(new_path, new_syms, new_monos, coeff * sign * nfrac)
             # wrap-around term a_k a_0 [a_1 | ... | a_{k-1}]
-            prod = ph.compose(I, syms[k], syms[0])
+            prod = _kept(tab, ("d2", syms[k], syms[0]), ph.compose, I, syms[k], syms[0])
             if prod:
                 expo = 1 + (par[k] + 1) * (prefix[k] + k - 1)
                 sign = (-1) ** (expo % 2)
-                mono_prod = tuple(a + b for a, b in zip(monos[k], monos[0]))
+                mono_prod = tuple(map(add, monos[k], monos[0]))
                 new_path = (path[k],) + path[1:k]
-                for nsym, nmono, nfrac in slot_terms(elem_scale(prod, ring.monomial(mono_prod))):
+                for nsym, nmono, nfrac in _shifted(prod, mono_prod):
                     new_syms = (nsym,) + syms[1:k]
                     new_monos = (nmono,) + monos[1:k]
                     emit(new_path, new_syms, new_monos, coeff * sign * nfrac)
@@ -252,13 +282,20 @@ def hoch_d(chain: HochChain, parts=ALL_PARTS) -> HochChain:
 
 
 def restrict_chain(chain: HochChain, J) -> HochChain:
-    """Image under the restriction functor to a larger tuple."""
+    """Image under the restriction functor to a larger tuple; the slot terms
+    of each restricted basis element are kept on the presheaf, per (I, J)."""
     ph = chain.presheaf
     I, J = chain.I, tuple(J)
     if not ph.live(J):
         return HochChain(ph, J, {})
     ring = ph.ring(I)
-    return map_slots(chain, ph, J, lambda s, m: restrict_elem(ph, {s: ring.monomial(m)}, I, J))
+    return map_slots(
+        chain,
+        ph,
+        J,
+        lambda s, m: restrict_elem(ph, {s: ring.monomial(m)}, I, J),
+        table=ph.table("restrict", I, J),
+    )
 
 
 class CechHochChain(AtlasCochain):

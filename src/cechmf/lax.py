@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 
 from . import signs
-from .cdg import CdgPresheaf, elem_add, elem_scale, restrict_elem
+from .cdg import CdgPresheaf, elem_scale, elem_sum, restrict_elem
 from .hochschild import (
     CechHochChain,
     HochChain,
@@ -101,16 +101,15 @@ class GlobalModel(CdgPresheaf):
         scene = self.scene
         i = K[0]
         gmap = scene.global_res[i]
-        out: dict = {}
+        pieces = []
         for sym, c in elem.items():
             chart_c = gmap(c)
             if self._sym_image is None:
                 chart_elem = {sym: chart_c}
             else:
                 chart_elem = elem_scale(self._sym_image(i, sym), chart_c)
-            piece = restrict_elem(self.chart, chart_elem, (i,), K)
-            out = elem_add(out, piece)
-        return out
+            pieces.append(restrict_elem(self.chart, chart_elem, (i,), K))
+        return elem_sum(pieces)
 
 
 class OneObjectLax:
@@ -149,13 +148,12 @@ class OneObjectLax:
 
 
 def _elem_mul(ph: CdgPresheaf, I, a: dict, b: dict) -> dict:
-    out: dict = {}
-    for sa, ca in a.items():
-        for sb, cb in b.items():
-            for s, c in ph.compose(I, sa, sb).items():
-                add = {s: c * ca * cb}
-                out = elem_add(out, add)
-    return out
+    return elem_sum(
+        {s: c * ca * cb}
+        for sa, ca in a.items()
+        for sb, cb in b.items()
+        for s, c in ph.compose(I, sa, sb).items()
+    )
 
 
 class CocycleError(ValueError):
@@ -169,10 +167,7 @@ def _unit_inverse(elem: dict) -> dict:
 
 
 def _apply_functor(lax: OneObjectLax, T, elem: dict) -> dict:
-    out: dict = {}
-    for sym, c in elem.items():
-        out = elem_add(out, elem_scale(lax.functor_sym(T, sym), c))
-    return out
+    return elem_sum(elem_scale(lax.functor_sym(T, sym), c) for sym, c in elem.items())
 
 
 def _from_source(lax: OneObjectLax, I):

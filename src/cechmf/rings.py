@@ -250,9 +250,13 @@ class LocPoly:
 
 class RingMap:
     """Ring homomorphism determined by variable images; an inverted source
-    variable must map to a unit."""
+    variable must map to a unit.
 
-    __slots__ = ("src", "dst", "images", "_mono_images")
+    A map keeps what it has computed once: the images of source monomials,
+    and the pullbacks of the differentials dx_K that `forms.map_form`
+    computes and stores here (so they live and die with the map)."""
+
+    __slots__ = ("src", "dst", "images", "_mono_images", "dx_pullbacks")
 
     def __init__(self, src: Ring, dst: Ring, images: list):
         assert len(images) == src.nvars
@@ -262,6 +266,7 @@ class RingMap:
         self.dst = dst
         self.images = tuple(images)
         self._mono_images: dict = {}  # source exponent -> its image
+        self.dx_pullbacks: dict = {}  # index set K -> pullback of dx_K (a forms.Form)
 
     @staticmethod
     def identity(ring: Ring) -> "RingMap":

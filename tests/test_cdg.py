@@ -11,8 +11,8 @@ from cechmf.cdg import (
     TrivializedCategory,
     build_P,
     can_map,
-    elem_add,
     elem_scale,
+    elem_sum,
     end_algebra,
 )
 from cechmf.scenes_builtin import all_builtin_names, builtin_scene
@@ -56,7 +56,7 @@ def test_transition_conjugation_matches_delta():
                 for sym, c in cat.delta_element(src, "P").items():
                     for sym2, c2 in cat.restrict_sym(src, I, sym).items():
                         add = {sym2: scene.atlas.res(src, I)(c) * c2}
-                        elem = elem_add(elem, add)
+                        elem = elem_sum((elem, add))
                 assert elem == cat.delta_element(I, "P")
 
 
@@ -70,7 +70,7 @@ def test_end_algebra_d_squared_zero():
                 dd = {}
                 for s2, c2 in cat.d(I, sym).items():
                     for s3, c3 in cat.d(I, s2).items():
-                        dd = elem_add(dd, {s3: c3 * c2})
+                        dd = elem_sum((dd, {s3: c3 * c2}))
                 assert dd == {}, (name, I, sym)
 
 
@@ -80,7 +80,7 @@ def test_d_of_identity_is_zero():
     out = {}
     for sym, c in cat.identity((0,), "P").items():
         for s2, c2 in cat.d((0,), sym).items():
-            out = elem_add(out, {s2: c2 * c})
+            out = elem_sum((out, {s2: c2 * c}))
     assert out == {}
 
 
@@ -106,22 +106,22 @@ def test_can_is_a_homomorphism():
             for a, b in itertools.product(syms, repeat=2):
                 lhs = {}
                 for s, c in alg.compose(I, a, b).items():
-                    lhs = elem_add(lhs, elem_scale(can.apply_sym(I, s), c))
+                    lhs = elem_sum((lhs, elem_scale(can.apply_sym(I, s), c)))
                 rhs = {}
                 for sa, ca in can.apply_sym(I, a).items():
                     for sb, cb in can.apply_sym(I, b).items():
                         for s, c in cat.compose(I, sa, sb).items():
-                            rhs = elem_add(rhs, {s: c * ca * cb})
+                            rhs = elem_sum((rhs, {s: c * ca * cb}))
                 assert lhs == rhs, (name, I, a, b)
             # intertwines the differentials
             for a in syms:
                 lhs = {}
                 for s, c in alg.d(I, a).items():
-                    lhs = elem_add(lhs, elem_scale(can.apply_sym(I, s), c))
+                    lhs = elem_sum((lhs, elem_scale(can.apply_sym(I, s), c)))
                 rhs = {}
                 for s, c in can.apply_sym(I, a).items():
                     for s2, c2 in cat.d(I, s).items():
-                        rhs = elem_add(rhs, {s2: c2 * c})
+                        rhs = elem_sum((rhs, {s2: c2 * c}))
                 assert lhs == rhs, (name, I, a)
             # unital
             assert can.apply_sym(I, "1") == cat.identity(I, "P")
@@ -139,11 +139,11 @@ def test_can_commutes_with_restrictions():
                 for a in alg.hom_basis(I, "*", "*"):
                     lhs = {}
                     for s, c in alg.restrict_sym(I, J, a).items():
-                        lhs = elem_add(lhs, elem_scale(can.apply_sym(J, s), c))
+                        lhs = elem_sum((lhs, elem_scale(can.apply_sym(J, s), c)))
                     rhs = {}
                     for s, c in can.apply_sym(I, a).items():
                         for s2, c2 in cat.restrict_sym(I, J, s).items():
-                            rhs = elem_add(rhs, {s2: c2 * scene.atlas.res(I, J)(c)})
+                            rhs = elem_sum((rhs, {s2: c2 * scene.atlas.res(I, J)(c)}))
                     assert lhs == rhs, (name, I, J, a)
 
 
@@ -162,5 +162,5 @@ def test_sheaf_algebra_axioms():
             dd = {}
             for s, c in de.items():
                 for s2, c2 in alg.d(I, s).items():
-                    dd = elem_add(dd, {s2: c2 * c})
+                    dd = elem_sum((dd, {s2: c2 * c}))
             assert dd == {}
