@@ -11,7 +11,9 @@ each subclass overrides only what differs from it.
 
 Structure maps depend only on the presheaf and their arguments, so
 `hochschild` tabulates their slot terms once, in dicts the presheaf owns
-(`CdgPresheaf.table`); a presheaf's tables are freed with it.
+(`CdgPresheaf.table`); a presheaf's tables are freed with it.  The
+morphism `can` keeps the slot terms of its images the same way
+(`CanMorphism.table`).
 
 Matrix-factorization morphisms are stored as matrices in the trivialization
 of the lead (minimum) chart of each tuple; restricting to a tuple with a
@@ -351,6 +353,11 @@ class CanMorphism:
         self.scene = scene
         self.src = src
         self.dst = dst
+        self._tables: dict = {}
+
+    # `hochschild.apply_morphism` keeps the slot terms of the images over
+    # each tuple I under table(I), as the presheaves keep theirs
+    table = CdgPresheaf.table
 
     def object(self, x):
         return "P"

@@ -60,9 +60,6 @@ class Cochain(AtlasCochain):
     def _same_space(self, other) -> bool:
         return self.scene is other.scene and self.kind == other.kind
 
-    def _new(self, entries: dict) -> "Cochain":
-        return Cochain(self.scene, self.kind, entries)
-
     def _restrict(self, s, I, J):
         return restrict_section(self.scene, self.kind, s, I, J)
 

@@ -6,9 +6,15 @@ twisted forms.  Bottom route: the cone-valued HKR map, the module action by
 (a sign times) the inverse Todd cochain, then the projection to the regular
 summand.  The main-theorem instance replaces the bottom projection by the
 honest lift-then-differentiate connecting morphism on divisor forms.
+
+The fixtures of the square depend on the scene alone; `RouteCtx` builds
+each of them once, on first use, and the scene keeps it (`Scene.routes()`).
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from functools import cached_property
 
 from .cdg import CurvedLine, SheafAlgebraA, build_P, can_map, end_algebra
 from .cech import Cochain, bar_wedge, todd_inverse, unit_cochain
@@ -17,6 +23,44 @@ from .hochschild import CechHochChain, apply_morphism, make_chain
 from .scene import Scene
 from .ses import cone_delta, connecting_delta, forms_to_y
 from .trace import phi
+
+
+class RouteCtx:
+    """The fixtures of the square over one scene: End(P), the morphism
+    `can` into it, the curved line O_{-f} and the inverse Todd cochain.
+
+    Each is built on first use and kept for the life of the scene, so the
+    presheaf tables and the `can` table fill once.  Nothing here depends
+    on the scene's `trunc` or `window`.
+    """
+
+    def __init__(self, scene: Scene):
+        self.scene = scene
+        self._todd: dict = {}
+
+    @cached_property
+    def endp(self):
+        return end_algebra(self.scene, build_P(self.scene))
+
+    @cached_property
+    def can(self):
+        return can_map(self.scene, self.endp)
+
+    @cached_property
+    def line(self) -> CurvedLine:
+        return CurvedLine(self.scene, -1)
+
+    @cached_property
+    def _todd_series(self) -> Cochain:
+        return todd_inverse(self.scene)
+
+    def todd(self, sign: int = 1) -> Cochain:
+        """todd_inverse(scene, sign), which is the series times sign: the
+        series is built once and each sign scales it once."""
+        td = self._todd.get(sign)
+        if td is None:
+            td = self._todd[sign] = self._todd_series.scale(Fraction(sign))
+        return td
 
 
 def max_form_degree(scene: Scene) -> int:
@@ -35,18 +79,15 @@ def unit_a_chain(scene: Scene) -> CechHochChain:
 
 def trace_route(scene: Scene, chain: CechHochChain) -> Cochain:
     """hkr o phi o (entrywise realization of the algebra on P)."""
-    endp = end_algebra(scene, build_P(scene))
-    can = can_map(scene, endp)
-    line = CurvedLine(scene, -1)
-    realized = apply_morphism(chain, can, endp)
+    routes = scene.routes()
+    realized = apply_morphism(chain, routes.can, routes.endp)
     out_len = min(scene.trunc, max_form_degree(scene) + 1)
-    return hkr_xf(phi(realized, out_len, line))
+    return hkr_xf(phi(realized, out_len, routes.line))
 
 
 def residue_route(scene: Scene, chain: CechHochChain, todd_sign: int) -> Cochain:
     """cone projection o (~^ sign * Td^{-1}) o hkr_A."""
-    td = todd_inverse(scene, todd_sign)
-    return cone_delta(bar_wedge(hkr_A(chain), td))
+    return cone_delta(bar_wedge(hkr_A(chain), scene.routes().todd(todd_sign)))
 
 
 def pushforward_routes(scene: Scene, y_class: Cochain):
@@ -55,7 +96,7 @@ def pushforward_routes(scene: Scene, y_class: Cochain):
     (sign +1) restricted to the divisor.  The trace route, which needs a
     Hochschild representative, is compared only on the unit class
     (`pushforward_unit`)."""
-    td_y = forms_to_y(todd_inverse(scene))
+    td_y = forms_to_y(scene.routes().todd())
     return connecting_delta(bar_wedge(y_class, td_y))
 
 

@@ -20,7 +20,8 @@ presheaf (`CdgPresheaf.table`), so it lives and dies with its owner:
 `hoch_d` keeps, per tuple, the slot terms of the curvature, d and
 composition of basis symbols, and multiplies them by a slot's monomial as
 an exponent shift; `restrict_chain` keeps, per (I, J), the slot terms of
-each restricted basis element mono * sym.  Within one `map_slots` call
+each restricted basis element mono * sym, and `apply_morphism` keeps, per
+tuple, those of each image on the morphism.  Within one `map_slots` call
 each distinct (sym, mono) slot is computed once.
 
 A CechHochChain is a Cech cochain of such chains over the atlas; its
@@ -314,9 +315,6 @@ class CechHochChain(AtlasCochain):
     def _same_space(self, other) -> bool:
         return self.presheaf is other.presheaf
 
-    def _new(self, entries: dict) -> "CechHochChain":
-        return CechHochChain(self.presheaf, entries)
-
     def _restrict(self, ch, I, J):
         return restrict_chain(ch, J)
 
@@ -339,7 +337,9 @@ def cech_hoch_d(c: CechHochChain) -> CechHochChain:
 
 
 def apply_morphism(c: CechHochChain, morphism, dst: CdgPresheaf) -> CechHochChain:
-    """Entrywise application of a strict presheaf morphism."""
+    """Entrywise application of a strict presheaf morphism; the slot terms
+    of its images over each tuple are kept on the morphism
+    (`morphism.table(I)`)."""
     entries = {}
     for I, ch in c.entries.items():
         ring = dst.ring(I)
@@ -349,5 +349,6 @@ def apply_morphism(c: CechHochChain, morphism, dst: CdgPresheaf) -> CechHochChai
             I,
             lambda s, m: elem_scale(morphism.apply_sym(I, s), ring.monomial(m)),
             path=lambda p: tuple(morphism.object(x) for x in p),
+            table=morphism.table(I),
         )
     return CechHochChain(dst, entries)

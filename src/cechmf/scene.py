@@ -6,8 +6,10 @@ coordinate variable (or misses the chart, x=1), f = x*g per chart, and
 overlap rings carry explicit restriction maps.
 
 The Cech layer over the atlas lives here too: `Scene.ctx(I)` keeps each
-tuple's lead-chart data (a `forms.TupleCtx`), and `AtlasCochain` is the
-one cochain base of `cech.Cochain` and `hochschild.CechHochChain`.
+tuple's lead-chart data (a `forms.TupleCtx`), `Scene.routes()` keeps the
+fixtures of the trace-vs-residue square (a `diagrams.RouteCtx`), and
+`AtlasCochain` is the one cochain base of `cech.Cochain` and
+`hochschild.CechHochChain`.
 """
 
 from __future__ import annotations
@@ -172,6 +174,7 @@ class Scene:
     global_ring: Ring | None = None
     global_res: dict = field(default_factory=dict)  # chart_id -> RingMap
     _ctxs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _routes: object = field(default=None, init=False, repr=False, compare=False)
 
     def chart(self, i) -> Chart:
         return self.atlas.charts[i]
@@ -186,6 +189,14 @@ class Scene:
             ctx = self._ctxs[I] = TupleCtx(self, I)
         return ctx
 
+    def routes(self):
+        """The diagrams.RouteCtx of this scene, built on first use."""
+        if self._routes is None:
+            from .diagrams import RouteCtx
+
+            self._routes = RouteCtx(self)
+        return self._routes
+
 
 def add_piece(acc: dict, I, piece) -> None:
     """acc[I] += piece, where a missing entry is zero."""
@@ -196,9 +207,10 @@ class AtlasCochain:
     """A Cech cochain over the atlas: {tuple: value}, zero values dropped.
 
     Subclasses supply what must match for two cochains to be added or
-    compared (`_same_space`), a cochain of the same space (`_new`) and the
-    restriction of one value from U_I to U_J (`_restrict`); they keep the
-    scene as `scene`, and `_label` names them in the repr.
+    compared (`_same_space`) and the restriction of one value from U_I to
+    U_J (`_restrict`); their own `__slots__` name the space (copied by
+    `_new`), they keep the scene as `scene`, and `_label` names them in
+    the repr.
     """
 
     __slots__ = ("entries",)
@@ -212,6 +224,15 @@ class AtlasCochain:
                 raise SceneError(f"tuple {I} not in atlas")
             if not s.is_zero():
                 self.entries[I] = s
+
+    def _new(self, entries: dict):
+        """A cochain of the same space from entries keyed by atlas tuples,
+        valid by construction: only the zero values are dropped."""
+        out = object.__new__(type(self))
+        for name in type(self).__slots__:
+            setattr(out, name, getattr(self, name))
+        out.entries = {I: s for I, s in entries.items() if not s.is_zero()}
+        return out
 
     def _label(self) -> str:
         return type(self).__name__

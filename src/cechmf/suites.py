@@ -39,7 +39,6 @@ from .cech import (
     c1_minus_Y,
     cech_total_d,
     cech_wedge,
-    todd_inverse,
     unit_cochain,
 )
 from .diagrams import pushforward_unit, trace_route, residue_route
@@ -357,8 +356,8 @@ def suite_lax(scene: Scene, seed: int = 0, n: int = 50) -> list:
 def suite_phi(scene: Scene, seed: int = 0, n: int = 50) -> list:
     """Criterion 7: the trace map is a chain map, degreewise."""
     rng = _rng(seed, "phi", scene.name)
-    cat = end_algebra(scene, build_P(scene))
-    line = CurvedLine(scene, -1)
+    routes = scene.routes()
+    cat, line = routes.endp, routes.line
     L = scene.trunc - 2
 
     def chain_map(c):
@@ -373,7 +372,7 @@ def suite_todd(scene: Scene, seed: int = 0, n: int = 100) -> list:
     """Criterion 8: the inverse Todd action commutes with the differentials,
     and the two series presentations agree termwise."""
     rng = _rng(seed, "todd", scene.name)
-    td = todd_inverse(scene)
+    td = scene.routes().todd()
 
     def commutes(a):
         return cech_total_d(bar_wedge(a, td), CONE), bar_wedge(cech_total_d(a, CONE), td)

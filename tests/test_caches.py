@@ -2,7 +2,9 @@
 
 `forms.map_form` keeps the pullback of dx_K on the restriction's RingMap,
 and `hochschild` keeps the slot terms of restricted basis elements and of
-the curvature, d and composition of basis symbols on the presheaf.  These
+the curvature, d and composition of basis symbols on the presheaf, and
+those of the images of `can` on the morphism.  The scene keeps the
+fixtures of the trace-vs-residue square (`diagrams.RouteCtx`).  These
 tests compare each table with the computation it replaces, and check that
 a table is never served to an object other than its owner, also after
 the owner is freed and its memory reused.
@@ -17,11 +19,26 @@ import weakref
 import pytest
 
 import cechmf
-from cechmf.cdg import CurvedLine, OYAlgebra, SheafAlgebraA, build_P, end_algebra, restrict_elem
+from cechmf import diagrams
+from cechmf.cdg import (
+    CurvedLine,
+    OYAlgebra,
+    SheafAlgebraA,
+    build_P,
+    can_map,
+    end_algebra,
+    restrict_elem,
+)
+from cechmf.cech import bar_wedge, todd_inverse
+from cechmf.diagrams import max_form_degree, residue_route, trace_route
 from cechmf.forms import Form, d_of, map_form
-from cechmf.hochschild import HochChain, hoch_d, map_slots, restrict_chain
+from cechmf.hkr import hkr_A, hkr_xf
+from cechmf.hochschild import HochChain, apply_morphism, hoch_d, map_slots, restrict_chain
 from cechmf.rand import rand_form, rand_hoch_chain
 from cechmf.scenes_builtin import builtin_scene
+from cechmf.ses import cone_delta
+from cechmf.suites import basis_a_chains
+from cechmf.trace import phi
 
 SCENE_NAMES = ("SCENE-P1", "SCENE-P2", "SCENE-A2D")
 
@@ -174,4 +191,68 @@ def test_tables_die_with_their_owner():
         del scenes, alive
         gc.collect()
         assert all(ref() is None for ref in dead_scenes), "a table outlives its scene"
+    assert _module_containers() == before
+
+
+ROUTE_FIXTURES = ("build_P", "end_algebra", "can_map", "todd_inverse")
+
+
+def test_route_fixtures_are_built_once_per_scene(monkeypatch):
+    calls = dict.fromkeys(ROUTE_FIXTURES, 0)
+    for name in ROUTE_FIXTURES:
+        fn = getattr(diagrams, name)
+
+        def counted(*args, _name=name, _fn=fn, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(diagrams, name, counted)
+    for n in (1, 2):
+        scene = builtin_scene("SCENE-P1")
+        for _, chain in basis_a_chains(scene):
+            trace_route(scene, chain)
+            for sign in (1, -1):
+                residue_route(scene, chain, sign)
+        diagrams.pushforward_unit(scene)
+        assert calls == dict.fromkeys(ROUTE_FIXTURES, n)
+
+
+def _fresh_routes(scene, chain, sign):
+    """Both routes from fixtures built for this call alone."""
+    endp = end_algebra(scene, build_P(scene))
+    realized = apply_morphism(chain, can_map(scene, endp), endp)
+    out_len = min(scene.trunc, max_form_degree(scene) + 1)
+    top = hkr_xf(phi(realized, out_len, CurvedLine(scene, -1)))
+    bottom = cone_delta(bar_wedge(hkr_A(chain), todd_inverse(scene, sign)))
+    return top, bottom
+
+
+@pytest.mark.parametrize("name", SCENE_NAMES)
+def test_routes_on_warm_scene_match_fresh_fixtures(name):
+    scene = builtin_scene(name)
+    chains = [c for _, c in basis_a_chains(scene, max_len=2)]
+    for chain in chains:  # warm the context and its tables
+        trace_route(scene, chain)
+    assert any(scene.routes().can.table(I) for I in scene.atlas.tuples)
+    for chain in chains[::3]:
+        for sign in (1, -1):
+            top, bottom = _fresh_routes(scene, chain, sign)
+            assert trace_route(scene, chain) == top
+            assert residue_route(scene, chain, sign) == bottom
+
+
+def test_route_context_dies_with_its_scene():
+    before = _module_containers()
+    for name in SCENE_NAMES:
+        scene = builtin_scene(name)
+        for _, chain in basis_a_chains(scene, max_len=1):
+            trace_route(scene, chain)
+            residue_route(scene, chain, -1)
+        routes = scene.routes()
+        assert routes is scene.routes()
+        assert any(routes.can.table(I) for I in scene.atlas.tuples)
+        refs = [weakref.ref(x) for x in (scene, routes, routes.can, routes.endp, routes.line)]
+        del scene, routes, chain
+        gc.collect()
+        assert all(ref() is None for ref in refs), f"{name}: the route context outlives its scene"
     assert _module_containers() == before

@@ -48,6 +48,26 @@ def test_scene_is_freed_with_its_tuple_contexts():
     assert ref() is None
 
 
+@pytest.mark.parametrize("gen", [rand_form_cochain, rand_log_cochain, rand_cone_cochain])
+@pytest.mark.parametrize("name", ["SCENE-P1", "SCENE-P2", "SCENE-A2D"])
+def test_derived_cochains_match_checked_construction(name, gen):
+    # cech_d, twisted and the linear operations build their results without
+    # the tuple check; each must equal the cochain the full check builds
+    scene = SCENES[name]
+    rng = random.Random(f"derived:{name}:{gen.__name__}")
+    for _ in range(4):
+        a, b = gen(scene, rng, max_deg=1), gen(scene, rng, max_deg=1)
+        derived = [
+            a + b, a - b, -a, a.scale(Fraction(-3, 2)), a.scale(0),
+            a.cech_d(), a.twisted(lambda I, s: s), a - a,
+        ]
+        for c in derived:
+            assert type(c) is Cochain and c.scene is scene and c.kind == a.kind
+            assert c == Cochain(scene, a.kind, c.entries)
+            assert not any(s.is_zero() for s in c.entries.values())
+        assert (a - a).is_zero() and a.scale(0).is_zero()
+
+
 def test_total_d_of_unit_on_a2():
     scene = SCENES["SCENE-A2"]
     c = unit_cochain(scene, FORM)

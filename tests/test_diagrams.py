@@ -36,6 +36,19 @@ def test_diagram1_strict_on_short_basis_chains(name):
     assert not works[1], "the plus Todd sign must fail somewhere"
 
 
+@pytest.mark.parametrize("name", ["SCENE-A1", "SCENE-A2", "SCENE-P1", "SCENE-A2C", "SCENE-A2D"])
+def test_residue_route_is_odd_in_the_todd_sign(name):
+    # bar_wedge and cone_delta are linear, so the minus route is the
+    # negated plus route on every basis chain
+    scene = SCENES.get(name) or builtin_scene(name)
+    nonzero = 0
+    for _, c in basis_a_chains(scene):
+        plus = residue_route(scene, c, 1)
+        assert residue_route(scene, c, -1) == -plus
+        nonzero += not plus.is_zero()
+    assert nonzero > 0
+
+
 def test_diagram1_example_on_unit():
     scene = SCENES["SCENE-A2"]
     ring = scene.atlas.ring((0,))

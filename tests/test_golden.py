@@ -14,17 +14,24 @@ from cechmf.scenes_builtin import all_builtin_names
 
 GOLDEN = Path(__file__).parent / "golden"
 
+# SCENE-P2 fails pushforward:homology-context (windowed homology of its
+# omega complex does not settle), so its pushforward report exits 1
+PUSHFORWARD_EXIT = {"SCENE-P2": 1}
+
 CASES = [
-    ("verify_SCENE-A1_all.json", ["verify", "--scene", "SCENE-A1", "--suite", "all"]),
+    ("verify_SCENE-A1_all.json", ["verify", "--scene", "SCENE-A1", "--suite", "all"], 0),
     # a two-chart scene, so the Cech restriction of chains runs too
-    ("verify_SCENE-P1_all.json", ["verify", "--scene", "SCENE-P1", "--suite", "all"]),
+    ("verify_SCENE-P1_all.json", ["verify", "--scene", "SCENE-P1", "--suite", "all"], 0),
 ] + [
-    (f"homology_{name}.json", ["homology", "--scene", name])
+    (f"homology_{name}.json", ["homology", "--scene", name], 0)
+    for name in all_builtin_names()
+] + [
+    (f"pushforward_{name}.json", ["pushforward", "--scene", name], PUSHFORWARD_EXIT.get(name, 0))
     for name in all_builtin_names()
 ]
 
 
-@pytest.mark.parametrize("filename, argv", CASES, ids=[c[0] for c in CASES])
-def test_report_matches_golden(capsys, filename, argv):
-    assert cli.main(argv + ["--format", "json"]) == 0
+@pytest.mark.parametrize("filename, argv, code", CASES, ids=[c[0] for c in CASES])
+def test_report_matches_golden(capsys, filename, argv, code):
+    assert cli.main(argv + ["--format", "json"]) == code
     assert capsys.readouterr().out == (GOLDEN / filename).read_text()
