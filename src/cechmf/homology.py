@@ -15,8 +15,12 @@ a count of the elimination's pivots (`linalg`, `_dims`).
 
 A basis key is x^m dx_K on one tuple I, with a tag for its summand.  The
 total differential is linear over restriction, so its column is d(dx_K)
-with each entry at J multiplied by res(I, J)(x^m): cech_total_d runs once
-per (tag, I, K), and `_column` builds every column from that table.
+with each entry at J multiplied by res(I, J)(x^m), and `_column` builds
+every column from that table.  The tables depend on the scene and the
+complex only, not on the window, so the scene keeps them in
+`Scene._dtables`, keyed by (tag, I, K) (the tag fixes the complex):
+cech_total_d runs once per (tag, I, K) per scene.  The window keys, the
+columns and the eliminations are built anew on every call.
 """
 
 from __future__ import annotations
@@ -153,21 +157,22 @@ def _size(key) -> int:
     return sum(map(abs, key[3]))
 
 
-def _column(scene: Scene, complex_kind: str, key, tables: dict) -> dict:
+def _column(scene: Scene, complex_kind: str, key) -> dict:
     """d of one window basis key, expanded, from the table of its (tag, I, K).
 
     Both parts of the total differential are linear over restriction, so
     the entry at J of d(x^m b) is res(I, J)(x^m) times the entry at J of
-    d(b), with b = 1 dx_K under the key's tag.  `tables` holds
+    d(b), with b = 1 dx_K under the key's tag.  The scene's table holds
     expand_cochain(cech_total_d(b)) per (tag, I, K), grouped by J, and is
-    filled on first use.  A product can gain a power of the pole; it is
-    renormalized as LogForm and y_normalize do: a residue term x^e dx_K'
-    with e_pole > 0 is the regular term dx_pole ^ x^(e - 1_pole) dx_K', and
-    a divisor term with e_pole > 0 is zero.  Integral coefficients are
-    ints (the normal form of `rings`), so the elimination over Z scales no
-    column of an integral differential."""
+    filled on first use; the tag fixes the complex.  A product can gain a
+    power of the pole; it is renormalized as LogForm and y_normalize do: a
+    residue term x^e dx_K' with e_pole > 0 is the regular term
+    dx_pole ^ x^(e - 1_pole) dx_K', and a divisor term with e_pole > 0 is
+    zero.  Integral coefficients are ints (the normal form of `rings`), so
+    the elimination over Z copies each column of an integral differential
+    as is."""
     tag, I, K, m = key
-    table = tables.get((tag, I, K))
+    table = scene._dtables.get((tag, I, K))
     if table is None:
         b = _basis_cochain(scene, complex_kind, (tag, I, K, (0,) * len(m)))
         by_tuple: dict = {}
@@ -177,7 +182,7 @@ def _column(scene: Scene, complex_kind: str, key, tables: dict) -> dict:
             (J, scene.atlas.res(I, J), scene.ctx(J).pole, entries)
             for J, entries in by_tuple.items()
         ]
-        tables[(tag, I, K)] = table
+        scene._dtables[(tag, I, K)] = table
     out: dict = {}
     for J, res, pole, entries in table:
         image = res._mono_image(m).terms.items()
@@ -205,9 +210,9 @@ class _WindowedDifferential:
     are its basis keys in that order, then the other keys the images
     reach.  A key outside the basis can be small (a `cls` key with a pole
     exponent), so rows are split by basis membership, not by size.  Each
-    column is built by `_column` from one table of d(dx_K) per
-    (tag, tuple, K), so cech_total_d runs once per table, not once per
-    basis key."""
+    column is built by `_column` from the scene's table of d(dx_K) per
+    (tag, tuple, K), so cech_total_d runs once per table and scene, not
+    once per basis key or per call."""
 
     def __init__(self, scene: Scene, complex_kind: str, D: int):
         keys = sorted(_window_keys(scene, complex_kind, D), key=_size)
@@ -217,11 +222,10 @@ class _WindowedDifferential:
         self.ambient = {par: {k: i for i, k in enumerate(self.basis[par])} for par in (0, 1)}
         self.sizes = {par: [_size(k) for k in self.basis[par]] for par in (0, 1)}
         self.columns = {0: [], 1: []}
-        tables: dict = {}
         for par in (0, 1):
             amb = self.ambient[1 - par]
             for k in self.basis[par]:
-                img = _column(scene, complex_kind, k, tables)
+                img = _column(scene, complex_kind, k)
                 self.columns[par].append({amb.setdefault(kk, len(amb)): v for kk, v in img.items()})
 
     def in_window(self, par: int, D: int) -> int:

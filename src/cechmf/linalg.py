@@ -39,7 +39,10 @@ class QMatrix:
 
 
 def _integral(col: dict) -> dict:
-    """col times the lcm of its denominators, as ints."""
+    """col times the lcm of its denominators, as ints, in a new dict: the
+    elimination changes it in place.  An integral column is copied as is."""
+    if all(type(x) is int for x in col.values()):
+        return dict(col)
     den = lcm(*(x.denominator for x in col.values()))
     return {i: int(x * den) for i, x in col.items()}
 

@@ -7,7 +7,8 @@ overlap rings carry explicit restriction maps.
 
 The Cech layer over the atlas lives here too: `Scene.ctx(I)` keeps each
 tuple's lead-chart data (a `forms.TupleCtx`), `Scene.routes()` keeps the
-fixtures of the trace-vs-residue square (a `diagrams.RouteCtx`), and
+fixtures of the trace-vs-residue square (a `diagrams.RouteCtx`),
+`Scene._dtables` keeps the d(dx_K) tables of windowed homology, and
 `AtlasCochain` is the one cochain base of `cech.Cochain` and
 `hochschild.CechHochChain`.
 """
@@ -175,6 +176,8 @@ class Scene:
     global_res: dict = field(default_factory=dict)  # chart_id -> RingMap
     _ctxs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _routes: object = field(default=None, init=False, repr=False, compare=False)
+    # (tag, I, K) -> homology._column's table of d(dx_K)
+    _dtables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def chart(self, i) -> Chart:
         return self.atlas.charts[i]

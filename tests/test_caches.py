@@ -4,10 +4,11 @@
 and `hochschild` keeps the slot terms of restricted basis elements and of
 the curvature, d and composition of basis symbols on the presheaf, and
 those of the images of `can` on the morphism.  The scene keeps the
-fixtures of the trace-vs-residue square (`diagrams.RouteCtx`).  These
-tests compare each table with the computation it replaces, and check that
-a table is never served to an object other than its owner, also after
-the owner is freed and its memory reused.
+fixtures of the trace-vs-residue square (`diagrams.RouteCtx`) and the
+d(dx_K) tables of windowed homology, one per (tag, I, K)
+(`Scene._dtables`).  These tests compare each table with the computation
+it replaces, and check that a table is never served to an object other
+than its owner, also after the owner is freed and its memory reused.
 """
 
 import gc
@@ -19,7 +20,7 @@ import weakref
 import pytest
 
 import cechmf
-from cechmf import diagrams
+from cechmf import diagrams, homology
 from cechmf.cdg import (
     CurvedLine,
     OYAlgebra,
@@ -29,15 +30,16 @@ from cechmf.cdg import (
     end_algebra,
     restrict_elem,
 )
-from cechmf.cech import bar_wedge, todd_inverse
+from cechmf.cech import CONE, FORM, OMEGA, OMEGA_Y, bar_wedge, todd_inverse, unit_cochain
 from cechmf.diagrams import max_form_degree, residue_route, trace_route
 from cechmf.forms import Form, d_of, map_form
 from cechmf.hkr import hkr_A, hkr_xf
 from cechmf.hochschild import HochChain, apply_morphism, hoch_d, map_slots, restrict_chain
+from cechmf.homology import homology_dims, is_boundary_within_window
 from cechmf.rand import rand_form, rand_hoch_chain
-from cechmf.scenes_builtin import builtin_scene
+from cechmf.scenes_builtin import all_builtin_names, builtin_scene
 from cechmf.ses import cone_delta
-from cechmf.suites import basis_a_chains
+from cechmf.suites import basis_a_chains, oracle_homology_dims
 from cechmf.trace import phi
 
 SCENE_NAMES = ("SCENE-P1", "SCENE-P2", "SCENE-A2D")
@@ -256,3 +258,71 @@ def test_route_context_dies_with_its_scene():
         gc.collect()
         assert all(ref() is None for ref in refs), f"{name}: the route context outlives its scene"
     assert _module_containers() == before
+
+
+COMPLEXES = (OMEGA, OMEGA_Y, CONE)
+# the tag of a table's key fixes its complex
+COMPLEX_OF_TAG = {"f": OMEGA, "y": OMEGA_Y, "cr": CONE, "clr": CONE, "cls": CONE}
+
+
+def _tables_of(scene, kind) -> int:
+    return sum(COMPLEX_OF_TAG[key[0]] == kind for key in scene._dtables)
+
+
+@pytest.mark.parametrize("name", all_builtin_names())
+def test_homology_on_warm_scene_matches_fresh_scene(name):
+    runs = [(kind, D) for kind in COMPLEXES for D in (0, 1)]
+    want = {(kind, D): homology_dims(builtin_scene(name), kind, D) for kind, D in runs}
+    warm = builtin_scene(name)
+    rng = random.Random(f"warm-homology:{name}")
+    for _ in range(2):  # the complexes interleaved on one scene, cold then warm
+        rng.shuffle(runs)
+        for kind, D in runs:
+            assert homology_dims(warm, kind, D) == want[kind, D], (kind, D)
+    assert all(key[0] in COMPLEX_OF_TAG for key in warm._dtables)
+
+
+def test_warm_homology_makes_no_cech_total_d_calls(monkeypatch):
+    calls = [0]
+    fn = homology.cech_total_d
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(homology, "cech_total_d", counted)
+    scene = builtin_scene("SCENE-A2D")
+    for kind in COMPLEXES:
+        calls[0] = 0
+        homology_dims(scene, kind, 1)
+        assert calls[0] == _tables_of(scene, kind) > 0
+        calls[0] = 0
+        for D in (0, 2, 1):  # any window, smaller or larger
+            homology_dims(scene, kind, D)
+        assert calls[0] == 0, kind
+    # the unit lies in window 1, so its differential is a boundary there
+    assert is_boundary_within_window(fn(unit_cochain(scene, FORM), OMEGA), OMEGA, 1)
+    assert calls[0] == 0
+
+
+def test_homology_tables_die_with_their_scene():
+    before = _module_containers()
+    for name in SCENE_NAMES:
+        scene = builtin_scene(name)
+        for kind in COMPLEXES:
+            homology_dims(scene, kind, 0)
+        assert all(_tables_of(scene, kind) for kind in COMPLEXES)
+        assert not builtin_scene(name)._dtables, "a table is served to another scene"
+        ref = weakref.ref(scene)
+        del scene
+        gc.collect()
+        assert ref() is None, f"{name}: the homology tables outlive their scene"
+    assert _module_containers() == before
+
+
+@pytest.mark.parametrize("name", SCENE_NAMES)
+def test_oracle_does_not_fill_the_table(name):
+    scene = builtin_scene(name)
+    for kind in COMPLEXES:
+        oracle_homology_dims(scene, kind, 1)
+    assert scene._dtables == {}

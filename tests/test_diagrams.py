@@ -36,7 +36,9 @@ def test_diagram1_strict_on_short_basis_chains(name):
     assert not works[1], "the plus Todd sign must fail somewhere"
 
 
-@pytest.mark.parametrize("name", ["SCENE-A1", "SCENE-A2", "SCENE-P1", "SCENE-A2C", "SCENE-A2D"])
+@pytest.mark.parametrize(
+    "name", ["SCENE-A1", "SCENE-A2", "SCENE-P1", "SCENE-P2", "SCENE-A2C", "SCENE-A2D"]
+)
 def test_residue_route_is_odd_in_the_todd_sign(name):
     # bar_wedge and cone_delta are linear, so the minus route is the
     # negated plus route on every basis chain

@@ -77,10 +77,9 @@ def test_expand_roundtrip():
 
 def _assert_columns_are_d_of_the_basis(scene, kind, D=3):
     """Every table-built column equals cech_total_d of its basis cochain."""
-    tables: dict = {}
     for key in _window_keys(scene, kind, D):
         want = expand_cochain(cech_total_d(_basis_cochain(scene, kind, key), kind), kind)
-        assert _column(scene, kind, key, tables) == want, key
+        assert _column(scene, kind, key) == want, key
 
 
 @pytest.mark.parametrize("kind", [OMEGA, OMEGA_Y, CONE])

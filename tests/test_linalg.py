@@ -139,3 +139,16 @@ def test_large_entries():
     w = [654_321 * x - 123_457 * y for x, y in zip(u, v)]
     pivots = rank_kernel(_qm([list(t) for t in zip(u, v, w)]))
     assert list(pivots) == [0, 1]
+
+
+def test_rank_kernel_leaves_its_matrix_unchanged():
+    """The elimination changes its columns in place, so it works on copies:
+    an integral column is copied as is, a rational one rebuilt over Z."""
+    rng = random.Random(3)
+    for _ in range(30):
+        a = _random_matrix(rng, rng.randint(2, 6), rng.randint(2, 6), 3)
+        for rows in (a, [[Fraction(x, 2) for x in row] for row in a]):
+            m = _qm(rows)
+            before = [dict(col) for col in m.entries]
+            assert rank_kernel(m) == rank_kernel(_qm(rows))
+            assert m.entries == before
