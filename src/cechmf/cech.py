@@ -228,8 +228,8 @@ def c1_minus_Y(scene: Scene) -> Cochain:
     return Cochain(scene, FORM, entries)
 
 
-def todd_inverse(scene: Scene, sign: int = 1) -> Cochain:
-    """sum_q (-1)^{binom(q,2)} c1^{^q} / (q+1)!, times `sign`.
+def todd_inverse(scene: Scene) -> Cochain:
+    """sum_q (-1)^{binom(q,2)} c1^{^q} / (q+1)!.
 
     The series truncates because Cech degrees are bounded by the cover size.
     """
@@ -244,7 +244,7 @@ def todd_inverse(scene: Scene, sign: int = 1) -> Cochain:
         coeff = Fraction((-1) ** comb(q, 2), factorial(q + 1))
         out = out + power.scale(coeff)
         q += 1
-    return out.scale(Fraction(sign))
+    return out
 
 
 def bar_power(c: Cochain, q: int) -> Cochain:

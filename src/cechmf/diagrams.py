@@ -55,8 +55,8 @@ class RouteCtx:
         return todd_inverse(self.scene)
 
     def todd(self, sign: int = 1) -> Cochain:
-        """todd_inverse(scene, sign), which is the series times sign: the
-        series is built once and each sign scales it once."""
+        """todd_inverse(scene) times sign: the series is built once and
+        each sign scales it once."""
         td = self._todd.get(sign)
         if td is None:
             td = self._todd[sign] = self._todd_series.scale(Fraction(sign))

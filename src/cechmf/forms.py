@@ -18,6 +18,7 @@ a unit or 1 on the tuple the pole is spurious and everything is regular.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .rings import LocPoly, MalformedElement, Ring, quotient_restrict
@@ -106,6 +107,11 @@ class Form:
             dx = "^".join(f"d{names[i]}" for i in k) or "1"
             bits.append(f"({self.terms[k]!r}){dx}")
         return " + ".join(bits)
+
+
+def index_sets(n: int) -> list:
+    """The dx index sets of a ring in n variables, in increasing size."""
+    return [K for k in range(n + 1) for K in itertools.combinations(range(n), k)]
 
 
 def _nonzero(terms: dict) -> dict:

@@ -13,7 +13,11 @@ of the window-(D+1) basis, then every other key the images reach.  Every
 rank the dimensions need is then the rank of a lower-left block, which is
 a count of the elimination's pivots (`linalg`, `_dims`).
 
-A basis key is x^m dx_K on one tuple I, with a tag for its summand.  The
+A basis key is x^m dx_K on one tuple I, with a tag for its summand.
+`_SUMMANDS` is the one place the tags are defined: per complex, each
+summand's tag, parity shift, whether it lives on the divisor, and how a
+section is taken apart into it and built from it.  The window keys, the
+parities, `expand_cochain` and the basis cochains all read that table.  The
 total differential is linear over restriction, so its column is d(dx_K)
 with each entry at J multiplied by res(I, J)(x^m), and `_column` builds
 every column from that table.  The tables depend on the scene and the
@@ -26,22 +30,44 @@ columns and the eliminations are built anew on every call.
 from __future__ import annotations
 
 import bisect
-import itertools
 from operator import add
 
-from .cech import (
-    CONE,
-    CONEF,
-    OMEGA,
-    OMEGA_Y,
-    _SECTION_OF_COMPLEX,
-    Cochain,
-    cech_total_d,
-)
-from .forms import ConeForm, Form, LogForm, _merge_indices
+from .cech import CONE, OMEGA, OMEGA_Y, _SECTION_OF_COMPLEX, Cochain, cech_total_d
+from .forms import ConeForm, Form, LogForm, _merge_indices, index_sets
 from .linalg import QMatrix, rank_kernel
 from .rings import _fr
 from .scene import Scene
+
+
+def _cone_section(ctx, w: Form, slot: int) -> ConeForm:
+    """The cone section with w in its regular (0), log-regular (1) or
+    log-residue (2) slot and zero in the other two."""
+    parts = [Form.zero(w.ring)] * 3
+    parts[slot] = w
+    return ConeForm(parts[0], LogForm(ctx, parts[1], parts[2]))
+
+
+# The summands of each complex's window basis, in basis order: (tag, parity
+# shift, on the divisor, section -> its Form in the summand, (ctx, Form) ->
+# the section with that Form in the summand and zero elsewhere).  A summand
+# on the divisor lives on tuples with a pole, with no dx_pole and no power
+# of the pole; its keys follow the others' on each tuple.
+_SUMMANDS = {
+    OMEGA: (("f", 0, False, lambda s: s, lambda ctx, w: w),),
+    OMEGA_Y: (("y", 0, True, lambda s: s, lambda ctx, w: w),),
+    CONE: (
+        ("cr", 0, False, lambda s: s.reg, lambda ctx, w: _cone_section(ctx, w, 0)),
+        ("clr", 1, False, lambda s: s.log.regular, lambda ctx, w: _cone_section(ctx, w, 1)),
+        ("cls", 0, True, lambda s: s.log.residue, lambda ctx, w: _cone_section(ctx, w, 2)),
+    ),
+}
+_SHIFT = {tag: shift for summands in _SUMMANDS.values() for tag, shift, _, _, _ in summands}
+
+
+def _summands(complex_kind: str):
+    if complex_kind not in _SUMMANDS:
+        raise ValueError(f"windowed homology does not support the {complex_kind!r} complex")
+    return _SUMMANDS[complex_kind]
 
 
 def _monomials(ring, D, forbid=None):
@@ -62,95 +88,47 @@ def _monomials(ring, D, forbid=None):
 
 
 def _window_keys(scene: Scene, complex_kind: str, D: int):
+    """The window-D basis keys, per tuple: the summands off the divisor,
+    then those on it, each by K, then m, then tag."""
+    summands = _summands(complex_kind)
+    groups = [(on_y, [s[0] for s in summands if s[2] == on_y]) for on_y in (False, True)]
     keys = []
     for I in scene.atlas.tuples:
         ctx = scene.ctx(I)
-        ring = ctx.ring
-        subsets = list(
-            itertools.chain.from_iterable(
-                itertools.combinations(range(ring.nvars), k)
-                for k in range(ring.nvars + 1)
-            )
-        )
-        if complex_kind == OMEGA:
-            for K in subsets:
-                for m in _monomials(ring, D):
-                    keys.append(("f", I, K, m))
-        elif complex_kind == OMEGA_Y:
-            if ctx.pole is None:
+        for on_y, tags in groups:
+            if not tags or (on_y and ctx.pole is None):
                 continue
-            for K in subsets:
-                if ctx.pole in K:
-                    continue
-                for m in _monomials(ring, D, forbid=ctx.pole):
-                    keys.append(("y", I, K, m))
-        elif complex_kind == CONE:
-            for K in subsets:
-                for m in _monomials(ring, D):
-                    keys.append(("cr", I, K, m))
-                    keys.append(("clr", I, K, m))
-            if ctx.pole is not None:
-                for K in subsets:
-                    if ctx.pole in K:
-                        continue
-                    for m in _monomials(ring, D, forbid=ctx.pole):
-                        keys.append(("cls", I, K, m))
-        else:
-            raise ValueError(complex_kind)
+            pole = ctx.pole if on_y else None
+            monos = _monomials(ctx.ring, D, forbid=pole)
+            for K in index_sets(ctx.ring.nvars):
+                if pole not in K:
+                    keys.extend((tag, I, K, m) for m in monos for tag in tags)
     return keys
 
 
 def _parity(key) -> int:
     tag, I, K, _ = key
-    p = len(I) - 1
-    if tag in ("f", "y", "cr", "cls"):
-        return (p + len(K)) % 2
-    if tag == "clr":
-        return (p + len(K) + 1) % 2
-    raise ValueError(tag)
-
-
-def _expand_form(scene, I, w: Form, tag):
-    for K, c in w.terms.items():
-        for coeff, mono in c.monomials():
-            yield (tag, I, K, mono), coeff
-
-
-def _expand_section(scene, complex_kind, I, s):
-    if complex_kind == OMEGA:
-        yield from _expand_form(scene, I, s, "f")
-    elif complex_kind == OMEGA_Y:
-        yield from _expand_form(scene, I, s, "y")
-    elif complex_kind == CONE:
-        yield from _expand_form(scene, I, s.reg, "cr")
-        yield from _expand_form(scene, I, s.log.regular, "clr")
-        yield from _expand_form(scene, I, s.log.residue, "cls")
+    return (len(I) - 1 + len(K) + _SHIFT[tag]) % 2
 
 
 def expand_cochain(c: Cochain, complex_kind: str) -> dict:
+    summands = _summands(complex_kind)
     out: dict = {}
     for I, s in c.entries.items():
-        for key, coeff in _expand_section(c.scene, complex_kind, I, s):
-            out[key] = out.get(key, 0) + coeff
+        for tag, _, _, part, _ in summands:
+            for K, poly in part(s).terms.items():
+                for coeff, mono in poly.monomials():
+                    key = (tag, I, K, mono)
+                    out[key] = out.get(key, 0) + coeff
     return {k: _fr(v) for k, v in out.items() if v}
 
 
 def _basis_cochain(scene: Scene, complex_kind: str, key) -> Cochain:
     tag, I, K, mono = key
-    ring = scene.atlas.ring(I)
-    coeff = ring.monomial(mono)
-    w = Form(ring, {K: coeff})
-    kind = _SECTION_OF_COMPLEX[complex_kind]
-    if tag in ("f", "y"):
-        return Cochain(scene, kind, {I: w})
     ctx = scene.ctx(I)
-    if tag == "cr":
-        s = ConeForm(w, LogForm.zero(ctx))
-    elif tag == "clr":
-        s = ConeForm(Form.zero(ring), LogForm(ctx, w, Form.zero(ring)))
-    else:
-        s = ConeForm(Form.zero(ring), LogForm(ctx, Form.zero(ring), w))
-    return Cochain(scene, CONEF, {I: s})
+    (make,) = [s[4] for s in _summands(complex_kind) if s[0] == tag]
+    w = Form(ctx.ring, {K: ctx.ring.monomial(mono)})
+    return Cochain(scene, _SECTION_OF_COMPLEX[complex_kind], {I: make(ctx, w)})
 
 
 def _size(key) -> int:

@@ -6,11 +6,10 @@ generators spread terms over tuples, degrees and parities.
 
 from __future__ import annotations
 
-import itertools
 import random
 
 from .cech import CONEF, FORM, LOG, YFORM, Cochain
-from .forms import ConeForm, Form, LogForm, y_normalize
+from .forms import ConeForm, Form, LogForm, index_sets, y_normalize
 from .hochschild import CechHochChain, HochChain, make_chain
 from .scene import Scene
 
@@ -29,11 +28,7 @@ def rand_locpoly(rng: random.Random, ring, max_deg=2):
 
 def rand_form(rng: random.Random, ring, max_deg=2):
     terms = {}
-    subsets = list(
-        itertools.chain.from_iterable(
-            itertools.combinations(range(ring.nvars), k) for k in range(ring.nvars + 1)
-        )
-    )
+    subsets = index_sets(ring.nvars)
     for _ in range(2):
         k = rng.choice(subsets)
         c = rand_locpoly(rng, ring, max_deg=max_deg)

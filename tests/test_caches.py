@@ -16,6 +16,7 @@ import importlib
 import pkgutil
 import random
 import weakref
+from fractions import Fraction
 
 import pytest
 
@@ -225,7 +226,7 @@ def _fresh_routes(scene, chain, sign):
     realized = apply_morphism(chain, can_map(scene, endp), endp)
     out_len = min(scene.trunc, max_form_degree(scene) + 1)
     top = hkr_xf(phi(realized, out_len, CurvedLine(scene, -1)))
-    bottom = cone_delta(bar_wedge(hkr_A(chain), todd_inverse(scene, sign)))
+    bottom = cone_delta(bar_wedge(hkr_A(chain), todd_inverse(scene).scale(Fraction(sign))))
     return top, bottom
 
 

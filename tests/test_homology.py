@@ -4,10 +4,20 @@ from fractions import Fraction
 import pytest
 
 from cechmf import homology, suites
-from cechmf.cech import CONE, FORM, OMEGA, OMEGA_Y, Cochain, cech_total_d, unit_cochain
+from cechmf.cech import (
+    CONE,
+    FORM,
+    OMEGA,
+    OMEGA_LOG,
+    OMEGA_Y,
+    Cochain,
+    cech_total_d,
+    unit_cochain,
+)
 from cechmf.forms import Form
 from cechmf.homology import (
     _column,
+    _parity,
     _window_keys,
     expand_cochain,
     homology_dims,
@@ -68,11 +78,25 @@ def test_boundary_detection():
     assert not is_boundary_within_window(nz, OMEGA, 3)
 
 
-def test_expand_roundtrip():
-    keys = _window_keys(A2, OMEGA, 2)
-    for key in keys[:10]:
-        c = _basis_cochain(A2, OMEGA, key)
-        assert expand_cochain(c, OMEGA) == {key: Fraction(1)}
+@pytest.mark.parametrize("kind", [OMEGA, OMEGA_Y, CONE])
+@pytest.mark.parametrize("name", all_builtin_names())
+def test_expand_roundtrip(name, kind):
+    """Each basis key is its own basis cochain taken apart again, and d
+    moves every key to the other parity."""
+    scene = builtin_scene(name)
+    for key in _window_keys(scene, kind, 2):
+        c = _basis_cochain(scene, kind, key)
+        assert expand_cochain(c, kind) == {key: Fraction(1)}
+        assert {_parity(k) for k in _column(scene, kind, key)} <= {1 - _parity(key)}, key
+
+
+@pytest.mark.parametrize("kind", [OMEGA_LOG, "no-such-complex"])
+def test_unsupported_complex_is_named(kind):
+    with pytest.raises(ValueError, match=kind):
+        homology_dims(A2, kind, 1)
+    w = Cochain(A2, FORM, {(0,): Form.one(A2.atlas.ring((0,)))})
+    with pytest.raises(ValueError, match=kind):
+        is_boundary_within_window(w, kind, 1)
 
 
 def _assert_columns_are_d_of_the_basis(scene, kind, D=3):
