@@ -7,6 +7,12 @@ Conventions (see signs.py):
   * products multiply front face times back face:
     (a.b)_{i_0..i_{p+q}} = a_{i_0..i_p} b_{i_p..i_{p+q}},
   * bar product (a ~^ b) = (-1)^{pq} (b ^ a) in Cech degrees p, q.
+
+A divisor form (kind YFORM) is a form on X taken modulo x and dx, x the
+divisor's coordinate; its normal form is forms.y_normalize.  Divisor forms
+are projected where they are built (`Cochain.__init__`) and where they are
+restricted (`restrict_section`), so every other producer passes plain forms
+and the linear operations of AtlasCochain keep the normal form.
 """
 
 from __future__ import annotations
@@ -21,7 +27,6 @@ from .forms import (
     dlog_of,
     restrict_form,
     restrict_logform,
-    restrict_yform,
     y_normalize,
 )
 from .scene import AtlasCochain, Scene, SceneError, add_piece
@@ -32,7 +37,6 @@ OMEGA_LOG = "omega_log"        # (Omega(log Y), -df^)
 OMEGA_LOG_SHIFTED = "omega_log_shifted"  # (Omega(log Y), -df^)[1]
 OMEGA_Y = "omega_y"            # (Omega_Y, 0)
 CONE = "cone"
-COMPLEXES = (OMEGA, OMEGA_LOG, OMEGA_Y, CONE)
 
 FORM, LOG, CONEF, YFORM = "form", "log", "cone", "yform"
 _SECTION_OF_COMPLEX = {
@@ -47,7 +51,7 @@ _SECTION_OF_COMPLEX = {
 
 class Cochain(AtlasCochain):
     """Assignment of a section of one kind to each atlas tuple; missing
-    entries are zero."""
+    entries are zero.  Divisor-form entries are projected to Y."""
 
     __slots__ = ("scene", "kind")
 
@@ -56,6 +60,9 @@ class Cochain(AtlasCochain):
         self.scene = scene
         self.kind = kind
         super().__init__(entries)
+        if kind == YFORM:
+            normal = {I: y_normalize(s, scene.ctx(I)) for I, s in self.entries.items()}
+            self.entries = {I: s for I, s in normal.items() if not s.is_zero()}
 
     def _same_space(self, other) -> bool:
         return self.scene is other.scene and self.kind == other.kind
@@ -69,30 +76,21 @@ class Cochain(AtlasCochain):
 
 def unit_cochain(scene: Scene, kind: str = FORM) -> Cochain:
     """The Cech-degree-0 unit: constant 1 over every chart."""
-    entries = {}
-    for i in scene.atlas.chart_ids:
-        ring = scene.atlas.ring((i,))
-        if kind == FORM:
-            entries[(i,)] = Form.one(ring)
-        elif kind == YFORM:
-            entries[(i,)] = y_normalize(Form.one(ring), scene.ctx((i,)))
-        else:
-            raise ValueError(kind)
-    return Cochain(scene, kind, entries)
+    if kind not in (FORM, YFORM):
+        raise ValueError(kind)
+    ids = scene.atlas.chart_ids
+    return Cochain(scene, kind, {(i,): Form.one(scene.atlas.ring((i,))) for i in ids})
 
 
 def restrict_section(scene: Scene, kind: str, s, I, J):
     if kind == FORM:
         return restrict_form(scene, s, I, J)
     if kind == LOG:
-        return restrict_logform(scene, s, I, J, scene.ctx(J))
+        return restrict_logform(scene, s, I, J)
     if kind == YFORM:
-        return restrict_yform(scene, s, I, J, scene.ctx(J))
+        return y_normalize(restrict_form(scene, s, I, J), scene.ctx(J))
     if kind == CONEF:
-        return ConeForm(
-            restrict_form(scene, s.reg, I, J),
-            restrict_logform(scene, s.log, I, J, scene.ctx(J)),
-        )
+        return ConeForm(restrict_form(scene, s.reg, I, J), restrict_logform(scene, s.log, I, J))
     raise ValueError(kind)
 
 
@@ -151,7 +149,7 @@ def cone_cochain(scene: Scene, reg: Cochain, log: Cochain) -> Cochain:
 
 
 def _cup(a: Cochain, b: Cochain, kind: str, product) -> Cochain:
-    """Front-face/back-face pairing: the sum of product(a_I|K, b_J|K, p, q, K)
+    """Front-face/back-face pairing: the sum of product(a_I|K, b_J|K, p, q)
     over I ending where J starts, K = I + J[1:] strictly increasing, with
     p, q the Cech degrees of I, J.  Each factor restricts to K by its own
     kind."""
@@ -169,20 +167,14 @@ def _cup(a: Cochain, b: Cochain, kind: str, product) -> Cochain:
                 raise SceneError(f"product tuple {K} missing from atlas")
             ra = restrict_section(scene, a.kind, sa, I, K)
             rb = restrict_section(scene, b.kind, sb, J, K)
-            add_piece(acc, K, product(ra, rb, len(I) - 1, len(J) - 1, K))
+            add_piece(acc, K, product(ra, rb, len(I) - 1, len(J) - 1))
     return Cochain(scene, kind, acc)
-
-
-def _wedge_at(scene: Scene, kind: str, ra, rb, K):
-    """ra ^ rb over K, projected to the divisor when kind is YFORM."""
-    w = ra.wedge(rb)
-    return y_normalize(w, scene.ctx(K)) if kind == YFORM else w
 
 
 def cech_wedge(a: Cochain, b: Cochain) -> Cochain:
     """Front-face/back-face product on form-valued cochains."""
     assert a.kind == FORM and b.kind in (FORM, YFORM)
-    return _cup(a, b, b.kind, lambda ra, rb, p, q, K: _wedge_at(a.scene, b.kind, ra, rb, K))
+    return _cup(a, b, b.kind, lambda ra, rb, p, q: ra.wedge(rb))
 
 
 def bar_wedge(alpha: Cochain, gamma: Cochain) -> Cochain:
@@ -195,14 +187,14 @@ def bar_wedge(alpha: Cochain, gamma: Cochain) -> Cochain:
     assert gamma.kind == FORM or (alpha.kind == YFORM and gamma.kind == YFORM)
     if alpha.kind in (FORM, YFORM):
 
-        def product(rg, ra, q, p, K):
-            piece = _wedge_at(alpha.scene, alpha.kind, rg, ra, K)
+        def product(rg, ra, q, p):
+            piece = rg.wedge(ra)
             return -piece if (p * q) % 2 else piece
 
     else:
         assert alpha.kind == CONEF
 
-        def product(rg, s, q, p, K):
+        def product(rg, s, q, p):
             return ConeForm(
                 rg.wedge(s.reg).scale(Fraction((-1) ** (p * q))),
                 s.log.wedge_left(rg).scale(Fraction((-1) ** ((p + 1) * q))),

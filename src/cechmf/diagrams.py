@@ -36,7 +36,6 @@ class RouteCtx:
 
     def __init__(self, scene: Scene):
         self.scene = scene
-        self._todd: dict = {}
 
     @cached_property
     def endp(self):
@@ -51,16 +50,8 @@ class RouteCtx:
         return CurvedLine(self.scene, -1)
 
     @cached_property
-    def _todd_series(self) -> Cochain:
+    def todd(self) -> Cochain:
         return todd_inverse(self.scene)
-
-    def todd(self, sign: int = 1) -> Cochain:
-        """todd_inverse(scene) times sign: the series is built once and
-        each sign scales it once."""
-        td = self._todd.get(sign)
-        if td is None:
-            td = self._todd[sign] = self._todd_series.scale(Fraction(sign))
-        return td
 
 
 def max_form_degree(scene: Scene) -> int:
@@ -86,8 +77,10 @@ def trace_route(scene: Scene, chain: CechHochChain) -> Cochain:
 
 
 def residue_route(scene: Scene, chain: CechHochChain, todd_sign: int) -> Cochain:
-    """cone projection o (~^ sign * Td^{-1}) o hkr_A."""
-    return cone_delta(bar_wedge(hkr_A(chain), scene.routes().todd(todd_sign)))
+    """cone projection o (~^ sign * Td^{-1}) o hkr_A; the route is linear in
+    the Todd cochain, so the sign scales its result."""
+    out = cone_delta(bar_wedge(hkr_A(chain), scene.routes().todd))
+    return out.scale(Fraction(todd_sign))
 
 
 def pushforward_routes(scene: Scene, y_class: Cochain):
@@ -96,7 +89,7 @@ def pushforward_routes(scene: Scene, y_class: Cochain):
     (sign +1) restricted to the divisor.  The trace route, which needs a
     Hochschild representative, is compared only on the unit class
     (`pushforward_unit`)."""
-    td_y = forms_to_y(scene.routes().todd())
+    td_y = forms_to_y(scene.routes().todd)
     return connecting_delta(bar_wedge(y_class, td_y))
 
 

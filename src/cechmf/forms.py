@@ -329,9 +329,10 @@ def restrict_form(scene: Scene, w: Form, I, J) -> Form:
     return map_form(w, m, scene.atlas.ring(J))
 
 
-def restrict_logform(scene: Scene, lf: LogForm, I, J, ctx_J: TupleCtx) -> LogForm:
+def restrict_logform(scene: Scene, lf: LogForm, I, J) -> LogForm:
     """Restrict w + (dx_I/x_I)^w' rewriting the pole:
     dx_I/x_I = du/u + dx_J/x_J with u = x_I|_J / x_J a unit."""
+    ctx_J = scene.ctx(J)
     reg = restrict_form(scene, lf.regular, I, J)
     if lf.residue.is_zero():
         return LogForm(ctx_J, reg, Form.zero(ctx_J.ring))
@@ -358,15 +359,5 @@ def y_normalize(w: Form, ctx: TupleCtx) -> Form:
     if ctx.pole is None:
         return Form.zero(ctx.ring)
     v = ctx.pole
-    terms = {}
-    for k, c in w.terms.items():
-        if v in k:
-            continue
-        q = quotient_restrict(c, v)
-        if not q.is_zero():
-            terms[k] = terms[k] + q if k in terms else q
-    return Form(ctx.ring, terms)
-
-
-def restrict_yform(scene: Scene, w: Form, I, J, ctx_J: TupleCtx) -> Form:
-    return y_normalize(restrict_form(scene, w, I, J), ctx_J)
+    terms = {k: quotient_restrict(c, v) for k, c in w.terms.items() if v not in k}
+    return Form._new(ctx.ring, _nonzero(terms))

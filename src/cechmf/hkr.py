@@ -14,7 +14,7 @@ from math import factorial
 
 from .cdg import CurvedLine, OYAlgebra, SheafAlgebraA
 from .cech import FORM, LOG, YFORM, Cochain, cone_cochain
-from .forms import Form, LogForm, d_of, dlog_of, y_normalize
+from .forms import Form, LogForm, d_of, dlog_of
 from .hochschild import CechHochChain, map_slots
 from .rings import quotient_restrict
 from .scene import add_piece
@@ -38,7 +38,7 @@ def _hkr_terms(a0, c, k: int, das, head: Form | None = None) -> Form:
 
 def _hkr_cochain(c: CechHochChain, kind: str) -> Cochain:
     """a_0[a_1|...|a_k] -> (1/k!) a_0 da_1 ^ ... ^ da_k on every tuple,
-    projected to the divisor for kind YFORM."""
+    as a cochain of the given kind."""
     scene = c.scene
     entries: dict = {}
     for I, ch in c.entries.items():
@@ -47,7 +47,7 @@ def _hkr_cochain(c: CechHochChain, kind: str) -> Cochain:
         for (path, syms, monos), coeff in ch.terms.items():
             das = (d_of(ring.monomial(mono)) for mono in monos[1:])
             acc = acc + _hkr_terms(ring.monomial(monos[0]), coeff, len(syms) - 1, das)
-        entries[I] = y_normalize(acc, scene.ctx(I)) if kind == YFORM else acc
+        entries[I] = acc
     return Cochain(scene, kind, entries)
 
 
@@ -98,12 +98,11 @@ def hkr_A(c: CechHochChain) -> Cochain:
             add_piece(reg_acc, I, _hkr_terms(m[0], coeff, k, das, dx_dg))
             # Cech-degree-raising terms over j < i_0
             if raising is None:
-                raising = []
-                for j in scene.atlas.chart_ids:
-                    K = tuple(sorted((j,) + I))
-                    if j < I[0] and scene.atlas.has_tuple(K):
-                        u = scene.atlas.unit(I[0], j, K)
-                        raising.append((K, scene.atlas.res(I, K), dlog_of(u)))
+                raising = [
+                    (K, scene.atlas.res(I, K), dlog_of(scene.atlas.unit(I[0], j, K)))
+                    for j, pos, K in scene.atlas.extensions(I)
+                    if pos == 0
+                ]
             for K, res, dlog_u in raising:
                 das_K = (d_of(res(a)) for a in m[1:])
                 w = _hkr_terms(res(m[0]), coeff * (-1) ** (p + 1), k, das_K, dlog_u)

@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 
 from .cech import CONEF, FORM, LOG, YFORM, Cochain
-from .forms import ConeForm, Form, LogForm, index_sets, y_normalize
+from .forms import ConeForm, Form, LogForm, index_sets
 from .hochschild import CechHochChain, HochChain, make_chain
 from .scene import Scene
 
@@ -71,11 +71,8 @@ def rand_cone_cochain(scene: Scene, rng: random.Random, max_deg=2) -> Cochain:
 
 
 def rand_yform_cochain(scene: Scene, rng: random.Random, max_deg=2) -> Cochain:
-    entries = {}
-    for I in scene.atlas.tuples:
-        ctx = scene.ctx(I)
-        entries[I] = y_normalize(rand_form(rng, ctx.ring, max_deg=max_deg), ctx)
-    return Cochain(scene, YFORM, entries)
+    """A random form cochain, projected to the divisor."""
+    return Cochain(scene, YFORM, rand_form_cochain(scene, rng, max_deg).entries)
 
 
 def rand_mono(rng: random.Random, ring, max_deg=1):

@@ -18,7 +18,7 @@ from .cech import (
     Cochain,
     cech_total_d,
 )
-from .forms import Form, LogForm, y_normalize
+from .forms import Form, LogForm
 from .signs import sign
 
 
@@ -32,9 +32,7 @@ class InternalConsistencyError(AssertionError):
 
 def _to_y(c: Cochain, part) -> Cochain:
     """Restrict part(section) to the divisor on every tuple."""
-    return Cochain(c.scene, YFORM, {
-        I: y_normalize(part(s), c.scene.ctx(I)) for I, s in c.entries.items()
-    })
+    return Cochain(c.scene, YFORM, {I: part(s) for I, s in c.entries.items()})
 
 
 def ses_lift(alpha: Cochain) -> Cochain:

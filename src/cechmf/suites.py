@@ -372,7 +372,7 @@ def suite_todd(scene: Scene, seed: int = 0, n: int = 100) -> list:
     """Criterion 8: the inverse Todd action commutes with the differentials,
     and the two series presentations agree termwise."""
     rng = _rng(seed, "todd", scene.name)
-    td = scene.routes().todd()
+    td = scene.routes().todd
 
     def commutes(a):
         return cech_total_d(bar_wedge(a, td), CONE), bar_wedge(cech_total_d(a, CONE), td)

@@ -48,11 +48,14 @@ def test_scene_is_freed_with_its_tuple_contexts():
     assert ref() is None
 
 
-@pytest.mark.parametrize("gen", [rand_form_cochain, rand_log_cochain, rand_cone_cochain])
+@pytest.mark.parametrize(
+    "gen", [rand_form_cochain, rand_log_cochain, rand_cone_cochain, rand_yform_cochain]
+)
 @pytest.mark.parametrize("name", ["SCENE-P1", "SCENE-P2", "SCENE-A2D"])
 def test_derived_cochains_match_checked_construction(name, gen):
     # cech_d, twisted and the linear operations build their results without
-    # the tuple check; each must equal the cochain the full check builds
+    # the tuple check and the projection of divisor forms to Y; each must
+    # equal the cochain the checked constructor builds
     scene = SCENES[name]
     rng = random.Random(f"derived:{name}:{gen.__name__}")
     for _ in range(4):

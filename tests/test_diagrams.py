@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from cechmf.cdg import SheafAlgebraA
-from cechmf.cech import OMEGA, cech_total_d
+from cechmf.cech import OMEGA, bar_wedge, cech_total_d
 from cechmf.diagrams import (
     pushforward_unit,
     trace_route,
@@ -11,9 +11,11 @@ from cechmf.diagrams import (
     unit_a_chain,
 )
 from cechmf.forms import Form
+from cechmf.hkr import hkr_A
 from cechmf.hochschild import CechHochChain, make_chain
 from cechmf.homology import is_boundary_within_window
 from cechmf.scenes_builtin import builtin_scene
+from cechmf.ses import cone_delta
 from cechmf.suites import basis_a_chains
 
 SCENES = {n: builtin_scene(n) for n in ("SCENE-A1", "SCENE-A2", "SCENE-P1")}
@@ -40,13 +42,16 @@ def test_diagram1_strict_on_short_basis_chains(name):
     "name", ["SCENE-A1", "SCENE-A2", "SCENE-P1", "SCENE-P2", "SCENE-A2C", "SCENE-A2D"]
 )
 def test_residue_route_is_odd_in_the_todd_sign(name):
-    # bar_wedge and cone_delta are linear, so the minus route is the
-    # negated plus route on every basis chain
+    # residue_route applies the sign to its result; bar_wedge and
+    # cone_delta are linear, so that is the route through the negated Todd
+    # cochain on every basis chain
     scene = SCENES.get(name) or builtin_scene(name)
+    minus_todd = scene.routes().todd.scale(-1)
     nonzero = 0
     for _, c in basis_a_chains(scene):
         plus = residue_route(scene, c, 1)
         assert residue_route(scene, c, -1) == -plus
+        assert cone_delta(bar_wedge(hkr_A(c), minus_todd)) == -plus
         nonzero += not plus.is_zero()
     assert nonzero > 0
 

@@ -2,18 +2,28 @@ import random
 
 import pytest
 
+from cechmf.cdg import OYAlgebra, SheafAlgebraA
 from cechmf.cech import (
     CONE,
     FORM,
     LOG,
     OMEGA,
     OMEGA_Y,
+    YFORM,
     Cochain,
+    bar_wedge,
     cech_total_d,
     unit_cochain,
 )
-from cechmf.forms import Form, LogForm
-from cechmf.rand import rand_form_cochain, rand_log_cochain, rand_yform_cochain, rand_cone_cochain
+from cechmf.forms import Form, LogForm, y_normalize
+from cechmf.hkr import a_to_oy, hkr_A, hkr_y
+from cechmf.rand import (
+    rand_a_class_chain,
+    rand_cone_cochain,
+    rand_form_cochain,
+    rand_log_cochain,
+    rand_yform_cochain,
+)
 from cechmf.ses import (
     NotACocycle,
     cone_delta,
@@ -23,7 +33,7 @@ from cechmf.ses import (
     ses_lift,
     _to_y,
 )
-from cechmf.scenes_builtin import builtin_scene
+from cechmf.scenes_builtin import all_builtin_names, builtin_scene
 
 A1 = builtin_scene("SCENE-A1")
 A2 = builtin_scene("SCENE-A2")
@@ -59,6 +69,51 @@ def test_section_property_random():
         for _ in range(10):
             c = rand_yform_cochain(scene, rng)
             assert ses_project(ses_lift(c)) == c
+
+
+def test_divisor_forms_are_taken_modulo_x_and_dx():
+    # on SCENE-A2 the divisor is {x = 0}: 1 + x and 1 are one divisor form,
+    # x and y dx are zero on it, and so is the connecting map of x; on
+    # SCENE-P2 the divisor of chart 1 is {y1 = 0}
+    ring = A2.atlas.ring((0,))
+    x, y = ring.var("x"), ring.var("y")
+    one_plus_x = Cochain(A2, YFORM, {(0,): Form.scalar(ring.one() + x)})
+    assert one_plus_x == Cochain(A2, YFORM, {(0,): Form.one(ring)})
+    x_form = Cochain(A2, YFORM, {(0,): Form.scalar(x)})
+    assert x_form.is_zero()
+    assert Cochain(A2, YFORM, {(0,): Form(ring, {(0,): y})}).is_zero()
+    assert connecting_delta(x_form).is_zero()
+    ring1 = P2.atlas.ring((1,))
+    y1_form = Cochain(P2, YFORM, {(1,): Form.scalar(ring1.var("y1"))})
+    assert y1_form.is_zero()
+    assert connecting_delta(y1_form).is_zero()
+
+
+def _assert_normal(c: Cochain):
+    assert c.kind == YFORM
+    for I, s in c.entries.items():
+        assert y_normalize(s, c.scene.ctx(I)) == s, (I, s)
+
+
+@pytest.mark.parametrize("name", all_builtin_names())
+def test_every_divisor_form_producer_returns_the_normal_form(name):
+    scene = builtin_scene(name)
+    rng = random.Random(f"normal-form:{name}")
+    alg, oy = SheafAlgebraA(scene), OYAlgebra(scene)
+    _assert_normal(unit_cochain(scene, YFORM))
+    for i in range(6):
+        y1, y2 = rand_yform_cochain(scene, rng), rand_yform_cochain(scene, rng)
+        c = rand_a_class_chain(rng, alg, i % 3)
+        produced = [
+            y1,
+            cone_to_y(hkr_A(c)),
+            hkr_y(a_to_oy(c, oy)),
+            forms_to_y(rand_form_cochain(scene, rng)),
+            bar_wedge(y1, y2),
+            cech_total_d(y1, OMEGA_Y),
+        ]
+        for out in produced:
+            _assert_normal(out)
 
 
 def test_chart_missing_divisor_lifts_to_zero():
