@@ -4,10 +4,11 @@ All presheaves expose the same per-tuple interface: a finite object list,
 free hom modules with homogeneous bases, composition, differential and
 curvature on basis symbols, and restriction of basis symbols along tuple
 extensions.  Elements are {symbol: LocPoly} dictionaries; their algebra
-(`elem_sum`, `elem_scale` and `restrict_elem`, the restriction
-of an element along a tuple extension) lives here and nowhere else.  The
-base class `CdgPresheaf` is the trivial one-object algebra with basis {1};
-each subclass overrides only what differs from it.
+(`elem_sum`, `elem_scale`, the product `elem_mul` by `compose` on symbols,
+and `restrict_elem`, the restriction of an element along a tuple
+extension) lives here and nowhere else.  The base class `CdgPresheaf` is
+the trivial one-object algebra with basis {1}; each subclass overrides
+only what differs from it.
 
 Structure maps depend only on the presheaf and their arguments, so
 `hochschild` tabulates their slot terms once, in dicts the presheaf owns
@@ -16,8 +17,10 @@ morphism `can` keeps the slot terms of its images the same way
 (`CanMorphism.table`).
 
 Matrix-factorization morphisms are stored as matrices in the trivialization
-of the lead (minimum) chart of each tuple; restricting to a tuple with a
-smaller lead conjugates by the transition matrix, which makes every
+of the lead (minimum) chart of each tuple.  Their d and curvature come from
+δ (`MFCategory.delta_element`) and `compose` through `elem_mul`.  Restricting
+to a tuple with a smaller lead conjugates by diag(u^twist), which scales a
+matrix unit by u^`twist_shift`, the one conjugation rule; this makes every
 structure map strictly compatible with restrictions.
 """
 
@@ -44,6 +47,16 @@ def elem_scale(a: dict, c) -> dict:
     else:
         out = {s: v.scale(c) for s, v in a.items()}
     return {s: v for s, v in out.items() if not v.is_zero()}
+
+
+def elem_mul(ph: CdgPresheaf, I, a: dict, b: dict) -> dict:
+    """The product a b of two elements of ph over I, by `compose` on symbols."""
+    return elem_sum(
+        {s: c * ca * cb}
+        for sa, ca in a.items()
+        for sb, cb in b.items()
+        for s, c in ph.compose(I, sa, sb).items()
+    )
 
 
 def restrict_elem(ph: CdgPresheaf, elem: dict, I, J) -> dict:
@@ -265,69 +278,38 @@ class MFCategory(CdgPresheaf):
 
     def d(self, I, sym):
         # d(F) = delta_y F - (-1)^{|F|} F delta_x
-        _, y, x, r, c = sym
-        sign = -1 if self.parity(sym) % 2 else 1
-        out: dict = {}
-        dy = self.mfs[y].delta(self.scene, I)
-        for rr in range(self.mfs[y].rank):
-            v = dy[rr][r]
-            if not v.is_zero():
-                key = ("E", y, x, rr, c)
-                out[key] = out[key] + v if key in out else v
-        dx = self.mfs[x].delta(self.scene, I)
-        for cc in range(self.mfs[x].rank):
-            v = dx[c][cc].scale(-sign)
-            if not v.is_zero():
-                key = ("E", y, x, r, cc)
-                out[key] = out[key] + v if key in out else v
-        return {k: v for k, v in out.items() if not v.is_zero()}
+        _, y, x, _, _ = sym
+        F = {sym: self.ring(I).one()}
+        sign = -1 if self.parity(sym) else 1
+        return elem_sum((
+            elem_mul(self, I, self.delta_element(I, y), F),
+            elem_scale(elem_mul(self, I, F, self.delta_element(I, x)), -sign),
+        ))
 
     def curvature(self, I, x):
-        ring = self.ring(I)
+        delta = self.delta_element(I, x)
         f = self.scene.ctx(I).f
-        mf = self.mfs[x]
-        d = mf.delta(self.scene, I)
-        n = mf.rank
-        out = {}
-        for r in range(n):
-            for c in range(n):
-                entry = sum((d[r][k] * d[k][c] for k in range(n)), ring.zero())
-                if r == c:
-                    entry = entry - f
-                if not entry.is_zero():
-                    out[("E", x, x, r, c)] = entry
-        return out
+        return elem_sum((
+            elem_mul(self, I, delta, delta), elem_scale(self.identity(I, x), -f)
+        ))
 
-    def transition(self, I, J, x) -> list | None:
-        """Change of trivialization from lead(I) to lead(J); None if leads match."""
-        i0, j0 = tuple(I)[0], tuple(J)[0]
-        if i0 == j0:
-            return None
-        u = self.scene.atlas.unit(j0, i0, tuple(J))
-        return [u ** k for k in self.mfs[x].twists]
+    def twist_shift(self, sym) -> int:
+        """n with G_y E_rc G_x^{-1} = u^n E_rc for transitions G = diag(u^twist)."""
+        _, y, x, r, c = sym
+        return self.mfs[y].twists[r] - self.mfs[x].twists[c]
 
     def restrict_sym(self, I, J, sym):
-        _, y, x, r, c = sym
-        ring = self.ring(J)
-        gy = self.transition(I, J, y)
-        if gy is None:
-            return {sym: ring.one()}
-        gx = self.transition(I, J, x)
-        # diagonal transitions: G_y E_rc G_x^{-1} scales by g_y[r] / g_x[c]
-        coeff = gy[r] * gx[c].inverse()
-        return {sym: coeff}
+        # change of trivialization from lead(I) to lead(J); u_ii = 1
+        u = self.scene.atlas.unit(J[0], I[0], tuple(J))
+        return {sym: u ** self.twist_shift(sym)}
 
 
 class TrivializedCategory(MFCategory):
     """Same objects with zero differential: morphisms are plain matrices that
     do not transform under restriction; curvature is -f."""
 
-    def __init__(self, scene: Scene, mfs):
-        zeroed = [
-            MFObject(name=m.name, parities=m.parities, twists=m.twists, delta_of=None)
-            for m in mfs
-        ]
-        super().__init__(scene, zeroed)
+    def delta_element(self, I, x) -> dict:
+        return {}
 
     restrict_sym = CdgPresheaf.restrict_sym
 

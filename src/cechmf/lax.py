@@ -15,8 +15,9 @@ their levels and inserts the inverse components, and the shared kernels
 the gaps and expand each summand into basis tensors.  The restriction
 homotopy is the same operator started at the GLOBAL level (p = -1).
 The strict maps of global chains (`global_to_cech`,
-`apply_global_functor`) are `hochschild.map_slots`.  Elements restrict
-along tuples by `cdg.restrict_elem`, where the element algebra lives.
+`apply_global_functor`) are `hochschild.map_slots`.  Elements multiply
+and restrict along tuples by `cdg.elem_mul` and `cdg.restrict_elem`; the
+element algebra lives in `cdg`.
 
 Everything here is for one-object presheaves, which covers the algebra
 actors of the build; signs follow the displayed formulas.
@@ -27,7 +28,7 @@ from __future__ import annotations
 import itertools
 
 from . import signs
-from .cdg import CdgPresheaf, elem_scale, elem_sum, restrict_elem
+from .cdg import CdgPresheaf, elem_mul, elem_scale, elem_sum, restrict_elem
 from .hochschild import (
     CechHochChain,
     HochChain,
@@ -141,19 +142,10 @@ class OneObjectLax:
                         continue
                     lhs = self.alpha(V, W)
                     mid = restrict_elem(self.dst, self.alpha(V, U), U, W)
-                    rhs = _elem_mul(self.dst, W, mid, self.alpha(U, W))
+                    rhs = elem_mul(self.dst, W, mid, self.alpha(U, W))
                     if lhs != rhs:
                         return False
         return True
-
-
-def _elem_mul(ph: CdgPresheaf, I, a: dict, b: dict) -> dict:
-    return elem_sum(
-        {s: c * ca * cb}
-        for sa, ca in a.items()
-        for sb, cb in b.items()
-        for s, c in ph.compose(I, sa, sb).items()
-    )
 
 
 class CocycleError(ValueError):
@@ -237,7 +229,7 @@ def _descent_summands(lax: OneObjectLax, chain: HochChain, levels, realize, head
         parities = [chain.presheaf.parity(s) for s in syms]
         head = realize(syms[0], monos[0], K, K)
         if head_factor is not None:
-            head = _elem_mul(dst, K, head_factor, head)
+            head = elem_mul(dst, K, head_factor, head)
         head = slot_terms(head)
         realized: dict = {}
 
@@ -389,7 +381,7 @@ def iso_homotopy(lax_a: OneObjectLax, lax_b: OneObjectLax, tau_elem, c: CechHoch
                 ]
                 head = restrict_elem(dst, tau_elem(I), I, K)
                 if q:
-                    head = _elem_mul(dst, K, head, lax_a.alpha(I, K))
+                    head = elem_mul(dst, K, head, lax_a.alpha(I, K))
                 out = acc.setdefault(K, {})
                 pairs = zip(
                     _descent_summands(lax_a, ch, levels, realize_a, head),

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -450,10 +451,13 @@ def _build_ring(spec, where: str) -> Ring:
 
 
 def _int(value, where: str, what: str = "chart id") -> int:
-    try:
+    """value as an int: an int that is not a bool, or a string spelling one
+    (the chart keys of `res` objects are JSON strings)."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str) and re.fullmatch(r"-?[0-9]+", value):
         return int(value)
-    except (TypeError, ValueError):
-        raise SceneError(f"{where}: {what} {value!r} is not an integer") from None
+    raise SceneError(f"{where}: {what} {value!r} is not an integer")
 
 
 def _poly(spec, key, ring: Ring, where: str) -> LocPoly:
@@ -486,7 +490,10 @@ def _images(images, variables, ring: Ring, where: str) -> list:
 
 def scene_from_dict(data: dict) -> Scene:
     chart_by_id = {}
-    for n, cs in enumerate(_field(data, "charts", "scene", list)):
+    charts = _field(data, "charts", "scene", list)
+    if not charts:
+        raise SceneError("scene: field 'charts' lists no chart")
+    for n, cs in enumerate(charts):
         raw_id = _field(cs, "id", f"chart #{n}")
         where = f"chart {raw_id}"
         cid = _int(raw_id, where)

@@ -179,9 +179,8 @@ def _hq_descent(out, cat, ch, K, charts, sign_base):
 
         def slot(i, chart, extra=one):
             if (i, chart) not in realized:
-                _, y, x, r, col = syms[i]
                 frac, lp = res_monos[i]
-                up = u_pow(chart, cat.mfs[y].twists[r] - cat.mfs[x].twists[col])
+                up = u_pow(chart, cat.twist_shift(syms[i]))
                 if up is not one:
                     lp = up * lp
                 if extra is not one:

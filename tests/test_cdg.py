@@ -34,11 +34,13 @@ def test_P_delta_shape_on_p1():
     d0 = P.delta(scene, (0,))
     ring = scene.atlas.ring((0,))
     assert d0[0][1] == ring.var("t") and d0[1][0].is_zero()
-    # transitions diag(1, u)
+    # transitions diag(1, u): restriction conjugates E_rc to g_r E_rc g_c^{-1}
     cat = end_algebra(scene, P)
-    g = cat.transition((1,), (0, 1), "P")
     r01 = scene.atlas.ring((0, 1))
-    assert g == [r01.one(), r01.monomial([-1])]
+    g = [r01.one(), r01.monomial([-1])]
+    for r, c in itertools.product(range(2), repeat=2):
+        sym = ("E", "P", "P", r, c)
+        assert cat.restrict_sym((1,), (0, 1), sym) == {sym: g[r] * g[c].inverse()}
 
 
 def test_transition_conjugation_matches_delta():
@@ -92,6 +94,61 @@ def test_trivial_line_curvature():
     h = cat.curvature((0,), "O")
     ring = scene.atlas.ring((0,))
     assert h == {("E", "O", "O", 0, 0): -scene.ctx((0,)).f}
+
+
+def _matmul(a, b, zero):
+    return [
+        [sum((a[i][k] * b[k][j] for k in range(len(b))), zero) for j in range(len(b[0]))]
+        for i in range(len(a))
+    ]
+
+
+def _as_elem(x, y, m):
+    """The element of Hom(x, y) with matrix m, zero entries dropped."""
+    return {
+        ("E", y, x, r, c): v
+        for r, row in enumerate(m)
+        for c, v in enumerate(row)
+        if not v.is_zero()
+    }
+
+
+@pytest.mark.parametrize("name", all_builtin_names())
+def test_mf_d_and_curvature_match_the_matrix_formula(name):
+    # d E = delta_y E - (-1)^|E| E delta_x and curvature delta^2 - f, with the
+    # matrices of MFObject.delta; P and (O_X, 0) cover the symbols P->O, O->P
+    scene = SCENES[name]
+    O = MFObject(name="O", parities=(0,), twists=(0,), delta_of=None)
+    cat = MFCategory(scene, [build_P(scene), O])
+    triv = TrivializedCategory(scene, [build_P(scene), O])
+    for I in scene.atlas.tuples:
+        ring = scene.atlas.ring(I)
+        zero, f = ring.zero(), scene.ctx(I).f
+        delta = {x: m.delta(scene, I) for x, m in cat.mfs.items()}
+        for x, y in itertools.product(cat.mfs, repeat=2):
+            nx, ny = cat.mfs[x].rank, cat.mfs[y].rank
+            for r, c in itertools.product(range(ny), range(nx)):
+                sym = ("E", y, x, r, c)
+                E = [[ring.one() if (i, j) == (r, c) else zero for j in range(nx)]
+                     for i in range(ny)]
+                sign = -1 if cat.parity(sym) else 1
+                left, right = _matmul(delta[y], E, zero), _matmul(E, delta[x], zero)
+                dE = [[a - b.scale(sign) for a, b in zip(ra, rb)]
+                      for ra, rb in zip(left, right)]
+                assert cat.d(I, sym) == _as_elem(x, y, dE), (name, I, sym)
+                assert triv.d(I, sym) == {}
+        for x, m in cat.mfs.items():
+            h = _matmul(delta[x], delta[x], zero)
+            h = [[v - f if r == c else v for c, v in enumerate(row)]
+                 for r, row in enumerate(h)]
+            assert cat.curvature(I, x) == _as_elem(x, x, h), (name, I, x)
+            minus_f = [[-f if r == c else zero for c in range(m.rank)]
+                       for r in range(m.rank)]
+            assert triv.curvature(I, x) == _as_elem(x, x, minus_f), (name, I, x)
+        for _, _, J in scene.atlas.extensions(I):
+            for x, y in itertools.product(triv.mfs, repeat=2):
+                for sym in triv.hom_basis(I, x, y):
+                    assert triv.restrict_sym(I, J, sym) == {sym: scene.atlas.ring(J).one()}
 
 
 def test_can_is_a_homomorphism():

@@ -141,8 +141,9 @@ def _p1_text(edit):
         ('{"charts": 5}', "'charts'"),
         (_p1_text(lambda s: s["charts"][0].update(f="t+")), "chart 0: field 'f'"),
         (_p1_text(lambda s: s["overlaps"][0]["res"]["0"].update(t=1)), "res['0']['t']"),
+        ('{"name": "E", "charts": []}', "'charts'"),
     ],
-    ids=["json", "chart-id", "charts-type", "polynomial", "image-type"],
+    ids=["json", "chart-id", "charts-type", "polynomial", "image-type", "no-charts"],
 )
 def test_malformed_scene_file_exits_2(tmp_path, capsys, text, where):
     path = tmp_path / "scene.json"

@@ -150,6 +150,10 @@ def _set(d, key, value):
             "overlap [1, 0]",
             "duplicate",
         ),
+        (lambda s: _set(s, "window", 2.7), "scene", "window 2.7"),
+        (lambda s: _set(s, "trunc", True), "scene", "trunc True"),
+        (lambda s: _set(s["charts"][1], "id", 1.9), "chart 1.9", "chart id 1.9"),
+        (lambda s: _set(s, "charts", []), "scene", "'charts'"),
     ],
     ids=[
         "chart-f",
@@ -168,6 +172,10 @@ def _set(d, key, value):
         "image-not-a-string-or-object",
         "vars-not-distinct",
         "duplicate-overlap",
+        "window-not-an-integer",
+        "trunc-a-boolean",
+        "chart-id-a-float",
+        "no-charts",
     ],
 )
 def test_missing_field_raises_scene_error(edit, where, field):
