@@ -513,6 +513,10 @@ def scene_from_dict(data: dict) -> Scene:
         tup = _field(os, "tuple", f"overlap #{n}", list)
         where = f"overlap {tup}"
         I = tuple(sorted(_int(x, where) for x in tup))
+        if len(I) < 2:
+            raise SceneError(f"{where}: an overlap needs at least two charts")
+        if len(set(I)) < len(I):
+            raise SceneError(f"{where}: repeated chart in the tuple")
         if I in overlap_rings:
             raise SceneError(f"{where}: duplicate overlap {I}")
         for i in I:
@@ -548,7 +552,7 @@ def scene_from_dict(data: dict) -> Scene:
             if i not in global_res:
                 raise SceneError(f"global res: no entry for chart {i}")
     return Scene(
-        name=data.get("name", "scene"),
+        name=_field(data, "name", "scene", str, "scene"),
         atlas=atlas,
         trunc=_int(data.get("trunc", 6), "scene", "trunc"),
         window=_int(data.get("window", 4), "scene", "window"),

@@ -142,8 +142,23 @@ def _p1_text(edit):
         (_p1_text(lambda s: s["charts"][0].update(f="t+")), "chart 0: field 'f'"),
         (_p1_text(lambda s: s["overlaps"][0]["res"]["0"].update(t=1)), "res['0']['t']"),
         ('{"name": "E", "charts": []}', "'charts'"),
+        (_p1_text(lambda s: s["overlaps"][0].update(tuple=[0])), "overlap [0]: an overlap needs"),
+        (_p1_text(lambda s: s["overlaps"][0].update(tuple=[])), "overlap []: an overlap needs"),
+        (_p1_text(lambda s: s["overlaps"][0].update(tuple=[0, 0, 1])), "overlap [0, 0, 1]: repeated"),
+        (_p1_text(lambda s: s.update(name=["x"])), "scene: field 'name'"),
     ],
-    ids=["json", "chart-id", "charts-type", "polynomial", "image-type", "no-charts"],
+    ids=[
+        "json",
+        "chart-id",
+        "charts-type",
+        "polynomial",
+        "image-type",
+        "no-charts",
+        "overlap-of-one-chart",
+        "overlap-of-no-chart",
+        "overlap-repeated-chart",
+        "name-not-a-string",
+    ],
 )
 def test_malformed_scene_file_exits_2(tmp_path, capsys, text, where):
     path = tmp_path / "scene.json"

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from cechmf import homology, suites
+from cechmf import homology, linalg, suites
 from cechmf.cech import (
     CONE,
     FORM,
@@ -138,7 +138,7 @@ def test_table_columns_equal_cech_total_d_on_a_sheared_scene(kind):
 @pytest.mark.parametrize("kind", [OMEGA, OMEGA_Y, CONE])
 @pytest.mark.parametrize("c", ["1", "1/2"])
 def test_engine_matches_oracle_on_sheared_scenes(c, kind, D):
-    """The elimination over Z against the oracle's Bareiss rank, on the
+    """The elimination over Z against the oracle's sparse rank, on the
     sheared scenes.  The half-sheared one has entries like 1/2 in omega and
     the cone; on Y = {x = 0} the shear is the identity, so omega_y stays
     integral."""
@@ -168,7 +168,22 @@ def test_oracle_does_not_build_table_columns(monkeypatch):
     assert (out["even"], out["odd"]) == GOLDEN["SCENE-A2"]
 
 
-@pytest.mark.parametrize("D", [0, 1])
+def test_oracle_rank_does_not_use_linalg(monkeypatch):
+    """The oracle checks the engine's elimination, so it runs its own."""
+
+    def reached(*args):
+        raise AssertionError("reached rank_kernel")
+
+    monkeypatch.setattr(linalg, "rank_kernel", reached)
+    monkeypatch.setattr(homology, "rank_kernel", reached)
+    with pytest.raises(AssertionError, match="rank_kernel"):
+        homology_dims(A2, OMEGA, 2)
+    assert not hasattr(suites, "rank_kernel")
+    out = oracle_homology_dims(A2, OMEGA, 2)
+    assert (out["even"], out["odd"]) == GOLDEN["SCENE-A2"]
+
+
+@pytest.mark.parametrize("D", [0, 1, 2])
 @pytest.mark.parametrize("kind", [OMEGA, OMEGA_Y, CONE])
 @pytest.mark.parametrize("name", all_builtin_names())
 def test_engine_matches_oracle_at_both_windows(name, kind, D):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cechmf.linalg import QMatrix, rank_kernel
+from cechmf.suites import _sparse_rank
 
 
 def _qm(a) -> QMatrix:
@@ -89,12 +90,31 @@ def _check_against_oracle(a):
             assert sum(1 for c, low in pivots.items() if c < j and low >= r) == _minor_rank(block)
 
 
+def _check_sparse_rank(a, keys):
+    """The homology oracle's rank of the rows of a, each a sparse dict over
+    the tuple keys, equals the minor oracle's, for int and Fraction entries
+    and whichever order the keys sort in."""
+    for scale in (1, Fraction(2, 3)):
+        rows = [{keys[j]: x * scale for j, x in enumerate(row) if x} for row in a]
+        assert _sparse_rank(rows) == _minor_rank(a)
+
+
+def _ambient_keys(rng, cols):
+    """Distinct keys shaped like the oracle's (tag, I, K, mono), shuffled so
+    that the least key is not the first column."""
+    keys = [(rng.choice("ab"), (0, rng.randint(1, 2)), (), (j, -j)) for j in range(cols)]
+    rng.shuffle(keys)
+    return keys
+
+
 def test_against_minor_oracle():
     rng = random.Random(0)
     for _ in range(40):
         rows = rng.randint(1, 6)
         cols = rng.randint(1, 6)
-        _check_against_oracle([[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)])
+        a = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
+        _check_against_oracle(a)
+        _check_sparse_rank(a, _ambient_keys(rng, cols))
 
 
 @settings(max_examples=150, deadline=None)
@@ -111,6 +131,27 @@ def test_against_minor_oracle():
 )
 def test_against_minor_oracle_hypothesis(a):
     _check_against_oracle(a)
+    _check_sparse_rank(a, [(j % 2, (j,)) for j in range(len(a[0]))])
+
+
+def test_sparse_rank_of_sparse_rational_rows():
+    """Rows with Fraction entries, zero entries and large entries, mostly
+    zero, over keys that need not all occur; a repeated row and the zero
+    row add nothing."""
+    rng = random.Random(4)
+    for _ in range(40):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 7)
+        bound = rng.choice((3, 10**6))
+        a = [
+            [rng.choice((0, 0, Fraction(rng.randint(-bound, bound), rng.randint(1, 9)))) for _ in range(cols)]
+            for _ in range(rows)
+        ]
+        keys = _ambient_keys(rng, cols)
+        _check_sparse_rank(a, keys)
+        sparse = [{keys[j]: x for j, x in enumerate(row) if x} for row in a]
+        assert _sparse_rank(sparse + sparse[:1] + [{}]) == _minor_rank(a)
+    assert _sparse_rank([]) == 0
+    assert _sparse_rank([{("a",): 0}]) == 0
 
 
 def _random_matrix(rng, rows, cols, bound):

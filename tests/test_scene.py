@@ -154,6 +154,10 @@ def _set(d, key, value):
         (lambda s: _set(s, "trunc", True), "scene", "trunc True"),
         (lambda s: _set(s["charts"][1], "id", 1.9), "chart 1.9", "chart id 1.9"),
         (lambda s: _set(s, "charts", []), "scene", "'charts'"),
+        (lambda s: _set(s["overlaps"][0], "tuple", [0]), "overlap [0]", "two charts"),
+        (lambda s: _set(s["overlaps"][0], "tuple", []), "overlap []", "two charts"),
+        (lambda s: _set(s["overlaps"][0], "tuple", [0, 0, 1]), "overlap [0, 0, 1]", "repeated"),
+        (lambda s: _set(s, "name", ["x"]), "scene", "'name'"),
     ],
     ids=[
         "chart-f",
@@ -176,6 +180,10 @@ def _set(d, key, value):
         "trunc-a-boolean",
         "chart-id-a-float",
         "no-charts",
+        "overlap-of-one-chart",
+        "overlap-of-no-chart",
+        "overlap-repeated-chart",
+        "name-not-a-string",
     ],
 )
 def test_missing_field_raises_scene_error(edit, where, field):
