@@ -20,16 +20,18 @@ section is taken apart into it and built from it.  The window keys, the
 parities, `expand_cochain` and the basis cochains all read that table.  The
 total differential is linear over restriction, so its column is d(dx_K)
 with each entry at J multiplied by res(I, J)(x^m), and `_column` builds
-every column from that table.  The tables depend on the scene and the
-complex only, not on the window, so the scene keeps them in
-`Scene._dtables`, keyed by (tag, I, K) (the tag fixes the complex):
-cech_total_d runs once per (tag, I, K) per scene.  The window keys, the
-columns and the eliminations are built anew on every call.
+every column from that table.  Neither the tables nor the columns depend
+on the window, so the scene keeps both in `Scene._dtables`, keyed by
+(tag, I, K) (the tag fixes the complex): cech_total_d runs once per
+(tag, I, K) per scene, and each key's column is expanded once per scene,
+for every window and every call that contains it.  The window basis is
+generated in size order, split by parity, so window D's keys are a
+prefix of window D+1's; only the ambient row numbers and the
+eliminations are built anew on every call.
 """
 
 from __future__ import annotations
 
-import bisect
 from operator import add
 
 from .cech import CONE, OMEGA, OMEGA_Y, _SECTION_OF_COMPLEX, Cochain, cech_total_d
@@ -87,27 +89,40 @@ def _monomials(ring, D, forbid=None):
     return list(rec(0, D))
 
 
-def _window_keys(scene: Scene, complex_kind: str, D: int):
-    """The window-D basis keys, per tuple: the summands off the divisor,
-    then those on it, each by K, then m, then tag."""
+def _window_groups(scene: Scene, complex_kind: str, D: int):
+    """Per tuple, the summands off the divisor, then those on it: the
+    tuple, its window-D monomials, and per K its (tag, parity) pairs."""
     summands = _summands(complex_kind)
     groups = [(on_y, [s[0] for s in summands if s[2] == on_y]) for on_y in (False, True)]
-    keys = []
     for I in scene.atlas.tuples:
         ctx = scene.ctx(I)
         for on_y, tags in groups:
             if not tags or (on_y and ctx.pole is None):
                 continue
             pole = ctx.pole if on_y else None
-            monos = _monomials(ctx.ring, D, forbid=pole)
-            for K in index_sets(ctx.ring.nvars):
-                if pole not in K:
-                    keys.extend((tag, I, K, m) for m in monos for tag in tags)
-    return keys
+            cells = [
+                (K, [(tag, _parity((tag, I, K))) for tag in tags])
+                for K in index_sets(ctx.ring.nvars)
+                if pole not in K
+            ]
+            yield I, _monomials(ctx.ring, D, forbid=pole), cells
+
+
+def _window_keys(scene: Scene, complex_kind: str, D: int):
+    """The window-D basis keys, per tuple: the summands off the divisor,
+    then those on it, each by K, then m, then tag."""
+    return [
+        (tag, I, K, m)
+        for I, monos, cells in _window_groups(scene, complex_kind, D)
+        for K, tags in cells
+        for m in monos
+        for tag, _ in tags
+    ]
 
 
 def _parity(key) -> int:
-    tag, I, K, _ = key
+    """The parity of a key (tag, I, K, m), or of its (tag, I, K)."""
+    tag, I, K = key[:3]
     return (len(I) - 1 + len(K) + _SHIFT[tag]) % 2
 
 
@@ -131,36 +146,51 @@ def _basis_cochain(scene: Scene, complex_kind: str, key) -> Cochain:
     return Cochain(scene, _SECTION_OF_COMPLEX[complex_kind], {I: make(ctx, w)})
 
 
-def _size(key) -> int:
-    return sum(map(abs, key[3]))
-
-
 def _column(scene: Scene, complex_kind: str, key) -> dict:
-    """d of one window basis key, expanded, from the table of its (tag, I, K).
+    """d of one window basis key, expanded, kept on the scene.
 
     Both parts of the total differential are linear over restriction, so
     the entry at J of d(x^m b) is res(I, J)(x^m) times the entry at J of
-    d(b), with b = 1 dx_K under the key's tag.  The scene's table holds
-    expand_cochain(cech_total_d(b)) per (tag, I, K), grouped by J, and is
-    filled on first use; the tag fixes the complex.  A product can gain a
+    d(b), with b = 1 dx_K under the key's tag.  The scene's entry for
+    (tag, I, K) is (table, columns): the table holds
+    expand_cochain(cech_total_d(b)), grouped by J, and `columns` maps each
+    exponent m met so far to its expanded column.  The table is built on
+    the first use of (tag, I, K) and each column on the first use of its
+    m; neither changes after, and the tag fixes the complex.  Callers read
+    the column and do not change it."""
+    tag, I, K, m = key
+    entry = scene._dtables.get((tag, I, K))
+    if entry is None:
+        entry = scene._dtables[(tag, I, K)] = (_dtable(scene, complex_kind, key), {})
+    table, columns = entry
+    col = columns.get(m)
+    if col is None:
+        col = columns[m] = _expand(table, m)
+    return col
+
+
+def _dtable(scene: Scene, complex_kind: str, key) -> list:
+    """d(dx_K) under the key's tag, expanded and grouped by tuple J, with
+    res(I, J) and J's pole."""
+    tag, I, K, m = key
+    b = _basis_cochain(scene, complex_kind, (tag, I, K, (0,) * len(m)))
+    by_tuple: dict = {}
+    for k, v in expand_cochain(cech_total_d(b, complex_kind), complex_kind).items():
+        by_tuple.setdefault(k[1], []).append((k, v))
+    return [
+        (J, scene.atlas.res(I, J), scene.ctx(J).pole, entries)
+        for J, entries in by_tuple.items()
+    ]
+
+
+def _expand(table: list, m) -> dict:
+    """The column of x^m times the table's d(dx_K).  A product can gain a
     power of the pole; it is renormalized as LogForm and y_normalize do: a
     residue term x^e dx_K' with e_pole > 0 is the regular term
     dx_pole ^ x^(e - 1_pole) dx_K', and a divisor term with e_pole > 0 is
     zero.  Integral coefficients are ints (the normal form of `rings`), so
     the elimination over Z copies each column of an integral differential
     as is."""
-    tag, I, K, m = key
-    table = scene._dtables.get((tag, I, K))
-    if table is None:
-        b = _basis_cochain(scene, complex_kind, (tag, I, K, (0,) * len(m)))
-        by_tuple: dict = {}
-        for k, v in expand_cochain(cech_total_d(b, complex_kind), complex_kind).items():
-            by_tuple.setdefault(k[1], []).append((k, v))
-        table = [
-            (J, scene.atlas.res(I, J), scene.ctx(J).pole, entries)
-            for J, entries in by_tuple.items()
-        ]
-        scene._dtables[(tag, I, K)] = table
     out: dict = {}
     for J, res, pole, entries in table:
         image = res._mono_image(m).terms.items()
@@ -183,32 +213,43 @@ def _column(scene: Scene, complex_kind: str, key) -> dict:
 class _WindowedDifferential:
     """Columns of d on the window basis, in shared ambient coordinates.
 
-    The basis of each parity is ordered by exponent size, so the basis of
-    any smaller window is a prefix of it.  The ambient rows of a parity
-    are its basis keys in that order, then the other keys the images
-    reach.  A key outside the basis can be small (a `cls` key with a pole
-    exponent), so rows are split by basis membership, not by size.  Each
-    column is built by `_column` from the scene's table of d(dx_K) per
-    (tag, tuple, K), so cech_total_d runs once per table and scene, not
-    once per basis key or per call."""
+    The basis of each parity is generated in exponent-size order: the
+    monomials of each tuple and divisor group are bucketed by size once,
+    and each size's keys follow `_window_keys`' order, so the basis is that
+    list's stable sort by size, split by parity.  The basis of any smaller
+    window is a prefix of it, and `ends[par][s]` is the length of the
+    parity-par prefix of sizes <= s.  The ambient rows of a parity are its
+    basis keys in that order, then the other keys the images reach.  A key
+    outside the basis can be small (a `cls` key with a pole exponent), so
+    rows are split by basis membership, not by size.  Each column is the
+    scene's (`_column`), so it is expanded once per key and scene, not
+    once per call."""
 
     def __init__(self, scene: Scene, complex_kind: str, D: int):
-        keys = sorted(_window_keys(scene, complex_kind, D), key=_size)
+        groups = []
+        for I, monos, cells in _window_groups(scene, complex_kind, D):
+            by_size = [[] for _ in range(D + 1)]
+            for m in monos:
+                by_size[sum(map(abs, m))].append(m)
+            groups.append((I, by_size, cells))
         self.basis = {0: [], 1: []}
-        for k in keys:
-            self.basis[_parity(k)].append(k)
+        self.ends = {0: [], 1: []}
+        for size in range(D + 1):
+            for I, by_size, cells in groups:
+                monos = by_size[size]
+                for K, tags in cells:
+                    for m in monos:
+                        for tag, par in tags:
+                            self.basis[par].append((tag, I, K, m))
+            for par in (0, 1):
+                self.ends[par].append(len(self.basis[par]))
         self.ambient = {par: {k: i for i, k in enumerate(self.basis[par])} for par in (0, 1)}
-        self.sizes = {par: [_size(k) for k in self.basis[par]] for par in (0, 1)}
         self.columns = {0: [], 1: []}
         for par in (0, 1):
             amb = self.ambient[1 - par]
             for k in self.basis[par]:
                 img = _column(scene, complex_kind, k)
                 self.columns[par].append({amb.setdefault(kk, len(amb)): v for kk, v in img.items()})
-
-    def in_window(self, par: int, D: int) -> int:
-        """The number of parity-par basis keys in window D."""
-        return bisect.bisect_right(self.sizes[par], D)
 
 
 def _dims(wd: _WindowedDifferential, D: int) -> tuple:
@@ -231,7 +272,7 @@ def _dims(wd: _WindowedDifferential, D: int) -> tuple:
         cols = wd.columns[q]
         pivots = rank_kernel(QMatrix(len(wd.ambient[1 - q]), len(cols), cols))
         for w in (D, D + 1):
-            n_d, n_w = wd.in_window(q, w), wd.in_window(1 - q, w)
+            n_d, n_w = wd.ends[q][w], wd.ends[1 - q][w]
             lows = [low for j, low in pivots.items() if j < n_d]
             r_d[w, q] = len(lows)
             r_dw[w, q] = n_w + sum(low >= n_w for low in lows)
@@ -241,6 +282,11 @@ def _dims(wd: _WindowedDifferential, D: int) -> tuple:
     )
 
 
+def _check_window(D) -> None:
+    if not isinstance(D, int) or isinstance(D, bool) or D < 0:
+        raise ValueError(f"window D={D!r} is not a non-negative int")
+
+
 def homology_dims(scene: Scene, complex_kind: str, D: int | None = None) -> dict:
     """Exact homology dimensions per parity in the window, with stability flag.
 
@@ -248,6 +294,7 @@ def homology_dims(scene: Scene, complex_kind: str, D: int | None = None) -> dict
     are read from one elimination per parity (see `_dims`)."""
     if D is None:
         D = scene.window
+    _check_window(D)
     here, there = _dims(_WindowedDifferential(scene, complex_kind, D + 1), D)
     return {
         "window": D,
@@ -264,6 +311,7 @@ def is_boundary_within_window(c: Cochain, complex_kind: str, D: int) -> bool:
 
     Each parity part of c is solved on its own: it is a boundary exactly
     when it is not a pivot column of [d | part]."""
+    _check_window(D)
     target = expand_cochain(c, complex_kind)
     if not target:
         return True

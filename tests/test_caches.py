@@ -4,13 +4,17 @@
 and `hochschild` keeps the slot terms of restricted basis elements and of
 the curvature, d and composition of basis symbols on the presheaf, and
 those of the images of `can` on the morphism.  The scene keeps the
-fixtures of the trace-vs-residue square (`diagrams.RouteCtx`) and the
-d(dx_K) tables of windowed homology, one per (tag, I, K)
-(`Scene._dtables`).  These tests compare each table with the computation
-it replaces, and check that a table is never served to an object other
-than its owner, also after the owner is freed and its memory reused.
+fixtures of the trace-vs-residue square (`diagrams.RouteCtx`) and, for
+windowed homology, the d(dx_K) table of each (tag, I, K) together with
+the expanded column of each of its basis keys x^m dx_K
+(`Scene._dtables`), so each column is built once per scene for every
+window.  These tests compare each table and column with the computation
+it replaces, check that later calls leave the kept columns as they are,
+and check that a table is never served to an object other than its owner,
+also after the owner is freed and its memory reused.
 """
 
+import copy
 import gc
 import importlib
 import pkgutil
@@ -31,7 +35,16 @@ from cechmf.cdg import (
     end_algebra,
     restrict_elem,
 )
-from cechmf.cech import CONE, FORM, OMEGA, OMEGA_Y, bar_wedge, todd_inverse, unit_cochain
+from cechmf.cech import (
+    CONE,
+    FORM,
+    OMEGA,
+    OMEGA_Y,
+    bar_wedge,
+    cech_total_d,
+    todd_inverse,
+    unit_cochain,
+)
 from cechmf.diagrams import max_form_degree, residue_route, trace_route
 from cechmf.forms import Form, d_of, map_form
 from cechmf.hkr import hkr_A, hkr_xf
@@ -327,3 +340,58 @@ def test_oracle_does_not_fill_the_table(name):
     for kind in COMPLEXES:
         oracle_homology_dims(scene, kind, 1)
     assert scene._dtables == {}
+
+
+def _columns_of(scene) -> dict:
+    """(tag, I, K, m) -> the column the scene keeps for that key."""
+    return {cell + (m,): col for cell, (_, cols) in scene._dtables.items() for m, col in cols.items()}
+
+
+def _boundary_in_window_1(scene, kind):
+    """d of the last window-1 basis key, a boundary in window 1."""
+    key = homology._window_keys(scene, kind, 1)[-1]
+    return cech_total_d(homology._basis_cochain(scene, kind, key), kind)
+
+
+@pytest.mark.parametrize("name", SCENE_NAMES)
+def test_kept_columns_match_fresh_scene_and_stay_unchanged(name):
+    warm = builtin_scene(name)
+    for kind in COMPLEXES:
+        homology_dims(warm, kind, 1)
+    kept = _columns_of(warm)
+    assert kept
+    fresh = builtin_scene(name)
+    for key, col in kept.items():
+        assert col == homology._column(fresh, COMPLEX_OF_TAG[key[0]], key), key
+    snapshot = copy.deepcopy(kept)
+    for kind in COMPLEXES:
+        for D in (2, 0, 1):
+            homology_dims(warm, kind, D)
+        assert is_boundary_within_window(_boundary_in_window_1(warm, kind), kind, 1)
+    after = _columns_of(warm)
+    assert {key: after[key] for key in snapshot} == snapshot
+    assert all(after[key] is col for key, col in kept.items())
+
+
+@pytest.mark.parametrize("name", all_builtin_names())
+def test_window_sweep_on_warm_scene_matches_fresh_scenes(name, monkeypatch):
+    """Windows 0..3 then 3..0 on one scene, against a fresh scene per call,
+    with each (tag, I, K, m) column built once in the whole sweep."""
+    sweep = (0, 1, 2, 3, 3, 2, 1, 0)
+    want = {(kind, D): homology_dims(builtin_scene(name), kind, D) for kind in COMPLEXES for D in sweep}
+    built = []
+    expand = homology._expand
+
+    def counted(table, m):
+        built.append((id(table), m))
+        return expand(table, m)
+
+    monkeypatch.setattr(homology, "_expand", counted)
+    warm = builtin_scene(name)
+    for kind in COMPLEXES:
+        for D in sweep:
+            assert homology_dims(warm, kind, D) == want[kind, D], (kind, D)
+    # window 3 is assembled at window 4, which holds every smaller window
+    needed = {key for kind in COMPLEXES for key in homology._window_keys(warm, kind, 4)}
+    assert set(_columns_of(warm)) == needed
+    assert len(built) == len(set(built)) == len(needed)

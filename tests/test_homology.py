@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,7 @@ from cechmf.cech import (
     cech_total_d,
     unit_cochain,
 )
-from cechmf.forms import Form
+from cechmf.forms import Form, index_sets
 from cechmf.homology import (
     _column,
     _parity,
@@ -97,6 +98,60 @@ def test_unsupported_complex_is_named(kind):
     w = Cochain(A2, FORM, {(0,): Form.one(A2.atlas.ring((0,)))})
     with pytest.raises(ValueError, match=kind):
         is_boundary_within_window(w, kind, 1)
+
+
+@pytest.mark.parametrize("D", [-1, -3, True, False, 1.0, "1", None])
+def test_invalid_window_is_rejected(D):
+    """A window is a non-negative int; None is the scene's own window for
+    homology_dims only."""
+    w = Cochain(A1, FORM, {(0,): Form.one(A1.atlas.ring((0,)))})
+    if D is not None:
+        with pytest.raises(ValueError, match=re.escape(f"D={D!r}")):
+            homology_dims(A1, OMEGA, D)
+    with pytest.raises(ValueError, match=re.escape(f"D={D!r}")):
+        is_boundary_within_window(w, OMEGA, D)
+    with pytest.raises(ValueError, match=re.escape(f"D={D!r}")):
+        is_boundary_within_window(Cochain(A1, FORM, {}), OMEGA, D)
+
+
+def _size(key) -> int:
+    return sum(map(abs, key[3]))
+
+
+def _key_list(scene, kind, D):
+    """The window keys as a list, written out: per tuple, the summands off
+    the divisor, then those on it, each by K, then m, then tag."""
+    keys = []
+    for I in scene.atlas.tuples:
+        ctx = scene.ctx(I)
+        for on_y in (False, True):
+            tags = [s[0] for s in homology._summands(kind) if s[2] == on_y]
+            if not tags or (on_y and ctx.pole is None):
+                continue
+            pole = ctx.pole if on_y else None
+            monos = homology._monomials(ctx.ring, D, forbid=pole)
+            for K in index_sets(ctx.ring.nvars):
+                if pole not in K:
+                    keys += [(tag, I, K, m) for m in monos for tag in tags]
+    return keys
+
+
+@pytest.mark.parametrize("kind", [OMEGA, OMEGA_Y, CONE])
+@pytest.mark.parametrize("name", all_builtin_names())
+def test_basis_is_the_size_sort_of_the_window_keys(name, kind):
+    """The generated basis is the stable sort by exponent size of the key
+    list, split by parity: `_dims`' window prefixes and the traced
+    distinct_ratio both read this order."""
+    scene = builtin_scene(name)
+    for D in range(4):
+        keys = _key_list(scene, kind, D)
+        assert _window_keys(scene, kind, D) == keys
+        keys = sorted(keys, key=_size)
+        wd = homology._WindowedDifferential(scene, kind, D)
+        for par in (0, 1):
+            want = [k for k in keys if _parity(k) == par]
+            assert wd.basis[par] == want, (D, par)
+            assert wd.ends[par] == [sum(_size(k) <= s for k in want) for s in range(D + 1)]
 
 
 def _assert_columns_are_d_of_the_basis(scene, kind, D=3):
