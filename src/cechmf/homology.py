@@ -26,8 +26,11 @@ on the window, so the scene keeps both in `Scene._dtables`, keyed by
 (tag, I, K) per scene, and each key's column is expanded once per scene,
 for every window and every call that contains it.  The window basis is
 generated in size order, split by parity, so window D's keys are a
-prefix of window D+1's; only the ambient row numbers and the
-eliminations are built anew on every call.
+prefix of window D+1's.  The scene also keeps, per complex, the assembled
+window of the largest D asked so far (`Scene._windows`): its basis, row
+numbers and one checked `QMatrix` per parity.  A call at a window no
+larger reads it, and a larger window replaces it; only the eliminations
+run on every call.
 """
 
 from __future__ import annotations
@@ -127,7 +130,13 @@ def _parity(key) -> int:
 
 
 def expand_cochain(c: Cochain, complex_kind: str) -> dict:
+    """{basis key: coefficient} of c, a section of the complex's kind."""
     summands = _summands(complex_kind)
+    if c.kind != _SECTION_OF_COMPLEX[complex_kind]:
+        raise ValueError(
+            f"a {c.kind!r} cochain is not a section of the {complex_kind!r} complex, "
+            f"whose sections are {_SECTION_OF_COMPLEX[complex_kind]!r}"
+        )
     out: dict = {}
     for I, s in c.entries.items():
         for tag, _, _, part, _ in summands:
@@ -211,7 +220,7 @@ def _expand(table: list, m) -> dict:
 
 
 class _WindowedDifferential:
-    """Columns of d on the window basis, in shared ambient coordinates.
+    """The matrices of d on the window-D basis, in shared ambient rows.
 
     The basis of each parity is generated in exponent-size order: the
     monomials of each tuple and divisor group are bucketed by size once,
@@ -221,11 +230,15 @@ class _WindowedDifferential:
     parity-par prefix of sizes <= s.  The ambient rows of a parity are its
     basis keys in that order, then the other keys the images reach.  A key
     outside the basis can be small (a `cls` key with a pole exponent), so
-    rows are split by basis membership, not by size.  Each column is the
-    scene's (`_column`), so it is expanded once per key and scene, not
-    once per call."""
+    rows are split by basis membership, not by size.  `matrix[par]` holds
+    the columns of d on the parity-par basis, numbered in the ambient rows
+    of parity 1 - par and checked once.  Each column is the scene's
+    (`_column`), so it is expanded once per key and scene; the scene keeps
+    one window per complex (`_window`).  Nothing here changes after it is
+    built."""
 
     def __init__(self, scene: Scene, complex_kind: str, D: int):
+        self.D = D
         groups = []
         for I, monos, cells in _window_groups(scene, complex_kind, D):
             by_size = [[] for _ in range(D + 1)]
@@ -244,33 +257,45 @@ class _WindowedDifferential:
             for par in (0, 1):
                 self.ends[par].append(len(self.basis[par]))
         self.ambient = {par: {k: i for i, k in enumerate(self.basis[par])} for par in (0, 1)}
-        self.columns = {0: [], 1: []}
+        self.matrix = {}
         for par in (0, 1):
             amb = self.ambient[1 - par]
-            for k in self.basis[par]:
-                img = _column(scene, complex_kind, k)
-                self.columns[par].append({amb.setdefault(kk, len(amb)): v for kk, v in img.items()})
+            cols = [
+                {amb.setdefault(kk, len(amb)): v for kk, v in _column(scene, complex_kind, k).items()}
+                for k in self.basis[par]
+            ]
+            self.matrix[par] = QMatrix(len(amb), len(cols), cols)
+
+
+def _window(scene: Scene, complex_kind: str, D: int) -> _WindowedDifferential:
+    """The scene's kept window of the complex if it holds window D, else
+    the window-D one, which replaces it."""
+    wd = scene._windows.get(complex_kind)
+    if wd is None or wd.D < D:
+        wd = scene._windows[complex_kind] = _WindowedDifferential(scene, complex_kind, D)
+    return wd
 
 
 def _dims(wd: _WindowedDifferential, D: int) -> tuple:
-    """H_even and H_odd at windows D and D+1 of wd, assembled at D+1, from
-    one elimination of d on each parity.
+    """H_even and H_odd at windows D and D+1, from one elimination of d on
+    each parity; wd is assembled at window D+1 or above.
 
     H_par = rank[d|1-par | W_par] - rank d|par - rank d|1-par, with W_par
     the window's basis of parity par: nullity(d|par) minus the dimension
     of im(d|1-par) meet W_par.  The unit columns of W are not eliminated:
     rank[d | W] = |W| + rank of d with the rows of W deleted.
 
-    In the matrix of d|q the window-D columns come first, and the rows of
-    parity 1-q run W_{1-q} at D, then the rest of W_{1-q} at D+1, then
-    every other ambient key.  Each of the four ranks of q (d|q, and d|q
-    without the rows of W_{1-q}, at D and at D+1) is then the rank of a
-    lower-left block, which is a count of pivots of one `rank_kernel`:
+    The matrix of d|q is the window-(D+1) prefix of wd's columns, window D
+    first.  Its rows of parity 1-q run W_{1-q} at D, then the rest of
+    W_{1-q} at D+1, then every other ambient key: the rest of wd's basis,
+    if wd is larger, sits among the keys outside W, and only the first two
+    row blocks have to come first.  Each of the four ranks of q (d|q, and
+    d|q without the rows of W_{1-q}, at D and at D+1) is then the rank of
+    a lower-left block, which is a count of pivots of one `rank_kernel`:
     rank m[rows >= r, cols < j] = #{pivots j' < j with low >= r}."""
     r_d, r_dw = {}, {}  # (window, q) -> rank d|q, rank [d|q | W_{1-q}]
     for q in (0, 1):
-        cols = wd.columns[q]
-        pivots = rank_kernel(QMatrix(len(wd.ambient[1 - q]), len(cols), cols))
+        pivots = rank_kernel(wd.matrix[q].prefix(wd.ends[q][D + 1]))
         for w in (D, D + 1):
             n_d, n_w = wd.ends[q][w], wd.ends[1 - q][w]
             lows = [low for j, low in pivots.items() if j < n_d]
@@ -290,12 +315,13 @@ def _check_window(D) -> None:
 def homology_dims(scene: Scene, complex_kind: str, D: int | None = None) -> dict:
     """Exact homology dimensions per parity in the window, with stability flag.
 
-    The differential is assembled once, at window D+1, and both windows
-    are read from one elimination per parity (see `_dims`)."""
+    The differential is read from the scene's kept window, assembled at
+    window D+1 or above, and both windows are read from one elimination per
+    parity (see `_dims`)."""
     if D is None:
         D = scene.window
     _check_window(D)
-    here, there = _dims(_WindowedDifferential(scene, complex_kind, D + 1), D)
+    here, there = _dims(_window(scene, complex_kind, D + 1), D)
     return {
         "window": D,
         "even": here[0],
@@ -310,16 +336,25 @@ def is_boundary_within_window(c: Cochain, complex_kind: str, D: int) -> bool:
     """Does c = d(v) for some v supported on the window-D basis?
 
     Each parity part of c is solved on its own: it is a boundary exactly
-    when it is not a pivot column of [d | part]."""
+    when it is not a pivot column of [d | part], with d the window-D prefix
+    of the scene's kept window.  The part's keys outside the kept rows are
+    numbered after them, and the kept rows are left as they are."""
     _check_window(D)
     target = expand_cochain(c, complex_kind)
     if not target:
         return True
-    wd = _WindowedDifferential(c.scene, complex_kind, D)
+    wd = _window(c.scene, complex_kind, D)
     for p in {_parity(k) for k in target}:
-        amb = dict(wd.ambient[p])
-        part = {amb.setdefault(k, len(amb)): v for k, v in target.items() if _parity(k) == p}
-        cols = wd.columns[1 - p] + [part]
-        if len(cols) - 1 in rank_kernel(QMatrix(len(amb), len(cols), cols)):
+        amb = wd.ambient[p]
+        new: dict = {}
+        part = {}
+        for k, v in target.items():
+            if _parity(k) == p:
+                i = amb.get(k)
+                if i is None:
+                    i = new.setdefault(k, len(amb) + len(new))
+                part[i] = v
+        m = wd.matrix[1 - p].prefix(wd.ends[1 - p][D], len(amb) + len(new), [part])
+        if m.cols - 1 in rank_kernel(m):
             return False
     return True

@@ -9,8 +9,10 @@ The Cech layer over the atlas lives here too: `Scene.ctx(I)` keeps each
 tuple's lead-chart data (a `forms.TupleCtx`), `Scene.routes()` keeps the
 fixtures of the trace-vs-residue square (a `diagrams.RouteCtx`),
 `Scene._dtables` keeps the d(dx_K) tables of windowed homology with the
-expanded column of each basis key x^m dx_K, and `AtlasCochain` is the
-one cochain base of `cech.Cochain` and `hochschild.CechHochChain`.
+expanded column of each basis key x^m dx_K, `Scene._windows` keeps per
+complex the assembled window of the largest D asked so far, and
+`AtlasCochain` is the one cochain base of `cech.Cochain` and
+`hochschild.CechHochChain`.
 """
 
 from __future__ import annotations
@@ -180,6 +182,9 @@ class Scene:
     # (tag, I, K) -> (homology._column's table of d(dx_K), {m: the
     # expanded column of x^m dx_K}), each column built once for all windows
     _dtables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # complex kind -> the homology._WindowedDifferential of the largest
+    # window asked so far: every smaller window is a prefix of it
+    _windows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def chart(self, i) -> Chart:
         return self.atlas.charts[i]

@@ -8,10 +8,13 @@ fixtures of the trace-vs-residue square (`diagrams.RouteCtx`) and, for
 windowed homology, the d(dx_K) table of each (tag, I, K) together with
 the expanded column of each of its basis keys x^m dx_K
 (`Scene._dtables`), so each column is built once per scene for every
-window.  These tests compare each table and column with the computation
-it replaces, check that later calls leave the kept columns as they are,
-and check that a table is never served to an object other than its owner,
-also after the owner is freed and its memory reused.
+window.  It also keeps, per complex, the assembled window of the largest
+D asked so far (`Scene._windows`), which serves every smaller window.
+These tests compare each table, column and smaller-window answer with
+the computation it replaces, check that later calls leave the kept
+columns as they are, and check that a table is never served to an object
+other than its owner, also after the owner is freed and its memory
+reused.
 """
 
 import copy
@@ -320,17 +323,30 @@ def test_warm_homology_makes_no_cech_total_d_calls(monkeypatch):
 
 
 def test_homology_tables_die_with_their_scene():
+    """The scene keeps one window per complex, the largest asked so far; a
+    window it replaces, and every window it keeps, dies with it."""
     before = _module_containers()
     for name in SCENE_NAMES:
         scene = builtin_scene(name)
         for kind in COMPLEXES:
             homology_dims(scene, kind, 0)
+        replaced = [weakref.ref(wd) for wd in scene._windows.values()]
+        for kind in COMPLEXES:
+            homology_dims(scene, kind, 1)
+            homology_dims(scene, kind, 0)
         assert all(_tables_of(scene, kind) for kind in COMPLEXES)
-        assert not builtin_scene(name)._dtables, "a table is served to another scene"
+        assert set(scene._windows) == set(COMPLEXES)
+        assert all(wd.D == 2 for wd in scene._windows.values())
+        fresh = builtin_scene(name)
+        assert not fresh._dtables and not fresh._windows, "a table is served to another scene"
+        kept = [weakref.ref(wd) for wd in scene._windows.values()]
+        gc.collect()
+        assert all(ref() is None for ref in replaced), f"{name}: a replaced window outlives its replacement"
         ref = weakref.ref(scene)
         del scene
         gc.collect()
         assert ref() is None, f"{name}: the homology tables outlive their scene"
+        assert all(ref() is None for ref in kept), f"{name}: a kept window outlives its scene"
     assert _module_containers() == before
 
 
@@ -340,6 +356,7 @@ def test_oracle_does_not_fill_the_table(name):
     for kind in COMPLEXES:
         oracle_homology_dims(scene, kind, 1)
     assert scene._dtables == {}
+    assert scene._windows == {}
 
 
 def _columns_of(scene) -> dict:
@@ -395,3 +412,38 @@ def test_window_sweep_on_warm_scene_matches_fresh_scenes(name, monkeypatch):
     needed = {key for kind in COMPLEXES for key in homology._window_keys(warm, kind, 4)}
     assert set(_columns_of(warm)) == needed
     assert len(built) == len(set(built)) == len(needed)
+
+
+def _probes(scene, kind, D) -> list:
+    """Cochains to test for boundaries in window D: d of the window's last
+    key with a nonzero image (a boundary there), the basis cochains of the
+    window's last key and of the next window's last key, and d of the
+    latter."""
+    keys = homology._window_keys(scene, kind, D)
+    last = [homology._basis_cochain(scene, kind, keys[-1])]
+    hit = [k for k in keys if homology._column(scene, kind, k)]
+    if hit:
+        last.append(cech_total_d(homology._basis_cochain(scene, kind, hit[-1]), kind))
+    beyond = homology._basis_cochain(scene, kind, homology._window_keys(scene, kind, D + 1)[-1])
+    return last + [beyond, cech_total_d(beyond, kind)]
+
+
+@pytest.mark.parametrize("name", all_builtin_names())
+def test_boundaries_below_the_kept_window_match_fresh_scene(name):
+    """On a scene that kept window 4, each boundary verdict at windows 0..3
+    is a fresh scene's, which assembles exactly that window."""
+    warm = builtin_scene(name)
+    verdicts = set()
+    for kind in COMPLEXES:
+        homology_dims(warm, kind, 3)
+        kept = warm._windows[kind]
+        assert kept.D == 4
+        for D in range(4):
+            fresh = builtin_scene(name)
+            for c, c_fresh in zip(_probes(warm, kind, D), _probes(fresh, kind, D)):
+                got = is_boundary_within_window(c, kind, D)
+                assert got == is_boundary_within_window(c_fresh, kind, D), (kind, D)
+                assert fresh._windows[kind].D == D
+                verdicts.add(got)
+        assert warm._windows[kind] is kept
+    assert verdicts == {True, False}

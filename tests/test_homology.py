@@ -1,3 +1,4 @@
+import copy
 import random
 import re
 from fractions import Fraction
@@ -11,6 +12,7 @@ from cechmf.cech import (
     OMEGA,
     OMEGA_LOG,
     OMEGA_Y,
+    YFORM,
     Cochain,
     cech_total_d,
     unit_cochain,
@@ -98,6 +100,21 @@ def test_unsupported_complex_is_named(kind):
     w = Cochain(A2, FORM, {(0,): Form.one(A2.atlas.ring((0,)))})
     with pytest.raises(ValueError, match=kind):
         is_boundary_within_window(w, kind, 1)
+
+
+@pytest.mark.parametrize("kind", [OMEGA_Y, CONE])
+def test_cochain_of_another_kind_is_rejected(kind):
+    """A form cochain is not a section of omega_y or the cone; neither the
+    expansion nor the boundary test gives it a verdict."""
+    c = unit_cochain(A2, FORM)
+    with pytest.raises(ValueError, match=f"'{FORM}'.*'{kind}'"):
+        expand_cochain(c, kind)
+    with pytest.raises(ValueError, match=f"'{FORM}'.*'{kind}'"):
+        is_boundary_within_window(c, kind, 1)
+    y = unit_cochain(A2, YFORM)
+    with pytest.raises(ValueError, match=f"'{YFORM}'.*'{OMEGA}'"):
+        is_boundary_within_window(y, OMEGA, 1)
+    assert is_boundary_within_window(cech_total_d(y, OMEGA_Y), OMEGA_Y, 1)
 
 
 @pytest.mark.parametrize("D", [-1, -3, True, False, 1.0, "1", None])
@@ -201,7 +218,7 @@ def test_engine_matches_oracle_on_sheared_scenes(c, kind, D):
     assert validate_scene(scene).ok
     if c == "1/2" and kind != OMEGA_Y:
         wd = homology._WindowedDifferential(scene, kind, D + 1)
-        assert any(isinstance(v, Fraction) for par in (0, 1) for col in wd.columns[par] for v in col.values())
+        assert any(isinstance(v, Fraction) for par in (0, 1) for col in wd.matrix[par].entries for v in col.values())
     out = homology_dims(scene, kind, D)
     here = oracle_homology_dims(scene, kind, D)
     there = oracle_homology_dims(scene, kind, D + 1)
@@ -210,16 +227,19 @@ def test_engine_matches_oracle_on_sheared_scenes(c, kind, D):
 
 
 def test_oracle_does_not_build_table_columns(monkeypatch):
-    """The oracle checks the table-built columns, so it assembles its own."""
+    """The oracle checks the table-built columns, so it assembles its own.
+    The scene is fresh: a scene that kept a window reads it and does not
+    reach `_column` again."""
 
     def reached(*args):
         raise AssertionError("reached homology._column")
 
     monkeypatch.setattr(homology, "_column", reached)
+    scene = builtin_scene("SCENE-A2")
     with pytest.raises(AssertionError, match="_column"):
-        homology_dims(A2, OMEGA, 2)
+        homology_dims(scene, OMEGA, 2)
     assert not hasattr(suites, "_column")
-    out = oracle_homology_dims(A2, OMEGA, 2)
+    out = oracle_homology_dims(scene, OMEGA, 2)
     assert (out["even"], out["odd"]) == GOLDEN["SCENE-A2"]
 
 
@@ -281,3 +301,63 @@ def test_boundary_detection_on_multi_chart_scenes(name, D, generator):
     assert not is_boundary_within_window(g, OMEGA, D)
     # a generator plus a boundary is still not a boundary
     assert not is_boundary_within_window(g + cech_total_d(v, OMEGA), OMEGA, D)
+
+
+def _kept_window(wd) -> tuple:
+    """A kept window's basis, row numbers, and per parity its rows, its
+    row-numbered columns and their integral forms."""
+    matrices = {par: (m.rows, m.entries, m.integral) for par, m in wd.matrix.items()}
+    return wd.D, wd.basis, wd.ambient, matrices
+
+
+def _table_columns(scene) -> dict:
+    return {cell: cols for cell, (_, cols) in scene._dtables.items()}
+
+
+@pytest.mark.parametrize("name", [*all_builtin_names(), "half-sheared"])
+def test_kept_window_stays_unchanged(name):
+    """Calls below, at and above the kept window leave every kept window
+    and every _dtables column as it was assembled, before any elimination
+    ran on it, also after a larger window has replaced it.  The
+    half-sheared scene's columns hold Fraction entries, so their integral
+    forms are dicts of their own."""
+    scene = _sheared_a2c("1/2") if name == "half-sheared" else builtin_scene(name)
+    kinds = (OMEGA, OMEGA_Y, CONE)
+    probes = {}  # kind -> (a window-1 basis cochain, its boundary)
+    for kind in kinds:
+        homology._window(scene, kind, 2)
+        last = _basis_cochain(scene, kind, _window_keys(scene, kind, 1)[-1])
+        probes[kind] = last, cech_total_d(last, kind)
+    windows = dict(scene._windows)
+    assert {wd.D for wd in windows.values()} == {2}
+    before = copy.deepcopy({kind: _kept_window(wd) for kind, wd in windows.items()})
+    columns = copy.deepcopy(_table_columns(scene))
+    rational = any(
+        m.integral[j] is not col for wd in windows.values() for m in wd.matrix.values() for j, col in enumerate(m.entries)
+    )
+    assert rational == (name == "half-sheared")
+
+    def unchanged():
+        assert {kind: _kept_window(wd) for kind, wd in windows.items()} == before
+        now = _table_columns(scene)
+        for cell, cols in columns.items():
+            assert {m: now[cell][m] for m in cols} == cols, cell
+
+    for kind in kinds:  # below and at the kept window
+        homology_dims(scene, kind, 0)
+        homology_dims(scene, kind, 1)
+        last, boundary = probes[kind]
+        for D in (0, 1, 2):
+            is_boundary_within_window(last, kind, D)
+            verdict = is_boundary_within_window(boundary, kind, D)
+            assert verdict or D == 0  # last, of window 1, is a preimage
+        assert scene._windows[kind] is windows[kind]
+    unchanged()
+    for kind in kinds:  # above it: a larger window replaces it
+        homology_dims(scene, kind, 2)
+        assert scene._windows[kind].D == 3
+        last, boundary = probes[kind]
+        is_boundary_within_window(last, kind, 4)
+        assert is_boundary_within_window(boundary, kind, 4)
+        assert scene._windows[kind].D == 4
+    unchanged()

@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -183,13 +184,28 @@ def test_large_entries():
 
 
 def test_rank_kernel_leaves_its_matrix_unchanged():
-    """The elimination changes its columns in place, so it works on copies:
-    an integral column is copied as is, a rational one rebuilt over Z."""
+    """The elimination copies a column when it first reduces it and keeps
+    an unreduced pivot column as it is, so it never writes a column it was
+    given: not one shared by two matrices, nor one of a prefix, nor the
+    integral form of a rational column."""
     rng = random.Random(3)
     for _ in range(30):
         a = _random_matrix(rng, rng.randint(2, 6), rng.randint(2, 6), 3)
         for rows in (a, [[Fraction(x, 2) for x in row] for row in a]):
             m = _qm(rows)
-            before = [dict(col) for col in m.entries]
-            assert rank_kernel(m) == rank_kernel(_qm(rows))
-            assert m.entries == before
+            n, k = m.cols, rng.randint(0, m.cols)
+            # two matrices over the same column dicts, the second reversed
+            other = QMatrix(m.rows, n, m.entries[::-1])
+            assert all(x is y for x, y in zip(other.entries, m.entries[::-1]))
+            tail = {rng.randrange(m.rows + 1): Fraction(1, 3)}
+            head = m.prefix(k)
+            extended = m.prefix(k, m.rows + 1, [tail])
+            dense = [row[:k] + [tail.get(i, 0)] for i, row in enumerate(rows)] + [[0] * k + [tail.get(m.rows, 0)]]
+            before = copy.deepcopy((m.entries, m.integral, tail))
+            want = rank_kernel(_qm(rows))
+            for _ in range(2):
+                assert rank_kernel(m) == want
+                assert rank_kernel(other) == rank_kernel(_qm([row[::-1] for row in rows]))
+                assert rank_kernel(head) == {j: low for j, low in want.items() if j < k}
+                assert rank_kernel(extended) == rank_kernel(_qm(dense))
+            assert (m.entries, m.integral, tail) == before
