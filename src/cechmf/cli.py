@@ -104,6 +104,8 @@ def _load_y_class(path: str, scene: Scene) -> Cochain:
     for key, terms in data.items():
         I = tuple(int(x) for x in key.split(","))
         ring = scene.atlas.ring(I)
+        if scene.ctx(I).pole is None:
+            raise ValueError(f"tuple {key!r}: Y misses it, so a class on Y has no entry there")
         if not isinstance(terms, dict):
             raise ValueError(f"tuple {key!r}: expected an object, got {type(terms).__name__}")
         form_terms = {}

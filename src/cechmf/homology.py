@@ -18,24 +18,22 @@ A basis key is x^m dx_K on one tuple I, with a tag for its summand.
 summand's tag, parity shift, whether it lives on the divisor, and how a
 section is taken apart into it and built from it.  The window keys, the
 parities, `expand_cochain` and the basis cochains all read that table.  The
-total differential is linear over restriction, so its column is d(dx_K)
-with each entry at J multiplied by res(I, J)(x^m), and `_column` builds
-every column from that table.  Neither the tables nor the columns depend
-on the window, so the scene keeps both in `Scene._dtables`, keyed by
-(tag, I, K) (the tag fixes the complex): cech_total_d runs once per
-(tag, I, K) per scene, and each key's column is expanded once per scene,
-for every window and every call that contains it.  The window basis is
-generated in size order, split by parity, so window D's keys are a
-prefix of window D+1's.  The scene also keeps, per complex, the assembled
-window of the largest D asked so far (`Scene._windows`): its basis, row
-numbers and one checked `QMatrix` per parity.  A call at a window no
-larger reads it, and a larger window replaces it; only the eliminations
-run on every call.
+total differential is linear over restriction, so the column of x^m dx_K
+is built from one table of d(dx_K) (`_dtable`, `_expand`).  The table
+depends on neither m nor the window, so the scene keeps it in
+`Scene._dtables`, keyed by (tag, I, K) (the tag fixes the complex):
+cech_total_d runs once per (tag, I, K) per scene.  The scene also keeps,
+per complex, the assembled window of the largest D asked so far
+(`Scene._windows`): its basis in size order, row numbers and one checked
+`QMatrix` per parity.  This is the one per-call cache: a call at a window
+no larger reads it, and a larger window replaces it, expanding each of
+its columns from the tables; only the eliminations run on every call.
 """
 
 from __future__ import annotations
 
-from operator import add
+from bisect import bisect_right
+from operator import add, itemgetter
 
 from .cech import CONE, OMEGA, OMEGA_Y, _SECTION_OF_COMPLEX, Cochain, cech_total_d
 from .forms import ConeForm, Form, LogForm, _merge_indices, index_sets
@@ -92,35 +90,23 @@ def _monomials(ring, D, forbid=None):
     return list(rec(0, D))
 
 
-def _window_groups(scene: Scene, complex_kind: str, D: int):
-    """Per tuple, the summands off the divisor, then those on it: the
-    tuple, its window-D monomials, and per K its (tag, parity) pairs."""
+def _window_keys(scene: Scene, complex_kind: str, D: int):
+    """The window-D basis keys, per tuple: the summands off the divisor,
+    then those on it, each by K, then m, then tag."""
     summands = _summands(complex_kind)
     groups = [(on_y, [s[0] for s in summands if s[2] == on_y]) for on_y in (False, True)]
+    keys = []
     for I in scene.atlas.tuples:
         ctx = scene.ctx(I)
         for on_y, tags in groups:
             if not tags or (on_y and ctx.pole is None):
                 continue
             pole = ctx.pole if on_y else None
-            cells = [
-                (K, [(tag, _parity((tag, I, K))) for tag in tags])
-                for K in index_sets(ctx.ring.nvars)
-                if pole not in K
-            ]
-            yield I, _monomials(ctx.ring, D, forbid=pole), cells
-
-
-def _window_keys(scene: Scene, complex_kind: str, D: int):
-    """The window-D basis keys, per tuple: the summands off the divisor,
-    then those on it, each by K, then m, then tag."""
-    return [
-        (tag, I, K, m)
-        for I, monos, cells in _window_groups(scene, complex_kind, D)
-        for K, tags in cells
-        for m in monos
-        for tag, _ in tags
-    ]
+            monos = _monomials(ctx.ring, D, forbid=pole)
+            for K in index_sets(ctx.ring.nvars):
+                if pole not in K:
+                    keys.extend((tag, I, K, m) for m in monos for tag in tags)
+    return keys
 
 
 def _parity(key) -> int:
@@ -156,31 +142,24 @@ def _basis_cochain(scene: Scene, complex_kind: str, key) -> Cochain:
 
 
 def _column(scene: Scene, complex_kind: str, key) -> dict:
-    """d of one window basis key, expanded, kept on the scene.
-
-    Both parts of the total differential are linear over restriction, so
-    the entry at J of d(x^m b) is res(I, J)(x^m) times the entry at J of
-    d(b), with b = 1 dx_K under the key's tag.  The scene's entry for
-    (tag, I, K) is (table, columns): the table holds
-    expand_cochain(cech_total_d(b)), grouped by J, and `columns` maps each
-    exponent m met so far to its expanded column.  The table is built on
-    the first use of (tag, I, K) and each column on the first use of its
-    m; neither changes after, and the tag fixes the complex.  Callers read
-    the column and do not change it."""
+    """d of one window basis key x^m dx_K, expanded: `_expand` of the
+    scene's table of (tag, I, K), which is built on its first use."""
     tag, I, K, m = key
-    entry = scene._dtables.get((tag, I, K))
-    if entry is None:
-        entry = scene._dtables[(tag, I, K)] = (_dtable(scene, complex_kind, key), {})
-    table, columns = entry
-    col = columns.get(m)
-    if col is None:
-        col = columns[m] = _expand(table, m)
-    return col
+    table = scene._dtables.get((tag, I, K))
+    if table is None:
+        table = scene._dtables[(tag, I, K)] = _dtable(scene, complex_kind, key)
+    return _expand(table, m)
 
 
 def _dtable(scene: Scene, complex_kind: str, key) -> list:
     """d(dx_K) under the key's tag, expanded and grouped by tuple J, with
-    res(I, J) and J's pole."""
+    res(I, J) and J's pole.
+
+    Both parts of the total differential are linear over restriction, so
+    the entry at J of d(x^m b) is res(I, J)(x^m) times the entry at J of
+    d(b), with b = 1 dx_K under the key's tag: the one table serves every
+    exponent m (`_expand`) and every window.  The tag fixes the complex.
+    Callers read the table and do not change it."""
     tag, I, K, m = key
     b = _basis_cochain(scene, complex_kind, (tag, I, K, (0,) * len(m)))
     by_tuple: dict = {}
@@ -193,9 +172,10 @@ def _dtable(scene: Scene, complex_kind: str, key) -> list:
 
 
 def _expand(table: list, m) -> dict:
-    """The column of x^m times the table's d(dx_K).  A product can gain a
-    power of the pole; it is renormalized as LogForm and y_normalize do: a
-    residue term x^e dx_K' with e_pole > 0 is the regular term
+    """The column of x^m times the table's d(dx_K): per tuple J, each
+    entry times res(I, J)(x^m).  A product can gain a power of the pole;
+    it is renormalized as LogForm and y_normalize do: a residue term
+    x^e dx_K' with e_pole > 0 is the regular term
     dx_pole ^ x^(e - 1_pole) dx_K', and a divisor term with e_pole > 0 is
     zero.  Integral coefficients are ints (the normal form of `rings`), so
     the elimination over Z copies each column of an integral differential
@@ -222,40 +202,27 @@ def _expand(table: list, m) -> dict:
 class _WindowedDifferential:
     """The matrices of d on the window-D basis, in shared ambient rows.
 
-    The basis of each parity is generated in exponent-size order: the
-    monomials of each tuple and divisor group are bucketed by size once,
-    and each size's keys follow `_window_keys`' order, so the basis is that
-    list's stable sort by size, split by parity.  The basis of any smaller
-    window is a prefix of it, and `ends[par][s]` is the length of the
-    parity-par prefix of sizes <= s.  The ambient rows of a parity are its
-    basis keys in that order, then the other keys the images reach.  A key
-    outside the basis can be small (a `cls` key with a pole exponent), so
-    rows are split by basis membership, not by size.  `matrix[par]` holds
-    the columns of d on the parity-par basis, numbered in the ambient rows
-    of parity 1 - par and checked once.  Each column is the scene's
-    (`_column`), so it is expanded once per key and scene; the scene keeps
-    one window per complex (`_window`).  Nothing here changes after it is
-    built."""
+    The basis is the stable sort of `_window_keys` by exponent size,
+    split by parity, so the basis of any smaller window is a prefix of it,
+    and `ends[par][s]` is the length of the parity-par prefix of sizes
+    <= s.  The ambient rows of a parity are its basis keys in that order,
+    then the other keys the images reach.  A key outside the basis can be
+    small (a `cls` key with a pole exponent), so rows are split by basis
+    membership, not by size.  `matrix[par]` holds the columns of d on the
+    parity-par basis (`_column`), numbered in the ambient rows of parity
+    1 - par and checked once.  The scene keeps one window per complex
+    (`_window`); nothing here changes after it is built."""
 
     def __init__(self, scene: Scene, complex_kind: str, D: int):
         self.D = D
-        groups = []
-        for I, monos, cells in _window_groups(scene, complex_kind, D):
-            by_size = [[] for _ in range(D + 1)]
-            for m in monos:
-                by_size[sum(map(abs, m))].append(m)
-            groups.append((I, by_size, cells))
         self.basis = {0: [], 1: []}
-        self.ends = {0: [], 1: []}
-        for size in range(D + 1):
-            for I, by_size, cells in groups:
-                monos = by_size[size]
-                for K, tags in cells:
-                    for m in monos:
-                        for tag, par in tags:
-                            self.basis[par].append((tag, I, K, m))
-            for par in (0, 1):
-                self.ends[par].append(len(self.basis[par]))
+        sizes = {0: [], 1: []}
+        keys = ((sum(map(abs, k[3])), k) for k in _window_keys(scene, complex_kind, D))
+        for size, k in sorted(keys, key=itemgetter(0)):
+            par = _parity(k)
+            self.basis[par].append(k)
+            sizes[par].append(size)
+        self.ends = {par: [bisect_right(sizes[par], s) for s in range(D + 1)] for par in (0, 1)}
         self.ambient = {par: {k: i for i, k in enumerate(self.basis[par])} for par in (0, 1)}
         self.matrix = {}
         for par in (0, 1):

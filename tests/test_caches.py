@@ -5,19 +5,16 @@ and `hochschild` keeps the slot terms of restricted basis elements and of
 the curvature, d and composition of basis symbols on the presheaf, and
 those of the images of `can` on the morphism.  The scene keeps the
 fixtures of the trace-vs-residue square (`diagrams.RouteCtx`) and, for
-windowed homology, the d(dx_K) table of each (tag, I, K) together with
-the expanded column of each of its basis keys x^m dx_K
-(`Scene._dtables`), so each column is built once per scene for every
-window.  It also keeps, per complex, the assembled window of the largest
-D asked so far (`Scene._windows`), which serves every smaller window.
-These tests compare each table, column and smaller-window answer with
-the computation it replaces, check that later calls leave the kept
-columns as they are, and check that a table is never served to an object
-other than its owner, also after the owner is freed and its memory
-reused.
+windowed homology, the d(dx_K) table of each (tag, I, K)
+(`Scene._dtables`), so cech_total_d runs once per (tag, I, K) per scene.
+It also keeps, per complex, the assembled window of the largest D asked
+so far (`Scene._windows`), which serves every smaller window with no
+column expanded again.  These tests compare each table and
+smaller-window answer with the computation it replaces, and check that
+a table is never served to an object other than its owner, also after
+the owner is freed and its memory reused.
 """
 
-import copy
 import gc
 import importlib
 import pkgutil
@@ -359,59 +356,39 @@ def test_oracle_does_not_fill_the_table(name):
     assert scene._windows == {}
 
 
-def _columns_of(scene) -> dict:
-    """(tag, I, K, m) -> the column the scene keeps for that key."""
-    return {cell + (m,): col for cell, (_, cols) in scene._dtables.items() for m, col in cols.items()}
-
-
-def _boundary_in_window_1(scene, kind):
-    """d of the last window-1 basis key, a boundary in window 1."""
-    key = homology._window_keys(scene, kind, 1)[-1]
-    return cech_total_d(homology._basis_cochain(scene, kind, key), kind)
-
-
-@pytest.mark.parametrize("name", SCENE_NAMES)
-def test_kept_columns_match_fresh_scene_and_stay_unchanged(name):
-    warm = builtin_scene(name)
-    for kind in COMPLEXES:
-        homology_dims(warm, kind, 1)
-    kept = _columns_of(warm)
-    assert kept
-    fresh = builtin_scene(name)
-    for key, col in kept.items():
-        assert col == homology._column(fresh, COMPLEX_OF_TAG[key[0]], key), key
-    snapshot = copy.deepcopy(kept)
-    for kind in COMPLEXES:
-        for D in (2, 0, 1):
-            homology_dims(warm, kind, D)
-        assert is_boundary_within_window(_boundary_in_window_1(warm, kind), kind, 1)
-    after = _columns_of(warm)
-    assert {key: after[key] for key in snapshot} == snapshot
-    assert all(after[key] is col for key, col in kept.items())
-
-
 @pytest.mark.parametrize("name", all_builtin_names())
 def test_window_sweep_on_warm_scene_matches_fresh_scenes(name, monkeypatch):
     """Windows 0..3 then 3..0 on one scene, against a fresh scene per call,
-    with each (tag, I, K, m) column built once in the whole sweep."""
-    sweep = (0, 1, 2, 3, 3, 2, 1, 0)
-    want = {(kind, D): homology_dims(builtin_scene(name), kind, D) for kind in COMPLEXES for D in sweep}
-    built = []
-    expand = homology._expand
+    with each (tag, I, K) table built once in the whole sweep and no column
+    expanded on the way down, which reads the kept window 4."""
+    up, down = (0, 1, 2, 3), (3, 2, 1, 0)
+    want = {(kind, D): homology_dims(builtin_scene(name), kind, D) for kind in COMPLEXES for D in up}
+    tables, expanded = [], [0]
+    dtable, expand = homology._dtable, homology._expand
 
-    def counted(table, m):
-        built.append((id(table), m))
+    def counted_dtable(scene, kind, key):
+        tables.append(key[:3])
+        return dtable(scene, kind, key)
+
+    def counted_expand(table, m):
+        expanded[0] += 1
         return expand(table, m)
 
-    monkeypatch.setattr(homology, "_expand", counted)
+    monkeypatch.setattr(homology, "_dtable", counted_dtable)
+    monkeypatch.setattr(homology, "_expand", counted_expand)
     warm = builtin_scene(name)
     for kind in COMPLEXES:
-        for D in sweep:
+        for D in up:
             assert homology_dims(warm, kind, D) == want[kind, D], (kind, D)
+        assert warm._windows[kind].D == 4
+        expanded[0] = 0
+        for D in down:
+            assert homology_dims(warm, kind, D) == want[kind, D], (kind, D)
+        assert expanded[0] == 0, kind
     # window 3 is assembled at window 4, which holds every smaller window
-    needed = {key for kind in COMPLEXES for key in homology._window_keys(warm, kind, 4)}
-    assert set(_columns_of(warm)) == needed
-    assert len(built) == len(set(built)) == len(needed)
+    needed = {key[:3] for kind in COMPLEXES for key in homology._window_keys(warm, kind, 4)}
+    assert len(tables) == len(set(tables))
+    assert set(tables) == set(warm._dtables) == needed
 
 
 def _probes(scene, kind, D) -> list:

@@ -107,6 +107,7 @@ def test_pushforward_input_unit_class(tmp_path, capsys):
         ("SCENE-A2", "[1]", "expected an object of tuples, got list"),
         ("SCENE-A2", '{"0": {"": 5}}', "tuple '0' key '': expected a polynomial string"),
         ("SCENE-A2", '{"0": "1"}', "tuple '0': expected an object, got str"),
+        ("SCENE-P2", '{"0": {"": "1"}}', "tuple '0': Y misses it"),
     ],
     ids=[
         "not-a-cocycle",
@@ -118,6 +119,7 @@ def test_pushforward_input_unit_class(tmp_path, capsys):
         "not-an-object",
         "not-a-string",
         "terms-not-an-object",
+        "tuple-off-Y",
     ],
 )
 def test_pushforward_input_rejected(tmp_path, capsys, scene, y_class, message):

@@ -310,14 +310,18 @@ def _kept_window(wd) -> tuple:
     return wd.D, wd.basis, wd.ambient, matrices
 
 
-def _table_columns(scene) -> dict:
-    return {cell: cols for cell, (_, cols) in scene._dtables.items()}
+def _tables(scene) -> dict:
+    """Each _dtables table, with its restrictions by identity."""
+    return {
+        cell: [(J, id(res), pole, entries) for J, res, pole, entries in table]
+        for cell, table in scene._dtables.items()
+    }
 
 
 @pytest.mark.parametrize("name", [*all_builtin_names(), "half-sheared"])
 def test_kept_window_stays_unchanged(name):
     """Calls below, at and above the kept window leave every kept window
-    and every _dtables column as it was assembled, before any elimination
+    and every _dtables table as it was assembled, before any elimination
     ran on it, also after a larger window has replaced it.  The
     half-sheared scene's columns hold Fraction entries, so their integral
     forms are dicts of their own."""
@@ -331,7 +335,7 @@ def test_kept_window_stays_unchanged(name):
     windows = dict(scene._windows)
     assert {wd.D for wd in windows.values()} == {2}
     before = copy.deepcopy({kind: _kept_window(wd) for kind, wd in windows.items()})
-    columns = copy.deepcopy(_table_columns(scene))
+    tables = copy.deepcopy(_tables(scene))
     rational = any(
         m.integral[j] is not col for wd in windows.values() for m in wd.matrix.values() for j, col in enumerate(m.entries)
     )
@@ -339,9 +343,8 @@ def test_kept_window_stays_unchanged(name):
 
     def unchanged():
         assert {kind: _kept_window(wd) for kind, wd in windows.items()} == before
-        now = _table_columns(scene)
-        for cell, cols in columns.items():
-            assert {m: now[cell][m] for m in cols} == cols, cell
+        now = _tables(scene)
+        assert {cell: now[cell] for cell in tables} == tables
 
     for kind in kinds:  # below and at the kept window
         homology_dims(scene, kind, 0)
@@ -361,3 +364,24 @@ def test_kept_window_stays_unchanged(name):
         assert is_boundary_within_window(boundary, kind, 4)
         assert scene._windows[kind].D == 4
     unchanged()
+
+
+@pytest.mark.parametrize("kind", [OMEGA, OMEGA_Y, CONE])
+@pytest.mark.parametrize("name", [*all_builtin_names(), "half-sheared"])
+def test_kept_window_is_d_of_its_basis(name, kind):
+    """Each row-numbered column of the kept window, its rows read back as
+    keys, is d of its basis cochain, and each parity's ambient rows number
+    its basis 0..n-1 first."""
+    scene = _sheared_a2c("1/2") if name == "half-sheared" else builtin_scene(name)
+    homology_dims(scene, kind, 1)
+    wd = scene._windows[kind]
+    assert wd.D == 2
+    for par in (0, 1):
+        basis, amb = wd.basis[par], wd.ambient[par]
+        assert [amb[k] for k in basis] == list(range(len(basis)))
+        key_of = {i: k for k, i in wd.ambient[1 - par].items()}
+        m = wd.matrix[par]
+        assert (m.rows, m.cols) == (len(key_of), len(basis))
+        for key, col in zip(basis, m.entries):
+            want = expand_cochain(cech_total_d(_basis_cochain(scene, kind, key), kind), kind)
+            assert {key_of[i]: v for i, v in col.items()} == want, key
