@@ -93,16 +93,25 @@ def cmd_verify(args) -> int:
     return _emit(rep, args)
 
 
+def _integers(key: str, where: str) -> tuple:
+    try:
+        return tuple(int(x) for x in key.split(","))
+    except ValueError:
+        raise ValueError(f"{where}: expected comma-separated integers") from None
+
+
 def _load_y_class(path: str, scene: Scene) -> Cochain:
     """A divisor class file: {"i,j,..": {"k,l,..": polynomial}}, one object
-    of dx-index keys per tuple; raises ValueError naming the bad key."""
+    of dx-index keys per tuple; raises ValueError naming a bad or repeated key."""
     with open(path) as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ValueError(f"expected an object of tuples, got {type(data).__name__}")
     entries = {}
     for key, terms in data.items():
-        I = tuple(int(x) for x in key.split(","))
+        I = _integers(key, f"tuple {key!r}")
+        if I in entries:
+            raise ValueError(f"tuple {key!r}: tuple {I} is given twice")
         ring = scene.atlas.ring(I)
         if scene.ctx(I).pole is None:
             raise ValueError(f"tuple {key!r}: Y misses it, so a class on Y has no entry there")
@@ -111,7 +120,9 @@ def _load_y_class(path: str, scene: Scene) -> Cochain:
         form_terms = {}
         for dxkey, poly in terms.items():
             where = f"tuple {key!r} key {dxkey!r}"
-            K = tuple(int(x) for x in dxkey.split(",")) if dxkey else ()
+            K = _integers(dxkey, where) if dxkey else ()
+            if K in form_terms:
+                raise ValueError(f"{where}: dx indices {K} are given twice")
             if any(a >= b for a, b in zip(K, K[1:])) or not all(0 <= i < ring.nvars for i in K):
                 raise ValueError(
                     f"{where}: dx indices must be increasing and below {ring.nvars}"

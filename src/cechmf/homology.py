@@ -19,15 +19,14 @@ summand's tag, parity shift, whether it lives on the divisor, and how a
 section is taken apart into it and built from it.  The window keys, the
 parities, `expand_cochain` and the basis cochains all read that table.  The
 total differential is linear over restriction, so the column of x^m dx_K
-is built from one table of d(dx_K) (`_dtable`, `_expand`).  The table
-depends on neither m nor the window, so the scene keeps it in
-`Scene._dtables`, keyed by (tag, I, K) (the tag fixes the complex):
-cech_total_d runs once per (tag, I, K) per scene.  The scene also keeps,
-per complex, the assembled window of the largest D asked so far
-(`Scene._windows`): its basis in size order, row numbers and one checked
-`QMatrix` per parity.  This is the one per-call cache: a call at a window
-no larger reads it, and a larger window replaces it, expanding each of
-its columns from the tables; only the eliminations run on every call.
+is built from one table of d(dx_K) (`_dtable`, `_expand`), which depends
+on neither m nor the window: assembling a window runs cech_total_d once
+per (tag, I, K), and drops the tables once its columns are expanded.  The
+scene keeps, per complex, the assembled window of the largest D asked so
+far (`Scene._windows`): its basis in size order, row numbers and one
+checked `QMatrix` per parity.  This is the one homology state a scene
+holds: a call at a window no larger reads it, and a larger window
+replaces it; only the eliminations run on every call.
 """
 
 from __future__ import annotations
@@ -141,16 +140,6 @@ def _basis_cochain(scene: Scene, complex_kind: str, key) -> Cochain:
     return Cochain(scene, _SECTION_OF_COMPLEX[complex_kind], {I: make(ctx, w)})
 
 
-def _column(scene: Scene, complex_kind: str, key) -> dict:
-    """d of one window basis key x^m dx_K, expanded: `_expand` of the
-    scene's table of (tag, I, K), which is built on its first use."""
-    tag, I, K, m = key
-    table = scene._dtables.get((tag, I, K))
-    if table is None:
-        table = scene._dtables[(tag, I, K)] = _dtable(scene, complex_kind, key)
-    return _expand(table, m)
-
-
 def _dtable(scene: Scene, complex_kind: str, key) -> list:
     """d(dx_K) under the key's tag, expanded and grouped by tuple J, with
     res(I, J) and J's pole.
@@ -209,8 +198,9 @@ class _WindowedDifferential:
     then the other keys the images reach.  A key outside the basis can be
     small (a `cls` key with a pole exponent), so rows are split by basis
     membership, not by size.  `matrix[par]` holds the columns of d on the
-    parity-par basis (`_column`), numbered in the ambient rows of parity
-    1 - par and checked once.  The scene keeps one window per complex
+    parity-par basis, numbered in the ambient rows of parity 1 - par and
+    checked once; each is expanded from its (tag, I, K)'s `_dtable`, which
+    only this build keeps.  The scene keeps one window per complex
     (`_window`); nothing here changes after it is built."""
 
     def __init__(self, scene: Scene, complex_kind: str, D: int):
@@ -224,11 +214,13 @@ class _WindowedDifferential:
             sizes[par].append(size)
         self.ends = {par: [bisect_right(sizes[par], s) for s in range(D + 1)] for par in (0, 1)}
         self.ambient = {par: {k: i for i, k in enumerate(self.basis[par])} for par in (0, 1)}
+        cells = {k[:3]: k for par in (0, 1) for k in self.basis[par]}
+        tables = {cell: _dtable(scene, complex_kind, k) for cell, k in cells.items()}
         self.matrix = {}
         for par in (0, 1):
             amb = self.ambient[1 - par]
             cols = [
-                {amb.setdefault(kk, len(amb)): v for kk, v in _column(scene, complex_kind, k).items()}
+                {amb.setdefault(kk, len(amb)): v for kk, v in _expand(tables[k[:3]], k[3]).items()}
                 for k in self.basis[par]
             ]
             self.matrix[par] = QMatrix(len(amb), len(cols), cols)
@@ -302,26 +294,25 @@ def homology_dims(scene: Scene, complex_kind: str, D: int | None = None) -> dict
 def is_boundary_within_window(c: Cochain, complex_kind: str, D: int) -> bool:
     """Does c = d(v) for some v supported on the window-D basis?
 
-    Each parity part of c is solved on its own: it is a boundary exactly
-    when it is not a pivot column of [d | part], with d the window-D prefix
-    of the scene's kept window.  The part's keys outside the kept rows are
-    numbered after them, and the kept rows are left as they are."""
+    d is read from the scene's kept window, assembled at window D+1 or
+    above as in `homology_dims`.  No kept column reaches a key outside the
+    kept rows, so c with such a key is no boundary.  Otherwise each parity
+    part of c is a boundary exactly when it is not a pivot column of
+    [d | part], with d the window-D prefix of the kept columns."""
     _check_window(D)
     target = expand_cochain(c, complex_kind)
     if not target:
         return True
-    wd = _window(c.scene, complex_kind, D)
-    for p in {_parity(k) for k in target}:
-        amb = wd.ambient[p]
-        new: dict = {}
-        part = {}
-        for k, v in target.items():
-            if _parity(k) == p:
-                i = amb.get(k)
-                if i is None:
-                    i = new.setdefault(k, len(amb) + len(new))
-                part[i] = v
-        m = wd.matrix[1 - p].prefix(wd.ends[1 - p][D], len(amb) + len(new), [part])
+    wd = _window(c.scene, complex_kind, D + 1)
+    parts: dict = {}  # parity -> {kept row: coefficient}
+    for k, v in target.items():
+        p = _parity(k)
+        i = wd.ambient[p].get(k)
+        if i is None:
+            return False
+        parts.setdefault(p, {})[i] = v
+    for p, part in parts.items():
+        m = wd.matrix[1 - p].prefix(wd.ends[1 - p][D], [part])
         if m.cols - 1 in rank_kernel(m):
             return False
     return True

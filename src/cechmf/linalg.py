@@ -17,7 +17,7 @@ of the elimination over Q.
 
 A `QMatrix` checks its rows and zeros and takes each column over Z once,
 when it is built; `QMatrix.prefix` shares those columns with a matrix of
-its first columns, which is not checked again.  `rank_kernel` never writes
+its first columns on the same rows, which is not checked again.  `rank_kernel` never writes
 a column it was given: it copies a column when it first reduces it, and
 stores a column that becomes a pivot unchanged as it is.
 """
@@ -44,15 +44,14 @@ class QMatrix:
         assert all(0 <= i < rows for col in self.entries for i in col)
         self.integral = [_integral(col) for col in self.entries]
 
-    def prefix(self, cols: int, rows: int | None = None, tail=()) -> QMatrix:
-        """The first `cols` columns on `rows` >= self.rows rows, then the
-        columns `tail`.  The first columns and their integral forms are
-        shared and not checked again; only `tail` is checked."""
-        rows = self.rows if rows is None else rows
-        assert 0 <= cols <= self.cols and rows >= self.rows
-        extra = QMatrix(rows, len(tail), tail)
+    def prefix(self, cols: int, tail=()) -> QMatrix:
+        """The first `cols` columns, then the columns `tail`, on the same
+        rows.  The first columns and their integral forms are shared and
+        not checked again; only `tail` is checked."""
+        assert 0 <= cols <= self.cols
+        extra = QMatrix(self.rows, len(tail), tail)
         m = QMatrix.__new__(QMatrix)
-        m.rows, m.cols = rows, cols + extra.cols
+        m.rows, m.cols = self.rows, cols + extra.cols
         m.entries = self.entries[:cols] + extra.entries
         m.integral = self.integral[:cols] + extra.integral
         return m

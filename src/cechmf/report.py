@@ -24,12 +24,12 @@ class Check:
 @dataclass
 class Report:
     scene: str
+    seed: int
+    trunc: int
+    window: int
+    todd_sign: int
+    ledger_version: str
     suites: list = field(default_factory=list)  # (suite name, [Check], seconds)
-    seed: int = 0
-    trunc: int = 6
-    window: int = 4
-    todd_sign: int = -1
-    ledger_version: str = "1"
 
     def add_suite(self, name: str, checks: list, seconds: float):
         self.suites.append((name, checks, seconds))

@@ -8,10 +8,9 @@ overlap rings carry explicit restriction maps.
 The Cech layer over the atlas lives here too: `Scene.ctx(I)` keeps each
 tuple's lead-chart data (a `forms.TupleCtx`), `Scene.routes()` keeps the
 fixtures of the trace-vs-residue square (a `diagrams.RouteCtx`),
-`Scene._dtables` keeps the d(dx_K) tables of windowed homology,
-`Scene._windows` keeps per complex the assembled window of the largest D
-asked so far, and `AtlasCochain` is the one cochain base of `cech.Cochain`
-and `hochschild.CechHochChain`.
+`Scene._windows` keeps per complex the assembled window of windowed
+homology for the largest D asked so far, and `AtlasCochain` is the one
+cochain base of `cech.Cochain` and `hochschild.CechHochChain`.
 """
 
 from __future__ import annotations
@@ -172,17 +171,16 @@ def _loc_divide(a: LocPoly, b: LocPoly):
 class Scene:
     name: str
     atlas: Atlas
+    # the one default of each size, for scene_from_dict and builtin_scene
     trunc: int = 6       # Hochschild length cap N
     window: int = 4      # homology window D
     global_ring: Ring | None = None
     global_res: dict = field(default_factory=dict)  # chart_id -> RingMap
     _ctxs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _routes: object = field(default=None, init=False, repr=False, compare=False)
-    # (tag, I, K) -> homology._dtable's table of d(dx_K), which serves
-    # every x^m dx_K and every window
-    _dtables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # complex kind -> the homology._WindowedDifferential of the largest
-    # window asked so far: every smaller window is a prefix of it
+    # window asked so far, the scene's one homology state: every smaller
+    # window is a prefix of it
     _windows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def chart(self, i) -> Chart:
@@ -556,13 +554,13 @@ def scene_from_dict(data: dict) -> Scene:
         for i in chart_by_id:
             if i not in global_res:
                 raise SceneError(f"global res: no entry for chart {i}")
+    sizes = {what: _int(data[what], "scene", what) for what in ("trunc", "window") if what in data}
     return Scene(
         name=_field(data, "name", "scene", str, "scene"),
         atlas=atlas,
-        trunc=_int(data.get("trunc", 6), "scene", "trunc"),
-        window=_int(data.get("window", 4), "scene", "window"),
         global_ring=global_ring,
         global_res=global_res,
+        **sizes,
     )
 
 

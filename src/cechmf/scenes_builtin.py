@@ -157,13 +157,12 @@ _SPECS = {
 MAIN_SCENES = ("SCENE-A1", "SCENE-A2", "SCENE-P1")
 
 
-def builtin_scene(name: str, trunc: int = 6, window: int = 4) -> Scene:
+def builtin_scene(name: str, trunc: int | None = None, window: int | None = None) -> Scene:
+    """The built-in scene; a size left None takes the Scene field's default."""
     if name not in _SPECS:
         raise KeyError(f"unknown built-in scene {name!r}")
-    spec = dict(_SPECS[name])
-    spec["trunc"] = trunc
-    spec["window"] = window
-    return scene_from_dict(spec)
+    sizes = {"trunc": trunc, "window": window}
+    return scene_from_dict({**_SPECS[name], **{k: v for k, v in sizes.items() if v is not None}})
 
 
 def builtin_scene_dict(name: str) -> dict:

@@ -119,7 +119,7 @@ def suite_scene(scene: Scene, seed: int = 0) -> list:
     return checks
 
 
-def suite_d2(scene: Scene, seed: int = 0, n: int = 100) -> list:
+def suite_d2(scene: Scene, seed: int = 0) -> list:
     """Criterion 1: differentials square to zero on every complex."""
     rng = _rng(seed, "d2", scene.name)
     checks = []
@@ -129,7 +129,7 @@ def suite_d2(scene: Scene, seed: int = 0, n: int = 100) -> list:
         OMEGA_Y: rand_yform_cochain,
         CONE: rand_cone_cochain,
     }
-    per = max(1, n // len(gens))
+    per = 100 // len(gens)
     for kind, gen in gens.items():
         cochains = [gen(scene, rng, max_deg=1) for _ in range(per)]
         dd = lambda c: (cech_total_d(cech_total_d(c, kind), kind), Cochain(scene, c.kind))
@@ -140,7 +140,7 @@ def suite_d2(scene: Scene, seed: int = 0, n: int = 100) -> list:
         "A": SheafAlgebraA(scene),
         "EndP": end_algebra(scene, build_P(scene)),
     }
-    per = max(1, n // len(presheaves))
+    per = 100 // len(presheaves)
     max_len = min(3, scene.trunc - 2)
     for name, ph in presheaves.items():
         chains = [rand_cech_hoch_chain(rng, ph, max_len=max_len) for _ in range(per)]
@@ -149,19 +149,19 @@ def suite_d2(scene: Scene, seed: int = 0, n: int = 100) -> list:
     return checks
 
 
-def suite_hkr_xf(scene: Scene, seed: int = 0, n: int = 100) -> list:
+def suite_hkr_xf(scene: Scene, seed: int = 0) -> list:
     """Criterion 2: the curved-line HKR map is a chain map."""
     rng = _rng(seed, "hkr-xf", scene.name)
     checks = []
     for sign, kind in ((-1, OMEGA), (1, OMEGA_PLUS)):
         line = CurvedLine(scene, sign)
-        chains = [rand_cech_hoch_chain(rng, line, max_len=4, max_deg=2) for _ in range(n // 2)]
+        chains = [rand_cech_hoch_chain(rng, line, max_len=4, max_deg=2) for _ in range(50)]
         sides = lambda c: (hkr_xf(cech_hoch_d(c)), cech_total_d(hkr_xf(c), kind))
         checks.append(_sampled(f"hkr-xf:chain-map:sign{sign:+d}", chains, sides))
     return checks
 
 
-def suite_hkr_a(scene: Scene, seed: int = 0, n: int = 100) -> list:
+def suite_hkr_a(scene: Scene, seed: int = 0) -> list:
     """Criterion 3: the cone-valued HKR map is a chain map on all three
     element classes, with the two-odd-factor vanishing."""
     rng = _rng(seed, "hkr-a", scene.name)
@@ -169,34 +169,34 @@ def suite_hkr_a(scene: Scene, seed: int = 0, n: int = 100) -> list:
     checks = []
     sides = lambda c: (hkr_A(cech_hoch_d(c)), cech_total_d(hkr_A(c), CONE))
     for eps in (0, 1, 2):
-        chains = [rand_a_class_chain(rng, alg, eps) for _ in range(n)]
+        chains = [rand_a_class_chain(rng, alg, eps) for _ in range(100)]
         checks.append(_sampled(f"hkr-a:chain-map:eps{eps}", chains, sides))
-    chains = [rand_a_class_chain(rng, alg, 2) for _ in range(n)]
+    chains = [rand_a_class_chain(rng, alg, 2) for _ in range(100)]
     zero = Cochain(scene, CONEF)
     vanish = lambda c: ((hkr_A(c), hkr_A(twisted_hoch_d(c, parts=("d1",)))), (zero, zero))
     checks.append(_sampled("hkr-a:two-eps-vanishing", chains, vanish))
     return checks
 
 
-def suite_hkr_a_square(scene: Scene, seed: int = 0, n: int = 100) -> list:
+def suite_hkr_a_square(scene: Scene, seed: int = 0) -> list:
     """Criterion 4: projection-to-divisor of the cone map equals classical
     HKR after the quotient chain map."""
     rng = _rng(seed, "hkr-a-square", scene.name)
     alg = SheafAlgebraA(scene)
     oy = OYAlgebra(scene)
-    chains = [rand_a_class_chain(rng, alg, i % 3) for i in range(n)]
+    chains = [rand_a_class_chain(rng, alg, i % 3) for i in range(100)]
     square = lambda c: (cone_to_y(hkr_A(c)), hkr_y(a_to_oy(c, oy)))
     return [_sampled("hkr-a:square", chains, square)]
 
 
-def suite_hq(scene: Scene, seed: int = 0, n: int = 100) -> list:
+def suite_hq(scene: Scene, seed: int = 0) -> list:
     """Criterion 5: the exchange identity of the insertion operators."""
     rng = _rng(seed, "hq", scene.name)
     P = build_P(scene)
     cat = end_algebra(scene, P)
     triv = TrivializedCategory(scene, [P])
     qmax = len(scene.atlas.chart_ids)
-    per = max(1, n // (qmax + 1))
+    per = max(1, 100 // (qmax + 1))
 
     def hq(q, x):
         return hq_basis(q, x, triv) if q >= 0 else CechHochChain(triv, {})
@@ -279,7 +279,7 @@ def _global_divisor(scene: Scene) -> str | None:
     return None
 
 
-def suite_lax(scene: Scene, seed: int = 0, n: int = 50) -> list:
+def suite_lax(scene: Scene, seed: int = 0) -> list:
     """Criterion 6: chain map, strict-vs-lax homotopy, isomorphism homotopy,
     and the restriction homotopy, each against its defining identity."""
     rng = _rng(seed, "lax", scene.name)
@@ -304,7 +304,7 @@ def suite_lax(scene: Scene, seed: int = 0, n: int = 50) -> list:
         hom = cech_hoch_d(H) + iso_homotopy(lax, lax_id, tau, cech_hoch_d(c))
         return hom, lax_map(lax, c) - lax_map(lax_id, c)
 
-    chains = [rand_a_class_chain(rng, alg, i % 2, max_len=2) for i in range(n)]
+    chains = [rand_a_class_chain(rng, alg, i % 2, max_len=2) for i in range(50)]
     for key, sides in (("chain-map", chain_map), ("strict-vs-lax", strict_vs_lax), ("iso", iso)):
         checks.append(_sampled(f"lax:{key}", chains, sides))
 
@@ -332,7 +332,7 @@ def suite_lax(scene: Scene, seed: int = 0, n: int = 50) -> list:
         glax = coboundary_lax(scene, line, w)[0]
         basis = ("1",)
     gchains = []
-    for _ in range(max(1, n // 2)):
+    for _ in range(25):
         k = rng.randint(0, 2)
         slots = []
         for _ in range(k + 1):
@@ -353,7 +353,7 @@ def suite_lax(scene: Scene, seed: int = 0, n: int = 50) -> list:
     return checks
 
 
-def suite_phi(scene: Scene, seed: int = 0, n: int = 50) -> list:
+def suite_phi(scene: Scene, seed: int = 0) -> list:
     """Criterion 7: the trace map is a chain map, degreewise."""
     rng = _rng(seed, "phi", scene.name)
     routes = scene.routes()
@@ -364,11 +364,11 @@ def suite_phi(scene: Scene, seed: int = 0, n: int = 50) -> list:
         lhs = cech_hoch_d(phi(c, L + 1, line)).truncate(L)
         return lhs, phi(cech_hoch_d(c), L, line).truncate(L)
 
-    chains = [rand_cech_hoch_chain(rng, cat, max_len=2) for _ in range(n)]
+    chains = [rand_cech_hoch_chain(rng, cat, max_len=2) for _ in range(50)]
     return [_sampled("phi:chain-map", chains, chain_map)]
 
 
-def suite_todd(scene: Scene, seed: int = 0, n: int = 100) -> list:
+def suite_todd(scene: Scene, seed: int = 0) -> list:
     """Criterion 8: the inverse Todd action commutes with the differentials,
     and the two series presentations agree termwise."""
     rng = _rng(seed, "todd", scene.name)
@@ -377,7 +377,7 @@ def suite_todd(scene: Scene, seed: int = 0, n: int = 100) -> list:
     def commutes(a):
         return cech_total_d(bar_wedge(a, td), CONE), bar_wedge(cech_total_d(a, CONE), td)
 
-    cochains = [rand_cone_cochain(scene, rng, max_deg=1) for _ in range(n)]
+    cochains = [rand_cone_cochain(scene, rng, max_deg=1) for _ in range(100)]
     checks = [_sampled("todd:commutes", cochains, commutes)]
 
     c1 = c1_minus_Y(scene)

@@ -5,14 +5,14 @@ and `hochschild` keeps the slot terms of restricted basis elements and of
 the curvature, d and composition of basis symbols on the presheaf, and
 those of the images of `can` on the morphism.  The scene keeps the
 fixtures of the trace-vs-residue square (`diagrams.RouteCtx`) and, for
-windowed homology, the d(dx_K) table of each (tag, I, K)
-(`Scene._dtables`), so cech_total_d runs once per (tag, I, K) per scene.
-It also keeps, per complex, the assembled window of the largest D asked
-so far (`Scene._windows`), which serves every smaller window with no
-column expanded again.  These tests compare each table and
-smaller-window answer with the computation it replaces, and check that
-a table is never served to an object other than its owner, also after
-the owner is freed and its memory reused.
+windowed homology, per complex the assembled window of the largest D
+asked so far (`Scene._windows`), which serves every smaller window with
+no cech_total_d run and no column expanded again.  A window build makes
+the d(dx_K) table of each (tag, I, K) once and drops the tables with its
+columns expanded.  These tests compare each table and smaller-window
+answer with the computation it replaces, and check that a table is never
+served to an object other than its owner, also after the owner is freed
+and its memory reused.
 """
 
 import gc
@@ -20,6 +20,7 @@ import importlib
 import pkgutil
 import random
 import weakref
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -275,12 +276,11 @@ def test_route_context_dies_with_its_scene():
 
 
 COMPLEXES = (OMEGA, OMEGA_Y, CONE)
-# the tag of a table's key fixes its complex
-COMPLEX_OF_TAG = {"f": OMEGA, "y": OMEGA_Y, "cr": CONE, "clr": CONE, "cls": CONE}
 
 
-def _tables_of(scene, kind) -> int:
-    return sum(COMPLEX_OF_TAG[key[0]] == kind for key in scene._dtables)
+def _cells(scene, kind, D) -> set:
+    """The (tag, I, K) of the window-D keys: one d(dx_K) table each."""
+    return {key[:3] for key in homology._window_keys(scene, kind, D)}
 
 
 @pytest.mark.parametrize("name", all_builtin_names())
@@ -293,7 +293,7 @@ def test_homology_on_warm_scene_matches_fresh_scene(name):
         rng.shuffle(runs)
         for kind, D in runs:
             assert homology_dims(warm, kind, D) == want[kind, D], (kind, D)
-    assert all(key[0] in COMPLEX_OF_TAG for key in warm._dtables)
+    assert set(warm._windows) == set(COMPLEXES)
 
 
 def test_warm_homology_makes_no_cech_total_d_calls(monkeypatch):
@@ -309,9 +309,9 @@ def test_warm_homology_makes_no_cech_total_d_calls(monkeypatch):
     for kind in COMPLEXES:
         calls[0] = 0
         homology_dims(scene, kind, 1)
-        assert calls[0] == _tables_of(scene, kind) > 0
+        assert calls[0] == len(_cells(scene, kind, 2)) > 0
         calls[0] = 0
-        for D in (0, 2, 1):  # any window, smaller or larger
+        for D in (0, 1, 0):  # any window the kept one holds
             homology_dims(scene, kind, D)
         assert calls[0] == 0, kind
     # the unit lies in window 1, so its differential is a boundary there
@@ -320,8 +320,9 @@ def test_warm_homology_makes_no_cech_total_d_calls(monkeypatch):
 
 
 def test_homology_tables_die_with_their_scene():
-    """The scene keeps one window per complex, the largest asked so far; a
-    window it replaces, and every window it keeps, dies with it."""
+    """The scene keeps one window per complex, the largest asked so far,
+    and no d(dx_K) table; a window it replaces, and every window it keeps,
+    dies with it."""
     before = _module_containers()
     for name in SCENE_NAMES:
         scene = builtin_scene(name)
@@ -331,11 +332,11 @@ def test_homology_tables_die_with_their_scene():
         for kind in COMPLEXES:
             homology_dims(scene, kind, 1)
             homology_dims(scene, kind, 0)
-        assert all(_tables_of(scene, kind) for kind in COMPLEXES)
         assert set(scene._windows) == set(COMPLEXES)
         assert all(wd.D == 2 for wd in scene._windows.values())
+        assert all(set(vars(wd)) == {"D", "basis", "ends", "ambient", "matrix"} for wd in scene._windows.values())
         fresh = builtin_scene(name)
-        assert not fresh._dtables and not fresh._windows, "a table is served to another scene"
+        assert not fresh._windows, "a window is served to another scene"
         kept = [weakref.ref(wd) for wd in scene._windows.values()]
         gc.collect()
         assert all(ref() is None for ref in replaced), f"{name}: a replaced window outlives its replacement"
@@ -352,15 +353,15 @@ def test_oracle_does_not_fill_the_table(name):
     scene = builtin_scene(name)
     for kind in COMPLEXES:
         oracle_homology_dims(scene, kind, 1)
-    assert scene._dtables == {}
     assert scene._windows == {}
 
 
 @pytest.mark.parametrize("name", all_builtin_names())
 def test_window_sweep_on_warm_scene_matches_fresh_scenes(name, monkeypatch):
-    """Windows 0..3 then 3..0 on one scene, against a fresh scene per call,
-    with each (tag, I, K) table built once in the whole sweep and no column
-    expanded on the way down, which reads the kept window 4."""
+    """Windows 0..3 then 3..0 on one scene, against a fresh scene per call.
+    Each window built on the way up (1, 2, 3 and 4) builds each (tag, I, K)
+    table once; the way down reads the kept window 4 and builds no table
+    and expands no column."""
     up, down = (0, 1, 2, 3), (3, 2, 1, 0)
     want = {(kind, D): homology_dims(builtin_scene(name), kind, D) for kind in COMPLEXES for D in up}
     tables, expanded = [], [0]
@@ -381,14 +382,12 @@ def test_window_sweep_on_warm_scene_matches_fresh_scenes(name, monkeypatch):
         for D in up:
             assert homology_dims(warm, kind, D) == want[kind, D], (kind, D)
         assert warm._windows[kind].D == 4
+        assert Counter(tables) == dict.fromkeys(_cells(warm, kind, 4), len(up)), kind
+        tables.clear()
         expanded[0] = 0
         for D in down:
             assert homology_dims(warm, kind, D) == want[kind, D], (kind, D)
-        assert expanded[0] == 0, kind
-    # window 3 is assembled at window 4, which holds every smaller window
-    needed = {key[:3] for kind in COMPLEXES for key in homology._window_keys(warm, kind, 4)}
-    assert len(tables) == len(set(tables))
-    assert set(tables) == set(warm._dtables) == needed
+        assert tables == [] and expanded[0] == 0, kind
 
 
 def _probes(scene, kind, D) -> list:
@@ -398,7 +397,7 @@ def _probes(scene, kind, D) -> list:
     latter."""
     keys = homology._window_keys(scene, kind, D)
     last = [homology._basis_cochain(scene, kind, keys[-1])]
-    hit = [k for k in keys if homology._column(scene, kind, k)]
+    hit = [k for k in keys if homology._expand(homology._dtable(scene, kind, k), k[3])]
     if hit:
         last.append(cech_total_d(homology._basis_cochain(scene, kind, hit[-1]), kind))
     beyond = homology._basis_cochain(scene, kind, homology._window_keys(scene, kind, D + 1)[-1])
@@ -408,7 +407,7 @@ def _probes(scene, kind, D) -> list:
 @pytest.mark.parametrize("name", all_builtin_names())
 def test_boundaries_below_the_kept_window_match_fresh_scene(name):
     """On a scene that kept window 4, each boundary verdict at windows 0..3
-    is a fresh scene's, which assembles exactly that window."""
+    is a fresh scene's, which assembles window D + 1 for a verdict at D."""
     warm = builtin_scene(name)
     verdicts = set()
     for kind in COMPLEXES:
@@ -420,7 +419,7 @@ def test_boundaries_below_the_kept_window_match_fresh_scene(name):
             for c, c_fresh in zip(_probes(warm, kind, D), _probes(fresh, kind, D)):
                 got = is_boundary_within_window(c, kind, D)
                 assert got == is_boundary_within_window(c_fresh, kind, D), (kind, D)
-                assert fresh._windows[kind].D == D
+                assert fresh._windows[kind].D == D + 1
                 verdicts.add(got)
         assert warm._windows[kind] is kept
     assert verdicts == {True, False}

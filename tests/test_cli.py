@@ -1,6 +1,7 @@
 """The command-line driver, run in-process through `cli.main`."""
 
 import json
+import re
 
 import pytest
 
@@ -108,6 +109,10 @@ def test_pushforward_input_unit_class(tmp_path, capsys):
         ("SCENE-A2", '{"0": {"": 5}}', "tuple '0' key '': expected a polynomial string"),
         ("SCENE-A2", '{"0": "1"}', "tuple '0': expected an object, got str"),
         ("SCENE-P2", '{"0": {"": "1"}}', "tuple '0': Y misses it"),
+        ("SCENE-A2", '{"x": {"": "1"}}', "tuple 'x': expected comma-separated integers"),
+        ("SCENE-A2", '{"0": {"0,x": "1"}}', "tuple '0' key '0,x': expected comma-separated integers"),
+        ("SCENE-A2", '{"0": {"": "1"}, " 0": {"": "x"}}', "tuple ' 0': tuple (0,) is given twice"),
+        ("SCENE-A2", '{"0": {"0,1": "1", "0, 1": "x"}}', "tuple '0' key '0, 1': dx indices (0, 1) are given twice"),
     ],
     ids=[
         "not-a-cocycle",
@@ -120,6 +125,10 @@ def test_pushforward_input_unit_class(tmp_path, capsys):
         "not-a-string",
         "terms-not-an-object",
         "tuple-off-Y",
+        "tuple-not-integers",
+        "dx-not-integers",
+        "tuple-repeated",
+        "dx-repeated",
     ],
 )
 def test_pushforward_input_rejected(tmp_path, capsys, scene, y_class, message):
@@ -170,3 +179,37 @@ def test_malformed_scene_file_exits_2(tmp_path, capsys, text, where):
     assert err.startswith(f"cannot read scene file {path}")
     assert where in err
     assert len(err.strip().splitlines()) == 1
+
+
+def _verify_p2_pushforward(capsys, *options):
+    """SCENE-P2's pushforward suite, which fails its homology context (the
+    window is not stable) with a payload."""
+    code = cli.main(["verify", "--scene", "SCENE-P2", "--suite", "pushforward", *options])
+    return code, capsys.readouterr().out
+
+
+def test_text_report_shows_each_failure_with_its_payload(tmp_path, capsys):
+    code, report = _verify_p2_pushforward(capsys, "--format", "json")
+    (failed,) = [c for c in json.loads(report)["suites"][0]["checks"] if not c["passed"]]
+    path = tmp_path / "report.txt"
+    assert _verify_p2_pushforward(capsys, "--report", str(path)) == (code, path.read_text())
+    assert code == 1
+    lines = path.read_text().splitlines()
+    assert lines[0] == "scene SCENE-P2  seed 0  N 6  D 4"
+    assert re.fullmatch(r"\[FAIL\(1\)\] pushforward: 2 checks in \d+\.\d\ds", lines[1])
+    assert lines[2:] == [
+        f"    FAIL {failed['id']}: {failed['detail']}",
+        "        dims: {'window': 4, 'even': 7, 'odd': 3, 'even_next': 10, 'odd_next': 6, 'stable': False}",
+        f"        route_value: {failed['payload']['route_value']}",
+        "total 2 checks, 1 failed",
+    ]
+    assert failed["id"] == "pushforward:homology-context"
+
+
+def test_timings_add_only_seconds_per_suite(capsys):
+    _, plain = _verify_p2_pushforward(capsys, "--format", "json")
+    _, timed = _verify_p2_pushforward(capsys, "--format", "json", "--timings")
+    plain, timed = json.loads(plain), json.loads(timed)
+    seconds = [suite.pop("seconds") for suite in timed["suites"]]
+    assert timed == plain
+    assert len(seconds) == 1 and isinstance(seconds[0], float) and seconds[0] >= 0

@@ -19,7 +19,8 @@ from cechmf.cech import (
 )
 from cechmf.forms import Form, index_sets
 from cechmf.homology import (
-    _column,
+    _dtable,
+    _expand,
     _parity,
     _window_keys,
     expand_cochain,
@@ -38,6 +39,18 @@ P1 = builtin_scene("SCENE-P1")
 # frozen expected values, confirmed by the brute-force oracle in
 # test_acceptance before freezing
 GOLDEN = {"SCENE-A1": (0, 1), "SCENE-A2": (1, 0), "SCENE-P1": (2, 0)}
+
+
+def _columns(scene, kind, keys) -> dict:
+    """{key: d of its basis cochain, expanded from the table of its
+    (tag, I, K)}, each table built once, as a window build does."""
+    tables, out = {}, {}
+    for key in keys:
+        table = tables.get(key[:3])
+        if table is None:
+            table = tables[key[:3]] = _dtable(scene, kind, key)
+        out[key] = _expand(table, key[3])
+    return out
 
 
 @pytest.mark.parametrize("scene,name", [(A1, "SCENE-A1"), (A2, "SCENE-A2"), (P1, "SCENE-P1")])
@@ -87,10 +100,10 @@ def test_expand_roundtrip(name, kind):
     """Each basis key is its own basis cochain taken apart again, and d
     moves every key to the other parity."""
     scene = builtin_scene(name)
-    for key in _window_keys(scene, kind, 2):
+    for key, column in _columns(scene, kind, _window_keys(scene, kind, 2)).items():
         c = _basis_cochain(scene, kind, key)
         assert expand_cochain(c, kind) == {key: Fraction(1)}
-        assert {_parity(k) for k in _column(scene, kind, key)} <= {1 - _parity(key)}, key
+        assert {_parity(k) for k in column} <= {1 - _parity(key)}, key
 
 
 @pytest.mark.parametrize("kind", [OMEGA_LOG, "no-such-complex"])
@@ -173,9 +186,9 @@ def test_basis_is_the_size_sort_of_the_window_keys(name, kind):
 
 def _assert_columns_are_d_of_the_basis(scene, kind, D=3):
     """Every table-built column equals cech_total_d of its basis cochain."""
-    for key in _window_keys(scene, kind, D):
+    for key, column in _columns(scene, kind, _window_keys(scene, kind, D)).items():
         want = expand_cochain(cech_total_d(_basis_cochain(scene, kind, key), kind), kind)
-        assert _column(scene, kind, key) == want, key
+        assert column == want, key
 
 
 @pytest.mark.parametrize("kind", [OMEGA, OMEGA_Y, CONE])
@@ -229,16 +242,16 @@ def test_engine_matches_oracle_on_sheared_scenes(c, kind, D):
 def test_oracle_does_not_build_table_columns(monkeypatch):
     """The oracle checks the table-built columns, so it assembles its own.
     The scene is fresh: a scene that kept a window reads it and does not
-    reach `_column` again."""
+    reach `_dtable` again."""
 
     def reached(*args):
-        raise AssertionError("reached homology._column")
+        raise AssertionError("reached homology._dtable")
 
-    monkeypatch.setattr(homology, "_column", reached)
+    monkeypatch.setattr(homology, "_dtable", reached)
     scene = builtin_scene("SCENE-A2")
-    with pytest.raises(AssertionError, match="_column"):
+    with pytest.raises(AssertionError, match="_dtable"):
         homology_dims(scene, OMEGA, 2)
-    assert not hasattr(suites, "_column")
+    assert not hasattr(suites, "_dtable") and not hasattr(suites, "_expand")
     out = oracle_homology_dims(scene, OMEGA, 2)
     assert (out["even"], out["odd"]) == GOLDEN["SCENE-A2"]
 
@@ -310,21 +323,12 @@ def _kept_window(wd) -> tuple:
     return wd.D, wd.basis, wd.ambient, matrices
 
 
-def _tables(scene) -> dict:
-    """Each _dtables table, with its restrictions by identity."""
-    return {
-        cell: [(J, id(res), pole, entries) for J, res, pole, entries in table]
-        for cell, table in scene._dtables.items()
-    }
-
-
 @pytest.mark.parametrize("name", [*all_builtin_names(), "half-sheared"])
 def test_kept_window_stays_unchanged(name):
     """Calls below, at and above the kept window leave every kept window
-    and every _dtables table as it was assembled, before any elimination
-    ran on it, also after a larger window has replaced it.  The
-    half-sheared scene's columns hold Fraction entries, so their integral
-    forms are dicts of their own."""
+    as it was assembled, before any elimination ran on it, also after a
+    larger window has replaced it.  The half-sheared scene's columns hold
+    Fraction entries, so their integral forms are dicts of their own."""
     scene = _sheared_a2c("1/2") if name == "half-sheared" else builtin_scene(name)
     kinds = (OMEGA, OMEGA_Y, CONE)
     probes = {}  # kind -> (a window-1 basis cochain, its boundary)
@@ -335,7 +339,6 @@ def test_kept_window_stays_unchanged(name):
     windows = dict(scene._windows)
     assert {wd.D for wd in windows.values()} == {2}
     before = copy.deepcopy({kind: _kept_window(wd) for kind, wd in windows.items()})
-    tables = copy.deepcopy(_tables(scene))
     rational = any(
         m.integral[j] is not col for wd in windows.values() for m in wd.matrix.values() for j, col in enumerate(m.entries)
     )
@@ -343,14 +346,12 @@ def test_kept_window_stays_unchanged(name):
 
     def unchanged():
         assert {kind: _kept_window(wd) for kind, wd in windows.items()} == before
-        now = _tables(scene)
-        assert {cell: now[cell] for cell in tables} == tables
 
     for kind in kinds:  # below and at the kept window
         homology_dims(scene, kind, 0)
         homology_dims(scene, kind, 1)
         last, boundary = probes[kind]
-        for D in (0, 1, 2):
+        for D in (0, 1):  # both read window D + 1
             is_boundary_within_window(last, kind, D)
             verdict = is_boundary_within_window(boundary, kind, D)
             assert verdict or D == 0  # last, of window 1, is a preimage
@@ -360,8 +361,8 @@ def test_kept_window_stays_unchanged(name):
         homology_dims(scene, kind, 2)
         assert scene._windows[kind].D == 3
         last, boundary = probes[kind]
-        is_boundary_within_window(last, kind, 4)
-        assert is_boundary_within_window(boundary, kind, 4)
+        is_boundary_within_window(last, kind, 3)
+        assert is_boundary_within_window(boundary, kind, 3)
         assert scene._windows[kind].D == 4
     unchanged()
 
@@ -385,3 +386,41 @@ def test_kept_window_is_d_of_its_basis(name, kind):
         for key, col in zip(basis, m.entries):
             want = expand_cochain(cech_total_d(_basis_cochain(scene, kind, key), kind), kind)
             assert {key_of[i]: v for i, v in col.items()} == want, key
+
+
+@pytest.mark.parametrize("kind", [OMEGA, OMEGA_Y, CONE])
+@pytest.mark.parametrize("name", ["SCENE-A2D", "SCENE-P2"])
+def test_boundary_test_and_homology_share_one_window(name, kind):
+    """A boundary test at window D reads the window homology_dims keeps for
+    D, D + 1: after both calls the scene holds one window object, built by
+    the first call and read by the second."""
+    scene = builtin_scene(name)
+    D = 1
+    is_boundary_within_window(_basis_cochain(scene, kind, _window_keys(scene, kind, D)[-1]), kind, D)
+    (wd,) = scene._windows.values()
+    assert wd.D == D + 1
+    homology_dims(scene, kind, D)
+    assert list(scene._windows.values()) == [wd] and scene._windows[kind] is wd
+
+
+@pytest.mark.parametrize("kind", [OMEGA, OMEGA_Y, CONE])
+def test_key_outside_the_kept_rows_is_no_boundary_without_elimination(kind, monkeypatch):
+    """No column of the kept window reaches a key outside its rows, so a
+    target with such a key is no boundary, and no elimination runs."""
+    scene = builtin_scene("SCENE-A2D")
+    D = 1
+    last = _basis_cochain(scene, kind, _window_keys(scene, kind, D)[-1])
+    homology_dims(scene, kind, D)
+    wd = scene._windows[kind]
+    far = _window_keys(scene, kind, D + 4)[-1]
+    assert far not in wd.ambient[_parity(far)]
+
+    def reached(*args):
+        raise AssertionError("reached rank_kernel")
+
+    monkeypatch.setattr(linalg, "rank_kernel", reached)
+    monkeypatch.setattr(homology, "rank_kernel", reached)
+    outside = _basis_cochain(scene, kind, far)
+    assert not is_boundary_within_window(outside, kind, D)
+    assert not is_boundary_within_window(last + outside, kind, D)
+    assert scene._windows[kind] is wd

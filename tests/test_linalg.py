@@ -197,10 +197,10 @@ def test_rank_kernel_leaves_its_matrix_unchanged():
             # two matrices over the same column dicts, the second reversed
             other = QMatrix(m.rows, n, m.entries[::-1])
             assert all(x is y for x, y in zip(other.entries, m.entries[::-1]))
-            tail = {rng.randrange(m.rows + 1): Fraction(1, 3)}
+            tail = {rng.randrange(m.rows): Fraction(1, 3)}
             head = m.prefix(k)
-            extended = m.prefix(k, m.rows + 1, [tail])
-            dense = [row[:k] + [tail.get(i, 0)] for i, row in enumerate(rows)] + [[0] * k + [tail.get(m.rows, 0)]]
+            extended = m.prefix(k, [tail])
+            dense = [row[:k] + [tail.get(i, 0)] for i, row in enumerate(rows)]
             before = copy.deepcopy((m.entries, m.integral, tail))
             want = rank_kernel(_qm(rows))
             for _ in range(2):
