@@ -168,8 +168,8 @@ def cmd_homology(args) -> int:
     scene, rep = _open_scene(args)
     if not rep.ok:
         return _emit(rep, args)
-    # instability is reported, not fatal: affine divisors have homology of
-    # unbounded dimension over the rationals and the window slices grow
+    # instability is reported, not fatal: the window slices can grow with
+    # the window, on affine scenes and on projective SCENE-P2 alike
     kinds = {"omega": OMEGA, "omega_y": OMEGA_Y, "cone": CONE}
     with Timer() as t:
         checks = []

@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .rings import LocPoly, MalformedElement, Ring, quotient_restrict
+from .rings import LocPoly, Ring, quotient_restrict
 from .scene import Scene, UnsupportedScene, _loc_divide, divisor_pole
 
 
@@ -339,13 +339,9 @@ def restrict_logform(scene: Scene, lf: LogForm, I, J) -> LogForm:
     res = restrict_form(scene, lf.residue, I, J)
     x_old = scene.atlas.res(I, J)(lf.ctx.x)
     if ctx_J.pole is None:
-        try:
-            dl = dlog_of(x_old)
-        except MalformedElement:
-            raise UnsupportedScene(
-                f"cannot restrict log pole from {I} to {J}"
-            ) from None
-        return LogForm(ctx_J, reg + dl.wedge(res), Form.zero(ctx_J.ring))
+        if not x_old.is_unit():
+            raise UnsupportedScene(f"cannot restrict log pole from {I} to {J}")
+        return LogForm(ctx_J, reg + dlog_of(x_old).wedge(res), Form.zero(ctx_J.ring))
     u = _loc_divide(x_old, ctx_J.x)
     if u is None:
         raise UnsupportedScene(f"divisors over {I} and {J} are incompatible")

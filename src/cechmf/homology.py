@@ -6,12 +6,13 @@ too).  Differentials are evaluated exactly; images may leave the window, so
 homology is computed as ker(d restricted to the window) modulo the part of
 the image that lands back inside the window.  A stability flag compares the
 dimensions at windows D and D+1: the differential is assembled once, at
-D+1, and window D is a prefix of its columns.  Each parity q takes one
-elimination of d on parity q, over Z, for both windows.  Its columns run
-window D first; its rows run the window-D basis of parity 1-q, the rest
-of the window-(D+1) basis, then every other key the images reach.  Every
-rank the dimensions need is then the rank of a lower-left block, which is
-a count of the elimination's pivots (`linalg`, `_dims`).
+D+1 or above, and every smaller window is a prefix of its columns.  Each
+parity q takes one elimination of d on parity q, over Z, when the window
+is assembled.  Its columns run window D first; its rows run the window-D
+basis of parity 1-q, the rest of the window-(D+1) basis, then every other
+key the images reach.  Every rank the dimensions need is then the rank of
+a lower-left block, which is a count of the echelon's pivots (`linalg`,
+`_dims`), and a boundary test reduces its target against the echelon.
 
 A basis key is x^m dx_K on one tuple I, with a tag for its summand.
 `_SUMMANDS` is the one place the tags are defined: per complex, each
@@ -23,10 +24,10 @@ is built from one table of d(dx_K) (`_dtable`, `_expand`), which depends
 on neither m nor the window: assembling a window runs cech_total_d once
 per (tag, I, K), and drops the tables once its columns are expanded.  The
 scene keeps, per complex, the assembled window of the largest D asked so
-far (`Scene._windows`): its basis in size order, row numbers and one
-checked `QMatrix` per parity.  This is the one homology state a scene
-holds: a call at a window no larger reads it, and a larger window
-replaces it; only the eliminations run on every call.
+far (`Scene._windows`): its basis in size order, row numbers, and per
+parity one checked `QMatrix` and its echelon.  This is the one homology
+state a scene holds: a call at a window no larger reads it and eliminates
+nothing, and a larger window replaces it.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from operator import add, itemgetter
 
 from .cech import CONE, OMEGA, OMEGA_Y, _SECTION_OF_COMPLEX, Cochain, cech_total_d
 from .forms import ConeForm, Form, LogForm, _merge_indices, index_sets
-from .linalg import QMatrix, rank_kernel
+from .linalg import QMatrix, in_span, rank_kernel
 from .rings import _fr
 from .scene import Scene
 
@@ -200,8 +201,10 @@ class _WindowedDifferential:
     membership, not by size.  `matrix[par]` holds the columns of d on the
     parity-par basis, numbered in the ambient rows of parity 1 - par and
     checked once; each is expanded from its (tag, I, K)'s `_dtable`, which
-    only this build keeps.  The scene keeps one window per complex
-    (`_window`); nothing here changes after it is built."""
+    only this build keeps.  `echelon[par]` is the one elimination of
+    `matrix[par]` (`linalg.rank_kernel`), which serves every window up to
+    D.  The scene keeps one window per complex (`_window`); nothing here
+    changes after it is built."""
 
     def __init__(self, scene: Scene, complex_kind: str, D: int):
         self.D = D
@@ -224,6 +227,7 @@ class _WindowedDifferential:
                 for k in self.basis[par]
             ]
             self.matrix[par] = QMatrix(len(amb), len(cols), cols)
+        self.echelon = {par: rank_kernel(self.matrix[par]) for par in (0, 1)}
 
 
 def _window(scene: Scene, complex_kind: str, D: int) -> _WindowedDifferential:
@@ -236,28 +240,27 @@ def _window(scene: Scene, complex_kind: str, D: int) -> _WindowedDifferential:
 
 
 def _dims(wd: _WindowedDifferential, D: int) -> tuple:
-    """H_even and H_odd at windows D and D+1, from one elimination of d on
-    each parity; wd is assembled at window D+1 or above.
+    """H_even and H_odd at windows D and D+1, read from wd's echelon of d
+    on each parity; wd is assembled at window D+1 or above.
 
     H_par = rank[d|1-par | W_par] - rank d|par - rank d|1-par, with W_par
     the window's basis of parity par: nullity(d|par) minus the dimension
     of im(d|1-par) meet W_par.  The unit columns of W are not eliminated:
     rank[d | W] = |W| + rank of d with the rows of W deleted.
 
-    The matrix of d|q is the window-(D+1) prefix of wd's columns, window D
-    first.  Its rows of parity 1-q run W_{1-q} at D, then the rest of
-    W_{1-q} at D+1, then every other ambient key: the rest of wd's basis,
-    if wd is larger, sits among the keys outside W, and only the first two
-    row blocks have to come first.  Each of the four ranks of q (d|q, and
+    The matrix of d|q is a prefix of wd's columns: window D first, then
+    the rest of window D+1.  Its rows of parity 1-q run W_{1-q} at D, then
+    the rest of W_{1-q} at D+1, then every other ambient key: the rest of
+    wd's basis, if wd is larger, sits among the keys outside W, and only
+    the first two row blocks have to come first.  Each of the four ranks of q (d|q, and
     d|q without the rows of W_{1-q}, at D and at D+1) is then the rank of
-    a lower-left block, which is a count of pivots of one `rank_kernel`:
-    rank m[rows >= r, cols < j] = #{pivots j' < j with low >= r}."""
+    a lower-left block, which is a count of the echelon's pivots:
+    rank m[rows >= r, cols < n] = #{pivots j < n with low >= r}."""
     r_d, r_dw = {}, {}  # (window, q) -> rank d|q, rank [d|q | W_{1-q}]
     for q in (0, 1):
-        pivots = rank_kernel(wd.matrix[q].prefix(wd.ends[q][D + 1]))
         for w in (D, D + 1):
             n_d, n_w = wd.ends[q][w], wd.ends[1 - q][w]
-            lows = [low for j, low in pivots.items() if j < n_d]
+            lows = [low for low, (j, _) in wd.echelon[q].items() if j < n_d]
             r_d[w, q] = len(lows)
             r_dw[w, q] = n_w + sum(low >= n_w for low in lows)
     return tuple(
@@ -275,7 +278,7 @@ def homology_dims(scene: Scene, complex_kind: str, D: int | None = None) -> dict
     """Exact homology dimensions per parity in the window, with stability flag.
 
     The differential is read from the scene's kept window, assembled at
-    window D+1 or above, and both windows are read from one elimination per
+    window D+1 or above, and both windows are read from its echelon per
     parity (see `_dims`)."""
     if D is None:
         D = scene.window
@@ -297,8 +300,10 @@ def is_boundary_within_window(c: Cochain, complex_kind: str, D: int) -> bool:
     d is read from the scene's kept window, assembled at window D+1 or
     above as in `homology_dims`.  No kept column reaches a key outside the
     kept rows, so c with such a key is no boundary.  Otherwise each parity
-    part of c is a boundary exactly when it is not a pivot column of
-    [d | part], with d the window-D prefix of the kept columns."""
+    part of c is a boundary exactly when it lies in the span of the
+    window-D prefix of the kept columns of the other parity: when it
+    reduces to zero against their reduced columns in the kept echelon
+    (`linalg.in_span`)."""
     _check_window(D)
     target = expand_cochain(c, complex_kind)
     if not target:
@@ -311,8 +316,4 @@ def is_boundary_within_window(c: Cochain, complex_kind: str, D: int) -> bool:
         if i is None:
             return False
         parts.setdefault(p, {})[i] = v
-    for p, part in parts.items():
-        m = wd.matrix[1 - p].prefix(wd.ends[1 - p][D], [part])
-        if m.cols - 1 in rank_kernel(m):
-            return False
-    return True
+    return all(in_span(wd.echelon[1 - p], wd.ends[1 - p][D], part) for p, part in parts.items())

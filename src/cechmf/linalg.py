@@ -1,13 +1,18 @@
-"""Exact linear algebra over Q: the pivots of a sparse rational matrix.
+"""Exact linear algebra over Q: the echelon of a sparse rational matrix.
 
 `rank_kernel` reduces the columns left to right, always clearing the lowest
-row, and returns {pivot column: lowest row}.  Its length is the rank, and
-the pivots give the rank of every lower-left block at once:
+row, and returns the echelon {lowest row: (pivot column, reduced column)}
+in column order; its length is the rank.  The reduction only adds earlier
+columns to later ones, so the reduced columns j < n span the first n
+columns, and their lowest rows are distinct (Edelsbrunner-Letscher-
+Zomorodian 2002).  One echelon of a matrix therefore serves every prefix
+of its columns: the rank of every lower-left block is a count,
 
-    rank m[rows >= r, cols < j] = #{pivots j' < j with low(j') >= r},
+    rank m[rows >= r, cols < n] = #{pivots j < n with low(j) >= r},
 
-since the reduction only adds earlier columns to later ones and leaves
-distinct lowest rows (Edelsbrunner-Letscher-Zomorodian 2002).
+and a column lies in the span of the first n columns exactly when it
+reduces to zero against the reduced columns j < n (`in_span`).  Both run
+the one reduction loop, `_reduce`.
 
 The reduction runs over Z: each column is scaled by the lcm of its
 denominators, eliminated with col <- p*col - f*prev, and each pivot column
@@ -16,10 +21,9 @@ rational changes neither the pivots nor the lowest rows, so they are those
 of the elimination over Q.
 
 A `QMatrix` checks its rows and zeros and takes each column over Z once,
-when it is built; `QMatrix.prefix` shares those columns with a matrix of
-its first columns on the same rows, which is not checked again.  `rank_kernel` never writes
-a column it was given: it copies a column when it first reduces it, and
-stores a column that becomes a pivot unchanged as it is.
+when it is built.  Neither `rank_kernel` nor `in_span` writes a column it
+was given or one an echelon keeps: a column is copied when it is first
+reduced, and a column that becomes a pivot unchanged is kept as it is.
 """
 
 from __future__ import annotations
@@ -44,18 +48,6 @@ class QMatrix:
         assert all(0 <= i < rows for col in self.entries for i in col)
         self.integral = [_integral(col) for col in self.entries]
 
-    def prefix(self, cols: int, tail=()) -> QMatrix:
-        """The first `cols` columns, then the columns `tail`, on the same
-        rows.  The first columns and their integral forms are shared and
-        not checked again; only `tail` is checked."""
-        assert 0 <= cols <= self.cols
-        extra = QMatrix(self.rows, len(tail), tail)
-        m = QMatrix.__new__(QMatrix)
-        m.rows, m.cols = self.rows, cols + extra.cols
-        m.entries = self.entries[:cols] + extra.entries
-        m.integral = self.integral[:cols] + extra.integral
-        return m
-
     def __repr__(self):
         return f"QMatrix({self.rows}x{self.cols})"
 
@@ -69,42 +61,55 @@ def _integral(col: dict) -> dict:
     return {i: int(x * den) for i, x in col.items()}
 
 
-def rank_kernel(m: QMatrix) -> dict:
-    """{pivot column: lowest row} of m, ascending by column.
+def _reduce(col: dict, echelon: dict, n: int) -> tuple:
+    """(col, its lowest row) after reducing col against the echelon's
+    reduced columns j < n, always clearing the lowest row, until col is
+    zero (lowest row None) or no such column has its lowest row.  col is
+    copied on its first step; no column given or kept is written."""
+    own = False  # is col a copy this reduction may change?
+    while col:
+        low = max(col)
+        pivot = echelon.get(low)
+        if pivot is None or pivot[0] >= n:
+            return col, low
+        prev = pivot[1]
+        p, f = prev[low], col[low]
+        g = gcd(p, f)
+        p, f = p // g, f // g
+        if p != 1:
+            col = {i: p * x for i, x in col.items()}
+        elif not own:
+            col = dict(col)
+        own = True
+        for i, x in prev.items():
+            y = col.get(i, 0) - f * x
+            if y:
+                col[i] = y
+            else:
+                del col[i]
+        assert low not in col, "the pivot did not clear its row"
+    return col, None
 
-    Each column is reduced against the earlier pivot columns, always
-    clearing its lowest row, and becomes a pivot column if anything is left.
-    A column is copied on its first reduction step; m's columns are never
-    written.  The name is kept because the benchmark's tracer spans this
-    function by name; no kernel basis is computed.
-    """
-    reduced = {}  # lowest row -> reduced pivot column, primitive, > 0 there
-    pivots = {}
+
+def rank_kernel(m: QMatrix) -> dict:
+    """The echelon of m: {lowest row: (pivot column, reduced column)}, in
+    column order.  Each column is reduced against the earlier pivot
+    columns, and what is left becomes a pivot column, primitive and
+    positive at its lowest row.  The name is kept because the benchmark's
+    tracer spans this function by name; no kernel basis is computed."""
+    echelon = {}
     for j, col in enumerate(m.integral):
-        own = False  # is col a copy this elimination may change?
-        while col:
-            low = max(col)
-            prev = reduced.get(low)
-            if prev is None:
-                g = gcd(*col.values())
-                if col[low] < 0:
-                    g = -g
-                reduced[low] = {i: x // g for i, x in col.items()} if g != 1 else col
-                pivots[j] = low
-                break
-            p, f = prev[low], col[low]
-            g = gcd(p, f)
-            p, f = p // g, f // g
-            if p != 1:
-                col = {i: p * x for i, x in col.items()}
-            elif not own:
-                col = dict(col)
-            own = True
-            for i, x in prev.items():
-                y = col.get(i, 0) - f * x
-                if y:
-                    col[i] = y
-                else:
-                    del col[i]
-            assert low not in col, "the pivot did not clear its row"
-    return pivots
+        col, low = _reduce(col, echelon, j)
+        if col:
+            g = gcd(*col.values())
+            if col[low] < 0:
+                g = -g
+            echelon[low] = (j, {i: x // g for i, x in col.items()} if g != 1 else col)
+    return echelon
+
+
+def in_span(echelon: dict, n: int, col: dict) -> bool:
+    """Does col, {row: int or Fraction}, lie in the span of the first n
+    columns of the matrix whose echelon (`rank_kernel`) is given?  It does
+    exactly when it reduces to zero against the reduced columns j < n."""
+    return _reduce(_integral({i: x for i, x in col.items() if x}), echelon, n)[1] is None

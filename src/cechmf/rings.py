@@ -209,11 +209,18 @@ class LocPoly:
             terms = _mul_terms(terms, self.terms)
         return LocPoly._new(self.ring, terms)
 
+    def is_unit(self) -> bool:
+        """A single term whose nonzero exponents sit at inverted variables."""
+        if len(self.terms) != 1:
+            return False
+        (exp,) = self.terms
+        return all(e == 0 or i in self.ring.inverted for i, e in enumerate(exp))
+
     def inverse(self) -> "LocPoly":
-        """Inverse of a unit: a single term in the inverted variables."""
+        """Inverse of a unit (`is_unit`)."""
         if not self.terms:
             raise ZeroDivisionError("inverse of zero")
-        if len(self.terms) != 1:
+        if not self.is_unit():
             raise MalformedElement(f"not a unit: {self!r}")
         (exp, c), = self.terms.items()
         return self.ring.monomial(tuple(-e for e in exp), Fraction(1, c))

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .parsing import parse_poly
-from .rings import LocPoly, MalformedElement, Ring, RingMap
+from .rings import LocPoly, Ring, RingMap
 
 
 class SceneError(ValueError):
@@ -141,12 +141,8 @@ def divisor_pole(x: LocPoly, I):
         v = exp.index(1)
         if v not in x.ring.inverted:
             return v
-    try:
-        x.inverse()
-    except MalformedElement:
-        raise UnsupportedScene(
-            f"divisor over {tuple(I)} is neither a coordinate nor a unit: {x!r}"
-        ) from None
+    if not x.is_unit():
+        raise UnsupportedScene(f"divisor over {tuple(I)} is neither a coordinate nor a unit: {x!r}")
     return None
 
 
@@ -179,8 +175,8 @@ class Scene:
     _ctxs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _routes: object = field(default=None, init=False, repr=False, compare=False)
     # complex kind -> the homology._WindowedDifferential of the largest
-    # window asked so far, the scene's one homology state: every smaller
-    # window is a prefix of it
+    # window asked so far, with its echelon per parity, the scene's one
+    # homology state: every smaller window is a prefix of it
     _windows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def chart(self, i) -> Chart:
@@ -409,12 +405,9 @@ def validate_scene(scene: Scene) -> ValidationReport:
                 continue
             m = atlas.res(I, J)
             for v in sorted(atlas.ring(I).inverted):
-                try:
-                    m.images[v].inverse()
-                    rep.add(f"unit-res {I}->{J}", True, "")
-                except MalformedElement:
-                    name = atlas.ring(I).variables[v]
-                    rep.add(f"unit-res {I}->{J}", False, f"{name} not a unit downstream")
+                unit = m.images[v].is_unit()
+                name = atlas.ring(I).variables[v]
+                rep.add(f"unit-res {I}->{J}", unit, "" if unit else f"{name} not a unit downstream")
     return rep
 
 
@@ -481,10 +474,9 @@ def _image(images, ring: Ring, where: str, var: str) -> LocPoly:
     where = f"{where}[{var!r}]"
     num = _poly(spec, "num", ring, where)
     den = _poly(spec, "den", ring, where)
-    try:
-        return num * den.inverse()
-    except MalformedElement as e:
-        raise SceneError(f"{where}: field 'den': {e}") from None
+    if not den.is_unit():
+        raise SceneError(f"{where}: field 'den': not a unit: {den!r}")
+    return num * den.inverse()
 
 
 def _images(images, variables, ring: Ring, where: str) -> list:

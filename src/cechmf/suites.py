@@ -262,19 +262,11 @@ def _over_divisor(scene: Scene, i, v: str):
     return _loc_divide(scene.global_res[i](scene.global_ring.var(v)), scene.chart(i).x)
 
 
-def _is_unit(p) -> bool:
-    """A single term whose nonzero exponents sit at inverted variables."""
-    if len(p.terms) != 1:
-        return False
-    (exp,) = p.terms
-    return all(e == 0 or i in p.ring.inverted for i, e in enumerate(exp))
-
-
 def _global_divisor(scene: Scene) -> str | None:
     """The first global variable v that is a unit times x on every chart."""
     for v in scene.global_ring.variables:
         quotients = [_over_divisor(scene, i, v) for i in scene.atlas.chart_ids]
-        if all(u is not None and _is_unit(u) for u in quotients):
+        if all(u is not None and u.is_unit() for u in quotients):
             return v
     return None
 

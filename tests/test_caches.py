@@ -7,9 +7,10 @@ those of the images of `can` on the morphism.  The scene keeps the
 fixtures of the trace-vs-residue square (`diagrams.RouteCtx`) and, for
 windowed homology, per complex the assembled window of the largest D
 asked so far (`Scene._windows`), which serves every smaller window with
-no cech_total_d run and no column expanded again.  A window build makes
-the d(dx_K) table of each (tag, I, K) once and drops the tables with its
-columns expanded.  These tests compare each table and smaller-window
+no cech_total_d run, no column expanded again and no elimination: a
+window build makes the d(dx_K) table of each (tag, I, K) once, drops the
+tables with its columns expanded, and eliminates each parity's matrix
+once, keeping the echelon that homology calls and boundary tests read.  These tests compare each table and smaller-window
 answer with the computation it replaces, and check that a table is never
 served to an object other than its owner, also after the owner is freed
 and its memory reused.
@@ -334,7 +335,7 @@ def test_homology_tables_die_with_their_scene():
             homology_dims(scene, kind, 0)
         assert set(scene._windows) == set(COMPLEXES)
         assert all(wd.D == 2 for wd in scene._windows.values())
-        assert all(set(vars(wd)) == {"D", "basis", "ends", "ambient", "matrix"} for wd in scene._windows.values())
+        assert all(set(vars(wd)) == {"D", "basis", "ends", "ambient", "matrix", "echelon"} for wd in scene._windows.values())
         fresh = builtin_scene(name)
         assert not fresh._windows, "a window is served to another scene"
         kept = [weakref.ref(wd) for wd in scene._windows.values()]

@@ -170,8 +170,10 @@ def _key_list(scene, kind, D):
 @pytest.mark.parametrize("name", all_builtin_names())
 def test_basis_is_the_size_sort_of_the_window_keys(name, kind):
     """The generated basis is the stable sort by exponent size of the key
-    list, split by parity: `_dims`' window prefixes and the traced
-    distinct_ratio both read this order."""
+    list, split by parity: `_dims` counts the kept echelon's pivots below
+    each window's end in this order, a boundary test reduces against the
+    reduced columns of a window's prefix, and the traced distinct_ratio
+    reads the order too."""
     scene = builtin_scene(name)
     for D in range(4):
         keys = _key_list(scene, kind, D)
@@ -257,17 +259,20 @@ def test_oracle_does_not_build_table_columns(monkeypatch):
 
 
 def test_oracle_rank_does_not_use_linalg(monkeypatch):
-    """The oracle checks the engine's elimination, so it runs its own."""
+    """The oracle checks the engine's elimination, so it runs its own.
+    The scene is fresh: a scene that kept a window reads its echelon and
+    does not reach `rank_kernel` again."""
 
     def reached(*args):
         raise AssertionError("reached rank_kernel")
 
     monkeypatch.setattr(linalg, "rank_kernel", reached)
     monkeypatch.setattr(homology, "rank_kernel", reached)
+    scene = builtin_scene("SCENE-A2")
     with pytest.raises(AssertionError, match="rank_kernel"):
-        homology_dims(A2, OMEGA, 2)
+        homology_dims(scene, OMEGA, 2)
     assert not hasattr(suites, "rank_kernel")
-    out = oracle_homology_dims(A2, OMEGA, 2)
+    out = oracle_homology_dims(scene, OMEGA, 2)
     assert (out["even"], out["odd"]) == GOLDEN["SCENE-A2"]
 
 
@@ -318,16 +323,16 @@ def test_boundary_detection_on_multi_chart_scenes(name, D, generator):
 
 def _kept_window(wd) -> tuple:
     """A kept window's basis, row numbers, and per parity its rows, its
-    row-numbered columns and their integral forms."""
+    row-numbered columns, their integral forms and its echelon."""
     matrices = {par: (m.rows, m.entries, m.integral) for par, m in wd.matrix.items()}
-    return wd.D, wd.basis, wd.ambient, matrices
+    return wd.D, wd.basis, wd.ambient, matrices, wd.echelon
 
 
 @pytest.mark.parametrize("name", [*all_builtin_names(), "half-sheared"])
 def test_kept_window_stays_unchanged(name):
     """Calls below, at and above the kept window leave every kept window
-    as it was assembled, before any elimination ran on it, also after a
-    larger window has replaced it.  The half-sheared scene's columns hold
+    as it was assembled, its echelon included, also after a larger window
+    has replaced it: no boundary test writes a kept reduced column.  The half-sheared scene's columns hold
     Fraction entries, so their integral forms are dicts of their own."""
     scene = _sheared_a2c("1/2") if name == "half-sheared" else builtin_scene(name)
     kinds = (OMEGA, OMEGA_Y, CONE)
@@ -424,3 +429,38 @@ def test_key_outside_the_kept_rows_is_no_boundary_without_elimination(kind, monk
     assert not is_boundary_within_window(outside, kind, D)
     assert not is_boundary_within_window(last + outside, kind, D)
     assert scene._windows[kind] is wd
+
+
+def _warm_answers(scene, kind) -> tuple:
+    """homology_dims at D = 2, 1, 0, then boundary tests at D = 2, 1, 0 of
+    the first and last window-D basis cochains, their boundaries, and the
+    sums of each with its boundary."""
+    dims = [homology_dims(scene, kind, D) for D in (2, 1, 0)]
+    verdicts = []
+    for D in (2, 1, 0):
+        keys = _window_keys(scene, kind, D)
+        for key in (keys[0], keys[-1]):
+            v = _basis_cochain(scene, kind, key)
+            boundary = cech_total_d(v, kind)
+            verdicts += [is_boundary_within_window(c, kind, D) for c in (v, boundary, v + boundary)]
+    return dims, verdicts
+
+
+@pytest.mark.parametrize("kind", [OMEGA, OMEGA_Y, CONE])
+def test_warm_calls_read_the_kept_echelon(kind, monkeypatch):
+    """After one cold homology_dims at D = 2, the kept window 3 answers
+    homology at D = 2, 1, 0 and boundary tests at D <= 2 from the echelons
+    built with it: no elimination runs, and the answers are a fresh
+    scene's."""
+    want = _warm_answers(builtin_scene("SCENE-A2D"), kind)
+    assert {True, False} <= set(want[1])
+    scene = builtin_scene("SCENE-A2D")
+    homology_dims(scene, kind, 2)
+
+    def reached(*args):
+        raise AssertionError("reached rank_kernel")
+
+    monkeypatch.setattr(linalg, "rank_kernel", reached)
+    monkeypatch.setattr(homology, "rank_kernel", reached)
+    assert _warm_answers(scene, kind) == want
+    assert scene._windows[kind].D == 3

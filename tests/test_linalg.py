@@ -6,7 +6,7 @@ from itertools import combinations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cechmf.linalg import QMatrix, rank_kernel
+from cechmf.linalg import QMatrix, in_span, rank_kernel
 from cechmf.suites import _sparse_rank
 
 
@@ -16,25 +16,30 @@ def _qm(a) -> QMatrix:
     return QMatrix(rows, cols, [{i: a[i][j] for i in range(rows)} for j in range(cols)])
 
 
+def _pivots(m: QMatrix) -> dict:
+    """{pivot column: lowest row} of m's echelon, ascending by column."""
+    return {j: low for low, (j, _) in rank_kernel(m).items()}
+
+
 def test_zero_matrix():
-    assert list(rank_kernel(QMatrix(2, 2, [{}, {}]))) == []
-    assert list(rank_kernel(_qm([[0, 0], [0, 0]]))) == []
+    assert _pivots(QMatrix(2, 2, [{}, {}])) == {}
+    assert _pivots(_qm([[0, 0], [0, 0]])) == {}
 
 
 def test_identity():
-    assert list(rank_kernel(_qm([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))) == [0, 1, 2]
+    assert list(_pivots(_qm([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))) == [0, 1, 2]
 
 
 def test_rank_one():
     # the second column is twice the first
-    assert list(rank_kernel(_qm([[1, 2], [2, 4]]))) == [0]
-    assert list(rank_kernel(_qm([[0, 2], [0, 4]]))) == [1]
+    assert list(_pivots(_qm([[1, 2], [2, 4]]))) == [0]
+    assert list(_pivots(_qm([[0, 2], [0, 4]]))) == [1]
 
 
 def test_fractions_and_zero_entries():
     m = QMatrix(3, 3, [{0: Fraction(1, 3), 2: 0}, {0: Fraction(2, 3)}, {1: Fraction(-1, 2)}])
     assert m.entries[0] == {0: Fraction(1, 3)}
-    assert list(rank_kernel(m)) == [0, 2]
+    assert list(_pivots(m)) == [0, 2]
 
 
 def _minor_rank(a) -> int:
@@ -81,7 +86,7 @@ def _check_against_oracle(a):
 
     rank a[rows >= r, cols < j] is the number of pivots j' < j whose lowest
     row is >= r; `homology._dims` reads its ranks this way."""
-    pivots = rank_kernel(_qm(a))
+    pivots = _pivots(_qm(a))
     assert list(pivots) == sorted(pivots)
     assert len(set(pivots.values())) == len(pivots)
     assert len(pivots) == _minor_rank(a)
@@ -168,7 +173,7 @@ def test_scaling_a_column_keeps_pivots_and_lows():
         m = _qm(_random_matrix(rng, rows, cols, 3))
         factors = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 50), rng.randint(1, 50)) for _ in range(cols)]
         scaled = QMatrix(rows, cols, [{i: x * s for i, x in col.items()} for col, s in zip(m.entries, factors)])
-        assert rank_kernel(scaled) == rank_kernel(m)
+        assert _pivots(scaled) == _pivots(m)
 
 
 def test_large_entries():
@@ -179,33 +184,66 @@ def test_large_entries():
     # a rank-2 matrix whose third column is a big combination of the first two
     u, v = [10**6, -999_983, 3], [7, 10**6 - 1, -10**6]
     w = [654_321 * x - 123_457 * y for x, y in zip(u, v)]
-    pivots = rank_kernel(_qm([list(t) for t in zip(u, v, w)]))
+    pivots = _pivots(_qm([list(t) for t in zip(u, v, w)]))
     assert list(pivots) == [0, 1]
 
 
 def test_rank_kernel_leaves_its_matrix_unchanged():
     """The elimination copies a column when it first reduces it and keeps
     an unreduced pivot column as it is, so it never writes a column it was
-    given: not one shared by two matrices, nor one of a prefix, nor the
-    integral form of a rational column."""
+    given: not one shared by two matrices, nor one of a matrix of its first
+    columns, nor the integral form of a rational column.  A span test
+    writes neither its target nor a column the echelon keeps."""
     rng = random.Random(3)
     for _ in range(30):
         a = _random_matrix(rng, rng.randint(2, 6), rng.randint(2, 6), 3)
         for rows in (a, [[Fraction(x, 2) for x in row] for row in a]):
             m = _qm(rows)
             n, k = m.cols, rng.randint(0, m.cols)
-            # two matrices over the same column dicts, the second reversed
+            # three matrices over the same column dicts: reversed, and the first k
             other = QMatrix(m.rows, n, m.entries[::-1])
+            head = QMatrix(m.rows, k, m.entries[:k])
             assert all(x is y for x, y in zip(other.entries, m.entries[::-1]))
-            tail = {rng.randrange(m.rows): Fraction(1, 3)}
-            head = m.prefix(k)
-            extended = m.prefix(k, [tail])
+            assert all(x is y for x, y in zip(head.entries, m.entries))
+            tail = {rng.randrange(m.rows): rng.choice((1, Fraction(1, 3)))}
             dense = [row[:k] + [tail.get(i, 0)] for i, row in enumerate(rows)]
-            before = copy.deepcopy((m.entries, m.integral, tail))
-            want = rank_kernel(_qm(rows))
+            echelon = rank_kernel(m)
+            before = copy.deepcopy((m.entries, m.integral, tail, echelon))
+            want = _pivots(_qm(rows))
             for _ in range(2):
-                assert rank_kernel(m) == want
-                assert rank_kernel(other) == rank_kernel(_qm([row[::-1] for row in rows]))
-                assert rank_kernel(head) == {j: low for j, low in want.items() if j < k}
-                assert rank_kernel(extended) == rank_kernel(_qm(dense))
-            assert (m.entries, m.integral, tail) == before
+                assert _pivots(m) == want
+                assert _pivots(other) == _pivots(_qm([row[::-1] for row in rows]))
+                assert _pivots(head) == {j: low for j, low in want.items() if j < k}
+                assert in_span(echelon, k, tail) == (k not in _pivots(_qm(dense)))
+            assert (m.entries, m.integral, tail, echelon) == before
+
+
+_RATIONALS = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda rows: st.integers(1, 4).flatmap(
+            lambda cols: st.tuples(
+                st.lists(st.lists(_RATIONALS, min_size=cols, max_size=cols), min_size=rows, max_size=rows),
+                st.lists(_RATIONALS, min_size=rows, max_size=rows),
+                st.lists(_RATIONALS, min_size=cols, max_size=cols),
+            )
+        )
+    )
+)
+def test_span_test_against_minor_oracle(case):
+    """A target lies in the span of the first n columns exactly when it
+    adds nothing to their rank.  The targets are the drawn one (zero
+    entries kept), the zero target, and a combination of the first n
+    columns, which always lies in their span."""
+    a, t, coeffs = case
+    echelon = rank_kernel(_qm(a))
+    for n in range(len(a[0]) + 1):
+        combo = [sum(c * x for c, x in zip(coeffs[:n], row[:n])) for row in a]
+        for target in (t, [0] * len(a), combo):
+            block = [row[:n] + [x] for row, x in zip(a, target)]
+            want = _minor_rank(block) == _minor_rank([row[:n] for row in a])
+            assert in_span(echelon, n, dict(enumerate(target))) == want
+        assert in_span(echelon, n, dict(enumerate(combo)))

@@ -85,6 +85,25 @@ def test_inverse():
         (t + QT_T.one()).inverse()
 
 
+def test_is_unit_is_the_rule_inverse_enforces():
+    """A unit is one term whose nonzero exponents sit at inverted
+    variables; inverse returns its inverse and raises on anything else:
+    ZeroDivisionError on zero, MalformedElement on a non-unit."""
+    x, y = QXY_X.var("x"), QXY_X.var("y")
+    units = [QXY_X.one().scale(Fraction(-2, 3)), x, QXY_X.monomial([-2, 0], 5), QX_X.var("x")]
+    others = [y, x * y, x + QXY_X.one(), QX.var("x"), QXY.var("x")]
+    for u in units:
+        assert u.is_unit()
+        assert u * u.inverse() == u.ring.one()
+    for e in others:
+        assert not e.is_unit()
+        with pytest.raises(MalformedElement):
+            e.inverse()
+    assert not QXY_X.zero().is_unit()
+    with pytest.raises(ZeroDivisionError):
+        QXY_X.zero().inverse()
+
+
 def test_inverse_is_exact():
     # 1/2 exactly: a float 0.5 would compare equal, so check the type
     ((c, _),) = QX_X.var("x").scale(2).inverse().monomials()

@@ -105,6 +105,16 @@ def test_divisor_neither_coordinate_nor_unit_is_unsupported():
         scene.ctx((0, 1))
 
 
+def test_zero_divisor_is_unsupported():
+    """A divisor equation 0 is neither a coordinate nor a unit; the tuple
+    context names the tuple instead of failing on the inverse of zero."""
+    spec = builtin_scene_dict("SCENE-A1")
+    spec["charts"][0].update(x="0", f="0")
+    scene = scene_from_dict(spec)
+    with pytest.raises(UnsupportedScene, match=r"divisor over \(0,\) is neither a coordinate nor a unit"):
+        scene.ctx((0,))
+
+
 def _p1_spec_edited(edit):
     spec = copy.deepcopy(builtin_scene_dict("SCENE-P1"))
     edit(spec)
@@ -158,6 +168,11 @@ def _set(d, key, value):
         (lambda s: _set(s["overlaps"][0], "tuple", []), "overlap []", "two charts"),
         (lambda s: _set(s["overlaps"][0], "tuple", [0, 0, 1]), "overlap [0, 0, 1]", "repeated"),
         (lambda s: _set(s, "name", ["x"]), "scene", "'name'"),
+        (
+            lambda s: _set(s["overlaps"][0]["res"]["1"]["s"], "den", "0"),
+            "overlap [0, 1] res['1']['s']",
+            "'den': not a unit: 0",
+        ),
     ],
     ids=[
         "chart-f",
@@ -184,6 +199,7 @@ def _set(d, key, value):
         "overlap-of-no-chart",
         "overlap-repeated-chart",
         "name-not-a-string",
+        "den-zero",
     ],
 )
 def test_missing_field_raises_scene_error(edit, where, field):
