@@ -1,4 +1,4 @@
-"""Cech cochains of forms and the total differentials of the four complexes.
+"""Cech cochains of forms and the total differentials of the complexes.
 
 Conventions (see signs.py):
   * total differential = d_Cech + (-1)^p d_sheaf on Cech degree p,
@@ -8,11 +8,17 @@ Conventions (see signs.py):
     (a.b)_{i_0..i_{p+q}} = a_{i_0..i_p} b_{i_p..i_{p+q}},
   * bar product (a ~^ b) = (-1)^{pq} (b ^ a) in Cech degrees p, q.
 
+Two tables define the complexes: `_RESTRICT` holds the restriction from
+U_I to U_J of each section kind, which the Cech differential and the cup
+product use, and `_COMPLEXES` holds each complex's section kind and sheaf
+differential.  `cech_total_d` reads them alike for every complex, the
+cone included.
+
 A divisor form (kind YFORM) is a form on X taken modulo x and dx, x the
 divisor's coordinate; its normal form is forms.y_normalize.  Divisor forms
 are projected where they are built (`Cochain.__init__`) and where they are
-restricted (`restrict_section`), so every other producer passes plain forms
-and the linear operations of AtlasCochain keep the normal form.
+restricted (`_RESTRICT`), so every other producer passes plain forms and
+the linear operations of AtlasCochain keep the normal form.
 """
 
 from __future__ import annotations
@@ -39,13 +45,15 @@ OMEGA_Y = "omega_y"            # (Omega_Y, 0)
 CONE = "cone"
 
 FORM, LOG, CONEF, YFORM = "form", "log", "cone", "yform"
-_SECTION_OF_COMPLEX = {
-    OMEGA: FORM,
-    OMEGA_PLUS: FORM,
-    OMEGA_LOG: LOG,
-    OMEGA_LOG_SHIFTED: LOG,
-    OMEGA_Y: YFORM,
-    CONE: CONEF,
+
+# The restriction of a section from U_I to U_J, per section kind.
+_RESTRICT = {
+    FORM: restrict_form,
+    LOG: restrict_logform,
+    YFORM: lambda scene, s, I, J: y_normalize(restrict_form(scene, s, I, J), scene.ctx(J)),
+    CONEF: lambda scene, s, I, J: ConeForm(
+        restrict_form(scene, s.reg, I, J), restrict_logform(scene, s.log, I, J)
+    ),
 }
 
 
@@ -56,7 +64,7 @@ class Cochain(AtlasCochain):
     __slots__ = ("scene", "kind")
 
     def __init__(self, scene: Scene, kind: str, entries: dict | None = None):
-        assert kind in (FORM, LOG, CONEF, YFORM)
+        assert kind in _RESTRICT
         self.scene = scene
         self.kind = kind
         super().__init__(entries)
@@ -68,7 +76,7 @@ class Cochain(AtlasCochain):
         return self.scene is other.scene and self.kind == other.kind
 
     def _restrict(self, s, I, J):
-        return restrict_section(self.scene, self.kind, s, I, J)
+        return _RESTRICT[self.kind](self.scene, s, I, J)
 
     def _label(self) -> str:
         return f"Cochain[{self.kind}]"
@@ -82,55 +90,29 @@ def unit_cochain(scene: Scene, kind: str = FORM) -> Cochain:
     return Cochain(scene, kind, {(i,): Form.one(scene.atlas.ring((i,))) for i in ids})
 
 
-def restrict_section(scene: Scene, kind: str, s, I, J):
-    if kind == FORM:
-        return restrict_form(scene, s, I, J)
-    if kind == LOG:
-        return restrict_logform(scene, s, I, J)
-    if kind == YFORM:
-        return y_normalize(restrict_form(scene, s, I, J), scene.ctx(J))
-    if kind == CONEF:
-        return ConeForm(restrict_form(scene, s.reg, I, J), restrict_logform(scene, s.log, I, J))
-    raise ValueError(kind)
+def _cone_d(ctx, s: ConeForm) -> ConeForm:
+    """(-df^a, L(a) + df^b) on the cone section (a, b)."""
+    w = s.log.wedge_left(ctx.df)
+    return ConeForm(-ctx.df.wedge(s.reg), LogForm(ctx, w.regular + s.reg, w.residue))
 
 
-def _sheaf_d(scene: Scene, complex_kind: str, I, s):
-    """Sheaf-level differential of one section (before the (-1)^p twist)."""
-    if complex_kind == OMEGA_Y:
-        return Form.zero(s.ring)
-    df = scene.ctx(I).df
-    if complex_kind == OMEGA:
-        return -df.wedge(s)
-    if complex_kind == OMEGA_PLUS:
-        return df.wedge(s)
-    if complex_kind == OMEGA_LOG:
-        return -s.wedge_left(df)
-    if complex_kind == OMEGA_LOG_SHIFTED:
-        return s.wedge_left(df)
-    raise ValueError(complex_kind)
+# Each complex: its section kind and its sheaf differential sheaf_d(ctx, s)
+# on one section over the tuple of ctx, before the (-1)^p twist.
+_COMPLEXES = {
+    OMEGA: (FORM, lambda ctx, s: -ctx.df.wedge(s)),
+    OMEGA_PLUS: (FORM, lambda ctx, s: ctx.df.wedge(s)),
+    OMEGA_LOG: (LOG, lambda ctx, s: -s.wedge_left(ctx.df)),
+    OMEGA_LOG_SHIFTED: (LOG, lambda ctx, s: s.wedge_left(ctx.df)),
+    OMEGA_Y: (YFORM, lambda ctx, s: Form.zero(s.ring)),
+    CONE: (CONEF, _cone_d),
+}
 
 
 def cech_total_d(c: Cochain, complex_kind: str) -> Cochain:
     """Total differential d_Cech + (-1)^p d_sheaf of the named complex."""
-    if complex_kind == CONE:
-        return _cone_total_d(c)
-    assert c.kind == _SECTION_OF_COMPLEX[complex_kind]
-    return c.cech_d() + c.twisted(lambda I, s: _sheaf_d(c.scene, complex_kind, I, s))
-
-
-def _cone_total_d(c: Cochain) -> Cochain:
-    assert c.kind == CONEF
-    scene = c.scene
-    reg = Cochain(scene, FORM, {I: s.reg for I, s in c.entries.items()})
-    log = Cochain(scene, LOG, {I: s.log for I, s in c.entries.items()})
-    reg_out = cech_total_d(reg, OMEGA)
-    log_out = cech_total_d(log, OMEGA_LOG_SHIFTED)
-    # connecting component: (-1)^p L(reg part)
-    l_part = Cochain(scene, LOG, {
-        I: LogForm(scene.ctx(I), s, Form.zero(s.ring))
-        for I, s in reg.twisted(lambda I, s: s).entries.items()
-    })
-    return cone_cochain(scene, reg_out, log_out + l_part)
+    kind, sheaf_d = _COMPLEXES[complex_kind]
+    assert c.kind == kind
+    return c.cech_d() + c.twisted(lambda I, s: sheaf_d(c.scene.ctx(I), s))
 
 
 def cone_cochain(scene: Scene, reg: Cochain, log: Cochain) -> Cochain:
@@ -165,8 +147,8 @@ def _cup(a: Cochain, b: Cochain, kind: str, product) -> Cochain:
                 continue
             if not scene.atlas.has_tuple(K):
                 raise SceneError(f"product tuple {K} missing from atlas")
-            ra = restrict_section(scene, a.kind, sa, I, K)
-            rb = restrict_section(scene, b.kind, sb, J, K)
+            ra = _RESTRICT[a.kind](scene, sa, I, K)
+            rb = _RESTRICT[b.kind](scene, sb, J, K)
             add_piece(acc, K, product(ra, rb, len(I) - 1, len(J) - 1))
     return Cochain(scene, kind, acc)
 

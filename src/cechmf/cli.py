@@ -170,14 +170,13 @@ def cmd_homology(args) -> int:
         return _emit(rep, args)
     # instability is reported, not fatal: the window slices can grow with
     # the window, on affine scenes and on projective SCENE-P2 alike
-    kinds = {"omega": OMEGA, "omega_y": OMEGA_Y, "cone": CONE}
     with Timer() as t:
         checks = []
-        for label, kind in kinds.items():
+        for kind in (OMEGA, OMEGA_Y, CONE):
             dims = homology_dims(scene, kind, scene.window)
             checks.append(
                 Check(
-                    f"homology:{label}",
+                    f"homology:{kind}",
                     True,
                     f"even {dims['even']}, odd {dims['odd']}, "
                     f"stable {dims['stable']} (window {dims['window']})",

@@ -35,7 +35,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from operator import add, itemgetter
 
-from .cech import CONE, OMEGA, OMEGA_Y, _SECTION_OF_COMPLEX, Cochain, cech_total_d
+from .cech import CONE, OMEGA, OMEGA_Y, _COMPLEXES, Cochain, cech_total_d
 from .forms import ConeForm, Form, LogForm, _merge_indices, index_sets
 from .linalg import QMatrix, in_span, rank_kernel
 from .rings import _fr
@@ -118,10 +118,11 @@ def _parity(key) -> int:
 def expand_cochain(c: Cochain, complex_kind: str) -> dict:
     """{basis key: coefficient} of c, a section of the complex's kind."""
     summands = _summands(complex_kind)
-    if c.kind != _SECTION_OF_COMPLEX[complex_kind]:
+    kind = _COMPLEXES[complex_kind][0]
+    if c.kind != kind:
         raise ValueError(
             f"a {c.kind!r} cochain is not a section of the {complex_kind!r} complex, "
-            f"whose sections are {_SECTION_OF_COMPLEX[complex_kind]!r}"
+            f"whose sections are {kind!r}"
         )
     out: dict = {}
     for I, s in c.entries.items():
@@ -138,7 +139,7 @@ def _basis_cochain(scene: Scene, complex_kind: str, key) -> Cochain:
     ctx = scene.ctx(I)
     (make,) = [s[4] for s in _summands(complex_kind) if s[0] == tag]
     w = Form(ctx.ring, {K: ctx.ring.monomial(mono)})
-    return Cochain(scene, _SECTION_OF_COMPLEX[complex_kind], {I: make(ctx, w)})
+    return Cochain(scene, _COMPLEXES[complex_kind][0], {I: make(ctx, w)})
 
 
 def _dtable(scene: Scene, complex_kind: str, key) -> list:

@@ -326,7 +326,10 @@ def validate_scene(scene: Scene) -> ValidationReport:
         for sub in itertools.combinations(I, len(I) - 1):
             rep.add(f"closure {I}>{sub}", atlas.has_tuple(sub), "")
 
-    # lead-chart variable convention and functoriality of restrictions
+    # lead-chart variable convention and functoriality of restrictions;
+    # restriction out of a tuple whose variables are not its lead chart's
+    # is undefined, so the checks below skip such a source
+    foreign = set()
     for I in atlas.tuples:
         if len(I) == 1:
             continue
@@ -335,6 +338,7 @@ def validate_scene(scene: Scene) -> ValidationReport:
         ok = set(ring.variables) <= set(lead_ring.variables)
         rep.add(f"lead-vars {I}", ok, "overlap ring vars must come from lead chart")
         if not ok:
+            foreign.add(I)
             continue
         m = atlas._chart_maps[(I[0], I)]
         ident = all(
@@ -344,7 +348,7 @@ def validate_scene(scene: Scene) -> ValidationReport:
 
     for J in atlas.tuples:
         for I in atlas.tuples:
-            if len(I) >= len(J) or not set(I) <= set(J):
+            if len(I) >= len(J) or not set(I) <= set(J) or I in foreign:
                 continue
             for j in I:
                 lhs = atlas.res(I, J).compose(atlas.res((j,), I))
@@ -401,7 +405,7 @@ def validate_scene(scene: Scene) -> ValidationReport:
     # inverted variables of source rings must restrict to units
     for J in atlas.tuples:
         for I in atlas.tuples:
-            if len(I) >= len(J) or not set(I) <= set(J):
+            if len(I) >= len(J) or not set(I) <= set(J) or I in foreign:
                 continue
             m = atlas.res(I, J)
             for v in sorted(atlas.ring(I).inverted):

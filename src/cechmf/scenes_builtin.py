@@ -157,12 +157,11 @@ _SPECS = {
 MAIN_SCENES = ("SCENE-A1", "SCENE-A2", "SCENE-P1")
 
 
-def builtin_scene(name: str, trunc: int | None = None, window: int | None = None) -> Scene:
-    """The built-in scene; a size left None takes the Scene field's default."""
+def builtin_scene(name: str) -> Scene:
+    """The built-in scene, at the Scene fields' default sizes."""
     if name not in _SPECS:
         raise KeyError(f"unknown built-in scene {name!r}")
-    sizes = {"trunc": trunc, "window": window}
-    return scene_from_dict({**_SPECS[name], **{k: v for k, v in sizes.items() if v is not None}})
+    return scene_from_dict(_SPECS[name])
 
 
 def builtin_scene_dict(name: str) -> dict:

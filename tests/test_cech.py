@@ -9,6 +9,7 @@ from cechmf.cech import (
     CONE,
     CONEF,
     FORM,
+    LOG,
     OMEGA,
     OMEGA_LOG,
     OMEGA_LOG_SHIFTED,
@@ -24,7 +25,7 @@ from cechmf.cech import (
     todd_inverse,
     unit_cochain,
 )
-from cechmf.forms import Form, dlog_of
+from cechmf.forms import Form, LogForm, dlog_of
 from cechmf.rand import (
     rand_cone_cochain,
     rand_form_cochain,
@@ -94,6 +95,27 @@ def test_total_d_squares_to_zero_everywhere():
             assert cech_total_d(cech_total_d(yc, OMEGA_Y), OMEGA_Y).is_zero(), name
             cc = rand_cone_cochain(scene, rng)
             assert cech_total_d(cech_total_d(cc, CONE), CONE).is_zero(), name
+
+
+@pytest.mark.parametrize("name", all_builtin_names())
+def test_cone_d_is_the_sum_of_its_parts(name):
+    # the cone's differential, written out as the complexes of its parts:
+    # omega on the regular part a, the shifted log complex on the log part
+    # b, and the connecting term (-1)^p L(a) added to the log part
+    scene = SCENES[name]
+    rng = random.Random(f"cone-d:{name}")
+    for _ in range(8):
+        c = rand_cone_cochain(scene, rng)
+        reg = Cochain(scene, FORM, {I: s.reg for I, s in c.entries.items()})
+        log = Cochain(scene, LOG, {I: s.log for I, s in c.entries.items()})
+        connecting = Cochain(scene, LOG, {
+            I: LogForm(scene.ctx(I), a, Form.zero(a.ring))
+            for I, a in reg.twisted(lambda I, a: a).entries.items()
+        })
+        expected = cone_cochain(
+            scene, cech_total_d(reg, OMEGA), cech_total_d(log, OMEGA_LOG_SHIFTED) + connecting
+        )
+        assert cech_total_d(c, CONE) == expected
 
 
 def test_p1_c1_entry_is_closed():

@@ -45,6 +45,25 @@ def test_verify_reports_bad_divisor_on_overlap(tmp_path, capsys):
     assert failed == ["scene:divisor-shape (0, 1)"]
 
 
+def test_verify_reports_overlap_variables_not_the_lead_charts(tmp_path, capsys):
+    # the overlap (0, 1) names its first variable a, not chart 0's x1:
+    # restricting out of it is undefined, and validation reports the
+    # failed convention instead of raising on the unknown variable
+    spec = builtin_scene_dict("SCENE-P2")
+    overlap = spec["overlaps"][0]
+    overlap["vars"], overlap["inverted"] = ["a", "x2"], ["a"]
+    overlap["res"] = {
+        "0": {"x1": "a", "x2": "x2"},
+        "1": {"y1": {"num": "1", "den": "a"}, "y2": {"num": "x2", "den": "a"}},
+    }
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(spec))
+    assert cli.main(["verify", "--scene", str(path), "--suite", "scene", "--format", "json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    failed = [c["id"] for s in report["suites"] for c in s["checks"] if not c["passed"]]
+    assert failed == ["scene:lead-vars (0, 1)"]
+
+
 @pytest.mark.parametrize(
     "command",
     [["verify", "--suite", "d2"], ["homology"], ["pushforward"]],

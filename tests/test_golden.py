@@ -22,6 +22,9 @@ CASES = [
     ("verify_SCENE-A1_all.json", ["verify", "--scene", "SCENE-A1", "--suite", "all"], 0),
     # a two-chart scene, so the Cech restriction of chains runs too
     ("verify_SCENE-P1_all.json", ["verify", "--scene", "SCENE-P1", "--suite", "all"], 0),
+    # every suite on the plane with a nontrivial g, on one chart and on two
+    ("verify_SCENE-A2_all.json", ["verify", "--scene", "SCENE-A2", "--suite", "all"], 0),
+    ("verify_SCENE-A2C_all.json", ["verify", "--scene", "SCENE-A2C", "--suite", "all"], 0),
     # the engine against the oracle on the largest scene; it exits 1 because
     # homology:stable fails (window 4 vs 5: omega homology does not settle)
     ("verify_SCENE-P2_homology.json", ["verify", "--scene", "SCENE-P2", "--suite", "homology"], 1),

@@ -18,7 +18,8 @@ from cechmf.hochschild import (
     make_chain,
     restrict_chain,
 )
-from cechmf.scenes_builtin import all_builtin_names, builtin_scene
+from cechmf.scene import scene_from_dict
+from cechmf.scenes_builtin import all_builtin_names, builtin_scene, builtin_scene_dict
 
 SCENES = {name: builtin_scene(name) for name in all_builtin_names()}
 
@@ -61,7 +62,7 @@ def test_d0_inserts_curvature():
 
 
 def test_truncation_overflow_is_loud():
-    scene = builtin_scene("SCENE-A2", trunc=2)
+    scene = scene_from_dict({**builtin_scene_dict("SCENE-A2"), "trunc": 2})
     line = CurvedLine(scene, sign=1)
     ring = scene.atlas.ring((0,))
     slots = [{"1": ring.one()}] * 3  # length 2 = trunc

@@ -26,7 +26,8 @@ from cechmf.hochschild import (
 )
 from cechmf.hkr import hkr_xf
 from cechmf.trace import hq_basis, phi, sh_shuffle, sh_shuffle_cech, supertrace
-from cechmf.scenes_builtin import all_builtin_names, builtin_scene
+from cechmf.scene import scene_from_dict
+from cechmf.scenes_builtin import all_builtin_names, builtin_scene, builtin_scene_dict
 from cechmf.suites import basis_a_chains
 
 SCENES = {name: builtin_scene(name) for name in all_builtin_names()}
@@ -73,7 +74,7 @@ def test_sh_two_on_length_zero():
 def test_sh_overflow():
     # at trunc=2 the length-1 term would shuffle to length 3 and is dropped;
     # the length-0 term shuffles to length 2 and is kept
-    scene = builtin_scene("SCENE-A2", trunc=2)
+    scene = scene_from_dict({**builtin_scene_dict("SCENE-A2"), "trunc": 2})
     cat = end_algebra(scene, build_P(scene))
     long_c = _id_chain(cat, (0,), extra_slots=1)
     short_c = _id_chain(cat, (0,))
