@@ -196,7 +196,8 @@ class MFObject:
 
     parities: basis parities, even generators first.
     twists: O(-Y)-twist of each basis vector; transitions are diag(u^twist).
-    delta: callable I -> matrix (list of rows of LocPoly) or None for zero.
+    delta_of: callable (scene, I) -> matrix (list of rows of LocPoly), or
+    None for zero; `delta(scene, I)` reads it.
     """
 
     name: str

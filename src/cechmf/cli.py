@@ -50,10 +50,14 @@ def _emit(report: Report, args) -> int:
         text = report.to_json(include_timings=args.timings)
     else:
         text = report.to_text()
-    if args.report:
-        with open(args.report, "w") as fh:
-            fh.write(text + "\n")
     print(text)
+    if args.report:
+        try:
+            with open(args.report, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as e:
+            print(f"cannot write report {args.report}: {e}", file=sys.stderr)
+            return 2
     return 0 if report.ok else 1
 
 
@@ -78,15 +82,14 @@ def _open_scene(args, validate: bool = True) -> tuple[Scene, Report]:
 
 
 def cmd_verify(args) -> int:
+    if args.suite != "all" and args.suite not in SUITES:
+        print(f"unknown suite {args.suite!r}; available: {', '.join(SUITES)}", file=sys.stderr)
+        return 2
     # the scene suite reports every validation check itself
     scene, rep = _open_scene(args, validate=args.suite != "scene")
     if not rep.ok:
         return _emit(rep, args)
-    names = list(SUITES) if args.suite == "all" else [args.suite]
-    for name in names:
-        if name not in SUITES:
-            print(f"unknown suite {name!r}; available: {', '.join(SUITES)}", file=sys.stderr)
-            return 2
+    for name in list(SUITES) if args.suite == "all" else [args.suite]:
         with Timer() as t:
             checks = SUITES[name](scene, seed=args.seed)
         rep.add_suite(name, checks, t.seconds)

@@ -15,6 +15,14 @@ A strict functor F induces a_0[a_1|...|a_k] -> F(a_0)[F(a_1)|...|F(a_k)];
 morphism `can`, the quotient to O_Y (`hkr.a_to_oy`) and the global
 restriction (`lax.global_to_cech`) are all calls to it.
 
+Inserting q elements into the gaps of a_0[a_1|...|a_k], each slot
+realized at the level its depth reaches, is the one walk
+`descent_summands`: the shuffle `trace.sh_shuffle`, the trace's h^q
+(`trace._hq_descent`) and the lax operators `lax._add_lax_hq` (behind
+`lax_hq` and `restriction_htilde`), `lax.iso_homotopy` and
+`lax.strict_vs_lax_homotopy` each supply only its realization, head and
+insertion.
+
 The fixed structure these maps use is computed once and kept on the
 presheaf (`CdgPresheaf.table`), so it lives and dies with its owner:
 `hoch_d` keeps, per tuple, the slot terms of the curvature, d and
@@ -159,6 +167,45 @@ def interleave(slots, ls, insertion) -> list:
     return out
 
 
+def descent_summands(chain: HochChain, q: int, realize, head, insert):
+    """Every way to insert q elements into the gaps of each basis tensor
+    a_0[a_1|...|a_k] of chain: the one walk behind the shuffle, the trace's
+    h^q and every lax operator.
+
+    Per term and gap layout (`insertion_layouts`), slot 0 is head(sym, mono)
+    and slot i >= 1 is realize(sym, mono, depth[i]), computed once per
+    (i, depth[i]) within the term; insertion s is insert(s, obj), computed
+    once per (s, obj) within the call, with obj the object of its gap (the
+    gap after slot i sits at path[i + 1], cyclically).  Each returns a list
+    of slot terms (`slot_terms`), so a slot may have any number of terms.
+    Yields (coeff, parities, ls, eps, path, slots) with the insertions
+    interleaved into both the path and the slots."""
+    parity = chain.presheaf.parity
+    inserted: dict = {}
+    for (path, syms, monos), coeff in chain.terms.items():
+        parities = [parity(s) for s in syms]
+        gap_objs = path[1:] + path[:1]
+        first = head(syms[0], monos[0])
+        realized: dict = {}
+        for ls, eps, depth in insertion_layouts(parities, q):
+            slots = [first] + [
+                _once(realized, (i, depth[i]), realize, syms[i], monos[i], depth[i])
+                for i in range(1, len(syms))
+            ]
+            objs = [gap_objs[l] for l in ls]
+            ins = lambda s: _once(inserted, (s, objs[s]), insert, s, objs[s])
+            out_path = interleave(path, ls, objs.__getitem__)
+            yield coeff, parities, ls, eps, out_path, interleave(slots, ls, ins)
+
+
+def _once(table: dict, key, build, *args):
+    """build(*args), computed once and kept in table under key."""
+    got = table.get(key)
+    if got is None:
+        got = table[key] = build(*args)
+    return got
+
+
 def make_chain(presheaf, I, path, slots, coeff=1) -> HochChain:
     """Expand element-valued slots (dicts {sym: LocPoly}) into basis terms."""
     terms: dict = {}
@@ -186,7 +233,9 @@ def map_slots(chain: HochChain, presheaf, I, slot, path=tuple, table=None) -> Ho
 
 
 def _kept(table: dict, key, build, *args) -> list:
-    """slot_terms(build(*args)), computed once and kept in table under key."""
+    """slot_terms(build(*args)), computed once and kept in table under key.
+    Not a call of `_once`: a closure per slot of every `hoch_d` term cost
+    chain-identities about 3% of its items per second."""
     terms = table.get(key)
     if terms is None:
         terms = table[key] = slot_terms(build(*args))

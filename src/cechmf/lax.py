@@ -8,12 +8,14 @@ operators that restrict through intermediate tuples and insert inverse
 isomorphism components; two chain homotopies compare the lax map with the
 strict one and with maps induced by isomorphic lax structures.
 
-All of them run on one descent driver: `_descents` picks the ordered
-chart choices and their levels, `_descent_summands` realizes the slots at
-their levels and inserts the inverse components, and the shared kernels
-`insertion_layouts`, `interleave` and `add_tensor` of `hochschild` lay out
-the gaps and expand each summand into basis tensors.  The restriction
-homotopy is the same operator started at the GLOBAL level (p = -1).
+All of them walk `hochschild.descent_summands`, the gap-insertion kernel
+that the shuffle and h^q of `trace` walk too: `_descents` picks the ordered
+chart choices and their levels, and `_descent_summands` gives the kernel
+each slot's realization at its level, the head and the restricted inverse
+components for `_add_lax_hq` (behind `lax_hq` and `restriction_htilde`) and
+`iso_homotopy`; `strict_vs_lax_homotopy` walks the levels (K, K, K) with
+identity insertions.  The restriction homotopy is the same operator
+started at the GLOBAL level (p = -1).
 The strict maps of global chains (`global_to_cech`,
 `apply_global_functor`) are `hochschild.map_slots`.  Elements multiply
 and restrict along tuples by `cdg.elem_mul` and `cdg.restrict_elem`; the
@@ -33,8 +35,7 @@ from .hochschild import (
     CechHochChain,
     HochChain,
     add_tensor,
-    insertion_layouts,
-    interleave,
+    descent_summands,
     map_slots,
     slot_terms,
 )
@@ -207,42 +208,33 @@ def _descents(scene: Scene, I, q: int):
             yield sort_sign(J, I), levels
 
 
-def _descent_summands(lax: OneObjectLax, chain: HochChain, levels, realize, head_factor):
-    """The h^q summands of one descent, for every term of chain.
+def _descent_summands(dst, chain: HochChain, levels, realize, head_factor, alpha_inv):
+    """`descent_summands` of chain along one descent, in dst over K = levels[q].
 
-    Yields (coeff, parities, ls, eps, seq) per term and gap layout: slot i
-    realized at levels[q - depth[i]], and after slot ls[s] the inverse
-    isomorphism alpha^{-1}(levels[q-s-1], levels[q-s]) restricted to K =
-    levels[q].  Slot 0 sits at K, multiplied on the left by head_factor
-    unless that is None.  seq lists the slot terms in order.
+    Slot i is realized at levels[q - depth[i]], slot 0 at K, multiplied on
+    the left by head_factor unless that is None, and insertion s is
+    alpha_inv(levels[q-s-1], levels[q-s]) restricted to K.
     """
     q = len(levels) - 1
     K = levels[-1]
-    dst = lax.dst
-    ins = [
-        slot_terms(restrict_elem(
-            dst, lax.alpha_inv(levels[q - s - 1], levels[q - s]), levels[q - s], K
-        ))
-        for s in range(q)
-    ]
-    for (path, syms, monos), coeff in chain.terms.items():
-        parities = [chain.presheaf.parity(s) for s in syms]
-        head = realize(syms[0], monos[0], K, K)
+
+    def head(sym, mono):
+        elem = realize(sym, mono, K, K)
         if head_factor is not None:
-            head = elem_mul(dst, K, head_factor, head)
-        head = slot_terms(head)
-        realized: dict = {}
+            elem = elem_mul(dst, K, head_factor, elem)
+        return slot_terms(elem)
 
-        def slot(i, level):
-            if (i, level) not in realized:
-                realized[i, level] = slot_terms(realize(syms[i], monos[i], level, K))
-            return realized[i, level]
+    def insert(s, obj):
+        W = levels[q - s]
+        return slot_terms(restrict_elem(dst, alpha_inv(levels[q - s - 1], W), W, K))
 
-        for ls, eps, depth in insertion_layouts(parities, q):
-            slots = [head] + [
-                slot(i, levels[q - depth[i]]) for i in range(1, len(syms))
-            ]
-            yield coeff, parities, ls, eps, interleave(slots, ls, ins.__getitem__)
+    return descent_summands(
+        chain,
+        q,
+        lambda sym, mono, depth: slot_terms(realize(sym, mono, levels[q - depth], K)),
+        head,
+        insert,
+    )
 
 
 def _add_lax_hq(acc: dict, lax: OneObjectLax, chain: HochChain, q: int, realize):
@@ -254,9 +246,9 @@ def _add_lax_hq(acc: dict, lax: OneObjectLax, chain: HochChain, q: int, realize)
         K = levels[-1]
         head = lax.alpha(levels[0], K) if q else None
         out = acc.setdefault(K, {})
-        for coeff, _, _, eps, seq in _descent_summands(lax, chain, levels, realize, head):
-            sign = sigma * (-1) ** ((eps + p * q) % 2)
-            add_tensor(out, ("*",) * len(seq), seq, sign * coeff)
+        summands = _descent_summands(lax.dst, chain, levels, realize, head, lax.alpha_inv)
+        for coeff, _, _, eps, path, slots in summands:
+            add_tensor(out, path, slots, sigma * (-1) ** ((eps + p * q) % 2) * coeff)
 
 
 def _collect(ph: CdgPresheaf, acc: dict) -> CechHochChain:
@@ -322,23 +314,21 @@ def cech_strict_map(lax: OneObjectLax, c: CechHochChain) -> CechHochChain:
 def strict_vs_lax_homotopy(lax: OneObjectLax, c: CechHochChain) -> CechHochChain:
     """H with two identity insertions: dH + Hd = strict - lax (= -h^1).
 
-    The q = 2 gap layouts over each one-chart extension K of I, every slot
-    realized at K, with sign sort_sign((j,), I) * (-1)^eps.
+    The q = 2 summands over each one-chart extension K of I along the
+    levels (K, K, K) with identity insertions, so every slot is realized at
+    K, with sign sort_sign((j,), I) * (-1)^eps.
     """
     acc: dict = {}
+    dst = lax.dst
+    ident = lambda V, W: dst.identity(W, "*")
     for I, ch in c.entries.items():
         realize = _from_source(lax, I)
         for sigma, (_, K) in _descents(lax.scene, I, 1):
-            ident = slot_terms(lax.dst.identity(K, "*"))
             out = acc.setdefault(K, {})
-            for (path, syms, monos), coeff in ch.terms.items():
-                slots = [slot_terms(realize(s, m, K, K)) for s, m in zip(syms, monos)]
-                out_path = ("*",) * (len(slots) + 2)
-                parities = [ch.presheaf.parity(s) for s in syms]
-                for ls, eps, _ in insertion_layouts(parities, 2):
-                    sign = sigma * (-1) ** (eps % 2)
-                    add_tensor(out, out_path, interleave(slots, ls, lambda s: ident), sign * coeff)
-    return _collect(lax.dst, acc)
+            summands = _descent_summands(dst, ch, (K, K, K), realize, None, ident)
+            for coeff, _, _, eps, path, slots in summands:
+                add_tensor(out, path, slots, sigma * (-1) ** (eps % 2) * coeff)
+    return _collect(dst, acc)
 
 
 def iso_homotopy(lax_a: OneObjectLax, lax_b: OneObjectLax, tau_elem, c: CechHochChain) -> CechHochChain:
@@ -384,10 +374,10 @@ def iso_homotopy(lax_a: OneObjectLax, lax_b: OneObjectLax, tau_elem, c: CechHoch
                     head = elem_mul(dst, K, head, lax_a.alpha(I, K))
                 out = acc.setdefault(K, {})
                 pairs = zip(
-                    _descent_summands(lax_a, ch, levels, realize_a, head),
-                    _descent_summands(lax_b, ch, levels, realize_b, None),
+                    _descent_summands(dst, ch, levels, realize_a, head, lax_a.alpha_inv),
+                    _descent_summands(dst, ch, levels, realize_b, None, lax_b.alpha_inv),
                 )
-                for (coeff, parities, ls, eps, seq_a), (*_, seq_b) in pairs:
+                for (coeff, parities, ls, eps, _, seq_a), (*_, seq_b) in pairs:
                     prefix = list(itertools.accumulate(parities, initial=0))
                     n = 0
                     for t in range(len(seq_a)):

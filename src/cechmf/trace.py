@@ -3,10 +3,10 @@
 Three ingredients: the shuffle insertion of twisted differentials, the
 chart-reindexing operators h^q that insert inverse transition matrices
 while sliding realizations across charts, and the supertrace that collapses
-matrix tensors to scalar tensors with parity signs.  The gap layouts of both
-insertions and the expansion of each summand into basis tensors are the
-shared kernels `insertion_layouts`, `interleave` and `add_tensor` of
-`hochschild`.
+matrix tensors to scalar tensors with parity signs.  The shuffle and h^q
+are walks of `hochschild.descent_summands`, the gap-insertion kernel that
+the lax operators share, each supplying its own slot realization, head and
+insertion; `add_tensor` expands each summand into basis tensors.
 """
 
 from __future__ import annotations
@@ -15,14 +15,7 @@ import itertools
 from math import comb
 
 from .cdg import CurvedLine, MFCategory, TrivializedCategory
-from .hochschild import (
-    CechHochChain,
-    HochChain,
-    add_tensor,
-    insertion_layouts,
-    interleave,
-    slot_terms,
-)
+from .hochschild import CechHochChain, HochChain, add_tensor, descent_summands, slot_terms
 
 
 def sh_shuffle(n: int, chain: HochChain) -> HochChain:
@@ -34,27 +27,16 @@ def sh_shuffle(n: int, chain: HochChain) -> HochChain:
     cat = chain.presheaf
     assert isinstance(cat, MFCategory)
     I = chain.I
-    trunc = cat.scene.trunc
     if n == 0:
         return chain
     out: dict = {}
     deltas = {x: slot_terms(cat.delta_element(I, x)) for x in cat.objects(I)}
-
-    for (path, syms, monos), coeff in chain.terms.items():
-        k = len(syms) - 1
-        if k + n > trunc:
-            continue
-        # the gap after slot i sits at the object path[i + 1] (cyclically)
-        gap_objs = path[1:] + path[:1]
-        slots = [[(s, m, 1)] for s, m in zip(syms, monos)]
-        for gaps in itertools.combinations_with_replacement(range(k + 1), n):
-            objs = [gap_objs[g] for g in gaps]
-            add_tensor(
-                out,
-                interleave(path, gaps, objs.__getitem__),
-                interleave(slots, gaps, lambda s: deltas[objs[s]]),
-                coeff,
-            )
+    same = lambda sym, mono, *_: [(sym, mono, 1)]
+    summands = descent_summands(
+        chain.truncate(cat.scene.trunc - n), n, same, same, lambda s, obj: deltas[obj]
+    )
+    for coeff, _, _, _, path, slots in summands:
+        add_tensor(out, path, slots, coeff)
     return HochChain(cat, I, out)
 
 
@@ -131,17 +113,17 @@ def _hq_descent(out, cat, ch, K, charts, sign_base):
 
     Slot i is realized at charts[depth[i]]: (F)_c = g_{c,i0} F g_{c,i0}^{-1}
     scales the matrix unit by u_{c,i0}^{tw_row - tw_col}.  Slot 0 also takes
-    the head factor g_{i0, i_{-q}}, which scales it by u_{i_{-q},i0}^{-tw_row}.
-    Insertion s is g^{-1}_{ab}, a = charts[s+1], b = charts[s]: diagonal with
-    entries u_{ab}^{-twist} = u_{a,i0}^{-twist} u_{b,i0}^{twist}.
+    the head factor g_{i0, i_{-q}}, which scales it by u_{i_{-q},i0}^{-tw_row},
+    so it is scaled by u_{i_{-q},i0}^{-tw_col} in all.  Insertion s is
+    g^{-1}_{ab}, a = charts[s+1], b = charts[s]: diagonal with entries
+    u_{ab}^{-twist} = u_{a,i0}^{-twist} u_{b,i0}^{twist}.  A restricted
+    monomial may have several terms, and so may every slot.
     """
     atlas = cat.scene.atlas
-    I = ch.I
     i0 = charts[-1]
-    ring = atlas.ring(K)
-    one = ring.one()
-    res = atlas.res(I, K)
-    src_ring = cat.ring(I)
+    one = atlas.ring(K).one()
+    res = atlas.res(ch.I, K)
+    src_ring = cat.ring(ch.I)
     units = {a: atlas.unit(a, i0, K) for a in charts[:-1]}
     upow: dict = {}
 
@@ -152,57 +134,29 @@ def _hq_descent(out, cat, ch, K, charts, sign_base):
             upow[chart, n] = units[chart] ** n
         return upow[chart, n]
 
-    ginv: dict = {}
+    def realize(sym, mono, chart, n):
+        """mono * sym restricted to K, times u_{chart,i0}^n."""
+        lp = res(src_ring.monomial(mono))
+        up = u_pow(chart, n)
+        return slot_terms({sym: lp if up is one else up * lp})
 
-    def g_inv(obj, s):
-        if (obj, s) not in ginv:
-            a, b = charts[s + 1], charts[s]
-            mf = cat.mfs[obj]
-            elem = {
-                ("E", obj, obj, rb, rb): u_pow(a, -mf.twists[rb]) * u_pow(b, mf.twists[rb])
-                for rb in range(mf.rank)
-            }
-            ginv[obj, s] = slot_terms(elem)
-        return ginv[obj, s]
+    def g_inv(s, obj):
+        a, b = charts[s + 1], charts[s]
+        mf = cat.mfs[obj]
+        return slot_terms({
+            ("E", obj, obj, r, r): u_pow(a, -mf.twists[r]) * u_pow(b, mf.twists[r])
+            for r in range(mf.rank)
+        })
 
-    for (path, syms, monos), coeff in ch.terms.items():
-        res_monos = []
-        for m in monos:
-            rm = res(src_ring.monomial(m))
-            if rm.is_zero():
-                break
-            ((frac, mono2),) = rm.monomials()
-            res_monos.append((frac, ring.monomial(mono2)))
-        if len(res_monos) < len(monos):
-            continue
-        realized: dict = {}
-
-        def slot(i, chart, extra=one):
-            if (i, chart) not in realized:
-                frac, lp = res_monos[i]
-                up = u_pow(chart, cat.twist_shift(syms[i]))
-                if up is not one:
-                    lp = up * lp
-                if extra is not one:
-                    lp = lp * extra
-                realized[i, chart] = [
-                    (syms[i], mono, frac * f) for f, mono in lp.monomials()
-                ]
-            return realized[i, chart]
-
-        _, y0, _, r0, _ = syms[0]
-        head = slot(0, charts[0], u_pow(charts[0], -cat.mfs[y0].twists[r0]))
-        gap_objs = path[1:] + path[:1]
-        layouts = insertion_layouts([cat.parity(s) for s in syms], len(charts) - 1)
-        for ls, eps, depth in layouts:
-            slots = [head] + [slot(i, charts[depth[i]]) for i in range(1, len(syms))]
-            objs = [gap_objs[l] for l in ls]
-            add_tensor(
-                out,
-                interleave(path, ls, objs.__getitem__),
-                interleave(slots, ls, lambda s: g_inv(objs[s], s)),
-                coeff * (-1) ** ((eps + sign_base) % 2),
-            )
+    summands = descent_summands(
+        ch,
+        len(charts) - 1,
+        lambda sym, mono, depth: realize(sym, mono, charts[depth], cat.twist_shift(sym)),
+        lambda sym, mono: realize(sym, mono, charts[0], -cat.mfs[sym[2]].twists[sym[4]]),
+        g_inv,
+    )
+    for coeff, _, _, eps, path, slots in summands:
+        add_tensor(out, path, slots, coeff * (-1) ** ((eps + sign_base) % 2))
 
 
 def phi(c: CechHochChain, out_max_len: int, line: CurvedLine) -> CechHochChain:

@@ -1,0 +1,28 @@
+"""Helpers shared by the test modules."""
+
+from pathlib import Path
+
+from cechmf.scene import scene_from_dict
+from cechmf.scenes_builtin import builtin_scene_dict
+
+# SCENE-A2C sheared with c = 1: the scene file that tests/test_cli.py and
+# the CI verify job run the command line on
+SHEARED_FILE = Path(__file__).parent / "scenes" / "SCENE-A2C-SHEAR.json"
+
+
+def sheared_a2c_spec(c="1") -> dict:
+    """SCENE-A2C with chart 1 glued by y -> y + c*x^2 on the overlap.  Its
+    restriction images have several terms, so x^m dx_K restricts to a sum
+    of monomials, some of which gain a power of the pole x, and a
+    restricted monomial slot of a Hochschild chain has several terms.
+    With c = 1/2 the differential has non-integral entries."""
+    spec = builtin_scene_dict("SCENE-A2C")
+    spec["name"] = "SCENE-A2C-SHEAR"
+    spec["charts"][1].update(f=f"x*y - {c}*x^3", g=f"y - {c}*x^2")
+    spec["overlaps"][0]["res"]["1"] = {"x": "x", "y": f"y + {c}*x^2"}
+    spec["global"]["res"]["1"] = {"x": "x", "y": f"y - {c}*x^2"}
+    return spec
+
+
+def sheared_a2c(c="1"):
+    return scene_from_dict(sheared_a2c_spec(c))

@@ -7,6 +7,7 @@ import pytest
 
 from cechmf import cli, signs
 from cechmf.scenes_builtin import builtin_scene_dict
+from conftest import SHEARED_FILE, sheared_a2c_spec
 
 
 def test_verify_reports_invalid_scene(tmp_path, capsys):
@@ -85,6 +86,42 @@ def test_every_command_validates_the_scene(tmp_path, capsys, command):
 def test_verify_unknown_suite(capsys):
     assert cli.main(["verify", "--scene", "SCENE-A1", "--suite", "nosuch"]) == 2
     assert "unknown suite 'nosuch'" in capsys.readouterr().err
+
+
+def test_unknown_suite_is_named_before_the_scene_is_opened(tmp_path, capsys):
+    # the scene file fails validation, which the command never gets to
+    spec = builtin_scene_dict("SCENE-A2")
+    spec["charts"][0]["f"] = "x"
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(spec))
+    assert cli.main(["verify", "--scene", str(path), "--suite", "nosuch"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("unknown suite 'nosuch'; available: ")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_unwritable_report_path_exits_2_after_printing_the_report(tmp_path, capsys):
+    path = tmp_path / "missing" / "r.json"
+    argv = ["verify", "--scene", "SCENE-A1", "--suite", "signs", "--format", "json"]
+    assert cli.main([*argv, "--report", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert json.loads(out)["ok"]
+    assert err.startswith(f"cannot write report {path}: ")
+    assert len(err.strip().splitlines()) == 1
+    assert not path.exists()
+
+
+def test_scene_file_is_the_sheared_scene():
+    assert json.loads(SHEARED_FILE.read_text()) == sheared_a2c_spec("1")
+
+
+def test_pushforward_on_a_scene_file_with_polynomial_gluing(capsys):
+    # chart 1 is glued by y -> y + x^2, so a restricted monomial has two terms
+    assert cli.main(["pushforward", "--scene", str(SHEARED_FILE), "--format", "json"]) == 0
+    (suite,) = json.loads(capsys.readouterr().out)["suites"]
+    passed = {c["id"]: c["passed"] for c in suite["checks"]}
+    assert passed["pushforward:routes-equal"]
 
 
 def test_homology_reports_dims(capsys):

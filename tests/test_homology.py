@@ -28,9 +28,10 @@ from cechmf.homology import (
     is_boundary_within_window,
     _basis_cochain,
 )
-from cechmf.scene import scene_from_dict, validate_scene
-from cechmf.scenes_builtin import all_builtin_names, builtin_scene, builtin_scene_dict
+from cechmf.scene import validate_scene
+from cechmf.scenes_builtin import all_builtin_names, builtin_scene
 from cechmf.suites import oracle_homology_dims
+from conftest import sheared_a2c
 
 A1 = builtin_scene("SCENE-A1")
 A2 = builtin_scene("SCENE-A2")
@@ -199,22 +200,9 @@ def test_table_columns_equal_cech_total_d(name, kind):
     _assert_columns_are_d_of_the_basis(builtin_scene(name), kind)
 
 
-def _sheared_a2c(c="1"):
-    """SCENE-A2C with chart 1 glued by y -> y + c*x^2 on the overlap.  Its
-    restriction images have several terms, so x^m dx_K restricts to a sum
-    of monomials, some of which gain a power of the pole x.  With c = 1/2
-    the differential has non-integral entries."""
-    spec = builtin_scene_dict("SCENE-A2C")
-    spec["name"] = "SCENE-A2C-SHEAR"
-    spec["charts"][1].update(f=f"x*y - {c}*x^3", g=f"y - {c}*x^2")
-    spec["overlaps"][0]["res"]["1"] = {"x": "x", "y": f"y + {c}*x^2"}
-    spec["global"]["res"]["1"] = {"x": "x", "y": f"y - {c}*x^2"}
-    return scene_from_dict(spec)
-
-
 @pytest.mark.parametrize("kind", [OMEGA, OMEGA_Y, CONE])
 def test_table_columns_equal_cech_total_d_on_a_sheared_scene(kind):
-    scene = _sheared_a2c()
+    scene = sheared_a2c()
     assert validate_scene(scene).ok
     y_image = scene.atlas.res((1,), (0, 1)).images[1]
     assert len(y_image.terms) == 2
@@ -229,7 +217,7 @@ def test_engine_matches_oracle_on_sheared_scenes(c, kind, D):
     sheared scenes.  The half-sheared one has entries like 1/2 in omega and
     the cone; on Y = {x = 0} the shear is the identity, so omega_y stays
     integral."""
-    scene = _sheared_a2c(c)
+    scene = sheared_a2c(c)
     assert validate_scene(scene).ok
     if c == "1/2" and kind != OMEGA_Y:
         wd = homology._WindowedDifferential(scene, kind, D + 1)
@@ -334,7 +322,7 @@ def test_kept_window_stays_unchanged(name):
     as it was assembled, its echelon included, also after a larger window
     has replaced it: no boundary test writes a kept reduced column.  The half-sheared scene's columns hold
     Fraction entries, so their integral forms are dicts of their own."""
-    scene = _sheared_a2c("1/2") if name == "half-sheared" else builtin_scene(name)
+    scene = sheared_a2c("1/2") if name == "half-sheared" else builtin_scene(name)
     kinds = (OMEGA, OMEGA_Y, CONE)
     probes = {}  # kind -> (a window-1 basis cochain, its boundary)
     for kind in kinds:
@@ -378,7 +366,7 @@ def test_kept_window_is_d_of_its_basis(name, kind):
     """Each row-numbered column of the kept window, its rows read back as
     keys, is d of its basis cochain, and each parity's ambient rows number
     its basis 0..n-1 first."""
-    scene = _sheared_a2c("1/2") if name == "half-sheared" else builtin_scene(name)
+    scene = sheared_a2c("1/2") if name == "half-sheared" else builtin_scene(name)
     homology_dims(scene, kind, 1)
     wd = scene._windows[kind]
     assert wd.D == 2

@@ -22,12 +22,15 @@ from cechmf.rand import rand_a_class_chain
 from cechmf.scene import _loc_divide
 from cechmf.scenes_builtin import builtin_scene
 from cechmf.suites import coboundary_lax, unit_family
+from conftest import sheared_a2c
 
 P1 = builtin_scene("SCENE-P1")
 A2C = builtin_scene("SCENE-A2C")
 A2D = builtin_scene("SCENE-A2D")
 A2 = builtin_scene("SCENE-A2")
 P2 = builtin_scene("SCENE-P2")
+# several-term restriction images, so several-term slots in every descent
+SHEARED = sheared_a2c()
 
 
 def _fixture(scene):
@@ -94,7 +97,7 @@ def test_q0_is_plain_functor_application():
     assert cech_strict_map(lax, c) == c
 
 
-@pytest.mark.parametrize("scene", [P1, A2C, A2D, P2], ids=lambda s: s.name)
+@pytest.mark.parametrize("scene", [P1, A2C, A2D, P2, SHEARED], ids=lambda s: s.name)
 def test_strict_vs_lax_homotopy(scene):
     # dH + Hd = strict - lax (= -h^1)
     alg, _, _, lax_id, _ = _fixture(scene)
@@ -115,7 +118,7 @@ def test_strict_vs_lax_homotopy_vanishes_on_single_chart():
     assert strict_vs_lax_homotopy(lax_id, c).is_zero()
 
 
-@pytest.mark.parametrize("scene", [P1, A2C, A2D, P2], ids=lambda s: s.name)
+@pytest.mark.parametrize("scene", [P1, A2C, A2D, P2, SHEARED], ids=lambda s: s.name)
 def test_iso_homotopy(scene):
     # dH + Hd = (phi, alpha)-map minus (phi, id)-map
     alg, _, lax, lax_id, tau = _fixture(scene)

@@ -3,8 +3,10 @@ import pytest
 from cechmf.scene import scene_from_dict
 from cechmf.scenes_builtin import all_builtin_names, builtin_scene, builtin_scene_dict
 from cechmf.suites import SUITES, _global_divisor, _sampled, suite_lax, suite_phi
+from conftest import sheared_a2c
 
 A1 = builtin_scene("SCENE-A1")
+HALF_SHEARED = sheared_a2c("1/2")
 
 
 def test_sampled_counts_and_keeps_the_first_failure():
@@ -60,6 +62,17 @@ def test_sampled_suites_pass_on_a1(suite):
 def test_phi_suite_on_a1():
     (check,) = suite_phi(A1)
     assert check.id == "phi:chain-map" and check.passed and check.detail == "50/50 exact"
+
+
+@pytest.mark.parametrize("suite", ["hq", "phi", "diagram1", "pushforward"])
+def test_trace_suites_pass_on_the_half_sheared_scene(suite):
+    # chart 1 is glued by y -> y + x^2/2: every restricted monomial slot of
+    # h^q, phi and the trace route has several terms, some non-integral
+    checks = SUITES[suite](HALF_SHEARED)
+    assert all(c.passed for c in checks), [c.as_dict() for c in checks if not c.passed]
+    if suite == "diagram1":
+        assert checks[0].id == "diagram1:unique-todd-sign"
+        assert checks[0].detail.startswith("working signs: [-1];")
 
 
 def test_restriction_homotopy_counts_the_chains_it_checks():

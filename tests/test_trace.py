@@ -29,8 +29,11 @@ from cechmf.trace import hq_basis, phi, sh_shuffle, sh_shuffle_cech, supertrace
 from cechmf.scene import scene_from_dict
 from cechmf.scenes_builtin import all_builtin_names, builtin_scene, builtin_scene_dict
 from cechmf.suites import basis_a_chains
+from conftest import sheared_a2c
 
+SHEARED = "SCENE-A2C-SHEAR"
 SCENES = {name: builtin_scene(name) for name in all_builtin_names()}
+SCENES[SHEARED] = sheared_a2c()
 
 
 def _id_chain(cat, I, extra_slots=0):
@@ -191,7 +194,7 @@ def _rand_endp_cech(rng, cat, max_len=2, max_deg=1):
     return CechHochChain(cat, entries)
 
 
-@pytest.mark.parametrize("name", ["SCENE-P1", "SCENE-P2"])
+@pytest.mark.parametrize("name", ["SCENE-P1", "SCENE-P2", SHEARED])
 def test_lemma_on_hq(name):
     # d2bar h^q + d_Cech h^{q-1} = h^{q-1} d_Cech + h^q d2bar
     scene = SCENES[name]
@@ -268,7 +271,7 @@ def test_phi_balanced_trace_zero_on_p1():
     assert (0,) not in out.entries
 
 
-@pytest.mark.parametrize("name", all_builtin_names())
+@pytest.mark.parametrize("name", [*all_builtin_names(), SHEARED])
 def test_phi_is_a_chain_map(name):
     scene = SCENES[name]
     cat = end_algebra(scene, build_P(scene))
