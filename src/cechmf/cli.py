@@ -91,7 +91,13 @@ def cmd_verify(args) -> int:
         return _emit(rep, args)
     for name in list(SUITES) if args.suite == "all" else [args.suite]:
         with Timer() as t:
-            checks = SUITES[name](scene, seed=args.seed)
+            try:
+                checks = SUITES[name](scene, seed=args.seed)
+            except Exception as e:
+                # a crash is one failed check, told from a failed identity
+                # by its id, and the other suites still report
+                payload = {"type": type(e).__name__, "message": str(e)}
+                checks = [Check(f"{name}:raised", False, "the suite raised", payload)]
         rep.add_suite(name, checks, t.seconds)
     return _emit(rep, args)
 

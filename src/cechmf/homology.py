@@ -10,9 +10,10 @@ D+1 or above, and every smaller window is a prefix of its columns.  Each
 parity q takes one elimination of d on parity q, over Z, when the window
 is assembled.  Its columns run window D first; its rows run the window-D
 basis of parity 1-q, the rest of the window-(D+1) basis, then every other
-key the images reach.  Every rank the dimensions need is then the rank of
-a lower-left block, which is a count of the echelon's pivots (`linalg`,
-`_dims`), and a boundary test reduces its target against the echelon.
+key the images reach.  Every rank the dimensions need is then a count of
+the echelon's pivots (`linalg`): the build counts them once for every
+window it holds and keeps the dimensions, and a boundary test reduces its
+target against the echelon.
 
 A basis key is x^m dx_K on one tuple I, with a tag for its summand.
 `_SUMMANDS` is the one place the tags are defined: per complex, each
@@ -25,14 +26,16 @@ on neither m nor the window: assembling a window runs cech_total_d once
 per (tag, I, K), and drops the tables once its columns are expanded.  The
 scene keeps, per complex, the assembled window of the largest D asked so
 far (`Scene._windows`): its basis in size order, row numbers, and per
-parity one checked `QMatrix` and its echelon.  This is the one homology
-state a scene holds: a call at a window no larger reads it and eliminates
-nothing, and a larger window replaces it.
+parity one checked `QMatrix` and its echelon, and the dimensions at each
+window size.  This is the one homology state a scene holds: a call at a
+window no larger reads its dimensions and eliminates nothing, and a larger
+window replaces it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from itertools import accumulate
 from operator import add, itemgetter
 
 from .cech import CONE, OMEGA, OMEGA_Y, _COMPLEXES, Cochain, cech_total_d
@@ -204,8 +207,20 @@ class _WindowedDifferential:
     checked once; each is expanded from its (tag, I, K)'s `_dtable`, which
     only this build keeps.  `echelon[par]` is the one elimination of
     `matrix[par]` (`linalg.rank_kernel`), which serves every window up to
-    D.  The scene keeps one window per complex (`_window`); nothing here
-    changes after it is built."""
+    D.
+
+    `dims[w]` is (H_even, H_odd) at window w, for every w <= D, counted
+    once from the echelons.  With W_par the window's basis of parity par,
+    H_par = |W_par| - rank d|par - dim(im d|1-par meet W_par).  The matrix
+    of d|q at window w is a prefix of the columns, and W_{1-q} at w a
+    prefix of the rows, so both are counts of the echelon's pivots j < n
+    (`linalg`): all of them give the rank, and those with lowest row < r
+    give the dimension of the columns' span within the first r rows, since
+    the reduced columns j < n span it and their lowest rows are distinct.
+    In sizes: a pivot counts at window w once its column, and for the
+    meet also its lowest row, has size <= w.  A warm `homology_dims` reads
+    two entries.  The scene keeps one window per complex (`_window`);
+    nothing here changes after it is built."""
 
     def __init__(self, scene: Scene, complex_kind: str, D: int):
         self.D = D
@@ -229,6 +244,19 @@ class _WindowedDifferential:
             ]
             self.matrix[par] = QMatrix(len(amb), len(cols), cols)
         self.echelon = {par: rank_kernel(self.matrix[par]) for par in (0, 1)}
+        # per parity q and size s, the pivots of d|q whose column enters at
+        # window s, and those whose column and lowest row both do
+        grown = {}
+        for q in (0, 1):
+            col, both, rows = [0] * (D + 2), [0] * (D + 2), sizes[1 - q]
+            for low, (j, _) in self.echelon[q].items():
+                col[sizes[q][j]] += 1
+                both[max(sizes[q][j], rows[low] if low < len(rows) else D + 1)] += 1
+            grown[q] = list(accumulate(col)), list(accumulate(both))
+        self.dims = [
+            tuple(self.ends[par][w] - grown[par][0][w] - grown[1 - par][1][w] for par in (0, 1))
+            for w in range(D + 1)
+        ]
 
 
 def _window(scene: Scene, complex_kind: str, D: int) -> _WindowedDifferential:
@@ -240,36 +268,6 @@ def _window(scene: Scene, complex_kind: str, D: int) -> _WindowedDifferential:
     return wd
 
 
-def _dims(wd: _WindowedDifferential, D: int) -> tuple:
-    """H_even and H_odd at windows D and D+1, read from wd's echelon of d
-    on each parity; wd is assembled at window D+1 or above.
-
-    H_par = rank[d|1-par | W_par] - rank d|par - rank d|1-par, with W_par
-    the window's basis of parity par: nullity(d|par) minus the dimension
-    of im(d|1-par) meet W_par.  The unit columns of W are not eliminated:
-    rank[d | W] = |W| + rank of d with the rows of W deleted.
-
-    The matrix of d|q is a prefix of wd's columns: window D first, then
-    the rest of window D+1.  Its rows of parity 1-q run W_{1-q} at D, then
-    the rest of W_{1-q} at D+1, then every other ambient key: the rest of
-    wd's basis, if wd is larger, sits among the keys outside W, and only
-    the first two row blocks have to come first.  Each of the four ranks of q (d|q, and
-    d|q without the rows of W_{1-q}, at D and at D+1) is then the rank of
-    a lower-left block, which is a count of the echelon's pivots:
-    rank m[rows >= r, cols < n] = #{pivots j < n with low >= r}."""
-    r_d, r_dw = {}, {}  # (window, q) -> rank d|q, rank [d|q | W_{1-q}]
-    for q in (0, 1):
-        for w in (D, D + 1):
-            n_d, n_w = wd.ends[q][w], wd.ends[1 - q][w]
-            lows = [low for low, (j, _) in wd.echelon[q].items() if j < n_d]
-            r_d[w, q] = len(lows)
-            r_dw[w, q] = n_w + sum(low >= n_w for low in lows)
-    return tuple(
-        {par: r_dw[w, 1 - par] - r_d[w, par] - r_d[w, 1 - par] for par in (0, 1)}
-        for w in (D, D + 1)
-    )
-
-
 def _check_window(D) -> None:
     if not isinstance(D, int) or isinstance(D, bool) or D < 0:
         raise ValueError(f"window D={D!r} is not a non-negative int")
@@ -278,13 +276,13 @@ def _check_window(D) -> None:
 def homology_dims(scene: Scene, complex_kind: str, D: int | None = None) -> dict:
     """Exact homology dimensions per parity in the window, with stability flag.
 
-    The differential is read from the scene's kept window, assembled at
-    window D+1 or above, and both windows are read from its echelon per
-    parity (see `_dims`)."""
+    Both windows are read from the `dims` table of the scene's kept window,
+    assembled at window D+1 or above."""
     if D is None:
         D = scene.window
     _check_window(D)
-    here, there = _dims(_window(scene, complex_kind, D + 1), D)
+    wd = _window(scene, complex_kind, D + 1)
+    here, there = wd.dims[D], wd.dims[D + 1]
     return {
         "window": D,
         "even": here[0],

@@ -34,6 +34,7 @@ from .cdg import CdgPresheaf, elem_mul, elem_scale, elem_sum, restrict_elem
 from .hochschild import (
     CechHochChain,
     HochChain,
+    _once,
     add_tensor,
     descent_summands,
     map_slots,
@@ -213,13 +214,17 @@ def _descent_summands(dst, chain: HochChain, levels, realize, head_factor, alpha
 
     Slot i is realized at levels[q - depth[i]], slot 0 at K, multiplied on
     the left by head_factor unless that is None, and insertion s is
-    alpha_inv(levels[q-s-1], levels[q-s]) restricted to K.
+    alpha_inv(levels[q-s-1], levels[q-s]) restricted to K.  Each (sym,
+    mono) is realized once per level within the call, so equal levels,
+    as in (K, K, K), share one realization.
     """
     q = len(levels) - 1
     K = levels[-1]
+    realized: dict = {}  # (sym, mono, level) -> the realization, in K
+    at = lambda sym, mono, level: _once(realized, (sym, mono, level), realize, sym, mono, level, K)
 
     def head(sym, mono):
-        elem = realize(sym, mono, K, K)
+        elem = at(sym, mono, K)
         if head_factor is not None:
             elem = elem_mul(dst, K, head_factor, elem)
         return slot_terms(elem)
@@ -231,7 +236,7 @@ def _descent_summands(dst, chain: HochChain, levels, realize, head_factor, alpha
     return descent_summands(
         chain,
         q,
-        lambda sym, mono, depth: slot_terms(realize(sym, mono, levels[q - depth], K)),
+        lambda sym, mono, depth: slot_terms(at(sym, mono, levels[q - depth])),
         head,
         insert,
     )

@@ -175,8 +175,9 @@ class Scene:
     _ctxs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _routes: object = field(default=None, init=False, repr=False, compare=False)
     # complex kind -> the homology._WindowedDifferential of the largest
-    # window asked so far, with its echelon per parity, the scene's one
-    # homology state: every smaller window is a prefix of it
+    # window asked so far, with its echelon per parity and its dimensions
+    # per window size, the scene's one homology state: every smaller
+    # window is a prefix of it
     _windows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def chart(self, i) -> Chart:

@@ -335,7 +335,7 @@ def test_homology_tables_die_with_their_scene():
             homology_dims(scene, kind, 0)
         assert set(scene._windows) == set(COMPLEXES)
         assert all(wd.D == 2 for wd in scene._windows.values())
-        assert all(set(vars(wd)) == {"D", "basis", "ends", "ambient", "matrix", "echelon"} for wd in scene._windows.values())
+        assert all(set(vars(wd)) == {"D", "basis", "ends", "ambient", "matrix", "echelon", "dims"} for wd in scene._windows.values())
         fresh = builtin_scene(name)
         assert not fresh._windows, "a window is served to another scene"
         kept = [weakref.ref(wd) for wd in scene._windows.values()]

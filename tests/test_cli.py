@@ -269,3 +269,21 @@ def test_timings_add_only_seconds_per_suite(capsys):
     seconds = [suite.pop("seconds") for suite in timed["suites"]]
     assert timed == plain
     assert len(seconds) == 1 and isinstance(seconds[0], float) and seconds[0] >= 0
+
+
+def test_verify_keeps_the_report_when_a_suite_raises(monkeypatch, capsys):
+    """A suite that raises is one failed check `<suite>:raised`; the
+    suites before and after it still report, and the exit code is 1."""
+
+    def raises(scene, seed=0):
+        raise RuntimeError("no such tuple")
+
+    monkeypatch.setitem(cli.SUITES, "hq", raises)
+    assert cli.main(["verify", "--scene", "SCENE-A1", "--suite", "all", "--format", "json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert [s["suite"] for s in report["suites"]] == list(cli.SUITES)
+    failed = [c for s in report["suites"] for c in s["checks"] if not c["passed"]]
+    assert [c["id"] for c in failed] == ["hq:raised"]
+    assert failed[0]["payload"] == {"type": "RuntimeError", "message": "no such tuple"}
+    others = [s for s in report["suites"] if s["suite"] != "hq"]
+    assert all(s["checks"] for s in others)

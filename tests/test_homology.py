@@ -171,10 +171,10 @@ def _key_list(scene, kind, D):
 @pytest.mark.parametrize("name", all_builtin_names())
 def test_basis_is_the_size_sort_of_the_window_keys(name, kind):
     """The generated basis is the stable sort by exponent size of the key
-    list, split by parity: `_dims` counts the kept echelon's pivots below
-    each window's end in this order, a boundary test reduces against the
-    reduced columns of a window's prefix, and the traced distinct_ratio
-    reads the order too."""
+    list, split by parity: a window build counts its echelon's pivots
+    below each window's end in this order for its `dims`, a boundary test
+    reduces against the reduced columns of a window's prefix, and the
+    traced distinct_ratio reads the order too."""
     scene = builtin_scene(name)
     for D in range(4):
         keys = _key_list(scene, kind, D)
@@ -275,6 +275,21 @@ def test_engine_matches_oracle_at_both_windows(name, kind, D):
     assert (out["even"], out["odd"]) == (here["even"], here["odd"])
     assert (out["even_next"], out["odd_next"]) == (there["even"], there["odd"])
     assert out["stable"] == (here == there)
+
+
+@pytest.mark.parametrize("kind", [OMEGA, OMEGA_Y, CONE])
+@pytest.mark.parametrize("name", [*all_builtin_names(), "sheared"])
+def test_kept_window_holds_the_dims_of_every_size(name, kind):
+    """After one cold homology_dims at D = 2, the kept window 3 holds
+    (H_even, H_odd) for every window w <= 3, each the oracle's: a downward
+    sweep reads this one table."""
+    scene = sheared_a2c() if name == "sheared" else builtin_scene(name)
+    homology_dims(scene, kind, 2)
+    wd = scene._windows[kind]
+    assert wd.D == 3 and len(wd.dims) == wd.D + 1
+    for w, dims in enumerate(wd.dims):
+        want = oracle_homology_dims(scene, kind, w)
+        assert dims == (want["even"], want["odd"]), (w, dims, want)
 
 
 def _top_form_on_every_chart(scene):

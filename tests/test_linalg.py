@@ -85,7 +85,9 @@ def _check_against_oracle(a):
     """The rank, and the rank of every lower-left block, equal the oracle's.
 
     rank a[rows >= r, cols < j] is the number of pivots j' < j whose lowest
-    row is >= r; `homology._dims` reads its ranks this way."""
+    row is >= r, so the other pivots j' < j count the span of the first j
+    columns within the rows < r; a `homology._WindowedDifferential` counts
+    its `dims` table this way."""
     pivots = _pivots(_qm(a))
     assert list(pivots) == sorted(pivots)
     assert len(set(pivots.values())) == len(pivots)
