@@ -3,10 +3,13 @@
 A TupleCtx holds one tuple's lead-chart data (divisor equation, f, g, the
 pole variable and their differentials); Scene.ctx builds each once.
 
-`map_form` pulls a form back along a ring map as the sum over K of
-ringmap(c_K) * ringmap^*(dx_K).  Each pullback of dx_K is computed once and
-kept on the RingMap (`RingMap.dx_pullbacks`); the restriction maps are
-kept by `Atlas.res`, so these pullbacks live and die with their scene.
+`map_form` pulls a form back along a ring map one basis form x^e dx_K at
+a time: the pullback of each is computed once, as a list of target basis
+forms, and kept on the RingMap (`RingMap.form_images`), so a pullback is
+one scale-and-accumulate pass over that table.  The restriction maps are
+kept by `Atlas.res`, so these tables live and die with their scene.
+`Form.from_flat` builds a Form from such accumulated terms
+{(K, exponent): coefficient}; `hkr` builds its forms with it too.
 
 A Form is a finite sum c_K dx_K over strictly increasing index sets K;
 possibly inhomogeneous in degree.  A LogForm over a tuple with divisor x
@@ -20,8 +23,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import add
 
-from .rings import LocPoly, Ring, quotient_restrict
+from .rings import LocPoly, Ring, _fr, quotient_restrict
 from .scene import Scene, UnsupportedScene, _loc_divide, divisor_pole
 
 
@@ -46,6 +50,19 @@ class Form:
         out.ring = ring
         out.terms = terms
         return out
+
+    @staticmethod
+    def from_flat(ring: Ring, flat: dict) -> "Form":
+        """The form sum c x^e dx_K over flat = {(K, e): c}, with K an
+        increasing index set and e an exponent of ring; zero c are dropped."""
+        terms: dict = {}
+        for (k, e), c in flat.items():
+            if c:
+                t = terms.get(k)
+                if t is None:
+                    t = terms[k] = {}
+                t[e] = c if type(c) is int else _fr(c)
+        return Form._new(ring, {k: LocPoly._new(ring, t) for k, t in terms.items()})
 
     @staticmethod
     def zero(ring: Ring) -> "Form":
@@ -141,14 +158,14 @@ class TupleCtx:
     """Lead-chart data of one atlas tuple I; build it through Scene.ctx(I).
 
     x, f and g are the lead chart's divisor equation, function and cofactor
-    restricted to U_I, and dx, df their differentials.  pole is
+    restricted to U_I, and dx, df, dg their differentials.  pole is
     `scene.divisor_pole(x, I)`: the index of x in R_I when x is a coordinate
     that is not inverted, None when x is a unit (Y misses U_I); any other x
     raises UnsupportedScene.  dlog is the regular form dx/x when pole is
     None, else None.
     """
 
-    __slots__ = ("I", "ring", "x", "f", "g", "pole", "dx", "df", "dlog")
+    __slots__ = ("I", "ring", "x", "f", "g", "pole", "dx", "df", "dg", "dlog")
 
     def __init__(self, scene: Scene, I):
         atlas = scene.atlas
@@ -160,6 +177,7 @@ class TupleCtx:
         self.pole = divisor_pole(self.x, I)
         self.dx = d_of(self.x)
         self.df = d_of(self.f)
+        self.dg = d_of(self.g)
         if self.pole is not None:
             self.dlog = None
         elif self.x.is_one() or self.dx.is_zero():
@@ -297,30 +315,39 @@ class ConeForm:
 
 
 def map_form(w: Form, ringmap, dst_ring: Ring) -> Form:
-    """Pullback of a form along a ring map: the sum over K of
-    ringmap(c_K) * ringmap^*(dx_K), each pullback of dx_K kept on the map."""
-    terms: dict = {}
+    """Pullback of a form along a ring map: each term a x^e dx_K of w adds
+    a times the pullback of x^e dx_K, read from the map's table."""
+    flat: dict = {}
     for k, c in w.terms.items():
-        dx_k = _pullback_dx(ringmap, k)
-        if not dx_k.terms:
-            continue
-        mc = ringmap(c)
-        for kk, v in dx_k.terms.items():
-            p = v * mc if kk else mc
-            terms[kk] = terms[kk] + p if kk in terms else p
-    return Form._new(dst_ring, _nonzero(terms))
+        for e, a in c.terms.items():
+            for key, b in _basis_image(ringmap, k, e):
+                flat[key] = flat[key] + a * b if key in flat else a * b
+    return Form.from_flat(dst_ring, flat)
 
 
-def _pullback_dx(ringmap, k) -> Form:
-    """ringmap^*(dx_k) = d(ringmap(x_k1)) ^ ... ^ d(ringmap(x_kp)), computed
-    once per index set and kept in ringmap.dx_pullbacks."""
-    out = ringmap.dx_pullbacks.get(k)
+def _basis_image(ringmap, k, e) -> list:
+    """ringmap^*(x^e dx_k) as [((K', e'), c')], computed once per (k, e)
+    and kept in ringmap.form_images.  The e = 0 entry is the pullback of
+    dx_k, d(ringmap(x_k1)) ^ ... ^ d(ringmap(x_kp)); any other is the
+    image of x^e times it."""
+    out = ringmap.form_images.get((k, e))
     if out is None:
-        if k:
-            out = _pullback_dx(ringmap, k[:-1]).wedge(d_of(ringmap.images[k[-1]]))
+        zero = (0,) * len(e)
+        if e != zero:
+            mono = ringmap._mono_image(e).terms.items()
+            flat: dict = {}
+            for (kk, ee), b in _basis_image(ringmap, k, zero):
+                for em, cm in mono:
+                    key = (kk, tuple(map(add, ee, em)))
+                    flat[key] = flat[key] + b * cm if key in flat else b * cm
+        elif k:
+            head = Form.from_flat(ringmap.dst, dict(_basis_image(ringmap, k[:-1], zero)))
+            dx_k = head.wedge(d_of(ringmap.images[k[-1]]))
+            flat = {(kk, ee): c for kk, v in dx_k.terms.items() for ee, c in v.terms.items()}
         else:
-            out = Form.one(ringmap.dst)
-        ringmap.dx_pullbacks[k] = out
+            flat = {((), (0,) * ringmap.dst.nvars): 1}
+        out = [(key, c if type(c) is int else _fr(c)) for key, c in flat.items() if c]
+        ringmap.form_images[(k, e)] = out
     return out
 
 

@@ -5,50 +5,81 @@ Targets follow the curvature: chains over the line with curvature c map to
 (Omega, dc^(-)); the sheaf-algebra map has the three element classes, with
 the odd factor stripped to its coefficient (which is differentiated like
 the rest) and everything with two or more odd factors sent to zero.
+
+Every slot of a basis tensor is a monomial a_i = x^(m_i), so its form has
+a closed form.  Since da_i = sum_v m_i[v] x^(m_i - e_v) dx_v,
+
+    (c/k!) a_0 da_1 ^ ... ^ da_k
+        = sum_{|K| = k} (c/k!) det(M_K) x^(m_0 + ... + m_k - e_K) dx_K,
+
+where M_K is the k x k matrix of the slot exponents m_i[v] with v in K,
+and e_K is the indicator of K: the wedge of k one-forms with constant
+coefficients takes the k x k minors of their coefficient matrix.  The sum
+is zero for k > nvars.  `_hkr_mono` accumulates these terms into one flat
+{(K, exponent): coefficient} dict per tuple, and `Form.from_flat` builds
+one Form from it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import factorial
 
 from .cdg import CurvedLine, OYAlgebra, SheafAlgebraA
 from .cech import FORM, LOG, YFORM, Cochain, cone_cochain
-from .forms import Form, LogForm, d_of, dlog_of
+from .forms import Form, LogForm, dlog_of, restrict_form
 from .hochschild import CechHochChain, map_slots
 from .rings import quotient_restrict
 from .scene import add_piece
 
 
-def _hkr_terms(a0, c, k: int, das, head: Form | None = None) -> Form:
-    """(c/k!) a_0 [^ head] ^ da_1 ^ ... ^ da_k.
+def _hkr_mono(monos, c, acc: dict) -> None:
+    """acc += (c/k!) x^(m_0) d(x^(m_1)) ^ ... ^ d(x^(m_k)) for the
+    exponents monos = (m_0, ..., m_k), as {(K, exponent): coefficient}.
 
-    `das` yields da_1, ..., da_k; no further item is read once the product
-    vanishes, so a generator keeps their computation lazy.
+    The minors det(M_K) are expanded one slot at a time: appending the
+    one-form sum_v m[v] dx_v to dx_K moves dx_v past the members of K
+    above v.
     """
-    w = Form.scalar(a0).scale(c * Fraction(1, factorial(k)))
-    if head is not None:
-        w = w.wedge(head)
-    for da in das:
-        w = w.wedge(da)
-        if w.is_zero():
-            break
-    return w
+    k = len(monos) - 1
+    if k > len(monos[0]):
+        return
+    minors = {(): 1}
+    for m in monos[1:]:
+        nxt: dict = {}
+        for K, det in minors.items():
+            for v, mv in enumerate(m):
+                if not mv or v in K:
+                    continue
+                pos = bisect_left(K, v)
+                key = K[:pos] + (v,) + K[pos:]
+                term = det * mv if (len(K) - pos) % 2 == 0 else -det * mv
+                nxt[key] = nxt[key] + term if key in nxt else term
+        minors = {K: det for K, det in nxt.items() if det}
+        if not minors:
+            return
+    if k > 1:
+        c = c * Fraction(1, factorial(k))
+    total = tuple(map(sum, zip(*monos)))
+    for K, det in minors.items():
+        e = list(total)
+        for v in K:
+            e[v] -= 1
+        key = (K, tuple(e))
+        acc[key] = acc[key] + c * det if key in acc else c * det
 
 
 def _hkr_cochain(c: CechHochChain, kind: str) -> Cochain:
     """a_0[a_1|...|a_k] -> (1/k!) a_0 da_1 ^ ... ^ da_k on every tuple,
     as a cochain of the given kind."""
-    scene = c.scene
     entries: dict = {}
     for I, ch in c.entries.items():
-        ring = scene.atlas.ring(I)
-        acc = Form.zero(ring)
+        flat: dict = {}
         for (path, syms, monos), coeff in ch.terms.items():
-            das = (d_of(ring.monomial(mono)) for mono in monos[1:])
-            acc = acc + _hkr_terms(ring.monomial(monos[0]), coeff, len(syms) - 1, das)
-        entries[I] = acc
-    return Cochain(scene, kind, entries)
+            _hkr_mono(monos, coeff, flat)
+        entries[I] = Form.from_flat(c.scene.atlas.ring(I), flat)
+    return Cochain(c.scene, kind, entries)
 
 
 def hkr_xf(c: CechHochChain) -> Cochain:
@@ -71,6 +102,15 @@ def hkr_A(c: CechHochChain) -> Cochain:
                        - sum_{j<i_0} ((-1)^p/k!) a_0 (du/u) ^ da_1 ^ ... (Cech+1)
     one odd factor in slot l: ((-1)^l/k!) a_0 dx ^ da_1 ^ ... ^ da_k (regular)
     two or more odd factors: 0.
+
+    The map is linear in the tensors of one tuple I, so it is computed from
+    two sums there: S, of (1/k!) a_0 da_1 ^ ... ^ da_k over the tensors
+    with no odd factor, and T, of the same signed by (-1)^l over those with
+    one.  The regular part on I gains dx ^ (dg ^ S + T) and the log residue
+    gains S.  Each extension K = I + {j} with j < i_0 gains
+    (-1)^(p+1) (du/u) ^ res*(S), one pullback of S along R_I -> R_K: the
+    pullback along a ring map commutes with d and ^, so res*(S) is the sum
+    of (1/k!) res(a_0) d res(a_1) ^ ... ^ d res(a_k) over the terms of S.
     """
     assert isinstance(c.presheaf, SheafAlgebraA)
     scene = c.scene
@@ -78,35 +118,27 @@ def hkr_A(c: CechHochChain) -> Cochain:
     log_acc: dict = {}
     for I, ch in c.entries.items():
         ctx = scene.ctx(I)
-        ring = ctx.ring
-        p = len(I) - 1
-        dx_dg = ctx.dx.wedge(d_of(ctx.g))
-        raising = None  # (K, restriction to K, du/u) for j < i_0, on first use
+        s_flat: dict = {}
+        t_flat: dict = {}
         for (path, syms, monos), coeff in ch.terms.items():
-            k = len(syms) - 1
-            eps_slots = [i for i, s in enumerate(syms) if s == "e"]
-            if len(eps_slots) >= 2:
-                continue
-            m = [ring.monomial(mono) for mono in monos]
-            das = [d_of(a) for a in m[1:]]
-            if eps_slots:
-                sign = (-1) ** eps_slots[0]
-                add_piece(reg_acc, I, _hkr_terms(m[0], coeff * sign, k, das, ctx.dx))
-                continue
-            # log summand: a_0 (dx/x) ^ da_1 ^ ..., as the raw residue
-            add_piece(log_acc, I, LogForm(ctx, Form.zero(ring), _hkr_terms(m[0], coeff, k, das)))
-            add_piece(reg_acc, I, _hkr_terms(m[0], coeff, k, das, dx_dg))
-            # Cech-degree-raising terms over j < i_0
-            if raising is None:
-                raising = [
-                    (K, scene.atlas.res(I, K), dlog_of(scene.atlas.unit(I[0], j, K)))
-                    for j, pos, K in scene.atlas.extensions(I)
-                    if pos == 0
-                ]
-            for K, res, dlog_u in raising:
-                das_K = (d_of(res(a)) for a in m[1:])
-                w = _hkr_terms(res(m[0]), coeff * (-1) ** (p + 1), k, das_K, dlog_u)
-                add_piece(reg_acc, K, w)
+            eps_slots = [l for l, s in enumerate(syms) if s == "e"]
+            if not eps_slots:
+                _hkr_mono(monos, coeff, s_flat)
+            elif len(eps_slots) == 1:
+                _hkr_mono(monos, -coeff if eps_slots[0] % 2 else coeff, t_flat)
+        if not (s_flat or t_flat):
+            continue
+        S = Form.from_flat(ctx.ring, s_flat)
+        T = Form.from_flat(ctx.ring, t_flat)
+        add_piece(reg_acc, I, ctx.dx.wedge(ctx.dg.wedge(S) + T))
+        if S.is_zero():
+            continue
+        add_piece(log_acc, I, LogForm(ctx, Form.zero(ctx.ring), S))
+        raised = -S if len(I) % 2 else S  # (-1)^(p+1) S, p = len(I) - 1
+        for j, pos, K in scene.atlas.extensions(I):
+            if pos == 0:
+                dlog_u = dlog_of(scene.atlas.unit(I[0], j, K))
+                add_piece(reg_acc, K, dlog_u.wedge(restrict_form(scene, raised, I, K)))
 
     return cone_cochain(scene, Cochain(scene, FORM, reg_acc), Cochain(scene, LOG, log_acc))
 

@@ -259,11 +259,14 @@ class RingMap:
     """Ring homomorphism determined by variable images; an inverted source
     variable must map to a unit.
 
-    A map keeps what it has computed once: the images of source monomials,
-    and the pullbacks of the differentials dx_K that `forms.map_form`
-    computes and stores here (so they live and die with the map)."""
+    A map keeps what it has computed once, so it lives and dies with the
+    map: `_mono_images`, the image of each source monomial x^e met so far
+    ({e: LocPoly}), and `form_images`, the pullback of each basis form
+    x^e dx_K met so far by `forms.map_form`, as a list of target basis
+    forms ({(K, e): [((K', e'), c')]}).  The entry of e = 0 is the
+    pullback of dx_K itself."""
 
-    __slots__ = ("src", "dst", "images", "_mono_images", "dx_pullbacks")
+    __slots__ = ("src", "dst", "images", "_mono_images", "form_images")
 
     def __init__(self, src: Ring, dst: Ring, images: list):
         assert len(images) == src.nvars
@@ -273,7 +276,7 @@ class RingMap:
         self.dst = dst
         self.images = tuple(images)
         self._mono_images: dict = {}  # source exponent -> its image
-        self.dx_pullbacks: dict = {}  # index set K -> pullback of dx_K (a forms.Form)
+        self.form_images: dict = {}  # (K, e) -> pullback of x^e dx_K, see forms.map_form
 
     @staticmethod
     def identity(ring: Ring) -> "RingMap":

@@ -1,9 +1,9 @@
 """The tabulated structure gives the uncached answer, and dies with its owner.
 
-`forms.map_form` keeps the pullback of dx_K on the restriction's RingMap,
-and `hochschild` keeps the slot terms of restricted basis elements and of
-the curvature, d and composition of basis symbols on the presheaf, and
-those of the images of `can` on the morphism.  The scene keeps the
+`forms.map_form` keeps the pullback of each basis form x^e dx_K on the
+restriction's RingMap, and `hochschild` keeps the slot terms of restricted
+basis elements and of the curvature, d and composition of basis symbols on
+the presheaf, and those of the images of `can` on the morphism.  The scene keeps the
 fixtures of the trace-vs-residue square (`diagrams.RouteCtx`) and, for
 windowed homology, per complex the assembled window of the largest D
 asked so far (`Scene._windows`), which serves every smaller window with
@@ -115,10 +115,16 @@ def test_map_form_matches_chain_rule(name):
         for _ in range(6):
             w = rand_form(rng, scene.atlas.ring(I))
             want = _chain_rule(w, m)
-            # the first call fills m.dx_pullbacks, the second reads it
+            # the first call fills m.form_images, the second reads it
             assert map_form(w, m, scene.atlas.ring(J)) == want
             assert map_form(w, m, scene.atlas.ring(J)) == want
-    assert any(scene.atlas.res(I, J).dx_pullbacks for I, J in _pairs(scene) if I != J)
+        # the entry of x^0 dx_K is the pullback of dx_K itself
+        zero = (0,) * m.src.nvars
+        for (k, e), image in m.form_images.items():
+            if e == zero:
+                dx_k = Form(m.src, {k: m.src.one()})
+                assert Form.from_flat(m.dst, dict(image)) == _chain_rule(dx_k, m)
+    assert any(scene.atlas.res(I, J).form_images for I, J in _pairs(scene) if I != J)
 
 
 @pytest.mark.parametrize("kind", sorted(PRESHEAVES))

@@ -1,9 +1,10 @@
 import itertools
+import random
 
 import pytest
 
 from cechmf.cdg import SheafAlgebraA
-from cechmf.cech import OMEGA, bar_wedge, cech_total_d
+from cechmf.cech import FORM, OMEGA, Cochain, bar_wedge, cech_total_d
 from cechmf.diagrams import (
     pushforward_unit,
     trace_route,
@@ -13,7 +14,7 @@ from cechmf.diagrams import (
 from cechmf.forms import Form
 from cechmf.hkr import hkr_A
 from cechmf.hochschild import CechHochChain, make_chain
-from cechmf.homology import is_boundary_within_window
+from cechmf.homology import _basis_cochain, _window_keys, is_boundary_within_window
 from cechmf.scenes_builtin import builtin_scene
 from cechmf.ses import cone_delta
 from cechmf.suites import basis_a_chains
@@ -66,7 +67,7 @@ def test_diagram1_example_on_unit():
     assert top.entries == {(0,): expected}
 
 
-@pytest.mark.parametrize("name", [*SCENES, "SCENE-A2D"])
+@pytest.mark.parametrize("name", [*SCENES, "SCENE-A2C", "SCENE-P2", "SCENE-A2D"])
 def test_pushforward_routes(name):
     scene = SCENES.get(name) or builtin_scene(name)
     a, b = pushforward_unit(scene)
@@ -75,8 +76,18 @@ def test_pushforward_routes(name):
         assert a.is_zero()
     else:
         assert not a.is_zero()
-    assert is_boundary_within_window(a - b, OMEGA, scene.window)
+        # the pushforward of the unit is a nonzero class, not a boundary
+        assert not is_boundary_within_window(a, OMEGA, scene.window)
     assert cech_total_d(a, OMEGA).is_zero()
+    # the boundary test accepts the boundary of a random window cochain
+    rng = random.Random(f"pushforward:{name}")
+    keys = _window_keys(scene, OMEGA, scene.window)
+    v = Cochain(scene, FORM, {})
+    for key in rng.sample(keys, 6):
+        v = v + _basis_cochain(scene, OMEGA, key).scale(rng.choice([1, -1, 2]))
+    dv = cech_total_d(v, OMEGA)
+    assert not dv.is_zero()
+    assert is_boundary_within_window(dv, OMEGA, scene.window)
 
 
 def test_pushforward_value_on_a2():

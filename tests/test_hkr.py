@@ -1,17 +1,130 @@
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from cechmf.cdg import CurvedLine, OYAlgebra, SheafAlgebraA
-from cechmf.cech import CONE, FORM, OMEGA, OMEGA_PLUS, OMEGA_Y, Cochain, cech_total_d
-from cechmf.forms import Form, LogForm
-from cechmf.hkr import a_to_oy, hkr_A, hkr_xf, hkr_y
+from cechmf.cech import (
+    CONE,
+    FORM,
+    LOG,
+    OMEGA,
+    OMEGA_PLUS,
+    OMEGA_Y,
+    Cochain,
+    cech_total_d,
+    cone_cochain,
+)
+from cechmf.forms import Form, LogForm, d_of, dlog_of
+from cechmf.hkr import _hkr_mono, a_to_oy, hkr_A, hkr_xf, hkr_y
 from cechmf.hochschild import CechHochChain, cech_hoch_d, make_chain
+from cechmf.scene import add_piece
 from cechmf.ses import cone_to_y
 from cechmf.scenes_builtin import all_builtin_names, builtin_scene
+from cechmf.suites import basis_a_chains
+from conftest import sheared_a2c
 
 SCENES = {name: builtin_scene(name) for name in all_builtin_names()}
+SHEARED = "SCENE-A2C-SHEAR"
+
+
+# -- the definitions the closed form replaces, kept as oracles ---------------
+
+
+def _wedge_chain(a0, c, k: int, das, head: Form | None = None) -> Form:
+    """(c/k!) a_0 [^ head] ^ da_1 ^ ... ^ da_k, one wedge per slot."""
+    w = Form.scalar(a0).scale(c * Fraction(1, factorial(k)))
+    if head is not None:
+        w = w.wedge(head)
+    for da in das:
+        w = w.wedge(da)
+    return w
+
+
+def _hkr_A_term_by_term(c: CechHochChain) -> Cochain:
+    """hkr_A from its formula, each term restricted and wedged slot by slot."""
+    scene = c.scene
+    reg_acc: dict = {}
+    log_acc: dict = {}
+    for I, ch in c.entries.items():
+        ctx = scene.ctx(I)
+        ring = ctx.ring
+        p = len(I) - 1
+        dx_dg = ctx.dx.wedge(d_of(ctx.g))
+        raising = [
+            (K, scene.atlas.res(I, K), dlog_of(scene.atlas.unit(I[0], j, K)))
+            for j, pos, K in scene.atlas.extensions(I)
+            if pos == 0
+        ]
+        for (path, syms, monos), coeff in ch.terms.items():
+            k = len(syms) - 1
+            eps_slots = [i for i, s in enumerate(syms) if s == "e"]
+            if len(eps_slots) >= 2:
+                continue
+            m = [ring.monomial(mono) for mono in monos]
+            das = [d_of(a) for a in m[1:]]
+            if eps_slots:
+                sign = (-1) ** eps_slots[0]
+                add_piece(reg_acc, I, _wedge_chain(m[0], coeff * sign, k, das, ctx.dx))
+                continue
+            add_piece(log_acc, I, LogForm(ctx, Form.zero(ring), _wedge_chain(m[0], coeff, k, das)))
+            add_piece(reg_acc, I, _wedge_chain(m[0], coeff, k, das, dx_dg))
+            for K, res, dlog_u in raising:
+                das_K = [d_of(res(a)) for a in m[1:]]
+                w = _wedge_chain(res(m[0]), coeff * (-1) ** (p + 1), k, das_K, dlog_u)
+                add_piece(reg_acc, K, w)
+    return cone_cochain(scene, Cochain(scene, FORM, reg_acc), Cochain(scene, LOG, log_acc))
+
+
+def _rand_exponent(rng, ring, max_deg=2):
+    return tuple(
+        rng.randint(-max_deg if v in ring.inverted else 0, max_deg) for v in range(ring.nvars)
+    )
+
+
+@pytest.mark.parametrize("name", all_builtin_names())
+def test_hkr_mono_matches_wedge_chain(name):
+    scene = SCENES[name]
+    rng = random.Random(f"hkr_mono:{name}")
+    rings = {scene.atlas.ring(I) for I in scene.atlas.tuples}
+    nonzero = 0
+    for ring in rings:
+        n = ring.nvars
+        for k in range(n + 2):
+            acc: dict = {}
+            want = Form.zero(ring)
+            for _ in range(12):
+                monos = [_rand_exponent(rng, ring) for _ in range(k + 1)]
+                c = rng.choice([1, -1, 2, Fraction(-3, 2), Fraction(1, 3)])
+                one: dict = {}
+                _hkr_mono(monos, c, one)
+                m = [ring.monomial(e) for e in monos]
+                term = _wedge_chain(m[0], c, k, [d_of(a) for a in m[1:]])
+                assert Form.from_flat(ring, one) == term, (ring, monos, c)
+                if k > n:
+                    assert not one
+                nonzero += bool(one)
+                # the kernel accumulates: one dict for many tensors
+                _hkr_mono(monos, c, acc)
+                want = want + term
+            assert Form.from_flat(ring, acc) == want
+    assert nonzero
+
+
+@pytest.mark.parametrize("name", [*all_builtin_names(), SHEARED])
+def test_hkr_A_matches_term_by_term(name):
+    scene = sheared_a2c() if name == SHEARED else SCENES[name]
+    rng = random.Random(f"hkr_A:{name}")
+    chains = [c for _, c in basis_a_chains(scene)]
+    for c in chains:
+        assert hkr_A(c) == _hkr_A_term_by_term(c)
+    # sums over several tuples, where terms of one tuple can cancel in S
+    for _ in range(10):
+        total = CechHochChain(chains[0].presheaf, {})
+        for c in rng.sample(chains, min(8, len(chains))):
+            total = total + c.scale(rng.choice([1, -1, 2]))
+        assert hkr_A(total) == _hkr_A_term_by_term(total)
 
 
 def _line_chain(line, I, monos_list, coeff=1):
