@@ -264,7 +264,14 @@ class RingMap:
     ({e: LocPoly}), and `form_images`, the pullback of each basis form
     x^e dx_K met so far by `forms.map_form`, as a list of target basis
     forms ({(K, e): [((K', e'), c')]}).  The entry of e = 0 is the
-    pullback of dx_K itself."""
+    pullback of dx_K itself.
+
+    `_mono_image` is the one read of the monomial table: `__call__`,
+    `forms` (basis-form images), `homology` (window columns) and `trace`
+    (the slots of h^q) all go through it.  It checks an exponent against
+    the source ring when it first meets it, so an entry is always a
+    monomial that the ring allows, and a read after that checks nothing.
+    An entry is shared: a caller must not change its terms."""
 
     __slots__ = ("src", "dst", "images", "_mono_images", "form_images")
 
@@ -283,9 +290,11 @@ class RingMap:
         return RingMap(ring, ring, [ring.var(v) for v in ring.variables])
 
     def _mono_image(self, exp: tuple) -> LocPoly:
-        """Image of x^exp: the product of the images' powers."""
+        """Image of x^exp: the product of the images' powers, kept after a
+        miss has checked exp against the source ring."""
         out = self._mono_images.get(exp)
         if out is None:
+            self.src.check_exponent(exp)
             out = self.dst.one()
             for im, k in zip(self.images, exp):
                 if k:

@@ -118,12 +118,16 @@ def _hq_descent(out, cat, ch, K, charts, sign_base):
     g^{-1}_{ab}, a = charts[s+1], b = charts[s]: diagonal with entries
     u_{ab}^{-twist} = u_{a,i0}^{-twist} u_{b,i0}^{twist}.  A restricted
     monomial may have several terms, and so may every slot.
+
+    A slot's restricted monomial is read from the restriction map's kept
+    image of x^mono (`RingMap._mono_image`, checked once per exponent),
+    and the unit powers are kept per (chart, n), so realizing a slot
+    builds no element but its product with a unit power.
     """
     atlas = cat.scene.atlas
     i0 = charts[-1]
     one = atlas.ring(K).one()
     res = atlas.res(ch.I, K)
-    src_ring = cat.ring(ch.I)
     units = {a: atlas.unit(a, i0, K) for a in charts[:-1]}
     upow: dict = {}
 
@@ -136,7 +140,7 @@ def _hq_descent(out, cat, ch, K, charts, sign_base):
 
     def realize(sym, mono, chart, n):
         """mono * sym restricted to K, times u_{chart,i0}^n."""
-        lp = res(src_ring.monomial(mono))
+        lp = res._mono_image(mono)
         up = u_pow(chart, n)
         return slot_terms({sym: lp if up is one else up * lp})
 

@@ -11,6 +11,7 @@ import pytest
 
 from cechmf import cli
 from cechmf.scenes_builtin import all_builtin_names
+from conftest import SHEARED_FILE
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -28,6 +29,11 @@ CASES = [
     # the engine against the oracle on the largest scene; it exits 1 because
     # homology:stable fails (window 4 vs 5: omega homology does not settle)
     ("verify_SCENE-P2_homology.json", ["verify", "--scene", "SCENE-P2", "--suite", "homology"], 1),
+] + [
+    # the scene file whose gluing is not monomial: a restricted monomial
+    # slot of the trace's h^q has several terms
+    (f"verify_SCENE-A2C-SHEAR_{suite}.json", ["verify", "--scene", str(SHEARED_FILE), "--suite", suite], 0)
+    for suite in ("phi", "hq")
 ] + [
     (f"homology_{name}.json", ["homology", "--scene", name], 0)
     for name in all_builtin_names()

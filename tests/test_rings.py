@@ -131,6 +131,21 @@ def test_ring_map_restriction():
     assert res(QS.one()) == QT_T.one()
 
 
+@pytest.mark.parametrize("exp", [(-1,), (1, 2)], ids=["t^-1", "wrong-arity"])
+def test_mono_image_refuses_what_the_source_ring_forbids(exp):
+    # Q[t] -> Q[t]_(t) on SCENE-P1: t is not inverted in the source, and a
+    # two-entry exponent does not fit one variable.  Ring.monomial refuses
+    # both, and so must the kept table, on every call: a refused exponent
+    # is not kept.
+    res = builtin_scene("SCENE-P1").atlas.res((0,), (0, 1))
+    with pytest.raises(MalformedElement):
+        res.src.monomial(exp)
+    for _ in range(2):
+        with pytest.raises(MalformedElement):
+            res._mono_image(exp)
+    assert exp not in res._mono_images
+
+
 def test_quotient_restrict():
     x, y = QXY.var("x"), QXY.var("y")
     assert quotient_restrict(x * y + y ** 2, 0) == y ** 2

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from cechmf import trace
 from cechmf.cdg import (
     CurvedLine,
     MFCategory,
@@ -17,11 +18,14 @@ from cechmf.diagrams import max_form_degree
 from cechmf.hochschild import (
     CechHochChain,
     HochChain,
+    add_tensor,
     apply_morphism,
     cech_hoch_d,
     cech_part_d,
+    descent_summands,
     hoch_d,
     make_chain,
+    slot_terms,
     twisted_hoch_d,
 )
 from cechmf.hkr import hkr_xf
@@ -210,6 +214,65 @@ def test_lemma_on_hq(name):
             lhs = twisted_hoch_d(hq(q, c), parts=("d2",)) + cech_part_d(hq(q - 1, c))
             rhs = hq(q - 1, cech_part_d(c)) + hq(q, twisted_hoch_d(c, parts=("d2",)))
             assert lhs == rhs, (name, q)
+
+
+def _hq_descent_by_ring_call(out, cat, ch, K, charts, sign_base):
+    """trace._hq_descent as first written: each slot is realized by building
+    the monomial in the source ring and applying the restriction map to it,
+    rather than by reading the map's kept monomial image."""
+    atlas = cat.scene.atlas
+    i0 = charts[-1]
+    res = atlas.res(ch.I, K)
+    src_ring = cat.ring(ch.I)
+
+    def u_pow(chart, n):
+        return atlas.unit(chart, i0, K) ** n if chart != i0 else atlas.ring(K).one()
+
+    def realize(sym, mono, chart, n):
+        return slot_terms({sym: u_pow(chart, n) * res(src_ring.monomial(mono))})
+
+    def g_inv(s, obj):
+        a, b = charts[s + 1], charts[s]
+        mf = cat.mfs[obj]
+        return slot_terms({
+            ("E", obj, obj, r, r): u_pow(a, -mf.twists[r]) * u_pow(b, mf.twists[r])
+            for r in range(mf.rank)
+        })
+
+    summands = descent_summands(
+        ch,
+        len(charts) - 1,
+        lambda sym, mono, depth: realize(sym, mono, charts[depth], cat.twist_shift(sym)),
+        lambda sym, mono: realize(sym, mono, charts[0], -cat.mfs[sym[2]].twists[sym[4]]),
+        g_inv,
+    )
+    for coeff, _, _, eps, path, slots in summands:
+        add_tensor(out, path, slots, coeff * (-1) ** ((eps + sign_base) % 2))
+
+
+HALF_SHEARED = "SCENE-A2C-SHEAR-1/2"
+
+
+@pytest.mark.parametrize(
+    "name",
+    [n for n in all_builtin_names() if len(SCENES[n].atlas.chart_ids) > 1]
+    + [SHEARED, HALF_SHEARED],
+)
+def test_hq_matches_ring_call_realization(name, monkeypatch):
+    # on the sheared scenes y restricts to y + c*x^2, so a restricted
+    # monomial has several terms, with c = 1/2 non-integral ones
+    scene = sheared_a2c("1/2") if name == HALF_SHEARED else SCENES[name]
+    P = build_P(scene)
+    cat = end_algebra(scene, P)
+    triv = TrivializedCategory(scene, [P])
+    rng = random.Random(97)
+    chains = [_rand_endp_cech(rng, cat, max_len=2, max_deg=2) for _ in range(6)]
+    qs = range(len(scene.atlas.chart_ids))
+    got = [hq_basis(q, c, triv) for c in chains for q in qs]
+    monkeypatch.setattr(trace, "_hq_descent", _hq_descent_by_ring_call)
+    want = [hq_basis(q, c, triv) for c in chains for q in qs]
+    assert got == want, name
+    assert any(not x.is_zero() for x in got[1::len(qs)]), name
 
 
 def test_chain_coefficients_in_normal_form():
