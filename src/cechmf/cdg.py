@@ -11,10 +11,12 @@ the trivial one-object algebra with basis {1}; each subclass overrides
 only what differs from it.
 
 Structure maps depend only on the presheaf and their arguments, so
-`hochschild` tabulates their slot terms once, in dicts the presheaf owns
+`hochschild` tabulates their slot terms and the plans of `hoch_d`, and
+`trace` the slot realizations of h^q, once, in dicts the presheaf owns
 (`CdgPresheaf.table`); a presheaf's tables are freed with it.  The
 morphism `can` keeps the slot terms of its images the same way
-(`CanMorphism.table`).
+(`CanMorphism.table`), and so does a lax morphism its components and
+realizations (`lax.OneObjectLax.table`).
 
 Matrix-factorization morphisms are stored as matrices in the trivialization
 of the lead (minimum) chart of each tuple.  Their d and curvature come from
@@ -85,8 +87,8 @@ class CdgPresheaf:
         """The dict this presheaf keeps under key, empty when first asked for.
 
         The structure maps of a presheaf never change, so `hochschild`
-        tabulates their slot terms here once; the tables live and die
-        with the presheaf."""
+        and `trace` tabulate what they derive from them here once; the
+        tables live and die with the presheaf."""
         out = self._tables.get(key)
         if out is None:
             out = self._tables[key] = {}

@@ -25,12 +25,16 @@ insertion.
 
 The fixed structure these maps use is computed once and kept on the
 presheaf (`CdgPresheaf.table`), so it lives and dies with its owner:
-`hoch_d` keeps, per tuple, the slot terms of the curvature, d and
-composition of basis symbols, and multiplies them by a slot's monomial as
-an exponent shift; `restrict_chain` keeps, per (I, J), the slot terms of
-each restricted basis element mono * sym, and `apply_morphism` keeps, per
-tuple, those of each image on the morphism.  Within one `map_slots` call
-each distinct (sym, mono) slot is computed once.
+`hoch_d` keeps, per tuple and selection of parts, a plan per (path,
+symbols) of a basis tensor, whose entries (part, slot, new symbol,
+monomial shift, signed coefficient) depend on nothing else, and builds
+each output key by slicing the tensor's own path, symbols and monomials;
+a plan is built from the slot terms of the curvature, d and composition
+of basis symbols, kept per tuple.  `restrict_chain` keeps, per (I, J),
+the slot terms of each restricted basis element mono * sym, and
+`apply_morphism` keeps, per tuple, those of each image on the morphism.
+Within one `map_slots` call each distinct (sym, mono) slot is computed
+once.
 
 A CechHochChain is a Cech cochain of such chains over the atlas; its
 linear operations, its Cech differential and the (-1)^p twist come from
@@ -76,6 +80,7 @@ class HochChain:
     def __eq__(self, other):
         return (
             isinstance(other, HochChain)
+            and self.presheaf is other.presheaf
             and self.I == other.I
             and self.terms == other.terms
         )
@@ -234,8 +239,8 @@ def map_slots(chain: HochChain, presheaf, I, slot, path=tuple, table=None) -> Ho
 
 def _kept(table: dict, key, build, *args) -> list:
     """slot_terms(build(*args)), computed once and kept in table under key.
-    Not a call of `_once`: a closure per slot of every `hoch_d` term cost
-    chain-identities about 3% of its items per second."""
+    Not a call of `_once`, which would take a closure per slot of every
+    term that `map_slots` reads."""
     terms = table.get(key)
     if terms is None:
         terms = table[key] = slot_terms(build(*args))
@@ -245,90 +250,95 @@ def _kept(table: dict, key, build, *args) -> list:
 ALL_PARTS = ("d0", "d1", "d2")
 
 
-def _shifted(terms: list, mono) -> list:
-    """The slot terms times the monomial x^mono: a coefficient-1 monomial
-    only shifts exponents, so no term cancels and every exponent stays valid."""
-    return [(s, tuple(map(add, m, mono)), c) for s, m, c in terms]
-
-
 def hoch_d(chain: HochChain, parts=ALL_PARTS) -> HochChain:
     """d_0 + d_1 + d_2 with the displayed signs (or a subset of the three).
 
-    The slot terms of the curvature, d and composition of basis symbols
-    over the chain's tuple are kept on the presheaf (`CdgPresheaf.table`)."""
+    Each basis tensor reads the plan of its (path, syms), kept on the
+    presheaf per (tuple, parts) (`_hoch_d_plan`), and builds its output
+    keys by slicing its own path, syms and monos."""
     ph = chain.presheaf
     I = chain.I
-    trunc = ph.scene.trunc
-    tab = ph.table("hoch_d", I)
+    plans = ph.table("hoch_d-plan", I, parts)
     out: dict = {}
-
-    def emit(path, syms, monos, c):
-        if c == 0:
-            return
-        key = (tuple(path), tuple(syms), tuple(monos))
-        out[key] = out.get(key, 0) + c
-
     for (path, syms, monos), coeff in chain.terms.items():
-        k = len(syms) - 1
-        par = [ph.parity(s) for s in syms]
-        prefix = [0] * (k + 2)
-        for i in range(k + 1):
-            prefix[i + 1] = prefix[i] + par[i]
-
-        # d_0: insert the curvature of the object after slot i
-        for i in range(k + 1) if "d0" in parts else ():
-            obj = path[(i + 1) % (k + 1)]
-            h = _kept(tab, ("d0", obj), ph.curvature, I, obj)
-            if not h:
-                continue
-            if k + 1 > trunc:
-                raise TruncationOverflow(
-                    f"curvature insertion would exceed the length cap {trunc}"
+        plan = plans.get((path, syms))
+        if plan is None:
+            plan = plans[path, syms] = _hoch_d_plan(ph, I, parts, path, syms)
+        for part, i, sym, shift, c in plan:
+            if part == "d0":  # a new slot after slot i
+                j = i + 1
+                key = (
+                    path[:j] + (path[j % len(path)],) + path[j:],
+                    syms[:j] + (sym,) + syms[j:],
+                    monos[:j] + (shift,) + monos[j:],
                 )
-            sign = (-1) ** ((prefix[i + 1] + i) % 2)
-            for hsym, hmono, hfrac in h:
-                new_path = path[: i + 1] + (obj,) + path[i + 1 :]
-                new_syms = syms[: i + 1] + (hsym,) + syms[i + 1 :]
-                new_monos = monos[: i + 1] + (hmono,) + monos[i + 1 :]
-                emit(new_path, new_syms, new_monos, coeff * sign * hfrac)
-
-        # d_1: internal differential of slot i
-        for i in range(k + 1) if "d1" in parts else ():
-            ds = _kept(tab, ("d1", syms[i]), ph.d, I, syms[i])
-            if not ds:
-                continue
-            sign = (-1) ** ((prefix[i] + i) % 2)
-            for nsym, nmono, nfrac in _shifted(ds, monos[i]):
-                new_syms = syms[:i] + (nsym,) + syms[i + 1 :]
-                new_monos = monos[:i] + (nmono,) + monos[i + 1 :]
-                emit(path, new_syms, new_monos, coeff * sign * nfrac)
-
-        # d_2: compositions
-        if k >= 1 and "d2" in parts:
-            for i in range(k):
-                prod = _kept(tab, ("d2", syms[i], syms[i + 1]), ph.compose, I, syms[i], syms[i + 1])
-                if not prod:
-                    continue
-                sign = (-1) ** ((prefix[i + 1] + i) % 2)
-                mono_prod = tuple(map(add, monos[i], monos[i + 1]))
-                new_path = path[: i + 1] + path[i + 2 :]
-                for nsym, nmono, nfrac in _shifted(prod, mono_prod):
-                    new_syms = syms[:i] + (nsym,) + syms[i + 2 :]
-                    new_monos = monos[:i] + (nmono,) + monos[i + 2 :]
-                    emit(new_path, new_syms, new_monos, coeff * sign * nfrac)
-            # wrap-around term a_k a_0 [a_1 | ... | a_{k-1}]
-            prod = _kept(tab, ("d2", syms[k], syms[0]), ph.compose, I, syms[k], syms[0])
-            if prod:
-                expo = 1 + (par[k] + 1) * (prefix[k] + k - 1)
-                sign = (-1) ** (expo % 2)
-                mono_prod = tuple(map(add, monos[k], monos[0]))
-                new_path = (path[k],) + path[1:k]
-                for nsym, nmono, nfrac in _shifted(prod, mono_prod):
-                    new_syms = (nsym,) + syms[1:k]
-                    new_monos = (nmono,) + monos[1:k]
-                    emit(new_path, new_syms, new_monos, coeff * sign * nfrac)
-
+            elif part == "d1":  # slot i replaced
+                mono = tuple(map(add, monos[i], shift))
+                key = (
+                    path,
+                    syms[:i] + (sym,) + syms[i + 1 :],
+                    monos[:i] + (mono,) + monos[i + 1 :],
+                )
+            elif part == "d2":  # slots i and i + 1 replaced by their product
+                mono = tuple(map(add, map(add, monos[i], monos[i + 1]), shift))
+                key = (
+                    path[: i + 1] + path[i + 2 :],
+                    syms[:i] + (sym,) + syms[i + 2 :],
+                    monos[:i] + (mono,) + monos[i + 2 :],
+                )
+            else:  # "wrap": a_k a_0 [a_1 | ... | a_{k-1}], i = k
+                mono = tuple(map(add, map(add, monos[i], monos[0]), shift))
+                key = (path[i:] + path[1:i], (sym,) + syms[1:i], (mono,) + monos[1:i])
+            out[key] = out.get(key, 0) + coeff * c
     return HochChain(ph, I, out)
+
+
+def _hoch_d_plan(ph: CdgPresheaf, I, parts, path, syms) -> tuple:
+    """The terms of hoch_d on any basis tensor with this path and these
+    symbols, in the order hoch_d emits them: (part, i, new symbol,
+    monomial shift, signed coefficient), where a "d0" term inserts the
+    curvature of the object after slot i (its shift is the inserted
+    monomial), "d1" differentiates slot i, "d2" composes slots i and i + 1,
+    and "wrap" composes a_k a_0; the shift multiplies the monomial of the
+    slot (or the product of the two slots) it replaces.
+
+    The slot terms of the curvature, d and composition of basis symbols
+    over I are kept on the presheaf.  A curvature insertion that would
+    exceed the length cap raises TruncationOverflow here, before the plan
+    is kept."""
+    tab = ph.table("hoch_d", I)
+    k = len(syms) - 1
+    par = [ph.parity(s) for s in syms]
+    prefix = list(itertools.accumulate(par, initial=0))
+    plan = []
+
+    # d_0: insert the curvature of the object after slot i
+    for i in range(k + 1) if "d0" in parts else ():
+        obj = path[(i + 1) % (k + 1)]
+        h = _kept(tab, ("d0", obj), ph.curvature, I, obj)
+        if h and k + 1 > ph.scene.trunc:
+            raise TruncationOverflow(
+                f"curvature insertion would exceed the length cap {ph.scene.trunc}"
+            )
+        sign = (-1) ** ((prefix[i + 1] + i) % 2)
+        plan += [("d0", i, hsym, hmono, sign * hfrac) for hsym, hmono, hfrac in h]
+
+    # d_1: internal differential of slot i
+    for i in range(k + 1) if "d1" in parts else ():
+        sign = (-1) ** ((prefix[i] + i) % 2)
+        ds = _kept(tab, ("d1", syms[i]), ph.d, I, syms[i])
+        plan += [("d1", i, nsym, nmono, sign * nfrac) for nsym, nmono, nfrac in ds]
+
+    # d_2: compositions, then the wrap-around term a_k a_0 [a_1 | ... | a_{k-1}]
+    if k >= 1 and "d2" in parts:
+        for i in range(k):
+            sign = (-1) ** ((prefix[i + 1] + i) % 2)
+            prod = _kept(tab, ("d2", syms[i], syms[i + 1]), ph.compose, I, syms[i], syms[i + 1])
+            plan += [("d2", i, nsym, nmono, sign * nfrac) for nsym, nmono, nfrac in prod]
+        sign = (-1) ** ((1 + (par[k] + 1) * (prefix[k] + k - 1)) % 2)
+        prod = _kept(tab, ("d2", syms[k], syms[0]), ph.compose, I, syms[k], syms[0])
+        plan += [("wrap", k, nsym, nmono, sign * nfrac) for nsym, nmono, nfrac in prod]
+    return tuple(plan)
 
 
 def restrict_chain(chain: HochChain, J) -> HochChain:

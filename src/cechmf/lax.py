@@ -21,6 +21,11 @@ The strict maps of global chains (`global_to_cech`,
 and restrict along tuples by `cdg.elem_mul` and `cdg.restrict_elem`; the
 element algebra lives in `cdg`.
 
+What these operators compute from a lax morphism's data alone is kept on
+the morphism (`OneObjectLax.table`) and lives and dies with it; the
+realizations of a global chain's slots are kept for one
+`restriction_htilde` call.
+
 Everything here is for one-object presheaves, which covers the algebra
 actors of the build; signs follow the displayed formulas.
 """
@@ -117,7 +122,15 @@ class GlobalModel(CdgPresheaf):
 
 class OneObjectLax:
     """Lax morphism data between one-object presheaves of dg algebras; the
-    object of the target is "*"."""
+    object of the target is "*".
+
+    The data never change, so the lax operators keep what they compute from
+    them on the morphism (`table`), as a presheaf keeps its structure: the
+    components alpha(V, W) and their inverses, the restricted slot terms of
+    each inserted inverse per (V, W, K), and each source slot realization
+    per (I, sym, mono, level, K).  alpha(V, W) is read from alpha_elem once
+    per (V, W), so alpha_elem must be a pure function of (V, W), and
+    functor_sym one of (I, sym)."""
 
     def __init__(self, scene: Scene, src: CdgPresheaf, dst: CdgPresheaf,
                  functor_sym, alpha_elem):
@@ -126,12 +139,25 @@ class OneObjectLax:
         self.dst = dst
         self.functor_sym = functor_sym      # (I, sym) -> Element over dst at I
         self.alpha_elem = alpha_elem        # (V, W) -> Element over dst at W
+        self._tables: dict = {}
+
+    table = CdgPresheaf.table
 
     def alpha(self, V, W) -> dict:
-        return self.alpha_elem(tuple(V), tuple(W))
+        V, W = tuple(V), tuple(W)
+        return _once(self.table("alpha"), (V, W), self.alpha_elem, V, W)
 
     def alpha_inv(self, V, W) -> dict:
-        return _unit_inverse(self.alpha(V, W))
+        V, W = tuple(V), tuple(W)
+        return _once(self.table("alpha_inv"), (V, W), lambda: _unit_inverse(self.alpha(V, W)))
+
+    def inserted(self, V, W, K) -> list:
+        """The slot terms of alpha^{-1}(V, W) restricted to K."""
+        return _once(
+            self.table("inserted"),
+            (V, W, K),
+            lambda: slot_terms(restrict_elem(self.dst, self.alpha_inv(V, W), W, K)),
+        )
 
     def cocycle_ok(self) -> bool:
         atlas = self.scene.atlas
@@ -166,27 +192,38 @@ def _apply_functor(lax: OneObjectLax, T, elem: dict) -> dict:
 
 def _from_source(lax: OneObjectLax, I):
     """Slot realization for chains of the source presheaf over I: restrict
-    the slot to the level, apply the functor there, restrict into K."""
+    the slot to the level, apply the functor there, restrict into K.  Each
+    realization is kept on the morphism (`lax.table("realize", I)`)."""
     src_ring = lax.src.ring(I)
+    kept = lax.table("realize", I)
 
-    def realize(sym, mono, level, K):
+    def build(sym, mono, level, K):
         elem = restrict_elem(lax.src, {sym: src_ring.monomial(mono)}, I, level)
         return restrict_elem(lax.dst, _apply_functor(lax, level, elem), level, K)
+
+    def realize(sym, mono, level, K):
+        return _once(kept, (sym, mono, level, K), build, sym, mono, level, K)
 
     return realize
 
 
 def _from_global(lax: OneObjectLax, model: GlobalModel):
     """Slot realization for global chains: at the GLOBAL level the functor
-    acts on the global algebra before the model restricts into K."""
+    acts on the global algebra before the model restricts into K.  Each
+    realization is kept for the life of the returned function, which is
+    one `restriction_htilde` call."""
     gring = model.scene.global_ring
+    realized: dict = {}
 
-    def realize(sym, mono, level, K):
+    def build(sym, mono, level, K):
         gelem = {sym: gring.monomial(mono)}
         if level == GLOBAL:
             return model.to_tuple(_apply_functor(lax, GLOBAL, gelem), K)
         felem = _apply_functor(lax, level, model.to_tuple(gelem, level))
         return restrict_elem(lax.dst, felem, level, K)
+
+    def realize(sym, mono, level, K):
+        return _once(realized, (sym, mono, level, K), build, sym, mono, level, K)
 
     return realize
 
@@ -209,36 +246,30 @@ def _descents(scene: Scene, I, q: int):
             yield sort_sign(J, I), levels
 
 
-def _descent_summands(dst, chain: HochChain, levels, realize, head_factor, alpha_inv):
+def _descent_summands(dst, chain: HochChain, levels, realize, head_factor, inserted):
     """`descent_summands` of chain along one descent, in dst over K = levels[q].
 
-    Slot i is realized at levels[q - depth[i]], slot 0 at K, multiplied on
-    the left by head_factor unless that is None, and insertion s is
-    alpha_inv(levels[q-s-1], levels[q-s]) restricted to K.  Each (sym,
-    mono) is realized once per level within the call, so equal levels,
-    as in (K, K, K), share one realization.
+    Slot i is realize(sym, mono, levels[q - depth[i]], K), slot 0 that at
+    K, multiplied on the left by head_factor unless that is None, and
+    insertion s is inserted(levels[q-s-1], levels[q-s], K), the slot terms
+    of an inverse component restricted to K.  realize keeps each of its
+    realizations, so equal levels, as in (K, K, K), share one.
     """
     q = len(levels) - 1
     K = levels[-1]
-    realized: dict = {}  # (sym, mono, level) -> the realization, in K
-    at = lambda sym, mono, level: _once(realized, (sym, mono, level), realize, sym, mono, level, K)
 
     def head(sym, mono):
-        elem = at(sym, mono, K)
+        elem = realize(sym, mono, K, K)
         if head_factor is not None:
             elem = elem_mul(dst, K, head_factor, elem)
         return slot_terms(elem)
 
-    def insert(s, obj):
-        W = levels[q - s]
-        return slot_terms(restrict_elem(dst, alpha_inv(levels[q - s - 1], W), W, K))
-
     return descent_summands(
         chain,
         q,
-        lambda sym, mono, depth: slot_terms(at(sym, mono, levels[q - depth])),
+        lambda sym, mono, depth: slot_terms(realize(sym, mono, levels[q - depth], K)),
         head,
-        insert,
+        lambda s, obj: inserted(levels[q - s - 1], levels[q - s], K),
     )
 
 
@@ -251,7 +282,7 @@ def _add_lax_hq(acc: dict, lax: OneObjectLax, chain: HochChain, q: int, realize)
         K = levels[-1]
         head = lax.alpha(levels[0], K) if q else None
         out = acc.setdefault(K, {})
-        summands = _descent_summands(lax.dst, chain, levels, realize, head, lax.alpha_inv)
+        summands = _descent_summands(lax.dst, chain, levels, realize, head, lax.inserted)
         for coeff, _, _, eps, path, slots in summands:
             add_tensor(out, path, slots, sigma * (-1) ** ((eps + p * q) % 2) * coeff)
 
@@ -325,7 +356,7 @@ def strict_vs_lax_homotopy(lax: OneObjectLax, c: CechHochChain) -> CechHochChain
     """
     acc: dict = {}
     dst = lax.dst
-    ident = lambda V, W: dst.identity(W, "*")
+    ident = lambda V, W, K: slot_terms(dst.identity(K, "*"))
     for I, ch in c.entries.items():
         realize = _from_source(lax, I)
         for sigma, (_, K) in _descents(lax.scene, I, 1):
@@ -379,8 +410,8 @@ def iso_homotopy(lax_a: OneObjectLax, lax_b: OneObjectLax, tau_elem, c: CechHoch
                     head = elem_mul(dst, K, head, lax_a.alpha(I, K))
                 out = acc.setdefault(K, {})
                 pairs = zip(
-                    _descent_summands(dst, ch, levels, realize_a, head, lax_a.alpha_inv),
-                    _descent_summands(dst, ch, levels, realize_b, None, lax_b.alpha_inv),
+                    _descent_summands(dst, ch, levels, realize_a, head, lax_a.inserted),
+                    _descent_summands(dst, ch, levels, realize_b, None, lax_b.inserted),
                 )
                 for (coeff, parities, ls, eps, _, seq_a), (*_, seq_b) in pairs:
                     prefix = list(itertools.accumulate(parities, initial=0))

@@ -119,10 +119,12 @@ def _hq_descent(out, cat, ch, K, charts, sign_base):
     u_{ab}^{-twist} = u_{a,i0}^{-twist} u_{b,i0}^{twist}.  A restricted
     monomial may have several terms, and so may every slot.
 
-    A slot's restricted monomial is read from the restriction map's kept
-    image of x^mono (`RingMap._mono_image`, checked once per exponent),
-    and the unit powers are kept per (chart, n), so realizing a slot
-    builds no element but its product with a unit power.
+    Each slot realization is kept on the category per (I, K), keyed by
+    (sym, mono, chart, n) (`cat.table("hq-realize", I, K)`; i0 = I[0], so
+    the key fixes it).  A miss reads the slot's restricted monomial from
+    the restriction map's kept image of x^mono (`RingMap._mono_image`,
+    checked once per exponent) and multiplies it by the unit power, kept
+    per (chart, n) within the call.
     """
     atlas = cat.scene.atlas
     i0 = charts[-1]
@@ -130,6 +132,7 @@ def _hq_descent(out, cat, ch, K, charts, sign_base):
     res = atlas.res(ch.I, K)
     units = {a: atlas.unit(a, i0, K) for a in charts[:-1]}
     upow: dict = {}
+    kept = cat.table("hq-realize", ch.I, K)
 
     def u_pow(chart, n):
         if chart == i0 or n == 0:
@@ -140,9 +143,13 @@ def _hq_descent(out, cat, ch, K, charts, sign_base):
 
     def realize(sym, mono, chart, n):
         """mono * sym restricted to K, times u_{chart,i0}^n."""
-        lp = res._mono_image(mono)
-        up = u_pow(chart, n)
-        return slot_terms({sym: lp if up is one else up * lp})
+        key = (sym, mono, chart, n)
+        got = kept.get(key)
+        if got is None:
+            lp = res._mono_image(mono)
+            up = u_pow(chart, n)
+            got = kept[key] = slot_terms({sym: lp if up is one else up * lp})
+        return got
 
     def g_inv(s, obj):
         a, b = charts[s + 1], charts[s]

@@ -2,8 +2,18 @@
 
 from pathlib import Path
 
+from cechmf.cdg import CurvedLine, OYAlgebra, SheafAlgebraA, build_P, end_algebra
 from cechmf.scene import scene_from_dict
 from cechmf.scenes_builtin import builtin_scene_dict
+
+# every kind of presheaf the package builds, each from a scene
+PRESHEAVES = {
+    "A": SheafAlgebraA,
+    "O_f": lambda sc: CurvedLine(sc, 1),
+    "O_-f": lambda sc: CurvedLine(sc, -1),
+    "EndP": lambda sc: end_algebra(sc, build_P(sc)),
+    "O_Y": OYAlgebra,
+}
 
 # SCENE-A2C sheared with c = 1: the scene file that tests/test_cli.py and
 # the CI verify job run the command line on

@@ -2,8 +2,12 @@
 
 `forms.map_form` keeps the pullback of each basis form x^e dx_K on the
 restriction's RingMap, and `hochschild` keeps the slot terms of restricted
-basis elements and of the curvature, d and composition of basis symbols on
-the presheaf, and those of the images of `can` on the morphism.  The scene keeps the
+basis elements and of the curvature, d and composition of basis symbols,
+and the plan of `hoch_d` per (path, symbols), on the presheaf, and those
+of the images of `can` on the morphism.  The trace's h^q keeps its slot
+realizations on the category, and a lax morphism keeps its components,
+inverted and restricted insertions and source realizations on itself
+(`lax.OneObjectLax.table`).  The scene keeps the
 fixtures of the trace-vs-residue square (`diagrams.RouteCtx`) and, for
 windowed homology, per complex the assembled window of the largest D
 asked so far (`Scene._windows`), which serves every smaller window with
@@ -30,8 +34,9 @@ import cechmf
 from cechmf import diagrams, homology
 from cechmf.cdg import (
     CurvedLine,
-    OYAlgebra,
+    MFCategory,
     SheafAlgebraA,
+    TrivializedCategory,
     build_P,
     can_map,
     end_algebra,
@@ -50,22 +55,30 @@ from cechmf.cech import (
 from cechmf.diagrams import max_form_degree, residue_route, trace_route
 from cechmf.forms import Form, d_of, map_form
 from cechmf.hkr import hkr_A, hkr_xf
-from cechmf.hochschild import HochChain, apply_morphism, hoch_d, map_slots, restrict_chain
+from cechmf.hochschild import (
+    CechHochChain,
+    HochChain,
+    apply_morphism,
+    hoch_d,
+    map_slots,
+    restrict_chain,
+)
 from cechmf.homology import homology_dims, is_boundary_within_window
-from cechmf.rand import rand_form, rand_hoch_chain
+from cechmf.lax import OneObjectLax, cech_lax_map, strict_vs_lax_homotopy
+from cechmf.rand import rand_a_class_chain, rand_cech_hoch_chain, rand_form, rand_hoch_chain
 from cechmf.scenes_builtin import all_builtin_names, builtin_scene
 from cechmf.ses import cone_delta
-from cechmf.suites import basis_a_chains, oracle_homology_dims
-from cechmf.trace import phi
+from cechmf.suites import basis_a_chains, coboundary_lax, oracle_homology_dims, unit_family
+from cechmf.trace import hq_basis, phi
+from conftest import PRESHEAVES, sheared_a2c
 
 SCENE_NAMES = ("SCENE-P1", "SCENE-P2", "SCENE-A2D")
 
-PRESHEAVES = {
-    "A": SheafAlgebraA,
-    "O_f": lambda sc: CurvedLine(sc, 1),
-    "O_-f": lambda sc: CurvedLine(sc, -1),
-    "EndP": lambda sc: end_algebra(sc, build_P(sc)),
-    "O_Y": OYAlgebra,
+# the owners of kept tables: every presheaf kind, and a lax morphism (the
+# coboundary one of w, over a two-term algebra that only it holds)
+OWNERS = {
+    **PRESHEAVES,
+    "lax": lambda sc: coboundary_lax(sc, SheafAlgebraA(sc), unit_family(sc))[0],
 }
 
 
@@ -158,6 +171,29 @@ def test_hoch_d_on_warm_presheaf_matches_new_presheaf(name, kind):
         assert got.presheaf is warm
 
 
+@pytest.mark.parametrize(
+    "scene", [builtin_scene(name) for name in SCENE_NAMES] + [sheared_a2c()], ids=lambda sc: sc.name
+)
+def test_hq_basis_on_warm_category_matches_new_category(scene):
+    warm = end_algebra(scene, build_P(scene))
+    triv = TrivializedCategory(scene, list(warm.mfs.values()))
+    rng = random.Random(f"hq_basis:{scene.name}")
+    chains = [rand_cech_hoch_chain(rng, warm, max_len=2) for _ in range(4)]
+    qs = range(len(scene.atlas.chart_ids))
+    want = {}
+    for i, c in enumerate(chains):
+        for q in qs:
+            fresh = end_algebra(scene, build_P(scene))
+            entries = {I: HochChain(fresh, I, ch.terms) for I, ch in c.entries.items()}
+            want[i, q] = hq_basis(q, CechHochChain(fresh, entries), triv)
+    for _ in range(2):  # cold, then warm
+        for i, c in enumerate(chains):
+            for q in qs:
+                assert hq_basis(q, c, triv) == want[i, q], (i, q)
+    assert any(tag == "hq-realize" and table for (tag, *_), table in warm._tables.items())
+    assert any(not want[key].is_zero() for key in want if key[1])
+
+
 def _module_containers():
     """Every module-level dict, set and list of the package, with its size."""
     out = {}
@@ -169,18 +205,29 @@ def _module_containers():
     return out
 
 
-def _signature(ph, seed):
-    """What the tables serve for ph on seeded chains: hoch_d, restrict_chain
-    and map_form along every restriction the chains meet."""
+def _signature(owner, seed):
+    """What the tables serve for owner on seeded chains.  For a presheaf:
+    hoch_d, restrict_chain and map_form along every restriction the chains
+    meet, and for a matrix-factorization category every h^q; for a lax
+    morphism: its Cech map and its strict-vs-lax homotopy."""
     rng = random.Random(seed)
-    scene = ph.scene
+    scene = owner.scene
+    if isinstance(owner, OneObjectLax):
+        chains = [rand_a_class_chain(rng, owner.src, i % 2, max_len=1) for i in range(3)]
+        outs = [f(owner, c) for c in chains for f in (cech_lax_map, strict_vs_lax_homotopy)]
+        return [{I: ch.terms for I, ch in x.entries.items()} for x in outs]
     out = []
-    for ch in _chains(rng, ph, count=2):
+    for ch in _chains(rng, owner, count=2):
         out.append(hoch_d(ch).terms)
         for _, _, J in scene.atlas.extensions(ch.I):
             out.append(restrict_chain(ch, J).terms)
             w = rand_form(rng, scene.atlas.ring(ch.I))
             out.append(map_form(w, scene.atlas.res(ch.I, J), scene.atlas.ring(J)).terms)
+        if isinstance(owner, MFCategory):
+            triv = TrivializedCategory(scene, list(owner.mfs.values()))
+            c = CechHochChain(owner, {ch.I: ch})
+            for q in range(len(scene.atlas.chart_ids)):
+                out.append({K: hc.terms for K, hc in hq_basis(q, c, triv).entries.items()})
     return out
 
 
@@ -188,11 +235,15 @@ def test_tables_die_with_their_owner():
     before = _module_containers()
     # references from objects that stay alive for the whole test
     keep = {
-        (name, kind): PRESHEAVES[kind](builtin_scene(name))
+        (name, kind): OWNERS[kind](builtin_scene(name))
         for name in SCENE_NAMES
-        for kind in PRESHEAVES
+        for kind in OWNERS
     }
     want = {key: _signature(ph, f"{key}") for key, ph in keep.items()}
+    assert all(owner._tables for owner in keep.values())
+    assert all(
+        any(tag == "hq-realize" for tag, *_ in keep[name, "EndP"]._tables) for name in SCENE_NAMES
+    )
     rng = random.Random("interleave")
     keys = sorted(keep)
     for _ in range(3):
@@ -201,7 +252,7 @@ def test_tables_die_with_their_owner():
         alive = []
         for key in keys:
             name, kind = key
-            ph = PRESHEAVES[kind](scenes[name])
+            ph = OWNERS[kind](scenes[name])
             assert _signature(ph, f"{key}") == want[key], key
             if rng.random() < 0.5:
                 alive.append(ph)  # interleave: some stay alive a while
@@ -209,7 +260,7 @@ def test_tables_die_with_their_owner():
                 dead = weakref.ref(ph)
                 del ph
                 gc.collect()
-                assert dead() is None, f"{key}: a table outlives its presheaf"
+                assert dead() is None, f"{key}: a table outlives its owner"
             ph = None
         dead_scenes = [weakref.ref(sc) for sc in scenes.values()]
         del scenes, alive

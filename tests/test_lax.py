@@ -18,7 +18,7 @@ from cechmf.lax import (
     restriction_htilde,
     strict_vs_lax_homotopy,
 )
-from cechmf.rand import rand_a_class_chain
+from cechmf.rand import rand_a_class_chain, rand_mono
 from cechmf.scene import _loc_divide
 from cechmf.scenes_builtin import builtin_scene
 from cechmf.suites import coboundary_lax, unit_family
@@ -196,3 +196,66 @@ def test_restriction_homotopy_on_asymmetric_cover():
         assert lhs == r1 - r2
         seen_nonzero = seen_nonzero or not (r1 - r2).is_zero()
     assert seen_nonzero, "the comparison must be exercised non-vacuously"
+
+
+def _lax_outputs(scene, fixture, line_fixture, c, g):
+    """Every lax operator on c (and the restriction homotopy on the global
+    chain g) from the given coboundary morphisms."""
+    lax, lax_id, tau = fixture
+    out = [
+        cech_lax_map(lax, c),
+        iso_homotopy(lax, lax_id, tau, c),
+        strict_vs_lax_homotopy(lax_id, c),
+    ]
+    out += [lax_hq(F, q, c) for F in (lax, lax_id) for q in range(len(scene.atlas.chart_ids) + 1)]
+    if g is not None:
+        glax, model = line_fixture
+        out.append(restriction_htilde(glax, model, g))
+    return out
+
+
+def _line_model(scene, w):
+    """The curved-line global model and its coboundary morphism, as
+    suite_lax builds them on a scene with no global divisor."""
+    line = CurvedLine(scene, -1)
+    return coboundary_lax(scene, line, w)[0], GlobalModel(scene, line, ("1",), lambda sym: {})
+
+
+def _global_chain(rng, model):
+    gring = model.scene.global_ring
+    k = rng.randint(0, 1)
+    slots = [
+        {"1": gring.monomial(rand_mono(rng, gring, 1), rng.choice((-2, 1, 3)))}
+        for _ in range(k + 1)
+    ]
+    return make_chain(model, GLOBAL, ("*",) * (k + 1), slots)
+
+
+@pytest.mark.parametrize("scene", [P1, A2C, A2D, P2, SHEARED], ids=lambda s: s.name)
+def test_lax_tables_serve_what_a_new_morphism_computes(scene):
+    # a warm pair of coboundary morphisms against a new pair per chain: each
+    # morphism keeps its alpha, inserted inverses and realizations on itself
+    alg, w, lax, lax_id, tau = _fixture(scene)
+    warm_line = _line_model(scene, w)
+    rng = random.Random(127)
+    chains = [rand_a_class_chain(rng, alg, i % 2, max_len=2) for i in range(4)]
+    gchains = [_global_chain(rng, warm_line[1]) for _ in chains]
+    want = []
+    for c, g in zip(chains, gchains):
+        fresh = coboundary_lax(scene, alg, w)
+        fresh_line = (coboundary_lax(scene, warm_line[0].src, w)[0], warm_line[1])
+        want.append(_lax_outputs(scene, fresh, fresh_line, c, g))
+    for _ in range(2):  # cold, then warm
+        for c, g, expected in zip(chains, gchains, want):
+            assert _lax_outputs(scene, (lax, lax_id, tau), warm_line, c, g) == expected
+    assert any(not x.is_zero() for out in want for x in out)
+    # the two morphisms of one coboundary_lax call share no table and no entry
+    shared = lax._tables.keys() & lax_id._tables.keys()
+    assert {"alpha", "alpha_inv", "inserted"} <= {tag for tag, *_ in shared}
+    for key in shared:
+        mine, other = lax.table(*key), lax_id.table(*key)
+        assert mine is not other
+        assert all(mine[k] is not other[k] for k in mine.keys() & other.keys())
+    for F in (lax, lax_id):
+        assert all(a == F.alpha_elem(V, W) for (V, W), a in F.table("alpha").items())
+    assert lax.table("alpha") != lax_id.table("alpha")
