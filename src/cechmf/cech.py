@@ -8,17 +8,31 @@ Conventions (see signs.py):
     (a.b)_{i_0..i_{p+q}} = a_{i_0..i_p} b_{i_p..i_{p+q}},
   * bar product (a ~^ b) = (-1)^{pq} (b ^ a) in Cech degrees p, q.
 
-Two tables define the complexes: `_RESTRICT` holds the restriction from
-U_I to U_J of each section kind, which the Cech differential and the cup
-product use, and `_COMPLEXES` holds each complex's section kind and sheaf
-differential.  `cech_total_d` reads them alike for every complex, the
-cone included.
+The Cech layer accumulates once.  A cochain's value at a target tuple K
+is a sum of many terms: restricted pieces of the Cech differential, sheaf
+differentials of the entries, products of a cup product.  Each target
+gets one accumulator, a list of flat dicts {(index set, exponent):
+coefficient} (one for a form, two for a log form's regular part and
+residue, three for a cone section), every term is added into it with its
+sign, and the value at K is built once at the end (`_build`).  Building
+normalizes: a log form to the LogForm normal form, a divisor form by
+forms.y_normalize.  Both normal forms are linear projections, so the
+normal form of the sum is the sum of the normal forms of its terms, and
+normalizing once at K is exact.
+
+Three tables define the complexes: `_FLATS` holds the accumulator size of
+each section kind, `_RESTRICT_INTO` its restriction from U_I to U_J into an
+accumulator, which the Cech differential and the cup product use, and
+`_COMPLEXES` holds each complex's section kind and its sheaf differential,
+which adds into the accumulator of its own tuple.  `cech_total_d` reads
+them alike for every complex, the cone included: one pass of
+`AtlasCochain.cech_d` with the sheaf differential as its sheaf part.
 
 A divisor form (kind YFORM) is a form on X taken modulo x and dx, x the
 divisor's coordinate; its normal form is forms.y_normalize.  Divisor forms
-are projected where they are built (`Cochain.__init__`) and where they are
-restricted (`_RESTRICT`), so every other producer passes plain forms and
-the linear operations of AtlasCochain keep the normal form.
+are projected where they are built (`Cochain.__init__` and `_build`), so
+every other producer passes plain forms and the linear operations of
+AtlasCochain keep the normal form.
 """
 
 from __future__ import annotations
@@ -30,12 +44,14 @@ from .forms import (
     ConeForm,
     Form,
     LogForm,
+    add_into,
     dlog_of,
-    restrict_form,
-    restrict_logform,
+    map_form_into,
+    restrict_logform_into,
+    wedge_into,
     y_normalize,
 )
-from .scene import AtlasCochain, Scene, SceneError, add_piece
+from .scene import AtlasCochain, Scene, SceneError
 
 OMEGA = "omega"                # (Omega, -df^)
 OMEGA_PLUS = "omega_plus"      # (Omega, +df^): the (X, -f) twist
@@ -46,15 +62,52 @@ CONE = "cone"
 
 FORM, LOG, CONEF, YFORM = "form", "log", "cone", "yform"
 
-# The restriction of a section from U_I to U_J, per section kind.
-_RESTRICT = {
-    FORM: restrict_form,
-    LOG: restrict_logform,
-    YFORM: lambda scene, s, I, J: y_normalize(restrict_form(scene, s, I, J), scene.ctx(J)),
-    CONEF: lambda scene, s, I, J: ConeForm(
-        restrict_form(scene, s.reg, I, J), restrict_logform(scene, s.log, I, J)
-    ),
-}
+# The flats of each section kind's accumulator: a form, a log form's
+# (regular, residue), a cone section's (regular, log regular, log residue).
+_FLATS = {FORM: 1, YFORM: 1, LOG: 2, CONEF: 3}
+
+
+def _empty(kind: str) -> list:
+    """An empty accumulator of the section kind."""
+    return [{} for _ in range(_FLATS[kind])]
+
+
+def _form_into(scene, acc, w, I, J, sign):
+    map_form_into(acc[0], w, scene.atlas.res(I, J), sign)
+
+
+def _log_into(scene, acc, lf, I, J, sign):
+    restrict_logform_into(scene, acc[0], acc[1], lf, I, J, sign)
+
+
+def _cone_into(scene, acc, s, I, J, sign):
+    map_form_into(acc[0], s.reg, scene.atlas.res(I, J), sign)
+    restrict_logform_into(scene, acc[1], acc[2], s.log, I, J, sign)
+
+
+# acc += sign * the restriction of a section from U_I to U_J, per section
+# kind; a divisor form restricts as a form and is projected at the build.
+_RESTRICT_INTO = {FORM: _form_into, YFORM: _form_into, LOG: _log_into, CONEF: _cone_into}
+
+
+def _build(scene: Scene, kind: str, J, acc):
+    """The section of the kind over U_J whose terms acc holds, normalized."""
+    if kind == FORM:
+        return Form.from_flat(scene.atlas.ring(J), acc[0])
+    ctx = scene.ctx(J)
+    parts = [Form.from_flat(ctx.ring, flat) for flat in acc]
+    if kind == YFORM:
+        return y_normalize(parts[0], ctx)
+    if kind == LOG:
+        return LogForm(ctx, *parts)
+    return ConeForm(parts[0], LogForm(ctx, parts[1], parts[2]))
+
+
+def _restricted(scene: Scene, kind: str, s, I, J):
+    """The restriction of the section s of the kind from U_I to U_J."""
+    acc = _empty(kind)
+    _RESTRICT_INTO[kind](scene, acc, s, I, J, 1)
+    return _build(scene, kind, J, acc)
 
 
 class Cochain(AtlasCochain):
@@ -64,7 +117,7 @@ class Cochain(AtlasCochain):
     __slots__ = ("scene", "kind")
 
     def __init__(self, scene: Scene, kind: str, entries: dict | None = None):
-        assert kind in _RESTRICT
+        assert kind in _FLATS
         self.scene = scene
         self.kind = kind
         super().__init__(entries)
@@ -75,8 +128,14 @@ class Cochain(AtlasCochain):
     def _same_space(self, other) -> bool:
         return self.scene is other.scene and self.kind == other.kind
 
-    def _restrict(self, s, I, J):
-        return _RESTRICT[self.kind](self.scene, s, I, J)
+    def _acc(self, J) -> list:
+        return _empty(self.kind)
+
+    def _restrict_into(self, acc, s, I, J, sign) -> None:
+        _RESTRICT_INTO[self.kind](self.scene, acc, s, I, J, sign)
+
+    def _build(self, J, acc):
+        return _build(self.scene, self.kind, J, acc)
 
     def _label(self) -> str:
         return f"Cochain[{self.kind}]"
@@ -90,29 +149,47 @@ def unit_cochain(scene: Scene, kind: str = FORM) -> Cochain:
     return Cochain(scene, kind, {(i,): Form.one(scene.atlas.ring((i,))) for i in ids})
 
 
-def _cone_d(ctx, s: ConeForm) -> ConeForm:
-    """(-df^a, L(a) + df^b) on the cone section (a, b)."""
-    w = s.log.wedge_left(ctx.df)
-    return ConeForm(-ctx.df.wedge(s.reg), LogForm(ctx, w.regular + s.reg, w.residue))
+def _df_into(acc, ctx, s: Form, sign) -> None:
+    """acc += sign * df ^ s on a form."""
+    wedge_into(acc[0], ctx.df, s, sign)
 
 
-# Each complex: its section kind and its sheaf differential sheaf_d(ctx, s)
-# on one section over the tuple of ctx, before the (-1)^p twist.
+def _df_log_into(acc, ctx, s: LogForm, sign) -> None:
+    """acc += sign * df ^ s on a log form: df passes dx/x on its way to the
+    residue."""
+    wedge_into(acc[0], ctx.df, s.regular, sign)
+    wedge_into(acc[1], ctx.df, s.residue, sign, graded=True)
+
+
+def _cone_d_into(acc, ctx, s: ConeForm, sign) -> None:
+    """acc += sign * (-df^a, L(a) + df^b) on the cone section (a, b)."""
+    wedge_into(acc[0], ctx.df, s.reg, -sign)
+    add_into(acc[1], s.reg, sign)
+    _df_log_into(acc[1:], ctx, s.log, sign)
+
+
+# Each complex: its section kind and its sheaf differential
+# sheaf_into(acc, ctx, s, sign), which adds sign * d_sheaf(s) on one section
+# over the tuple of ctx into that tuple's accumulator (None: d_sheaf = 0).
 _COMPLEXES = {
-    OMEGA: (FORM, lambda ctx, s: -ctx.df.wedge(s)),
-    OMEGA_PLUS: (FORM, lambda ctx, s: ctx.df.wedge(s)),
-    OMEGA_LOG: (LOG, lambda ctx, s: -s.wedge_left(ctx.df)),
-    OMEGA_LOG_SHIFTED: (LOG, lambda ctx, s: s.wedge_left(ctx.df)),
-    OMEGA_Y: (YFORM, lambda ctx, s: Form.zero(s.ring)),
-    CONE: (CONEF, _cone_d),
+    OMEGA: (FORM, lambda acc, ctx, s, sign: _df_into(acc, ctx, s, -sign)),
+    OMEGA_PLUS: (FORM, _df_into),
+    OMEGA_LOG: (LOG, lambda acc, ctx, s, sign: _df_log_into(acc, ctx, s, -sign)),
+    OMEGA_LOG_SHIFTED: (LOG, _df_log_into),
+    OMEGA_Y: (YFORM, None),
+    CONE: (CONEF, _cone_d_into),
 }
 
 
 def cech_total_d(c: Cochain, complex_kind: str) -> Cochain:
-    """Total differential d_Cech + (-1)^p d_sheaf of the named complex."""
-    kind, sheaf_d = _COMPLEXES[complex_kind]
+    """Total differential d_Cech + (-1)^p d_sheaf of the named complex, in
+    one accumulating pass."""
+    kind, sheaf_into = _COMPLEXES[complex_kind]
     assert c.kind == kind
-    return c.cech_d() + c.twisted(lambda I, s: sheaf_d(c.scene.ctx(I), s))
+    if sheaf_into is None:
+        return c.cech_d()
+    ctx = c.scene.ctx
+    return c.cech_d(lambda acc, I, s, sign: sheaf_into(acc, ctx(I), s, sign))
 
 
 def cone_cochain(scene: Scene, reg: Cochain, log: Cochain) -> Cochain:
@@ -130,14 +207,15 @@ def cone_cochain(scene: Scene, reg: Cochain, log: Cochain) -> Cochain:
 # products
 
 
-def _cup(a: Cochain, b: Cochain, kind: str, product) -> Cochain:
+def _cup(a: Cochain, b: Cochain, kind: str, product_into) -> Cochain:
     """Front-face/back-face pairing: the sum of product(a_I|K, b_J|K, p, q)
     over I ending where J starts, K = I + J[1:] strictly increasing, with
     p, q the Cech degrees of I, J.  Each factor restricts to K by its own
-    kind."""
+    kind, and product_into(acc, a_I|K, b_J|K, p, q) adds the product into
+    K's accumulator; each value of the kind is built once."""
     assert a.scene is b.scene
     scene = a.scene
-    acc: dict = {}
+    accs: dict = {}
     for I, sa in a.entries.items():
         for J, sb in b.entries.items():
             if I[-1] != J[0]:
@@ -147,16 +225,19 @@ def _cup(a: Cochain, b: Cochain, kind: str, product) -> Cochain:
                 continue
             if not scene.atlas.has_tuple(K):
                 raise SceneError(f"product tuple {K} missing from atlas")
-            ra = _RESTRICT[a.kind](scene, sa, I, K)
-            rb = _RESTRICT[b.kind](scene, sb, J, K)
-            add_piece(acc, K, product(ra, rb, len(I) - 1, len(J) - 1))
-    return Cochain(scene, kind, acc)
+            acc = accs.get(K)
+            if acc is None:
+                acc = accs[K] = _empty(kind)
+            ra = _restricted(scene, a.kind, sa, I, K)
+            rb = _restricted(scene, b.kind, sb, J, K)
+            product_into(acc, ra, rb, len(I) - 1, len(J) - 1)
+    return Cochain(scene, kind, {K: _build(scene, kind, K, acc) for K, acc in accs.items()})
 
 
 def cech_wedge(a: Cochain, b: Cochain) -> Cochain:
     """Front-face/back-face product on form-valued cochains."""
     assert a.kind == FORM and b.kind in (FORM, YFORM)
-    return _cup(a, b, b.kind, lambda ra, rb, p, q: ra.wedge(rb))
+    return _cup(a, b, b.kind, lambda acc, ra, rb, p, q: wedge_into(acc[0], ra, rb))
 
 
 def bar_wedge(alpha: Cochain, gamma: Cochain) -> Cochain:
@@ -169,20 +250,19 @@ def bar_wedge(alpha: Cochain, gamma: Cochain) -> Cochain:
     assert gamma.kind == FORM or (alpha.kind == YFORM and gamma.kind == YFORM)
     if alpha.kind in (FORM, YFORM):
 
-        def product(rg, ra, q, p):
-            piece = rg.wedge(ra)
-            return -piece if (p * q) % 2 else piece
+        def product_into(acc, rg, ra, q, p):
+            wedge_into(acc[0], rg, ra, (-1) ** (p * q))
 
     else:
         assert alpha.kind == CONEF
 
-        def product(rg, s, q, p):
-            return ConeForm(
-                rg.wedge(s.reg).scale(Fraction((-1) ** (p * q))),
-                s.log.wedge_left(rg).scale(Fraction((-1) ** ((p + 1) * q))),
-            )
+        def product_into(acc, rg, s, q, p):
+            wedge_into(acc[0], rg, s.reg, (-1) ** (p * q))
+            sign = (-1) ** ((p + 1) * q)
+            wedge_into(acc[1], rg, s.log.regular, sign)
+            wedge_into(acc[2], rg, s.log.residue, sign, graded=True)
 
-    return _cup(gamma, alpha, alpha.kind, product)
+    return _cup(gamma, alpha, alpha.kind, product_into)
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,16 @@
 A TupleCtx holds one tuple's lead-chart data (divisor equation, f, g, the
 pole variable and their differentials); Scene.ctx builds each once.
 
-`map_form` pulls a form back along a ring map one basis form x^e dx_K at
-a time: the pullback of each is computed once, as a list of target basis
-forms, and kept on the RingMap (`RingMap.form_images`), so a pullback is
-one scale-and-accumulate pass over that table.  The restriction maps are
-kept by `Atlas.res`, so these tables live and die with their scene.
-`Form.from_flat` builds a Form from such accumulated terms
-{(K, exponent): coefficient}; `hkr` builds its forms with it too.
+The Cech layer sums its terms in flat accumulators {(K, exponent):
+coefficient} and builds each Form once with `Form.from_flat`.
+`map_form_into` adds a pullback along a ring map to one, a basis form
+x^e dx_K at a time: the pullback of each is computed once, as a list of
+target basis forms, and kept on the RingMap (`RingMap.form_images`), so a
+pullback is one scale-and-accumulate pass over that table.  The
+restriction maps are kept by `Atlas.res`, so these tables live and die
+with their scene.  `wedge_into` adds a product, `add_into` a form, and
+`restrict_logform_into` the restriction of a log form as a (regular,
+residue) pair of flats; `hkr` builds its forms from flats too.
 
 A Form is a finite sum c_K dx_K over strictly increasing index sets K;
 possibly inhomogeneous in degree.  A LogForm over a tuple with divisor x
@@ -216,21 +219,26 @@ class LogForm:
             self.residue = Form.zero(ctx.ring)
             return
         v = ctx.pole
-        reg_extra = Form.zero(ctx.ring)
+        ring = ctx.ring
+        extra: dict = {}  # (dx/x) ^ (x q dx_K) = dx ^ q dx_K, as {(K', e): c}
         res_terms: dict = {}
         for k, c in residue.terms.items():
             if v in k:
                 continue  # dx ^ dx = 0 under the pole
-            low, high = _split_by_var(c, v)
-            if not high.is_zero():
-                # (dx/x) ^ (x q dx_K) = dx ^ q dx_K
-                reg_extra = reg_extra + Form(ctx.ring, {(v,): high}).wedge(
-                    Form(ctx.ring, {k: ctx.ring.one()})
-                )
-            if not low.is_zero():
-                res_terms[k] = res_terms[k] + low if k in res_terms else low
-        self.regular = regular + reg_extra
-        self.residue = Form(ctx.ring, res_terms)
+            low = {}
+            merged = None
+            for exp, coef in c.terms.items():
+                if not exp[v]:
+                    low[exp] = coef
+                    continue
+                if merged is None:
+                    merged = _merge_indices((v,), k)
+                kv, sign = merged
+                extra[kv, exp[:v] + (exp[v] - 1,) + exp[v + 1:]] = coef if sign > 0 else -coef
+            if low:
+                res_terms[k] = LocPoly._new(ring, low)
+        self.regular = regular + Form.from_flat(ring, extra) if extra else regular
+        self.residue = Form._new(ring, res_terms)
 
     @staticmethod
     def zero(ctx: TupleCtx) -> "LogForm":
@@ -261,27 +269,8 @@ class LogForm:
     def scale(self, c) -> "LogForm":
         return LogForm(self.ctx, self.regular.scale(c), self.residue.scale(c))
 
-    def wedge_left(self, gamma: Form) -> "LogForm":
-        """gamma ^ self, commuting gamma past dx/x termwise."""
-        signed = Form(
-            gamma.ring, {k: c.scale((-1) ** len(k)) for k, c in gamma.terms.items()}
-        )
-        return LogForm(self.ctx, gamma.wedge(self.regular), signed.wedge(self.residue))
-
     def __repr__(self):
         return f"LogForm(reg={self.regular!r}, res={self.residue!r})"
-
-
-def _split_by_var(c: LocPoly, v: int):
-    """c = low + x_v * q with low free of x_v; returns (low, q).  x_v must
-    not be inverted."""
-    low_terms, high_terms = {}, {}
-    for exp, coef in c.terms.items():
-        if exp[v] == 0:
-            low_terms[exp] = coef
-        else:
-            high_terms[exp[:v] + (exp[v] - 1,) + exp[v + 1:]] = coef
-    return LocPoly(c.ring, low_terms), LocPoly(c.ring, high_terms)
 
 
 @dataclass
@@ -315,14 +304,54 @@ class ConeForm:
 
 
 def map_form(w: Form, ringmap, dst_ring: Ring) -> Form:
-    """Pullback of a form along a ring map: each term a x^e dx_K of w adds
-    a times the pullback of x^e dx_K, read from the map's table."""
+    """Pullback of a form along a ring map."""
     flat: dict = {}
+    map_form_into(flat, w, ringmap)
+    return Form.from_flat(dst_ring, flat)
+
+
+def map_form_into(flat: dict, w: Form, ringmap, sign: int = 1) -> None:
+    """flat += sign * the pullback of w along ringmap, as {(K, e): c}: each
+    term a x^e dx_K of w adds a times the pullback of x^e dx_K, read from
+    the map's table."""
     for k, c in w.terms.items():
         for e, a in c.terms.items():
+            if sign < 0:
+                a = -a
             for key, b in _basis_image(ringmap, k, e):
                 flat[key] = flat[key] + a * b if key in flat else a * b
-    return Form.from_flat(dst_ring, flat)
+
+
+def add_into(flat: dict, w: Form, sign: int = 1) -> None:
+    """flat += sign * w, as {(K, e): c}."""
+    for k, c in w.terms.items():
+        for e, a in c.terms.items():
+            key = (k, e)
+            if sign < 0:
+                a = -a
+            flat[key] = flat[key] + a if key in flat else a
+
+
+def wedge_into(flat: dict, a: Form, b: Form, sign: int = 1, graded: bool = False) -> None:
+    """flat += sign * a ^ b, as {(K, e): c}, monomial by monomial.  With
+    graded, each term c dx_K of a is signed by (-1)^|K|: the residue part
+    of a ^ (w + (dx/x) ^ b) is that signed a ^ b, since c dx_K passes
+    dx/x."""
+    for ka, ca in a.terms.items():
+        sa = -sign if graded and len(ka) % 2 else sign
+        for kb, cb in b.terms.items():
+            merged = _merge_indices(ka, kb)
+            if merged is None:
+                continue
+            k, s = merged
+            neg = s != sa
+            for ea, xa in ca.terms.items():
+                if neg:
+                    xa = -xa
+                for eb, xb in cb.terms.items():
+                    key = (k, tuple(map(add, ea, eb)))
+                    c = xa * xb
+                    flat[key] = flat[key] + c if key in flat else c
 
 
 def _basis_image(ringmap, k, e) -> list:
@@ -351,30 +380,31 @@ def _basis_image(ringmap, k, e) -> list:
     return out
 
 
-def restrict_form(scene: Scene, w: Form, I, J) -> Form:
+def restrict_logform_into(scene: Scene, reg: dict, res: dict, lf: LogForm, I, J, sign) -> None:
+    """(reg, res) += sign * the restriction of w + (dx_I/x_I)^w' to U_J,
+    rewriting the pole: dx_I/x_I = du/u + dx_J/x_J with u = x_I|_J / x_J
+    a unit, or dx_I/x_I = d(x_I|_J)/x_I|_J, a regular form, when the
+    divisor misses U_J.  The pair is normalized where it is built."""
     m = scene.atlas.res(I, J)
-    return map_form(w, m, scene.atlas.ring(J))
-
-
-def restrict_logform(scene: Scene, lf: LogForm, I, J) -> LogForm:
-    """Restrict w + (dx_I/x_I)^w' rewriting the pole:
-    dx_I/x_I = du/u + dx_J/x_J with u = x_I|_J / x_J a unit."""
-    ctx_J = scene.ctx(J)
-    reg = restrict_form(scene, lf.regular, I, J)
+    map_form_into(reg, lf.regular, m, sign)
     if lf.residue.is_zero():
-        return LogForm(ctx_J, reg, Form.zero(ctx_J.ring))
-    res = restrict_form(scene, lf.residue, I, J)
-    x_old = scene.atlas.res(I, J)(lf.ctx.x)
+        return
+    ctx_J = scene.ctx(J)
+    flat: dict = {}
+    map_form_into(flat, lf.residue, m, sign)
+    w = Form.from_flat(ctx_J.ring, flat)
+    x_old = m(lf.ctx.x)
     if ctx_J.pole is None:
         if not x_old.is_unit():
             raise UnsupportedScene(f"cannot restrict log pole from {I} to {J}")
-        return LogForm(ctx_J, reg + dlog_of(x_old).wedge(res), Form.zero(ctx_J.ring))
+        wedge_into(reg, dlog_of(x_old), w)
+        return
     u = _loc_divide(x_old, ctx_J.x)
     if u is None:
         raise UnsupportedScene(f"divisors over {I} and {J} are incompatible")
-    if u.is_one():
-        return LogForm(ctx_J, reg, res)
-    return LogForm(ctx_J, reg + dlog_of(u).wedge(res), res)
+    if not u.is_one():
+        wedge_into(reg, dlog_of(u), w)
+    add_into(res, w)
 
 
 def y_normalize(w: Form, ctx: TupleCtx) -> Form:

@@ -27,11 +27,10 @@ from fractions import Fraction
 from math import factorial
 
 from .cdg import CurvedLine, OYAlgebra, SheafAlgebraA
-from .cech import FORM, LOG, YFORM, Cochain, cone_cochain
-from .forms import Form, LogForm, dlog_of, restrict_form
+from .cech import CONEF, FORM, YFORM, Cochain, _build, _empty
+from .forms import Form, add_into, dlog_of, map_form_into, wedge_into
 from .hochschild import CechHochChain, map_slots
 from .rings import quotient_restrict
-from .scene import add_piece
 
 
 def _hkr_mono(monos, c, acc: dict) -> None:
@@ -111,11 +110,20 @@ def hkr_A(c: CechHochChain) -> Cochain:
     (-1)^(p+1) (du/u) ^ res*(S), one pullback of S along R_I -> R_K: the
     pullback along a ring map commutes with d and ^, so res*(S) is the sum
     of (1/k!) res(a_0) d res(a_1) ^ ... ^ d res(a_k) over the terms of S.
+    Every part goes into its tuple's cone accumulator (`cech._FLATS`), and
+    each cone section is built once.
     """
     assert isinstance(c.presheaf, SheafAlgebraA)
     scene = c.scene
-    reg_acc: dict = {}
-    log_acc: dict = {}
+    atlas = scene.atlas
+    accs: dict = {}  # the cone accumulator of each tuple
+
+    def acc_at(K):
+        acc = accs.get(K)
+        if acc is None:
+            acc = accs[K] = _empty(CONEF)
+        return acc
+
     for I, ch in c.entries.items():
         ctx = scene.ctx(I)
         s_flat: dict = {}
@@ -130,17 +138,19 @@ def hkr_A(c: CechHochChain) -> Cochain:
             continue
         S = Form.from_flat(ctx.ring, s_flat)
         T = Form.from_flat(ctx.ring, t_flat)
-        add_piece(reg_acc, I, ctx.dx.wedge(ctx.dg.wedge(S) + T))
+        reg, _, residue = acc_at(I)
+        wedge_into(reg, ctx.dx, ctx.dg.wedge(S) + T)
         if S.is_zero():
             continue
-        add_piece(log_acc, I, LogForm(ctx, Form.zero(ctx.ring), S))
-        raised = -S if len(I) % 2 else S  # (-1)^(p+1) S, p = len(I) - 1
-        for j, pos, K in scene.atlas.extensions(I):
+        add_into(residue, S)
+        raised = -1 if len(I) % 2 else 1  # (-1)^(p+1), p = len(I) - 1
+        for j, pos, K in atlas.extensions(I):
             if pos == 0:
-                dlog_u = dlog_of(scene.atlas.unit(I[0], j, K))
-                add_piece(reg_acc, K, dlog_u.wedge(restrict_form(scene, raised, I, K)))
-
-    return cone_cochain(scene, Cochain(scene, FORM, reg_acc), Cochain(scene, LOG, log_acc))
+                flat: dict = {}
+                map_form_into(flat, S, atlas.res(I, K), raised)
+                dlog_u = dlog_of(atlas.unit(I[0], j, K))
+                wedge_into(acc_at(K)[0], dlog_u, Form.from_flat(atlas.ring(K), flat))
+    return Cochain(scene, CONEF, {K: _build(scene, CONEF, K, acc) for K, acc in accs.items()})
 
 
 def a_to_oy(c: CechHochChain, oy: OYAlgebra) -> CechHochChain:

@@ -11,9 +11,11 @@ of the tuple ring.  The differential is d_0 (curvature insertion) + d_1
 Cech-Hochschild total differential twists the internal part by (-1)^p.
 
 A strict functor F induces a_0[a_1|...|a_k] -> F(a_0)[F(a_1)|...|F(a_k)];
-`map_slots` is that one induced map, and restriction along tuples, the
-morphism `can`, the quotient to O_Y (`hkr.a_to_oy`) and the global
-restriction (`lax.global_to_cech`) are all calls to it.
+`map_slots_into` is that one induced map, and restriction along tuples,
+the morphism `can`, the quotient to O_Y (`hkr.a_to_oy`) and the global
+restriction (`lax.global_to_cech`) are all calls to it.  It and `hoch_d_into`
+add sign times their result into the caller's term dict; `map_slots`,
+`restrict_chain` and `hoch_d` build a HochChain from a fresh dict.
 
 Inserting q elements into the gaps of a_0[a_1|...|a_k], each slot
 realized at the level its depth reaches, is the one walk
@@ -33,12 +35,17 @@ a plan is built from the slot terms of the curvature, d and composition
 of basis symbols, kept per tuple.  `restrict_chain` keeps, per (I, J),
 the slot terms of each restricted basis element mono * sym, and
 `apply_morphism` keeps, per tuple, those of each image on the morphism.
-Within one `map_slots` call each distinct (sym, mono) slot is computed
+Within one `map_slots_into` call each distinct (sym, mono) slot is computed
 once.
 
 A CechHochChain is a Cech cochain of such chains over the atlas; its
 linear operations, its Cech differential and the (-1)^p twist come from
-scene.AtlasCochain, shared with the form cochains of `cech`.
+scene.AtlasCochain, shared with the form cochains of `cech`.  A chain's
+accumulator there is its term dict, so `cech_hoch_d` is one pass of
+`AtlasCochain.cech_d`: every restricted chain and every term of hoch_d
+goes with its sign into the dict of its target tuple, and each tuple's
+HochChain is built once.  `twisted_hoch_d` is the same pass without the
+Cech part.
 
 Lengths are capped by the scene truncation; a curvature insertion that
 would exceed the cap raises TruncationOverflow rather than dropping terms.
@@ -220,7 +227,15 @@ def make_chain(presheaf, I, path, slots, coeff=1) -> HochChain:
 
 def map_slots(chain: HochChain, presheaf, I, slot, path=tuple, table=None) -> HochChain:
     """The map a_0[a_1|...|a_k] -> F(a_0)[F(a_1)|...|F(a_k)] that a strict
-    functor F induces, as a chain of presheaf over I.
+    functor F induces, as a chain of presheaf over I (`map_slots_into`)."""
+    out: dict = {}
+    map_slots_into(out, chain, slot, path=path, table=table)
+    return HochChain(presheaf, I, out)
+
+
+def map_slots_into(out: dict, chain: HochChain, slot, sign=1, path=tuple, table=None) -> None:
+    """out += sign * the image of chain under the map that a strict functor
+    F induces, as basis terms {(path, syms, monos): coefficient}.
 
     slot(sym, mono) is F of the basis element mono * sym, an element
     {sym: LocPoly}; path(objects) maps the path of a basis tensor.  A slot
@@ -230,17 +245,15 @@ def map_slots(chain: HochChain, presheaf, I, slot, path=tuple, table=None) -> Ho
     """
     if table is None:
         table = {}
-    out: dict = {}
     for (p, syms, monos), coeff in chain.terms.items():
         slots = [_kept(table, (s, m), slot, s, m) for s, m in zip(syms, monos)]
-        add_tensor(out, path(p), slots, coeff)
-    return HochChain(presheaf, I, out)
+        add_tensor(out, path(p), slots, coeff if sign > 0 else -coeff)
 
 
 def _kept(table: dict, key, build, *args) -> list:
     """slot_terms(build(*args)), computed once and kept in table under key.
     Not a call of `_once`, which would take a closure per slot of every
-    term that `map_slots` reads."""
+    term that `map_slots_into` reads."""
     terms = table.get(key)
     if terms is None:
         terms = table[key] = slot_terms(build(*args))
@@ -251,7 +264,14 @@ ALL_PARTS = ("d0", "d1", "d2")
 
 
 def hoch_d(chain: HochChain, parts=ALL_PARTS) -> HochChain:
-    """d_0 + d_1 + d_2 with the displayed signs (or a subset of the three).
+    """d_0 + d_1 + d_2 with the displayed signs (or a subset of the three)."""
+    out: dict = {}
+    hoch_d_into(out, chain, parts)
+    return HochChain(chain.presheaf, chain.I, out)
+
+
+def hoch_d_into(out: dict, chain: HochChain, parts, sign=1) -> None:
+    """out += sign * hoch_d(chain, parts), as basis terms.
 
     Each basis tensor reads the plan of its (path, syms), kept on the
     presheaf per (tuple, parts) (`_hoch_d_plan`), and builds its output
@@ -259,11 +279,12 @@ def hoch_d(chain: HochChain, parts=ALL_PARTS) -> HochChain:
     ph = chain.presheaf
     I = chain.I
     plans = ph.table("hoch_d-plan", I, parts)
-    out: dict = {}
     for (path, syms, monos), coeff in chain.terms.items():
         plan = plans.get((path, syms))
         if plan is None:
             plan = plans[path, syms] = _hoch_d_plan(ph, I, parts, path, syms)
+        if sign < 0:
+            coeff = -coeff
         for part, i, sym, shift, c in plan:
             if part == "d0":  # a new slot after slot i
                 j = i + 1
@@ -290,7 +311,6 @@ def hoch_d(chain: HochChain, parts=ALL_PARTS) -> HochChain:
                 mono = tuple(map(add, map(add, monos[i], monos[0]), shift))
                 key = (path[i:] + path[1:i], (sym,) + syms[1:i], (mono,) + monos[1:i])
             out[key] = out.get(key, 0) + coeff * c
-    return HochChain(ph, I, out)
 
 
 def _hoch_d_plan(ph: CdgPresheaf, I, parts, path, syms) -> tuple:
@@ -342,24 +362,33 @@ def _hoch_d_plan(ph: CdgPresheaf, I, parts, path, syms) -> tuple:
 
 
 def restrict_chain(chain: HochChain, J) -> HochChain:
-    """Image under the restriction functor to a larger tuple; the slot terms
-    of each restricted basis element are kept on the presheaf, per (I, J)."""
+    """Image under the restriction functor to a larger tuple."""
+    out: dict = {}
+    restrict_chain_into(out, chain, J)
+    return HochChain(chain.presheaf, J, out)
+
+
+def restrict_chain_into(out: dict, chain: HochChain, J, sign=1) -> None:
+    """out += sign * restrict_chain(chain, J), as basis terms; the slot
+    terms of each restricted basis element are kept on the presheaf, per
+    (I, J)."""
     ph = chain.presheaf
     I, J = chain.I, tuple(J)
     if not ph.live(J):
-        return HochChain(ph, J, {})
+        return
     ring = ph.ring(I)
-    return map_slots(
+    map_slots_into(
+        out,
         chain,
-        ph,
-        J,
         lambda s, m: restrict_elem(ph, {s: ring.monomial(m)}, I, J),
+        sign,
         table=ph.table("restrict", I, J),
     )
 
 
 class CechHochChain(AtlasCochain):
-    """Cech cochain of Hochschild chains: {tuple: HochChain}."""
+    """Cech cochain of Hochschild chains: {tuple: HochChain}.  A chain's
+    accumulator is its term dict."""
 
     __slots__ = ("presheaf",)
 
@@ -374,8 +403,14 @@ class CechHochChain(AtlasCochain):
     def _same_space(self, other) -> bool:
         return self.presheaf is other.presheaf
 
-    def _restrict(self, ch, I, J):
-        return restrict_chain(ch, J)
+    def _acc(self, J) -> dict:
+        return {}
+
+    def _restrict_into(self, acc, ch, I, J, sign) -> None:
+        restrict_chain_into(acc, ch, J, sign)
+
+    def _build(self, J, acc) -> HochChain:
+        return HochChain(self.presheaf, J, acc)
 
     def truncate(self, max_len: int) -> "CechHochChain":
         return self._new({I: ch.truncate(max_len) for I, ch in self.entries.items()})
@@ -387,12 +422,13 @@ def cech_part_d(c: CechHochChain) -> CechHochChain:
 
 def twisted_hoch_d(c: CechHochChain, parts=ALL_PARTS) -> CechHochChain:
     """(-1)^p (selected internal parts), no Cech summand."""
-    return c.twisted(lambda I, ch: hoch_d(ch, parts))
+    return c.twisted(lambda acc, I, ch, sign: hoch_d_into(acc, ch, parts, sign))
 
 
 def cech_hoch_d(c: CechHochChain) -> CechHochChain:
-    """Total differential d_Cech + (-1)^p (d_0 + d_1 + d_2)."""
-    return cech_part_d(c) + twisted_hoch_d(c)
+    """Total differential d_Cech + (-1)^p (d_0 + d_1 + d_2), in one pass
+    of `AtlasCochain.cech_d` with hoch_d as its sheaf part."""
+    return c.cech_d(lambda acc, I, ch, sign: hoch_d_into(acc, ch, ALL_PARTS, sign))
 
 
 def apply_morphism(c: CechHochChain, morphism, dst: CdgPresheaf) -> CechHochChain:

@@ -202,19 +202,17 @@ class Scene:
         return self._routes
 
 
-def add_piece(acc: dict, I, piece) -> None:
-    """acc[I] += piece, where a missing entry is zero."""
-    acc[I] = acc[I] + piece if I in acc else piece
-
-
 class AtlasCochain:
     """A Cech cochain over the atlas: {tuple: value}, zero values dropped.
 
     Subclasses supply what must match for two cochains to be added or
-    compared (`_same_space`) and the restriction of one value from U_I to
-    U_J (`_restrict`); their own `__slots__` name the space (copied by
-    `_new`), they keep the scene as `scene`, and `_label` names them in
-    the repr.
+    compared (`_same_space`) and the accumulation protocol of `cech_d`:
+    `_acc(J)`, an empty accumulator for a value over U_J;
+    `_restrict_into(acc, s, I, J, sign)`, which adds sign times the
+    restriction of the value s from U_I to U_J into acc; and
+    `_build(J, acc)`, the value over U_J whose terms acc holds, built
+    once.  Their own `__slots__` name the space (copied by `_new`), they
+    keep the scene as `scene`, and `_label` names them in the repr.
     """
 
     __slots__ = ("entries",)
@@ -255,7 +253,7 @@ class AtlasCochain:
         assert type(other) is type(self) and self._same_space(other)
         entries = dict(self.entries)
         for I, s in other.entries.items():
-            add_piece(entries, I, s)
+            entries[I] = entries[I] + s if I in entries else s
         return self._new(entries)
 
     def __neg__(self):
@@ -267,22 +265,37 @@ class AtlasCochain:
     def scale(self, c):
         return self._new({I: s.scale(c) for I, s in self.entries.items()})
 
-    def cech_d(self):
-        """Alternating Cech differential, over single-index extensions."""
-        acc: dict = {}
+    def cech_d(self, sheaf_into=None):
+        """The alternating Cech differential, over single-index extensions,
+        plus (-1)^p times a sheaf part at each entry of Cech degree p when
+        sheaf_into is given, in one pass: each restricted piece goes into
+        its target's accumulator with its sign, sheaf_into(acc, I, s, sign)
+        adds sign times the sheaf part of s into the accumulator of I, and
+        each value is built once."""
+        accs: dict = {}
         for I, s in self.entries.items():
             for j, pos, J in self.scene.atlas.extensions(I):
-                piece = self._restrict(s, I, J)
-                add_piece(acc, J, -piece if pos % 2 else piece)
-        return self._new(acc)
+                acc = accs.get(J)
+                if acc is None:
+                    acc = accs[J] = self._acc(J)
+                self._restrict_into(acc, s, I, J, -1 if pos % 2 else 1)
+        return self._twist_into(accs, sheaf_into)
 
-    def twisted(self, op):
-        """The cochain (-1)^p op(I, s) at each entry s of Cech degree p."""
-        acc: dict = {}
-        for I, s in self.entries.items():
-            piece = op(I, s)
-            acc[I] = -piece if (len(I) - 1) % 2 else piece
-        return self._new(acc)
+    def twisted(self, sheaf_into):
+        """The cochain (-1)^p (sheaf part) at each entry of Cech degree p:
+        the pass of `cech_d` without its Cech part."""
+        return self._twist_into({}, sheaf_into)
+
+    def _twist_into(self, accs: dict, sheaf_into):
+        """Add (-1)^p times the sheaf part of each entry into accs, then
+        build each value once."""
+        if sheaf_into is not None:
+            for I, s in self.entries.items():
+                acc = accs.get(I)
+                if acc is None:
+                    acc = accs[I] = self._acc(I)
+                sheaf_into(acc, I, s, -1 if (len(I) - 1) % 2 else 1)
+        return self._new({J: self._build(J, acc) for J, acc in accs.items()})
 
     def __repr__(self):
         inner = ", ".join(f"{I}: {s!r}" for I, s in sorted(self.entries.items()))

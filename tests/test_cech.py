@@ -13,6 +13,7 @@ from cechmf.cech import (
     OMEGA,
     OMEGA_LOG,
     OMEGA_LOG_SHIFTED,
+    OMEGA_PLUS,
     OMEGA_Y,
     YFORM,
     Cochain,
@@ -25,15 +26,25 @@ from cechmf.cech import (
     todd_inverse,
     unit_cochain,
 )
-from cechmf.forms import Form, LogForm, dlog_of
+from cechmf.forms import ConeForm, Form, LogForm, add_into, dlog_of, map_form, y_normalize
+from cechmf.hochschild import (
+    ALL_PARTS,
+    CechHochChain,
+    cech_hoch_d,
+    hoch_d,
+    restrict_chain,
+    twisted_hoch_d,
+)
 from cechmf.rand import (
+    rand_cech_hoch_chain,
     rand_cone_cochain,
     rand_form_cochain,
     rand_log_cochain,
     rand_yform_cochain,
 )
-from cechmf.scene import SceneError, scene_from_dict
+from cechmf.scene import SceneError, _loc_divide, scene_from_dict
 from cechmf.scenes_builtin import all_builtin_names, builtin_scene, builtin_scene_dict
+from conftest import PRESHEAVES, sheared_a2c
 
 SCENES = {name: builtin_scene(name) for name in all_builtin_names()}
 
@@ -63,7 +74,8 @@ def test_derived_cochains_match_checked_construction(name, gen):
         a, b = gen(scene, rng, max_deg=1), gen(scene, rng, max_deg=1)
         derived = [
             a + b, a - b, -a, a.scale(Fraction(-3, 2)), a.scale(0),
-            a.cech_d(), a.twisted(lambda I, s: s), a - a,
+            a.cech_d(), a.twisted(lambda acc, I, s, sign: a._restrict_into(acc, s, I, I, sign)),
+            a - a,
         ]
         for c in derived:
             assert type(c) is Cochain and c.scene is scene and c.kind == a.kind
@@ -110,7 +122,7 @@ def test_cone_d_is_the_sum_of_its_parts(name):
         log = Cochain(scene, LOG, {I: s.log for I, s in c.entries.items()})
         connecting = Cochain(scene, LOG, {
             I: LogForm(scene.ctx(I), a, Form.zero(a.ring))
-            for I, a in reg.twisted(lambda I, a: a).entries.items()
+            for I, a in reg.twisted(lambda acc, I, a, sign: add_into(acc[0], a, sign)).entries.items()
         })
         expected = cone_cochain(
             scene, cech_total_d(reg, OMEGA), cech_total_d(log, OMEGA_LOG_SHIFTED) + connecting
@@ -257,3 +269,190 @@ def test_propontodd_commutes_with_differential():
             lhs = cech_total_d(bar_wedge(a, td), CONE)
             rhs = bar_wedge(cech_total_d(a, CONE), td)
             assert lhs == rhs, name
+
+
+# -- the per-piece definitions the flat accumulation replaces, kept as oracles
+
+
+def add_piece(acc: dict, I, piece) -> None:
+    """acc[I] += piece, where a missing entry is zero."""
+    acc[I] = acc[I] + piece if I in acc else piece
+
+
+def _restrict_form(scene, w, I, J):
+    return map_form(w, scene.atlas.res(I, J), scene.atlas.ring(J))
+
+
+def _restrict_logform(scene, lf, I, J):
+    """Restrict w + (dx_I/x_I)^w', rewriting the pole as du/u + dx_J/x_J."""
+    ctx_J = scene.ctx(J)
+    reg = _restrict_form(scene, lf.regular, I, J)
+    if lf.residue.is_zero():
+        return LogForm(ctx_J, reg, Form.zero(ctx_J.ring))
+    res = _restrict_form(scene, lf.residue, I, J)
+    x_old = scene.atlas.res(I, J)(lf.ctx.x)
+    if ctx_J.pole is None:
+        return LogForm(ctx_J, reg + dlog_of(x_old).wedge(res), Form.zero(ctx_J.ring))
+    u = _loc_divide(x_old, ctx_J.x)
+    if u.is_one():
+        return LogForm(ctx_J, reg, res)
+    return LogForm(ctx_J, reg + dlog_of(u).wedge(res), res)
+
+
+_RESTRICT = {
+    FORM: _restrict_form,
+    LOG: _restrict_logform,
+    YFORM: lambda scene, s, I, J: y_normalize(_restrict_form(scene, s, I, J), scene.ctx(J)),
+    CONEF: lambda scene, s, I, J: ConeForm(
+        _restrict_form(scene, s.reg, I, J), _restrict_logform(scene, s.log, I, J)
+    ),
+}
+
+
+def _wedge_left(lf, gamma):
+    """gamma ^ lf, commuting gamma past dx/x termwise."""
+    signed = Form(gamma.ring, {k: c.scale((-1) ** len(k)) for k, c in gamma.terms.items()})
+    return LogForm(lf.ctx, gamma.wedge(lf.regular), signed.wedge(lf.residue))
+
+
+def _cone_d(ctx, s):
+    w = _wedge_left(s.log, ctx.df)
+    return ConeForm(-ctx.df.wedge(s.reg), LogForm(ctx, w.regular + s.reg, w.residue))
+
+
+_SHEAF_D = {
+    OMEGA: lambda ctx, s: -ctx.df.wedge(s),
+    OMEGA_PLUS: lambda ctx, s: ctx.df.wedge(s),
+    OMEGA_LOG: lambda ctx, s: -_wedge_left(s, ctx.df),
+    OMEGA_LOG_SHIFTED: lambda ctx, s: _wedge_left(s, ctx.df),
+    OMEGA_Y: lambda ctx, s: Form.zero(s.ring),
+    CONE: _cone_d,
+}
+_KIND = {OMEGA: FORM, OMEGA_PLUS: FORM, OMEGA_LOG: LOG, OMEGA_LOG_SHIFTED: LOG, OMEGA_Y: YFORM, CONE: CONEF}
+
+
+def _piecewise_cech_d(c, restrict):
+    """The alternating Cech differential, one restricted piece at a time."""
+    acc: dict = {}
+    for I, s in c.entries.items():
+        for j, pos, J in c.scene.atlas.extensions(I):
+            piece = restrict(s, I, J)
+            add_piece(acc, J, -piece if pos % 2 else piece)
+    return c._new(acc)
+
+
+def _piecewise_twisted(c, op):
+    return c._new({I: -op(I, s) if (len(I) - 1) % 2 else op(I, s) for I, s in c.entries.items()})
+
+
+def _piecewise_total_d(c, complex_kind):
+    scene = c.scene
+    cech = _piecewise_cech_d(c, lambda s, I, J: _RESTRICT[c.kind](scene, s, I, J))
+    return cech + _piecewise_twisted(c, lambda I, s: _SHEAF_D[complex_kind](scene.ctx(I), s))
+
+
+def _piecewise_cup(a, b, kind, product):
+    scene = a.scene
+    acc: dict = {}
+    for I, sa in a.entries.items():
+        for J, sb in b.entries.items():
+            K = I + J[1:]
+            if I[-1] != J[0] or list(K) != sorted(set(K)):
+                continue
+            ra = _RESTRICT[a.kind](scene, sa, I, K)
+            rb = _RESTRICT[b.kind](scene, sb, J, K)
+            add_piece(acc, K, product(ra, rb, len(I) - 1, len(J) - 1))
+    return Cochain(scene, kind, acc)
+
+
+def _piecewise_bar_wedge(alpha, gamma):
+    if alpha.kind in (FORM, YFORM):
+
+        def product(rg, ra, q, p):
+            piece = rg.wedge(ra)
+            return -piece if (p * q) % 2 else piece
+
+    else:
+
+        def product(rg, s, q, p):
+            return ConeForm(
+                rg.wedge(s.reg).scale(Fraction((-1) ** (p * q))),
+                _wedge_left(s.log, rg).scale(Fraction((-1) ** ((p + 1) * q))),
+            )
+
+    return _piecewise_cup(gamma, alpha, alpha.kind, product)
+
+
+def _piecewise_hoch(c, parts, cech=True):
+    twisted = _piecewise_twisted(c, lambda I, ch: hoch_d(ch, parts))
+    if not cech:
+        return twisted
+    return _piecewise_cech_d(c, lambda ch, I, J: restrict_chain(ch, J)) + twisted
+
+
+def _nonzero(draw):
+    """The sum of three draws, drawn again until it is nonzero: a zero
+    input checks nothing, and a single draw has few terms."""
+    while True:
+        c = draw() + draw() + draw()
+        if not c.is_zero():
+            return c
+
+
+ORACLE_SCENES = [*all_builtin_names(), "sheared", "half-sheared"]
+
+
+@pytest.mark.parametrize("name", ORACLE_SCENES)
+def test_flat_differentials_match_piecewise_definition(name):
+    # every flat accumulation (total differentials, cup products, the
+    # Cech-Hochschild differential) against the per-piece definition it
+    # replaces: each piece built, negated and added into its target.  The
+    # scene is fresh, so the first pass builds every kept table (cold) and
+    # the second reads them (warm).
+    if name in ("sheared", "half-sheared"):
+        scene = sheared_a2c("1" if name == "sheared" else "1/2")
+    else:
+        scene = builtin_scene(name)
+    rng = random.Random(f"flat:{name}")
+    draws = {
+        FORM: lambda: rand_form_cochain(scene, rng, max_deg=1),
+        LOG: lambda: rand_log_cochain(scene, rng, max_deg=1),
+        YFORM: lambda: rand_yform_cochain(scene, rng, max_deg=1),
+        CONEF: lambda: rand_cone_cochain(scene, rng, max_deg=1),
+    }
+    forms = {kind: [_nonzero(draw) for _ in range(3)] for kind, draw in draws.items()}
+    while all(s.residue.is_zero() for c in forms[LOG] for s in c.entries.values()):
+        forms[LOG] = [_nonzero(draws[LOG]) for _ in range(3)]
+    presheaves = {kind: make(scene) for kind, make in sorted(PRESHEAVES.items())}
+    chains = {
+        kind: [_nonzero(lambda: rand_cech_hoch_chain(rng, ph, max_len=2)) for _ in range(2)]
+        for kind, ph in presheaves.items()
+    }
+    td = todd_inverse(scene)
+    nonzero = 0
+    for _ in ("cold", "warm"):
+        for complex_kind, kind in _KIND.items():
+            for c in forms[kind]:
+                got = cech_total_d(c, complex_kind)
+                assert got == _piecewise_total_d(c, complex_kind), (complex_kind, c)
+                nonzero += not got.is_zero()
+        for a in forms[FORM]:
+            for b in forms[FORM] + forms[YFORM]:
+                assert cech_wedge(a, b) == _piecewise_cup(
+                    a, b, b.kind, lambda ra, rb, p, q: ra.wedge(rb)
+                )
+                assert bar_wedge(b, a) == _piecewise_bar_wedge(b, a)
+                nonzero += not cech_wedge(a, b).is_zero()
+        for c in forms[CONEF]:
+            got = bar_wedge(c, td)
+            assert got == _piecewise_bar_wedge(c, td)
+            nonzero += not got.is_zero()
+        for kind, cs in chains.items():
+            for c in cs:
+                got = cech_hoch_d(c)
+                assert got == _piecewise_hoch(c, ALL_PARTS), kind
+                nonzero += not got.is_zero()
+                for parts in (ALL_PARTS, ("d1",), ("d2",)):
+                    want = _piecewise_hoch(c, parts, cech=False)
+                    assert twisted_hoch_d(c, parts) == want, (kind, parts)
+    assert nonzero

@@ -19,7 +19,6 @@ from cechmf.cech import (
 from cechmf.forms import Form, LogForm, d_of, dlog_of
 from cechmf.hkr import _hkr_mono, a_to_oy, hkr_A, hkr_xf, hkr_y
 from cechmf.hochschild import CechHochChain, cech_hoch_d, make_chain
-from cechmf.scene import add_piece
 from cechmf.ses import cone_to_y
 from cechmf.scenes_builtin import all_builtin_names, builtin_scene
 from cechmf.suites import basis_a_chains
@@ -30,6 +29,11 @@ SHEARED = "SCENE-A2C-SHEAR"
 
 
 # -- the definitions the closed form replaces, kept as oracles ---------------
+
+
+def add_piece(acc: dict, I, piece) -> None:
+    """acc[I] += piece, where a missing entry is zero."""
+    acc[I] = acc[I] + piece if I in acc else piece
 
 
 def _wedge_chain(a0, c, k: int, das, head: Form | None = None) -> Form:
