@@ -212,7 +212,8 @@ def _cup(a: Cochain, b: Cochain, kind: str, product_into) -> Cochain:
     over I ending where J starts, K = I + J[1:] strictly increasing, with
     p, q the Cech degrees of I, J.  Each factor restricts to K by its own
     kind, and product_into(acc, a_I|K, b_J|K, p, q) adds the product into
-    K's accumulator; each value of the kind is built once."""
+    K's accumulator; each value of the kind is built once, from an
+    accumulator that received a term."""
     assert a.scene is b.scene
     scene = a.scene
     accs: dict = {}
@@ -231,7 +232,8 @@ def _cup(a: Cochain, b: Cochain, kind: str, product_into) -> Cochain:
             ra = _restricted(scene, a.kind, sa, I, K)
             rb = _restricted(scene, b.kind, sb, J, K)
             product_into(acc, ra, rb, len(I) - 1, len(J) - 1)
-    return Cochain(scene, kind, {K: _build(scene, kind, K, acc) for K, acc in accs.items()})
+    built = {K: _build(scene, kind, K, acc) for K, acc in accs.items() if any(acc)}
+    return Cochain(scene, kind, built)
 
 
 def cech_wedge(a: Cochain, b: Cochain) -> Cochain:

@@ -12,7 +12,10 @@ pullback is one scale-and-accumulate pass over that table.  The
 restriction maps are kept by `Atlas.res`, so these tables live and die
 with their scene.  `wedge_into` adds a product, `add_into` a form, and
 `restrict_logform_into` the restriction of a log form as a (regular,
-residue) pair of flats; `hkr` builds its forms from flats too.
+residue) pair of flats; `hkr` builds its forms from flats too.  How the
+pole dx_I/x_I reads on U_J depends on (I, J) alone, so each restriction
+derives it once (`_pole_rewrite`) and the scene keeps it
+(`Scene._pole_rewrites`).
 
 A Form is a finite sum c_K dx_K over strictly increasing index sets K;
 possibly inhomogeneous in degree.  A LogForm over a tuple with divisor x
@@ -384,27 +387,48 @@ def restrict_logform_into(scene: Scene, reg: dict, res: dict, lf: LogForm, I, J,
     """(reg, res) += sign * the restriction of w + (dx_I/x_I)^w' to U_J,
     rewriting the pole: dx_I/x_I = du/u + dx_J/x_J with u = x_I|_J / x_J
     a unit, or dx_I/x_I = d(x_I|_J)/x_I|_J, a regular form, when the
-    divisor misses U_J.  The pair is normalized where it is built."""
+    divisor misses U_J.  The rewrite is derived once per (I, J) and kept
+    on the scene (`_pole_rewrite`).  The pair is normalized where it is
+    built."""
     m = scene.atlas.res(I, J)
     map_form_into(reg, lf.regular, m, sign)
     if lf.residue.is_zero():
         return
-    ctx_J = scene.ctx(J)
+    dlog, keep = _pole_rewrite(scene, I, J)
+    if dlog is None:
+        map_form_into(res, lf.residue, m, sign)
+        return
     flat: dict = {}
     map_form_into(flat, lf.residue, m, sign)
-    w = Form.from_flat(ctx_J.ring, flat)
-    x_old = m(lf.ctx.x)
-    if ctx_J.pole is None:
-        if not x_old.is_unit():
-            raise UnsupportedScene(f"cannot restrict log pole from {I} to {J}")
-        wedge_into(reg, dlog_of(x_old), w)
-        return
-    u = _loc_divide(x_old, ctx_J.x)
-    if u is None:
-        raise UnsupportedScene(f"divisors over {I} and {J} are incompatible")
-    if not u.is_one():
-        wedge_into(reg, dlog_of(u), w)
-    add_into(res, w)
+    w = Form.from_flat(m.dst, flat)
+    wedge_into(reg, dlog, w)
+    if keep:
+        add_into(res, w)
+
+
+def _pole_rewrite(scene: Scene, I, J) -> tuple:
+    """How dx_I/x_I reads on U_J, as (dlog, keep): the restricted residue
+    is wedged with dlog into the regular part unless dlog is None, and
+    stays a residue when keep.  (d(x_I|_J)/x_I|_J, False) when the
+    divisor misses U_J; else (None, True) when u = x_I|_J / x_J is 1 and
+    (du/u, True) otherwise.  Derived once per (I, J) and kept in
+    `scene._pole_rewrites`; a derivation that raises UnsupportedScene
+    keeps nothing."""
+    got = scene._pole_rewrites.get((I, J))
+    if got is None:
+        x_old = scene.atlas.res(I, J)(scene.ctx(I).x)
+        ctx_J = scene.ctx(J)
+        if ctx_J.pole is None:
+            if not x_old.is_unit():
+                raise UnsupportedScene(f"cannot restrict log pole from {I} to {J}")
+            got = (dlog_of(x_old), False)
+        else:
+            u = _loc_divide(x_old, ctx_J.x)
+            if u is None:
+                raise UnsupportedScene(f"divisors over {I} and {J} are incompatible")
+            got = (None if u.is_one() else dlog_of(u), True)
+        scene._pole_rewrites[I, J] = got
+    return got
 
 
 def y_normalize(w: Form, ctx: TupleCtx) -> Form:

@@ -111,7 +111,8 @@ def hkr_A(c: CechHochChain) -> Cochain:
     pullback along a ring map commutes with d and ^, so res*(S) is the sum
     of (1/k!) res(a_0) d res(a_1) ^ ... ^ d res(a_k) over the terms of S.
     Every part goes into its tuple's cone accumulator (`cech._FLATS`), and
-    each cone section is built once.
+    each cone section is built once, from an accumulator that received a
+    term.  The scene keeps du/u per (I, K) (`_unit_dlog`).
     """
     assert isinstance(c.presheaf, SheafAlgebraA)
     scene = c.scene
@@ -148,9 +149,20 @@ def hkr_A(c: CechHochChain) -> Cochain:
             if pos == 0:
                 flat: dict = {}
                 map_form_into(flat, S, atlas.res(I, K), raised)
-                dlog_u = dlog_of(atlas.unit(I[0], j, K))
-                wedge_into(acc_at(K)[0], dlog_u, Form.from_flat(atlas.ring(K), flat))
-    return Cochain(scene, CONEF, {K: _build(scene, CONEF, K, acc) for K, acc in accs.items()})
+                w = Form.from_flat(atlas.ring(K), flat)
+                wedge_into(acc_at(K)[0], _unit_dlog(scene, I, K), w)
+    return Cochain(
+        scene, CONEF, {K: _build(scene, CONEF, K, acc) for K, acc in accs.items() if any(acc)}
+    )
+
+
+def _unit_dlog(scene, I, K) -> Form:
+    """du/u for u = u_{i_0 j} over U_K, K = I + {j} with j < i_0: derived
+    once per (I, K) and kept in `scene._unit_dlogs`."""
+    got = scene._unit_dlogs.get((I, K))
+    if got is None:
+        got = scene._unit_dlogs[I, K] = dlog_of(scene.atlas.unit(I[0], K[0], K))
+    return got
 
 
 def a_to_oy(c: CechHochChain, oy: OYAlgebra) -> CechHochChain:

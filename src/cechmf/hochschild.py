@@ -28,15 +28,15 @@ insertion.
 The fixed structure these maps use is computed once and kept on the
 presheaf (`CdgPresheaf.table`), so it lives and dies with its owner:
 `hoch_d` keeps, per tuple and selection of parts, a plan per (path,
-symbols) of a basis tensor, whose entries (part, slot, new symbol,
-monomial shift, signed coefficient) depend on nothing else, and builds
-each output key by slicing the tensor's own path, symbols and monomials;
-a plan is built from the slot terms of the curvature, d and composition
-of basis symbols, kept per tuple.  `restrict_chain` keeps, per (I, J),
-the slot terms of each restricted basis element mono * sym, and
-`apply_morphism` keeps, per tuple, those of each image on the morphism.
-Within one `map_slots_into` call each distinct (sym, mono) slot is computed
-once.
+symbols) of a basis tensor, whose entries (output path, output symbols,
+monomial shift, signed coefficient), grouped by the slot they change,
+depend on nothing else, and builds only each output key's monomials from
+slices of the tensor's own; a plan is built from the slot terms of the
+curvature, d and composition of basis symbols, kept per tuple.
+`restrict_chain` keeps, per (I, J), the slot terms of each restricted
+basis element mono * sym, and `apply_morphism` keeps, per tuple, those of
+each image on the morphism.  Within one `map_slots_into` call each
+distinct (sym, mono) slot is computed once.
 
 A CechHochChain is a Cech cochain of such chains over the atlas; its
 linear operations, its Cech differential and the (-1)^p twist come from
@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+from math import prod
 from operator import add
 
 from .cdg import CdgPresheaf, elem_scale, restrict_elem
@@ -139,17 +140,11 @@ def add_tensor(out: dict, path, slots, coeff) -> None:
     keys (path, syms, monos); each slot is a list of (sym, mono, coefficient).
     The sums in out are left as they fall: the HochChain built from out
     drops the zeros and normalizes the rest."""
-    partial = [((), (), coeff)]
-    for slot in slots:
-        partial = [
-            (syms + (sym,), monos + (mono,), c * frac)
-            for syms, monos, c in partial
-            for sym, mono, frac in slot
-        ]
     path = tuple(path)
-    for syms, monos, c in partial:
+    for terms in itertools.product(*slots):
+        syms, monos, fracs = zip(*terms)
         key = (path, syms, monos)
-        out[key] = out.get(key, 0) + c
+        out[key] = out.get(key, 0) + prod(fracs, start=coeff)
 
 
 def insertion_layouts(parities, q: int):
@@ -262,6 +257,9 @@ def _kept(table: dict, key, build, *args) -> list:
 
 ALL_PARTS = ("d0", "d1", "d2")
 
+# the part tags of a `_hoch_d_plan` group
+_D0, _D1, _D2, _WRAP = range(4)
+
 
 def hoch_d(chain: HochChain, parts=ALL_PARTS) -> HochChain:
     """d_0 + d_1 + d_2 with the displayed signs (or a subset of the three)."""
@@ -274,8 +272,9 @@ def hoch_d_into(out: dict, chain: HochChain, parts, sign=1) -> None:
     """out += sign * hoch_d(chain, parts), as basis terms.
 
     Each basis tensor reads the plan of its (path, syms), kept on the
-    presheaf per (tuple, parts) (`_hoch_d_plan`), and builds its output
-    keys by slicing its own path, syms and monos."""
+    presheaf per (tuple, parts) (`_hoch_d_plan`), which holds each output
+    path and symbols; the tensor builds only the output monomials, from
+    the slices of its own monos around the slot each group replaces."""
     ph = chain.presheaf
     I = chain.I
     plans = ph.table("hoch_d-plan", I, parts)
@@ -285,42 +284,37 @@ def hoch_d_into(out: dict, chain: HochChain, parts, sign=1) -> None:
             plan = plans[path, syms] = _hoch_d_plan(ph, I, parts, path, syms)
         if sign < 0:
             coeff = -coeff
-        for part, i, sym, shift, c in plan:
-            if part == "d0":  # a new slot after slot i
-                j = i + 1
-                key = (
-                    path[:j] + (path[j % len(path)],) + path[j:],
-                    syms[:j] + (sym,) + syms[j:],
-                    monos[:j] + (shift,) + monos[j:],
-                )
-            elif part == "d1":  # slot i replaced
-                mono = tuple(map(add, monos[i], shift))
-                key = (
-                    path,
-                    syms[:i] + (sym,) + syms[i + 1 :],
-                    monos[:i] + (mono,) + monos[i + 1 :],
-                )
-            elif part == "d2":  # slots i and i + 1 replaced by their product
-                mono = tuple(map(add, map(add, monos[i], monos[i + 1]), shift))
-                key = (
-                    path[: i + 1] + path[i + 2 :],
-                    syms[:i] + (sym,) + syms[i + 2 :],
-                    monos[:i] + (mono,) + monos[i + 2 :],
-                )
-            else:  # "wrap": a_k a_0 [a_1 | ... | a_{k-1}], i = k
-                mono = tuple(map(add, map(add, monos[i], monos[0]), shift))
-                key = (path[i:] + path[1:i], (sym,) + syms[1:i], (mono,) + monos[1:i])
-            out[key] = out.get(key, 0) + coeff * c
+        for tag, i, entries in plan:
+            if tag == _D0:  # a new slot after slot i, its monomial the shift
+                head, tail = monos[: i + 1], monos[i + 1 :]
+                for out_path, out_syms, shift, c in entries:
+                    key = (out_path, out_syms, head + (shift,) + tail)
+                    out[key] = out.get(key, 0) + coeff * c
+                continue
+            if tag == _D1:  # slot i replaced
+                base, head, tail = monos[i], monos[:i], monos[i + 1 :]
+            elif tag == _D2:  # slots i and i + 1 replaced by their product
+                base = tuple(map(add, monos[i], monos[i + 1]))
+                head, tail = monos[:i], monos[i + 2 :]
+            else:  # _WRAP: a_k a_0 [a_1 | ... | a_{k-1}], i = k
+                base = tuple(map(add, monos[i], monos[0]))
+                head, tail = (), monos[1:i]
+            for out_path, out_syms, shift, c in entries:
+                key = (out_path, out_syms, head + (tuple(map(add, base, shift)),) + tail)
+                out[key] = out.get(key, 0) + coeff * c
 
 
 def _hoch_d_plan(ph: CdgPresheaf, I, parts, path, syms) -> tuple:
     """The terms of hoch_d on any basis tensor with this path and these
-    symbols, in the order hoch_d emits them: (part, i, new symbol,
-    monomial shift, signed coefficient), where a "d0" term inserts the
-    curvature of the object after slot i (its shift is the inserted
-    monomial), "d1" differentiates slot i, "d2" composes slots i and i + 1,
-    and "wrap" composes a_k a_0; the shift multiplies the monomial of the
-    slot (or the product of the two slots) it replaces.
+    symbols, in the order hoch_d emits them, grouped by the slot they
+    change: a tuple of (tag, i, entries), each entry (output path, output
+    symbols, monomial shift, signed coefficient).  Tag _D0 inserts the
+    curvature of the object after slot i (the shift is the inserted
+    monomial), _D1 differentiates slot i, _D2 composes slots i and i + 1,
+    and _WRAP composes a_k a_0 (i = k); for the last three the shift
+    multiplies the monomial of the slot (or the product of the two slots)
+    it replaces.  The output path and symbols depend only on (path, syms),
+    so they are built here, once.
 
     The slot terms of the curvature, d and composition of basis symbols
     over I are kept on the presheaf.  A curvature insertion that would
@@ -332,32 +326,45 @@ def _hoch_d_plan(ph: CdgPresheaf, I, parts, path, syms) -> tuple:
     prefix = list(itertools.accumulate(par, initial=0))
     plan = []
 
+    def group(tag, i, out_path, lo, hi, terms, sign, end=None):
+        """The group of one slot: per slot term, its symbol s takes the
+        place of syms[lo:hi], and the symbols end at syms[end]."""
+        entries = tuple(
+            (out_path, syms[:lo] + (nsym,) + syms[hi:end], nmono, sign * nfrac)
+            for nsym, nmono, nfrac in terms
+        )
+        if entries:
+            plan.append((tag, i, entries))
+
     # d_0: insert the curvature of the object after slot i
     for i in range(k + 1) if "d0" in parts else ():
-        obj = path[(i + 1) % (k + 1)]
+        j = i + 1
+        obj = path[j % (k + 1)]
         h = _kept(tab, ("d0", obj), ph.curvature, I, obj)
         if h and k + 1 > ph.scene.trunc:
             raise TruncationOverflow(
                 f"curvature insertion would exceed the length cap {ph.scene.trunc}"
             )
-        sign = (-1) ** ((prefix[i + 1] + i) % 2)
-        plan += [("d0", i, hsym, hmono, sign * hfrac) for hsym, hmono, hfrac in h]
+        sign = (-1) ** ((prefix[j] + i) % 2)
+        new_path = path[:j] + (obj,) + path[j:]
+        group(_D0, i, new_path, j, j, h, sign)
 
     # d_1: internal differential of slot i
     for i in range(k + 1) if "d1" in parts else ():
         sign = (-1) ** ((prefix[i] + i) % 2)
         ds = _kept(tab, ("d1", syms[i]), ph.d, I, syms[i])
-        plan += [("d1", i, nsym, nmono, sign * nfrac) for nsym, nmono, nfrac in ds]
+        group(_D1, i, path, i, i + 1, ds, sign)
 
     # d_2: compositions, then the wrap-around term a_k a_0 [a_1 | ... | a_{k-1}]
     if k >= 1 and "d2" in parts:
         for i in range(k):
             sign = (-1) ** ((prefix[i + 1] + i) % 2)
-            prod = _kept(tab, ("d2", syms[i], syms[i + 1]), ph.compose, I, syms[i], syms[i + 1])
-            plan += [("d2", i, nsym, nmono, sign * nfrac) for nsym, nmono, nfrac in prod]
+            comp = _kept(tab, ("d2", syms[i], syms[i + 1]), ph.compose, I, syms[i], syms[i + 1])
+            new_path = path[: i + 1] + path[i + 2 :]
+            group(_D2, i, new_path, i, i + 2, comp, sign)
         sign = (-1) ** ((1 + (par[k] + 1) * (prefix[k] + k - 1)) % 2)
-        prod = _kept(tab, ("d2", syms[k], syms[0]), ph.compose, I, syms[k], syms[0])
-        plan += [("wrap", k, nsym, nmono, sign * nfrac) for nsym, nmono, nfrac in prod]
+        comp = _kept(tab, ("d2", syms[k], syms[0]), ph.compose, I, syms[k], syms[0])
+        group(_WRAP, k, path[k:] + path[1:k], 0, 1, comp, sign, end=k)
     return tuple(plan)
 
 

@@ -22,9 +22,10 @@ and restrict along tuples by `cdg.elem_mul` and `cdg.restrict_elem`; the
 element algebra lives in `cdg`.
 
 What these operators compute from a lax morphism's data alone is kept on
-the morphism (`OneObjectLax.table`) and lives and dies with it; the
-realizations of a global chain's slots are kept for one
-`restriction_htilde` call.
+the morphism (`OneObjectLax.table`) and lives and dies with it: its
+components, insertions, slot realizations and heads.  The realizations and
+heads of a global chain's slots are kept for one `restriction_htilde`
+call, and the heads of `iso_homotopy`, which its tau fixes, for one call.
 
 Everything here is for one-object presheaves, which covers the algebra
 actors of the build; signs follow the displayed formulas.
@@ -127,8 +128,11 @@ class OneObjectLax:
     The data never change, so the lax operators keep what they compute from
     them on the morphism (`table`), as a presheaf keeps its structure: the
     components alpha(V, W) and their inverses, the restricted slot terms of
-    each inserted inverse per (V, W, K), and each source slot realization
-    per (I, sym, mono, level, K).  alpha(V, W) is read from alpha_elem once
+    each inserted inverse per (V, W, K), each source slot realization with
+    its slot terms per (I, sym, mono, level, K) (`table("realize", I)`),
+    and the slot terms of each head of the insertion operators,
+    alpha(I, K) times the realization at K, per (I, K, sym, mono)
+    (`table("head", I, K)`).  alpha(V, W) is read from alpha_elem once
     per (V, W), so alpha_elem must be a pure function of (V, W), and
     functor_sym one of (I, sym)."""
 
@@ -191,29 +195,27 @@ def _apply_functor(lax: OneObjectLax, T, elem: dict) -> dict:
 
 
 def _from_source(lax: OneObjectLax, I):
-    """Slot realization for chains of the source presheaf over I: restrict
-    the slot to the level, apply the functor there, restrict into K.  Each
-    realization is kept on the morphism (`lax.table("realize", I)`)."""
+    """The slot realizations of chains of the source presheaf over I, as
+    (realize, heads) (`_descent_summands`): restrict the slot to the level,
+    apply the functor there, restrict into K.  Each realization is kept on
+    the morphism with its slot terms (`lax.table("realize", I)`), and so
+    are the heads of `_add_lax_hq` per K (`lax.table("head", I, K)`)."""
     src_ring = lax.src.ring(I)
-    kept = lax.table("realize", I)
 
     def build(sym, mono, level, K):
         elem = restrict_elem(lax.src, {sym: src_ring.monomial(mono)}, I, level)
         return restrict_elem(lax.dst, _apply_functor(lax, level, elem), level, K)
 
-    def realize(sym, mono, level, K):
-        return _once(kept, (sym, mono, level, K), build, sym, mono, level, K)
-
-    return realize
+    return _kept_realize(lax.table("realize", I), build), lambda K: lax.table("head", I, K)
 
 
 def _from_global(lax: OneObjectLax, model: GlobalModel):
-    """Slot realization for global chains: at the GLOBAL level the functor
-    acts on the global algebra before the model restricts into K.  Each
-    realization is kept for the life of the returned function, which is
-    one `restriction_htilde` call."""
+    """The slot realizations of global chains, as (realize, heads): at the
+    GLOBAL level the functor acts on the global algebra before the model
+    restricts into K.  Each realization and head is kept for the life of
+    the returned pair, which is one `restriction_htilde` call."""
     gring = model.scene.global_ring
-    realized: dict = {}
+    heads: dict = {}
 
     def build(sym, mono, level, K):
         gelem = {sym: gring.monomial(mono)}
@@ -222,10 +224,18 @@ def _from_global(lax: OneObjectLax, model: GlobalModel):
         felem = _apply_functor(lax, level, model.to_tuple(gelem, level))
         return restrict_elem(lax.dst, felem, level, K)
 
-    def realize(sym, mono, level, K):
-        return _once(realized, (sym, mono, level, K), build, sym, mono, level, K)
+    return _kept_realize({}, build), lambda K: heads.setdefault(K, {})
 
-    return realize
+
+def _kept_realize(kept: dict, build):
+    """realize(sym, mono, level, K): the element build(sym, mono, level, K)
+    with its slot terms, as a pair kept in kept."""
+
+    def pair(*key):
+        elem = build(*key)
+        return elem, slot_terms(elem)
+
+    return lambda *key: _once(kept, key, pair, *key)
 
 
 def _descents(scene: Scene, I, q: int):
@@ -246,43 +256,52 @@ def _descents(scene: Scene, I, q: int):
             yield sort_sign(J, I), levels
 
 
-def _descent_summands(dst, chain: HochChain, levels, realize, head_factor, inserted):
+def _descent_summands(dst, chain: HochChain, levels, realize, head_factor, heads, inserted):
     """`descent_summands` of chain along one descent, in dst over K = levels[q].
 
     Slot i is realize(sym, mono, levels[q - depth[i]], K), slot 0 that at
     K, multiplied on the left by head_factor unless that is None, and
     insertion s is inserted(levels[q-s-1], levels[q-s], K), the slot terms
     of an inverse component restricted to K.  realize keeps each of its
-    realizations, so equal levels, as in (K, K, K), share one.
+    realizations with its slot terms, so equal levels, as in (K, K, K),
+    share one; the slot terms of each head are kept in heads, keyed
+    (sym, mono), a table the caller keeps for this head factor and K.
     """
     q = len(levels) - 1
     K = levels[-1]
+    if head_factor is None:
+        head = lambda sym, mono: realize(sym, mono, K, K)[1]
+    else:
 
-    def head(sym, mono):
-        elem = realize(sym, mono, K, K)
-        if head_factor is not None:
-            elem = elem_mul(dst, K, head_factor, elem)
-        return slot_terms(elem)
+        def head(sym, mono):
+            got = heads.get((sym, mono))
+            if got is None:
+                elem = elem_mul(dst, K, head_factor, realize(sym, mono, K, K)[0])
+                got = heads[sym, mono] = slot_terms(elem)
+            return got
 
     return descent_summands(
         chain,
         q,
-        lambda sym, mono, depth: slot_terms(realize(sym, mono, levels[q - depth], K)),
+        lambda sym, mono, depth: realize(sym, mono, levels[q - depth], K)[1],
         head,
         lambda s, obj: inserted(levels[q - s - 1], levels[q - s], K),
     )
 
 
-def _add_lax_hq(acc: dict, lax: OneObjectLax, chain: HochChain, q: int, realize):
+def _add_lax_hq(acc: dict, lax: OneObjectLax, chain: HochChain, q: int, source):
     """Add the q-th insertion operator of one chain over I = chain.I, or over
-    I = () for a global chain, where p = -1, into acc {K: terms}."""
+    I = () for a global chain, where p = -1, into acc {K: terms}.  source
+    is the (realize, heads) of `_from_source` or `_from_global`; the head
+    factor at K is alpha(levels[0], K), fixed by the source and K."""
+    realize, heads = source
     I = () if chain.I == GLOBAL else chain.I
     p = len(I) - 1
     for sigma, levels in _descents(lax.scene, I, q):
         K = levels[-1]
-        head = lax.alpha(levels[0], K) if q else None
+        head, kept = (lax.alpha(levels[0], K), heads(K)) if q else (None, None)
         out = acc.setdefault(K, {})
-        summands = _descent_summands(lax.dst, chain, levels, realize, head, lax.inserted)
+        summands = _descent_summands(lax.dst, chain, levels, realize, head, kept, lax.inserted)
         for coeff, _, _, eps, path, slots in summands:
             add_tensor(out, path, slots, sigma * (-1) ** ((eps + p * q) % 2) * coeff)
 
@@ -324,9 +343,9 @@ def restriction_htilde(lax: OneObjectLax, model: GlobalModel, chain: HochChain) 
     """The comparison homotopy between restriction-then-lax-map and
     global-map-then-restriction: the insertion operators with p = -1."""
     acc: dict = {}
-    realize = _from_global(lax, model)
+    source = _from_global(lax, model)
     for q in range(1, len(lax.scene.atlas.chart_ids) + 1):
-        _add_lax_hq(acc, lax, chain, q, realize)
+        _add_lax_hq(acc, lax, chain, q, source)
     return _collect(lax.dst, acc)
 
 
@@ -358,10 +377,10 @@ def strict_vs_lax_homotopy(lax: OneObjectLax, c: CechHochChain) -> CechHochChain
     dst = lax.dst
     ident = lambda V, W, K: slot_terms(dst.identity(K, "*"))
     for I, ch in c.entries.items():
-        realize = _from_source(lax, I)
+        realize, _ = _from_source(lax, I)
         for sigma, (_, K) in _descents(lax.scene, I, 1):
             out = acc.setdefault(K, {})
-            summands = _descent_summands(dst, ch, (K, K, K), realize, None, ident)
+            summands = _descent_summands(dst, ch, (K, K, K), realize, None, None, ident)
             for coeff, _, _, eps, path, slots in summands:
                 add_tensor(out, path, slots, sigma * (-1) ** (eps % 2) * coeff)
     return _collect(dst, acc)
@@ -395,7 +414,8 @@ def iso_homotopy(lax_a: OneObjectLax, lax_b: OneObjectLax, tau_elem, c: CechHoch
     acc: dict = {}
     for I, ch in c.entries.items():
         p = len(I) - 1
-        realize_a, realize_b = _from_source(lax_a, I), _from_source(lax_b, I)
+        (realize_a, _), (realize_b, _) = _from_source(lax_a, I), _from_source(lax_b, I)
+        heads: dict = {}  # K -> (head factor, its kept heads), for this call and I
         for q in range(len(scene.atlas.chart_ids) + 1):
             for sigma, levels in _descents(scene, I, q):
                 K = levels[-1]
@@ -405,13 +425,16 @@ def iso_homotopy(lax_a: OneObjectLax, lax_b: OneObjectLax, tau_elem, c: CechHoch
                     slot_terms(_unit_inverse(restrict_elem(dst, tau_elem(T), T, K)))
                     for T in reversed(levels)
                 ]
-                head = restrict_elem(dst, tau_elem(I), I, K)
-                if q:
-                    head = elem_mul(dst, K, head, lax_a.alpha(I, K))
+                if K not in heads:
+                    head = restrict_elem(dst, tau_elem(I), I, K)
+                    if q:
+                        head = elem_mul(dst, K, head, lax_a.alpha(I, K))
+                    heads[K] = (head, {})
+                head, kept = heads[K]
                 out = acc.setdefault(K, {})
                 pairs = zip(
-                    _descent_summands(dst, ch, levels, realize_a, head, lax_a.inserted),
-                    _descent_summands(dst, ch, levels, realize_b, None, lax_b.inserted),
+                    _descent_summands(dst, ch, levels, realize_a, head, kept, lax_a.inserted),
+                    _descent_summands(dst, ch, levels, realize_b, None, None, lax_b.inserted),
                 )
                 for (coeff, parities, ls, eps, _, seq_a), (*_, seq_b) in pairs:
                     prefix = list(itertools.accumulate(parities, initial=0))

@@ -6,7 +6,9 @@ coordinate variable (or misses the chart, x=1), f = x*g per chart, and
 overlap rings carry explicit restriction maps.
 
 The Cech layer over the atlas lives here too: `Scene.ctx(I)` keeps each
-tuple's lead-chart data (a `forms.TupleCtx`), `Scene.routes()` keeps the
+tuple's lead-chart data (a `forms.TupleCtx`), `Scene._pole_rewrites` and
+`Scene._unit_dlogs` the logarithmic forms that restriction and `hkr_A`
+wedge in per pair of tuples, `Scene.routes()` keeps the
 fixtures of the trace-vs-residue square (a `diagrams.RouteCtx`),
 `Scene._windows` keeps per complex the assembled window of windowed
 homology for the largest D asked so far, and `AtlasCochain` is the one
@@ -173,6 +175,11 @@ class Scene:
     global_ring: Ring | None = None
     global_res: dict = field(default_factory=dict)  # chart_id -> RingMap
     _ctxs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # (I, J) -> the rewrite of the pole dx_I/x_I on U_J, and (I, K) -> the
+    # dlog of the transition unit that hkr_A wedges into U_K: derived once
+    # by forms._pole_rewrite and hkr._unit_dlog
+    _pole_rewrites: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _unit_dlogs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _routes: object = field(default=None, init=False, repr=False, compare=False)
     # complex kind -> the homology._WindowedDifferential of the largest
     # window asked so far, with its echelon per parity and its dimensions
@@ -211,7 +218,9 @@ class AtlasCochain:
     `_restrict_into(acc, s, I, J, sign)`, which adds sign times the
     restriction of the value s from U_I to U_J into acc; and
     `_build(J, acc)`, the value over U_J whose terms acc holds, built
-    once.  Their own `__slots__` name the space (copied by `_new`), they
+    once.  `any(acc)` is false on an accumulator that received no term (a
+    list of empty flats, or an empty term dict), which builds nothing.
+    Their own `__slots__` name the space (copied by `_new`), they
     keep the scene as `scene`, and `_label` names them in the repr.
     """
 
@@ -288,14 +297,15 @@ class AtlasCochain:
 
     def _twist_into(self, accs: dict, sheaf_into):
         """Add (-1)^p times the sheaf part of each entry into accs, then
-        build each value once."""
+        build each value once; an accumulator that received no term builds
+        nothing."""
         if sheaf_into is not None:
             for I, s in self.entries.items():
                 acc = accs.get(I)
                 if acc is None:
                     acc = accs[I] = self._acc(I)
                 sheaf_into(acc, I, s, -1 if (len(I) - 1) % 2 else 1)
-        return self._new({J: self._build(J, acc) for J, acc in accs.items()})
+        return self._new({J: self._build(J, acc) for J, acc in accs.items() if any(acc)})
 
     def __repr__(self):
         inner = ", ".join(f"{I}: {s!r}" for I, s in sorted(self.entries.items()))

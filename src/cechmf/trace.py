@@ -124,7 +124,10 @@ def _hq_descent(out, cat, ch, K, charts, sign_base):
     the key fixes it).  A miss reads the slot's restricted monomial from
     the restriction map's kept image of x^mono (`RingMap._mono_image`,
     checked once per exponent) and multiplies it by the unit power, kept
-    per (chart, n) within the call.
+    per (chart, n) within the call.  The slot terms of each insertion
+    g^{-1}, unit powers included, are kept on the category per (I, K) too,
+    keyed (s, obj) (`cat.table("hq-insert", I, K)`; K and q = |K| - |I|
+    fix the charts); only q >= 1 inserts, so h^0 keeps none.
     """
     atlas = cat.scene.atlas
     i0 = charts[-1]
@@ -133,6 +136,7 @@ def _hq_descent(out, cat, ch, K, charts, sign_base):
     units = {a: atlas.unit(a, i0, K) for a in charts[:-1]}
     upow: dict = {}
     kept = cat.table("hq-realize", ch.I, K)
+    inserted = cat.table("hq-insert", ch.I, K) if len(charts) > 1 else None
 
     def u_pow(chart, n):
         if chart == i0 or n == 0:
@@ -152,12 +156,16 @@ def _hq_descent(out, cat, ch, K, charts, sign_base):
         return got
 
     def g_inv(s, obj):
-        a, b = charts[s + 1], charts[s]
-        mf = cat.mfs[obj]
-        return slot_terms({
-            ("E", obj, obj, r, r): u_pow(a, -mf.twists[r]) * u_pow(b, mf.twists[r])
-            for r in range(mf.rank)
-        })
+        key = (s, obj)
+        got = inserted.get(key)
+        if got is None:
+            a, b = charts[s + 1], charts[s]
+            mf = cat.mfs[obj]
+            got = inserted[key] = slot_terms({
+                ("E", obj, obj, r, r): u_pow(a, -mf.twists[r]) * u_pow(b, mf.twists[r])
+                for r in range(mf.rank)
+            })
+        return got
 
     summands = descent_summands(
         ch,

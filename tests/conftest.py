@@ -18,6 +18,9 @@ PRESHEAVES = {
 # SCENE-A2C sheared with c = 1: the scene file that tests/test_cli.py and
 # the CI verify job run the command line on
 SHEARED_FILE = Path(__file__).parent / "scenes" / "SCENE-A2C-SHEAR.json"
+# the same scene with every vars list reversed: the divisor's coordinate x
+# is variable 1 on every tuple, where every built-in scene has it at 0
+POLE1_FILE = Path(__file__).parent / "scenes" / "SCENE-A2C-SHEAR-POLE1.json"
 
 
 def sheared_a2c_spec(c="1") -> dict:

@@ -5,9 +5,14 @@ restriction's RingMap, and `hochschild` keeps the slot terms of restricted
 basis elements and of the curvature, d and composition of basis symbols,
 and the plan of `hoch_d` per (path, symbols), on the presheaf, and those
 of the images of `can` on the morphism.  The trace's h^q keeps its slot
-realizations on the category, and a lax morphism keeps its components,
-inverted and restricted insertions and source realizations on itself
-(`lax.OneObjectLax.table`).  The scene keeps the
+realizations and, for q >= 1, its inserted inverse transition matrices on
+the category, and a lax morphism keeps its components, inverted and
+restricted insertions, source realizations with their slot terms, and the
+heads of its insertion operators on itself (`lax.OneObjectLax.table`);
+the heads of `iso_homotopy` and a global chain's realizations live for
+one call.  The scene keeps the pole rewrite of each restriction of a log
+form and the dlog of each transition unit that `hkr_A` wedges in
+(`Scene._pole_rewrites`, `Scene._unit_dlogs`), the
 fixtures of the trace-vs-residue square (`diagrams.RouteCtx`) and, for
 windowed homology, per complex the assembled window of the largest D
 asked so far (`Scene._windows`), which serves every smaller window with
@@ -39,6 +44,7 @@ from cechmf.cdg import (
     TrivializedCategory,
     build_P,
     can_map,
+    elem_mul,
     end_algebra,
     restrict_elem,
 )
@@ -46,6 +52,7 @@ from cechmf.cech import (
     CONE,
     FORM,
     OMEGA,
+    OMEGA_LOG,
     OMEGA_Y,
     bar_wedge,
     cech_total_d,
@@ -53,24 +60,49 @@ from cechmf.cech import (
     unit_cochain,
 )
 from cechmf.diagrams import max_form_degree, residue_route, trace_route
-from cechmf.forms import Form, d_of, map_form
+from cechmf.forms import (
+    Form,
+    LogForm,
+    _pole_rewrite,
+    d_of,
+    dlog_of,
+    map_form,
+    restrict_logform_into,
+)
 from cechmf.hkr import hkr_A, hkr_xf
 from cechmf.hochschild import (
     CechHochChain,
     HochChain,
     apply_morphism,
     hoch_d,
+    make_chain,
     map_slots,
     restrict_chain,
+    slot_terms,
 )
 from cechmf.homology import homology_dims, is_boundary_within_window
-from cechmf.lax import OneObjectLax, cech_lax_map, strict_vs_lax_homotopy
-from cechmf.rand import rand_a_class_chain, rand_cech_hoch_chain, rand_form, rand_hoch_chain
+from cechmf.lax import (
+    GLOBAL,
+    GlobalModel,
+    OneObjectLax,
+    cech_lax_map,
+    iso_homotopy,
+    restriction_htilde,
+    strict_vs_lax_homotopy,
+)
+from cechmf.rand import (
+    rand_a_class_chain,
+    rand_cech_hoch_chain,
+    rand_form,
+    rand_hoch_chain,
+    rand_log_cochain,
+)
+from cechmf.scene import UnsupportedScene, _loc_divide, load_scene, scene_from_dict
 from cechmf.scenes_builtin import all_builtin_names, builtin_scene
 from cechmf.ses import cone_delta
 from cechmf.suites import basis_a_chains, coboundary_lax, oracle_homology_dims, unit_family
 from cechmf.trace import hq_basis, phi
-from conftest import PRESHEAVES, sheared_a2c
+from conftest import POLE1_FILE, PRESHEAVES, sheared_a2c
 
 SCENE_NAMES = ("SCENE-P1", "SCENE-P2", "SCENE-A2D")
 
@@ -241,9 +273,11 @@ def test_tables_die_with_their_owner():
     }
     want = {key: _signature(ph, f"{key}") for key, ph in keep.items()}
     assert all(owner._tables for owner in keep.values())
-    assert all(
-        any(tag == "hq-realize" for tag, *_ in keep[name, "EndP"]._tables) for name in SCENE_NAMES
-    )
+    endp = [{tag for tag, *_ in keep[name, "EndP"]._tables} for name in SCENE_NAMES]
+    # SCENE-P1's EndP has no object on chart 1, so its h^q inserts nothing
+    assert all("hq-realize" in tags for tags in endp) and any("hq-insert" in tags for tags in endp)
+    for name in SCENE_NAMES:
+        assert {"realize", "head"} <= {tag for tag, *_ in keep[name, "lax"]._tables}
     rng = random.Random("interleave")
     keys = sorted(keep)
     for _ in range(3):
@@ -267,6 +301,166 @@ def test_tables_die_with_their_owner():
         gc.collect()
         assert all(ref() is None for ref in dead_scenes), "a table outlives its scene"
     assert _module_containers() == before
+
+
+def _fresh_rewrite(scene, I, J):
+    """How dx_I/x_I reads on U_J, derived as restriction derived it on
+    every call before the scene kept it."""
+    x_old = scene.atlas.res(I, J)(scene.ctx(I).x)
+    ctx_J = scene.ctx(J)
+    if ctx_J.pole is None:
+        return dlog_of(x_old), False
+    u = _loc_divide(x_old, ctx_J.x)
+    return (None if u.is_one() else dlog_of(u)), True
+
+
+def _fill_scene_tables(scene, seed):
+    """Restrict log cochains (the pole rewrites) and run hkr_A on basis
+    chains (the dlog of each transition unit)."""
+    rng = random.Random(seed)
+    for _ in range(50):
+        cech_total_d(rand_log_cochain(scene, rng, max_deg=1), OMEGA_LOG)
+        if len(scene._pole_rewrites) > 1:
+            break
+    for _, chain in basis_a_chains(scene, max_len=1):
+        hkr_A(chain)
+
+
+@pytest.mark.parametrize("name", [*SCENE_NAMES, "pole-last"])
+def test_scene_keeps_each_pole_rewrite_and_unit_dlog(name):
+    scene = load_scene(POLE1_FILE) if name == "pole-last" else builtin_scene(name)
+    fresh = load_scene(POLE1_FILE) if name == "pole-last" else builtin_scene(name)
+    _fill_scene_tables(scene, f"rewrites:{name}")
+    assert scene._pole_rewrites and scene._unit_dlogs
+    assert not (fresh._pole_rewrites or fresh._unit_dlogs), "a table is served to another scene"
+    for (I, J), kept in scene._pole_rewrites.items():
+        assert kept == _fresh_rewrite(fresh, I, J), (I, J)
+    for (I, K), kept in scene._unit_dlogs.items():
+        assert K[1:] == I and K[0] < I[0]
+        assert kept == dlog_of(fresh.atlas.unit(I[0], K[0], K)), (I, K)
+    # the basis-form pullbacks of every restriction stay keyed (K, e)
+    for (I, J), m in scene.atlas._res_cache.items():
+        for k, e in m.form_images:
+            assert list(k) == sorted(set(k)) and all(0 <= v < m.src.nvars for v in k)
+            assert len(e) == m.src.nvars and all(type(x) is int for x in e), (I, J)
+
+
+def test_failed_pole_rewrite_is_not_kept():
+    """On a scene whose divisor is x on chart 0 and y on chart 1 over an
+    overlap that inverts neither, x_1|_01 / x_01 = y / x is no unit: the
+    restriction of a log form with a residue from (1,) raises each time,
+    and keeps nothing."""
+    chart = lambda cid, x, g: {"id": cid, "vars": ["x", "y"], "x": x, "f": "x*y", "g": g}
+    scene = scene_from_dict({
+        "charts": [chart(0, "x", "y"), chart(1, "y", "x")],
+        "overlaps": [{
+            "tuple": [0, 1],
+            "vars": ["x", "y"],
+            "res": {"0": {"x": "x", "y": "y"}, "1": {"x": "x", "y": "y"}},
+        }],
+    })
+    ctx = scene.ctx((1,))
+    lf = LogForm(ctx, Form.zero(ctx.ring), Form.one(ctx.ring))
+    assert not lf.residue.is_zero()
+    for _ in range(2):
+        with pytest.raises(UnsupportedScene, match="incompatible"):
+            restrict_logform_into(scene, {}, {}, lf, (1,), (0, 1), 1)
+        with pytest.raises(UnsupportedScene, match="incompatible"):
+            _pole_rewrite(scene, (1,), (0, 1))
+        assert not scene._pole_rewrites
+    # a log form without a residue needs no rewrite
+    regular = LogForm(ctx, Form.one(ctx.ring), Form.zero(ctx.ring))
+    reg: dict = {}
+    restrict_logform_into(scene, reg, {}, regular, (1,), (0, 1), 1)
+    assert reg and not scene._pole_rewrites
+
+
+def test_scene_tables_die_with_their_scene():
+    before = _module_containers()
+    for name in SCENE_NAMES:
+        scene = builtin_scene(name)
+        _fill_scene_tables(scene, f"die:{name}")
+        assert scene._pole_rewrites and scene._unit_dlogs
+        ref = weakref.ref(scene)
+        del scene
+        gc.collect()
+        assert ref() is None, f"{name}: the pole rewrites or unit dlogs outlive their scene"
+    assert _module_containers() == before
+
+
+@pytest.mark.parametrize("name", ["SCENE-A2C", "SCENE-P2", "SCENE-A2D"])
+def test_hq_keeps_insertions_only_for_q_at_least_one(name):
+    """h^0 inserts nothing and keeps no insertion; for q >= 1 each kept
+    insertion g^{-1}_{ab} (a = charts[s + 1], b = charts[s]) is the
+    diagonal u_{a,i0}^{-twist} u_{b,i0}^{twist} over K."""
+    scene = builtin_scene(name)
+    cat = end_algebra(scene, build_P(scene))
+    triv = TrivializedCategory(scene, list(cat.mfs.values()))
+    rng = random.Random(f"hq-insert:{name}")
+    chains = [rand_cech_hoch_chain(rng, cat, max_len=2) for _ in range(3)]
+    for c in chains:
+        hq_basis(0, c, triv)
+    assert not any(tag == "hq-insert" for tag, *_ in cat._tables)
+    for c in chains:
+        for q in range(1, len(scene.atlas.chart_ids)):
+            hq_basis(q, c, triv)
+    kept = {key[1:]: table for key, table in cat._tables.items() if key[0] == "hq-insert"}
+    assert any(kept.values())
+    atlas = scene.atlas
+    for (I, K), table in kept.items():
+        charts = K[: len(K) - len(I) + 1]
+        i0 = I[0]
+        u = lambda a, n: atlas.ring(K).one() if a == i0 else atlas.unit(a, i0, K) ** n
+        for (s, obj), terms in table.items():
+            a, b = charts[s + 1], charts[s]
+            mf = cat.mfs[obj]
+            want = {
+                ("E", obj, obj, r, r): u(a, -mf.twists[r]) * u(b, mf.twists[r])
+                for r in range(mf.rank)
+            }
+            assert terms == slot_terms(want), (I, K, s, obj)
+
+
+@pytest.mark.parametrize("name", ["SCENE-A2C", "SCENE-A2D"])
+def test_lax_keeps_heads_and_slot_terms_only_of_its_own_data(name):
+    """A lax morphism keeps each realization with its slot terms, and each
+    head alpha(I, K) * (realization at K) of its insertion operators.  The
+    heads of iso_homotopy, which its tau fixes, and the realizations and
+    heads of a global chain live for one call: a second tau on warm
+    morphisms gives what new morphisms give, and restriction_htilde keeps
+    no realization or head on the morphism."""
+    scene = builtin_scene(name)
+    alg = SheafAlgebraA(scene)
+    w = unit_family(scene)
+    lax_a, lax_id, tau = coboundary_lax(scene, alg, w)
+    rng = random.Random(f"lax-heads:{name}")
+    chains = [rand_a_class_chain(rng, alg, i % 2, max_len=1) for i in range(3)]
+    for c in chains:
+        iso_homotopy(lax_a, lax_id, tau, c)
+    assert not any(tag == "head" for tag, *_ in lax_a._tables)
+    tau2 = lambda T: {"1": w[T] * w[T]}
+    for c in chains:
+        fresh_a, fresh_id, _ = coboundary_lax(scene, alg, w)
+        assert iso_homotopy(lax_a, lax_id, tau2, c) == iso_homotopy(fresh_a, fresh_id, tau2, c)
+        cech_lax_map(lax_a, c, check=False)
+    heads = {key[1:]: t for key, t in lax_a._tables.items() if key[0] == "head"}
+    assert any(heads.values())
+    for (I, K), table in heads.items():
+        realized = lax_a.table("realize", I)
+        for (sym, mono), terms in table.items():
+            elem, _ = realized[sym, mono, K, K]
+            assert terms == slot_terms(elem_mul(alg, K, lax_a.alpha_elem(I, K), elem))
+    for key, table in lax_a._tables.items():
+        if key[0] == "realize":
+            assert all(terms == slot_terms(elem) for elem, terms in table.values())
+    line = CurvedLine(scene, -1)
+    glax = coboundary_lax(scene, line, w)[0]
+    model = GlobalModel(scene, line, ("1",), lambda sym: {})
+    gring = scene.global_ring
+    x = gring.var(gring.variables[0])
+    g = make_chain(model, GLOBAL, ("*", "*"), [{"1": gring.const(3)}, {"1": x}])
+    assert not restriction_htilde(glax, model, g).is_zero()
+    assert {tag for tag, *_ in glax._tables} <= {"alpha", "alpha_inv", "inserted"}
 
 
 ROUTE_FIXTURES = ("build_P", "end_algebra", "can_map", "todd_inverse")

@@ -42,9 +42,9 @@ from cechmf.rand import (
     rand_log_cochain,
     rand_yform_cochain,
 )
-from cechmf.scene import SceneError, _loc_divide, scene_from_dict
+from cechmf.scene import SceneError, _loc_divide, load_scene, scene_from_dict
 from cechmf.scenes_builtin import all_builtin_names, builtin_scene, builtin_scene_dict
-from conftest import PRESHEAVES, sheared_a2c
+from conftest import POLE1_FILE, PRESHEAVES, sheared_a2c
 
 SCENES = {name: builtin_scene(name) for name in all_builtin_names()}
 
@@ -399,7 +399,7 @@ def _nonzero(draw):
             return c
 
 
-ORACLE_SCENES = [*all_builtin_names(), "sheared", "half-sheared"]
+ORACLE_SCENES = [*all_builtin_names(), "sheared", "half-sheared", "pole-last"]
 
 
 @pytest.mark.parametrize("name", ORACLE_SCENES)
@@ -411,6 +411,8 @@ def test_flat_differentials_match_piecewise_definition(name):
     # the second reads them (warm).
     if name in ("sheared", "half-sheared"):
         scene = sheared_a2c("1" if name == "sheared" else "1/2")
+    elif name == "pole-last":
+        scene = load_scene(POLE1_FILE)
     else:
         scene = builtin_scene(name)
     rng = random.Random(f"flat:{name}")

@@ -14,6 +14,7 @@ from cechmf.hochschild import (
     CechHochChain,
     HochChain,
     TruncationOverflow,
+    add_tensor,
     cech_hoch_d,
     hoch_d,
     insertion_layouts,
@@ -317,3 +318,38 @@ def test_insertion_layouts_match_definition(k, q):
             assert list(ls) == sorted(ls)
             assert eps == sum(sum(parities[: l + 1]) + l for l in ls)
             assert depth == [sum(1 for l in ls if l < i) for i in range(k + 1)]
+
+
+def _add_tensor_by_partials(out, path, slots, coeff):
+    """add_tensor as first written: the partial (syms, monos, coefficient)
+    tuples grown one slot at a time."""
+    partial = [((), (), coeff)]
+    for slot in slots:
+        partial = [
+            (syms + (sym,), monos + (mono,), c * frac)
+            for syms, monos, c in partial
+            for sym, mono, frac in slot
+        ]
+    for syms, monos, c in partial:
+        key = (tuple(path), syms, monos)
+        out[key] = out.get(key, 0) + c
+
+
+def test_add_tensor_matches_partial_expansion():
+    # slots of zero to three terms, repeated (sym, mono) pairs whose
+    # products collide on one key, and non-integral coefficients
+    rng = random.Random(41)
+    syms, monos = ("a", "b"), ((0,), (1,), (2,))
+    fracs = (1, -1, 2, Fraction(1, 2), Fraction(-3, 4))
+    tested = 0
+    for _ in range(300):
+        k = rng.randint(0, 3)
+        term = lambda: (rng.choice(syms), rng.choice(monos), rng.choice(fracs))
+        slots = [[term() for _ in range(rng.randint(0, 3))] for _ in range(k + 1)]
+        coeff = rng.choice(fracs)
+        got, want = {(("*",), ("a",), ((0,),)): 5}, {(("*",), ("a",), ((0,),)): 5}
+        add_tensor(got, ["*"] * (k + 1), slots, coeff)
+        _add_tensor_by_partials(want, ["*"] * (k + 1), slots, coeff)
+        assert got == want
+        tested += len(want) > 1
+    assert tested > 100

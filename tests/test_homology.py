@@ -28,10 +28,10 @@ from cechmf.homology import (
     is_boundary_within_window,
     _basis_cochain,
 )
-from cechmf.scene import validate_scene
+from cechmf.scene import load_scene, validate_scene
 from cechmf.scenes_builtin import all_builtin_names, builtin_scene
 from cechmf.suites import oracle_homology_dims
-from conftest import sheared_a2c
+from conftest import POLE1_FILE, SHEARED_FILE, sheared_a2c
 
 A1 = builtin_scene("SCENE-A1")
 A2 = builtin_scene("SCENE-A2")
@@ -207,6 +207,19 @@ def test_table_columns_equal_cech_total_d_on_a_sheared_scene(kind):
     y_image = scene.atlas.res((1,), (0, 1)).images[1]
     assert len(y_image.terms) == 2
     _assert_columns_are_d_of_the_basis(scene, kind)
+
+
+@pytest.mark.parametrize("kind", [OMEGA, OMEGA_Y, CONE])
+@pytest.mark.parametrize("path", [SHEARED_FILE, POLE1_FILE], ids=lambda path: path.stem)
+def test_table_columns_equal_cech_total_d_on_scene_files(path, kind):
+    """The window-2 columns of both sheared scene files.  A residue term
+    that gains a power of the pole becomes dx_pole ^ (its form), with the
+    sign of moving dx_pole past the members of K below the pole: +1 when
+    the pole is variable 0, as on every built-in scene, but not on the
+    file whose pole is variable 1."""
+    scene = load_scene(path)
+    assert validate_scene(scene).ok
+    _assert_columns_are_d_of_the_basis(scene, kind, D=2)
 
 
 @pytest.mark.parametrize("D", [0, 1])

@@ -30,14 +30,17 @@ from cechmf.hochschild import (
 )
 from cechmf.hkr import hkr_xf
 from cechmf.trace import hq_basis, phi, sh_shuffle, sh_shuffle_cech, supertrace
-from cechmf.scene import scene_from_dict
+from cechmf.rand import rand_hoch_chain
+from cechmf.scene import load_scene, scene_from_dict
 from cechmf.scenes_builtin import all_builtin_names, builtin_scene, builtin_scene_dict
 from cechmf.suites import basis_a_chains
-from conftest import sheared_a2c
+from conftest import POLE1_FILE, sheared_a2c
 
 SHEARED = "SCENE-A2C-SHEAR"
+POLE1 = "SCENE-A2C-SHEAR-POLE1"
 SCENES = {name: builtin_scene(name) for name in all_builtin_names()}
 SCENES[SHEARED] = sheared_a2c()
+SCENES[POLE1] = load_scene(POLE1_FILE)
 
 
 def _id_chain(cat, I, extra_slots=0):
@@ -141,6 +144,25 @@ def test_hq_zero_is_realization():
     out = hq_basis(0, c, triv)
     assert set(out.entries) == {(0,)}
     assert out.entries[(0,)].terms == _id_chain(triv, (0,)).terms
+
+
+@pytest.mark.parametrize("name", sorted(SCENES))
+def test_hq_zero_is_the_identity(name):
+    """h^0 inserts nothing, restricts along I -> I and realizes every slot
+    at i_0 with no unit power, so it gives back the terms of its input."""
+    scene = SCENES[name]
+    cat = end_algebra(scene, build_P(scene))
+    triv = TrivializedCategory(scene, list(cat.mfs.values()))
+    rng = random.Random(f"h0:{name}")
+    tested = 0
+    for I in scene.atlas.tuples:
+        for _ in range(10):
+            ch = rand_hoch_chain(rng, cat, I, max_len=2)
+            out = hq_basis(0, CechHochChain(cat, {I: ch}), triv)
+            want = {I: ch.terms} if ch.terms else {}
+            assert {J: h.terms for J, h in out.entries.items()} == want
+            tested += bool(ch.terms)
+    assert tested >= 10 * len(scene.atlas.tuples) // 2
 
 
 def test_hq_positive_vanishes_on_single_chart():
