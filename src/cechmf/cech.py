@@ -14,11 +14,13 @@ differentials of the entries, products of a cup product.  Each target
 gets one accumulator, a list of flat dicts {(index set, exponent):
 coefficient} (one for a form, two for a log form's regular part and
 residue, three for a cone section), every term is added into it with its
-sign, and the value at K is built once at the end (`_build`).  Building
-normalizes: a log form to the LogForm normal form, a divisor form by
-forms.y_normalize.  Both normal forms are linear projections, so the
-normal form of the sum is the sum of the normal forms of its terms, and
-normalizing once at K is exact.
+sign, and the value at K is built once at the end (`_build`).  A Form
+stores that flat layout, so building is one normalizing pass over each
+dict, with no regrouping: a log form is folded to the LogForm normal form
+straight from its two dicts (`LogForm.from_flats`), a divisor form is
+projected by forms.y_normalize.  Both normal forms are linear
+projections, so the normal form of the sum is the sum of the normal
+forms of its terms, and normalizing once at K is exact.
 
 Three tables define the complexes: `_FLATS` holds the accumulator size of
 each section kind, `_RESTRICT_INTO` its restriction from U_I to U_J into an
@@ -95,12 +97,11 @@ def _build(scene: Scene, kind: str, J, acc):
     if kind == FORM:
         return Form.from_flat(scene.atlas.ring(J), acc[0])
     ctx = scene.ctx(J)
-    parts = [Form.from_flat(ctx.ring, flat) for flat in acc]
     if kind == YFORM:
-        return y_normalize(parts[0], ctx)
+        return y_normalize(Form.from_flat(ctx.ring, acc[0]), ctx)
     if kind == LOG:
-        return LogForm(ctx, *parts)
-    return ConeForm(parts[0], LogForm(ctx, parts[1], parts[2]))
+        return LogForm.from_flats(ctx, *acc)
+    return ConeForm(Form.from_flat(ctx.ring, acc[0]), LogForm.from_flats(ctx, acc[1], acc[2]))
 
 
 def _restricted(scene: Scene, kind: str, s, I, J):

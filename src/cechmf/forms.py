@@ -3,21 +3,24 @@
 A TupleCtx holds one tuple's lead-chart data (divisor equation, f, g, the
 pole variable and their differentials); Scene.ctx builds each once.
 
-The Cech layer sums its terms in flat accumulators {(K, exponent):
-coefficient} and builds each Form once with `Form.from_flat`.
-`map_form_into` adds a pullback along a ring map to one, a basis form
-x^e dx_K at a time: the pullback of each is computed once, as a list of
-target basis forms, and kept on the RingMap (`RingMap.form_images`), so a
-pullback is one scale-and-accumulate pass over that table.  The
-restriction maps are kept by `Atlas.res`, so these tables live and die
-with their scene.  `wedge_into` adds a product, `add_into` a form, and
-`restrict_logform_into` the restriction of a log form as a (regular,
-residue) pair of flats; `hkr` builds its forms from flats too.  How the
-pole dx_I/x_I reads on U_J depends on (I, J) alone, so each restriction
-derives it once (`_pole_rewrite`) and the scene keeps it
-(`Scene._pole_rewrites`).
+A Form stores its terms flat, {(K, exponent): coefficient} (`Form.flat`),
+the layout in which the Cech layer accumulates, so a value is its
+accumulator with zeros dropped and coefficients normalized
+(`Form.from_flat`, one pass).  `Form.terms` is a nested {K: LocPoly} view
+of it, built on each read, for printing and tests.  The kernels read and
+fill flat dicts in one loop each: `map_form_into` adds a pullback along a
+ring map to one, a basis form x^e dx_K at a time: the pullback of each is
+computed once, as a list of target basis forms, and kept on the RingMap
+(`RingMap.form_images`), so a pullback is one scale-and-accumulate pass
+over that table.  The restriction maps are kept by `Atlas.res`, so these
+tables live and die with their scene.  `wedge_into` adds a product,
+`add_into` a form, and `restrict_logform_into` the restriction of a log
+form as a (regular, residue) pair of flats, which `LogForm.from_flats`
+normalizes; `hkr` builds its forms from flats too.  How the pole dx_I/x_I
+reads on U_J depends on (I, J) alone, so each restriction derives it once
+(`_pole_rewrite`) and the scene keeps it (`Scene._pole_rewrites`).
 
-A Form is a finite sum c_K dx_K over strictly increasing index sets K;
+A Form is a finite sum c x^e dx_K over strictly increasing index sets K;
 possibly inhomogeneous in degree.  A LogForm over a tuple with divisor x
 represents w + (dx/x) ^ w' with the canonical normal form: the residue w'
 carries no dx factor and no x-multiples in its coefficients (those fold
@@ -31,44 +34,50 @@ import itertools
 from dataclasses import dataclass
 from operator import add
 
-from .rings import LocPoly, Ring, _fr, quotient_restrict
+from .rings import LocPoly, Ring, _fr, _normal_terms
 from .scene import Scene, UnsupportedScene, _loc_divide, divisor_pole
 
 
 class Form:
-    __slots__ = ("ring", "terms")
+    """The form sum c x^e dx_K over flat = {(K, e): c}: K increasing, c
+    nonzero and in the normal form of `rings`."""
+
+    __slots__ = ("ring", "flat")
 
     def __init__(self, ring: Ring, terms: dict | None = None):
+        """The form sum c_K dx_K over terms = {K: LocPoly}."""
         self.ring = ring
-        clean = {}
+        flat = {}
         for k, c in (terms or {}).items():
             k = tuple(k)
             assert all(0 <= i < ring.nvars for i in k)
             assert list(k) == sorted(set(k)), f"index set not increasing: {k}"
-            if not c.is_zero():
-                clean[k] = c
-        self.terms = clean
+            for e, a in c.terms.items():
+                flat[k, e] = a
+        self.flat = flat
 
     @staticmethod
-    def _new(ring: Ring, terms: dict) -> "Form":
-        """Wrap a dict {increasing index set: nonzero coefficient} as it is."""
+    def _new(ring: Ring, flat: dict) -> "Form":
+        """Wrap a flat dict as it is: in normal form, or an accumulator
+        that only a kernel reads, which zeros do not disturb."""
         out = object.__new__(Form)
         out.ring = ring
-        out.terms = terms
+        out.flat = flat
         return out
 
     @staticmethod
     def from_flat(ring: Ring, flat: dict) -> "Form":
-        """The form sum c x^e dx_K over flat = {(K, e): c}, with K an
-        increasing index set and e an exponent of ring; zero c are dropped."""
-        terms: dict = {}
-        for (k, e), c in flat.items():
-            if c:
-                t = terms.get(k)
-                if t is None:
-                    t = terms[k] = {}
-                t[e] = c if type(c) is int else _fr(c)
-        return Form._new(ring, {k: LocPoly._new(ring, t) for k, t in terms.items()})
+        """The form sum c x^e dx_K over an accumulator flat = {(K, e): c};
+        zero c are dropped."""
+        return Form._new(ring, _normal_terms(flat))
+
+    @property
+    def terms(self) -> dict:
+        """The nested view {K: LocPoly} of `flat`, built on each read."""
+        nested: dict = {}
+        for (k, e), c in self.flat.items():
+            nested.setdefault(k, {})[e] = c
+        return {k: LocPoly._new(self.ring, t) for k, t in nested.items()}
 
     @staticmethod
     def zero(ring: Ring) -> "Form":
@@ -76,70 +85,57 @@ class Form:
 
     @staticmethod
     def scalar(c: LocPoly) -> "Form":
-        return Form._new(c.ring, {(): c} if c.terms else {})
+        return Form._new(c.ring, {((), e): a for e, a in c.terms.items()})
 
     @staticmethod
     def one(ring: Ring) -> "Form":
         return Form.scalar(ring.one())
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.flat
 
     def __eq__(self, other):
-        return isinstance(other, Form) and self.ring == other.ring and self.terms == other.terms
+        return isinstance(other, Form) and self.ring == other.ring and self.flat == other.flat
 
     def __add__(self, other: "Form") -> "Form":
         assert self.ring == other.ring
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            terms[k] = terms[k] + c if k in terms else c
-        return Form._new(self.ring, _nonzero(terms))
+        flat = dict(self.flat)
+        add_into(flat, other)
+        return Form.from_flat(self.ring, flat)
 
     def __neg__(self) -> "Form":
-        return Form._new(self.ring, {k: -c for k, c in self.terms.items()})
+        return Form._new(self.ring, {k: -c for k, c in self.flat.items()})
 
     def __sub__(self, other: "Form") -> "Form":
         return self + (-other)
 
     def scale(self, c) -> "Form":
         if isinstance(c, LocPoly):
-            terms = {k: v * c for k, v in self.terms.items()}
-        else:
-            terms = {k: v.scale(c) for k, v in self.terms.items()}
-        return Form._new(self.ring, _nonzero(terms))
+            return self.wedge(Form.scalar(c))
+        c = _fr(c)
+        return Form.from_flat(self.ring, {k: v * c for k, v in self.flat.items()})
 
     def wedge(self, other: "Form") -> "Form":
         assert self.ring == other.ring
-        terms: dict = {}
-        for ka, ca in self.terms.items():
-            for kb, cb in other.terms.items():
-                merged = _merge_indices(ka, kb)
-                if merged is None:
-                    continue
-                k, sign = merged
-                c = ca * cb if sign > 0 else -(ca * cb)
-                terms[k] = terms[k] + c if k in terms else c
-        return Form._new(self.ring, _nonzero(terms))
+        flat: dict = {}
+        wedge_into(flat, self, other)
+        return Form.from_flat(self.ring, flat)
 
     def __repr__(self):
         if self.is_zero():
             return "0"
         names = self.ring.variables
+        terms = self.terms
         bits = []
-        for k in sorted(self.terms, key=lambda kk: (len(kk), kk)):
+        for k in sorted(terms, key=lambda kk: (len(kk), kk)):
             dx = "^".join(f"d{names[i]}" for i in k) or "1"
-            bits.append(f"({self.terms[k]!r}){dx}")
+            bits.append(f"({terms[k]!r}){dx}")
         return " + ".join(bits)
 
 
 def index_sets(n: int) -> list:
     """The dx index sets of a ring in n variables, in increasing size."""
     return [K for k in range(n + 1) for K in itertools.combinations(range(n), k)]
-
-
-def _nonzero(terms: dict) -> dict:
-    """terms without its zero coefficients."""
-    return {k: c for k, c in terms.items() if c.terms}
 
 
 def _merge_indices(ka, kb):
@@ -194,12 +190,11 @@ class TupleCtx:
 
 def d_of(e: LocPoly) -> Form:
     """de Rham differential of a ring element."""
-    terms = {}
+    flat = {}
     for v in range(e.ring.nvars):
-        de = e.diff(v)
-        if not de.is_zero():
-            terms[(v,)] = de
-    return Form._new(e.ring, terms)
+        for exp, c in e.diff(v).terms.items():
+            flat[(v,), exp] = c
+    return Form._new(e.ring, flat)
 
 
 def dlog_of(u: LocPoly) -> Form:
@@ -214,34 +209,40 @@ class LogForm:
 
     def __init__(self, ctx: TupleCtx, regular: Form, residue: Form):
         # normalization happens here, so any (regular, residue) pair is legal input
+        self._fold(ctx, dict(regular.flat), residue.flat)
+
+    @staticmethod
+    def from_flats(ctx: TupleCtx, reg: dict, res: dict) -> "LogForm":
+        """The normalized log form over the accumulators reg + (dx/x) ^ res,
+        each {(K, e): c}; reg receives the folded terms."""
+        out = object.__new__(LogForm)
+        out._fold(ctx, reg, res)
+        return out
+
+    def _fold(self, ctx: TupleCtx, reg: dict, res: dict) -> None:
         self.ctx = ctx
-        if ctx.pole is None:
-            if not residue.is_zero():
-                regular = regular + ctx.dlog.wedge(residue)
-            self.regular = regular
-            self.residue = Form.zero(ctx.ring)
-            return
-        v = ctx.pole
         ring = ctx.ring
-        extra: dict = {}  # (dx/x) ^ (x q dx_K) = dx ^ q dx_K, as {(K', e): c}
-        res_terms: dict = {}
-        for k, c in residue.terms.items():
-            if v in k:
+        v = ctx.pole
+        if v is None:
+            wedge_into(reg, ctx.dlog, Form._new(ring, res))
+            self.regular = Form.from_flat(ring, reg)
+            self.residue = Form.zero(ring)
+            return
+        low: dict = {}
+        for (k, e), c in res.items():
+            if not c or v in k:
                 continue  # dx ^ dx = 0 under the pole
-            low = {}
-            merged = None
-            for exp, coef in c.terms.items():
-                if not exp[v]:
-                    low[exp] = coef
-                    continue
-                if merged is None:
-                    merged = _merge_indices((v,), k)
-                kv, sign = merged
-                extra[kv, exp[:v] + (exp[v] - 1,) + exp[v + 1:]] = coef if sign > 0 else -coef
-            if low:
-                res_terms[k] = LocPoly._new(ring, low)
-        self.regular = regular + Form.from_flat(ring, extra) if extra else regular
-        self.residue = Form._new(ring, res_terms)
+            if not e[v]:
+                low[k, e] = c
+                continue
+            # (dx/x) ^ (x q dx_K) = dx ^ q dx_K
+            kv, sign = _merge_indices((v,), k)
+            key = (kv, e[:v] + (e[v] - 1,) + e[v + 1:])
+            if sign < 0:
+                c = -c
+            reg[key] = reg[key] + c if key in reg else c
+        self.regular = Form.from_flat(ring, reg)
+        self.residue = Form.from_flat(ring, low)
 
     @staticmethod
     def zero(ctx: TupleCtx) -> "LogForm":
@@ -317,44 +318,40 @@ def map_form_into(flat: dict, w: Form, ringmap, sign: int = 1) -> None:
     """flat += sign * the pullback of w along ringmap, as {(K, e): c}: each
     term a x^e dx_K of w adds a times the pullback of x^e dx_K, read from
     the map's table."""
-    for k, c in w.terms.items():
-        for e, a in c.terms.items():
-            if sign < 0:
-                a = -a
-            for key, b in _basis_image(ringmap, k, e):
-                flat[key] = flat[key] + a * b if key in flat else a * b
+    for (k, e), a in w.flat.items():
+        if sign < 0:
+            a = -a
+        for key, b in _basis_image(ringmap, k, e):
+            flat[key] = flat[key] + a * b if key in flat else a * b
 
 
 def add_into(flat: dict, w: Form, sign: int = 1) -> None:
     """flat += sign * w, as {(K, e): c}."""
-    for k, c in w.terms.items():
-        for e, a in c.terms.items():
-            key = (k, e)
-            if sign < 0:
-                a = -a
-            flat[key] = flat[key] + a if key in flat else a
+    for key, a in w.flat.items():
+        if sign < 0:
+            a = -a
+        flat[key] = flat[key] + a if key in flat else a
 
 
 def wedge_into(flat: dict, a: Form, b: Form, sign: int = 1, graded: bool = False) -> None:
-    """flat += sign * a ^ b, as {(K, e): c}, monomial by monomial.  With
-    graded, each term c dx_K of a is signed by (-1)^|K|: the residue part
-    of a ^ (w + (dx/x) ^ b) is that signed a ^ b, since c dx_K passes
-    dx/x."""
-    for ka, ca in a.terms.items():
-        sa = -sign if graded and len(ka) % 2 else sign
-        for kb, cb in b.terms.items():
-            merged = _merge_indices(ka, kb)
-            if merged is None:
+    """flat += sign * a ^ b, as {(K, e): c}, term by term; each pair of
+    index sets is merged once.  With graded, each term c dx_K of a is
+    signed by (-1)^|K|: the residue part of a ^ (w + (dx/x) ^ b) is that
+    signed a ^ b, since c dx_K passes dx/x."""
+    merged: dict = {}
+    terms_b = b.flat.items()
+    for (ka, ea), xa in a.flat.items():
+        if (sign < 0) != (graded and len(ka) % 2 == 1):
+            xa = -xa
+        for (kb, eb), xb in terms_b:
+            m = merged.get((ka, kb), False)
+            if m is False:
+                m = merged[ka, kb] = _merge_indices(ka, kb)
+            if m is None:
                 continue
-            k, s = merged
-            neg = s != sa
-            for ea, xa in ca.terms.items():
-                if neg:
-                    xa = -xa
-                for eb, xb in cb.terms.items():
-                    key = (k, tuple(map(add, ea, eb)))
-                    c = xa * xb
-                    flat[key] = flat[key] + c if key in flat else c
+            key = (m[0], tuple(map(add, ea, eb)))
+            c = xa * xb if m[1] > 0 else -(xa * xb)
+            flat[key] = flat[key] + c if key in flat else c
 
 
 def _basis_image(ringmap, k, e) -> list:
@@ -373,12 +370,12 @@ def _basis_image(ringmap, k, e) -> list:
                     key = (kk, tuple(map(add, ee, em)))
                     flat[key] = flat[key] + b * cm if key in flat else b * cm
         elif k:
-            head = Form.from_flat(ringmap.dst, dict(_basis_image(ringmap, k[:-1], zero)))
-            dx_k = head.wedge(d_of(ringmap.images[k[-1]]))
-            flat = {(kk, ee): c for kk, v in dx_k.terms.items() for ee, c in v.terms.items()}
+            head = Form._new(ringmap.dst, dict(_basis_image(ringmap, k[:-1], zero)))
+            flat = {}
+            wedge_into(flat, head, d_of(ringmap.images[k[-1]]))
         else:
             flat = {((), (0,) * ringmap.dst.nvars): 1}
-        out = [(key, c if type(c) is int else _fr(c)) for key, c in flat.items() if c]
+        out = list(_normal_terms(flat).items())
         ringmap.form_images[(k, e)] = out
     return out
 
@@ -400,7 +397,7 @@ def restrict_logform_into(scene: Scene, reg: dict, res: dict, lf: LogForm, I, J,
         return
     flat: dict = {}
     map_form_into(flat, lf.residue, m, sign)
-    w = Form.from_flat(m.dst, flat)
+    w = Form._new(m.dst, flat)
     wedge_into(reg, dlog, w)
     if keep:
         add_into(res, w)
@@ -433,8 +430,7 @@ def _pole_rewrite(scene: Scene, I, J) -> tuple:
 
 def y_normalize(w: Form, ctx: TupleCtx) -> Form:
     """Project a form to the divisor: kill dx terms and reduce coefficients mod x."""
-    if ctx.pole is None:
-        return Form.zero(ctx.ring)
     v = ctx.pole
-    terms = {k: quotient_restrict(c, v) for k, c in w.terms.items() if v not in k}
-    return Form._new(ctx.ring, _nonzero(terms))
+    if v is None:
+        return Form.zero(ctx.ring)
+    return Form._new(ctx.ring, {(k, e): c for (k, e), c in w.flat.items() if not (v in k or e[v])})

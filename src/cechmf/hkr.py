@@ -16,8 +16,8 @@ where M_K is the k x k matrix of the slot exponents m_i[v] with v in K,
 and e_K is the indicator of K: the wedge of k one-forms with constant
 coefficients takes the k x k minors of their coefficient matrix.  The sum
 is zero for k > nvars.  `_hkr_mono` accumulates these terms into one flat
-{(K, exponent): coefficient} dict per tuple, and `Form.from_flat` builds
-one Form from it.
+{(K, exponent): coefficient} dict per tuple, the layout a Form stores, and
+`Form.from_flat` makes it a Form in one normalizing pass.
 """
 
 from __future__ import annotations
@@ -138,9 +138,9 @@ def hkr_A(c: CechHochChain) -> Cochain:
         if not (s_flat or t_flat):
             continue
         S = Form.from_flat(ctx.ring, s_flat)
-        T = Form.from_flat(ctx.ring, t_flat)
+        wedge_into(t_flat, ctx.dg, S)  # now dg ^ S + T
         reg, _, residue = acc_at(I)
-        wedge_into(reg, ctx.dx, ctx.dg.wedge(S) + T)
+        wedge_into(reg, ctx.dx, Form._new(ctx.ring, t_flat))
         if S.is_zero():
             continue
         add_into(residue, S)
@@ -149,7 +149,7 @@ def hkr_A(c: CechHochChain) -> Cochain:
             if pos == 0:
                 flat: dict = {}
                 map_form_into(flat, S, atlas.res(I, K), raised)
-                w = Form.from_flat(atlas.ring(K), flat)
+                w = Form._new(atlas.ring(K), flat)
                 wedge_into(acc_at(K)[0], _unit_dlog(scene, I, K), w)
     return Cochain(
         scene, CONEF, {K: _build(scene, CONEF, K, acc) for K, acc in accs.items() if any(acc)}

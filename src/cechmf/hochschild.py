@@ -59,7 +59,7 @@ from math import prod
 from operator import add
 
 from .cdg import CdgPresheaf, elem_scale, restrict_elem
-from .rings import _fr
+from .rings import _fr, _normal_terms
 from .scene import AtlasCochain, Scene
 
 
@@ -77,10 +77,7 @@ class HochChain:
     def __init__(self, presheaf: CdgPresheaf, I, terms: dict | None = None):
         self.presheaf = presheaf
         self.I = tuple(I)
-        self.terms = {}
-        for key, c in (terms or {}).items():
-            if c:
-                self.terms[key] = _fr(c)
+        self.terms = _normal_terms(terms) if terms else {}
 
     def is_zero(self):
         return not self.terms

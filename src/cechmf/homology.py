@@ -41,7 +41,7 @@ from operator import add, itemgetter
 from .cech import CONE, OMEGA, OMEGA_Y, _COMPLEXES, Cochain, cech_total_d
 from .forms import ConeForm, Form, LogForm, _merge_indices, index_sets
 from .linalg import QMatrix, in_span, rank_kernel
-from .rings import _fr
+from .rings import _normal_terms
 from .scene import Scene
 
 
@@ -130,18 +130,17 @@ def expand_cochain(c: Cochain, complex_kind: str) -> dict:
     out: dict = {}
     for I, s in c.entries.items():
         for tag, _, _, part, _ in summands:
-            for K, poly in part(s).terms.items():
-                for coeff, mono in poly.monomials():
-                    key = (tag, I, K, mono)
-                    out[key] = out.get(key, 0) + coeff
-    return {k: _fr(v) for k, v in out.items() if v}
+            for (K, mono), coeff in part(s).flat.items():
+                key = (tag, I, K, mono)
+                out[key] = out.get(key, 0) + coeff
+    return _normal_terms(out)
 
 
 def _basis_cochain(scene: Scene, complex_kind: str, key) -> Cochain:
     tag, I, K, mono = key
     ctx = scene.ctx(I)
     (make,) = [s[4] for s in _summands(complex_kind) if s[0] == tag]
-    w = Form(ctx.ring, {K: ctx.ring.monomial(mono)})
+    w = Form._new(ctx.ring, {(K, mono): 1})
     return Cochain(scene, _COMPLEXES[complex_kind][0], {I: make(ctx, w)})
 
 

@@ -40,6 +40,12 @@ def _fr(x):
     raise TypeError(f"coefficient {x!r} is not an int or a Fraction")
 
 
+def _normal_terms(terms: dict) -> dict:
+    """terms without its zero values, each value in normal form (`_fr`):
+    the one pass that turns a flat accumulator into a value's dict."""
+    return {k: c if type(c) is int else _fr(c) for k, c in terms.items() if c}
+
+
 def _mul_terms(a: dict, b: dict) -> dict:
     """Product of two term dicts, with cancelled terms dropped."""
     out: dict = {}
@@ -50,7 +56,7 @@ def _mul_terms(a: dict, b: dict) -> dict:
                 out[e] += ca * cb
             else:
                 out[e] = ca * cb
-    return {e: c if type(c) is int else _fr(c) for e, c in out.items() if c}
+    return _normal_terms(out)
 
 
 class Ring:
@@ -262,7 +268,7 @@ class RingMap:
     A map keeps what it has computed once, so it lives and dies with the
     map: `_mono_images`, the image of each source monomial x^e met so far
     ({e: LocPoly}), and `form_images`, the pullback of each basis form
-    x^e dx_K met so far by `forms.map_form`, as a list of target basis
+    x^e dx_K met so far by `forms._basis_image`, as a list of target basis
     forms ({(K, e): [((K', e'), c')]}).  The entry of e = 0 is the
     pullback of dx_K itself.
 
@@ -283,7 +289,7 @@ class RingMap:
         self.dst = dst
         self.images = tuple(images)
         self._mono_images: dict = {}  # source exponent -> its image
-        self.form_images: dict = {}  # (K, e) -> pullback of x^e dx_K, see forms.map_form
+        self.form_images: dict = {}  # (K, e) -> pullback of x^e dx_K, see forms._basis_image
 
     @staticmethod
     def identity(ring: Ring) -> "RingMap":
