@@ -212,9 +212,10 @@ def _cup(a: Cochain, b: Cochain, kind: str, product_into) -> Cochain:
     """Front-face/back-face pairing: the sum of product(a_I|K, b_J|K, p, q)
     over I ending where J starts, K = I + J[1:] strictly increasing, with
     p, q the Cech degrees of I, J.  Each factor restricts to K by its own
-    kind, and product_into(acc, a_I|K, b_J|K, p, q) adds the product into
-    K's accumulator; each value of the kind is built once, from an
-    accumulator that received a term."""
+    kind; a factor whose tuple already is K is used as it stands, since a
+    cochain's entries are in normal form.  product_into(acc, a_I|K, b_J|K,
+    p, q) adds the product into K's accumulator; each value of the kind is
+    built once, from an accumulator that received a term."""
     assert a.scene is b.scene
     scene = a.scene
     accs: dict = {}
@@ -230,8 +231,8 @@ def _cup(a: Cochain, b: Cochain, kind: str, product_into) -> Cochain:
             acc = accs.get(K)
             if acc is None:
                 acc = accs[K] = _empty(kind)
-            ra = _restricted(scene, a.kind, sa, I, K)
-            rb = _restricted(scene, b.kind, sb, J, K)
+            ra = sa if I == K else _restricted(scene, a.kind, sa, I, K)
+            rb = sb if J == K else _restricted(scene, b.kind, sb, J, K)
             product_into(acc, ra, rb, len(I) - 1, len(J) - 1)
     built = {K: _build(scene, kind, K, acc) for K, acc in accs.items() if any(acc)}
     return Cochain(scene, kind, built)

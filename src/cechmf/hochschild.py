@@ -23,7 +23,12 @@ realized at the level its depth reaches, is the one walk
 (`trace._hq_descent`) and the lax operators `lax._add_lax_hq` (behind
 `lax_hq` and `restriction_htilde`), `lax.iso_homotopy` and
 `lax.strict_vs_lax_homotopy` each supply only its realization, head and
-insertion.
+insertion.  The gap layouts of a term (insertion positions, parity sign,
+depths, output path, gap objects) depend only on its path, the parities
+of its symbols and q, so a walk that inserts keeps them on the presheaf
+per (path, parities, q) and a term only realizes its slots and reads
+each layout's slots off them; a walk that inserts nothing (q = 0) derives
+its one layout per term.
 
 The fixed structure these maps use is computed once and kept on the
 presheaf (`CdgPresheaf.table`), so it lives and dies with its owner:
@@ -183,7 +188,26 @@ def descent_summands(chain: HochChain, q: int, realize, head, insert):
     gap after slot i sits at path[i + 1], cyclically).  Each returns a list
     of slot terms (`slot_terms`), so a slot may have any number of terms.
     Yields (coeff, parities, ls, eps, path, slots) with the insertions
-    interleaved into both the path and the slots."""
+    interleaved into both the path and the slots.
+
+    The layouts of a term depend only on its path, the parities of its
+    symbols and q, so a walk that inserts (q >= 1) reads them from a table
+    kept on the presheaf under that key (`ph.table("layouts")`,
+    `_layouts`), each with its output path and the cell of each output
+    slot; a term only realizes its cells and reads each layout's slots off
+    them.  A walk that inserts nothing (q = 0: h^0 and the strict lax map)
+    derives its one layout per term (`_derived_summands`)."""
+    if not q:
+        return _derived_summands(chain, q, realize, head, insert)
+    return _kept_summands(chain, q, realize, head, insert)
+
+
+def _derived_summands(chain: HochChain, q: int, realize, head, insert):
+    """`descent_summands` with each term's layouts derived from
+    `insertion_layouts` and interleaved on the spot.  Only q = 0 walks
+    take it: through the kept layouts their speed-up raised `perfbench`'s
+    `peak_rss_mb` past its bound, since its runner keeps every item's
+    latency, so they wait for a runner that keeps per-pass summaries."""
     parity = chain.presheaf.parity
     inserted: dict = {}
     for (path, syms, monos), coeff in chain.terms.items():
@@ -200,6 +224,54 @@ def descent_summands(chain: HochChain, q: int, realize, head, insert):
             ins = lambda s: _once(inserted, (s, objs[s]), insert, s, objs[s])
             out_path = interleave(path, ls, objs.__getitem__)
             yield coeff, parities, ls, eps, out_path, interleave(slots, ls, ins)
+
+
+def _kept_summands(chain: HochChain, q: int, realize, head, insert):
+    """`descent_summands` with each term's layouts read from the table
+    kept on the presheaf per (path, parities, q)."""
+    ph = chain.presheaf
+    parity = ph.parity
+    table = ph.table("layouts")
+    inserted: dict = {}
+    for (path, syms, monos), coeff in chain.terms.items():
+        parities = tuple(map(parity, syms))
+        entry = table.get((path, parities, q))
+        if entry is None:
+            entry = table[path, parities, q] = _layouts(path, parities, q)
+        layouts, slot_cells, ins_cells = entry
+        cells = {0: head(syms[0], monos[0])}
+        for i, d in slot_cells:
+            cells[i, d] = realize(syms[i], monos[i], d)
+        for s, obj in ins_cells:
+            got = inserted.get((s, obj))
+            if got is None:
+                got = inserted[s, obj] = insert(s, obj)
+            cells[~s, obj] = got
+        get = cells.__getitem__
+        for ls, eps, _, out_path, _, keys in layouts:
+            yield coeff, parities, ls, eps, out_path, list(map(get, keys))
+
+
+def _layouts(path, parities, q: int) -> tuple:
+    """The gap layouts of any basis tensor with this path and these
+    parities, as (layouts, slot cells, insertion cells).  Each layout is
+    (ls, eps, depth, output path, gap objects, keys) for one
+    (ls, eps, depth) of `insertion_layouts`: gap object s is the object
+    of the gap after slot ls[s], and keys names the cell of each output
+    slot in order: 0 for the head, (i, depth[i]) for slot i >= 1 and
+    (~s, obj) for insertion s.  The slot cells are every (i, d) and the
+    insertion cells every (s, obj) that some layout reads."""
+    gap_objs = path[1:] + path[:1]
+    layouts, slot_cells, ins_cells = [], {}, {}
+    for ls, eps, depth in insertion_layouts(parities, q):
+        objs = tuple(gap_objs[l] for l in ls)
+        slots = [(i, depth[i]) for i in range(1, len(path))]
+        keys = tuple(interleave([0] + slots, ls, lambda s: (~s, objs[s])))
+        slot_cells.update(dict.fromkeys(slots))
+        ins_cells.update(dict.fromkeys(enumerate(objs)))
+        out_path = tuple(interleave(path, ls, objs.__getitem__))
+        layouts.append((ls, eps, tuple(depth), out_path, objs, keys))
+    return tuple(layouts), tuple(slot_cells), tuple(ins_cells)
 
 
 def _once(table: dict, key, build, *args):

@@ -10,12 +10,14 @@ strict one and with maps induced by isomorphic lax structures.
 
 All of them walk `hochschild.descent_summands`, the gap-insertion kernel
 that the shuffle and h^q of `trace` walk too: `_descents` picks the ordered
-chart choices and their levels, and `_descent_summands` gives the kernel
+chart choices and their levels, which depend on the atlas alone and are
+kept on it per (I, q), and `_descent_summands` gives the kernel
 each slot's realization at its level, the head and the restricted inverse
 components for `_add_lax_hq` (behind `lax_hq` and `restriction_htilde`) and
 `iso_homotopy`; `strict_vs_lax_homotopy` walks the levels (K, K, K) with
-identity insertions.  The restriction homotopy is the same operator
-started at the GLOBAL level (p = -1).
+identity insertions.  `cech_lax_map` adds the operators of every q into
+one accumulator per K and builds each chain once.  The restriction
+homotopy is the same operator started at the GLOBAL level (p = -1).
 The strict maps of global chains (`global_to_cech`,
 `apply_global_functor`) are `hochschild.map_slots`.  Elements multiply
 and restrict along tuples by `cdg.elem_mul` and `cdg.restrict_elem`; the
@@ -134,7 +136,9 @@ class OneObjectLax:
     alpha(I, K) times the realization at K, per (I, K, sym, mono)
     (`table("head", I, K)`).  alpha(V, W) is read from alpha_elem once
     per (V, W), so alpha_elem must be a pure function of (V, W), and
-    functor_sym one of (I, sym)."""
+    functor_sym one of (I, sym).  The descents the operators walk depend
+    on the atlas alone, not on the morphism, so the atlas keeps them
+    (`_descents`)."""
 
     def __init__(self, scene: Scene, src: CdgPresheaf, dst: CdgPresheaf,
                  functor_sym, alpha_elem):
@@ -238,13 +242,19 @@ def _kept_realize(kept: dict, build):
     return lambda *key: _once(kept, key, pair, *key)
 
 
-def _descents(scene: Scene, I, q: int):
+def _descents(scene: Scene, I, q: int) -> tuple:
     """Every ordered choice J of q charts outside I whose partial unions are
     atlas tuples, as (sigma, levels): levels[s] = sorted(I + J[:s]), with
-    levels[0] = GLOBAL when I = (), and sigma the sign of sorting J + I."""
+    levels[0] = GLOBAL when I = (), and sigma the sign of sorting J + I.
+    They depend on the atlas alone, so they are kept on it per (I, q)
+    (`Atlas._descents`), as its extensions are."""
     atlas = scene.atlas
     I = tuple(I)
+    got = atlas._descents.get((I, q))
+    if got is not None:
+        return got
     others = [j for j in atlas.chart_ids if j not in I]
+    out = []
     for J in itertools.permutations(others, q):
         levels = [I or GLOBAL]
         for s in range(1, q + 1):
@@ -253,7 +263,9 @@ def _descents(scene: Scene, I, q: int):
                 break
             levels.append(T)
         else:
-            yield sort_sign(J, I), levels
+            out.append((sort_sign(J, I), tuple(levels)))
+    got = atlas._descents[I, q] = tuple(out)
+    return got
 
 
 def _descent_summands(dst, chain: HochChain, levels, realize, head_factor, heads, inserted):
@@ -350,15 +362,16 @@ def restriction_htilde(lax: OneObjectLax, model: GlobalModel, chain: HochChain) 
 
 
 def cech_lax_map(lax: OneObjectLax, c: CechHochChain, check: bool = True) -> CechHochChain:
-    """Sum of the insertion operators over all q."""
+    """Sum of the insertion operators over all q, added into one
+    accumulator per K and built once, as `restriction_htilde` does."""
     if check and not lax.cocycle_ok():
         raise CocycleError("isomorphism components fail the cocycle condition")
-    out = CechHochChain(lax.dst, {})
+    acc: dict = {}
+    sources = {I: _from_source(lax, I) for I in c.entries}
     for q in range(len(lax.scene.atlas.chart_ids) + 1):
-        piece = lax_hq(lax, q, c)
-        if not piece.is_zero():
-            out = out + piece
-    return out
+        for I, ch in c.entries.items():
+            _add_lax_hq(acc, lax, ch, q, sources[I])
+    return _collect(lax.dst, acc)
 
 
 def cech_strict_map(lax: OneObjectLax, c: CechHochChain) -> CechHochChain:

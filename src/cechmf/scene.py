@@ -60,6 +60,8 @@ class Atlas:
         self._res_cache: dict = {}
         self._unit_cache: dict = {}
         self._ext_cache: dict = {}
+        # the descents of the lax operators per (I, q) (`lax._descents`)
+        self._descents: dict = {}
 
     def ring(self, I) -> Ring:
         try:

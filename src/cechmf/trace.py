@@ -6,7 +6,9 @@ while sliding realizations across charts, and the supertrace that collapses
 matrix tensors to scalar tensors with parity signs.  The shuffle and h^q
 are walks of `hochschild.descent_summands`, the gap-insertion kernel that
 the lax operators share, each supplying its own slot realization, head and
-insertion; `add_tensor` expands each summand into basis tensors.
+insertion; `add_tensor` expands each summand into basis tensors.  The
+realization, head and insertion of h^q from I into K are built once per
+(I, K) and kept on the category (`_hq_walk`).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import itertools
 from math import comb
 
 from .cdg import CurvedLine, MFCategory, TrivializedCategory
-from .hochschild import CechHochChain, HochChain, add_tensor, descent_summands, slot_terms
+from .hochschild import CechHochChain, HochChain, _once, add_tensor, descent_summands, slot_terms
 
 
 def sh_shuffle(n: int, chain: HochChain) -> HochChain:
@@ -119,63 +121,88 @@ def _hq_descent(out, cat, ch, K, charts, sign_base):
     u_{ab}^{-twist} = u_{a,i0}^{-twist} u_{b,i0}^{twist}.  A restricted
     monomial may have several terms, and so may every slot.
 
-    Each slot realization is kept on the category per (I, K), keyed by
-    (sym, mono, chart, n) (`cat.table("hq-realize", I, K)`; i0 = I[0], so
-    the key fixes it).  A miss reads the slot's restricted monomial from
-    the restriction map's kept image of x^mono (`RingMap._mono_image`,
-    checked once per exponent) and multiplies it by the unit power, kept
-    per (chart, n) within the call.  The slot terms of each insertion
-    g^{-1}, unit powers included, are kept on the category per (I, K) too,
-    keyed (s, obj) (`cat.table("hq-insert", I, K)`; K and q = |K| - |I|
-    fix the charts); only q >= 1 inserts, so h^0 keeps none.
+    (I, K) fixes the charts (i0 = I[0], q = |K| - |I|), so the walk's
+    realization, head and insertion are built once per (I, K) and kept on
+    the category (`_hq_walk`).
     """
+    realize, head, insert = _hq_walk(cat, ch.I, K)
+    summands = descent_summands(ch, len(charts) - 1, realize, head, insert)
+    for coeff, _, _, eps, path, slots in summands:
+        add_tensor(out, path, slots, coeff * (-1) ** ((eps + sign_base) % 2))
+
+
+def _hq_walk(cat, I, K):
+    """The (realize, head, insert) of `_hq_descent` from I into K, built
+    once and kept on the category (`cat.table("hq-walk")`, keyed (I, K)).
+
+    Each slot realization is kept in `cat.table("hq-realize", I, K)`, keyed
+    (sym, mono, depth), the head's at depth -1 (the depth-0 slot's own when
+    their unit powers agree).  A miss reads the slot's restricted monomial
+    from the restriction map's kept image of x^mono (`RingMap._mono_image`,
+    checked once per exponent) and multiplies it by the unit power, kept
+    per (chart, n) with the walk.  The slot terms
+    of each insertion g^{-1}, unit powers included, are kept in
+    `cat.table("hq-insert", I, K)`, keyed (s, obj); only q >= 1 inserts,
+    so h^0 keeps none.  The walk refers to the category, a cycle that the
+    collector frees with it."""
+    walks = cat.table("hq-walk")
+    got = walks.get((I, K))
+    if got is not None:
+        return got
     atlas = cat.scene.atlas
-    i0 = charts[-1]
+    charts = K[: len(K) - len(I) + 1]
+    i0 = I[0]
     one = atlas.ring(K).one()
-    res = atlas.res(ch.I, K)
-    units = {a: atlas.unit(a, i0, K) for a in charts[:-1]}
+    res = atlas.res(I, K)
     upow: dict = {}
-    kept = cat.table("hq-realize", ch.I, K)
-    inserted = cat.table("hq-insert", ch.I, K) if len(charts) > 1 else None
+    kept = cat.table("hq-realize", I, K)
+    mfs = cat.mfs
 
     def u_pow(chart, n):
         if chart == i0 or n == 0:
             return one
-        if (chart, n) not in upow:
-            upow[chart, n] = units[chart] ** n
-        return upow[chart, n]
-
-    def realize(sym, mono, chart, n):
-        """mono * sym restricted to K, times u_{chart,i0}^n."""
-        key = (sym, mono, chart, n)
-        got = kept.get(key)
+        got = upow.get((chart, n))
         if got is None:
-            lp = res._mono_image(mono)
-            up = u_pow(chart, n)
-            got = kept[key] = slot_terms({sym: lp if up is one else up * lp})
+            got = upow[chart, n] = atlas.unit(chart, i0, K) ** n
+        return got
+
+    def realized(sym, mono, chart, n):
+        """mono * sym restricted to K, times u_{chart,i0}^n."""
+        lp = res._mono_image(mono)
+        up = u_pow(chart, n)
+        return slot_terms({sym: lp if up is one else up * lp})
+
+    def realize(sym, mono, depth):
+        got = kept.get((sym, mono, depth))
+        if got is None:
+            got = kept[sym, mono, depth] = realized(
+                sym, mono, charts[depth], cat.twist_shift(sym)
+            )
+        return got
+
+    def head(sym, mono):
+        got = kept.get((sym, mono, -1))
+        if got is None:
+            n = -mfs[sym[2]].twists[sym[4]]
+            if charts[0] == i0 or n == cat.twist_shift(sym):  # the depth-0 slot
+                got = realize(sym, mono, 0)
+            else:
+                got = realized(sym, mono, charts[0], n)
+            kept[sym, mono, -1] = got
         return got
 
     def g_inv(s, obj):
-        key = (s, obj)
-        got = inserted.get(key)
-        if got is None:
-            a, b = charts[s + 1], charts[s]
-            mf = cat.mfs[obj]
-            got = inserted[key] = slot_terms({
-                ("E", obj, obj, r, r): u_pow(a, -mf.twists[r]) * u_pow(b, mf.twists[r])
-                for r in range(mf.rank)
-            })
-        return got
+        a, b = charts[s + 1], charts[s]
+        mf = mfs[obj]
+        return slot_terms({
+            ("E", obj, obj, r, r): u_pow(a, -mf.twists[r]) * u_pow(b, mf.twists[r])
+            for r in range(mf.rank)
+        })
 
-    summands = descent_summands(
-        ch,
-        len(charts) - 1,
-        lambda sym, mono, depth: realize(sym, mono, charts[depth], cat.twist_shift(sym)),
-        lambda sym, mono: realize(sym, mono, charts[0], -cat.mfs[sym[2]].twists[sym[4]]),
-        g_inv,
-    )
-    for coeff, _, _, eps, path, slots in summands:
-        add_tensor(out, path, slots, coeff * (-1) ** ((eps + sign_base) % 2))
+    inserted = cat.table("hq-insert", I, K) if len(charts) > 1 else None
+    insert = lambda s, obj: _once(inserted, (s, obj), g_inv, s, obj)
+    got = walks[I, K] = (realize, head, insert)
+    return got
 
 
 def phi(c: CechHochChain, out_max_len: int, line: CurvedLine) -> CechHochChain:

@@ -9,7 +9,9 @@ metric means an algorithm changed.  Times are not compared.
 
 reads the run's last line (its JSON summary) from stdin and exits 1 on a
 difference.  A change that alters an algorithm on purpose rewrites the
-workload's entry with `--update` and says so in CHANGES.md.
+workload's entry with `--update`, which prints each moved count as
+`<workload>: <name> <old> -> <new>` before it writes, and says so in
+CHANGES.md.
 """
 
 from __future__ import annotations
@@ -38,18 +40,26 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     got = counts(json.loads(sys.stdin.read()))
     golden = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    want = golden.get(args.workload)
     if args.update:
+        for k, old, new in _moves(want or {}, got):
+            print(f"{args.workload}: {k} {old} -> {new}")
         golden[args.workload] = got
         GOLDEN.write_text(json.dumps(golden, sort_keys=True, indent=2) + "\n")
         return 0
-    want = golden.get(args.workload)
     if want is None:
         print(f"{args.workload}: no entry in {GOLDEN.name}", file=sys.stderr)
         return 1
-    diff = sorted(k for k in want.keys() | got.keys() if want.get(k) != got.get(k))
-    for k in diff:
-        print(f"{args.workload}: {k} is {got.get(k)}, golden {want.get(k)}", file=sys.stderr)
+    diff = _moves(want, got)
+    for k, old, new in diff:
+        print(f"{args.workload}: {k} is {new}, golden {old}", file=sys.stderr)
     return 1 if diff else 0
+
+
+def _moves(want: dict, got: dict) -> list:
+    """(name, golden value, run value) of every count that differs."""
+    names = sorted(want.keys() | got.keys())
+    return [(k, want.get(k), got.get(k)) for k in names if want.get(k) != got.get(k)]
 
 
 if __name__ == "__main__":

@@ -4,9 +4,12 @@
 restriction's RingMap, and `hochschild` keeps the slot terms of restricted
 basis elements and of the curvature, d and composition of basis symbols,
 and the plan of `hoch_d` per (path, symbols), on the presheaf, and those
-of the images of `can` on the morphism.  The trace's h^q keeps its slot
-realizations and, for q >= 1, its inserted inverse transition matrices on
-the category, and a lax morphism keeps its components, inverted and
+of the images of `can` on the morphism.  A walk of `descent_summands` that
+inserts keeps its gap layouts per (path, parities, q) on the presheaf.
+The trace's h^q keeps its walk per (I, K), its slot realizations and, for
+q >= 1, its inserted inverse transition matrices on the category, the
+atlas keeps the descents of the lax operators per (I, q), and a lax
+morphism keeps its components, inverted and
 restricted insertions, source realizations with their slot terms, and the
 heads of its insertion operators on itself (`lax.OneObjectLax.table`);
 the heads of `iso_homotopy` and a global chain's realizations live for
@@ -27,6 +30,7 @@ and its memory reused.
 
 import gc
 import importlib
+import itertools
 import pkgutil
 import random
 import weakref
@@ -73,6 +77,7 @@ from cechmf.hkr import hkr_A, hkr_xf
 from cechmf.hochschild import (
     CechHochChain,
     HochChain,
+    _layouts,
     apply_morphism,
     hoch_d,
     make_chain,
@@ -101,7 +106,7 @@ from cechmf.scene import UnsupportedScene, _loc_divide, load_scene, scene_from_d
 from cechmf.scenes_builtin import all_builtin_names, builtin_scene
 from cechmf.ses import cone_delta
 from cechmf.suites import basis_a_chains, coboundary_lax, oracle_homology_dims, unit_family
-from cechmf.trace import hq_basis, phi
+from cechmf.trace import _hq_walk, hq_basis, phi
 from conftest import POLE1_FILE, PRESHEAVES, sheared_a2c
 
 SCENE_NAMES = ("SCENE-P1", "SCENE-P2", "SCENE-A2D")
@@ -275,9 +280,12 @@ def test_tables_die_with_their_owner():
     assert all(owner._tables for owner in keep.values())
     endp = [{tag for tag, *_ in keep[name, "EndP"]._tables} for name in SCENE_NAMES]
     # SCENE-P1's EndP has no object on chart 1, so its h^q inserts nothing
-    assert all("hq-realize" in tags for tags in endp) and any("hq-insert" in tags for tags in endp)
+    assert all({"hq-realize", "hq-walk"} <= tags for tags in endp)
+    assert any({"hq-insert", "layouts"} <= tags for tags in endp)
     for name in SCENE_NAMES:
         assert {"realize", "head"} <= {tag for tag, *_ in keep[name, "lax"]._tables}
+        # the lax descents are kept on the atlas, so they die with the scene
+        assert keep[name, "lax"].scene.atlas._descents
     rng = random.Random("interleave")
     keys = sorted(keep)
     for _ in range(3):
@@ -419,6 +427,66 @@ def test_hq_keeps_insertions_only_for_q_at_least_one(name):
                 for r in range(mf.rank)
             }
             assert terms == slot_terms(want), (I, K, s, obj)
+
+
+def _descents_by_definition(atlas, I, q):
+    """Every ordered choice J of q charts outside I whose partial unions are
+    atlas tuples, with its levels and the sign of sorting J + I, derived
+    as `lax._descents` derived them on every call before the atlas kept
+    them."""
+    out = []
+    for J in itertools.permutations([j for j in atlas.chart_ids if j not in I], q):
+        levels = [I or GLOBAL] + [tuple(sorted(I + J[:s])) for s in range(1, q + 1)]
+        if all(atlas.has_tuple(T) for T in levels[1:]):
+            seq = J + I
+            inversions = sum(a > b for i, a in enumerate(seq) for b in seq[i + 1 :])
+            out.append(((-1) ** inversions, tuple(levels)))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("name", SCENE_NAMES + ("SCENE-A2C",))
+def test_kept_walk_tables_match_their_definitions(name):
+    """The layouts kept on a presheaf, the h^q walk kept on the category per
+    (I, K) with its realizations, and the lax descents kept on the atlas
+    per (I, q), each against its definition on a fresh scene."""
+    scene, fresh = builtin_scene(name), builtin_scene(name)
+    cat = end_algebra(scene, build_P(scene))
+    triv = TrivializedCategory(scene, list(cat.mfs.values()))
+    alg = SheafAlgebraA(scene)
+    lax_a, lax_id, tau = coboundary_lax(scene, alg, unit_family(scene))
+    rng = random.Random(f"walk-tables:{name}")
+    for c in [rand_cech_hoch_chain(rng, cat, max_len=2) for _ in range(3)]:
+        for q in range(len(scene.atlas.chart_ids)):
+            hq_basis(q, c, triv)
+    for c in [rand_a_class_chain(rng, alg, i % 2, max_len=1) for i in range(3)]:
+        cech_lax_map(lax_a, c, check=False)
+        iso_homotopy(lax_a, lax_id, tau, c)
+        strict_vs_lax_homotopy(lax_id, c)
+    walks = cat.table("hq-walk")
+    assert walks and all(_hq_walk(cat, I, K) is walk for (I, K), walk in walks.items())
+    atlas = fresh.atlas
+    for (tag, *key), table in cat._tables.items():
+        if tag != "hq-realize":
+            continue
+        I, K = key
+        assert (I, K) in walks
+        charts, i0 = K[: len(K) - len(I) + 1], I[0]
+        for (sym, mono, depth), terms in table.items():
+            if depth < 0:  # the head
+                chart, n = charts[0], -cat.mfs[sym[2]].twists[sym[4]]
+            else:
+                chart, n = charts[depth], cat.twist_shift(sym)
+            u = atlas.unit(chart, i0, K) ** n if chart != i0 else atlas.ring(K).one()
+            lp = atlas.res(I, K)(atlas.ring(I).monomial(mono))
+            assert terms == slot_terms({sym: u * lp}), (I, K, sym, mono, depth)
+    layouts = {**cat.table("layouts"), **alg.table("layouts")}
+    assert layouts
+    for (path, parities, q), entry in layouts.items():
+        assert q >= 1 and entry == _layouts(path, parities, q)
+    assert any(q >= 2 for _, q in scene.atlas._descents)
+    for (I, q), descents in scene.atlas._descents.items():
+        assert descents == _descents_by_definition(atlas, I, q), (I, q)
+    assert not fresh.atlas._descents, "the descents are served to another scene"
 
 
 @pytest.mark.parametrize("name", ["SCENE-A2C", "SCENE-A2D"])

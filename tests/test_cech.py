@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from cechmf.cech import (
+    _FLATS,
     CONE,
     CONEF,
     FORM,
@@ -17,6 +18,7 @@ from cechmf.cech import (
     OMEGA_Y,
     YFORM,
     Cochain,
+    _restricted,
     bar_power,
     bar_wedge,
     c1_minus_Y,
@@ -44,7 +46,7 @@ from cechmf.rand import (
 )
 from cechmf.scene import SceneError, _loc_divide, load_scene, scene_from_dict
 from cechmf.scenes_builtin import all_builtin_names, builtin_scene, builtin_scene_dict
-from conftest import POLE1_FILE, PRESHEAVES, sheared_a2c
+from conftest import POLE1_FILE, PRESHEAVES, SHEARED_FILE, sheared_a2c
 
 SCENES = {name: builtin_scene(name) for name in all_builtin_names()}
 
@@ -351,21 +353,25 @@ def _piecewise_total_d(c, complex_kind):
     return cech + _piecewise_twisted(c, lambda I, s: _SHEAF_D[complex_kind](scene.ctx(I), s))
 
 
-def _piecewise_cup(a, b, kind, product):
+def _piecewise_cup(a, b, kind, product, restrict=None):
+    """The cup product with every factor restricted to K, by the per-piece
+    restrictions of this file, or by restrict(scene, kind, s, I, K)."""
     scene = a.scene
+    if restrict is None:
+        restrict = lambda scene, kind, s, I, K: _RESTRICT[kind](scene, s, I, K)
     acc: dict = {}
     for I, sa in a.entries.items():
         for J, sb in b.entries.items():
             K = I + J[1:]
             if I[-1] != J[0] or list(K) != sorted(set(K)):
                 continue
-            ra = _RESTRICT[a.kind](scene, sa, I, K)
-            rb = _RESTRICT[b.kind](scene, sb, J, K)
+            ra = restrict(scene, a.kind, sa, I, K)
+            rb = restrict(scene, b.kind, sb, J, K)
             add_piece(acc, K, product(ra, rb, len(I) - 1, len(J) - 1))
     return Cochain(scene, kind, acc)
 
 
-def _piecewise_bar_wedge(alpha, gamma):
+def _piecewise_bar_wedge(alpha, gamma, restrict=None):
     if alpha.kind in (FORM, YFORM):
 
         def product(rg, ra, q, p):
@@ -380,7 +386,7 @@ def _piecewise_bar_wedge(alpha, gamma):
                 _wedge_left(s.log, rg).scale(Fraction((-1) ** ((p + 1) * q))),
             )
 
-    return _piecewise_cup(gamma, alpha, alpha.kind, product)
+    return _piecewise_cup(gamma, alpha, alpha.kind, product, restrict)
 
 
 def _piecewise_hoch(c, parts, cech=True):
@@ -458,3 +464,43 @@ def test_flat_differentials_match_piecewise_definition(name):
                     want = _piecewise_hoch(c, parts, cech=False)
                     assert twisted_hoch_d(c, parts) == want, (kind, parts)
     assert nonzero
+
+
+CUP_SCENES = [*all_builtin_names(), "sheared-file", "pole-last"]
+
+
+@pytest.mark.parametrize("name", CUP_SCENES)
+def test_cup_uses_a_factor_on_its_own_tuple_as_it_stands(name):
+    # _cup takes a factor whose tuple already is K as it stands: the
+    # identity restriction of every section kind gives the section back,
+    # and both products equal the cup that restricts every factor with
+    # cech._restricted, the identity ones included
+    files = {"sheared-file": SHEARED_FILE, "pole-last": POLE1_FILE}
+    scene = load_scene(files[name]) if name in files else builtin_scene(name)
+    rng = random.Random(f"cup-identity:{name}")
+    draws = {
+        FORM: lambda: rand_form_cochain(scene, rng, max_deg=1),
+        LOG: lambda: rand_log_cochain(scene, rng, max_deg=1),
+        YFORM: lambda: rand_yform_cochain(scene, rng, max_deg=1),
+        CONEF: lambda: rand_cone_cochain(scene, rng, max_deg=1),
+    }
+    assert set(draws) == set(_FLATS)
+    forms = {kind: [_nonzero(draw) for _ in range(3)] for kind, draw in draws.items()}
+    for kind, cs in forms.items():
+        for c in cs:
+            for I, s in c.entries.items():
+                assert _restricted(scene, kind, s, I, I) == s, (kind, I)
+    restrict = lambda scene, kind, s, I, K: _restricted(scene, kind, s, I, K)
+    identity = 0
+    for a in forms[FORM]:
+        for b in forms[FORM] + forms[YFORM]:
+            # a pair with a one-chart factor has its other factor on K
+            pairs = [(I, J) for I in a.entries for J in b.entries if I[-1] == J[0]]
+            identity += sum(min(len(I), len(J)) == 1 for I, J in pairs)
+            want = _piecewise_cup(a, b, b.kind, lambda ra, rb, p, q: ra.wedge(rb), restrict)
+            assert cech_wedge(a, b) == want
+            assert bar_wedge(b, a) == _piecewise_bar_wedge(b, a, restrict)
+    td = todd_inverse(scene)
+    for c in forms[CONEF]:
+        assert bar_wedge(c, td) == _piecewise_bar_wedge(c, td, restrict)
+    assert identity

@@ -15,17 +15,20 @@ from cechmf.hochschild import (
     HochChain,
     TruncationOverflow,
     add_tensor,
+    _layouts,
     cech_hoch_d,
+    descent_summands,
     hoch_d,
     insertion_layouts,
+    interleave,
     make_chain,
     restrict_chain,
     slot_terms,
 )
 from cechmf.rand import rand_hoch_chain
-from cechmf.scene import scene_from_dict
+from cechmf.scene import load_scene, scene_from_dict
 from cechmf.scenes_builtin import all_builtin_names, builtin_scene, builtin_scene_dict
-from conftest import PRESHEAVES, sheared_a2c
+from conftest import POLE1_FILE, PRESHEAVES, SHEARED_FILE, sheared_a2c
 
 SCENES = {name: builtin_scene(name) for name in all_builtin_names()}
 
@@ -318,6 +321,109 @@ def test_insertion_layouts_match_definition(k, q):
             assert list(ls) == sorted(ls)
             assert eps == sum(sum(parities[: l + 1]) + l for l in ls)
             assert depth == [sum(1 for l in ls if l < i) for i in range(k + 1)]
+
+
+def _symbolic_slots(path, ls, depth):
+    """The slots of one layout as the names of their cells: the head, slot
+    i realized at depth[i], and insertion s into the gap object after slot
+    ls[s]."""
+    gap_objs = path[1:] + path[:1]
+    slots = ["head"] + [f"a{i}@{depth[i]}" for i in range(1, len(path))]
+    return interleave(slots, ls, lambda s: f"g{s}:{gap_objs[ls[s]]}")
+
+
+@pytest.mark.parametrize("q", range(4))
+def test_kept_layouts_match_insertion_layouts(q):
+    # every parity tuple up to length trunc + 1, on paths through two
+    # objects, so the gap objects differ from gap to gap
+    trunc = max(sc.trunc for sc in SCENES.values())
+    for k1 in range(1, trunc + 2):
+        path = tuple("PQ"[i * i % 3 % 2] for i in range(k1))
+        for parities in itertools.product((0, 1), repeat=k1):
+            layouts, slot_cells, ins_cells = _layouts(path, parities, q)
+            want = list(insertion_layouts(list(parities), q))
+            assert len(layouts) == len(want) == comb(k1 - 1 + q, q)
+            gap_objs = path[1:] + path[:1]
+            cells = {0: "head"}
+            cells.update({(i, d): f"a{i}@{d}" for i, d in slot_cells})
+            cells.update({(~s, obj): f"g{s}:{obj}" for s, obj in ins_cells})
+            for layout, (ls0, eps0, depth0) in zip(layouts, want):
+                ls, eps, depth, out_path, objs, keys = layout
+                assert (ls, eps, list(depth)) == (ls0, eps0, depth0)
+                assert objs == tuple(gap_objs[l] for l in ls)
+                assert list(out_path) == interleave(path, ls, objs.__getitem__)
+                assert len(out_path) == k1 + q
+                assert [cells[key] for key in keys] == _symbolic_slots(path, ls, depth0)
+            assert set(slot_cells) == {
+                (i, depth[i]) for _, _, depth, *_ in layouts for i in range(1, k1)
+            }
+            assert set(ins_cells) == {
+                (s, objs[s]) for _, _, _, _, objs, _ in layouts for s in range(q)
+            }
+
+
+def _walk_by_term(chain, q, realize, head, insert):
+    """descent_summands as first written: each term derives its layouts
+    from insertion_layouts and interleaves its slots and path on the spot."""
+    parity = chain.presheaf.parity
+    inserted = {}
+    for (path, syms, monos), coeff in chain.terms.items():
+        parities = [parity(s) for s in syms]
+        gap_objs = path[1:] + path[:1]
+        first = head(syms[0], monos[0])
+        realized = {}
+        for ls, eps, depth in insertion_layouts(parities, q):
+            slots = [first]
+            for i in range(1, len(syms)):
+                if (i, depth[i]) not in realized:
+                    realized[i, depth[i]] = realize(syms[i], monos[i], depth[i])
+                slots.append(realized[i, depth[i]])
+            objs = [gap_objs[l] for l in ls]
+            for s, obj in enumerate(objs):
+                if (s, obj) not in inserted:
+                    inserted[s, obj] = insert(s, obj)
+            ins = lambda s: inserted[s, objs[s]]
+            out_path = interleave(path, ls, objs.__getitem__)
+            yield coeff, parities, ls, eps, out_path, interleave(slots, ls, ins)
+
+
+WALK_SCENES = [*all_builtin_names(), "sheared-file", "pole-last"]
+
+
+@pytest.mark.parametrize("name", WALK_SCENES)
+def test_descent_summands_matches_per_term_walk(name):
+    # realizations that name their arguments, so a slot read from a wrong
+    # cell shows; the walk's layouts are kept on the presheaf only for
+    # q >= 1, and its realizations are asked for once per (term, i, depth)
+    files = {"sheared-file": SHEARED_FILE, "pole-last": POLE1_FILE}
+    scene = load_scene(files[name]) if name in files else builtin_scene(name)
+    rng = random.Random(f"walk:{name}")
+    realize = lambda sym, mono, d: [(sym, mono, d + 2), (("depth", d), mono, -1)]
+    head = lambda sym, mono: [(sym, mono, Fraction(1, 3))]
+    insert = lambda s, obj: [(("ins", s, obj), (s,), 5)]
+    walked, layouts = 0, 0
+    for kind, make in sorted(PRESHEAVES.items()):
+        ph = make(scene)
+        chains = [
+            rand_hoch_chain(rng, ph, I, max_len=scene.trunc)
+            for I in scene.atlas.tuples
+            for _ in range(3)
+        ]
+        for q in range(4):
+            for ch in chains:
+                summands = descent_summands(ch, q, realize, head, insert)
+                got = [
+                    (c, list(par), ls, eps, list(path), slots)
+                    for c, par, ls, eps, path, slots in summands
+                ]
+                assert got == list(_walk_by_term(ch, q, realize, head, insert)), (kind, q)
+                walked += len(got)
+        kept = ph.table("layouts")
+        assert all(key[2] >= 1 for key in kept), kind
+        for (path, parities, q), entry in kept.items():
+            assert entry == _layouts(path, parities, q)
+        layouts += len(kept)
+    assert walked and layouts
 
 
 def _add_tensor_by_partials(out, path, slots, coeff):

@@ -78,6 +78,24 @@ def test_lax_map_is_chain_map(scene):
         assert lhs == rhs
 
 
+@pytest.mark.parametrize("scene", [P2, A2C, A2D], ids=lambda s: s.name)
+def test_cech_lax_map_is_the_sum_of_lax_hq(scene):
+    # cech_lax_map adds every q into one accumulator and builds once; the
+    # definition sums the per-q cochains
+    alg, _, lax, lax_id, _ = _fixture(scene)
+    rng = random.Random(79)
+    nonzero = 0
+    for i in range(6):
+        c = rand_a_class_chain(rng, alg, i % 2, max_len=2)
+        for F in (lax, lax_id):
+            want = CechHochChain(F.dst, {})
+            for q in range(len(scene.atlas.chart_ids) + 1):
+                want = want + lax_hq(F, q, c)
+            assert cech_lax_map(F, c, check=False) == want
+            nonzero += not want.is_zero()
+    assert nonzero
+
+
 @pytest.mark.parametrize("scene", [P1, A2C], ids=lambda s: s.name)
 def test_higher_hq_vanish_for_identity_iso(scene):
     # with alpha = id the ordered-tuple sum cancels pairwise for q >= 2
