@@ -30,6 +30,13 @@ which adds into the accumulator of its own tuple.  `cech_total_d` reads
 them alike for every complex, the cone included: one pass of
 `AtlasCochain.cech_d` with the sheaf differential as its sheaf part.
 
+The cup product multiplies restricted entries, not accumulators: each
+factor restricts its entry at I to K once and keeps it on itself
+(`Cochain.restricted`), so a factor that enters many products, as the
+inverse Todd cochain does on the residue route and in the Todd checks,
+restricts each entry once per K for its whole life.  The memo is a slot
+of the cochain and dies with it.
+
 A divisor form (kind YFORM) is a form on X taken modulo x and dx, x the
 divisor's coordinate; its normal form is forms.y_normalize.  Divisor forms
 are projected where they are built (`Cochain.__init__` and `_build`), so
@@ -113,18 +120,42 @@ def _restricted(scene: Scene, kind: str, s, I, J):
 
 class Cochain(AtlasCochain):
     """Assignment of a section of one kind to each atlas tuple; missing
-    entries are zero.  Divisor-form entries are projected to Y."""
+    entries are zero.  Divisor-form entries are projected to Y.
 
-    __slots__ = ("scene", "kind")
+    No code changes a cochain's entries after construction, so the
+    cochain keeps the restrictions of its entries that the cup product
+    asks for (`restricted`), in a slot of its own filled on first use: the
+    memo dies with the cochain, and a cochain derived from it (`_new`)
+    starts with none."""
+
+    __slots__ = ("scene", "kind", "_restrictions")
 
     def __init__(self, scene: Scene, kind: str, entries: dict | None = None):
         assert kind in _FLATS
         self.scene = scene
         self.kind = kind
+        self._restrictions = None
         super().__init__(entries)
         if kind == YFORM:
             normal = {I: y_normalize(s, scene.ctx(I)) for I, s in self.entries.items()}
             self.entries = {I: s for I, s in normal.items() if not s.is_zero()}
+
+    def _new(self, entries: dict) -> "Cochain":
+        out = super()._new(entries)
+        out._restrictions = None
+        return out
+
+    def restricted(self, I, K):
+        """The restriction of the entry at I from U_I to U_K
+        (`_restricted`), computed once per (I, K) and kept on the
+        cochain."""
+        memo = self._restrictions
+        if memo is None:
+            memo = self._restrictions = {}
+        got = memo.get((I, K))
+        if got is None:
+            got = memo[I, K] = _restricted(self.scene, self.kind, self.entries[I], I, K)
+        return got
 
     def _same_space(self, other) -> bool:
         return self.scene is other.scene and self.kind == other.kind
@@ -208,16 +239,21 @@ def cone_cochain(scene: Scene, reg: Cochain, log: Cochain) -> Cochain:
 # products
 
 
-def _cup(a: Cochain, b: Cochain, kind: str, product_into) -> Cochain:
+def _cup(a: Cochain, b: Cochain, product_into) -> Cochain:
     """Front-face/back-face pairing: the sum of product(a_I|K, b_J|K, p, q)
     over I ending where J starts, K = I + J[1:] strictly increasing, with
-    p, q the Cech degrees of I, J.  Each factor restricts to K by its own
-    kind; a factor whose tuple already is K is used as it stands, since a
-    cochain's entries are in normal form.  product_into(acc, a_I|K, b_J|K,
-    p, q) adds the product into K's accumulator; each value of the kind is
-    built once, from an accumulator that received a term."""
+    p, q the Cech degrees of I, J, as a cochain of b's kind.  Each factor
+    reads its restriction to K from its own memo (`Cochain.restricted`),
+    so a fixed factor such as the inverse Todd cochain restricts each
+    entry once for all the products it enters; a factor whose tuple
+    already is K is used as it stands, since a cochain's entries are in
+    normal form.  product_into(acc, a_I|K, b_J|K, p, q) adds the product
+    into K's accumulator; each value is built once, from an accumulator
+    that received a term, and the result is built from them through
+    `_new`, with no second check of its tuples or projection to Y."""
     assert a.scene is b.scene
     scene = a.scene
+    kind = b.kind
     accs: dict = {}
     for I, sa in a.entries.items():
         for J, sb in b.entries.items():
@@ -226,22 +262,21 @@ def _cup(a: Cochain, b: Cochain, kind: str, product_into) -> Cochain:
             K = I + J[1:]
             if list(K) != sorted(set(K)):
                 continue
-            if not scene.atlas.has_tuple(K):
-                raise SceneError(f"product tuple {K} missing from atlas")
             acc = accs.get(K)
             if acc is None:
+                if not scene.atlas.has_tuple(K):
+                    raise SceneError(f"product tuple {K} missing from atlas")
                 acc = accs[K] = _empty(kind)
-            ra = sa if I == K else _restricted(scene, a.kind, sa, I, K)
-            rb = sb if J == K else _restricted(scene, b.kind, sb, J, K)
+            ra = sa if I == K else a.restricted(I, K)
+            rb = sb if J == K else b.restricted(J, K)
             product_into(acc, ra, rb, len(I) - 1, len(J) - 1)
-    built = {K: _build(scene, kind, K, acc) for K, acc in accs.items() if any(acc)}
-    return Cochain(scene, kind, built)
+    return b._new({K: _build(scene, kind, K, acc) for K, acc in accs.items() if any(acc)})
 
 
 def cech_wedge(a: Cochain, b: Cochain) -> Cochain:
     """Front-face/back-face product on form-valued cochains."""
     assert a.kind == FORM and b.kind in (FORM, YFORM)
-    return _cup(a, b, b.kind, lambda acc, ra, rb, p, q: wedge_into(acc[0], ra, rb))
+    return _cup(a, b, lambda acc, ra, rb, p, q: wedge_into(acc[0], ra, rb))
 
 
 def bar_wedge(alpha: Cochain, gamma: Cochain) -> Cochain:
@@ -266,7 +301,7 @@ def bar_wedge(alpha: Cochain, gamma: Cochain) -> Cochain:
             wedge_into(acc[1], rg, s.log.regular, sign)
             wedge_into(acc[2], rg, s.log.residue, sign, graded=True)
 
-    return _cup(gamma, alpha, alpha.kind, product_into)
+    return _cup(gamma, alpha, product_into)
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,14 @@ a closed form.  Since da_i = sum_v m_i[v] x^(m_i - e_v) dx_v,
 where M_K is the k x k matrix of the slot exponents m_i[v] with v in K,
 and e_K is the indicator of K: the wedge of k one-forms with constant
 coefficients takes the k x k minors of their coefficient matrix.  The sum
-is zero for k > nvars.  `_hkr_mono` accumulates these terms into one flat
-{(K, exponent): coefficient} dict per tuple, the layout a Form stores, and
-`Form.from_flat` makes it a Form in one normalizing pass.
+is zero for k > nvars, so `hkr_xf` and `hkr_y` skip a tensor of more
+than nvars + 1 slots before they read its exponents.  Every part of
+`hkr_A` wedges one more one-form in (dx/x, dx or du/u), so it is zero
+already for k >= nvars, and `hkr_A` skips a tensor of more than nvars
+slots before it reads its symbols.  `_hkr_mono` accumulates the other
+terms into one flat {(K, exponent): coefficient} dict per tuple, the
+layout a Form stores, and `Form.from_flat` makes it a Form in one
+normalizing pass.
 """
 
 from __future__ import annotations
@@ -42,8 +47,6 @@ def _hkr_mono(monos, c, acc: dict) -> None:
     above v.
     """
     k = len(monos) - 1
-    if k > len(monos[0]):
-        return
     minors = {(): 1}
     for m in monos[1:]:
         nxt: dict = {}
@@ -74,10 +77,13 @@ def _hkr_cochain(c: CechHochChain, kind: str) -> Cochain:
     as a cochain of the given kind."""
     entries: dict = {}
     for I, ch in c.entries.items():
+        ring = c.scene.atlas.ring(I)
+        top = ring.nvars + 1  # a tensor of more slots maps to 0
         flat: dict = {}
         for (path, syms, monos), coeff in ch.terms.items():
-            _hkr_mono(monos, coeff, flat)
-        entries[I] = Form.from_flat(c.scene.atlas.ring(I), flat)
+            if len(monos) <= top:
+                _hkr_mono(monos, coeff, flat)
+        entries[I] = Form.from_flat(ring, flat)
     return Cochain(c.scene, kind, entries)
 
 
@@ -127,9 +133,12 @@ def hkr_A(c: CechHochChain) -> Cochain:
 
     for I, ch in c.entries.items():
         ctx = scene.ctx(I)
+        top = ctx.ring.nvars  # a tensor of more slots maps to 0
         s_flat: dict = {}
         t_flat: dict = {}
         for (path, syms, monos), coeff in ch.terms.items():
+            if len(syms) > top:
+                continue
             eps_slots = [l for l, s in enumerate(syms) if s == "e"]
             if not eps_slots:
                 _hkr_mono(monos, coeff, s_flat)

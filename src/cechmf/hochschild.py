@@ -11,11 +11,14 @@ of the tuple ring.  The differential is d_0 (curvature insertion) + d_1
 Cech-Hochschild total differential twists the internal part by (-1)^p.
 
 A strict functor F induces a_0[a_1|...|a_k] -> F(a_0)[F(a_1)|...|F(a_k)];
-`map_slots_into` is that one induced map, and restriction along tuples,
-the morphism `can`, the quotient to O_Y (`hkr.a_to_oy`) and the global
-restriction (`lax.global_to_cech`) are all calls to it.  It and `hoch_d_into`
-add sign times their result into the caller's term dict; `map_slots`,
-`restrict_chain` and `hoch_d` build a HochChain from a fresh dict.
+`map_slots` is that one induced map, and the morphism `can`, the
+quotient to O_Y (`hkr.a_to_oy`) and the global restriction
+(`lax.global_to_cech`) are calls to it.  Restriction along tuples is the
+same map with F the restriction functor from I to J, which is fixed, so
+`restrict_chain_into` runs its own term loop over a restrictor kept per
+(I, J).  It and `hoch_d_into` add sign times their result into the
+caller's term dict; `restrict_chain` and `hoch_d` build a HochChain from
+a fresh dict.
 
 Inserting q elements into the gaps of a_0[a_1|...|a_k], each slot
 realized at the level its depth reaches, is the one walk
@@ -38,10 +41,13 @@ monomial shift, signed coefficient), grouped by the slot they change,
 depend on nothing else, and builds only each output key's monomials from
 slices of the tensor's own; a plan is built from the slot terms of the
 curvature, d and composition of basis symbols, kept per tuple.
-`restrict_chain` keeps, per (I, J), the slot terms of each restricted
-basis element mono * sym, and `apply_morphism` keeps, per tuple, those of
-each image on the morphism.  Within one `map_slots_into` call each
-distinct (sym, mono) slot is computed once.
+`restrict_chain` keeps one restrictor per (I, J) (`_restrictor`, table
+"restrictor"): whether the presheaf lives on J and the slot terms of each
+restricted basis element mono * sym (table "restrict"), so a restriction
+with a term or two makes one lookup per slot and no other set-up.
+`apply_morphism` keeps, per tuple, the slot terms of each image on the
+morphism.  Within one `map_slots` call each distinct (sym, mono) slot is
+computed once.
 
 A CechHochChain is a Cech cochain of such chains over the atlas; its
 linear operations, its Cech differential and the (-1)^p twist come from
@@ -291,15 +297,7 @@ def make_chain(presheaf, I, path, slots, coeff=1) -> HochChain:
 
 def map_slots(chain: HochChain, presheaf, I, slot, path=tuple, table=None) -> HochChain:
     """The map a_0[a_1|...|a_k] -> F(a_0)[F(a_1)|...|F(a_k)] that a strict
-    functor F induces, as a chain of presheaf over I (`map_slots_into`)."""
-    out: dict = {}
-    map_slots_into(out, chain, slot, path=path, table=table)
-    return HochChain(presheaf, I, out)
-
-
-def map_slots_into(out: dict, chain: HochChain, slot, sign=1, path=tuple, table=None) -> None:
-    """out += sign * the image of chain under the map that a strict functor
-    F induces, as basis terms {(path, syms, monos): coefficient}.
+    functor F induces, as a chain of presheaf over I.
 
     slot(sym, mono) is F of the basis element mono * sym, an element
     {sym: LocPoly}; path(objects) maps the path of a basis tensor.  A slot
@@ -309,15 +307,17 @@ def map_slots_into(out: dict, chain: HochChain, slot, sign=1, path=tuple, table=
     """
     if table is None:
         table = {}
+    out: dict = {}
     for (p, syms, monos), coeff in chain.terms.items():
         slots = [_kept(table, (s, m), slot, s, m) for s, m in zip(syms, monos)]
-        add_tensor(out, path(p), slots, coeff if sign > 0 else -coeff)
+        add_tensor(out, path(p), slots, coeff)
+    return HochChain(presheaf, I, out)
 
 
 def _kept(table: dict, key, build, *args) -> list:
     """slot_terms(build(*args)), computed once and kept in table under key.
     Not a call of `_once`, which would take a closure per slot of every
-    term that `map_slots_into` reads."""
+    term that `map_slots` and `restrict_chain_into` read."""
     terms = table.get(key)
     if terms is None:
         terms = table[key] = slot_terms(build(*args))
@@ -445,21 +445,38 @@ def restrict_chain(chain: HochChain, J) -> HochChain:
 
 
 def restrict_chain_into(out: dict, chain: HochChain, J, sign=1) -> None:
-    """out += sign * restrict_chain(chain, J), as basis terms; the slot
-    terms of each restricted basis element are kept on the presheaf, per
-    (I, J)."""
-    ph = chain.presheaf
-    I, J = chain.I, tuple(J)
-    if not ph.live(J):
+    """out += sign * restrict_chain(chain, J), as basis terms.
+
+    The restriction from I to J is `map_slots` with F the restriction
+    functor, which is fixed, so its set-up is read from the restrictor
+    kept on the presheaf per (I, J) (`_restrictor`): whether the presheaf
+    lives on J and the table of slot terms of each restricted basis
+    element mono * sym.  Each slot of a term is one lookup in that table;
+    a missing (or empty) one falls through to `_kept`, which builds it by
+    `_restrict_slot`."""
+    ph, I, J = chain.presheaf, chain.I, tuple(J)
+    live, table = _once(ph.table("restrictor"), (I, J), _restrictor, ph, I, J)
+    if not live:
         return
-    ring = ph.ring(I)
-    map_slots_into(
-        out,
-        chain,
-        lambda s, m: restrict_elem(ph, {s: ring.monomial(m)}, I, J),
-        sign,
-        table=ph.table("restrict", I, J),
-    )
+    get = table.get
+    for (path, syms, monos), coeff in chain.terms.items():
+        slots = [
+            get(key) or _kept(table, key, _restrict_slot, ph, I, J, *key)
+            for key in zip(syms, monos)
+        ]
+        add_tensor(out, path, slots, coeff if sign > 0 else -coeff)
+
+
+def _restrictor(ph: CdgPresheaf, I, J) -> tuple:
+    """(live, slot table) of the restriction of ph from I to J: live is
+    ph.live(J), and the table is `ph.table("restrict", I, J)`, keyed by
+    (sym, mono)."""
+    return ph.live(J), ph.table("restrict", I, J)
+
+
+def _restrict_slot(ph: CdgPresheaf, I, J, sym, mono) -> dict:
+    """The restriction of the basis element mono * sym from I to J."""
+    return restrict_elem(ph, {sym: ph.ring(I).monomial(mono)}, I, J)
 
 
 class CechHochChain(AtlasCochain):

@@ -27,7 +27,8 @@ What these operators compute from a lax morphism's data alone is kept on
 the morphism (`OneObjectLax.table`) and lives and dies with it: its
 components, insertions, slot realizations and heads.  The realizations and
 heads of a global chain's slots are kept for one `restriction_htilde`
-call, and the heads of `iso_homotopy`, which its tau fixes, for one call.
+call, and the heads and inverted tau components of `iso_homotopy`, which
+its tau fixes, for one call.
 
 Everything here is for one-object presheaves, which covers the algebra
 actors of the build; signs follow the displayed formulas.
@@ -421,10 +422,19 @@ def iso_homotopy(lax_a: OneObjectLax, lax_b: OneObjectLax, tau_elem, c: CechHoch
     p + q; without it the q = 0 homotopies at Cech degrees p and p + 1
     enter with the same sign.  With the ledger's -1 the Cech factor is
     (-1)^(p+q+1) = (-1)^|K|.
+
+    Each tau_T^{-1} restricted to K is computed once per (T, K) within the
+    call and shared by every descent that inserts it; tau fixes it, so the
+    morphisms keep nothing of it.
     """
     scene = lax_a.scene
     dst = lax_a.dst
     acc: dict = {}
+
+    def tau_inverse(T, K):
+        return slot_terms(_unit_inverse(restrict_elem(dst, tau_elem(T), T, K)))
+
+    inverses: dict = {}  # (T, K) -> slot terms of tau_T^{-1} over K, for this call
     for I, ch in c.entries.items():
         p = len(I) - 1
         (realize_a, _), (realize_b, _) = _from_source(lax_a, I), _from_source(lax_b, I)
@@ -434,10 +444,7 @@ def iso_homotopy(lax_a: OneObjectLax, lax_b: OneObjectLax, tau_elem, c: CechHoch
                 K = levels[-1]
                 # tau_inv[n]: after n alpha^{-1} insertions the descent is at
                 # levels[q - n]
-                tau_inv = [
-                    slot_terms(_unit_inverse(restrict_elem(dst, tau_elem(T), T, K)))
-                    for T in reversed(levels)
-                ]
+                tau_inv = [_once(inverses, (T, K), tau_inverse, T, K) for T in reversed(levels)]
                 if K not in heads:
                     head = restrict_elem(dst, tau_elem(I), I, K)
                     if q:

@@ -1,31 +1,36 @@
 """The tabulated structure gives the uncached answer, and dies with its owner.
 
 `forms.map_form` keeps the pullback of each basis form x^e dx_K on the
-restriction's RingMap, and `hochschild` keeps the slot terms of restricted
-basis elements and of the curvature, d and composition of basis symbols,
-and the plan of `hoch_d` per (path, symbols), on the presheaf, and those
-of the images of `can` on the morphism.  A walk of `descent_summands` that
-inserts keeps its gap layouts per (path, parities, q) on the presheaf.
-The trace's h^q keeps its walk per (I, K), its slot realizations and, for
-q >= 1, its inserted inverse transition matrices on the category, the
-atlas keeps the descents of the lax operators per (I, q), and a lax
-morphism keeps its components, inverted and
-restricted insertions, source realizations with their slot terms, and the
-heads of its insertion operators on itself (`lax.OneObjectLax.table`);
-the heads of `iso_homotopy` and a global chain's realizations live for
-one call.  The scene keeps the pole rewrite of each restriction of a log
-form and the dlog of each transition unit that `hkr_A` wedges in
-(`Scene._pole_rewrites`, `Scene._unit_dlogs`), the
+restriction's RingMap, and `hochschild` keeps a restrictor per (I, J)
+("restrictor": whether the presheaf lives on J and the slot terms of
+restricted basis elements), the slot terms of the
+curvature, d and composition of basis symbols, and the plan of `hoch_d`
+per (path, symbols), on the presheaf, and those of the images of `can`
+on the morphism.  A form cochain keeps the restrictions of its entries
+that the cup product reads (`Cochain.restricted`) on itself, and a
+cochain derived from it starts with none.  A walk of `descent_summands`
+that inserts keeps its gap layouts per (path, parities, q) on the
+presheaf.  The trace's h^q keeps its walk per (I, K), its slot
+realizations and, for q >= 1, its inserted inverse transition matrices
+on the category, the atlas keeps the descents of the lax operators per
+(I, q), and a lax morphism keeps its components, inverted and restricted
+insertions, source realizations with their slot terms, and the heads of
+its insertion operators on itself (`lax.OneObjectLax.table`); the heads
+and inverted tau components of `iso_homotopy` and a global chain's
+realizations live for one call.  The scene keeps the pole rewrite of
+each restriction of a log form and the dlog of each transition unit that
+`hkr_A` wedges in (`Scene._pole_rewrites`, `Scene._unit_dlogs`), the
 fixtures of the trace-vs-residue square (`diagrams.RouteCtx`) and, for
 windowed homology, per complex the assembled window of the largest D
 asked so far (`Scene._windows`), which serves every smaller window with
 no cech_total_d run, no column expanded again and no elimination: a
 window build makes the d(dx_K) table of each (tag, I, K) once, drops the
 tables with its columns expanded, and eliminates each parity's matrix
-once, keeping the echelon that homology calls and boundary tests read.  These tests compare each table and smaller-window
-answer with the computation it replaces, and check that a table is never
-served to an object other than its owner, also after the owner is freed
-and its memory reused.
+once, keeping the echelon that homology calls and boundary tests read.
+These tests compare each table and smaller-window answer with the
+computation it replaces, and check that a table is never served to an
+object other than its owner, also after the owner is freed and its
+memory reused.
 """
 
 import gc
@@ -58,6 +63,8 @@ from cechmf.cech import (
     OMEGA,
     OMEGA_LOG,
     OMEGA_Y,
+    Cochain,
+    _restricted,
     bar_wedge,
     cech_total_d,
     todd_inverse,
@@ -98,6 +105,7 @@ from cechmf.lax import (
 from cechmf.rand import (
     rand_a_class_chain,
     rand_cech_hoch_chain,
+    rand_cone_cochain,
     rand_form,
     rand_hoch_chain,
     rand_log_cochain,
@@ -278,6 +286,9 @@ def test_tables_die_with_their_owner():
     }
     want = {key: _signature(ph, f"{key}") for key, ph in keep.items()}
     assert all(owner._tables for owner in keep.values())
+    for (name, kind), owner in keep.items():
+        if kind != "lax":
+            assert ("restrictor",) in owner._tables, (name, kind)
     endp = [{tag for tag, *_ in keep[name, "EndP"]._tables} for name in SCENE_NAMES]
     # SCENE-P1's EndP has no object on chart 1, so its h^q inserts nothing
     assert all({"hq-realize", "hq-walk"} <= tags for tags in endp)
@@ -309,6 +320,94 @@ def test_tables_die_with_their_owner():
         gc.collect()
         assert all(ref() is None for ref in dead_scenes), "a table outlives its scene"
     assert _module_containers() == before
+
+
+@pytest.mark.parametrize("name", SCENE_NAMES)
+def test_restrictor_and_cochain_memo_match_their_definitions(name):
+    # on a fresh scene: each presheaf's restrictor per (I, J) holds
+    # ph.live(J) and the "restrict" slot table, whose slots restrict by
+    # restrict_elem; the inverse Todd cochain's memo holds what
+    # cech._restricted gives, and a cochain made from it, or from its
+    # entries, starts with none
+    before = _module_containers()
+    scene = builtin_scene(name)
+    rng = random.Random(f"restrictor-memo:{name}")
+    for kind, make in sorted(PRESHEAVES.items()):
+        ph = make(scene)
+        for ch in _chains(rng, ph):
+            for _, _, J in scene.atlas.extensions(ch.I):
+                restrict_chain(ch, J)
+        restrictors = ph.table("restrictor")
+        assert restrictors, kind
+        # O_Y lives on no extension of a tuple of SCENE-P1 or SCENE-A2D
+        assert any(table for live, table in restrictors.values() if live) or (
+            kind == "O_Y" and not any(live for live, _ in restrictors.values())
+        ), kind
+        for (I, J), (live, table) in restrictors.items():
+            assert live == ph.live(J)
+            assert table is ph.table("restrict", I, J)
+            ring = ph.ring(I)
+            for (sym, mono), terms in table.items():
+                want = restrict_elem(ph, {sym: ring.monomial(mono)}, I, J)
+                assert terms == slot_terms(want), (kind, I, J, sym, mono)
+    td = todd_inverse(scene)
+    assert td._restrictions is None
+    cones = [rand_cone_cochain(scene, rng, max_deg=1) for _ in range(3)]
+    products = [bar_wedge(c, td) for c in cones]
+    assert td._restrictions
+    for (I, K), s in td._restrictions.items():
+        assert s == _restricted(scene, FORM, td.entries[I], I, K)
+    fresh = [Cochain(scene, FORM, td.entries), td.scale(1), -td, td + td, *products]
+    assert all(c._restrictions is None for c in fresh)
+    assert [bar_wedge(c, td) for c in cones] == products
+    assert _module_containers() == before
+
+
+class _Marker:
+    """A weakly referable value, put into a memo to see when it dies."""
+
+
+def test_restrictor_and_cochain_memo_die_with_their_owners():
+    before = _module_containers()
+    for name in SCENE_NAMES:
+        scene = builtin_scene(name)
+        rng = random.Random(f"memo-dies:{name}")
+        td = todd_inverse(scene)
+        bar_wedge(rand_cone_cochain(scene, rng, max_deg=1), td)
+        line = CurvedLine(scene, 1)
+        for ch in _chains(rng, line):
+            for _, _, J in scene.atlas.extensions(ch.I):
+                restrict_chain(ch, J)
+        assert td._restrictions and line.table("restrictor")
+        markers = [_Marker(), _Marker()]
+        td._restrictions["marker"] = markers[0]
+        line.table("restrictor")["marker"] = markers[1]
+        refs = [weakref.ref(x) for x in (*markers, line, scene)]
+        del scene, td, line, ch, markers
+        gc.collect()
+        assert all(ref() is None for ref in refs), f"{name}: a memo outlives its owner"
+    assert _module_containers() == before
+
+
+def test_restrictors_make_no_reference_cycle():
+    # a restrictor holds no reference back to its presheaf, so a presheaf
+    # that keeps restrictors is freed as soon as its last reference goes,
+    # with the cyclic collector off
+    scene = builtin_scene("SCENE-P2")
+    rng = random.Random("restrictor-cycle")
+    gc.disable()
+    try:
+        for kind, make in sorted(PRESHEAVES.items()):
+            ph = make(scene)
+            for ch in _chains(rng, ph):
+                for _, _, J in scene.atlas.extensions(ch.I):
+                    restrict_chain(ch, J)
+            assert ph.table("restrictor"), kind
+            ref = weakref.ref(ph)
+            del ph, ch
+            assert ref() is None, f"{kind}: a restrictor refers back to its presheaf"
+    finally:
+        gc.enable()
 
 
 def _fresh_rewrite(scene, I, J):

@@ -504,3 +504,41 @@ def test_cup_uses_a_factor_on_its_own_tuple_as_it_stands(name):
     for c in forms[CONEF]:
         assert bar_wedge(c, td) == _piecewise_bar_wedge(c, td, restrict)
     assert identity
+
+
+@pytest.mark.parametrize("name", CUP_SCENES)
+def test_cochain_restricted_matches_restricted(name):
+    # the memo of every section kind against cech._restricted, for every
+    # entry and every atlas tuple containing it: the first read fills the
+    # memo (cold), the second returns the kept section (warm); a cochain
+    # derived from a filled one starts with no memo
+    files = {"sheared-file": SHEARED_FILE, "pole-last": POLE1_FILE}
+    scene = load_scene(files[name]) if name in files else builtin_scene(name)
+    rng = random.Random(f"cochain-restricted:{name}")
+    draws = {
+        FORM: lambda: rand_form_cochain(scene, rng, max_deg=1),
+        LOG: lambda: rand_log_cochain(scene, rng, max_deg=1),
+        YFORM: lambda: rand_yform_cochain(scene, rng, max_deg=1),
+        CONEF: lambda: rand_cone_cochain(scene, rng, max_deg=1),
+    }
+    assert set(draws) == set(_FLATS)
+    restricted = 0
+    for kind, draw in draws.items():
+        c = _nonzero(draw)
+        assert c._restrictions is None
+        pairs = [
+            (I, K)
+            for I in c.entries
+            for K in scene.atlas.tuples
+            if K != I and set(I) <= set(K)
+        ]
+        for I, K in pairs:
+            want = _restricted(scene, kind, c.entries[I], I, K)
+            got = c.restricted(I, K)
+            assert got == want, (kind, I, K)
+            assert c.restricted(I, K) is got
+        assert set(c._restrictions or {}) == set(pairs)
+        restricted += len(pairs)
+        for derived in (c.scale(1), c + c, -c):
+            assert derived._restrictions is None
+    assert restricted or len(scene.atlas.chart_ids) == 1

@@ -7,11 +7,13 @@ import pytest
 from cechmf.cdg import CurvedLine, OYAlgebra, SheafAlgebraA
 from cechmf.cech import (
     CONE,
+    CONEF,
     FORM,
     LOG,
     OMEGA,
     OMEGA_PLUS,
     OMEGA_Y,
+    YFORM,
     Cochain,
     cech_total_d,
     cone_cochain,
@@ -19,10 +21,12 @@ from cechmf.cech import (
 from cechmf.forms import Form, LogForm, d_of, dlog_of
 from cechmf.hkr import _hkr_mono, a_to_oy, hkr_A, hkr_xf, hkr_y
 from cechmf.hochschild import CechHochChain, cech_hoch_d, make_chain
+from cechmf.rand import rand_cech_hoch_chain
+from cechmf.scene import load_scene
 from cechmf.ses import cone_to_y
 from cechmf.scenes_builtin import all_builtin_names, builtin_scene
 from cechmf.suites import basis_a_chains
-from conftest import sheared_a2c
+from conftest import POLE1_FILE, SHEARED_FILE, sheared_a2c
 
 SCENES = {name: builtin_scene(name) for name in all_builtin_names()}
 SHEARED = "SCENE-A2C-SHEAR"
@@ -129,6 +133,60 @@ def test_hkr_A_matches_term_by_term(name):
         for c in rng.sample(chains, min(8, len(chains))):
             total = total + c.scale(rng.choice([1, -1, 2]))
         assert hkr_A(total) == _hkr_A_term_by_term(total)
+
+
+def _hkr_term_by_term(c: CechHochChain, kind: str) -> Cochain:
+    """hkr_xf and hkr_y from their formula, every tensor wedged slot by
+    slot, the long ones included."""
+    acc: dict = {}
+    for I, ch in c.entries.items():
+        ring = c.scene.atlas.ring(I)
+        for (path, syms, monos), coeff in ch.terms.items():
+            m = [ring.monomial(mono) for mono in monos]
+            add_piece(acc, I, _wedge_chain(m[0], coeff, len(m) - 1, [d_of(a) for a in m[1:]]))
+    return Cochain(c.scene, kind, acc)
+
+
+SKIP_SCENES = [*all_builtin_names(), "sheared-file", "pole-last"]
+
+
+@pytest.mark.parametrize("name", SKIP_SCENES)
+def test_hkr_maps_skip_only_tensors_they_send_to_zero(name):
+    # hkr_xf and hkr_y skip a tensor of more than nvars + 1 slots, hkr_A
+    # one of more than nvars; against the per-term formulas, on chains
+    # that have such tensors
+    files = {"sheared-file": SHEARED_FILE, "pole-last": POLE1_FILE}
+    scene = load_scene(files[name]) if name in files else builtin_scene(name)
+    rng = random.Random(f"hkr-skip:{name}")
+    nvars = {I: scene.atlas.ring(I).nvars for I in scene.atlas.tuples}
+    top = max(nvars.values()) + 1
+
+    def skipped(c, extra):
+        return sum(
+            len(k[1]) > nvars[I] + extra for I, ch in c.entries.items() for k in ch.terms
+        )
+
+    long_terms, nonzero = {}, 0
+    maps = [
+        (CurvedLine(scene, -1), hkr_xf, FORM),
+        (OYAlgebra(scene), hkr_y, YFORM),
+    ]
+    for ph, hkr, kind in maps:
+        for _ in range(16):
+            c = rand_cech_hoch_chain(rng, ph, max_len=top + 2)
+            got = hkr(c)
+            assert got == _hkr_term_by_term(c, kind), kind
+            nonzero += not got.is_zero()
+            long_terms[kind] = long_terms.get(kind, 0) + skipped(c, 1)
+    alg = SheafAlgebraA(scene)
+    for eps_count in (0, 1, 2):
+        for _ in range(8):
+            c = _rand_a_cech(rng, alg, eps_count, max_len=top + 1)
+            got = hkr_A(c)
+            assert got == _hkr_A_term_by_term(c), eps_count
+            nonzero += not got.is_zero()
+            long_terms[CONEF] = long_terms.get(CONEF, 0) + skipped(c, 0)
+    assert all(long_terms.values()) and len(long_terms) == 3 and nonzero
 
 
 def _line_chain(line, I, monos_list, coeff=1):

@@ -6,7 +6,15 @@ from operator import add
 
 import pytest
 
-from cechmf.cdg import CurvedLine, MFCategory, SheafAlgebraA, build_P, end_algebra
+from cechmf.cdg import (
+    CurvedLine,
+    MFCategory,
+    OYAlgebra,
+    SheafAlgebraA,
+    build_P,
+    end_algebra,
+    restrict_elem,
+)
 from cechmf.cech import FORM, YFORM, Cochain
 from cechmf.forms import Form
 from cechmf.hochschild import (
@@ -22,7 +30,9 @@ from cechmf.hochschild import (
     insertion_layouts,
     interleave,
     make_chain,
+    map_slots,
     restrict_chain,
+    restrict_chain_into,
     slot_terms,
 )
 from cechmf.rand import rand_hoch_chain
@@ -424,6 +434,54 @@ def test_descent_summands_matches_per_term_walk(name):
             assert entry == _layouts(path, parities, q)
         layouts += len(kept)
     assert walked and layouts
+
+
+def _restrict_by_map_slots(out, chain, J, sign):
+    """restrict_chain_into by its definition: map_slots with the
+    restriction functor, its set-up made anew on every call, added into
+    out with the sign."""
+    ph, I = chain.presheaf, chain.I
+    if not ph.live(J):
+        return
+    ring = ph.ring(I)
+    image = map_slots(chain, ph, J, lambda s, m: restrict_elem(ph, {s: ring.monomial(m)}, I, J))
+    for key, c in image.terms.items():
+        out[key] = out.get(key, 0) + sign * c
+
+
+@pytest.mark.parametrize("name", WALK_SCENES)
+def test_restrict_chain_into_matches_map_slots_definition(name):
+    # every presheaf kind, sign and extension (and the identity), on a
+    # fresh scene: the first round builds each restrictor (cold), the
+    # second reads it (warm); the accumulator holds a term of its own,
+    # which both must add to.  O_Y is dead on the tuples the divisor
+    # misses, so a restriction into one of them adds nothing.
+    files = {"sheared-file": SHEARED_FILE, "pole-last": POLE1_FILE}
+    scene = load_scene(files[name]) if name in files else builtin_scene(name)
+    rng = random.Random(f"restrictor:{name}")
+    seen = {"nonzero": 0, "dead": 0}
+    for kind, make in sorted(PRESHEAVES.items()):
+        ph = make(scene)
+        chains = [
+            rand_hoch_chain(rng, ph, I, max_len=2)
+            for I in scene.atlas.tuples
+            if ph.objects(I)
+            for _ in range(3)
+        ]
+        for _ in ("cold", "warm"):
+            for ch in chains:
+                for J in [ch.I] + [J for _, _, J in scene.atlas.extensions(ch.I)]:
+                    for sign in (1, -1):
+                        own = {(("*",), ("own",), ((0,),)): Fraction(1, 3)}
+                        got, want = dict(own), dict(own)
+                        restrict_chain_into(got, ch, J, sign)
+                        _restrict_by_map_slots(want, ch, J, sign)
+                        assert got == want, (kind, ch.I, J, sign)
+                        seen["nonzero"] += got != own
+                        seen["dead"] += not ph.live(J)
+    assert seen["nonzero"]
+    oy = OYAlgebra(scene)
+    assert bool(seen["dead"]) == any(not oy.live(I) for I in scene.atlas.tuples)
 
 
 def _add_tensor_by_partials(out, path, slots, coeff):
