@@ -11,8 +11,9 @@ the trivial one-object algebra with basis {1}; each subclass overrides
 only what differs from it.
 
 Structure maps depend only on the presheaf and their arguments, so
-`hochschild` tabulates their slot terms, the plans of `hoch_d` and the
-gap layouts of the descent walk, and `trace` the walks of h^q with their
+`hochschild` tabulates their slot terms, the plans of `hoch_d`, the
+tuple plans of the Cech-Hochschild passes and the gap layouts of the
+descent walk, and `trace` the walks of h^q with their
 slot realizations, once, in dicts the presheaf owns
 (`CdgPresheaf.table`); a presheaf's tables are freed with it.  The
 morphism `can` keeps the slot terms of its images the same way

@@ -8,13 +8,19 @@ Conventions (see signs.py):
     (a.b)_{i_0..i_{p+q}} = a_{i_0..i_p} b_{i_p..i_{p+q}},
   * bar product (a ~^ b) = (-1)^{pq} (b ^ a) in Cech degrees p, q.
 
-The Cech layer accumulates once.  A cochain's value at a target tuple K
-is a sum of many terms: restricted pieces of the Cech differential, sheaf
-differentials of the entries, products of a cup product.  Each target
-gets one accumulator, a list of flat dicts {(index set, exponent):
-coefficient} (one for a form, two for a log form's regular part and
-residue, three for a cone section), every term is added into it with its
-sign, and the value at K is built once at the end (`_build`).  A Form
+The Cech layer makes one pass per entry and accumulates once.  A
+cochain's value at a target tuple K is a sum of many terms: restricted
+pieces of the Cech differential, sheaf differentials of the entries,
+products of a cup product.  Each target gets one accumulator, a list of
+flat dicts {(index set, exponent): coefficient} (one for a form, two for
+a log form's regular part and residue, three for a cone section), every
+term is added into it with its sign, and the value at K is built once at
+the end (`_build`).  A total differential visits each entry once
+(`Cochain._entry_into`): the entry is restricted to every extension J of
+its tuple I along the plan that the scene keeps per I (`_tuple_plan`,
+`Scene._cech_plans`: J, the sign of J's new index and atlas.res(I, J)),
+and its sheaf differential goes into I's accumulator, so nothing per
+(entry, J) looks up a restriction map or dispatches on the kind.  A Form
 stores that flat layout, so building is one normalizing pass over each
 dict, with no regrouping: a log form is folded to the LogForm normal form
 straight from its two dicts (`LogForm.from_flats`), a divisor form is
@@ -23,10 +29,11 @@ projections, so the normal form of the sum is the sum of the normal
 forms of its terms, and normalizing once at K is exact.
 
 Three tables define the complexes: `_FLATS` holds the accumulator size of
-each section kind, `_RESTRICT_INTO` its restriction from U_I to U_J into an
-accumulator, which the Cech differential and the cup product use, and
-`_COMPLEXES` holds each complex's section kind and its sheaf differential,
-which adds into the accumulator of its own tuple.  `cech_total_d` reads
+each section kind, `_RESTRICT_INTO` its restriction from U_I to U_J along
+a given restriction map into an accumulator, which the Cech differential
+and the cup product use, and `_COMPLEXES` holds each complex's section
+kind and its sheaf differential, which adds into the accumulator of its
+own tuple.  `cech_total_d` reads
 them alike for every complex, the cone included: one pass of
 `AtlasCochain.cech_d` with the sheaf differential as its sheaf part.
 
@@ -81,21 +88,22 @@ def _empty(kind: str) -> list:
     return [{} for _ in range(_FLATS[kind])]
 
 
-def _form_into(scene, acc, w, I, J, sign):
-    map_form_into(acc[0], w, scene.atlas.res(I, J), sign)
+def _form_into(scene, acc, w, I, J, m, sign):
+    map_form_into(acc[0], w, m, sign)
 
 
-def _log_into(scene, acc, lf, I, J, sign):
-    restrict_logform_into(scene, acc[0], acc[1], lf, I, J, sign)
+def _log_into(scene, acc, lf, I, J, m, sign):
+    restrict_logform_into(scene, acc[0], acc[1], lf, I, J, m, sign)
 
 
-def _cone_into(scene, acc, s, I, J, sign):
-    map_form_into(acc[0], s.reg, scene.atlas.res(I, J), sign)
-    restrict_logform_into(scene, acc[1], acc[2], s.log, I, J, sign)
+def _cone_into(scene, acc, s, I, J, m, sign):
+    map_form_into(acc[0], s.reg, m, sign)
+    restrict_logform_into(scene, acc[1], acc[2], s.log, I, J, m, sign)
 
 
-# acc += sign * the restriction of a section from U_I to U_J, per section
-# kind; a divisor form restricts as a form and is projected at the build.
+# acc += sign * the restriction of a section from U_I to U_J along
+# m = atlas.res(I, J), per section kind; a divisor form restricts as a
+# form and is projected at the build.
 _RESTRICT_INTO = {FORM: _form_into, YFORM: _form_into, LOG: _log_into, CONEF: _cone_into}
 
 
@@ -114,8 +122,21 @@ def _build(scene: Scene, kind: str, J, acc):
 def _restricted(scene: Scene, kind: str, s, I, J):
     """The restriction of the section s of the kind from U_I to U_J."""
     acc = _empty(kind)
-    _RESTRICT_INTO[kind](scene, acc, s, I, J, 1)
+    _RESTRICT_INTO[kind](scene, acc, s, I, J, scene.atlas.res(I, J), 1)
     return _build(scene, kind, J, acc)
+
+
+def _tuple_plan(scene: Scene, I) -> tuple:
+    """The plan of a Cech pass over an entry at I: (J, position sign,
+    atlas.res(I, J)) per extension J of I, derived once per tuple and
+    kept in `scene._cech_plans`, for every section kind."""
+    plan = scene._cech_plans.get(I)
+    if plan is None:
+        atlas = scene.atlas
+        plan = scene._cech_plans[I] = tuple(
+            (J, -1 if pos % 2 else 1, atlas.res(I, J)) for _, pos, J in atlas.extensions(I)
+        )
+    return plan
 
 
 class Cochain(AtlasCochain):
@@ -140,8 +161,10 @@ class Cochain(AtlasCochain):
             normal = {I: y_normalize(s, scene.ctx(I)) for I, s in self.entries.items()}
             self.entries = {I: s for I, s in normal.items() if not s.is_zero()}
 
-    def _new(self, entries: dict) -> "Cochain":
-        out = super()._new(entries)
+    def _blank(self) -> "Cochain":
+        out = object.__new__(Cochain)
+        out.scene = self.scene
+        out.kind = self.kind
         out._restrictions = None
         return out
 
@@ -160,11 +183,35 @@ class Cochain(AtlasCochain):
     def _same_space(self, other) -> bool:
         return self.scene is other.scene and self.kind == other.kind
 
-    def _acc(self, J) -> list:
-        return _empty(self.kind)
+    def _entry_into(self, cech: bool, sheaf_into):
+        """The hook of a pass (`AtlasCochain._pass`): each entry's
+        restriction along the tuple plan of its I (`_tuple_plan`) into the
+        accumulator of each extension when cech, and
+        sheaf_into(acc, I, s, sign), which adds sign times the sheaf part
+        of s into the accumulator of I with sign = (-1)^p, unless
+        sheaf_into is None."""
+        scene = self.scene
+        kind = self.kind
+        restrict = _RESTRICT_INTO[kind]
+        plans = scene._cech_plans
 
-    def _restrict_into(self, acc, s, I, J, sign) -> None:
-        _RESTRICT_INTO[self.kind](self.scene, acc, s, I, J, sign)
+        def into(accs, I, s):
+            if cech:
+                plan = plans.get(I)
+                if plan is None:
+                    plan = _tuple_plan(scene, I)
+                for J, sign, m in plan:
+                    acc = accs.get(J)
+                    if acc is None:
+                        acc = accs[J] = _empty(kind)
+                    restrict(scene, acc, s, I, J, m, sign)
+            if sheaf_into is not None:
+                acc = accs.get(I)
+                if acc is None:
+                    acc = accs[I] = _empty(kind)
+                sheaf_into(acc, I, s, -1 if (len(I) - 1) % 2 else 1)
+
+        return into
 
     def _build(self, J, acc):
         return _build(self.scene, self.kind, J, acc)

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import add
 
 from .rings import LocPoly, Ring, _fr, _normal_terms
 from .scene import Scene, UnsupportedScene, _loc_divide, divisor_pole
@@ -340,6 +339,7 @@ def wedge_into(flat: dict, a: Form, b: Form, sign: int = 1, graded: bool = False
     signed a ^ b, since c dx_K passes dx/x."""
     merged: dict = {}
     terms_b = b.flat.items()
+    add_exp = a.ring.add_exp
     for (ka, ea), xa in a.flat.items():
         if (sign < 0) != (graded and len(ka) % 2 == 1):
             xa = -xa
@@ -349,7 +349,7 @@ def wedge_into(flat: dict, a: Form, b: Form, sign: int = 1, graded: bool = False
                 m = merged[ka, kb] = _merge_indices(ka, kb)
             if m is None:
                 continue
-            key = (m[0], tuple(map(add, ea, eb)))
+            key = (m[0], add_exp(ea, eb))
             c = xa * xb if m[1] > 0 else -(xa * xb)
             flat[key] = flat[key] + c if key in flat else c
 
@@ -364,10 +364,11 @@ def _basis_image(ringmap, k, e) -> list:
         zero = (0,) * len(e)
         if e != zero:
             mono = ringmap._mono_image(e).terms.items()
+            add_exp = ringmap.dst.add_exp
             flat: dict = {}
             for (kk, ee), b in _basis_image(ringmap, k, zero):
                 for em, cm in mono:
-                    key = (kk, tuple(map(add, ee, em)))
+                    key = (kk, add_exp(ee, em))
                     flat[key] = flat[key] + b * cm if key in flat else b * cm
         elif k:
             head = Form._new(ringmap.dst, dict(_basis_image(ringmap, k[:-1], zero)))
@@ -380,14 +381,13 @@ def _basis_image(ringmap, k, e) -> list:
     return out
 
 
-def restrict_logform_into(scene: Scene, reg: dict, res: dict, lf: LogForm, I, J, sign) -> None:
-    """(reg, res) += sign * the restriction of w + (dx_I/x_I)^w' to U_J,
-    rewriting the pole: dx_I/x_I = du/u + dx_J/x_J with u = x_I|_J / x_J
-    a unit, or dx_I/x_I = d(x_I|_J)/x_I|_J, a regular form, when the
-    divisor misses U_J.  The rewrite is derived once per (I, J) and kept
-    on the scene (`_pole_rewrite`).  The pair is normalized where it is
-    built."""
-    m = scene.atlas.res(I, J)
+def restrict_logform_into(scene: Scene, reg: dict, res: dict, lf: LogForm, I, J, m, sign) -> None:
+    """(reg, res) += sign * the restriction of w + (dx_I/x_I)^w' to U_J
+    along m = scene.atlas.res(I, J), rewriting the pole: dx_I/x_I =
+    du/u + dx_J/x_J with u = x_I|_J / x_J a unit, or dx_I/x_I =
+    d(x_I|_J)/x_I|_J, a regular form, when the divisor misses U_J.  The
+    rewrite is derived once per (I, J) and kept on the scene
+    (`_pole_rewrite`).  The pair is normalized where it is built."""
     map_form_into(reg, lf.regular, m, sign)
     if lf.residue.is_zero():
         return

@@ -15,10 +15,10 @@ A strict functor F induces a_0[a_1|...|a_k] -> F(a_0)[F(a_1)|...|F(a_k)];
 quotient to O_Y (`hkr.a_to_oy`) and the global restriction
 (`lax.global_to_cech`) are calls to it.  Restriction along tuples is the
 same map with F the restriction functor from I to J, which is fixed, so
-`restrict_chain_into` runs its own term loop over a restrictor kept per
-(I, J).  It and `hoch_d_into` add sign times their result into the
-caller's term dict; `restrict_chain` and `hoch_d` build a HochChain from
-a fresh dict.
+`restrict_chain_into` runs its own term loop over the restrictor of
+(I, J) that its caller passes in.  It and `hoch_d_into` add sign times
+their result into the caller's term dict; `restrict_chain` and `hoch_d`
+build a HochChain from a fresh dict.
 
 Inserting q elements into the gaps of a_0[a_1|...|a_k], each slot
 realized at the level its depth reaches, is the one walk
@@ -41,10 +41,15 @@ monomial shift, signed coefficient), grouped by the slot they change,
 depend on nothing else, and builds only each output key's monomials from
 slices of the tensor's own; a plan is built from the slot terms of the
 curvature, d and composition of basis symbols, kept per tuple.
-`restrict_chain` keeps one restrictor per (I, J) (`_restrictor`, table
+The presheaf keeps one restrictor per (I, J) (`restrictor`, table
 "restrictor"): whether the presheaf lives on J and the slot terms of each
 restricted basis element mono * sym (table "restrict"), so a restriction
-with a term or two makes one lookup per slot and no other set-up.
+with a term or two makes one lookup per slot and no other set-up.  It
+also keeps one tuple plan per tuple I and kind of pass (`_tuple_plan`,
+table "cech-plan" per (cech, parts)): the (J, position sign, restrictor)
+of each extension J of I, the hoch_d plan table of (I, parts), the
+exponent kernel of the ring of I and (-1)^p, read once per entry, so a
+pass looks up nothing per (entry, J) but the accumulator of J.
 `apply_morphism` keeps, per tuple, the slot terms of each image on the
 morphism.  Within one `map_slots` call each distinct (sym, mono) slot is
 computed once.
@@ -53,10 +58,12 @@ A CechHochChain is a Cech cochain of such chains over the atlas; its
 linear operations, its Cech differential and the (-1)^p twist come from
 scene.AtlasCochain, shared with the form cochains of `cech`.  A chain's
 accumulator there is its term dict, so `cech_hoch_d` is one pass of
-`AtlasCochain.cech_d`: every restricted chain and every term of hoch_d
-goes with its sign into the dict of its target tuple, and each tuple's
-HochChain is built once.  `twisted_hoch_d` is the same pass without the
-Cech part.
+`AtlasCochain.cech_d` with one call of its hook per entry
+(`CechHochChain._entry_into`): the entry's restriction to each
+extension and its hoch_d, read from the entry's tuple plan, go with
+their signs into the dict of their target tuples, and each tuple's
+HochChain is built once.  `cech_part_d` is the pass without hoch_d and
+`twisted_hoch_d` the pass without the Cech part.
 
 Lengths are capped by the scene truncation; a curvature insertion that
 would exceed the cap raises TruncationOverflow rather than dropping terms.
@@ -67,7 +74,6 @@ from __future__ import annotations
 import bisect
 import itertools
 from math import prod
-from operator import add
 
 from .cdg import CdgPresheaf, elem_scale, restrict_elem
 from .rings import _fr, _normal_terms
@@ -332,28 +338,33 @@ _D0, _D1, _D2, _WRAP = range(4)
 
 def hoch_d(chain: HochChain, parts=ALL_PARTS) -> HochChain:
     """d_0 + d_1 + d_2 with the displayed signs (or a subset of the three)."""
+    ph, I = chain.presheaf, chain.I
+    plan = _tuple_plan(ph.table("cech-plan", False, parts), ph, I, False, parts)
     out: dict = {}
-    hoch_d_into(out, chain, parts)
-    return HochChain(chain.presheaf, chain.I, out)
+    hoch_d_into(out, chain, plan)
+    return HochChain(ph, I, out)
 
 
-def hoch_d_into(out: dict, chain: HochChain, parts, sign=1) -> None:
-    """out += sign * hoch_d(chain, parts), as basis terms.
+def hoch_d_into(out: dict, chain: HochChain, plan, sign=1) -> None:
+    """out += sign * hoch_d(chain, parts), as basis terms, with plan the
+    tuple plan of chain.I that names the parts (`_tuple_plan`).
 
-    Each basis tensor reads the plan of its (path, syms), kept on the
-    presheaf per (tuple, parts) (`_hoch_d_plan`), which holds each output
-    path and symbols; the tensor builds only the output monomials, from
-    the slices of its own monos around the slot each group replaces."""
-    ph = chain.presheaf
-    I = chain.I
-    plans = ph.table("hoch_d-plan", I, parts)
+    Each basis tensor reads the plan of its (path, syms) from the tuple
+    plan's table, kept on the presheaf per (tuple, parts)
+    (`_hoch_d_plan`), which holds each output path and symbols; the
+    tensor builds only the output monomials, from the slices of its own
+    monos around the slot each group replaces, summed by the tuple's
+    exponent kernel (`Ring.add_exp`)."""
+    _, parts, plans, add, _ = plan
     for (path, syms, monos), coeff in chain.terms.items():
-        plan = plans.get((path, syms))
-        if plan is None:
-            plan = plans[path, syms] = _hoch_d_plan(ph, I, parts, path, syms)
+        tensor_plan = plans.get((path, syms))
+        if tensor_plan is None:
+            tensor_plan = plans[path, syms] = _hoch_d_plan(
+                chain.presheaf, chain.I, parts, path, syms
+            )
         if sign < 0:
             coeff = -coeff
-        for tag, i, entries in plan:
+        for tag, i, entries in tensor_plan:
             if tag == _D0:  # a new slot after slot i, its monomial the shift
                 head, tail = monos[: i + 1], monos[i + 1 :]
                 for out_path, out_syms, shift, c in entries:
@@ -363,13 +374,13 @@ def hoch_d_into(out: dict, chain: HochChain, parts, sign=1) -> None:
             if tag == _D1:  # slot i replaced
                 base, head, tail = monos[i], monos[:i], monos[i + 1 :]
             elif tag == _D2:  # slots i and i + 1 replaced by their product
-                base = tuple(map(add, monos[i], monos[i + 1]))
+                base = add(monos[i], monos[i + 1])
                 head, tail = monos[:i], monos[i + 2 :]
             else:  # _WRAP: a_k a_0 [a_1 | ... | a_{k-1}], i = k
-                base = tuple(map(add, monos[i], monos[0]))
+                base = add(monos[i], monos[0])
                 head, tail = (), monos[1:i]
             for out_path, out_syms, shift, c in entries:
-                key = (out_path, out_syms, head + (tuple(map(add, base, shift)),) + tail)
+                key = (out_path, out_syms, head + (add(base, shift),) + tail)
                 out[key] = out.get(key, 0) + coeff * c
 
 
@@ -440,24 +451,27 @@ def _hoch_d_plan(ph: CdgPresheaf, I, parts, path, syms) -> tuple:
 def restrict_chain(chain: HochChain, J) -> HochChain:
     """Image under the restriction functor to a larger tuple."""
     out: dict = {}
-    restrict_chain_into(out, chain, J)
+    J = tuple(J)
+    restrict_chain_into(out, chain, J, restrictor(chain.presheaf, chain.I, J))
     return HochChain(chain.presheaf, J, out)
 
 
-def restrict_chain_into(out: dict, chain: HochChain, J, sign=1) -> None:
-    """out += sign * restrict_chain(chain, J), as basis terms.
+def restrict_chain_into(out: dict, chain: HochChain, J, kept, sign=1) -> None:
+    """out += sign * restrict_chain(chain, J), as basis terms, with kept
+    the restrictor of chain.I to J (`restrictor`).
 
     The restriction from I to J is `map_slots` with F the restriction
-    functor, which is fixed, so its set-up is read from the restrictor
-    kept on the presheaf per (I, J) (`_restrictor`): whether the presheaf
-    lives on J and the table of slot terms of each restricted basis
-    element mono * sym.  Each slot of a term is one lookup in that table;
-    a missing (or empty) one falls through to `_kept`, which builds it by
-    `_restrict_slot`."""
-    ph, I, J = chain.presheaf, chain.I, tuple(J)
-    live, table = _once(ph.table("restrictor"), (I, J), _restrictor, ph, I, J)
+    functor, which is fixed, so its set-up is the restrictor: whether
+    the presheaf lives on J and the table of slot terms of each
+    restricted basis element mono * sym.  Each slot of a term is one
+    lookup in that table; a missing (or empty) one falls through to
+    `_kept`, which builds it by `_restrict_slot`.  The Cech pass reads
+    the restrictor from its tuple plan (`_tuple_plan`), `restrict_chain`
+    from the presheaf."""
+    live, table = kept
     if not live:
         return
+    ph, I = chain.presheaf, chain.I
     get = table.get
     for (path, syms, monos), coeff in chain.terms.items():
         slots = [
@@ -467,16 +481,44 @@ def restrict_chain_into(out: dict, chain: HochChain, J, sign=1) -> None:
         add_tensor(out, path, slots, coeff if sign > 0 else -coeff)
 
 
-def _restrictor(ph: CdgPresheaf, I, J) -> tuple:
-    """(live, slot table) of the restriction of ph from I to J: live is
-    ph.live(J), and the table is `ph.table("restrict", I, J)`, keyed by
+def restrictor(ph: CdgPresheaf, I, J) -> tuple:
+    """The restrictor of ph from the tuple I to J, kept per (I, J) on the
+    presheaf (table "restrictor"): (live, slot table), live being
+    ph.live(J) and the slot table `ph.table("restrict", I, J)`, keyed by
     (sym, mono)."""
-    return ph.live(J), ph.table("restrict", I, J)
+    kept = ph.table("restrictor")
+    got = kept.get((I, J))
+    if got is None:
+        got = kept[I, J] = ph.live(J), ph.table("restrict", I, J)
+    return got
 
 
 def _restrict_slot(ph: CdgPresheaf, I, J, sym, mono) -> dict:
     """The restriction of the basis element mono * sym from I to J."""
     return restrict_elem(ph, {sym: ph.ring(I).monomial(mono)}, I, J)
+
+
+def _tuple_plan(plans: dict, ph: CdgPresheaf, I, cech: bool, parts) -> tuple:
+    """The plan of a Cech pass over the entry at I, kept in plans, the
+    table `ph.table("cech-plan", cech, parts)`: (restrictions, parts,
+    hoch_d plans, exponent kernel, sign).  restrictions is one
+    (J, position sign, restrictor) per extension J of I when cech, else
+    empty; the hoch_d plans are the table `ph.table("hoch_d-plan", I,
+    parts)` of `hoch_d_into`, None when parts is None; the exponent
+    kernel is `Ring.add_exp` of the ring of I, and sign is (-1)^p on Cech
+    degree p.  A plan holds no reference to its presheaf."""
+    plan = plans.get(I)
+    if plan is None:
+        restrictions = ()
+        if cech:
+            restrictions = tuple(
+                (J, -1 if pos % 2 else 1, restrictor(ph, I, J))
+                for _, pos, J in ph.scene.atlas.extensions(I)
+            )
+        hoch = None if parts is None else ph.table("hoch_d-plan", I, parts)
+        sign = -1 if (len(I) - 1) % 2 else 1
+        plan = plans[I] = (restrictions, parts, hoch, ph.ring(I).add_exp, sign)
+    return plan
 
 
 class CechHochChain(AtlasCochain):
@@ -496,11 +538,36 @@ class CechHochChain(AtlasCochain):
     def _same_space(self, other) -> bool:
         return self.presheaf is other.presheaf
 
-    def _acc(self, J) -> dict:
-        return {}
+    def _blank(self) -> "CechHochChain":
+        out = object.__new__(CechHochChain)
+        out.presheaf = self.presheaf
+        return out
 
-    def _restrict_into(self, acc, ch, I, J, sign) -> None:
-        restrict_chain_into(acc, ch, J, sign)
+    def _entry_into(self, cech: bool, parts):
+        """The hook of a pass (`AtlasCochain._pass`) that adds the Cech
+        differential of each entry when cech and (-1)^p times hoch_d with
+        the selected parts unless parts is None, read from the entry's
+        tuple plan (`_tuple_plan`), kept on the presheaf per
+        (cech, parts)."""
+        ph = self.presheaf
+        plans = ph.table("cech-plan", cech, parts)
+
+        def into(accs, I, ch):
+            plan = plans.get(I)
+            if plan is None:
+                plan = _tuple_plan(plans, ph, I, cech, parts)
+            for J, sign, kept in plan[0]:
+                acc = accs.get(J)
+                if acc is None:
+                    acc = accs[J] = {}
+                restrict_chain_into(acc, ch, J, kept, sign)
+            if parts is not None:
+                acc = accs.get(I)
+                if acc is None:
+                    acc = accs[I] = {}
+                hoch_d_into(acc, ch, plan, plan[4])
+
+        return into
 
     def _build(self, J, acc) -> HochChain:
         return HochChain(self.presheaf, J, acc)
@@ -515,13 +582,13 @@ def cech_part_d(c: CechHochChain) -> CechHochChain:
 
 def twisted_hoch_d(c: CechHochChain, parts=ALL_PARTS) -> CechHochChain:
     """(-1)^p (selected internal parts), no Cech summand."""
-    return c.twisted(lambda acc, I, ch, sign: hoch_d_into(acc, ch, parts, sign))
+    return c.twisted(parts)
 
 
 def cech_hoch_d(c: CechHochChain) -> CechHochChain:
     """Total differential d_Cech + (-1)^p (d_0 + d_1 + d_2), in one pass
     of `AtlasCochain.cech_d` with hoch_d as its sheaf part."""
-    return c.cech_d(lambda acc, I, ch, sign: hoch_d_into(acc, ch, ALL_PARTS, sign))
+    return c.cech_d(ALL_PARTS)
 
 
 def apply_morphism(c: CechHochChain, morphism, dst: CdgPresheaf) -> CechHochChain:

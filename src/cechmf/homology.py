@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from itertools import accumulate
-from operator import add, itemgetter
+from operator import itemgetter
 
 from .cech import CONE, OMEGA, OMEGA_Y, _COMPLEXES, Cochain, cech_total_d
 from .forms import ConeForm, Form, LogForm, _merge_indices, index_sets
@@ -176,9 +176,10 @@ def _expand(table: list, m) -> dict:
     out: dict = {}
     for J, res, pole, entries in table:
         image = res._mono_image(m).terms.items()
+        add_exp = res.dst.add_exp
         for (tag_j, _, K_j, e), c in entries:
             for e_m, c_m in image:
-                exp = tuple(map(add, e, e_m))
+                exp = add_exp(e, e_m)
                 coeff = c * c_m
                 k = (tag_j, J, K_j, exp)
                 if pole is not None and exp[pole] > 0:

@@ -8,7 +8,8 @@ overlap rings carry explicit restriction maps.
 The Cech layer over the atlas lives here too: `Scene.ctx(I)` keeps each
 tuple's lead-chart data (a `forms.TupleCtx`), `Scene._pole_rewrites` and
 `Scene._unit_dlogs` the logarithmic forms that restriction and `hkr_A`
-wedge in per pair of tuples, `Scene.routes()` keeps the
+wedge in per pair of tuples, `Scene._cech_plans` the restriction plan of
+a form cochain's Cech pass per tuple, `Scene.routes()` keeps the
 fixtures of the trace-vs-residue square (a `diagrams.RouteCtx`),
 `Scene._windows` keeps per complex the assembled window of windowed
 homology for the largest D asked so far, and `AtlasCochain` is the one
@@ -182,6 +183,9 @@ class Scene:
     # by forms._pole_rewrite and hkr._unit_dlog
     _pole_rewrites: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _unit_dlogs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # I -> the tuple plan of a form cochain's Cech pass over an entry at I:
+    # (J, position sign, atlas.res(I, J)) per extension, from cech._tuple_plan
+    _cech_plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _routes: object = field(default=None, init=False, repr=False, compare=False)
     # complex kind -> the homology._WindowedDifferential of the largest
     # window asked so far, with its echelon per parity and its dimensions
@@ -215,14 +219,23 @@ class AtlasCochain:
     """A Cech cochain over the atlas: {tuple: value}, zero values dropped.
 
     Subclasses supply what must match for two cochains to be added or
-    compared (`_same_space`) and the accumulation protocol of `cech_d`:
-    `_acc(J)`, an empty accumulator for a value over U_J;
-    `_restrict_into(acc, s, I, J, sign)`, which adds sign times the
-    restriction of the value s from U_I to U_J into acc; and
-    `_build(J, acc)`, the value over U_J whose terms acc holds, built
-    once.  `any(acc)` is false on an accumulator that received no term (a
-    list of empty flats, or an empty term dict), which builds nothing.
-    Their own `__slots__` name the space (copied by `_new`), they
+    compared (`_same_space`), a copy of their space with no entries
+    (`_blank`, which `_new` fills), and the two halves of a pass of
+    `cech_d` and `twisted`: `_entry_into(cech, sheaf)`, the hook that a
+    pass calls once per entry, as into(accs, I, s), and `_build(J, acc)`,
+    the value over U_J whose terms the accumulator acc holds, built once.
+    The hook adds the entry's restriction, with its position sign, into
+    the accumulator of each extension of I when cech, and (-1)^p times
+    its sheaf part into that of I unless sheaf is None, creating the
+    accumulators it meets in accs.  It reads what depends on I alone
+    (the extensions, their signs and the restriction to each) from a plan
+    kept once per tuple on the subclass's owner: the scene for form
+    cochains (`cech._tuple_plan`), the presheaf for Hochschild chains
+    (`hochschild._tuple_plan`).  What sheaf names is the subclass's: a
+    callback for form cochains, the selected parts of hoch_d for
+    Hochschild chains.  `any(acc)` is false on an accumulator that
+    received no term (a list of empty flats, or an empty term dict),
+    which builds nothing.  Their own `__slots__` name the space, they
     keep the scene as `scene`, and `_label` names them in the repr.
     """
 
@@ -241,9 +254,7 @@ class AtlasCochain:
     def _new(self, entries: dict):
         """A cochain of the same space from entries keyed by atlas tuples,
         valid by construction: only the zero values are dropped."""
-        out = object.__new__(type(self))
-        for name in type(self).__slots__:
-            setattr(out, name, getattr(self, name))
+        out = self._blank()
         out.entries = {I: s for I, s in entries.items() if not s.is_zero()}
         return out
 
@@ -276,38 +287,34 @@ class AtlasCochain:
     def scale(self, c):
         return self._new({I: s.scale(c) for I, s in self.entries.items()})
 
-    def cech_d(self, sheaf_into=None):
+    def cech_d(self, sheaf=None):
         """The alternating Cech differential, over single-index extensions,
-        plus (-1)^p times a sheaf part at each entry of Cech degree p when
-        sheaf_into is given, in one pass: each restricted piece goes into
-        its target's accumulator with its sign, sheaf_into(acc, I, s, sign)
-        adds sign times the sheaf part of s into the accumulator of I, and
-        each value is built once."""
-        accs: dict = {}
-        for I, s in self.entries.items():
-            for j, pos, J in self.scene.atlas.extensions(I):
-                acc = accs.get(J)
-                if acc is None:
-                    acc = accs[J] = self._acc(J)
-                self._restrict_into(acc, s, I, J, -1 if pos % 2 else 1)
-        return self._twist_into(accs, sheaf_into)
+        plus (-1)^p times the sheaf part that sheaf names at each entry of
+        Cech degree p unless sheaf is None, in one pass (`_pass`)."""
+        return self._pass(True, sheaf)
 
-    def twisted(self, sheaf_into):
+    def twisted(self, sheaf):
         """The cochain (-1)^p (sheaf part) at each entry of Cech degree p:
         the pass of `cech_d` without its Cech part."""
-        return self._twist_into({}, sheaf_into)
+        return self._pass(False, sheaf)
 
-    def _twist_into(self, accs: dict, sheaf_into):
-        """Add (-1)^p times the sheaf part of each entry into accs, then
-        build each value once; an accumulator that received no term builds
-        nothing."""
-        if sheaf_into is not None:
-            for I, s in self.entries.items():
-                acc = accs.get(I)
-                if acc is None:
-                    acc = accs[I] = self._acc(I)
-                sheaf_into(acc, I, s, -1 if (len(I) - 1) % 2 else 1)
-        return self._new({J: self._build(J, acc) for J, acc in accs.items() if any(acc)})
+    def _pass(self, cech: bool, sheaf):
+        """One call of the hook per entry, then each value built once and
+        kept unless it is zero."""
+        accs: dict = {}
+        into = self._entry_into(cech, sheaf)
+        for I, s in self.entries.items():
+            into(accs, I, s)
+        build = self._build
+        entries = {}
+        for J, acc in accs.items():
+            if any(acc):
+                s = build(J, acc)
+                if not s.is_zero():
+                    entries[J] = s
+        out = self._blank()
+        out.entries = entries
+        return out
 
     def __repr__(self):
         inner = ", ".join(f"{I}: {s!r}" for I, s in sorted(self.entries.items()))

@@ -199,9 +199,11 @@ def suite_hq(scene: Scene, seed: int = 0) -> list:
     per = max(1, 100 // (qmax + 1))
 
     def hq(q, x):
-        return hq_basis(q, x, triv) if q >= 0 else CechHochChain(triv, {})
+        return hq_basis(q, x, triv)
 
     def exchange(q, c):
+        if not q:  # h^(-1) = 0: both of its terms drop out
+            return twisted_hoch_d(hq(0, c), parts=("d2",)), hq(0, twisted_hoch_d(c, parts=("d2",)))
         lhs = twisted_hoch_d(hq(q, c), parts=("d2",)) + cech_part_d(hq(q - 1, c))
         rhs = hq(q - 1, cech_part_d(c)) + hq(q, twisted_hoch_d(c, parts=("d2",)))
         return lhs, rhs

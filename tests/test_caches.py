@@ -6,7 +6,10 @@ restriction's RingMap, and `hochschild` keeps a restrictor per (I, J)
 restricted basis elements), the slot terms of the
 curvature, d and composition of basis symbols, and the plan of `hoch_d`
 per (path, symbols), on the presheaf, and those of the images of `can`
-on the morphism.  A form cochain keeps the restrictions of its entries
+on the morphism.  A Cech pass reads one plan per tuple, kept on its
+owner: the scene for form cochains (`Scene._cech_plans`), the presheaf
+per (cech, parts) for Hochschild chains ("cech-plan"), each built once.
+A form cochain keeps the restrictions of its entries
 that the cup product reads (`Cochain.restricted`) on itself, and a
 cochain derived from it starts with none.  A walk of `descent_summands`
 that inserts keeps its gap layouts per (path, parities, q) on the
@@ -62,6 +65,7 @@ from cechmf.cech import (
     FORM,
     OMEGA,
     OMEGA_LOG,
+    OMEGA_PLUS,
     OMEGA_Y,
     Cochain,
     _restricted,
@@ -82,15 +86,19 @@ from cechmf.forms import (
 )
 from cechmf.hkr import hkr_A, hkr_xf
 from cechmf.hochschild import (
+    ALL_PARTS,
     CechHochChain,
     HochChain,
     _layouts,
     apply_morphism,
+    cech_hoch_d,
+    cech_part_d,
     hoch_d,
     make_chain,
     map_slots,
     restrict_chain,
     slot_terms,
+    twisted_hoch_d,
 )
 from cechmf.homology import homology_dims, is_boundary_within_window
 from cechmf.lax import (
@@ -107,8 +115,10 @@ from cechmf.rand import (
     rand_cech_hoch_chain,
     rand_cone_cochain,
     rand_form,
+    rand_form_cochain,
     rand_hoch_chain,
     rand_log_cochain,
+    rand_yform_cochain,
 )
 from cechmf.scene import UnsupportedScene, _loc_divide, load_scene, scene_from_dict
 from cechmf.scenes_builtin import all_builtin_names, builtin_scene
@@ -410,6 +420,116 @@ def test_restrictors_make_no_reference_cycle():
         gc.enable()
 
 
+# the (cech, parts) of every Cech-Hochschild pass: cech_hoch_d,
+# cech_part_d and twisted_hoch_d with all, d1 and d2 parts
+HOCH_PASSES = (
+    (True, ALL_PARTS), (True, None), (False, ALL_PARTS), (False, ("d1",)), (False, ("d2",))
+)
+
+
+def _fill_tuple_plans(scene, presheaves, rng):
+    """Run every Cech pass on sampled cochains: each total differential of
+    a form cochain, over the scene's plans, and each Cech-Hochschild pass
+    of HOCH_PASSES on chains of each presheaf, over the presheaf's.
+    Returns a function that runs them all again on the same draws."""
+    draws = {
+        OMEGA: rand_form_cochain, OMEGA_PLUS: rand_form_cochain, OMEGA_LOG: rand_log_cochain,
+        OMEGA_Y: rand_yform_cochain, CONE: rand_cone_cochain,
+    }
+    forms = {kind: [draw(scene, rng, max_deg=1) for _ in range(3)] for kind, draw in draws.items()}
+    chains = [rand_cech_hoch_chain(rng, ph, max_len=2) for ph in presheaves for _ in range(3)]
+
+    def run():
+        for kind, cs in forms.items():
+            for c in cs:
+                cech_total_d(c, kind)
+        for c in chains:
+            cech_hoch_d(c)
+            cech_part_d(c)
+            for parts in (ALL_PARTS, ("d1",), ("d2",)):
+                twisted_hoch_d(c, parts)
+
+    run()
+    return run
+
+
+def _plan_tables(ph) -> dict:
+    """The presheaf's tables of tuple plans, one per (cech, parts)."""
+    return {key[1:]: table for key, table in ph._tables.items() if key[0] == "cech-plan"}
+
+
+@pytest.mark.parametrize("name", [*SCENE_NAMES, "pole-last"])
+def test_tuple_plans_are_built_once_and_match_their_definitions(name):
+    # on a fresh scene, every Cech pass keeps one plan per tuple on its
+    # owner: form cochains on the scene, Hochschild chains on their
+    # presheaf per (cech, parts).  A second round of the same passes adds
+    # no plan and reads the same plan objects, and each plan holds what
+    # its definition gives, sharing the restrictors, hoch_d plan tables
+    # and restriction maps that their own owners keep.
+    before = _module_containers()
+    scene = load_scene(POLE1_FILE) if name == "pole-last" else builtin_scene(name)
+    atlas = scene.atlas
+    presheaves = [make(scene) for _, make in sorted(PRESHEAVES.items())]
+
+    def snapshot():
+        tables = [{k: dict(t) for k, t in _plan_tables(ph).items()} for ph in presheaves]
+        return [dict(scene._cech_plans), *tables]
+
+    again = _fill_tuple_plans(scene, presheaves, random.Random(f"plans:{name}"))
+    kept = snapshot()
+    assert kept[0] and all(set(tables) == set(HOCH_PASSES) for tables in kept[1:])
+    again()
+    assert snapshot() == kept, "a plan was built twice"
+    assert all(scene._cech_plans[I] is plan for I, plan in kept[0].items())
+    for I, plan in scene._cech_plans.items():
+        assert plan == tuple((J, (-1) ** pos, atlas.res(I, J)) for _, pos, J in atlas.extensions(I))
+        assert all(m is atlas.res(I, J) for J, _, m in plan)
+    for ph, tables in zip(presheaves, kept[1:]):
+        for (cech, parts), plans in _plan_tables(ph).items():
+            assert plans
+            for I, plan in plans.items():
+                assert plan is tables[cech, parts][I]
+                restrictions, plan_parts, hoch, add, sign = plan
+                want = [(J, (-1) ** pos) for _, pos, J in atlas.extensions(I)] if cech else []
+                assert [(J, sgn) for J, sgn, _ in restrictions] == want
+                assert all(r is ph.table("restrictor")[I, J] for J, _, r in restrictions)
+                assert plan_parts == parts
+                assert hoch is (None if parts is None else ph.table("hoch_d-plan", I, parts))
+                assert add is ph.ring(I).add_exp
+                assert sign == (-1) ** (len(I) - 1)
+    assert _module_containers() == before
+
+
+def test_tuple_plans_die_with_their_owners_and_make_no_reference_cycle():
+    # a plan holds no reference back to its scene or presheaf: with the
+    # cyclic collector off, each owner is freed, with a marker put into
+    # its plans, as soon as its last reference goes
+    before = _module_containers()
+    gc.disable()
+    try:
+        for name in SCENE_NAMES:
+            scene = builtin_scene(name)
+            presheaves = [make(scene) for _, make in sorted(PRESHEAVES.items())]
+            _fill_tuple_plans(scene, presheaves, random.Random(f"plans-die:{name}"))
+            scene._cech_plans["marker"] = _Marker()
+            for ph in presheaves:
+                assert set(_plan_tables(ph)) == set(HOCH_PASSES)
+                ph.table("cech-plan", True, ALL_PARTS)["marker"] = _Marker()
+            refs = [
+                weakref.ref(x)
+                for ph in presheaves
+                for x in (ph, _plan_tables(ph)[True, ALL_PARTS]["marker"])
+            ]
+            del presheaves, ph
+            assert all(ref() is None for ref in refs), f"{name}: a plan outlives its presheaf"
+            refs = [weakref.ref(scene._cech_plans["marker"]), weakref.ref(scene)]
+            del scene
+            assert all(ref() is None for ref in refs), f"{name}: a plan outlives its scene"
+    finally:
+        gc.enable()
+    assert _module_containers() == before
+
+
 def _fresh_rewrite(scene, I, J):
     """How dx_I/x_I reads on U_J, derived as restriction derived it on
     every call before the scene kept it."""
@@ -469,16 +589,17 @@ def test_failed_pole_rewrite_is_not_kept():
     ctx = scene.ctx((1,))
     lf = LogForm(ctx, Form.zero(ctx.ring), Form.one(ctx.ring))
     assert not lf.residue.is_zero()
+    res = scene.atlas.res((1,), (0, 1))
     for _ in range(2):
         with pytest.raises(UnsupportedScene, match="incompatible"):
-            restrict_logform_into(scene, {}, {}, lf, (1,), (0, 1), 1)
+            restrict_logform_into(scene, {}, {}, lf, (1,), (0, 1), res, 1)
         with pytest.raises(UnsupportedScene, match="incompatible"):
             _pole_rewrite(scene, (1,), (0, 1))
         assert not scene._pole_rewrites
     # a log form without a residue needs no rewrite
     regular = LogForm(ctx, Form.one(ctx.ring), Form.zero(ctx.ring))
     reg: dict = {}
-    restrict_logform_into(scene, reg, {}, regular, (1,), (0, 1), 1)
+    restrict_logform_into(scene, reg, {}, regular, (1,), (0, 1), res, 1)
     assert reg and not scene._pole_rewrites
 
 

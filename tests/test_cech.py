@@ -67,16 +67,18 @@ def test_scene_is_freed_with_its_tuple_contexts():
 )
 @pytest.mark.parametrize("name", ["SCENE-P1", "SCENE-P2", "SCENE-A2D"])
 def test_derived_cochains_match_checked_construction(name, gen):
-    # cech_d, twisted and the linear operations build their results without
-    # the tuple check and the projection of divisor forms to Y; each must
-    # equal the cochain the checked constructor builds
+    # the Cech differential, every total differential of the section
+    # kind, the twist (-1)^p s and the linear operations build their
+    # results without the tuple check and the projection of divisor forms
+    # to Y; each must equal the cochain the checked constructor builds
     scene = SCENES[name]
     rng = random.Random(f"derived:{name}:{gen.__name__}")
     for _ in range(4):
         a, b = gen(scene, rng, max_deg=1), gen(scene, rng, max_deg=1)
         derived = [
             a + b, a - b, -a, a.scale(Fraction(-3, 2)), a.scale(0),
-            a.cech_d(), a.twisted(lambda acc, I, s, sign: a._restrict_into(acc, s, I, I, sign)),
+            a.cech_d(), *(cech_total_d(a, k) for k, kind in _KIND.items() if kind == a.kind),
+            a.twisted(lambda acc, I, s, sign: _add_section_into(acc, s, sign)),
             a - a,
         ]
         for c in derived:
@@ -84,6 +86,18 @@ def test_derived_cochains_match_checked_construction(name, gen):
             assert c == Cochain(scene, a.kind, c.entries)
             assert not any(s.is_zero() for s in c.entries.values())
         assert (a - a).is_zero() and a.scale(0).is_zero()
+
+
+def _add_section_into(acc, s, sign):
+    """acc += sign * s, for a section of any kind and its accumulator."""
+    if isinstance(s, Form):
+        parts = [s]
+    elif isinstance(s, LogForm):
+        parts = [s.regular, s.residue]
+    else:
+        parts = [s.reg, s.log.regular, s.log.residue]
+    for flat, w in zip(acc, parts, strict=True):
+        add_into(flat, w, sign)
 
 
 def test_total_d_of_unit_on_a2():

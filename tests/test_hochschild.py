@@ -11,6 +11,7 @@ from cechmf.cdg import (
     MFCategory,
     OYAlgebra,
     SheafAlgebraA,
+    TrivializedCategory,
     build_P,
     end_algebra,
     restrict_elem,
@@ -25,6 +26,7 @@ from cechmf.hochschild import (
     add_tensor,
     _layouts,
     cech_hoch_d,
+    cech_part_d,
     descent_summands,
     hoch_d,
     insertion_layouts,
@@ -33,9 +35,11 @@ from cechmf.hochschild import (
     map_slots,
     restrict_chain,
     restrict_chain_into,
+    restrictor,
     slot_terms,
+    twisted_hoch_d,
 )
-from cechmf.rand import rand_hoch_chain
+from cechmf.rand import rand_cech_hoch_chain, rand_hoch_chain
 from cechmf.scene import load_scene, scene_from_dict
 from cechmf.scenes_builtin import all_builtin_names, builtin_scene, builtin_scene_dict
 from conftest import POLE1_FILE, PRESHEAVES, SHEARED_FILE, sheared_a2c
@@ -474,7 +478,7 @@ def test_restrict_chain_into_matches_map_slots_definition(name):
                     for sign in (1, -1):
                         own = {(("*",), ("own",), ((0,),)): Fraction(1, 3)}
                         got, want = dict(own), dict(own)
-                        restrict_chain_into(got, ch, J, sign)
+                        restrict_chain_into(got, ch, J, restrictor(ph, ch.I, J), sign)
                         _restrict_by_map_slots(want, ch, J, sign)
                         assert got == want, (kind, ch.I, J, sign)
                         seen["nonzero"] += got != own
@@ -482,6 +486,79 @@ def test_restrict_chain_into_matches_map_slots_definition(name):
     assert seen["nonzero"]
     oy = OYAlgebra(scene)
     assert bool(seen["dead"]) == any(not oy.live(I) for I in scene.atlas.tuples)
+
+
+def _per_entry_d(c: CechHochChain, cech: bool, parts) -> CechHochChain:
+    """The Cech-Hochschild differentials by their per-entry definition:
+    each entry's restrict_chain to each extension, signed by the
+    position of the new index, when cech, and (-1)^p hoch_d of the entry
+    with the parts on Cech degree p unless parts is None, each piece
+    added into its target's terms."""
+    ph = c.presheaf
+    terms: dict = {}
+
+    def add_piece(piece, sign):
+        out = terms.setdefault(piece.I, {})
+        for key, v in piece.terms.items():
+            out[key] = out.get(key, 0) + sign * v
+
+    for I, ch in c.entries.items():
+        if cech:
+            for _, pos, J in c.scene.atlas.extensions(I):
+                add_piece(restrict_chain(ch, J), (-1) ** pos)
+        if parts is not None:
+            add_piece(hoch_d(ch, parts), (-1) ** (len(I) - 1))
+    return CechHochChain(ph, {J: HochChain(ph, J, t) for J, t in terms.items()})
+
+
+# every presheaf kind, and the trivialized category of P that h^q maps into
+DIFFERENTIAL_PRESHEAVES = {
+    **PRESHEAVES,
+    "triv": lambda sc: TrivializedCategory(sc, [build_P(sc)]),
+}
+
+
+@pytest.mark.parametrize("name", WALK_SCENES)
+def test_cech_differentials_match_per_entry_definition(name):
+    # cech_hoch_d, cech_part_d and twisted_hoch_d (all parts, d1 alone and
+    # d2 alone) against the per-entry definition, on a fresh scene: the
+    # first round builds every tuple plan (cold), the second reads them
+    # (warm).  On the two scene files a restricted monomial slot has
+    # several terms, which no slot of the built-in scenes has.
+    files = {"sheared-file": SHEARED_FILE, "pole-last": POLE1_FILE}
+    scene = load_scene(files[name]) if name in files else builtin_scene(name)
+    rng = random.Random(f"per-entry:{name}")
+    presheaves = {kind: make(scene) for kind, make in sorted(DIFFERENTIAL_PRESHEAVES.items())}
+    chains = {}
+    for kind, ph in presheaves.items():
+        draws = [rand_cech_hoch_chain(rng, ph, max_len=2) for _ in range(9)]
+        chains[kind] = [a + b + c for a, b, c in zip(draws[::3], draws[1::3], draws[2::3])]
+    nonzero = set()
+    for _ in ("cold", "warm"):
+        for kind, cs in chains.items():
+            for c in cs:
+                cases = [(cech_hoch_d(c), True, ALL_PARTS), (cech_part_d(c), True, None)]
+                cases += [(twisted_hoch_d(c, parts), False, parts)
+                          for parts in (ALL_PARTS, ("d1",), ("d2",))]
+                for got, cech, parts in cases:
+                    assert got == _per_entry_d(c, cech, parts), (kind, cech, parts)
+                    if not got.is_zero():
+                        nonzero.add((kind, cech, parts))
+    # every differential is nonzero on some presheaf, the Cech part alone
+    # wherever the atlas has an overlap
+    want = {(True, ALL_PARTS), (False, ALL_PARTS), (False, ("d1",)), (False, ("d2",))}
+    if len(scene.atlas.tuples) > len(scene.atlas.chart_ids):
+        want.add((True, None))
+    assert {(cech, parts) for _, cech, parts in nonzero} == want
+    slots = [
+        terms
+        for ph in presheaves.values()
+        for key, table in ph._tables.items()
+        if key[0] == "restrict"
+        for terms in table.values()
+    ]
+    multi = any(len(terms) > 1 or any(abs(c) != 1 for *_, c in terms) for terms in slots)
+    assert multi == (name in files), name
 
 
 def _add_tensor_by_partials(out, path, slots, coeff):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cechmf.rings import LocPoly, MalformedElement, Ring, RingMap, quotient_restrict
+from cechmf.rings import LocPoly, MalformedElement, Ring, RingMap, exp_adder, quotient_restrict
 from cechmf.scene import _loc_divide
 from cechmf.scenes_builtin import builtin_scene
 
@@ -242,3 +242,13 @@ def test_loc_divide_is_exact():
     assert exp == (0, 0) and type(c) is Fraction and c == Fraction(1, 3)
     ((c, _),) = _loc_divide(x.scale(Fraction(3, 2)), x.scale(Fraction(1, 2))).monomials()
     assert type(c) is int and c == 3
+
+
+@given(st.integers(0, 6), st.data())
+def test_exp_adder_sums_exponents(n, data):
+    # the written-out kernels and the general one against the plain sum;
+    # each ring keeps the kernel of its arity
+    vec = st.tuples(*[st.integers(-5, 5)] * n)
+    a, b = data.draw(vec), data.draw(vec)
+    assert exp_adder(n)(a, b) == tuple(x + y for x, y in zip(a, b))
+    assert Ring([f"x{i}" for i in range(n)]).add_exp is exp_adder(n)
