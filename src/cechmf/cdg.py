@@ -184,6 +184,8 @@ class OYAlgebra(CdgPresheaf):
     def live(self, I) -> bool:
         return self.scene.ctx(I).pole is not None
 
+    # restrict_coeff and objects are the presheaf interface that
+    # `restrict_elem` and `rand` read
     def restrict_coeff(self, I, J, c):
         out = self.scene.atlas.res(tuple(I), tuple(J))(c)
         pole = self.scene.ctx(J).pole
@@ -314,6 +316,8 @@ class TrivializedCategory(MFCategory):
     do not transform under restriction; curvature is -f."""
 
     def delta_element(self, I, x) -> dict:
+        """δ = 0: the inherited `d` and `curvature` read it, so d is zero
+        and the curvature is -f."""
         return {}
 
     restrict_sym = CdgPresheaf.restrict_sym

@@ -271,17 +271,6 @@ def cech_total_d(c: Cochain, complex_kind: str) -> Cochain:
     return c.cech_d(lambda acc, I, s, sign: sheaf_into(acc, ctx(I), s, sign))
 
 
-def cone_cochain(scene: Scene, reg: Cochain, log: Cochain) -> Cochain:
-    """Pair a form cochain and a log cochain into a cone cochain."""
-    entries: dict = {}
-    for I in set(reg.entries) | set(log.entries):
-        ctx = scene.ctx(I)
-        entries[I] = ConeForm(
-            reg.entries.get(I, Form.zero(ctx.ring)), log.entries.get(I, LogForm.zero(ctx))
-        )
-    return Cochain(scene, CONEF, entries)
-
-
 # ---------------------------------------------------------------------------
 # products
 

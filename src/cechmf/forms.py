@@ -306,13 +306,6 @@ class ConeForm:
         return isinstance(other, ConeForm) and self.reg == other.reg and self.log == other.log
 
 
-def map_form(w: Form, ringmap, dst_ring: Ring) -> Form:
-    """Pullback of a form along a ring map."""
-    flat: dict = {}
-    map_form_into(flat, w, ringmap)
-    return Form.from_flat(dst_ring, flat)
-
-
 def map_form_into(flat: dict, w: Form, ringmap, sign: int = 1) -> None:
     """flat += sign * the pullback of w along ringmap, as {(K, e): c}: each
     term a x^e dx_K of w adds a times the pullback of x^e dx_K, read from

@@ -17,8 +17,8 @@ quotient to O_Y (`hkr.a_to_oy`) and the global restriction
 same map with F the restriction functor from I to J, which is fixed, so
 `restrict_chain_into` runs its own term loop over the restrictor of
 (I, J) that its caller passes in.  It and `hoch_d_into` add sign times
-their result into the caller's term dict; `restrict_chain` and `hoch_d`
-build a HochChain from a fresh dict.
+their result into the caller's term dict; `hoch_d` builds a HochChain
+from a fresh dict.
 
 Inserting q elements into the gaps of a_0[a_1|...|a_k], each slot
 realized at the level its depth reaches, is the one walk
@@ -448,17 +448,10 @@ def _hoch_d_plan(ph: CdgPresheaf, I, parts, path, syms) -> tuple:
     return tuple(plan)
 
 
-def restrict_chain(chain: HochChain, J) -> HochChain:
-    """Image under the restriction functor to a larger tuple."""
-    out: dict = {}
-    J = tuple(J)
-    restrict_chain_into(out, chain, J, restrictor(chain.presheaf, chain.I, J))
-    return HochChain(chain.presheaf, J, out)
-
-
 def restrict_chain_into(out: dict, chain: HochChain, J, kept, sign=1) -> None:
-    """out += sign * restrict_chain(chain, J), as basis terms, with kept
-    the restrictor of chain.I to J (`restrictor`).
+    """out += sign * the image of chain under the restriction functor to
+    the larger tuple J, as basis terms, with kept the restrictor of
+    chain.I to J (`restrictor`).
 
     The restriction from I to J is `map_slots` with F the restriction
     functor, which is fixed, so its set-up is the restrictor: whether
@@ -466,8 +459,7 @@ def restrict_chain_into(out: dict, chain: HochChain, J, kept, sign=1) -> None:
     restricted basis element mono * sym.  Each slot of a term is one
     lookup in that table; a missing (or empty) one falls through to
     `_kept`, which builds it by `_restrict_slot`.  The Cech pass reads
-    the restrictor from its tuple plan (`_tuple_plan`), `restrict_chain`
-    from the presheaf."""
+    the restrictor from its tuple plan (`_tuple_plan`)."""
     live, table = kept
     if not live:
         return

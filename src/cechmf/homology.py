@@ -6,14 +6,13 @@ too).  Differentials are evaluated exactly; images may leave the window, so
 homology is computed as ker(d restricted to the window) modulo the part of
 the image that lands back inside the window.  A stability flag compares the
 dimensions at windows D and D+1: the differential is assembled once, at
-D+1 or above, and every smaller window is a prefix of its columns.  Each
-parity q takes one elimination of d on parity q, over Z, when the window
-is assembled.  Its columns run window D first; its rows run the window-D
-basis of parity 1-q, the rest of the window-(D+1) basis, then every other
-key the images reach.  Every rank the dimensions need is then a count of
-the echelon's pivots (`linalg`): the build counts them once for every
-window it holds and keeps the dimensions, and a boundary test reduces its
-target against the echelon.
+D+1 or above (`_assemble`), and every smaller window is a prefix of its
+columns.  Each parity q takes one elimination of d on parity q, over Z.
+Its columns run window D first; its rows run the window-D basis of parity
+1-q, the rest of the window-(D+1) basis, then every other key the images
+reach.  Every rank the dimensions need is then a count of the echelon's
+pivots (`linalg`), so `_dims` counts them once for every window size and
+drops the rest.
 
 A basis key is x^m dx_K on one tuple I, with a tag for its summand.
 `_SUMMANDS` is the one place the tags are defined: per complex, each
@@ -24,23 +23,22 @@ total differential is linear over restriction, so the column of x^m dx_K
 is built from one table of d(dx_K) (`_dtable`, `_expand`), which depends
 on neither m nor the window: assembling a window runs cech_total_d once
 per (tag, I, K), and drops the tables once its columns are expanded.  The
-scene keeps, per complex, the assembled window of the largest D asked so
-far (`Scene._windows`): its basis in size order, row numbers, and per
-parity one checked `QMatrix` and its echelon, and the dimensions at each
-window size.  This is the one homology state a scene holds: a call at a
-window no larger reads its dimensions and eliminates nothing, and a larger
-window replaces it.
+scene keeps, per complex, only the dimensions (H_even, H_odd) at every
+window size up to D+1, D the largest window asked so far
+(`Scene._windows`).  A call at a window no larger reads two of them and
+eliminates nothing, and a larger window replaces them.  A boundary test is the fallback of a
+check whose routes differ, so it assembles its own window, appends its
+target as one more column, and keeps nothing.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from itertools import accumulate
-from operator import itemgetter
 
 from .cech import CONE, OMEGA, OMEGA_Y, _COMPLEXES, Cochain, cech_total_d
 from .forms import ConeForm, Form, LogForm, _merge_indices, index_sets
-from .linalg import QMatrix, in_span, rank_kernel
+from .linalg import QMatrix, rank_kernel
 from .rings import _normal_terms
 from .scene import Scene
 
@@ -193,24 +191,45 @@ def _expand(table: list, m) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
-class _WindowedDifferential:
-    """The matrices of d on the window-D basis, in shared ambient rows.
+def _size(key) -> int:
+    return sum(map(abs, key[3]))
+
+
+def _assemble(scene: Scene, complex_kind: str, D: int) -> tuple:
+    """(basis, ambient, matrix): the matrices of d on the window-D basis,
+    in shared ambient rows.
 
     The basis is the stable sort of `_window_keys` by exponent size,
-    split by parity, so the basis of any smaller window is a prefix of it,
-    and `ends[par][s]` is the length of the parity-par prefix of sizes
-    <= s.  The ambient rows of a parity are its basis keys in that order,
-    then the other keys the images reach.  A key outside the basis can be
-    small (a `cls` key with a pole exponent), so rows are split by basis
+    split by parity, so the basis of any smaller window is a prefix of it.
+    The ambient rows of a parity are its basis keys in that order, then
+    the other keys the images reach.  A key outside the basis can be small
+    (a `cls` key with a pole exponent), so rows are split by basis
     membership, not by size.  `matrix[par]` holds the columns of d on the
-    parity-par basis, numbered in the ambient rows of parity 1 - par and
-    checked once; each is expanded from its (tag, I, K)'s `_dtable`, which
-    only this build keeps.  `echelon[par]` is the one elimination of
-    `matrix[par]` (`linalg.rank_kernel`), which serves every window up to
-    D.
+    parity-par basis, numbered in the ambient rows of parity 1 - par; each
+    is expanded from its (tag, I, K)'s `_dtable`, which only this call
+    keeps."""
+    basis = {0: [], 1: []}
+    for k in sorted(_window_keys(scene, complex_kind, D), key=_size):
+        basis[_parity(k)].append(k)
+    ambient = {par: {k: i for i, k in enumerate(basis[par])} for par in (0, 1)}
+    cells = {k[:3]: k for par in (0, 1) for k in basis[par]}
+    tables = {cell: _dtable(scene, complex_kind, k) for cell, k in cells.items()}
+    matrix = {}
+    for par in (0, 1):
+        amb = ambient[1 - par]
+        cols = [
+            {amb.setdefault(kk, len(amb)): v for kk, v in _expand(tables[k[:3]], k[3]).items()}
+            for k in basis[par]
+        ]
+        matrix[par] = QMatrix(len(amb), len(cols), cols)
+    return basis, ambient, matrix
 
-    `dims[w]` is (H_even, H_odd) at window w, for every w <= D, counted
-    once from the echelons.  With W_par the window's basis of parity par,
+
+def _dims(scene: Scene, complex_kind: str, D: int) -> list:
+    """[(H_even, H_odd) at window w for w <= D], from one elimination of
+    each parity's matrix at window D (`linalg.rank_kernel`).
+
+    With W_par the window's basis of parity par,
     H_par = |W_par| - rank d|par - dim(im d|1-par meet W_par).  The matrix
     of d|q at window w is a prefix of the columns, and W_{1-q} at w a
     prefix of the rows, so both are counts of the echelon's pivots j < n
@@ -218,54 +237,22 @@ class _WindowedDifferential:
     give the dimension of the columns' span within the first r rows, since
     the reduced columns j < n span it and their lowest rows are distinct.
     In sizes: a pivot counts at window w once its column, and for the
-    meet also its lowest row, has size <= w.  A warm `homology_dims` reads
-    two entries.  The scene keeps one window per complex (`_window`);
-    nothing here changes after it is built."""
-
-    def __init__(self, scene: Scene, complex_kind: str, D: int):
-        self.D = D
-        self.basis = {0: [], 1: []}
-        sizes = {0: [], 1: []}
-        keys = ((sum(map(abs, k[3])), k) for k in _window_keys(scene, complex_kind, D))
-        for size, k in sorted(keys, key=itemgetter(0)):
-            par = _parity(k)
-            self.basis[par].append(k)
-            sizes[par].append(size)
-        self.ends = {par: [bisect_right(sizes[par], s) for s in range(D + 1)] for par in (0, 1)}
-        self.ambient = {par: {k: i for i, k in enumerate(self.basis[par])} for par in (0, 1)}
-        cells = {k[:3]: k for par in (0, 1) for k in self.basis[par]}
-        tables = {cell: _dtable(scene, complex_kind, k) for cell, k in cells.items()}
-        self.matrix = {}
-        for par in (0, 1):
-            amb = self.ambient[1 - par]
-            cols = [
-                {amb.setdefault(kk, len(amb)): v for kk, v in _expand(tables[k[:3]], k[3]).items()}
-                for k in self.basis[par]
-            ]
-            self.matrix[par] = QMatrix(len(amb), len(cols), cols)
-        self.echelon = {par: rank_kernel(self.matrix[par]) for par in (0, 1)}
-        # per parity q and size s, the pivots of d|q whose column enters at
-        # window s, and those whose column and lowest row both do
-        grown = {}
-        for q in (0, 1):
-            col, both, rows = [0] * (D + 2), [0] * (D + 2), sizes[1 - q]
-            for low, (j, _) in self.echelon[q].items():
-                col[sizes[q][j]] += 1
-                both[max(sizes[q][j], rows[low] if low < len(rows) else D + 1)] += 1
-            grown[q] = list(accumulate(col)), list(accumulate(both))
-        self.dims = [
-            tuple(self.ends[par][w] - grown[par][0][w] - grown[1 - par][1][w] for par in (0, 1))
-            for w in range(D + 1)
-        ]
-
-
-def _window(scene: Scene, complex_kind: str, D: int) -> _WindowedDifferential:
-    """The scene's kept window of the complex if it holds window D, else
-    the window-D one, which replaces it."""
-    wd = scene._windows.get(complex_kind)
-    if wd is None or wd.D < D:
-        wd = scene._windows[complex_kind] = _WindowedDifferential(scene, complex_kind, D)
-    return wd
+    meet also its lowest row, has size <= w."""
+    basis, _, matrix = _assemble(scene, complex_kind, D)
+    sizes = {par: [_size(k) for k in basis[par]] for par in (0, 1)}
+    # per parity q and size s, the pivots of d|q whose column enters at
+    # window s, and those whose column and lowest row both do
+    grown = {}
+    for q in (0, 1):
+        col, both, rows = [0] * (D + 2), [0] * (D + 2), sizes[1 - q]
+        for low, (j, _) in rank_kernel(matrix[q]).items():
+            col[sizes[q][j]] += 1
+            both[max(sizes[q][j], rows[low] if low < len(rows) else D + 1)] += 1
+        grown[q] = list(accumulate(col)), list(accumulate(both))
+    return [
+        tuple(bisect_right(sizes[par], w) - grown[par][0][w] - grown[1 - par][1][w] for par in (0, 1))
+        for w in range(D + 1)
+    ]
 
 
 def _check_window(D) -> None:
@@ -276,13 +263,16 @@ def _check_window(D) -> None:
 def homology_dims(scene: Scene, complex_kind: str, D: int | None = None) -> dict:
     """Exact homology dimensions per parity in the window, with stability flag.
 
-    Both windows are read from the `dims` table of the scene's kept window,
-    assembled at window D+1 or above."""
+    Both windows are read from the scene's kept dimensions of the complex
+    (`Scene._windows`), counted at window D+1 or above; a larger window
+    replaces them."""
     if D is None:
         D = scene.window
     _check_window(D)
-    wd = _window(scene, complex_kind, D + 1)
-    here, there = wd.dims[D], wd.dims[D + 1]
+    dims = scene._windows.get(complex_kind)
+    if dims is None or len(dims) < D + 2:
+        dims = scene._windows[complex_kind] = _dims(scene, complex_kind, D + 1)
+    here, there = dims[D], dims[D + 1]
     return {
         "window": D,
         "even": here[0],
@@ -296,23 +286,24 @@ def homology_dims(scene: Scene, complex_kind: str, D: int | None = None) -> dict
 def is_boundary_within_window(c: Cochain, complex_kind: str, D: int) -> bool:
     """Does c = d(v) for some v supported on the window-D basis?
 
-    d is read from the scene's kept window, assembled at window D+1 or
-    above as in `homology_dims`.  No kept column reaches a key outside the
-    kept rows, so c with such a key is no boundary.  Otherwise each parity
-    part of c is a boundary exactly when it lies in the span of the
-    window-D prefix of the kept columns of the other parity: when it
-    reduces to zero against their reduced columns in the kept echelon
-    (`linalg.in_span`)."""
+    The call assembles window D for itself and keeps nothing.  Each parity
+    part of c is appended as one more column after the columns of d on the
+    other parity's basis; it is a boundary exactly when it lies in their
+    span, that is when their elimination (`linalg.rank_kernel`) makes it
+    no pivot.  A key that no column reaches gets a fresh row, so a target
+    with such a key is no boundary."""
     _check_window(D)
     target = expand_cochain(c, complex_kind)
     if not target:
         return True
-    wd = _window(c.scene, complex_kind, D + 1)
-    parts: dict = {}  # parity -> {kept row: coefficient}
+    _, ambient, matrix = _assemble(c.scene, complex_kind, D)
+    parts: dict = {}  # parity -> {key: coefficient}
     for k, v in target.items():
-        p = _parity(k)
-        i = wd.ambient[p].get(k)
-        if i is None:
+        parts.setdefault(_parity(k), {})[k] = v
+    for p, part in parts.items():
+        rows, m = ambient[p], matrix[1 - p]
+        col = {rows.setdefault(k, len(rows)): v for k, v in part.items()}
+        echelon = rank_kernel(QMatrix(len(rows), m.cols + 1, m.entries + [col]))
+        if any(j == m.cols for j, _ in echelon.values()):
             return False
-        parts.setdefault(p, {})[i] = v
-    return all(in_span(wd.echelon[1 - p], wd.ends[1 - p][D], part) for p, part in parts.items())
+    return True

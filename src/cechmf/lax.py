@@ -84,6 +84,8 @@ class GlobalModel(CdgPresheaf):
         return self.scene.global_ring
 
     def hom_basis(self, I, x, y):
+        # presheaf interface, as `rand` reads it: the base class's ("1",)
+        # is not this model's basis
         return self._basis
 
     def parity(self, sym):
@@ -103,6 +105,8 @@ class GlobalModel(CdgPresheaf):
 
     @staticmethod
     def _fail(s):
+        # compose's guard: a global algebra with non-scalar structure
+        # constants is rejected, not truncated
         raise NotImplementedError("non-scalar structure constants at the global level")
 
     def d(self, I, sym):

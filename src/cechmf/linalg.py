@@ -10,9 +10,8 @@ of its columns: the rank of every lower-left block is a count,
 
     rank m[rows >= r, cols < n] = #{pivots j < n with low(j) >= r},
 
-and a column lies in the span of the first n columns exactly when it
-reduces to zero against the reduced columns j < n (`in_span`).  Both run
-the one reduction loop, `_reduce`.
+and column n is a pivot exactly when it does not lie in the span of the
+first n columns.
 
 The reduction runs over Z: each column is scaled by the lcm of its
 denominators, eliminated with col <- p*col - f*prev, and each pivot column
@@ -21,9 +20,9 @@ rational changes neither the pivots nor the lowest rows, so they are those
 of the elimination over Q.
 
 A `QMatrix` checks its rows and zeros and takes each column over Z once,
-when it is built.  Neither `rank_kernel` nor `in_span` writes a column it
-was given or one an echelon keeps: a column is copied when it is first
-reduced, and a column that becomes a pivot unchanged is kept as it is.
+when it is built.  `rank_kernel` writes no column it was given or one an
+echelon keeps: a column is copied when it is first reduced, and a column
+that becomes a pivot unchanged is kept as it is.
 """
 
 from __future__ import annotations
@@ -61,16 +60,16 @@ def _integral(col: dict) -> dict:
     return {i: int(x * den) for i, x in col.items()}
 
 
-def _reduce(col: dict, echelon: dict, n: int) -> tuple:
+def _reduce(col: dict, echelon: dict) -> tuple:
     """(col, its lowest row) after reducing col against the echelon's
-    reduced columns j < n, always clearing the lowest row, until col is
-    zero (lowest row None) or no such column has its lowest row.  col is
+    reduced columns, always clearing the lowest row, until col is zero
+    (lowest row None) or no reduced column has its lowest row.  col is
     copied on its first step; no column given or kept is written."""
     own = False  # is col a copy this reduction may change?
     while col:
         low = max(col)
         pivot = echelon.get(low)
-        if pivot is None or pivot[0] >= n:
+        if pivot is None:
             return col, low
         prev = pivot[1]
         p, f = prev[low], col[low]
@@ -99,7 +98,7 @@ def rank_kernel(m: QMatrix) -> dict:
     tracer spans this function by name; no kernel basis is computed."""
     echelon = {}
     for j, col in enumerate(m.integral):
-        col, low = _reduce(col, echelon, j)
+        col, low = _reduce(col, echelon)
         if col:
             g = gcd(*col.values())
             if col[low] < 0:
@@ -107,9 +106,3 @@ def rank_kernel(m: QMatrix) -> dict:
             echelon[low] = (j, {i: x // g for i, x in col.items()} if g != 1 else col)
     return echelon
 
-
-def in_span(echelon: dict, n: int, col: dict) -> bool:
-    """Does col, {row: int or Fraction}, lie in the span of the first n
-    columns of the matrix whose echelon (`rank_kernel`) is given?  It does
-    exactly when it reduces to zero against the reduced columns j < n."""
-    return _reduce(_integral({i: x for i, x in col.items() if x}), echelon, n)[1] is None

@@ -11,9 +11,10 @@ tuple's lead-chart data (a `forms.TupleCtx`), `Scene._pole_rewrites` and
 wedge in per pair of tuples, `Scene._cech_plans` the restriction plan of
 a form cochain's Cech pass per tuple, `Scene.routes()` keeps the
 fixtures of the trace-vs-residue square (a `diagrams.RouteCtx`),
-`Scene._windows` keeps per complex the assembled window of windowed
-homology for the largest D asked so far, and `AtlasCochain` is the one
-cochain base of `cech.Cochain` and `hochschild.CechHochChain`.
+`Scene._windows` keeps per complex the dimensions of windowed homology
+at every window size up to D + 1, D the largest window asked so far, and
+`AtlasCochain` is the one cochain base of `cech.Cochain` and
+`hochschild.CechHochChain`.
 """
 
 from __future__ import annotations
@@ -187,10 +188,9 @@ class Scene:
     # (J, position sign, atlas.res(I, J)) per extension, from cech._tuple_plan
     _cech_plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _routes: object = field(default=None, init=False, repr=False, compare=False)
-    # complex kind -> the homology._WindowedDifferential of the largest
-    # window asked so far, with its echelon per parity and its dimensions
-    # per window size, the scene's one homology state: every smaller
-    # window is a prefix of it
+    # complex kind -> [(H_even, H_odd) at window w for w <= D + 1], D the
+    # largest window asked so far (homology._dims), the scene's one
+    # homology state: no basis, matrix or echelon is kept
     _windows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def chart(self, i) -> Chart:

@@ -535,7 +535,7 @@ def oracle_homology_dims(scene: Scene, complex_kind: str, D: int) -> dict:
     """Windowed homology with an independent sparse fraction-free rank.
 
     The assembly is its own too: one cech_total_d per window basis key,
-    not the table-built columns of homology._WindowedDifferential."""
+    not the table-built columns of homology._assemble."""
     basis: dict = {0: [], 1: []}
     images: dict = {0: [], 1: []}
     for k in _window_keys(scene, complex_kind, D):

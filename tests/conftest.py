@@ -3,6 +3,9 @@
 from pathlib import Path
 
 from cechmf.cdg import CurvedLine, OYAlgebra, SheafAlgebraA, build_P, end_algebra
+from cechmf.cech import CONEF, Cochain
+from cechmf.forms import ConeForm, Form, LogForm, map_form_into
+from cechmf.hochschild import HochChain, restrict_chain_into, restrictor
 from cechmf.scene import scene_from_dict
 from cechmf.scenes_builtin import builtin_scene_dict
 
@@ -39,3 +42,27 @@ def sheared_a2c_spec(c="1") -> dict:
 
 def sheared_a2c(c="1"):
     return scene_from_dict(sheared_a2c_spec(c))
+
+
+def pull_back(w: Form, ringmap, dst_ring) -> Form:
+    """The pullback of w along ringmap, as a Form of dst_ring."""
+    flat: dict = {}
+    map_form_into(flat, w, ringmap)
+    return Form.from_flat(dst_ring, flat)
+
+
+def restrict_to(chain: HochChain, J) -> HochChain:
+    """The image of chain under the restriction functor to the tuple J."""
+    out: dict = {}
+    J = tuple(J)
+    restrict_chain_into(out, chain, J, restrictor(chain.presheaf, chain.I, J))
+    return HochChain(chain.presheaf, J, out)
+
+
+def cone_of(scene, reg: Cochain, log: Cochain) -> Cochain:
+    """The cone cochain of a form cochain and a log cochain."""
+    entries = {}
+    for I in set(reg.entries) | set(log.entries):
+        ctx = scene.ctx(I)
+        entries[I] = ConeForm(reg.entries.get(I, Form.zero(ctx.ring)), log.entries.get(I, LogForm.zero(ctx)))
+    return Cochain(scene, CONEF, entries)

@@ -1,6 +1,6 @@
 """The tabulated structure gives the uncached answer, and dies with its owner.
 
-`forms.map_form` keeps the pullback of each basis form x^e dx_K on the
+`forms.map_form_into` keeps the pullback of each basis form x^e dx_K on the
 restriction's RingMap, and `hochschild` keeps a restrictor per (I, J)
 ("restrictor": whether the presheaf lives on J and the slot terms of
 restricted basis elements), the slot terms of the
@@ -24,12 +24,13 @@ realizations live for one call.  The scene keeps the pole rewrite of
 each restriction of a log form and the dlog of each transition unit that
 `hkr_A` wedges in (`Scene._pole_rewrites`, `Scene._unit_dlogs`), the
 fixtures of the trace-vs-residue square (`diagrams.RouteCtx`) and, for
-windowed homology, per complex the assembled window of the largest D
-asked so far (`Scene._windows`), which serves every smaller window with
-no cech_total_d run, no column expanded again and no elimination: a
-window build makes the d(dx_K) table of each (tag, I, K) once, drops the
-tables with its columns expanded, and eliminates each parity's matrix
-once, keeping the echelon that homology calls and boundary tests read.
+windowed homology, per complex the dimensions at every window size up to
+the largest D asked so far (`Scene._windows`), which serve every smaller
+window with no cech_total_d run, no column expanded again and no
+elimination: a window build makes the d(dx_K) table of each (tag, I, K)
+once, drops the tables with its columns expanded, eliminates each
+parity's matrix once and keeps only the dimensions it counts.  A
+boundary test assembles its own window and keeps nothing.
 These tests compare each table and smaller-window answer with the
 computation it replaces, and check that a table is never served to an
 object other than its owner, also after the owner is freed and its
@@ -81,7 +82,6 @@ from cechmf.forms import (
     _pole_rewrite,
     d_of,
     dlog_of,
-    map_form,
     restrict_logform_into,
 )
 from cechmf.hkr import hkr_A, hkr_xf
@@ -96,7 +96,6 @@ from cechmf.hochschild import (
     hoch_d,
     make_chain,
     map_slots,
-    restrict_chain,
     slot_terms,
     twisted_hoch_d,
 )
@@ -125,7 +124,7 @@ from cechmf.scenes_builtin import all_builtin_names, builtin_scene
 from cechmf.ses import cone_delta
 from cechmf.suites import basis_a_chains, coboundary_lax, oracle_homology_dims, unit_family
 from cechmf.trace import _hq_walk, hq_basis, phi
-from conftest import POLE1_FILE, PRESHEAVES, sheared_a2c
+from conftest import POLE1_FILE, PRESHEAVES, pull_back, restrict_to, sheared_a2c
 
 SCENE_NAMES = ("SCENE-P1", "SCENE-P2", "SCENE-A2D")
 
@@ -184,8 +183,8 @@ def test_map_form_matches_chain_rule(name):
             w = rand_form(rng, scene.atlas.ring(I))
             want = _chain_rule(w, m)
             # the first call fills m.form_images, the second reads it
-            assert map_form(w, m, scene.atlas.ring(J)) == want
-            assert map_form(w, m, scene.atlas.ring(J)) == want
+            assert pull_back(w, m, scene.atlas.ring(J)) == want
+            assert pull_back(w, m, scene.atlas.ring(J)) == want
         # the entry of x^0 dx_K is the pullback of dx_K itself
         zero = (0,) * m.src.nvars
         for (k, e), image in m.form_images.items():
@@ -204,7 +203,7 @@ def test_restrict_chain_matches_fresh_restrict_elem(name, kind):
     for _ in range(2):  # cold, then warm
         for ch in chains:
             for _, _, J in ph.scene.atlas.extensions(ch.I):
-                got = restrict_chain(ch, J)
+                got = restrict_to(ch, J)
                 assert got == _uncached_restrict(ch, J)
                 assert got.presheaf is ph
 
@@ -262,9 +261,10 @@ def _module_containers():
 
 def _signature(owner, seed):
     """What the tables serve for owner on seeded chains.  For a presheaf:
-    hoch_d, restrict_chain and map_form along every restriction the chains
-    meet, and for a matrix-factorization category every h^q; for a lax
-    morphism: its Cech map and its strict-vs-lax homotopy."""
+    hoch_d, and chain restriction and form pullback along every
+    restriction the chains meet, and for a matrix-factorization category
+    every h^q; for a lax morphism: its Cech map and its strict-vs-lax
+    homotopy."""
     rng = random.Random(seed)
     scene = owner.scene
     if isinstance(owner, OneObjectLax):
@@ -275,9 +275,9 @@ def _signature(owner, seed):
     for ch in _chains(rng, owner, count=2):
         out.append(hoch_d(ch).terms)
         for _, _, J in scene.atlas.extensions(ch.I):
-            out.append(restrict_chain(ch, J).terms)
+            out.append(restrict_to(ch, J).terms)
             w = rand_form(rng, scene.atlas.ring(ch.I))
-            out.append(map_form(w, scene.atlas.res(ch.I, J), scene.atlas.ring(J)).terms)
+            out.append(pull_back(w, scene.atlas.res(ch.I, J), scene.atlas.ring(J)).terms)
         if isinstance(owner, MFCategory):
             triv = TrivializedCategory(scene, list(owner.mfs.values()))
             c = CechHochChain(owner, {ch.I: ch})
@@ -346,7 +346,7 @@ def test_restrictor_and_cochain_memo_match_their_definitions(name):
         ph = make(scene)
         for ch in _chains(rng, ph):
             for _, _, J in scene.atlas.extensions(ch.I):
-                restrict_chain(ch, J)
+                restrict_to(ch, J)
         restrictors = ph.table("restrictor")
         assert restrictors, kind
         # O_Y lives on no extension of a tuple of SCENE-P1 or SCENE-A2D
@@ -387,7 +387,7 @@ def test_restrictor_and_cochain_memo_die_with_their_owners():
         line = CurvedLine(scene, 1)
         for ch in _chains(rng, line):
             for _, _, J in scene.atlas.extensions(ch.I):
-                restrict_chain(ch, J)
+                restrict_to(ch, J)
         assert td._restrictions and line.table("restrictor")
         markers = [_Marker(), _Marker()]
         td._restrictions["marker"] = markers[0]
@@ -411,7 +411,7 @@ def test_restrictors_make_no_reference_cycle():
             ph = make(scene)
             for ch in _chains(rng, ph):
                 for _, _, J in scene.atlas.extensions(ch.I):
-                    restrict_chain(ch, J)
+                    restrict_to(ch, J)
             assert ph.table("restrictor"), kind
             ref = weakref.ref(ph)
             del ph, ch
@@ -854,37 +854,42 @@ def test_warm_homology_makes_no_cech_total_d_calls(monkeypatch):
         for D in (0, 1, 0):  # any window the kept one holds
             homology_dims(scene, kind, D)
         assert calls[0] == 0, kind
-    # the unit lies in window 1, so its differential is a boundary there
+    # the unit lies in window 1, so its differential is a boundary there;
+    # the boundary test assembles window 1 for itself and keeps nothing
+    kept = dict(scene._windows)
     assert is_boundary_within_window(fn(unit_cochain(scene, FORM), OMEGA), OMEGA, 1)
+    assert calls[0] == len(_cells(scene, OMEGA, 1))
+    assert scene._windows == kept and all(scene._windows[k] is kept[k] for k in kept)
+    calls[0] = 0
+    homology_dims(scene, OMEGA, 1)
     assert calls[0] == 0
 
 
 def test_homology_tables_die_with_their_scene():
-    """The scene keeps one window per complex, the largest asked so far,
-    and no d(dx_K) table; a window it replaces, and every window it keeps,
-    dies with it."""
+    """The scene keeps one dims table per complex, for the largest window
+    asked so far: a list of (H_even, H_odd) int pairs, one per window
+    size, and no d(dx_K) table, basis, matrix or echelon.  A larger window
+    replaces the table, and the tables die with their scene."""
     before = _module_containers()
     for name in SCENE_NAMES:
         scene = builtin_scene(name)
         for kind in COMPLEXES:
             homology_dims(scene, kind, 0)
-        replaced = [weakref.ref(wd) for wd in scene._windows.values()]
+        replaced = dict(scene._windows)
         for kind in COMPLEXES:
             homology_dims(scene, kind, 1)
             homology_dims(scene, kind, 0)
         assert set(scene._windows) == set(COMPLEXES)
-        assert all(wd.D == 2 for wd in scene._windows.values())
-        assert all(set(vars(wd)) == {"D", "basis", "ends", "ambient", "matrix", "echelon", "dims"} for wd in scene._windows.values())
+        for kind, dims in scene._windows.items():
+            assert dims is not replaced[kind] and dims[:2] == replaced[kind]
+            assert type(dims) is list and len(dims) == 3
+            assert all(type(pair) is tuple and [type(h) for h in pair] == [int, int] for pair in dims)
         fresh = builtin_scene(name)
         assert not fresh._windows, "a window is served to another scene"
-        kept = [weakref.ref(wd) for wd in scene._windows.values()]
-        gc.collect()
-        assert all(ref() is None for ref in replaced), f"{name}: a replaced window outlives its replacement"
         ref = weakref.ref(scene)
         del scene
         gc.collect()
         assert ref() is None, f"{name}: the homology tables outlive their scene"
-        assert all(ref() is None for ref in kept), f"{name}: a kept window outlives its scene"
     assert _module_containers() == before
 
 
@@ -900,8 +905,8 @@ def test_oracle_does_not_fill_the_table(name):
 def test_window_sweep_on_warm_scene_matches_fresh_scenes(name, monkeypatch):
     """Windows 0..3 then 3..0 on one scene, against a fresh scene per call.
     Each window built on the way up (1, 2, 3 and 4) builds each (tag, I, K)
-    table once; the way down reads the kept window 4 and builds no table
-    and expands no column."""
+    table once; the way down reads the kept dims of window 4 and builds no
+    table and expands no column."""
     up, down = (0, 1, 2, 3), (3, 2, 1, 0)
     want = {(kind, D): homology_dims(builtin_scene(name), kind, D) for kind in COMPLEXES for D in up}
     tables, expanded = [], [0]
@@ -921,7 +926,7 @@ def test_window_sweep_on_warm_scene_matches_fresh_scenes(name, monkeypatch):
     for kind in COMPLEXES:
         for D in up:
             assert homology_dims(warm, kind, D) == want[kind, D], (kind, D)
-        assert warm._windows[kind].D == 4
+        assert len(warm._windows[kind]) == 5
         assert Counter(tables) == dict.fromkeys(_cells(warm, kind, 4), len(up)), kind
         tables.clear()
         expanded[0] = 0
@@ -946,20 +951,22 @@ def _probes(scene, kind, D) -> list:
 
 @pytest.mark.parametrize("name", all_builtin_names())
 def test_boundaries_below_the_kept_window_match_fresh_scene(name):
-    """On a scene that kept window 4, each boundary verdict at windows 0..3
-    is a fresh scene's, which assembles window D + 1 for a verdict at D."""
+    """On a scene that kept the dims of window 4, each boundary verdict at
+    windows 0..3 is a fresh scene's.  Each call assembles window D for
+    itself, so neither scene's kept dims change and the fresh scene keeps
+    none."""
     warm = builtin_scene(name)
     verdicts = set()
     for kind in COMPLEXES:
         homology_dims(warm, kind, 3)
         kept = warm._windows[kind]
-        assert kept.D == 4
+        assert len(kept) == 5
         for D in range(4):
             fresh = builtin_scene(name)
             for c, c_fresh in zip(_probes(warm, kind, D), _probes(fresh, kind, D)):
                 got = is_boundary_within_window(c, kind, D)
                 assert got == is_boundary_within_window(c_fresh, kind, D), (kind, D)
-                assert fresh._windows[kind].D == D + 1
+                assert fresh._windows == {}
                 verdicts.add(got)
         assert warm._windows[kind] is kept
     assert verdicts == {True, False}

@@ -24,17 +24,15 @@ from cechmf.cech import (
     c1_minus_Y,
     cech_total_d,
     cech_wedge,
-    cone_cochain,
     todd_inverse,
     unit_cochain,
 )
-from cechmf.forms import ConeForm, Form, LogForm, add_into, dlog_of, map_form, y_normalize
+from cechmf.forms import ConeForm, Form, LogForm, add_into, dlog_of, y_normalize
 from cechmf.hochschild import (
     ALL_PARTS,
     CechHochChain,
     cech_hoch_d,
     hoch_d,
-    restrict_chain,
     twisted_hoch_d,
 )
 from cechmf.rand import (
@@ -46,7 +44,7 @@ from cechmf.rand import (
 )
 from cechmf.scene import SceneError, _loc_divide, load_scene, scene_from_dict
 from cechmf.scenes_builtin import all_builtin_names, builtin_scene, builtin_scene_dict
-from conftest import POLE1_FILE, PRESHEAVES, SHEARED_FILE, sheared_a2c
+from conftest import POLE1_FILE, PRESHEAVES, SHEARED_FILE, cone_of, pull_back, restrict_to, sheared_a2c
 
 SCENES = {name: builtin_scene(name) for name in all_builtin_names()}
 
@@ -140,7 +138,7 @@ def test_cone_d_is_the_sum_of_its_parts(name):
             I: LogForm(scene.ctx(I), a, Form.zero(a.ring))
             for I, a in reg.twisted(lambda acc, I, a, sign: add_into(acc[0], a, sign)).entries.items()
         })
-        expected = cone_cochain(
+        expected = cone_of(
             scene, cech_total_d(reg, OMEGA), cech_total_d(log, OMEGA_LOG_SHIFTED) + connecting
         )
         assert cech_total_d(c, CONE) == expected
@@ -296,7 +294,7 @@ def add_piece(acc: dict, I, piece) -> None:
 
 
 def _restrict_form(scene, w, I, J):
-    return map_form(w, scene.atlas.res(I, J), scene.atlas.ring(J))
+    return pull_back(w, scene.atlas.res(I, J), scene.atlas.ring(J))
 
 
 def _restrict_logform(scene, lf, I, J):
@@ -407,7 +405,7 @@ def _piecewise_hoch(c, parts, cech=True):
     twisted = _piecewise_twisted(c, lambda I, ch: hoch_d(ch, parts))
     if not cech:
         return twisted
-    return _piecewise_cech_d(c, lambda ch, I, J: restrict_chain(ch, J)) + twisted
+    return _piecewise_cech_d(c, lambda ch, I, J: restrict_to(ch, J)) + twisted
 
 
 def _nonzero(draw):

@@ -16,7 +16,6 @@ from cechmf.cech import (
     YFORM,
     Cochain,
     cech_total_d,
-    cone_cochain,
 )
 from cechmf.forms import Form, LogForm, d_of, dlog_of
 from cechmf.hkr import _hkr_mono, a_to_oy, hkr_A, hkr_xf, hkr_y
@@ -26,7 +25,7 @@ from cechmf.scene import load_scene
 from cechmf.ses import cone_to_y
 from cechmf.scenes_builtin import all_builtin_names, builtin_scene
 from cechmf.suites import basis_a_chains
-from conftest import POLE1_FILE, SHEARED_FILE, sheared_a2c
+from conftest import POLE1_FILE, SHEARED_FILE, cone_of, sheared_a2c
 
 SCENES = {name: builtin_scene(name) for name in all_builtin_names()}
 SHEARED = "SCENE-A2C-SHEAR"
@@ -82,7 +81,7 @@ def _hkr_A_term_by_term(c: CechHochChain) -> Cochain:
                 das_K = [d_of(res(a)) for a in m[1:]]
                 w = _wedge_chain(res(m[0]), coeff * (-1) ** (p + 1), k, das_K, dlog_u)
                 add_piece(reg_acc, K, w)
-    return cone_cochain(scene, Cochain(scene, FORM, reg_acc), Cochain(scene, LOG, log_acc))
+    return cone_of(scene, Cochain(scene, FORM, reg_acc), Cochain(scene, LOG, log_acc))
 
 
 def _rand_exponent(rng, ring, max_deg=2):

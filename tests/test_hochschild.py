@@ -33,7 +33,6 @@ from cechmf.hochschild import (
     interleave,
     make_chain,
     map_slots,
-    restrict_chain,
     restrict_chain_into,
     restrictor,
     slot_terms,
@@ -42,7 +41,7 @@ from cechmf.hochschild import (
 from cechmf.rand import rand_cech_hoch_chain, rand_hoch_chain
 from cechmf.scene import load_scene, scene_from_dict
 from cechmf.scenes_builtin import all_builtin_names, builtin_scene, builtin_scene_dict
-from conftest import POLE1_FILE, PRESHEAVES, SHEARED_FILE, sheared_a2c
+from conftest import POLE1_FILE, PRESHEAVES, SHEARED_FILE, restrict_to, sheared_a2c
 
 SCENES = {name: builtin_scene(name) for name in all_builtin_names()}
 
@@ -282,7 +281,7 @@ def test_cech_d_reduces_to_restriction():
     # d_Cech part lands on (0,1) with sign (+1 for appending at position 1);
     # the sheaf part d(e) = t stays on (0,)
     assert set(out.entries) == {(0,), (0, 1)}
-    assert out.entries[(0, 1)] == restrict_chain(c, (0, 1)).scale(-1)
+    assert out.entries[(0, 1)] == restrict_to(c, (0, 1)).scale(-1)
 
 
 def test_cochains_compare_only_within_one_space():
@@ -313,7 +312,7 @@ def test_restriction_rescales_eps():
     alg = SheafAlgebraA(scene)
     ring1 = scene.atlas.ring((1,))
     c = make_chain(alg, (1,), ("*",), [{"e": ring1.one()}])
-    out = restrict_chain(c, (0, 1))
+    out = restrict_to(c, (0, 1))
     r01 = scene.atlas.ring((0, 1))
     # u_{01} = t^{-1}: e_1 = t^{-1} e_0
     expected = make_chain(alg, (0, 1), ("*",), [{"e": r01.monomial([-1])}])
@@ -490,7 +489,7 @@ def test_restrict_chain_into_matches_map_slots_definition(name):
 
 def _per_entry_d(c: CechHochChain, cech: bool, parts) -> CechHochChain:
     """The Cech-Hochschild differentials by their per-entry definition:
-    each entry's restrict_chain to each extension, signed by the
+    each entry's restriction to each extension, signed by the
     position of the new index, when cech, and (-1)^p hoch_d of the entry
     with the parts on Cech degree p unless parts is None, each piece
     added into its target's terms."""
@@ -505,7 +504,7 @@ def _per_entry_d(c: CechHochChain, cech: bool, parts) -> CechHochChain:
     for I, ch in c.entries.items():
         if cech:
             for _, pos, J in c.scene.atlas.extensions(I):
-                add_piece(restrict_chain(ch, J), (-1) ** pos)
+                add_piece(restrict_to(ch, J), (-1) ** pos)
         if parts is not None:
             add_piece(hoch_d(ch, parts), (-1) ** (len(I) - 1))
     return CechHochChain(ph, {J: HochChain(ph, J, t) for J, t in terms.items()})

@@ -170,21 +170,20 @@ def _key_list(scene, kind, D):
 @pytest.mark.parametrize("kind", [OMEGA, OMEGA_Y, CONE])
 @pytest.mark.parametrize("name", all_builtin_names())
 def test_basis_is_the_size_sort_of_the_window_keys(name, kind):
-    """The generated basis is the stable sort by exponent size of the key
-    list, split by parity: a window build counts its echelon's pivots
-    below each window's end in this order for its `dims`, a boundary test
-    reduces against the reduced columns of a window's prefix, and the
-    traced distinct_ratio reads the order too."""
+    """The assembled basis is the stable sort by exponent size of the key
+    list, split by parity, and each parity's ambient rows number it
+    0..n-1 first: `_dims` counts the echelon's pivots below each window's
+    end in this order, and the traced distinct_ratio reads the order too."""
     scene = builtin_scene(name)
     for D in range(4):
         keys = _key_list(scene, kind, D)
         assert _window_keys(scene, kind, D) == keys
         keys = sorted(keys, key=_size)
-        wd = homology._WindowedDifferential(scene, kind, D)
+        basis, ambient, _ = homology._assemble(scene, kind, D)
         for par in (0, 1):
             want = [k for k in keys if _parity(k) == par]
-            assert wd.basis[par] == want, (D, par)
-            assert wd.ends[par] == [sum(_size(k) <= s for k in want) for s in range(D + 1)]
+            assert basis[par] == want, (D, par)
+            assert [ambient[par][k] for k in want] == list(range(len(want)))
 
 
 def _assert_columns_are_d_of_the_basis(scene, kind, D=3):
@@ -233,8 +232,8 @@ def test_engine_matches_oracle_on_sheared_scenes(c, kind, D):
     scene = sheared_a2c(c)
     assert validate_scene(scene).ok
     if c == "1/2" and kind != OMEGA_Y:
-        wd = homology._WindowedDifferential(scene, kind, D + 1)
-        assert any(isinstance(v, Fraction) for par in (0, 1) for col in wd.matrix[par].entries for v in col.values())
+        _, _, matrix = homology._assemble(scene, kind, D + 1)
+        assert any(isinstance(v, Fraction) for m in matrix.values() for col in m.entries for v in col.values())
     out = homology_dims(scene, kind, D)
     here = oracle_homology_dims(scene, kind, D)
     there = oracle_homology_dims(scene, kind, D + 1)
@@ -244,8 +243,8 @@ def test_engine_matches_oracle_on_sheared_scenes(c, kind, D):
 
 def test_oracle_does_not_build_table_columns(monkeypatch):
     """The oracle checks the table-built columns, so it assembles its own.
-    The scene is fresh: a scene that kept a window reads it and does not
-    reach `_dtable` again."""
+    The scene is fresh: a scene that kept the dims of a window reads them
+    and does not reach `_dtable` again."""
 
     def reached(*args):
         raise AssertionError("reached homology._dtable")
@@ -261,8 +260,8 @@ def test_oracle_does_not_build_table_columns(monkeypatch):
 
 def test_oracle_rank_does_not_use_linalg(monkeypatch):
     """The oracle checks the engine's elimination, so it runs its own.
-    The scene is fresh: a scene that kept a window reads its echelon and
-    does not reach `rank_kernel` again."""
+    The scene is fresh: a scene that kept the dims of a window reads them
+    and does not reach `rank_kernel` again."""
 
     def reached(*args):
         raise AssertionError("reached rank_kernel")
@@ -293,14 +292,16 @@ def test_engine_matches_oracle_at_both_windows(name, kind, D):
 @pytest.mark.parametrize("kind", [OMEGA, OMEGA_Y, CONE])
 @pytest.mark.parametrize("name", [*all_builtin_names(), "sheared"])
 def test_kept_window_holds_the_dims_of_every_size(name, kind):
-    """After one cold homology_dims at D = 2, the kept window 3 holds
-    (H_even, H_odd) for every window w <= 3, each the oracle's: a downward
-    sweep reads this one table."""
+    """After one cold homology_dims at D = 2, the scene keeps for the
+    complex only (H_even, H_odd) as int pairs for every window w <= 3,
+    each the oracle's: a downward sweep reads this one table."""
     scene = sheared_a2c() if name == "sheared" else builtin_scene(name)
     homology_dims(scene, kind, 2)
-    wd = scene._windows[kind]
-    assert wd.D == 3 and len(wd.dims) == wd.D + 1
-    for w, dims in enumerate(wd.dims):
+    assert list(scene._windows) == [kind]
+    table = scene._windows[kind]
+    assert type(table) is list and len(table) == 4
+    for w, dims in enumerate(table):
+        assert type(dims) is tuple and [type(h) for h in dims] == [int, int]
         want = oracle_homology_dims(scene, kind, w)
         assert dims == (want["even"], want["odd"]), (w, dims, want)
 
@@ -337,114 +338,113 @@ def test_boundary_detection_on_multi_chart_scenes(name, D, generator):
     assert not is_boundary_within_window(g + cech_total_d(v, OMEGA), OMEGA, D)
 
 
-def _kept_window(wd) -> tuple:
-    """A kept window's basis, row numbers, and per parity its rows, its
-    row-numbered columns, their integral forms and its echelon."""
-    matrices = {par: (m.rows, m.entries, m.integral) for par, m in wd.matrix.items()}
-    return wd.D, wd.basis, wd.ambient, matrices, wd.echelon
-
-
 @pytest.mark.parametrize("name", [*all_builtin_names(), "half-sheared"])
 def test_kept_window_stays_unchanged(name):
-    """Calls below, at and above the kept window leave every kept window
-    as it was assembled, its echelon included, also after a larger window
-    has replaced it: no boundary test writes a kept reduced column.  The half-sheared scene's columns hold
-    Fraction entries, so their integral forms are dicts of their own."""
+    """Homology calls at or below the kept window leave its dims table as
+    it was counted, the same object, and no boundary test, below, at or
+    above it, changes `scene._windows`: each assembles its own window.  A
+    larger homology window replaces the table with one that extends it.
+    The half-sheared scene's columns hold Fraction entries, so their
+    integral forms are dicts of their own."""
     scene = sheared_a2c("1/2") if name == "half-sheared" else builtin_scene(name)
     kinds = (OMEGA, OMEGA_Y, CONE)
     probes = {}  # kind -> (a window-1 basis cochain, its boundary)
     for kind in kinds:
-        homology._window(scene, kind, 2)
+        homology_dims(scene, kind, 1)
         last = _basis_cochain(scene, kind, _window_keys(scene, kind, 1)[-1])
         probes[kind] = last, cech_total_d(last, kind)
     windows = dict(scene._windows)
-    assert {wd.D for wd in windows.values()} == {2}
-    before = copy.deepcopy({kind: _kept_window(wd) for kind, wd in windows.items()})
+    assert {len(table) for table in windows.values()} == {3}
+    before = copy.deepcopy(windows)
     rational = any(
-        m.integral[j] is not col for wd in windows.values() for m in wd.matrix.values() for j, col in enumerate(m.entries)
+        m.integral[j] is not col
+        for kind in kinds
+        for m in homology._assemble(scene, kind, 2)[2].values()
+        for j, col in enumerate(m.entries)
     )
     assert rational == (name == "half-sheared")
-
-    def unchanged():
-        assert {kind: _kept_window(wd) for kind, wd in windows.items()} == before
-
-    for kind in kinds:  # below and at the kept window
+    for kind in kinds:
         homology_dims(scene, kind, 0)
         homology_dims(scene, kind, 1)
         last, boundary = probes[kind]
-        for D in (0, 1):  # both read window D + 1
+        for D in (0, 1, 3):
             is_boundary_within_window(last, kind, D)
             verdict = is_boundary_within_window(boundary, kind, D)
             assert verdict or D == 0  # last, of window 1, is a preimage
-        assert scene._windows[kind] is windows[kind]
-    unchanged()
-    for kind in kinds:  # above it: a larger window replaces it
+        assert scene._windows == before
+        assert all(scene._windows[k] is windows[k] for k in kinds)
+    for kind in kinds:  # a larger window replaces the table
         homology_dims(scene, kind, 2)
-        assert scene._windows[kind].D == 3
-        last, boundary = probes[kind]
-        is_boundary_within_window(last, kind, 3)
-        assert is_boundary_within_window(boundary, kind, 3)
-        assert scene._windows[kind].D == 4
-    unchanged()
+        assert len(scene._windows[kind]) == 4 and scene._windows[kind][:3] == before[kind]
 
 
 @pytest.mark.parametrize("kind", [OMEGA, OMEGA_Y, CONE])
 @pytest.mark.parametrize("name", [*all_builtin_names(), "half-sheared"])
 def test_kept_window_is_d_of_its_basis(name, kind):
-    """Each row-numbered column of the kept window, its rows read back as
-    keys, is d of its basis cochain, and each parity's ambient rows number
-    its basis 0..n-1 first."""
+    """Each row-numbered column of the window whose dims homology_dims
+    keeps, its rows read back as keys, is d of its basis cochain, and each
+    parity's ambient rows number its basis 0..n-1 first."""
     scene = sheared_a2c("1/2") if name == "half-sheared" else builtin_scene(name)
     homology_dims(scene, kind, 1)
-    wd = scene._windows[kind]
-    assert wd.D == 2
+    assert len(scene._windows[kind]) == 3
+    basis, ambient, matrix = homology._assemble(scene, kind, 2)
     for par in (0, 1):
-        basis, amb = wd.basis[par], wd.ambient[par]
-        assert [amb[k] for k in basis] == list(range(len(basis)))
-        key_of = {i: k for k, i in wd.ambient[1 - par].items()}
-        m = wd.matrix[par]
-        assert (m.rows, m.cols) == (len(key_of), len(basis))
-        for key, col in zip(basis, m.entries):
+        amb = ambient[par]
+        assert [amb[k] for k in basis[par]] == list(range(len(basis[par])))
+        key_of = {i: k for k, i in ambient[1 - par].items()}
+        m = matrix[par]
+        assert (m.rows, m.cols) == (len(key_of), len(basis[par]))
+        for key, col in zip(basis[par], m.entries):
             want = expand_cochain(cech_total_d(_basis_cochain(scene, kind, key), kind), kind)
             assert {key_of[i]: v for i, v in col.items()} == want, key
+
+
+def _keyed_columns(window, par) -> list:
+    """The parity-par columns of an assembled window, rows read back as
+    keys."""
+    _, ambient, matrix = window
+    key_of = {i: k for k, i in ambient[1 - par].items()}
+    return [{key_of[i]: v for i, v in col.items()} for col in matrix[par].entries]
 
 
 @pytest.mark.parametrize("kind", [OMEGA, OMEGA_Y, CONE])
 @pytest.mark.parametrize("name", ["SCENE-A2D", "SCENE-P2"])
 def test_boundary_test_and_homology_share_one_window(name, kind):
-    """A boundary test at window D reads the window homology_dims keeps for
-    D, D + 1: after both calls the scene holds one window object, built by
-    the first call and read by the second."""
+    """A boundary test at window D and homology_dims at D read one window
+    assembly (`_assemble`): window D, which the boundary test assembles,
+    is the window-D prefix of window D + 1, which homology_dims assembles,
+    in its basis and its columns.  The boundary test keeps nothing, and
+    homology_dims keeps only its dims."""
     scene = builtin_scene(name)
     D = 1
     is_boundary_within_window(_basis_cochain(scene, kind, _window_keys(scene, kind, D)[-1]), kind, D)
-    (wd,) = scene._windows.values()
-    assert wd.D == D + 1
+    assert scene._windows == {}
     homology_dims(scene, kind, D)
-    assert list(scene._windows.values()) == [wd] and scene._windows[kind] is wd
+    assert list(scene._windows) == [kind] and len(scene._windows[kind]) == D + 2
+    small, big = homology._assemble(scene, kind, D), homology._assemble(scene, kind, D + 1)
+    for par in (0, 1):
+        n = len(small[0][par])
+        assert big[0][par][:n] == small[0][par]
+        assert _keyed_columns(big, par)[:n] == _keyed_columns(small, par)
 
 
 @pytest.mark.parametrize("kind", [OMEGA, OMEGA_Y, CONE])
-def test_key_outside_the_kept_rows_is_no_boundary_without_elimination(kind, monkeypatch):
-    """No column of the kept window reaches a key outside its rows, so a
-    target with such a key is no boundary, and no elimination runs."""
+def test_key_outside_the_window_is_no_boundary(kind):
+    """No column of window D reaches a key of a far larger window, so such
+    a key gets a fresh row: a target with it is no boundary, also when the
+    rest of it is one."""
     scene = builtin_scene("SCENE-A2D")
     D = 1
     last = _basis_cochain(scene, kind, _window_keys(scene, kind, D)[-1])
-    homology_dims(scene, kind, D)
-    wd = scene._windows[kind]
+    boundary = cech_total_d(last, kind)
+    _, ambient, _ = homology._assemble(scene, kind, D)
     far = _window_keys(scene, kind, D + 4)[-1]
-    assert far not in wd.ambient[_parity(far)]
-
-    def reached(*args):
-        raise AssertionError("reached rank_kernel")
-
-    monkeypatch.setattr(linalg, "rank_kernel", reached)
-    monkeypatch.setattr(homology, "rank_kernel", reached)
+    assert far not in ambient[_parity(far)]
     outside = _basis_cochain(scene, kind, far)
-    assert not is_boundary_within_window(outside, kind, D)
-    assert not is_boundary_within_window(last + outside, kind, D)
-    assert scene._windows[kind] is wd
+    assert is_boundary_within_window(boundary, kind, D)
+    for c in (outside, last + outside, boundary + outside):
+        assert not is_boundary_within_window(c, kind, D)
+    assert scene._windows == {}
 
 
 def _warm_answers(scene, kind) -> tuple:
@@ -463,20 +463,71 @@ def _warm_answers(scene, kind) -> tuple:
 
 
 @pytest.mark.parametrize("kind", [OMEGA, OMEGA_Y, CONE])
-def test_warm_calls_read_the_kept_echelon(kind, monkeypatch):
-    """After one cold homology_dims at D = 2, the kept window 3 answers
-    homology at D = 2, 1, 0 and boundary tests at D <= 2 from the echelons
-    built with it: no elimination runs, and the answers are a fresh
-    scene's."""
+def test_warm_homology_reads_the_kept_dims(kind, monkeypatch):
+    """After one cold homology_dims at D = 2, the kept dims of window 3
+    answer homology at D = 2, 1, 0 with no elimination.  Boundary tests
+    eliminate their own windows and leave the kept dims as they are, and
+    every answer is a fresh scene's."""
     want = _warm_answers(builtin_scene("SCENE-A2D"), kind)
     assert {True, False} <= set(want[1])
     scene = builtin_scene("SCENE-A2D")
     homology_dims(scene, kind, 2)
+    kept = scene._windows[kind]
+    calls = []
 
-    def reached(*args):
-        raise AssertionError("reached rank_kernel")
+    def counted(m):
+        calls.append(m.cols)
+        return linalg.rank_kernel(m)
 
-    monkeypatch.setattr(linalg, "rank_kernel", reached)
-    monkeypatch.setattr(homology, "rank_kernel", reached)
+    monkeypatch.setattr(homology, "rank_kernel", counted)
+    assert [homology_dims(scene, kind, D) for D in (2, 1, 0)] == want[0]
+    assert calls == []
     assert _warm_answers(scene, kind) == want
-    assert scene._windows[kind].D == 3
+    assert calls
+    assert scene._windows == {kind: kept} and scene._windows[kind] is kept
+
+
+def _oracle_is_boundary(images: dict, target: dict) -> bool:
+    """Is the expanded target a boundary, given the window's images
+    {parity: [expanded d of each basis cochain]}?  Each parity-p part is
+    one exactly when adding it leaves the `suites._sparse_rank` of the
+    parity-(1-p) images unchanged."""
+    parts: dict = {}
+    for k, v in target.items():
+        parts.setdefault(_parity(k), {})[k] = v
+    return all(
+        suites._sparse_rank(images[1 - p] + [part]) == suites._sparse_rank(images[1 - p])
+        for p, part in parts.items()
+    )
+
+
+@pytest.mark.parametrize("D", [1, 2])
+@pytest.mark.parametrize("kind", [OMEGA, OMEGA_Y, CONE])
+@pytest.mark.parametrize("name", [*all_builtin_names(), "sheared"])
+def test_boundary_test_matches_the_oracle(name, kind, D):
+    """Boundary verdicts against an oracle with its own assembly (one
+    cech_total_d per window basis key) and its own rank: on basis
+    cochains, their boundaries, the sums of the two, two basis cochains
+    together, and targets with a key outside the window.  No verdict
+    changes the kept dims."""
+    scene = sheared_a2c() if name == "sheared" else builtin_scene(name)
+    homology_dims(scene, kind, D)
+    kept = copy.deepcopy(scene._windows)
+    keys = _window_keys(scene, kind, D)
+    images = {0: [], 1: []}
+    for k in keys:
+        images[_parity(k)].append(expand_cochain(cech_total_d(_basis_cochain(scene, kind, k), kind), kind))
+    rng = random.Random(f"boundary-oracle:{name}:{kind}:{D}")
+    far = _basis_cochain(scene, kind, _window_keys(scene, kind, D + 2)[-1])
+    basis = [_basis_cochain(scene, kind, k) for k in rng.sample(keys, min(5, len(keys)))]
+    targets = [far, basis[0] + basis[-1].scale(Fraction(-2, 3))]
+    for v in basis:
+        boundary = cech_total_d(v, kind)
+        targets += [v, boundary, v + boundary, boundary + far]
+    verdicts = set()
+    for c in targets:
+        got = is_boundary_within_window(c, kind, D)
+        assert got == _oracle_is_boundary(images, expand_cochain(c, kind)), c
+        verdicts.add(got)
+    assert verdicts == {True, False}
+    assert scene._windows == kept

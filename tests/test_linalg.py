@@ -6,7 +6,7 @@ from itertools import combinations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cechmf.linalg import QMatrix, in_span, rank_kernel
+from cechmf.linalg import QMatrix, rank_kernel
 from cechmf.suites import _sparse_rank
 
 
@@ -86,8 +86,8 @@ def _check_against_oracle(a):
 
     rank a[rows >= r, cols < j] is the number of pivots j' < j whose lowest
     row is >= r, so the other pivots j' < j count the span of the first j
-    columns within the rows < r; a `homology._WindowedDifferential` counts
-    its `dims` table this way."""
+    columns within the rows < r; `homology._dims` counts its table this
+    way."""
     pivots = _pivots(_qm(a))
     assert list(pivots) == sorted(pivots)
     assert len(set(pivots.values())) == len(pivots)
@@ -194,8 +194,10 @@ def test_rank_kernel_leaves_its_matrix_unchanged():
     """The elimination copies a column when it first reduces it and keeps
     an unreduced pivot column as it is, so it never writes a column it was
     given: not one shared by two matrices, nor one of a matrix of its first
-    columns, nor the integral form of a rational column.  A span test
-    writes neither its target nor a column the echelon keeps."""
+    columns, nor the integral form of a rational column.  A span test,
+    a target appended after the first k columns as a boundary test
+    appends it, writes neither the target nor a column the echelon of all
+    columns keeps."""
     rng = random.Random(3)
     for _ in range(30):
         a = _random_matrix(rng, rng.randint(2, 6), rng.randint(2, 6), 3)
@@ -205,9 +207,10 @@ def test_rank_kernel_leaves_its_matrix_unchanged():
             # three matrices over the same column dicts: reversed, and the first k
             other = QMatrix(m.rows, n, m.entries[::-1])
             head = QMatrix(m.rows, k, m.entries[:k])
+            tail = {rng.randrange(m.rows): rng.choice((1, Fraction(1, 3)))}
+            appended = QMatrix(m.rows, k + 1, m.entries[:k] + [tail])
             assert all(x is y for x, y in zip(other.entries, m.entries[::-1]))
             assert all(x is y for x, y in zip(head.entries, m.entries))
-            tail = {rng.randrange(m.rows): rng.choice((1, Fraction(1, 3)))}
             dense = [row[:k] + [tail.get(i, 0)] for i, row in enumerate(rows)]
             echelon = rank_kernel(m)
             before = copy.deepcopy((m.entries, m.integral, tail, echelon))
@@ -216,7 +219,7 @@ def test_rank_kernel_leaves_its_matrix_unchanged():
                 assert _pivots(m) == want
                 assert _pivots(other) == _pivots(_qm([row[::-1] for row in rows]))
                 assert _pivots(head) == {j: low for j, low in want.items() if j < k}
-                assert in_span(echelon, k, tail) == (k not in _pivots(_qm(dense)))
+                assert _pivots(appended) == _pivots(_qm(dense))
             assert (m.entries, m.integral, tail, echelon) == before
 
 
@@ -236,16 +239,16 @@ _RATIONALS = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
     )
 )
 def test_span_test_against_minor_oracle(case):
-    """A target lies in the span of the first n columns exactly when it
-    adds nothing to their rank.  The targets are the drawn one (zero
-    entries kept), the zero target, and a combination of the first n
+    """A target appended after the first n columns, as a boundary test
+    appends it, is no pivot of the echelon exactly when it adds nothing to
+    their rank: when it lies in their span.  The targets are the drawn one
+    (zero entries kept), the zero target, and a combination of the first n
     columns, which always lies in their span."""
     a, t, coeffs = case
-    echelon = rank_kernel(_qm(a))
     for n in range(len(a[0]) + 1):
         combo = [sum(c * x for c, x in zip(coeffs[:n], row[:n])) for row in a]
         for target in (t, [0] * len(a), combo):
             block = [row[:n] + [x] for row, x in zip(a, target)]
             want = _minor_rank(block) == _minor_rank([row[:n] for row in a])
-            assert in_span(echelon, n, dict(enumerate(target))) == want
-        assert in_span(echelon, n, dict(enumerate(combo)))
+            assert (n not in _pivots(_qm(block))) == want
+            assert want or target is not combo

@@ -1,11 +1,15 @@
 import pytest
 
+from cechmf import diagrams, suites
+from cechmf.cech import FORM, OMEGA, Cochain, cech_total_d
+from cechmf.forms import Form
 from cechmf.scene import scene_from_dict
 from cechmf.scenes_builtin import all_builtin_names, builtin_scene, builtin_scene_dict
 from cechmf.suites import SUITES, _global_divisor, _sampled, suite_lax, suite_phi
 from conftest import sheared_a2c
 
 A1 = builtin_scene("SCENE-A1")
+A2 = builtin_scene("SCENE-A2")
 HALF_SHEARED = sheared_a2c("1/2")
 
 
@@ -111,3 +115,36 @@ def test_global_divisor_needs_a_unit_quotient():
     spec = builtin_scene_dict("SCENE-A2")
     spec["global"]["res"]["0"] = {"x": "x*y", "y": "y"}
     assert _global_divisor(scene_from_dict(spec)) is None
+
+
+def _pushforward_with_route_b_shifted(monkeypatch, scene, shift) -> dict:
+    """suite_pushforward's checks by id, with route B of the unit class
+    replaced by route A + shift."""
+    route_a, _ = diagrams.pushforward_unit(scene)
+    monkeypatch.setattr(suites, "pushforward_unit", lambda sc: (route_a, route_a + shift))
+    return {c.id: c for c in suites.suite_pushforward(scene)}
+
+
+def _a2_form(*K) -> Cochain:
+    """dx_K on the one chart of SCENE-A2."""
+    ring = A2.atlas.ring((0,))
+    return Cochain(A2, FORM, {(0,): Form(ring, {K: ring.one()})})
+
+
+def test_routes_that_differ_by_a_boundary_pass_the_bounds_check(monkeypatch):
+    """When the routes differ, the difference is tested for a boundary in
+    the scene's window: d(dx) is one, so the check is present and passes."""
+    checks = _pushforward_with_route_b_shifted(monkeypatch, A2, cech_total_d(_a2_form(0), OMEGA))
+    assert not checks["pushforward:routes-equal"].passed
+    bounds = checks["pushforward:difference-bounds"]
+    assert bounds.passed and bounds.payload is not None
+
+
+def test_routes_that_differ_by_a_cycle_fail_the_bounds_check(monkeypatch):
+    """dx^dy is a cocycle that generates H_even of SCENE-A2, no boundary in
+    any window, so routes that differ by it fail the check."""
+    cycle = _a2_form(0, 1)
+    assert cech_total_d(cycle, OMEGA).is_zero()
+    checks = _pushforward_with_route_b_shifted(monkeypatch, A2, cycle)
+    assert not checks["pushforward:routes-equal"].passed
+    assert not checks["pushforward:difference-bounds"].passed
